@@ -10,7 +10,7 @@ so the loop forest is the central analysis of the whole reproduction.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.analysis.dominators import DominatorTree
 from repro.ir.function import CFG, Function
@@ -19,10 +19,12 @@ from repro.ir.function import CFG, Function
 class Loop:
     """A natural loop: header block plus the body block set."""
 
-    def __init__(self, header: str):
+    def __init__(self, header: str,
+                 back_edges: Iterable[tuple[str, str]] = ()):
         self.header = header
         self.blocks: set[str] = {header}
-        self.back_edges: list[tuple[str, str]] = []  # (latch, header)
+        #: (latch, header) pairs
+        self.back_edges: list[tuple[str, str]] = list(back_edges)
         self.parent: Optional["Loop"] = None
         self.children: list["Loop"] = []
 
@@ -60,25 +62,32 @@ class Loop:
 
 
 class LoopForest:
-    """All natural loops of a function, nested into a forest."""
+    """All natural loops of a function, nested into a forest.
+
+    The forest owns the dominator tree as an immediate-dominator parent
+    map, so a formation commit can patch both in place
+    (:meth:`note_commit`) instead of rebuilding them.
+    """
 
     def __init__(self, func: Function, cfg: Optional[CFG] = None,
                  domtree: Optional[DominatorTree] = None):
         self.func = func
         self.cfg = cfg or func.cfg()
-        self.domtree = domtree or DominatorTree(func, self.cfg)
+        dom = domtree or DominatorTree(func, self.cfg)
+        #: Immediate dominator of every reachable block (the entry maps to
+        #: ``None``); unreachable blocks are absent.
+        self.idom: dict[str, Optional[str]] = dict(dom.idom)
         self.loops: dict[str, Loop] = {}  # keyed by header
         self._block_loops: dict[str, list[Loop]] = {}
         #: bodies/nesting are materialized on first query that needs
         #: them: the formation hot path only asks ``is_header`` /
         #: ``is_back_edge``, which headers and back edges answer alone.
         self._bodies_done = False
-        self._find_loops()
+        self._find_loops(dom)
 
     # -- construction -------------------------------------------------------
 
-    def _find_loops(self) -> None:
-        dom = self.domtree
+    def _find_loops(self, dom: DominatorTree) -> None:
         facts = getattr(dom, "_facts", None)
         if facts is not None and facts.flat.succs_src is self.cfg.succs:
             # Vectorized dominance-interval back-edge scan over the same
@@ -131,45 +140,104 @@ class LoopForest:
 
     # -- incremental update -------------------------------------------------
 
-    def rename_block(self, old: str, new: str) -> None:
-        """Account for ``old`` being absorbed into ``new`` (a SIMPLE merge).
+    def note_commit(self, hb: str, s: str, old_succs: list[str]) -> bool:
+        """Patch the dominator tree and back edges after a merge commit.
 
-        A SIMPLE merge target has ``new`` as its unique predecessor, so
-        contracting the edge maps every occurrence of ``old`` in the forest
-        to ``new``: loop membership, back-edge latches, and (defensively)
-        headers.  Every loop containing ``old`` already contains ``new`` —
-        the only path into ``old`` runs through ``new`` — so no loop gains
-        or loses any *other* block and the nesting is unchanged.
+        ``self.cfg`` must already hold ``hb``'s new successor list and
+        still hold ``s`` (a block the commit deletes is removed from the
+        CFG afterwards); ``old_succs`` is ``hb``'s list before the commit.
+        The update is exact for an edit that replaces the edge ``hb -> s``
+        by edges from ``hb`` to successors of ``s`` — every commit, since
+        the local optimizer never deletes a branch.  Each new path maps to
+        an old one with ``s`` inserted, and each old path to a new one with
+        ``s`` dropped, so every dominator set stays the same or loses
+        ``s``:
 
-        When bodies are still unmaterialized only the header / back-edge
-        rename happens here (the hot queries read those); body collection,
-        when it eventually runs, walks the already-contracted CFG — which
-        yields exactly the renamed body sets, since contracting a block
-        into its unique predecessor preserves backward reachability
-        modulo the rename.
+        - ``s`` dominates ``hb`` (tail duplication of a header into its
+          latch; an unroll that adds no successor): the tree is unchanged
+          and only ``hb``'s out-edges can change status;
+        - otherwise every block ``s`` dominated is reachable around it
+          through ``hb``'s new edges, so ``s``'s children move to its old
+          idom, ``s`` is re-hung under the nearest common ancestor of its
+          remaining reachable predecessors (or leaves the tree), and only
+          edges at ``hb`` and ``s`` can change status.
+
+        Returns ``False`` for any other edit (an unroll whose saved body
+        adds a successor ``hb`` lacked); the caller then rebuilds the
+        forest.  :class:`Loop` objects already handed out are never
+        mutated: changed loops are replaced.
         """
-        for loop in self.loops.values():
-            if old in loop.blocks:
-                loop.blocks.discard(old)
-                loop.blocks.add(new)
-            if loop.back_edges:
-                loop.back_edges = [
-                    (new if src == old else src, new if dst == old else dst)
-                    for src, dst in loop.back_edges
-                ]
-        if old in self.loops:
-            loop = self.loops.pop(old)
-            loop.header = new
-            self.loops[new] = loop
-        if not self._bodies_done:
+        cfg = self.cfg
+        new = set(cfg.succs[hb])
+        if new != set(old_succs) - {s} | set(
+            old_succs if s == hb else cfg.succs[s]
+        ):
+            return False
+        if self._bodies_done:
+            # Any body may grow or shrink with the edit: re-collect lazily.
+            self._bodies_done = False
+            self._block_loops = {}
+            self.loops = {
+                header: Loop(header, loop.back_edges)
+                for header, loop in self.loops.items()
+            }
+        retest = [(hb, t) for t in cfg.succs[hb]]
+        idom = self.idom
+        if hb in idom and not self._dominates(s, hb):
+            parent = idom.pop(s)
+            for name, dom in idom.items():
+                if dom == s:
+                    idom[name] = parent
+            preds = [p for p in cfg.preds[s] if p != s and p in idom]
+            if preds:
+                idom[s] = self._common_dominator(preds)
+            retest += [(p, s) for p in cfg.preds[s]]
+            retest += [(s, t) for t in cfg.succs[s]]
+        if s not in new:
+            self._set_back_edge(hb, s, False)
+        for src, dst in retest:
+            self._set_back_edge(
+                src, dst, src in idom and self._dominates(dst, src)
+            )
+        return True
+
+    def _dominates(self, a: str, b: str) -> bool:
+        """True if ``a`` dominates ``b`` (reflexively), by idom-chain walk."""
+        idom = self.idom
+        node: Optional[str] = b
+        while node is not None:
+            if node == a:
+                return True
+            node = idom.get(node)
+        return False
+
+    def _common_dominator(self, names: list[str]) -> str:
+        """Nearest common ancestor of reachable ``names`` in the tree."""
+        idom = self.idom
+        common = names[0]
+        for name in names[1:]:
+            ancestors = set()
+            node: Optional[str] = common
+            while node is not None:
+                ancestors.add(node)
+                node = idom[node]
+            common = name
+            while common not in ancestors:
+                common = idom[common]
+        return common
+
+    def _set_back_edge(self, src: str, dst: str, back: bool) -> None:
+        loop = self.loops.get(dst)
+        edges = loop.back_edges if loop is not None else []
+        if ((src, dst) in edges) == back:
             return
-        old_loops = self._block_loops.pop(old, None)
-        if old_loops:
-            mine = self._block_loops.setdefault(new, [])
-            for loop in old_loops:
-                if loop not in mine:
-                    mine.append(loop)
-            mine.sort(key=lambda l: -l.depth)
+        edges = [e for e in edges if e != (src, dst)]
+        if back:
+            edges.append((src, dst))
+        if edges:
+            self.loops[dst] = Loop(dst, edges)
+        else:
+            del self.loops[dst]
 
     # -- queries ------------------------------------------------------------
 

@@ -9,9 +9,9 @@ classified exactly as in lines 7-15 of the figure.
 
 The formation *fast path* (on by default) keeps the per-trial bill low:
 
-- analyses survive a committed merge — the CFG is patched in place, the
-  loop forest is renamed (SIMPLE merges) instead of rebuilt, and liveness
-  is re-solved only for the strongly connected components a change can
+- analyses survive a committed merge — the CFG and the loop forest's
+  dominator tree and back edges are patched in place, and liveness is
+  re-solved only for the strongly connected components a change can
   reach — instead of being thrown away wholesale;
 - rejected trials are memoized by block version, so a ``(hyperblock,
   candidate)`` pair the policy re-offers is not re-previewed, re-optimized
@@ -68,8 +68,8 @@ class FormationCacheStats:
     use_kill_hits: int = 0  # per-block use/kill sets served by version
     use_kill_misses: int = 0
     cfg_patches: int = 0  # commits that patched the CFG in place
-    loop_renames: int = 0  # loop forests updated by rename (SIMPLE merges)
-    loop_rebuilds: int = 0  # loop forests dropped for lazy rebuild
+    loop_patches: int = 0  # commits that patched the loop forest in place
+    loop_rebuilds: int = 0  # forests dropped: unrolls that add a successor
     liveness_sccs_solved: int = 0  # SCCs re-solved by incremental refresh
     liveness_sccs_skipped: int = 0  # SCCs whose solution survived a commit
 
@@ -272,8 +272,8 @@ class FormationContext:
         self._cfg = None
 
     def note_commit(
-        self, hb_name: str, preview: BasicBlock, removed: Optional[str],
-        kind: MergeKind,
+        self, hb_name: str, s_name: str, preview: BasicBlock,
+        removed: Optional[str],
     ) -> None:
         """Bring cached analyses up to date after a committed merge.
 
@@ -281,27 +281,30 @@ class FormationContext:
         (``hb_name``) and possibly deletes one block (``removed``), so:
 
         - the CFG view is patched in place;
-        - the loop forest survives a SIMPLE merge by renaming the absorbed
-          block to the hyperblock (contracting a single-predecessor edge
-          maps membership, latches and headers one-for-one and cannot
-          change nesting); any other kind drops it for lazy rebuild;
+        - the loop forest patches its dominator tree and back edges in
+          place (:meth:`LoopForest.note_commit`), except after an unroll
+          whose saved body adds a successor, which drops it for lazy
+          rebuild;
         - liveness re-solves only the SCCs the change propagates into.
         """
         if not self.fast_path:
             self.invalidate()
             return
-        if self._cfg is not None:
-            self._cfg.update_block(hb_name, _arena.successors_of(preview))
+        cfg = self._cfg
+        if cfg is not None:
+            old_succs = cfg.succs[hb_name]
+            cfg.update_block(hb_name, _arena.successors_of(preview))
+            # The forest shares this CFG and must see ``removed`` lose its
+            # last predecessor before the block leaves the view.
+            if self._loops is not None:
+                if self._loops.note_commit(hb_name, s_name, old_succs):
+                    self.cache_stats.loop_patches += 1
+                else:
+                    self._loops = None
+                    self.cache_stats.loop_rebuilds += 1
             if removed is not None:
-                self._cfg.remove_node(removed)
+                cfg.remove_node(removed)
             self.cache_stats.cfg_patches += 1
-        if self._loops is not None:
-            if kind is MergeKind.SIMPLE and removed is not None:
-                self._loops.rename_block(removed, hb_name)
-                self.cache_stats.loop_renames += 1
-            else:
-                self._loops = None
-                self.cache_stats.loop_rebuilds += 1
         if self._liveness is not None:
             tracer = self.tracer
             if tracer is None:
@@ -737,7 +740,7 @@ def _commit_preview(
         # the state the trial guard's checkpoint must be able to restore.
         plane.record("trial", fault_kind, func.name, hb_name, s_name)
         raise _injected_fault(fault_kind, "commit crashed after CFG mutation")
-    ctx.note_commit(hb_name, preview, removed, kind)
+    ctx.note_commit(hb_name, s_name, preview, removed)
     return removed
 
 

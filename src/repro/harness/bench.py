@@ -738,7 +738,7 @@ def format_report(result: dict) -> str:
     lines.append(
         f"  liveness SCCs: {cache['liveness_sccs_solved']} re-solved, "
         f"{cache['liveness_sccs_skipped']} skipped; "
-        f"loop forests: {cache['loop_renames']} renamed, "
+        f"loop forests: {cache['loop_patches']} patched, "
         f"{cache['loop_rebuilds']} rebuilt"
     )
     for row in result.get("scaling", ()):

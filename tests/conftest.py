@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.dominators import DominatorTree
+from repro.analysis.loops import LoopForest
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
 
 
@@ -102,6 +104,21 @@ def make_while_loop(name: str = "main") -> Function:
     fb.block("exit")
     fb.ret(count)
     return fb.finish()
+
+
+def assert_forest_matches_fresh(forest: LoopForest, func: Function,
+                                where: str = "") -> None:
+    """A loop forest kept across commits equals a fresh one: same headers,
+    back edges and immediate dominators, compared as sets."""
+    tree = DominatorTree(func)
+    fresh = LoopForest(func, domtree=tree)
+
+    def facts(f: LoopForest):
+        edges = {edge for loop in f.loops.values() for edge in loop.back_edges}
+        return set(f.loops), edges
+
+    assert facts(forest) == facts(fresh), where
+    assert forest.idom == tree.idom, where
 
 
 @pytest.fixture

@@ -10,13 +10,17 @@ from repro.core.merge import (
     legal_merge,
     merge_blocks,
 )
-from repro.analysis.loops import LoopForest
 from repro.core.constraints import TripsConstraints
 from repro.ir import FunctionBuilder, build_module
 from repro.ir.regmask import has
 from repro.profiles import collect_profile
 from repro.sim import run_module
-from tests.conftest import make_counting_loop, make_diamond, make_while_loop
+from tests.conftest import (
+    assert_forest_matches_fresh,
+    make_counting_loop,
+    make_diamond,
+    make_while_loop,
+)
 
 
 def ctx_for(func, **kwargs):
@@ -171,21 +175,125 @@ def test_context_caches_invalidate():
 
 
 def test_context_caches_updated_in_place_on_fast_path():
+    for make, hb, s, kind in (
+        (make_counting_loop, "head", "body", MergeKind.SIMPLE),
+        (make_diamond, "B", "D", MergeKind.TAIL_DUP),
+        (make_counting_loop, "entry", "head", MergeKind.PEEL),
+    ):
+        func = make()
+        ctx = ctx_for(func)
+        loops_before = ctx.loops
+        cfg_before = ctx.cfg
+        assert classify_merge(ctx, hb, s) is kind
+        assert merge_blocks(ctx, hb, s) is not None
+        # The commit patches the CFG view and the loop forest instead of
+        # forcing rebuilds.
+        assert ctx.loops is loops_before
+        assert ctx.cfg is cfg_before
+        fresh = func.cfg()
+        assert {n: sorted(x) for n, x in ctx.cfg.succs.items()} == {
+            n: sorted(x) for n, x in fresh.succs.items()
+        }
+        assert_forest_matches_fresh(ctx.loops, func, kind.value)
+        assert ctx.cache_stats.loop_patches == 1
+        assert ctx.cache_stats.loop_rebuilds == 0
+
+
+def make_two_entry_cycle():
+    """The cycle A <-> B entered at both A and B: no natural loop."""
+    fb = FunctionBuilder("main", nparams=1)
+    fb.block("entry", entry=True)
+    i = fb.movi(0)
+    fb.br_cond(fb.tlt(0, fb.movi(0)), "A", "B")
+    fb.block("A")
+    fb.mov_to(i, fb.addi(i, 1))
+    fb.br_cond(fb.tlt(i, fb.movi(10)), "B", "exit")
+    fb.block("B")
+    fb.mov_to(i, fb.addi(i, 2))
+    fb.br("A")
+    fb.block("exit")
+    fb.ret(i)
+    return fb.finish()
+
+
+def test_tail_dup_turns_two_entry_cycle_into_natural_loop():
+    func = make_two_entry_cycle()
+    ctx = ctx_for(func)
+    loops = ctx.loops
+    assert not loops.loops
+    assert classify_merge(ctx, "entry", "A") is MergeKind.TAIL_DUP
+    assert merge_blocks(ctx, "entry", "A") is not None
+    # A is now entered only from B, so B dominates it and A -> B, an edge
+    # out of the duplicated block, closes a natural loop.
+    assert ctx.loops is loops
+    assert loops.idom["A"] == "B"
+    assert loops.is_back_edge("A", "B") and loops.is_header("B")
+    assert_forest_matches_fresh(loops, func)
+
+
+def test_peel_of_while_loop_moves_the_header():
+    func = make_while_loop()
+    ctx = ctx_for(func)
+    loops = ctx.loops
+    held = loops.loop_of_header("head")
+    held_blocks = set(held.blocks)
+    assert classify_merge(ctx, "entry", "head") is MergeKind.PEEL
+    assert merge_blocks(ctx, "entry", "head") is not None
+    # entry now branches straight to body, which dominates the old header:
+    # latch -> head is no longer a back edge, head -> body is.
+    assert ctx.loops is loops
+    assert not loops.is_back_edge("latch", "head")
+    assert not loops.is_header("head")
+    assert loops.is_back_edge("head", "body")
+    assert loops.loop_of_header("body").blocks == held_blocks
+    assert_forest_matches_fresh(loops, func)
+    # A Loop handed out before the commit is never mutated.
+    assert held.header == "head" and held.blocks == held_blocks
+    assert held.back_edges == [("latch", "head")]
+
+
+def test_tail_dup_of_header_into_latch_keeps_the_tree():
     func = make_counting_loop()
     ctx = ctx_for(func)
-    loops_before = ctx.loops
-    cfg_before = ctx.cfg
-    assert merge_blocks(ctx, "head", "body") is not None
-    # The SIMPLE merge renames `body` to `head` inside the surviving forest
-    # and patches the CFG view instead of forcing rebuilds.
-    assert ctx.loops is loops_before
-    assert ctx.cfg is cfg_before
-    assert "body" not in ctx.cfg.succs
-    fresh = func.cfg()
-    assert {n: sorted(s) for n, s in ctx.cfg.succs.items()} == {
-        n: sorted(s) for n, s in fresh.succs.items()
-    }
-    assert ctx.loops.loops.keys() == LoopForest(func).loops.keys()
+    loops = ctx.loops
+    idom_before = dict(loops.idom)
+    assert classify_merge(ctx, "body", "head") is MergeKind.TAIL_DUP
+    assert merge_blocks(ctx, "body", "head") is not None
+    assert ctx.loops is loops
+    assert loops.idom == idom_before
+    assert not loops.is_back_edge("body", "head")
+    assert loops.is_back_edge("body", "body")
+    assert_forest_matches_fresh(loops, func)
+
+
+def test_unroll_whose_saved_body_adds_an_exit_rebuilds():
+    fb = FunctionBuilder("main")
+    fb.block("entry", entry=True)
+    i = fb.movi(0)
+    fb.br("loop")
+    fb.block("loop")
+    fb.mov_to(i, fb.addi(i, 1))
+    fb.br_cond(fb.tlt(i, fb.movi(8)), "loop", "exit")
+    fb.block("exit")
+    fb.mov_to(i, fb.addi(i, 3))
+    fb.br("done")
+    fb.block("done")
+    fb.ret(i)
+    func = fb.finish()
+    ctx = ctx_for(func)
+    loops = ctx.loops
+    # The first unroll saves loop's body, which branches to exit; loop then
+    # absorbs exit, so the second unroll brings the exit edge back.
+    assert merge_blocks(ctx, "loop", "loop") is not None
+    assert classify_merge(ctx, "loop", "exit") is MergeKind.SIMPLE
+    assert merge_blocks(ctx, "loop", "exit") is not None
+    assert "exit" not in func.blocks["loop"].successors()
+    assert ctx.loops is loops
+    assert merge_blocks(ctx, "loop", "loop") is not None
+    assert ctx.cache_stats.loop_rebuilds == 1
+    assert ctx.cache_stats.loop_patches == 2
+    assert ctx.loops is not loops
+    assert_forest_matches_fresh(ctx.loops, func)
 
 
 def test_live_out_of_uses_successor_live_in():
