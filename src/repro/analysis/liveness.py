@@ -9,9 +9,11 @@ writes of a TRIPS block) and by the register allocator.
 The solver works over the strongly connected components of the CFG in
 reverse topological order (successor components first), so each component
 is solved exactly once against already-final successor values.  That
-structure is what makes :meth:`Liveness.refresh` possible: after a merge
-changes one block, only the components upstream of the change — those a
-changed live-in set actually propagates into — are re-solved; everything
+structure is what makes :meth:`Liveness.note_commit` cheap: the analysis
+keeps the condensation (component per block, successors-first rank per
+component) and patches it in place after a formation commit, then
+re-solves only the merged block's component and the predecessor
+components a changed live-in set actually propagates into; everything
 else keeps its previous (still least-fixpoint) solution.
 
 Dataflow facts are register *bitmasks* (bit ``r`` = register ``r``, see
@@ -23,7 +25,8 @@ divided by the word width rather than with live-set cardinality.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from heapq import heappop, heappush
+from typing import Optional
 
 from repro.analysis.predimpl import exposed_mask
 from repro.ir import arena as _arena
@@ -110,24 +113,19 @@ def _tarjan_sccs(nodes: list[str], succs: dict[str, list[str]]) -> list[list[str
     return sccs
 
 
-def _sccs(nodes: list[str], succs: dict[str, list[str]]) -> list[list[str]]:
-    """Backend dispatch for SCC discovery: identical components, identical
-    emission order, int-indexed under the numpy backend."""
-    if _arena.NUMPY:
-        from repro.ir import arena_np
-
-        return arena_np.sccs_flat(nodes, succs)
-    return _tarjan_sccs(nodes, succs)
-
-
 class Liveness:
     """Per-block live-in/live-out register masks for one function.
 
     ``live_in``/``live_out`` map block name to an int bitmask (bit ``r`` =
     register ``r``); use :func:`repro.ir.regmask.regs_of` for a set view.
-    ``use_kill`` may supply precomputed per-block (use, kill) masks —
-    hyperblock formation caches them (keyed by block version) because only
-    the merged block changes between its frequent liveness updates.
+    ``use_kill`` may supply precomputed per-block (use, kill) masks for
+    the initial solve — hyperblock formation caches them by block version
+    across the rebuilds its slow path forces.
+
+    The analysis owns the CFG's SCC condensation: a component id per
+    block, the members of each component, and a successors-first rank per
+    component (every edge between two components runs from the higher
+    rank to the lower).  :meth:`note_commit` patches it in place.
     """
 
     def __init__(
@@ -142,16 +140,21 @@ class Liveness:
         self.live_out: dict[str, int] = {}
         self._use: dict[str, int] = {}
         self._kill: dict[str, int] = {}
-        self._provided = use_kill
-        #: (components re-solved, components skipped) over the last solve
-        #: or refresh — consumed by the formation perf counters.
-        self.last_solve_stats: tuple[int, int] = (0, 0)
-        self._solve()
-
-    def _block_use_kill(self, name: str) -> tuple[int, int]:
-        if self._provided is not None and name in self._provided:
-            return self._provided[name]
-        return block_use_kill(self.func.blocks[name])
+        self._comp_of: dict[str, int] = {}
+        self._members: dict[int, list[str]] = {}
+        self._rank: dict[int, float] = {}
+        self._next_id = 0
+        for name, block in func.blocks.items():
+            if use_kill is not None and name in use_kill:
+                self._use[name], self._kill[name] = use_kill[name]
+            else:
+                self._use[name], self._kill[name] = block_use_kill(block)
+        self._discover()
+        for comp in self._members.values():
+            self._solve_component(comp)
+        #: Components solved by the construction or by the last
+        #: :meth:`note_commit` — consumed by the formation perf counters.
+        self.sccs_solved = len(self._members)
 
     # -- solving ----------------------------------------------------------
 
@@ -189,75 +192,119 @@ class Liveness:
                     live_in[name] = new_in
                     changed = True
 
-    def _solve(self) -> None:
-        blocks = list(self.func.blocks)
-        for name in blocks:
-            self._use[name], self._kill[name] = self._block_use_kill(name)
-        comps = _sccs(blocks, self.cfg.succs)
-        for comp in comps:
-            self._solve_component(comp)
-        self.last_solve_stats = (len(comps), 0)
+    def _discover(self) -> None:
+        """(Re)build the condensation with one whole-function Tarjan pass;
+        the emission order is the rank."""
+        comps = _tarjan_sccs(list(self.func.blocks), self.cfg.succs)
+        self._comp_of = {
+            name: cid for cid, comp in enumerate(comps) for name in comp
+        }
+        self._members = dict(enumerate(comps))
+        self._rank = {cid: float(cid) for cid in self._members}
+        self._next_id = len(comps)
 
-    def refresh(
-        self,
-        cfg: CFG,
-        use_kill: Optional[dict[str, tuple[int, int]]],
-        changed: Iterable[str] = (),
-        removed: Iterable[str] = (),
-    ) -> None:
-        """Incrementally re-solve after ``changed`` blocks were mutated and
-        ``removed`` blocks were deleted (``cfg`` is the already-updated
-        view).
+    def note_commit(self, hb: str, s: str, in_shape: bool) -> bool:
+        """Re-solve after a formation commit rewrote ``hb`` by merging
+        ``s`` into it (and possibly deleted ``s``).
 
-        Only components containing a changed block — plus components a
-        changed live-in set propagates into, i.e. transitive *predecessors*
-        — are re-solved.  A skipped component's inputs (its successor
-        blocks' live-in sets) and transfer functions (use/kill) are
-        untouched, so its previous solution is still the least fixpoint.
+        ``self.cfg`` must already hold ``hb``'s new successors and no
+        longer hold a deleted ``s``.  ``in_shape`` says the commit replaced
+        the edge ``hb -> s`` by edges from ``hb`` to the successors of
+        ``s`` and changed no other edge.  Then reachability among all
+        blocks other than ``s`` is unchanged (a path through ``hb -> s ->
+        t`` maps to one through ``hb -> t`` and back), so only ``s`` can
+        leave its component:
+
+        - a deleted ``s`` leaves it;
+        - ``s`` stays while another predecessor remains in its component;
+        - otherwise ``s`` becomes a singleton, ranked between its old
+          component (which it branches into) and its lowest-ranked
+          remaining predecessor.
+
+        Any other edit (an unroll whose saved body adds a successor), or a
+        rank gap exhausted by repeated splits, re-discovers the components
+        instead.  Either way the dirty components are then popped from a
+        heap in rank order, starting at ``hb``'s, and re-solved; a
+        component whose live-in sets change dirties its predecessors'.
+        Every other component keeps its solution: its transfer functions
+        and its successors' live-in sets are unchanged, so its old
+        solution is still the least fixpoint.
+
+        Returns ``False`` when the components were re-discovered.
         """
-        self.cfg = cfg
-        self._provided = use_kill
-        dirty: set[str] = set(changed)
-        for name in removed:
-            self.live_in.pop(name, None)
-            self.live_out.pop(name, None)
-            self._use.pop(name, None)
-            self._kill.pop(name, None)
-        for name in dirty:
-            self._use[name], self._kill[name] = self._block_use_kill(name)
-        # Dirtiness only ever propagates to transitive *predecessors* of
-        # the seeds, and every member of an SCC containing such an
-        # ancestor is itself an ancestor (it reaches the ancestor, hence
-        # the seed) — so SCC discovery can be restricted to the ancestor
-        # subgraph: the components found, their membership, and their
-        # reverse-topological order all match the full graph's.
-        preds0 = cfg.preds
-        anc = set(dirty)
-        work = list(dirty)
-        while work:
-            node = work.pop()
-            for p in preds0.get(node, ()):
-                if p not in anc:
-                    anc.add(p)
-                    work.append(p)
-        if len(anc) < len(self.func.blocks):
-            nodes = [b for b in self.func.blocks if b in anc]
-        else:
-            nodes = list(self.func.blocks)
-        comps = _sccs(nodes, cfg.succs)
-        solved = skipped = 0
-        preds = cfg.preds
-        for comp in comps:
-            if not any(name in dirty for name in comp):
-                skipped += 1
-                continue
-            solved += 1
-            old_in = {name: self.live_in.get(name) for name in comp}
+        removed = s not in self.func.blocks
+        if removed:
+            for table in (self.live_in, self.live_out, self._use, self._kill):
+                del table[s]
+        self._use[hb], self._kill[hb] = block_use_kill(self.func.blocks[hb])
+        patched = in_shape and self._patch(s, removed)
+        if not patched:
+            self._discover()
+        self._resolve(hb)
+        return patched
+
+    def _patch(self, s: str, removed: bool) -> bool:
+        """Move ``s`` out of its component if the commit cut it off (see
+        :meth:`note_commit`); ``False`` when no rank fits."""
+        comp_of = self._comp_of
+        cid = comp_of[s]
+        members = self._members[cid]
+        if removed:
+            del comp_of[s]
+            if len(members) == 1:
+                del self._members[cid]
+                del self._rank[cid]
+            else:
+                members.remove(s)
+            return True
+        if len(members) == 1:
+            return True
+        preds = [p for p in self.cfg.preds[s] if p != s]
+        if any(comp_of[p] == cid for p in preds):
+            return True
+        rank = self._rank
+        low = rank[cid]
+        if preds:
+            high = min(rank[comp_of[p]] for p in preds)
+            mid = (low + high) / 2
+            if not low < mid < high:
+                return False
+        else:  # s is unreachable now: no rank bounds it from above
+            mid = low + 1.0
+        members.remove(s)
+        new = self._next_id
+        self._next_id += 1
+        comp_of[s] = new
+        self._members[new] = [s]
+        rank[new] = mid
+        return True
+
+    def _resolve(self, seed: str) -> None:
+        """Re-solve ``seed``'s component and every component a changed
+        live-in set propagates into, successors first."""
+        comp_of = self._comp_of
+        members = self._members
+        rank = self._rank
+        live_in = self.live_in
+        preds = self.cfg.preds
+        start = comp_of[seed]
+        heap = [(rank[start], start)]
+        queued = {start}
+        solved = 0
+        while heap:
+            cid = heappop(heap)[1]
+            comp = members[cid]
+            old_in = [live_in.get(name) for name in comp]
             self._solve_component(comp)
-            for name in comp:
-                if old_in[name] != self.live_in[name]:
-                    dirty.update(preds.get(name, ()))
-        self.last_solve_stats = (solved, skipped)
+            solved += 1
+            for name, before in zip(comp, old_in):
+                if live_in[name] != before:
+                    for p in preds[name]:
+                        pid = comp_of[p]
+                        if pid not in queued:
+                            queued.add(pid)
+                            heappush(heap, (rank[pid], pid))
+        self.sccs_solved = solved
 
     def live_through(self, name: str) -> int:
         """Mask of registers live across the block without being used in it."""

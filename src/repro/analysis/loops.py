@@ -140,18 +140,19 @@ class LoopForest:
 
     # -- incremental update -------------------------------------------------
 
-    def note_commit(self, hb: str, s: str, old_succs: list[str]) -> bool:
+    def note_commit(self, hb: str, s: str, in_shape: bool) -> bool:
         """Patch the dominator tree and back edges after a merge commit.
 
         ``self.cfg`` must already hold ``hb``'s new successor list and
         still hold ``s`` (a block the commit deletes is removed from the
-        CFG afterwards); ``old_succs`` is ``hb``'s list before the commit.
-        The update is exact for an edit that replaces the edge ``hb -> s``
-        by edges from ``hb`` to successors of ``s`` — every commit, since
-        the local optimizer never deletes a branch.  Each new path maps to
-        an old one with ``s`` inserted, and each old path to a new one with
-        ``s`` dropped, so every dominator set stays the same or loses
-        ``s``:
+        CFG afterwards).  ``in_shape``, checked by the caller, says the
+        edit replaced the edge ``hb -> s`` by edges from ``hb`` to
+        successors of ``s`` — every commit, since the local optimizer
+        never deletes a branch, except an unroll whose saved body adds a
+        successor ``hb`` lacked.  The update is exact for that shape.
+        Each new path maps to an old one with ``s`` inserted, and each old
+        path to a new one with ``s`` dropped, so every dominator set stays
+        the same or loses ``s``:
 
         - ``s`` dominates ``hb`` (tail duplication of a header into its
           latch; an unroll that adds no successor): the tree is unchanged
@@ -162,17 +163,13 @@ class LoopForest:
           remaining reachable predecessors (or leaves the tree), and only
           edges at ``hb`` and ``s`` can change status.
 
-        Returns ``False`` for any other edit (an unroll whose saved body
-        adds a successor ``hb`` lacked); the caller then rebuilds the
-        forest.  :class:`Loop` objects already handed out are never
+        Returns ``False`` for any other edit; the caller then rebuilds
+        the forest.  :class:`Loop` objects already handed out are never
         mutated: changed loops are replaced.
         """
-        cfg = self.cfg
-        new = set(cfg.succs[hb])
-        if new != set(old_succs) - {s} | set(
-            old_succs if s == hb else cfg.succs[s]
-        ):
+        if not in_shape:
             return False
+        cfg = self.cfg
         if self._bodies_done:
             # Any body may grow or shrink with the edit: re-collect lazily.
             self._bodies_done = False
@@ -193,7 +190,7 @@ class LoopForest:
                 idom[s] = self._common_dominator(preds)
             retest += [(p, s) for p in cfg.preds[s]]
             retest += [(s, t) for t in cfg.succs[s]]
-        if s not in new:
+        if s not in cfg.succs[hb]:
             self._set_back_edge(hb, s, False)
         for src, dst in retest:
             self._set_back_edge(

@@ -9,10 +9,11 @@ classified exactly as in lines 7-15 of the figure.
 
 The formation *fast path* (on by default) keeps the per-trial bill low:
 
-- analyses survive a committed merge — the CFG and the loop forest's
-  dominator tree and back edges are patched in place, and liveness is
-  re-solved only for the strongly connected components a change can
-  reach — instead of being thrown away wholesale;
+- analyses survive a committed merge instead of being thrown away
+  wholesale — the CFG, the loop forest's dominator tree and back edges,
+  and liveness's SCC condensation are patched in place, and liveness
+  re-solves only the merged block's component and the predecessor
+  components a changed live-in set propagates into;
 - rejected trials are memoized by block version, so a ``(hyperblock,
   candidate)`` pair the policy re-offers is not re-previewed, re-optimized
   and re-estimated when neither block nor its live-out environment changed.
@@ -70,8 +71,8 @@ class FormationCacheStats:
     cfg_patches: int = 0  # commits that patched the CFG in place
     loop_patches: int = 0  # commits that patched the loop forest in place
     loop_rebuilds: int = 0  # forests dropped: unrolls that add a successor
-    liveness_sccs_solved: int = 0  # SCCs re-solved by incremental refresh
-    liveness_sccs_skipped: int = 0  # SCCs whose solution survived a commit
+    liveness_sccs_solved: int = 0  # SCCs re-solved after commits
+    liveness_rebuilds: int = 0  # commits that forced SCC re-discovery
 
     def add(self, other: "FormationCacheStats") -> None:
         for f in fields(self):
@@ -278,56 +279,58 @@ class FormationContext:
         """Bring cached analyses up to date after a committed merge.
 
         A commit changes the successor list of exactly one block
-        (``hb_name``) and possibly deletes one block (``removed``), so:
+        (``hb_name``) and possibly deletes one block (``removed``).  Its
+        shape is decided once, while the CFG still holds ``s_name``: does
+        HB's new successor set equal (old set − S) ∪ succ(S)?  Every commit
+        but an unroll whose saved body adds a successor has that shape.
+        Then:
 
         - the CFG view is patched in place;
         - the loop forest patches its dominator tree and back edges in
-          place (:meth:`LoopForest.note_commit`), except after an unroll
-          whose saved body adds a successor, which drops it for lazy
-          rebuild;
-        - liveness re-solves only the SCCs the change propagates into.
+          place (:meth:`LoopForest.note_commit`), or is dropped for lazy
+          rebuild after an edit of another shape;
+        - liveness patches its SCC condensation and re-solves only the
+          components the change propagates into
+          (:meth:`Liveness.note_commit`).
         """
         if not self.fast_path:
             self.invalidate()
             return
         cfg = self._cfg
-        if cfg is not None:
-            old_succs = cfg.succs[hb_name]
-            cfg.update_block(hb_name, _arena.successors_of(preview))
-            # The forest shares this CFG and must see ``removed`` lose its
-            # last predecessor before the block leaves the view.
-            if self._loops is not None:
-                if self._loops.note_commit(hb_name, s_name, old_succs):
-                    self.cache_stats.loop_patches += 1
-                else:
-                    self._loops = None
-                    self.cache_stats.loop_rebuilds += 1
-            if removed is not None:
-                cfg.remove_node(removed)
-            self.cache_stats.cfg_patches += 1
-        if self._liveness is not None:
-            tracer = self.tracer
-            if tracer is None:
-                self._liveness.refresh(
-                    self.cfg,
-                    self._use_kill_view(),
-                    changed=(hb_name,),
-                    removed=(removed,) if removed is not None else (),
-                )
+        if cfg is None:
+            return
+        old_succs = cfg.succs[hb_name]
+        new_succs = _arena.successors_of(preview)
+        in_shape = set(new_succs) == set(old_succs) - {s_name} | set(
+            old_succs if s_name == hb_name else cfg.succs[s_name]
+        )
+        cfg.update_block(hb_name, new_succs)
+        # The forest shares this CFG and must see ``removed`` lose its last
+        # predecessor before the block leaves the view.
+        if self._loops is not None:
+            if self._loops.note_commit(hb_name, s_name, in_shape):
+                self.cache_stats.loop_patches += 1
             else:
-                # The incremental dataflow re-solve is its own phase: at
-                # scale it is the dominant commit cost (see BENCH
-                # telemetry), so it must be attributable separately.
-                with tracer.phase("liveness", function=self.func.name):
-                    self._liveness.refresh(
-                        self.cfg,
-                        self._use_kill_view(),
-                        changed=(hb_name,),
-                        removed=(removed,) if removed is not None else (),
-                    )
-            solved, skipped = self._liveness.last_solve_stats
-            self.cache_stats.liveness_sccs_solved += solved
-            self.cache_stats.liveness_sccs_skipped += skipped
+                self._loops = None
+                self.cache_stats.loop_rebuilds += 1
+        if removed is not None:
+            cfg.remove_node(removed)
+        self.cache_stats.cfg_patches += 1
+        live = self._liveness
+        if live is None:
+            return
+        tracer = self.tracer
+        if tracer is None:
+            patched = live.note_commit(hb_name, s_name, in_shape)
+        else:
+            # The incremental dataflow re-solve is its own phase: at scale
+            # it is the dominant commit cost (see BENCH telemetry), so it
+            # must be attributable separately.
+            with tracer.phase("liveness", function=self.func.name):
+                patched = live.note_commit(hb_name, s_name, in_shape)
+        if not patched:
+            self.cache_stats.liveness_rebuilds += 1
+        self.cache_stats.liveness_sccs_solved += live.sccs_solved
 
     @property
     def cfg(self):
@@ -344,7 +347,9 @@ class FormationContext:
         return self._liveness
 
     def _use_kill_view(self) -> dict[str, tuple[int, int]]:
-        """Per-block (use, kill) register masks, cached across merges.
+        """Per-block (use, kill) register masks for a liveness rebuild,
+        cached across the rebuilds ``invalidate`` forces (a commit patches
+        liveness with the merged block's masks alone).
 
         Keyed by the block's monotonic version stamp: every mutation path
         bumps it and a stamp is never reused, so — unlike the ``id(block)``

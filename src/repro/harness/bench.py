@@ -736,8 +736,8 @@ def format_report(result: dict) -> str:
         f"{cache['use_kill_misses']} misses"
     )
     lines.append(
-        f"  liveness SCCs: {cache['liveness_sccs_solved']} re-solved, "
-        f"{cache['liveness_sccs_skipped']} skipped; "
+        f"  liveness: {cache['liveness_sccs_solved']} SCCs re-solved, "
+        f"{cache['liveness_rebuilds']} rebuilds; "
         f"loop forests: {cache['loop_patches']} patched, "
         f"{cache['loop_rebuilds']} rebuilt"
     )

@@ -18,8 +18,8 @@ an int box per subscript; this module lifts the hot loops into numpy:
 - a GVN eligibility prefilter over the opcode/dest/pred columns.
 - int-indexed CFG kernels (reverse postorder, Cooper-Harvey-Kennedy
   immediate dominators, Euler-tour dominance intervals, vectorized
-  back-edge detection, Tarjan SCCs) that replace the string-dict graph
-  walks rebuilt on every non-trivial commit.
+  back-edge detection) that replace the string-dict graph walks of a
+  dominator-tree or loop-forest build.
 
 Every kernel is *exact*: it computes the same value as the flat-loop
 path it shadows, bit for bit, so backend selection can never change a
@@ -636,81 +636,3 @@ def dom_facts(entry: str, succs: dict):
     if entry not in succs:
         return None
     return DomFacts(FlatCFG(entry, succs))
-
-
-# ---------------------------------------------------------------------------
-# Strongly connected components (int-indexed Tarjan)
-# ---------------------------------------------------------------------------
-
-
-def sccs_flat(nodes: list[str], succs: dict) -> list[list[str]]:
-    """``liveness._tarjan_sccs`` over interned ints: same roots order,
-    same successor filtering, same successors-first emission."""
-    index = {name: i for i, name in enumerate(nodes)}
-    nn = len(nodes)
-    index_get = index.get
-    succs_get = succs.get
-    # -1 marks a successor outside ``nodes`` (the restricted-refresh
-    # case); the DFS below skips it before any indexing.
-    adj = [
-        index_get(s, -1) for name in nodes for s in succs_get(name, ())
-    ]
-    adj_off = list(
-        _accumulate((len(succs_get(name, ())) for name in nodes), initial=0)
-    )
-    number = [-1] * nn   # Tarjan index
-    lowlink = [0] * nn
-    on_stack = bytearray(nn)
-    stack: list[int] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    for root in range(nn):
-        if number[root] >= 0:
-            continue
-        work = [root]
-        ptr = [adj_off[root]]
-        number[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        while work:
-            node = work[-1]
-            p = ptr[-1]
-            end = adj_off[node + 1]
-            advanced = False
-            while p < end:
-                nxt = adj[p]
-                p += 1
-                if nxt < 0:
-                    continue
-                if number[nxt] < 0:
-                    ptr[-1] = p
-                    number[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = 1
-                    work.append(nxt)
-                    ptr.append(adj_off[nxt])
-                    advanced = True
-                    break
-                if on_stack[nxt] and number[nxt] < lowlink[node]:
-                    lowlink[node] = number[nxt]
-            if advanced:
-                continue
-            ptr[-1] = p
-            work.pop()
-            ptr.pop()
-            if lowlink[node] == number[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = 0
-                    comp.append(nodes[member])
-                    if member == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
-    return sccs

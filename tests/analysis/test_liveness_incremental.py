@@ -1,25 +1,42 @@
-"""Incremental liveness (`Liveness.refresh`) vs full re-solve."""
+"""Incremental liveness (`Liveness.note_commit`) vs full re-solve.
+
+Each commit case of the patched SCC condensation — the absorbed block
+deleted, split off, or kept in its component, an edit of another shape,
+and an exhausted rank gap — is driven through a real merge and compared
+with a fresh solve and a fresh Tarjan.
+"""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.core.convergent import expand_block
-from repro.core.merge import FormationContext
+from repro.core.merge import (
+    FormationContext,
+    MergeKind,
+    classify_merge,
+    merge_blocks,
+)
 from repro.core.policies import BreadthFirstPolicy
 from repro.ir import FunctionBuilder
 from repro.ir.regmask import has
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import Opcode
 from repro.workloads.generators import random_program
-from tests.conftest import make_counting_loop, make_diamond, make_while_loop
+from tests.conftest import (
+    assert_liveness_matches_fresh,
+    make_counting_loop,
+    make_diamond,
+    make_exiting_unroll_loop,
+    make_while_loop,
+)
 
 
-def _assert_same_solution(incremental: Liveness, func):
-    fresh = Liveness(func, cfg=func.cfg())
-    assert incremental.live_in == fresh.live_in
-    assert incremental.live_out == fresh.live_out
+# An in-place rewrite of one block that keeps its successors is the shape
+# of an unroll that adds no successor: ``note_commit(b, b, ...)``.
 
 
 def test_refresh_after_block_edit_matches_full_solve():
@@ -31,8 +48,8 @@ def test_refresh_after_block_edit_matches_full_solve():
     extra = Instruction(Opcode.ADD, dest=func.new_reg(), srcs=(0, 1))
     body.instrs.insert(0, extra)
     body.touch()
-    live.refresh(cfg, None, changed=("body",))
-    _assert_same_solution(live, func)
+    assert live.note_commit("body", "body", in_shape=True)
+    assert_liveness_matches_fresh(live, func)
 
 
 def test_refresh_propagates_to_predecessor_components():
@@ -54,24 +71,104 @@ def test_refresh_propagates_to_predecessor_components():
     block = func.blocks["C"]
     block.instrs.insert(0, Instruction(Opcode.NEG, dest=func.new_reg(), srcs=(v,)))
     block.touch()
-    live.refresh(cfg, None, changed=("C",))
+    live.note_commit("C", "C", in_shape=True)
     assert has(live.live_out["entry"], v)
     assert has(live.live_in["A"], v)
-    _assert_same_solution(live, func)
+    assert live.sccs_solved == 4
+    assert_liveness_matches_fresh(live, func)
 
 
 def test_refresh_skips_unaffected_components():
     func = make_diamond()
     cfg = func.cfg()
     live = Liveness(func, cfg=cfg)
-    block = func.blocks["D"]
-    block.touch()
-    live.refresh(cfg, None, changed=("D",))
-    solved, skipped = live.last_solve_stats
-    assert solved >= 1
-    # Components strictly downstream of nothing dirty keep their solution.
-    assert solved + skipped == len(_tarjan_sccs(list(func.blocks), cfg.succs))
-    _assert_same_solution(live, func)
+    func.blocks["D"].touch()
+    live.note_commit("D", "D", in_shape=True)
+    # D's live-in did not change, so no predecessor component is dirtied.
+    assert live.sccs_solved == 1
+    assert len(live._members) == 4
+    assert_liveness_matches_fresh(live, func)
+
+
+def _commit(ctx, hb, s, kind):
+    assert classify_merge(ctx, hb, s) is kind
+    assert merge_blocks(ctx, hb, s) is not None
+    assert_liveness_matches_fresh(ctx.liveness, ctx.func, f"{hb} <- {s}")
+
+
+def test_deleted_singleton_leaves_the_condensation():
+    func = make_diamond()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    _commit(ctx, "A", "B", MergeKind.SIMPLE)
+    assert "B" not in func.blocks and "B" not in live._comp_of
+    assert len(live._members) == 3
+    assert ctx.cache_stats.liveness_rebuilds == 0
+
+
+def test_deleted_block_leaves_its_loop_component():
+    func = make_counting_loop()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    loop = live._comp_of["head"]
+    assert live._comp_of["body"] == loop
+    _commit(ctx, "head", "body", MergeKind.SIMPLE)
+    # head now loops on itself and keeps the component (and its rank).
+    assert live._members[loop] == ["head"]
+    assert ctx.cache_stats.liveness_rebuilds == 0
+
+
+def test_header_tail_duplicated_into_latch_splits_off():
+    func = make_while_loop()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    loop = live._comp_of["head"]
+    entry_rank = live._rank[live._comp_of["entry"]]
+    _commit(ctx, "latch", "head", MergeKind.TAIL_DUP)
+    # head's only predecessor left is entry, outside the loop: it becomes
+    # a singleton ranked between the loop (which it branches into) and
+    # entry (which branches to it).
+    head = live._comp_of["head"]
+    assert head != loop and live._members[head] == ["head"]
+    assert live._comp_of["latch"] == loop
+    assert live._rank[loop] < live._rank[head] < entry_rank
+    assert ctx.cache_stats.liveness_rebuilds == 0
+
+
+def test_block_with_a_second_pred_in_its_component_stays():
+    func = make_while_loop()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    loop = live._comp_of["latch"]
+    _commit(ctx, "odd", "latch", MergeKind.TAIL_DUP)
+    # even still branches to latch, so latch stays in the loop.
+    assert live._comp_of["latch"] == loop
+    assert ctx.cache_stats.liveness_rebuilds == 0
+
+
+def test_unroll_adding_a_successor_rediscovers_components():
+    func = make_exiting_unroll_loop()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    _commit(ctx, "loop", "loop", MergeKind.UNROLL)
+    _commit(ctx, "loop", "exit", MergeKind.SIMPLE)
+    assert ctx.cache_stats.liveness_rebuilds == 0
+    # The saved body branches to exit again: not a replaced edge.
+    _commit(ctx, "loop", "loop", MergeKind.UNROLL)
+    assert ctx.cache_stats.liveness_rebuilds == 1
+    assert ctx.cache_stats.liveness_rebuilds == ctx.cache_stats.loop_rebuilds
+
+
+def test_exhausted_rank_gap_rediscovers_components():
+    func = make_while_loop()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    low = live._rank[live._comp_of["head"]]
+    # No float lies strictly between the loop's rank and entry's.
+    live._rank[live._comp_of["entry"]] = math.nextafter(low, math.inf)
+    _commit(ctx, "latch", "head", MergeKind.TAIL_DUP)
+    assert ctx.cache_stats.liveness_rebuilds == 1
+    assert ctx.cache_stats.loop_rebuilds == 0
 
 
 @pytest.mark.parametrize(
@@ -88,7 +185,7 @@ def test_formation_keeps_liveness_exact(make):
         if seed in func.blocks:
             expand_block(ctx, policy, seed)
             if ctx._liveness is not None:
-                _assert_same_solution(ctx._liveness, func)
+                assert_liveness_matches_fresh(ctx._liveness, func)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -101,7 +198,7 @@ def test_formation_keeps_liveness_exact_random(seed):
         if block_name in func.blocks:
             expand_block(ctx, policy, block_name)
     if ctx._liveness is not None:
-        _assert_same_solution(ctx._liveness, func)
+        assert_liveness_matches_fresh(ctx._liveness, func)
 
 
 def test_tarjan_emits_successors_first():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.dominators import DominatorTree
+from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.analysis.loops import LoopForest
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
 
@@ -106,6 +107,29 @@ def make_while_loop(name: str = "main") -> Function:
     return fb.finish()
 
 
+def make_exiting_unroll_loop(name: str = "main") -> Function:
+    """A single-block loop whose exit block the merge loop can absorb.
+
+    Blocks: entry -> loop -> {loop, exit}, exit -> done.  Once ``loop`` is
+    unrolled (saving its body, which branches to exit) and then absorbs
+    ``exit``, the next unroll brings the exit edge back: a commit that
+    adds a successor instead of replacing one.
+    """
+    fb = FunctionBuilder(name)
+    fb.block("entry", entry=True)
+    i = fb.movi(0)
+    fb.br("loop")
+    fb.block("loop")
+    fb.mov_to(i, fb.addi(i, 1))
+    fb.br_cond(fb.tlt(i, fb.movi(8)), "loop", "exit")
+    fb.block("exit")
+    fb.mov_to(i, fb.addi(i, 3))
+    fb.br("done")
+    fb.block("done")
+    fb.ret(i)
+    return fb.finish()
+
+
 def assert_forest_matches_fresh(forest: LoopForest, func: Function,
                                 where: str = "") -> None:
     """A loop forest kept across commits equals a fresh one: same headers,
@@ -119,6 +143,27 @@ def assert_forest_matches_fresh(forest: LoopForest, func: Function,
 
     assert facts(forest) == facts(fresh), where
     assert forest.idom == tree.idom, where
+
+
+def assert_liveness_matches_fresh(live: Liveness, func: Function,
+                                  where: str = "") -> None:
+    """A liveness kept across commits equals a fresh solve, its components
+    equal a fresh Tarjan's (as sets), and every edge between two
+    components runs from the higher rank to the lower."""
+    cfg = func.cfg()
+    fresh = Liveness(func, cfg)
+    assert live.live_in == fresh.live_in, where
+    assert live.live_out == fresh.live_out, where
+    kept = {frozenset(members) for members in live._members.values()}
+    assert kept == {
+        frozenset(comp) for comp in _tarjan_sccs(list(func.blocks), cfg.succs)
+    }, where
+    comp_of, rank = live._comp_of, live._rank
+    assert set(comp_of) == set(func.blocks), where
+    for src, succs in cfg.succs.items():
+        for dst in succs:
+            if comp_of[src] != comp_of[dst]:
+                assert rank[comp_of[src]] > rank[comp_of[dst]], (where, src, dst)
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
-"""Per-commit oracle for the loop forest formation patches in place.
+"""Per-commit oracle for the analyses formation patches in place.
 
 After every committed merge, the header set, back-edge set and
 immediate-dominator map that ``FormationContext`` keeps must equal those
-of a fresh ``LoopForest``/``DominatorTree`` built from the function.  The
-programs are formed by the Table-2 configurators the benchmark runs (the
-VLIW columns include their unroll/peel prepass), under every IR backend.
+of a fresh ``LoopForest``/``DominatorTree`` built from the function, and
+its liveness must equal a fresh solve, with the same SCCs ranked
+successors first.  The programs are formed by the Table-2 configurators
+the benchmark runs (the VLIW columns include their unroll/peel prepass),
+under every IR backend.  One formation pass checks both analyses.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from repro.profiles.collect import collect_profile
 from repro.workloads.generators import random_inputs, scaled_program
 from repro.workloads.microbench import MICROBENCH_ORDER, MICROBENCHMARKS
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
-from tests.conftest import assert_forest_matches_fresh
+from tests.conftest import (
+    assert_forest_matches_fresh,
+    assert_liveness_matches_fresh,
+)
 
 GROUPS = [
     ("spec19", ("BF",)),
@@ -69,6 +74,7 @@ def test_patched_forest_matches_fresh_after_every_commit(
         commits += 1
         where = f"{ctx.func.name}: commit {commits} into {hb_name}"
         assert_forest_matches_fresh(ctx.loops, ctx.func, where)
+        assert_liveness_matches_fresh(ctx.liveness, ctx.func, where)
 
     form_function = convergent.form_function
 
@@ -79,9 +85,10 @@ def test_patched_forest_matches_fresh_after_every_commit(
         return form_function(func, **kwargs)
 
     monkeypatch.setattr(convergent, "form_function", checked)
-    patches = 0
+    patches = solved = 0
     for module, profile in programs[group]:
         for config in configs:
             report = heuristic_config(config)(module.copy(), profile)
             patches += report.stats.cache.loop_patches
-    assert commits and patches
+            solved += report.stats.cache.liveness_sccs_solved
+    assert commits and patches and solved

@@ -19,6 +19,7 @@ from tests.conftest import (
     assert_forest_matches_fresh,
     make_counting_loop,
     make_diamond,
+    make_exiting_unroll_loop,
     make_while_loop,
 )
 
@@ -267,19 +268,7 @@ def test_tail_dup_of_header_into_latch_keeps_the_tree():
 
 
 def test_unroll_whose_saved_body_adds_an_exit_rebuilds():
-    fb = FunctionBuilder("main")
-    fb.block("entry", entry=True)
-    i = fb.movi(0)
-    fb.br("loop")
-    fb.block("loop")
-    fb.mov_to(i, fb.addi(i, 1))
-    fb.br_cond(fb.tlt(i, fb.movi(8)), "loop", "exit")
-    fb.block("exit")
-    fb.mov_to(i, fb.addi(i, 3))
-    fb.br("done")
-    fb.block("done")
-    fb.ret(i)
-    func = fb.finish()
+    func = make_exiting_unroll_loop()
     ctx = ctx_for(func)
     loops = ctx.loops
     # The first unroll saves loop's body, which branches to exit; loop then

@@ -18,7 +18,6 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.analysis.dominators import DominatorTree, reverse_postorder
-from repro.analysis.liveness import _tarjan_sccs
 from repro.ir import arena
 from repro.ir import arena_np
 from repro.ir import FunctionBuilder
@@ -376,18 +375,3 @@ def test_tin_tout_are_preorder_intervals():
         if p and q >= 0:
             # Child intervals nest strictly inside the parent's.
             assert facts.tin[q] < facts.tin[p] <= facts.tout[p] <= facts.tout[q]
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_sccs_flat_matches_tarjan(seed):
-    rng = random.Random(seed)
-    names = [f"n{i}" for i in range(14)]
-    succs = {
-        name: [rng.choice(names) for _ in range(rng.randrange(0, 4))]
-        for name in names
-    }
-    assert arena_np.sccs_flat(names, succs) == _tarjan_sccs(names, succs)
-    # Restricted refresh: node subsets filter successors outside the set.
-    subset = [n for n in names if rng.random() < 0.6]
-    assert arena_np.sccs_flat(subset, succs) == _tarjan_sccs(subset, succs)
-    assert arena_np.sccs_flat([], {}) == _tarjan_sccs([], {}) == []
