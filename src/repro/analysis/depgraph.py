@@ -1,8 +1,9 @@
 """Intra-block dataflow dependence graphs and dependence height.
 
-Used by the VLIW block-selection heuristic (static schedule height), by the
-structural constraint estimator, and by the timing simulator (dataflow issue
-within a hyperblock).
+Used by the VLIW block-selection heuristic (static schedule height, cached
+per block version by ``FormationContext.block_height``) and by the backend:
+``scheduler.py`` places instructions in dependence order and
+``assembly.py`` prints each instruction's consumers as its targets.
 
 Dependence rules:
 

@@ -30,6 +30,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from repro.analysis.depgraph import dependence_height
 from repro.analysis.liveness import Liveness
 from repro.analysis.loops import LoopForest
 from repro.core.constraints import TripsConstraints, estimate_block
@@ -193,7 +194,8 @@ class FormationContext:
     Caches liveness, the CFG view and the loop forest across merges.  With
     ``fast_path`` on (the default) a committed merge updates them in place
     (see :meth:`note_commit`); with it off every commit discards them, as
-    the original implementation did.
+    the original implementation did.  Per-block facts keyed by block
+    version (use/kill masks, :meth:`block_height`) survive either way.
     """
 
     def __init__(
@@ -260,6 +262,9 @@ class FormationContext:
         #: after unrelated liveness churn still collide.
         self._rejected_trials: dict[tuple, int] = {}
         self._use_kill_cache: dict[str, tuple[int, tuple[int, int]]] = {}
+        #: block version -> dependence height, which the VLIW path prepass
+        #: reads at every seed (see :meth:`block_height`).
+        self._block_heights: dict[int, int] = {}
         self._liveness: Optional[Liveness] = None
         self._loops: Optional[LoopForest] = None
         self._cfg = None
@@ -374,6 +379,19 @@ class FormationContext:
             view[name] = sets
         self._use_kill_cache = fresh
         return view
+
+    def block_height(self, block: BasicBlock) -> int:
+        """``dependence_height(block)``, computed once per block version.
+
+        The height is a pure function of the block's instructions, and a
+        version stamp is never reused, so an entry can never go stale: a
+        committed merge re-stamps the merged block and its height is
+        recomputed on the next lookup.
+        """
+        height = self._block_heights.get(block.version)
+        if height is None:
+            height = self._block_heights[block.version] = dependence_height(block)
+        return height
 
     @property
     def loops(self) -> LoopForest:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.depgraph import dependence_height
 from repro.ir import arena as _arena
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,42 +170,53 @@ class VLIWPolicy(MergePolicy):
 
     def _enumerate_paths(self, ctx: "FormationContext", seed: str) -> list[_PathInfo]:
         func = ctx.func
+        blocks = func.blocks
         cfg = ctx.cfg
         loops = ctx.loops
         profile = ctx.profile
+        heights = ctx.block_height
         paths: list[_PathInfo] = []
+        acc: list[str] = []
+        # name -> (successor, clamped edge probability) for the successors
+        # a path may extend into.  Back edges, loop headers, the entry and
+        # blocks holding a call never qualify, whatever the path so far, so
+        # that filter runs once per block per enumeration.
+        extensions: dict[str, list[tuple[str, float]]] = {}
 
-        def walk(name: str, acc: list[str], prob: float) -> None:
+        def walk(name: str, prob: float, height: int, ops: int) -> None:
             if len(paths) >= self.max_paths:
                 return
+            block = blocks[name]
+            height += heights(block)
+            ops += len(block)
             acc.append(name)
-            succs = [
-                s
-                for s in cfg.succs.get(name, [])
-                if s not in acc
-                and not loops.is_back_edge(name, s)
-                and not loops.is_header(s)
-                and s != func.entry
-                and not func.blocks[s].has_call()
-            ]
+            nexts = extensions.get(name)
+            if nexts is None:
+                nexts = extensions[name] = [
+                    (s, max(profile.edge_probability(func.name, name, s), 1e-3))
+                    for s in cfg.succs.get(name, [])
+                    if not loops.is_back_edge(name, s)
+                    and not loops.is_header(s)
+                    and s != func.entry
+                    and not blocks[s].has_call()
+                ]
+            succs = [(s, p) for s, p in nexts if s not in acc]
             if not succs or len(acc) >= self.max_path_blocks:
-                blocks = [func.blocks[b] for b in acc]
                 paths.append(
                     _PathInfo(
                         blocks=tuple(acc),
                         frequency=prob,
-                        height=max(1, sum(dependence_height(b) for b in blocks)),
-                        ops=max(1, sum(len(b) for b in blocks)),
+                        height=max(1, height),
+                        ops=max(1, ops),
                     )
                 )
             else:
-                for succ in succs:
-                    p = profile.edge_probability(func.name, name, succ)
-                    walk(succ, acc, prob * max(p, 1e-3))
+                for succ, p in succs:
+                    walk(succ, prob * p, height, ops)
             acc.pop()
 
         seed_count = max(1, profile.block_count(func.name, seed))
-        walk(seed, [], float(seed_count))
+        walk(seed, float(seed_count), 0, 0)
         return paths
 
     def begin_block(self, ctx, hb_name) -> None:

@@ -157,10 +157,7 @@ OPS_BY_ID: tuple[Opcode, ...] = _OPCODES
 F_PURE = 1 << 0
 F_MEMORY = 1 << 1
 F_STORE = 1 << 2
-F_DCE_REMOVABLE = 1 << 3  # PURE_OPS | {NULLW, FANOUT} (see opt.local)
 F_COMMUTATIVE = 1 << 4
-
-_DCE_OPS = PURE_OPS | {Opcode.NULLW, Opcode.FANOUT}
 
 
 def _flags_of(op: Opcode) -> int:
@@ -171,8 +168,6 @@ def _flags_of(op: Opcode) -> int:
         flags |= F_MEMORY
     if op is Opcode.STORE:
         flags |= F_STORE
-    if op in _DCE_OPS:
-        flags |= F_DCE_REMOVABLE
     if op in COMMUTATIVE_OPS:
         flags |= F_COMMUTATIVE
     return flags
@@ -250,7 +245,6 @@ class Arena:
         # counters (exported via counters() / publish_metrics())
         self.encodes = 0
         self.view_hits = 0
-        self.deposits = 0
         self.instrs_stored = 0
         self.snapshots = 0
         self.restores = 0
@@ -258,14 +252,12 @@ class Arena:
 
     # -- encoding -------------------------------------------------------
 
-    def encode_block(self, block, register: bool = True) -> BlockView:
-        """Append ``block``'s instructions to the columns; return the view.
+    def encode_block(self, block) -> BlockView:
+        """Append ``block``'s instructions to the columns; register and
+        return the view.
 
         The single pass also computes every derived per-block fact the
-        hot consumers need.  ``register=False`` skips the view table —
-        used by the optimizer while it mutates the block between passes
-        (the block's version does not move during those mutations, so a
-        registered view would lie; see ``opt.local.optimize_block``).
+        hot consumers need.
         """
         if len(self.op) >= COMPACT_SLOT_LIMIT:
             self._compact()
@@ -358,8 +350,7 @@ class Arena:
         view.exposed = exposed if unpredicated else None
         self.encodes += 1
         self.instrs_stored += view.n
-        if register:
-            self.views[block.version] = view
+        self.views[block.version] = view
         return view
 
     def view_of(self, block) -> BlockView:
@@ -369,18 +360,6 @@ class Arena:
             self.view_hits += 1
             return view
         return self.encode_block(block)
-
-    def deposit(self, version: int, view: BlockView) -> None:
-        """Register an unregistered view under ``version``.
-
-        Used by the optimizer to donate its final encode: the block was
-        re-stamped after the passes settled, so the view describes the
-        content behind the *new* version and downstream consumers
-        (estimator, use/kill) get a free hit.
-        """
-        if view.epoch == self.epoch:
-            self.views[version] = view
-            self.deposits += 1
 
     # -- numpy mirrors --------------------------------------------------
 
@@ -486,7 +465,6 @@ class Arena:
         return {
             "encodes": self.encodes,
             "view_hits": self.view_hits,
-            "deposits": self.deposits,
             "instrs_stored": self.instrs_stored,
             "snapshots": self.snapshots,
             "restores": self.restores,

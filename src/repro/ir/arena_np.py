@@ -13,8 +13,6 @@ an int box per subscript; this module lifts the hot loops into numpy:
 - estimator kernels — consumer fanout via one ``np.bincount`` over the
   CSR pool, for a single block, a concatenation of extents (merged-
   candidate pricing), or a whole batch of blocks in one call.
-- a dead-code-elimination mark kernel that reproduces the backward
-  liveness scan exactly via a sorted-event fixpoint.
 - a GVN eligibility prefilter over the opcode/dest/pred columns.
 - int-indexed CFG kernels (reverse postorder, Cooper-Harvey-Kennedy
   immediate dominators, Euler-tour dominance intervals, vectorized
@@ -34,7 +32,6 @@ from itertools import accumulate as _accumulate
 import numpy as np
 
 from repro.ir.arena import (
-    F_DCE_REMOVABLE,
     F_PURE,
     OP_FLAGS,
     OP_MOV,
@@ -235,92 +232,6 @@ def exposed_kill_masks(m: Mirrors, base: int, n: int):
     kill = np.zeros(maxreg, dtype=np.bool_)
     kill[dreg] = True
     return bits_to_mask(exposed), bits_to_mask(kill)
-
-
-# ---------------------------------------------------------------------------
-# Dead-code elimination mark kernel
-# ---------------------------------------------------------------------------
-
-
-def _next_event(keys, probe, c_base, stride):
-    """Per-probe position of the first key in ``(probe, base+stride)``.
-
-    ``keys`` is sorted ``reg * stride + pos``; returns block positions,
-    with ``stride`` as the "no such event" sentinel.
-    """
-    if keys.size == 0:
-        return np.full(probe.shape, stride, dtype=_I64)
-    i = np.searchsorted(keys, probe, side="right")
-    k = keys[np.minimum(i, keys.size - 1)]
-    valid = (i < keys.size) & (k < c_base + stride)
-    return np.where(valid, k - c_base, stride)
-
-
-def dce_dead_indices(m: Mirrors, base: int, n: int, live_out: int):
-    """Block-relative indices the backward DCE scan would remove.
-
-    The scalar scan walks backwards keeping a live mask; its unique
-    fixpoint is recovered here by iterating a vectorized observation
-    test: an alive candidate definition is *observed* if an alive read
-    of its register follows it before any alive unpredicated write, or
-    if it reaches the block exit live-out.  Each round only retires
-    candidates that the scalar scan provably retires (kills and uses
-    from retired instructions stop counting next round), and the
-    fixpoint equals the scalar result exactly.  Almost every call
-    terminates in one round (nothing dead) or two.
-    """
-    if n == 0:
-        return _EMPTY
-    sl = slice(base, base + n)
-    ops = m.op[sl]
-    dests = m.dest[sl]
-    preds = m.pred[sl]
-    cand = (dests >= 0) & ((OP_FLAGS_NP[ops] & F_DCE_REMOVABLE) != 0)
-    if not cand.any():
-        return _EMPTY
-    off = m.src_off[base:base + n + 1]
-    off0 = int(off[0])
-    pool = m.src_pool[off0:int(off[-1])]
-    slot_of_src = np.repeat(np.arange(n, dtype=_I64), np.diff(off))
-    pred_pos = np.flatnonzero(preds >= 0)
-    pred_reg = preds[pred_pos] >> 1
-    maxreg = 1 + max(
-        int(pool.max()) if pool.size else -1,
-        int(pred_reg.max()) if pred_reg.size else -1,
-        int(dests.max()),
-    )
-    out_bits = mask_to_bits(live_out, maxreg)
-    stride = n + 1  # position sentinel: stride-1 < stride = "never"
-    alive = np.ones(n, dtype=np.bool_)
-    unpred_def = (dests >= 0) & (preds < 0)
-    while True:
-        src_keep = alive[slot_of_src]
-        u_reg = pool[src_keep]
-        u_pos = slot_of_src[src_keep]
-        pk = alive[pred_pos]
-        if pk.any():
-            u_reg = np.concatenate((u_reg, pred_reg[pk]))
-            u_pos = np.concatenate((u_pos, pred_pos[pk]))
-        kmask = alive & unpred_def
-        k_pos = np.flatnonzero(kmask)
-        k_reg = dests[kmask]
-        u_keys = np.sort(u_reg * stride + u_pos)
-        k_keys = np.sort(k_reg * stride + k_pos)
-        c_pos = np.flatnonzero(alive & cand)
-        c_reg = dests[c_pos]
-        c_base = c_reg * stride
-        probe = c_base + c_pos
-        # First use / first unpredicated write of the register strictly
-        # after the candidate (``stride`` = none before the block exit).
-        next_use = _next_event(u_keys, probe, c_base, stride)
-        next_kill = _next_event(k_keys, probe, c_base, stride)
-        observed = (next_use <= next_kill) & (next_use < stride)
-        observed |= (next_kill == stride) & out_bits[c_reg]
-        newly_dead = c_pos[~observed]
-        if newly_dead.size == 0:
-            break
-        alive[newly_dead] = False
-    return np.flatnonzero(~alive)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from repro.ir.instruction import Instruction
+from repro.ir.instruction import Instruction, reserve_uids
 from repro.ir.opcodes import Opcode
 
 #: Process-wide monotonic stamp source for block versions.  Unlike
@@ -146,9 +146,12 @@ class BasicBlock:
         # Versions are process-local: a block shipped across a process
         # boundary (the parallel formation driver) is re-stamped from the
         # local counter so it can never alias a stamp already handed out
-        # in this process.
+        # in this process.  Instruction uids keep their values, so the
+        # local uid counter skips past them instead.
         self.name, self.instrs = state
         self.version = next(_version_counter)
+        if self.instrs:
+            reserve_uids(max(instr.uid for instr in self.instrs))
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instrs)

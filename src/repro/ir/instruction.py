@@ -24,6 +24,18 @@ from repro.ir.opcodes import (
 _uid_counter = itertools.count(1)
 
 
+def reserve_uids(highest: int) -> None:
+    """Make every uid minted from now on exceed ``highest``.
+
+    Uids travel with pickled instructions, so a process that receives
+    instructions minted elsewhere must skip past them before it mints its
+    own (see ``BasicBlock.__setstate__``).
+    """
+    global _uid_counter
+    if next(_uid_counter) <= highest:
+        _uid_counter = itertools.count(highest + 1)
+
+
 class Predicate:
     """A guard ``(reg, sense)``: execute iff ``bool(reg_value) == sense``."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir import arena as _arena
-from repro.ir.arena import F_DCE_REMOVABLE, OP_FLAGS
 from repro.ir.block import BasicBlock
 from repro.ir.instruction import Instruction, Predicate
 from repro.ir.regmask import as_mask
@@ -36,10 +35,6 @@ from repro.ir.semantics import EvaluationError
 # property call was a measurable fraction of formation wall time.
 _VALUE_OPS = PURE_OPS | {Opcode.LOAD}
 _DCE_REMOVABLE_OPS = PURE_OPS | {Opcode.NULLW, Opcode.FANOUT}
-
-#: Index of eliminate_dead_code in ``_PASS_FNS`` (the arena-accelerated
-#: pass of the schedule).
-_DCE_INDEX = 4
 
 
 def optimize_block(
@@ -63,38 +58,13 @@ def optimize_block(
     # block clean (or -1 while it has changes it has not yet re-confirmed).
     stamp = 0
     clean = [-1, -1, -1, -1, -1]
-    # Arena path: the passes mutate the block *without* bumping its
-    # version (one touch happens at exit), so the version-keyed view
-    # table is off-limits in here.  DCE threads a private, unregistered
-    # view stamped with the pass-loop's own mutation counter: when one
-    # is current it runs over flat columns, and the settled state's view
-    # is donated to the view table on exit — the estimator and use/kill
-    # lookups that follow every trial then hit without re-scanning.
-    # Encoding is deliberately *not* repeated per round (a fresh merge
-    # preview mutates for 2-3 rounds before settling, and each encode
-    # costs a full O(n) pass); mid-convergence DCE runs fall back to the
-    # object scan instead.
-    arena_on = _arena.ENABLED
-    store = _arena.STORE if arena_on else None
-    view = None
-    view_stamp = -1
     for _ in range(max_rounds):
         changed = False
         for i, needs_live in _PASSES:
             if clean[i] == stamp:
                 continue
-            if (
-                arena_on
-                and i == _DCE_INDEX
-                and view is not None
-                and view_stamp == stamp
-            ):
-                did = _dce_view(block, live_out, view, store)
-                if did:
-                    view = None
-            else:
-                fn = _PASS_FNS[i]
-                did = fn(block, live_out) if needs_live else fn(block)
+            fn = _PASS_FNS[i]
+            did = fn(block, live_out) if needs_live else fn(block)
             if did:
                 changed = True
                 stamp += 1
@@ -108,12 +78,10 @@ def optimize_block(
         # The passes mutate instructions and reassign ``instrs`` directly;
         # re-stamp once here so version-keyed analysis caches notice.
         block.touch()
-    if arena_on:
-        if view is not None and view_stamp == stamp:
-            # The convergence encode still describes the block exactly.
-            store.deposit(block.version, view)
-        else:
-            store.encode_block(block)
+    if _arena.ENABLED:
+        # Encode the settled block once: the estimator and use/kill
+        # lookups that follow every trial then hit its view.
+        _arena.STORE.encode_block(block)
     return changed_any
 
 
@@ -659,64 +627,6 @@ def eliminate_dead_code(block: BasicBlock, live_out: "int | set[int]") -> bool:
         keep.reverse()
         block.instrs = keep
     return changed
-
-
-def _dce_view(block: BasicBlock, live_out: int, view, store) -> bool:
-    """:func:`eliminate_dead_code` over an arena view's columns.
-
-    Walks the encoded extent backwards exactly like the object path —
-    same liveness recurrence, same removability test (the ``OP_FLAGS``
-    bit is precomputed from ``_DCE_REMOVABLE_OPS``) — and only touches
-    the object list to splice out the dead indices at the end.  Under the
-    numpy backend the mark phase runs as a vectorized fixpoint over the
-    column mirrors; the dead set is identical by construction.
-    """
-    if _arena.NUMPY:
-        from repro.ir import arena_np
-
-        dead_idx = arena_np.dce_dead_indices(
-            store.mirrors(), view.base, view.n, live_out
-        )
-        if dead_idx.size == 0:
-            return False
-        dead = set(dead_idx.tolist())
-        block.instrs = [
-            instr for i, instr in enumerate(block.instrs) if i not in dead
-        ]
-        return True
-    live = live_out
-    dests = store.dest
-    preds = store.pred
-    ops = store.op
-    off = store.src_off
-    pool = store.src_pool
-    base = view.base
-    flags = OP_FLAGS
-    removable = F_DCE_REMOVABLE
-    dead: set[int] = set()
-    for i in range(view.n - 1, -1, -1):
-        j = base + i
-        dest = dests[j]
-        if (
-            dest >= 0
-            and not live >> dest & 1
-            and flags[ops[j]] & removable
-        ):
-            dead.add(i)
-            continue
-        packed = preds[j]
-        if dest >= 0 and packed < 0:
-            live &= ~(1 << dest)
-        for k in range(off[j], off[j + 1]):
-            live |= 1 << pool[k]
-        if packed >= 0:
-            live |= 1 << (packed >> 1)
-    if not dead:
-        return False
-    block.instrs = [
-        instr for i, instr in enumerate(block.instrs) if i not in dead
-    ]
-    return True
 
 
 #: The optimize_block schedule: (index, takes-live-out) in run order; the

@@ -57,9 +57,8 @@ class ProfileCollector:
     def _on_block(self, func: str, block: str, fired, depth: int,
                   nullified: tuple = ()) -> None:
         profile = self.profile
-        profile.record_block(func, block)
         target = fired.target if fired.op is Opcode.BR else None
-        profile.record_edge(func, block, target)
+        profile.record_step(func, block, target)
 
         key = (depth, func)
         active = self._active.get(key)

@@ -23,7 +23,8 @@ class ProfileData:
     def __init__(self) -> None:
         #: (func, src_root, dst_root|None) -> count; None = function return.
         self.edge_counts: dict[tuple[str, str, Optional[str]], int] = {}
-        #: (func, block_root) -> executions
+        #: (func, block_root) -> executions, which is also the total of the
+        #: block's ``edge_counts`` rows: every execution leaves by one edge.
         self.block_counts: dict[tuple[str, str], int] = {}
         #: (func, header_root) -> Counter{trip_count: visits}
         self.trip_histograms: dict[tuple[str, str], Counter] = {}
@@ -32,14 +33,14 @@ class ProfileData:
 
     # -- recording ----------------------------------------------------------
 
-    def record_edge(self, func: str, src: str, dst: Optional[str]) -> None:
-        key = (func, src, dst)
-        self.edge_counts[key] = self.edge_counts.get(key, 0) + 1
-
-    def record_block(self, func: str, block: str) -> None:
+    def record_step(self, func: str, block: str, dst: Optional[str]) -> None:
+        """One execution of ``block`` that left along the edge to ``dst``
+        (``None``: the function returned)."""
         key = (func, block)
         self.block_counts[key] = self.block_counts.get(key, 0) + 1
         self.total_blocks += 1
+        edge = (func, block, dst)
+        self.edge_counts[edge] = self.edge_counts.get(edge, 0) + 1
 
     def record_trip(self, func: str, header: str, trips: int) -> None:
         key = (func, header)
@@ -59,12 +60,7 @@ class ProfileData:
 
     def edge_probability(self, func: str, src: str, dst: Optional[str]) -> float:
         """P(dst | executing src), from profiled outgoing edge counts."""
-        src = root_name(src)
-        total = sum(
-            count
-            for (f, s, _), count in self.edge_counts.items()
-            if f == func and s == src
-        )
+        total = self.block_count(func, src)
         if total == 0:
             return 0.0
         return self.edge_count(func, src, dst) / total

@@ -8,6 +8,7 @@ from repro.analysis.dominators import DominatorTree
 from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.analysis.loops import LoopForest
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
+from repro.profiles.data import root_name
 
 
 def make_counting_loop(bound: int = 10, name: str = "main") -> Function:
@@ -164,6 +165,20 @@ def assert_liveness_matches_fresh(live: Liveness, func: Function,
         for dst in succs:
             if comp_of[src] != comp_of[dst]:
                 assert rank[comp_of[src]] > rank[comp_of[dst]], (where, src, dst)
+
+
+def scan_edge_probability(profile, func: str, src: str, dst) -> float:
+    """``ProfileData.edge_probability`` by its definition: this edge's
+    count over the sum of every edge-table row leaving ``src``."""
+    src = root_name(src)
+    total = sum(
+        count
+        for (f, s, _), count in profile.edge_counts.items()
+        if f == func and s == src
+    )
+    if total == 0:
+        return 0.0
+    return profile.edge_count(func, src, dst) / total
 
 
 @pytest.fixture

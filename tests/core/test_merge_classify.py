@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.depgraph import dependence_height
 from repro.core.merge import (
     FormationContext,
     MergeKind,
@@ -110,6 +111,18 @@ def test_merge_blocks_returns_new_candidates():
     assert succs == ["D"]
     assert ctx.stats.merges == 1
     assert "B" not in func.blocks  # simple merge removed the block
+
+
+def test_block_height_is_recomputed_for_a_merged_block():
+    func = make_diamond()
+    ctx = ctx_for(func)
+    before = ctx.block_height(func.blocks["A"])
+    assert before == dependence_height(func.blocks["A"])
+    assert merge_blocks(ctx, "A", "B") == ["D"]
+    merged = func.blocks["A"]
+    fresh = dependence_height(merged)
+    assert fresh != before
+    assert ctx.block_height(merged) == fresh
 
 
 def test_merge_blocks_failure_keeps_cfg():

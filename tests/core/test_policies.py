@@ -14,11 +14,13 @@ from repro.ir import build_module
 from tests.conftest import make_diamond
 
 
-def _profile_with_counts(counts: dict[str, int]) -> ProfileData:
+def _profile_with_steps(steps: dict[tuple[str, str | None], int]) -> ProfileData:
+    """A profile of ``main`` whose block ``src`` left ``count`` times along
+    each ``(src, dst)`` edge."""
     profile = ProfileData()
-    for block, count in counts.items():
+    for (src, dst), count in steps.items():
         for _ in range(count):
-            profile.record_block("main", block)
+            profile.record_step("main", src, dst)
     return profile
 
 
@@ -45,7 +47,7 @@ def test_depth_first_prefers_deepest():
 
 def test_depth_first_filters_to_hottest_successor():
     func = make_diamond()
-    profile = _profile_with_counts({"B": 100, "C": 3})
+    profile = _profile_with_steps({("B", "D"): 100, ("C", "D"): 3})
     ctx = FormationContext(func, profile=profile)
     policy = DepthFirstPolicy()
     kept = policy.filter_new(ctx, "A", ["B", "C"])
@@ -81,14 +83,12 @@ def make_branchy_function():
 
 def test_vliw_excludes_cold_high_latency_paths():
     func = make_branchy_function()
-    profile = _profile_with_counts({"A": 100, "B": 97, "C": 3, "D": 100})
     # Edge probabilities drive the path frequencies.
-    for _ in range(97):
-        profile.record_edge("main", "A", "B")
-        profile.record_edge("main", "B", "D")
-    for _ in range(3):
-        profile.record_edge("main", "A", "C")
-        profile.record_edge("main", "C", "D")
+    profile = _profile_with_steps({
+        ("A", "B"): 97, ("B", "D"): 97,
+        ("A", "C"): 3, ("C", "D"): 3,
+        ("D", None): 100,
+    })
     ctx = FormationContext(func, profile=profile)
     policy = VLIWPolicy(threshold=0.2)
     policy.begin_block(ctx, "A")
@@ -100,12 +100,11 @@ def test_vliw_excludes_cold_high_latency_paths():
 
 def test_vliw_includes_everything_when_balanced():
     func = make_diamond()
-    profile = _profile_with_counts({"A": 100, "B": 50, "C": 50, "D": 100})
-    for _ in range(50):
-        profile.record_edge("main", "A", "B")
-        profile.record_edge("main", "A", "C")
-        profile.record_edge("main", "B", "D")
-        profile.record_edge("main", "C", "D")
+    profile = _profile_with_steps({
+        ("A", "B"): 50, ("A", "C"): 50,
+        ("B", "D"): 50, ("C", "D"): 50,
+        ("D", None): 100,
+    })
     ctx = FormationContext(func, profile=profile)
     policy = VLIWPolicy(threshold=0.2)
     policy.begin_block(ctx, "A")

@@ -105,17 +105,6 @@ def test_view_of_caches_by_version():
     assert store.encodes == 2
 
 
-def test_deposit_registers_unregistered_view():
-    func = make_counting_loop()
-    block = func.blocks["body"]
-    store = Arena()
-    view = store.encode_block(block, register=False)
-    assert block.version not in store.views
-    store.deposit(block.version, view)
-    assert store.view_of(block) is view
-    assert store.deposits == 1
-
-
 # -- checkpoint / restore ------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from repro.ir import FunctionBuilder
 from repro.ir.arena import Arena
 from repro.ir.instruction import Predicate
 from repro.opt.gvn import global_value_numbering
-from repro.opt.local import eliminate_dead_code
 from tests.conftest import make_counting_loop, make_diamond, make_while_loop
 
 
@@ -169,7 +168,7 @@ def test_mask_bits_round_trip():
     assert arena_np.bits_to_mask(np.zeros(0, dtype=np.bool_)) == 0
 
 
-# -- randomized straight-line blocks (DCE / estimator oracles) -----------
+# -- randomized straight-line blocks (estimator oracles) -----------------
 
 
 def _random_block(seed: int, length: int = 40):
@@ -195,28 +194,6 @@ def _random_block(seed: int, length: int = 40):
             fb.store(rng.choice(regs), rng.choice(regs), pred=pred)
     fb.ret(rng.choice(regs))
     return fb.finish(), regs, rng
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_dce_dead_indices_matches_scalar_scan(seed):
-    func, regs, rng = _random_block(seed)
-    block = func.blocks["entry"]
-    store = Arena()
-    view = store.encode_block(block)
-    live_out = 0
-    for reg in set(regs):
-        if rng.random() < 0.5:
-            live_out |= 1 << reg
-    dead = arena_np.dce_dead_indices(
-        store.mirrors(), view.base, view.n, live_out
-    )
-    original = list(block.instrs)
-    eliminate_dead_code(block, live_out)
-    survivors = {id(instr) for instr in block.instrs}
-    expected = [
-        i for i, instr in enumerate(original) if id(instr) not in survivors
-    ]
-    assert dead.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", range(4))

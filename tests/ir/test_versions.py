@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 from repro.analysis.predimpl import exposed_uses
+from repro.ir import instruction
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instruction import Instruction, Predicate
@@ -62,6 +64,21 @@ def test_pickle_roundtrip_restamps():
     assert clone.name == block.name
     assert len(clone.instrs) == len(block.instrs)
     assert clone.version != block.version
+
+
+def test_unpickled_uids_are_never_minted_again(monkeypatch):
+    func = Function("f")
+    entry = func.add_block(BasicBlock("entry", [_add(3, 1, 2), _add(4, 3, 3)]))
+    entry.append(Instruction(Opcode.RET, srcs=(4,)))
+    shipped = [i.uid for i in entry.instrs]
+    # A fresh worker process starts its counter at 1, below every uid the
+    # driver has shipped.
+    monkeypatch.setattr(instruction, "_uid_counter", itertools.count(1))
+    clone = pickle.loads(pickle.dumps(func))
+    assert [i.uid for i in clone.blocks["entry"].instrs] == shipped
+    fresh = clone.blocks["entry"].copy("entry.d1")
+    assert min(i.uid for i in fresh.instrs) > max(shipped)
+    assert Instruction(Opcode.RET).uid > max(shipped)
 
 
 def test_function_version_bumps_on_structural_changes():

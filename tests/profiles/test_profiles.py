@@ -1,8 +1,15 @@
 """Tests for profile collection and queries."""
 
+import pytest
+
 from repro.ir import FunctionBuilder, build_module
 from repro.profiles import collect_profile, root_name
-from tests.conftest import make_counting_loop, make_while_loop
+from repro.workloads.generators import random_inputs, random_program
+from tests.conftest import (
+    make_counting_loop,
+    make_while_loop,
+    scan_edge_probability,
+)
 from tests.analysis.test_loops import make_nested_loops
 
 
@@ -102,3 +109,24 @@ def test_multiple_visits_accumulate(collatz_module):
     collector.run(args=(7,))
     hist = collector.profile.trip_histogram("main", "head")
     assert hist == {17: 2}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_probability_matches_edge_table_scan(seed):
+    module = random_program(seed)
+    profile = collect_profile(module, args=random_inputs(seed))
+    returns = 0
+    for func, src, dst in profile.edge_counts:
+        returns += dst is None
+        expected = scan_edge_probability(profile, func, src, dst)
+        assert profile.edge_probability(func, src, dst) == expected
+        # Duplicated blocks resolve through their root name.
+        dup_dst = None if dst is None else f"{dst}.d3"
+        assert profile.edge_probability(func, f"{src}.d3", dup_dst) == expected
+    assert returns
+    for func in module:
+        for src in func.blocks:
+            for dst in ("nonexistent", None):
+                assert profile.edge_probability(func.name, src, dst) == (
+                    scan_edge_probability(profile, func.name, src, dst)
+                )
