@@ -74,32 +74,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="cProfile one sequential formation pass and report the "
         "top-20 functions by cumulative time",
     )
-    parser.add_argument(
-        "--backend-smoke", action="store_true", dest="backend_smoke",
-        help="race every accelerated IR backend (arena, and numpy when "
-        "installed) against the legacy object walkers on one scaling "
-        "tier and fail if any is slower",
-    )
-    parser.add_argument(
-        "--smoke-tier", default="50x", dest="smoke_tier",
-        help="--backend-smoke: scaling tier to time (10x/50x/200x)",
-    )
     args = parser.parse_args(argv)
 
     from repro.harness.bench import format_report, run_bench, write_json
-
-    if args.backend_smoke:
-        import json
-
-        from repro.harness.bench import run_backend_smoke
-
-        try:
-            smoke = run_backend_smoke(tier=args.smoke_tier, repeat=args.repeat)
-        except RuntimeError as exc:
-            print(f"backend smoke failed: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(smoke, indent=2, sort_keys=True))
-        return 0
 
     subset = None
     if args.subset:

@@ -14,10 +14,6 @@ per trial — costs at most ~2% of formation time.  This bench measures:
   it can never perturb the numbers the bench reports — ``record_s`` is
   informational pricing, and the disabled-overhead ceiling is the gate
   proving ``--record`` left the timed loops untouched.
-- ``backends``    — the same disabled/enabled pair measured once per
-  available IR analysis backend (legacy / arena / numpy when installed):
-  telemetry cost is relative, so a backend that makes formation faster
-  makes the *ratio* worse even though the absolute cost is unchanged.
 - ``sampler``     — formation under the sampling profiler
   (:mod:`repro.obs.prof`) at its default hz versus plain formation.
   The profiler's contract is <= 5% overhead at the default rate; the
@@ -99,34 +95,6 @@ def _measure(subset: Optional[list[str]], repeat: int) -> dict:
         "overhead_enabled": round(enabled / disabled, 3),
         "events": events,
     }
-
-
-def run_backend_matrix(
-    subset: Optional[list[str]] = None, repeat: int = 2
-) -> dict:
-    """Disabled/enabled telemetry cost per IR analysis backend.
-
-    ``{backend: {"disabled_s", "enabled_s", "overhead_enabled",
-    "events"}}`` for every backend available on this interpreter.  The
-    caller's backend selection is restored on every exit path.
-    """
-    from repro.ir import arena as _arena
-
-    rows: dict = {}
-    prev = _arena.backend()
-    try:
-        for backend in _arena.available_backends():
-            _arena.set_backend(backend)
-            sample = _measure(subset, repeat)
-            rows[backend] = {
-                "disabled_s": sample["disabled_s"],
-                "enabled_s": sample["enabled_s"],
-                "overhead_enabled": sample["overhead_enabled"],
-                "events": sample["events"],
-            }
-    finally:
-        _arena.set_backend(prev)
-    return rows
 
 
 def run_sampler_overhead(
@@ -269,9 +237,6 @@ def run_overhead_bench(
             label="overhead-pricing", ledger_dir=tmp,
         )
         result["record_s"] = round(time.perf_counter() - start, 4)
-    result["backends"] = run_backend_matrix(
-        subset, repeat=max(1, repeat - 1)
-    )
     result["sampler"] = run_sampler_overhead(subset, repeat=repeat)
     result["recorder"] = run_recorder_overhead(subset, repeat=repeat)
     return result
@@ -290,12 +255,6 @@ def format_report(result: dict) -> str:
         f"  record pass:        {result['record_s']:.4f}s "
         f"(untimed by bench --record; informational)",
     ]
-    for backend, row in result.get("backends", {}).items():
-        lines.append(
-            f"  backend {backend:<7} disabled {row['disabled_s']:.4f}s, "
-            f"enabled {row['enabled_s']:.4f}s "
-            f"({row['overhead_enabled']:.3f}x)"
-        )
     sampler = result.get("sampler")
     if sampler:
         lines.append(

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
-from repro.ir import arena as _arena
 from repro.ir.function import CFG, Function
 
 
 def reverse_postorder(func: Function, cfg: Optional[CFG] = None) -> list[str]:
     """Blocks reachable from the entry, in reverse postorder."""
     cfg = cfg or func.cfg()
-    if _arena.NUMPY:
-        from repro.ir import arena_np
-
-        order = arena_np.rpo_names(func.entry, cfg.succs)
-        if order is not None:
-            return order
     visited: set[str] = set()
     order: list[str] = []
 
@@ -47,54 +39,16 @@ class DominatorTree:
     def __init__(self, func: Function, cfg: Optional[CFG] = None):
         self.func = func
         cfg = cfg or func.cfg()
-        self._facts = None
-        if _arena.NUMPY and func.entry in cfg.succs:
-            # Int-indexed construction: same reverse postorder, same CHK
-            # fixpoint, plus Euler-tour intervals for O(1) dominance
-            # queries.  The dict-shaped rpo/idom/children views match
-            # the scalar path's contents and iteration order exactly —
-            # but materialize lazily (cached_property): the loop forest
-            # consumes the int facts directly, and most trees built per
-            # commit never need the dicts at all.
-            from repro.ir import arena_np
-
-            self._facts = arena_np.DomFacts(
-                arena_np.FlatCFG(func.entry, cfg.succs)
-            )
-        else:
-            self.rpo = reverse_postorder(func, cfg)
-            self._index = {name: i for i, name in enumerate(self.rpo)}
-            self.idom: dict[str, Optional[str]] = {func.entry: func.entry}
-            self._compute(cfg)
-            self.idom[func.entry] = None
-            children: dict[str, list[str]] = {name: [] for name in self.rpo}
-            for name, parent in self.idom.items():
-                if parent is not None:
-                    children[parent].append(name)
-            self.children = children
-
-    # -- lazy dict views (facts path; the scalar path assigns instance
-    # attributes in __init__, which shadow these non-data descriptors) --
-
-    @cached_property
-    def rpo(self) -> list[str]:
-        return self._facts.flat.rpo_names()
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.rpo)}
-
-    @cached_property
-    def idom(self) -> dict[str, Optional[str]]:
-        return self._facts.idom_dict(self.func.entry)
-
-    @cached_property
-    def children(self) -> dict[str, list[str]]:
+        self.rpo = reverse_postorder(func, cfg)
+        self._index = {name: i for i, name in enumerate(self.rpo)}
+        self.idom: dict[str, Optional[str]] = {func.entry: func.entry}
+        self._compute(cfg)
+        self.idom[func.entry] = None
         children: dict[str, list[str]] = {name: [] for name in self.rpo}
         for name, parent in self.idom.items():
             if parent is not None:
                 children[parent].append(name)
-        return children
+        self.children = children
 
     def _intersect(self, a: str, b: str) -> str:
         index = self._index
@@ -125,17 +79,6 @@ class DominatorTree:
 
     def dominates(self, a: str, b: str) -> bool:
         """True if block ``a`` dominates block ``b`` (reflexively)."""
-        facts = self._facts
-        if facts is not None:
-            index = self._index
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None or ib is None:
-                # Unreachable blocks dominate only themselves, exactly as
-                # the idom chain walk answers.
-                return a == b
-            tin = facts.tin
-            return tin[ia] <= tin[ib] <= facts.tout[ia]
         node: Optional[str] = b
         while node is not None:
             if node == a:

@@ -29,7 +29,6 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from repro.analysis.predimpl import exposed_mask
-from repro.ir import arena as _arena
 from repro.ir.function import CFG, Function
 
 
@@ -41,11 +40,6 @@ def block_use_kill(block) -> tuple[int, int]:
     is not exposed.  Without this every predicated temporary of a
     hyperblock would look live across the CFG.
     """
-    if _arena.ENABLED:
-        # The encode pass already folded the kill mask out of the dest
-        # and predicate columns; exposed_mask shares the same view.
-        view = _arena.STORE.view_of(block)
-        return exposed_mask(block), view.kill_mask
     use = exposed_mask(block)
     kill = 0
     for instr in block:

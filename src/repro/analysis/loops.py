@@ -88,16 +88,6 @@ class LoopForest:
     # -- construction -------------------------------------------------------
 
     def _find_loops(self, dom: DominatorTree) -> None:
-        facts = getattr(dom, "_facts", None)
-        if facts is not None and facts.flat.succs_src is self.cfg.succs:
-            # Vectorized dominance-interval back-edge scan over the same
-            # successor lists; edge order matches the scalar walk (rpo of
-            # src, successor order within), so loop discovery order —
-            # and everything keyed on it downstream — is identical.
-            for src, dst in facts.back_edges():
-                loop = self.loops.setdefault(dst, Loop(dst))
-                loop.back_edges.append((src, dst))
-            return
         for src in dom.rpo:
             for dst in self.cfg.succs.get(src, []):
                 if dst in dom.idom or dst == self.func.entry:

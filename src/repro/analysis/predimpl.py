@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ir import arena as _arena
 from repro.ir.block import BasicBlock
 from repro.ir.instruction import Predicate
 from repro.ir.opcodes import Opcode
@@ -194,38 +193,6 @@ def exposed_mask(block: BasicBlock) -> int:
     cached = _exposed_cache.get(version)
     if cached is not None:
         return cached
-
-    if _arena.ENABLED:
-        # The encode pass already solved the fully-unpredicated case (the
-        # single-pass kill-mask walk below) as a byproduct of building the
-        # columns; predicated blocks need the implication analysis, which
-        # runs faster over the object graph (tuple iteration beats
-        # per-element column indexing in pure Python), so they fall
-        # through to the scan below.
-        store = _arena.STORE
-        view = store.view_of(block)
-        exposed = view.exposed
-        if exposed is not None:
-            if len(_exposed_cache) >= _EXPOSED_CACHE_MAX:
-                _exposed_cache.clear()
-            _exposed_cache[version] = exposed
-            return exposed
-        if _arena.NUMPY:
-            # Predicated blocks with no *predicated writes* still need no
-            # implication analysis (every write kills); the vectorized
-            # first-read-vs-first-write kernel covers them and returns
-            # None when a predicated definition makes it inapplicable.
-            from repro.ir import arena_np
-
-            masks = arena_np.exposed_kill_masks(
-                store.mirrors(), view.base, view.n
-            )
-            if masks is not None:
-                exposed = masks[0]
-                if len(_exposed_cache) >= _EXPOSED_CACHE_MAX:
-                    _exposed_cache.clear()
-                _exposed_cache[version] = exposed
-                return exposed
 
     instrs = block.instrs
     exposed = 0

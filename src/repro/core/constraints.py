@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from repro.ir import arena as _arena
+from repro.analysis.predimpl import exposed_mask
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode
 from repro.ir.regmask import as_mask, bits
@@ -138,7 +138,7 @@ class BlockEstimate:
 
 
 def _dict_fanout(consumers: dict, remat: int, width: int) -> int:
-    """Fanout slots from a consumer-count dict (the flat-loop backends)."""
+    """Fanout slots for consumers beyond ``width`` (constants excluded)."""
     fanout = 0
     if remat:
         for reg, count in consumers.items():
@@ -163,52 +163,6 @@ def estimate_block(
     block's register-write outputs and the null-write padding.
     """
     live_out_mask = as_mask(live_out)
-    width = constraints.instruction_targets
-
-    if _arena.ENABLED:
-        # The encode pass computed the masks and counts below; consumer
-        # counting runs as one ``np.bincount`` over the CSR pool under
-        # the numpy backend, or as flat loops over the same columns in
-        # pure CPython.  The shared tail prices fanout/padding/banking
-        # identically, so all backends produce bit-identical estimates.
-        store = _arena.STORE
-        view = store.view_of(block)
-        remat = view.remat_mask
-        if _arena.NUMPY:
-            from repro.ir import arena_np
-
-            fanout = arena_np.consumer_fanout(
-                store.mirrors(), ((view.base, view.n),), width, remat
-            )
-        else:
-            consumers = {}
-            consumers_get = consumers.get
-            pool = store.src_pool
-            off = store.src_off
-            base = view.base
-            top = base + view.n
-            for k in range(off[base], off[top]):
-                reg = pool[k]
-                consumers[reg] = consumers_get(reg, 0) + 1
-            preds = store.pred
-            for j in range(base, top):
-                packed = preds[j]
-                if packed >= 0:
-                    reg = packed >> 1
-                    consumers[reg] = consumers_get(reg, 0) + 1
-            fanout = _dict_fanout(consumers, remat, width)
-        return _finish_estimate(
-            block,
-            view.n,
-            view.mem_ops,
-            view.pred_stores,
-            view.kill_mask,
-            view.def_mask,
-            fanout,
-            live_out_mask,
-            constraints,
-        )
-
     consumers = {}
     unconditional_writers = 0  # mask of unpredicated destinations
     written = 0  # mask of all destinations
@@ -240,36 +194,13 @@ def estimate_block(
             memory_ops += 1
             if pred is not None:
                 predicated_stores += 1
-    return _finish_estimate(
-        block,
-        len(block.instrs),
-        memory_ops,
-        predicated_stores,
-        unconditional_writers,
-        written,
-        _dict_fanout(consumers, remat, width),
-        live_out_mask,
-        constraints,
-    )
 
-
-def _finish_estimate(
-    block,
-    real_instructions: int,
-    memory_ops: int,
-    predicated_stores: int,
-    unconditional_writers: int,
-    written: int,
-    fanout: int,
-    live_out_mask: int,
-    constraints: TripsConstraints,
-    reads_mask: "int | None" = None,
-) -> BlockEstimate:
-    """The backend-independent estimator tail: padding, banking, limits."""
     est = BlockEstimate()
-    est.real_instructions = real_instructions
+    est.real_instructions = len(block.instrs)
     est.memory_ops = memory_ops
-    est.fanout_instructions = fanout
+    est.fanout_instructions = _dict_fanout(
+        consumers, remat, constraints.instruction_targets
+    )
 
     # Output padding (fixed-output rule): live-out registers written only
     # under a predicate need a null write for the paths that skip them;
@@ -280,10 +211,7 @@ def _finish_estimate(
 
     # Register banking: reads = upward-exposed registers (predicate-
     # implication aware), writes = live-out registers the block defines.
-    if reads_mask is None:
-        from repro.analysis.predimpl import exposed_mask
-
-        reads_mask = exposed_mask(block)
+    reads_mask = exposed_mask(block)
     est.reg_reads = reads_mask.bit_count()
     est.reg_writes = live_writes.bit_count()
 
@@ -335,109 +263,6 @@ def _finish_estimate(
                 f"register writes {est.reg_writes} > {constraints.max_writes}",
             )
     return est
-
-
-def estimate_blocks(
-    items: Iterable[tuple[BasicBlock, LiveOut]],
-    constraints: TripsConstraints,
-) -> list[BlockEstimate]:
-    """Price many ``(block, live_out)`` pairs at once.
-
-    Under the numpy backend the consumer-fanout counting for every block
-    runs as a single batched ``np.bincount``; the other backends fall
-    back to per-block :func:`estimate_block`.  Results are bit-identical
-    either way.
-    """
-    items = list(items)
-    if not (_arena.NUMPY and items):
-        return [estimate_block(b, lo, constraints) for b, lo in items]
-    from repro.ir import arena_np
-
-    store = _arena.STORE
-    views = [store.view_of(block) for block, _ in items]
-    # Mirrors are taken only after every view is encoded: view_of may
-    # append to the columns, which drops any live mirror.
-    fanouts = arena_np.fanout_many(
-        store.mirrors(),
-        [(v.base, v.n) for v in views],
-        constraints.instruction_targets,
-        [v.remat_mask for v in views],
-    )
-    return [
-        _finish_estimate(
-            block,
-            view.n,
-            view.mem_ops,
-            view.pred_stores,
-            view.kill_mask,
-            view.def_mask,
-            fanout,
-            as_mask(live_out),
-            constraints,
-        )
-        for (block, live_out), view, fanout in zip(items, views, fanouts)
-    ]
-
-
-def estimate_merged(
-    blocks: list[BasicBlock],
-    live_out: LiveOut,
-    constraints: TripsConstraints,
-) -> BlockEstimate:
-    """Price the plain concatenation of ``blocks`` without building it.
-
-    Equivalent to :func:`estimate_block` over a scratch block holding the
-    concatenated instruction lists.  Under the numpy backend, when every
-    component block is unpredicated, the estimate composes the per-view
-    facts directly — mask unions for defs/kills/remat, exposure folded
-    left-to-right, consumer fanout counted over the concatenated CSR
-    extents — with no instruction copying.  Any predicated component
-    (whose exposure needs implication analysis) falls back to the
-    materialized scratch block, as do the other backends.
-    """
-    if len(blocks) == 1:
-        return estimate_block(blocks[0], live_out, constraints)
-    live_out_mask = as_mask(live_out)
-    if _arena.NUMPY and blocks:
-        from repro.ir import arena_np
-
-        store = _arena.STORE
-        views = [store.view_of(block) for block in blocks]
-        if all(view.unpredicated for view in views):
-            mirror = store.mirrors()
-            killed = written = exposed = remat = 0
-            real = mem = pstores = 0
-            for view in views:
-                exposed |= view.exposed & ~killed
-                killed |= view.kill_mask
-                written |= view.def_mask
-                remat = (remat & ~view.def_mask) | view.remat_mask
-                real += view.n
-                mem += view.mem_ops
-                pstores += view.pred_stores
-            fanout = arena_np.consumer_fanout(
-                mirror,
-                [(view.base, view.n) for view in views],
-                constraints.instruction_targets,
-                remat,
-            )
-            return _finish_estimate(
-                None,
-                real,
-                mem,
-                pstores,
-                killed,
-                written,
-                fanout,
-                live_out_mask,
-                constraints,
-                reads_mask=exposed,
-            )
-    scratch = BasicBlock(
-        "<merged-estimate>",
-        [instr for block in blocks for instr in block.instrs],
-    )
-    return estimate_block(scratch, live_out_mask, constraints)
 
 
 def legal_block(

@@ -37,7 +37,6 @@ from repro.ir.function import Function, Module
 from repro.ir.verify import VerificationError, verify_function
 from repro.profiles.data import ProfileData
 from repro.robustness.faultinject import active_plane
-from repro.ir import arena as _arena
 from repro.robustness.guard import (
     FormationReport,
     FunctionReport,
@@ -83,7 +82,7 @@ def _expand_block(
     seq = 0
     candidates: list[Candidate] = []
     initial = policy.filter_new(
-        ctx, hb_name, list(_arena.successors_of(func.blocks[hb_name]))
+        ctx, hb_name, func.blocks[hb_name].successors()
     )
     for succ in initial:
         candidates.append(Candidate(succ, depth=1, seq=seq))

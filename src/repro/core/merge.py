@@ -37,7 +37,6 @@ from repro.core.constraints import TripsConstraints, estimate_block
 from repro.obs.sink import DEFAULT_RING_CAPACITY
 from repro.obs.trace import active_tracer
 from repro.robustness.faultinject import InjectedFault, active_plane
-from repro.ir import arena as _arena
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.opcodes import Opcode
@@ -51,13 +50,6 @@ class MergeKind(enum.Enum):
     TAIL_DUP = "tail_duplication"
     PEEL = "peel"
     UNROLL = "unroll"
-
-
-#: Deprecated alias: the event log is now bounded by
-#: ``MergeStats.events_capacity`` (default = the trace ring sink's
-#: capacity) and overflow is *counted* in ``trace_dropped_events``
-#: instead of silently discarded.  Kept for old importers only.
-MAX_RECORDED_EVENTS = DEFAULT_RING_CAPACITY
 
 
 @dataclass
@@ -112,7 +104,7 @@ class MergeStats:
     record_events: bool = True
     events: list[tuple[str, str, str]] = field(default_factory=list)
     #: Bounded capacity of the compatibility view (mirrors the trace ring
-    #: sink's bound; replaces the deprecated ``MAX_RECORDED_EVENTS``).
+    #: sink's bound).
     events_capacity: int = DEFAULT_RING_CAPACITY
     #: Events that did not fit ``events_capacity`` (never silently lost).
     trace_dropped_events: int = 0
@@ -305,7 +297,7 @@ class FormationContext:
         if cfg is None:
             return
         old_succs = cfg.succs[hb_name]
-        new_succs = _arena.successors_of(preview)
+        new_succs = preview.successors()
         in_shape = set(new_succs) == set(old_succs) - {s_name} | set(
             old_succs if s_name == hb_name else cfg.succs[s_name]
         )
@@ -403,7 +395,7 @@ class FormationContext:
         """Live-out mask of a (possibly scratch) block from its branch targets."""
         live = 0
         live_in = self.liveness.live_in
-        for succ in _arena.successors_of(block):
+        for succ in block.successors():
             live |= live_in.get(succ, 0)
         return live
 
@@ -459,7 +451,7 @@ def legal_merge(ctx: FormationContext, hb_name: str, s_name: str) -> bool:
 
 def _saved_body_references(ctx: FormationContext, name: str) -> bool:
     return any(
-        name in _arena.successors_of(body)
+        name in body.successors()
         for body in ctx.saved_bodies.values()
     )
 
@@ -521,7 +513,7 @@ def _trial_live_out(
     """
     live = 0
     live_in = ctx.liveness.live_in
-    for succ in _arena.successors_of(hb):
+    for succ in hb.successors():
         if succ != s_name:
             live |= live_in.get(succ, 0)
     for succ in candidate_succs:
@@ -541,13 +533,10 @@ def _def_mask(block: BasicBlock) -> int:
     cached = _def_mask_cache.get(version)
     if cached is not None:
         return cached
-    if _arena.ENABLED:
-        mask = _arena.STORE.view_of(block).def_mask
-    else:
-        mask = 0
-        for instr in block.instrs:
-            if instr.dest is not None:
-                mask |= 1 << instr.dest
+    mask = 0
+    for instr in block.instrs:
+        if instr.dest is not None:
+            mask |= 1 << instr.dest
     if len(_def_mask_cache) >= _DEF_MASK_CACHE_MAX:
         _def_mask_cache.clear()
     _def_mask_cache[version] = mask
@@ -601,7 +590,7 @@ def _merge_trial(
         body_source = None
         target = func.blocks[s_name]
 
-    candidate_succs = list(_arena.successors_of(body_source or target))
+    candidate_succs = (body_source or target).successors()
     live_out = _trial_live_out(ctx, hb, s_name, candidate_succs)
 
     # A trial's outcome is a pure function of the two blocks' contents (the

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.ir import arena as _arena
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.merge import FormationContext
 
@@ -318,7 +316,7 @@ class LookaheadPolicy(BreadthFirstPolicy):
         # Merges that keep the exit count flat are always fine: single
         # successor blocks, back edges (unroll), loop headers (peel).
         target = func.blocks[cand.name]
-        if len(_arena.successors_of(target)) <= 1:
+        if len(target.successors()) <= 1:
             return True
         if cand.name == hb_name or ctx.loops.is_header(cand.name):
             return True

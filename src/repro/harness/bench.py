@@ -4,8 +4,8 @@ Times end-to-end hyperblock formation over the SPEC workload suite in
 three configurations:
 
 - ``sequential_fast``   — ``form_module`` with the fast path (default),
-- ``sequential_legacy`` — ``form_module(fast_path=False)`` under the
-  legacy (object-graph) IR backend: the all-machinery-off control,
+- ``sequential_legacy`` — ``form_module(fast_path=False)``: the
+  invalidate-everything control,
 - ``parallel``          — :func:`repro.harness.parallel.form_many_parallel`.
 
 Module construction and profile collection are *not* timed: the benchmark
@@ -28,7 +28,6 @@ from typing import Optional
 
 from repro.core.convergent import form_module
 from repro.harness.parallel import form_many_parallel
-from repro.ir import arena as _ir_arena
 from repro.profiles import collect_profile
 from repro.workloads.generators import random_inputs, scaled_program
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
@@ -193,17 +192,7 @@ def _collect_telemetry(prepared, registry=None) -> dict:
             phase: round(phases[phase] / total, 4) if total else 0.0
             for phase in sorted(phases)
         },
-        # Arena counters accumulate per process; the delta over the traced
-        # pass is not isolated, but backend identity and order-of-magnitude
-        # encode/hit volumes are what the bench JSON needs to show.
-        "arena": _arena_telemetry(),
     }
-
-
-def _arena_telemetry() -> dict:
-    from repro.ir import arena as _arena
-
-    return {"backend": _arena.backend(), **_arena.STORE.counters()}
 
 
 def _profile_formation(prepared, top: int = 20) -> list[dict]:
@@ -314,9 +303,8 @@ def _mem_profile_formation(prepared, metrics=None) -> dict:
     Same discipline as the sampling profiler: fresh modules, *after* the
     timed windows, a private tracer whose phase spans drive the profiler
     — tracemalloc's per-allocation cost can never perturb the recorded
-    timings.  The report carries per-phase net/self-net/peak bytes, the
-    arena column-byte counters (the accounting the obs layer cannot see
-    itself), and the process peak RSS for ceiling gates.
+    timings.  The report carries per-phase net/self-net/peak bytes and
+    the process peak RSS for ceiling gates.
     """
     from repro.obs.live import rss_bytes
     from repro.obs.memprof import PhaseMemoryProfiler
@@ -335,7 +323,6 @@ def _mem_profile_formation(prepared, metrics=None) -> dict:
     finally:
         profiler.stop()
         tracer.memprof = None
-    profiler.attach_section("arena", _arena_telemetry())
     summary = profiler.report()
     summary["peak_rss_bytes"] = rss_bytes()
     return summary
@@ -389,16 +376,7 @@ def run_scale_bench(
     dataflow engine plus the incremental analyses pay off more the larger
     the function, because legacy re-analysis cost grows with function
     size while the fast path's per-merge work stays local.
-
-    The legacy control is pinned to the *legacy IR backend* as well as
-    ``fast_path=False``: it stands for the pre-optimization baseline, and
-    letting it use the arena's view cache would hand the control the very
-    machinery the comparison prices (an invalidate-everything run
-    re-derives per-block facts constantly, so it benefits from encoded
-    views even more than the fast path does).
     """
-    from repro.ir import arena as _arena
-
     rows = []
     for label, target in tiers:
         workload = _ScaledWorkload(label, target, seed)
@@ -413,14 +391,9 @@ def run_scale_bench(
         fast_s, fast_merges, fast_mtup, fast_cache = _time_sequential(
             prepared, True, repeat
         )
-        prev = _arena.backend()
-        try:
-            _arena.set_backend("legacy")
-            legacy_s, legacy_merges, legacy_mtup, _ = _time_sequential(
-                prepared, False, repeat
-            )
-        finally:
-            _arena.set_backend(prev)
+        legacy_s, legacy_merges, legacy_mtup, _ = _time_sequential(
+            prepared, False, repeat
+        )
         if (fast_merges, fast_mtup) != (legacy_merges, legacy_mtup):
             raise RuntimeError(
                 f"scaling tier {label}: fast path changed formation "
@@ -444,117 +417,6 @@ def run_scale_bench(
             }
         )
     return rows
-
-
-def run_backend_smoke(
-    tier: str = "50x",
-    repeat: int = 3,
-    seed: int = SCALING_SEED,
-    tolerance: float = 0.05,
-    backends: Optional[tuple] = None,
-) -> dict:
-    """Accelerated-vs-legacy IR backend race on one scaling tier.
-
-    Every accelerated backend available on this interpreter (``arena``
-    columns, and the vectorized ``numpy`` tier when the extra is
-    installed) runs the same generated program with the *same* formation
-    configuration (``fast_path=True``) against the legacy object walkers;
-    what varies is only the analysis backend.  Runs are interleaved and
-    timed with CPU time, best-of-``repeat``, so machine noise hits all
-    sides alike.  Raises if any backend's decisions differ or any
-    accelerated backend is slower than legacy beyond ``tolerance`` (the
-    regression gate CI runs at the 50x tier).  The caller's backend
-    selection is restored on every exit path, including the failure
-    raises — a failed smoke must never leak ``legacy`` into the rest of
-    the process.
-    """
-    from repro.ir import arena as _arena
-
-    targets = dict(SCALING_TIERS)
-    if tier not in targets:
-        raise SystemExit(
-            f"unknown scaling tier {tier!r}; available: "
-            + ", ".join(label for label, _ in SCALING_TIERS)
-        )
-    target = targets[tier]
-    available = _arena.available_backends()
-    if backends is None:
-        # numpy drops out gracefully when the extra is absent: the race
-        # still gates the arena backend, and CI legs without numpy pass.
-        accelerated = tuple(
-            b for b in ("arena", "numpy") if b in available
-        )
-    else:
-        unknown = [b for b in backends if b not in available]
-        if unknown:
-            raise SystemExit(
-                f"backend(s) not available: {', '.join(unknown)}; "
-                f"available: {', '.join(available)}"
-            )
-        accelerated = tuple(b for b in backends if b != "legacy")
-    best: dict[str, float] = {}
-    mtups: dict[str, tuple] = {}
-    prev = _arena.backend()
-    try:
-        for _ in range(repeat):
-            for backend in accelerated + ("legacy",):
-                _arena.set_backend(backend)
-                module = scaled_program(target, seed)
-                start = time.process_time()
-                stats = form_module(
-                    module, fast_path=True, record_events=False
-                )
-                elapsed = time.process_time() - start
-                if backend not in best or elapsed < best[backend]:
-                    best[backend] = elapsed
-                mtups[backend] = stats.mtup
-        for backend in accelerated:
-            if mtups[backend] != mtups["legacy"]:
-                raise RuntimeError(
-                    "IR backend changed formation decisions: "
-                    f"{backend} {mtups[backend]} != legacy "
-                    f"{mtups['legacy']}"
-                )
-        ratios = {
-            backend: best[backend] / best["legacy"]
-            for backend in accelerated
-        }
-        result = {
-            "tier": tier,
-            "target_instrs": target,
-            "seed": seed,
-            "repeat": repeat,
-            "legacy_cpu_s": round(best["legacy"], 4),
-            "tolerance": tolerance,
-            "mtup": list(mtups["legacy"]),
-            "backends": {
-                backend: {
-                    "cpu_s": round(best[backend], 4),
-                    "vs_legacy": round(ratios[backend], 4),
-                }
-                for backend in accelerated
-            },
-            "ok": all(r <= 1.0 + tolerance for r in ratios.values()),
-        }
-        # Flat keys the pre-numpy consumers (and the CI log grep) read.
-        for backend in accelerated:
-            result[f"{backend}_cpu_s"] = round(best[backend], 4)
-            result[f"{backend}_vs_legacy"] = round(ratios[backend], 4)
-        if not result["ok"]:
-            slow = {
-                b: r for b, r in ratios.items() if r > 1.0 + tolerance
-            }
-            raise RuntimeError(
-                f"IR backend slower than legacy at {tier}: "
-                + ", ".join(
-                    f"{b} {best[b]:.4f}s vs {best['legacy']:.4f}s "
-                    f"(ratio {r:.3f} > 1+{tolerance})"
-                    for b, r in slow.items()
-                )
-            )
-    finally:
-        _arena.set_backend(prev)  # caller's selection, not the env's
-    return result
 
 
 def run_bench(
@@ -594,18 +456,9 @@ def run_bench(
     names = [name for name, _, _ in prepared]
 
     fast_s, fast_merges, mtup, cache = _time_sequential(prepared, True, repeat)
-    # The legacy control means "all post-seed machinery off": the
-    # invalidate-everything driver *and* the object-graph analysis
-    # backend (see run_scale_bench's docstring for why the control must
-    # not borrow the arena's view cache).
-    prev = _ir_arena.backend()
-    try:
-        _ir_arena.set_backend("legacy")
-        legacy_s, legacy_merges, legacy_mtup, _ = _time_sequential(
-            prepared, False, repeat
-        )
-    finally:
-        _ir_arena.set_backend(prev)
+    legacy_s, legacy_merges, legacy_mtup, _ = _time_sequential(
+        prepared, False, repeat
+    )
     if (fast_merges, mtup) != (legacy_merges, legacy_mtup):
         raise RuntimeError(
             "fast path changed formation results: "
@@ -762,14 +615,6 @@ def format_report(result: dict) -> str:
             f"(1 traced pass, {telemetry['dropped']} dropped); "
             f"phase shares: {shares}"
         )
-        arena = telemetry.get("arena")
-        if arena:
-            lines.append(
-                f"  ir backend: {arena['backend']} "
-                f"({arena['encodes']} encodes, {arena['view_hits']} view "
-                f"hits, {arena['instrs_stored']} instrs stored, "
-                f"{arena['column_bytes']} column bytes)"
-            )
     sampled = result.get("sample_profile")
     if sampled:
         shares = ", ".join(
@@ -810,12 +655,6 @@ def format_report(result: dict) -> str:
                 f"{format_bytes(row['net_bytes']):>12} "
                 f"{format_bytes(row['self_net_bytes']):>12} "
                 f"{format_bytes(row['peak_delta_bytes']):>12}"
-            )
-        arena = mem.get("arena")
-        if arena:
-            lines.append(
-                f"    arena: {format_bytes(arena.get('column_bytes'))} "
-                f"column bytes ({arena.get('backend')} backend)"
             )
     rows = result.get("profile_top")
     if rows:
@@ -872,12 +711,10 @@ def _history_summary(result: dict) -> dict:
         ]
     telemetry = result.get("telemetry")
     if telemetry and telemetry.get("phase_time_s"):
-        # Per-phase self time keyed by the backend the traced pass ran
-        # under, so the history trajectory attributes estimate/liveness/
-        # commit shifts to the backend that produced them instead of
-        # averaging across backend changes between runs.
-        backend = (telemetry.get("arena") or {}).get("backend", "unknown")
-        summary["phase_self_s"] = {backend: telemetry["phase_time_s"]}
+        # Per-phase self time keyed by the analysis path that produced it:
+        # earlier entries name a backend, and the object walk, the only
+        # path left, is the one they call "legacy".
+        summary["phase_self_s"] = {"legacy": telemetry["phase_time_s"]}
     return summary
 
 

@@ -18,7 +18,6 @@ Usage::
     python -m repro.harness bench --record
     python -m repro.harness compare <run-a> <run-b> [--html report.html]
     python -m repro.harness compare rec.json --against-ledger latest
-    python -m repro.harness backends
     python -m repro.harness fleet [--workers 4] [--corpus 10x] \
         [--modules 12] [--journal j.jsonl] [--resume] [--max-jobs N] \
         [--verify-serial] [--record]
@@ -94,14 +93,13 @@ def run(argv: Optional[list[str]] = None) -> str:
         choices=[
             "table1", "table2", "table3", "figure7", "all", "bench",
             "selfcheck", "trace", "stats", "record", "compare",
-            "backends", "fleet", "top", "replay",
+            "fleet", "top", "replay",
         ],
         help="which experiment to regenerate ('bench' times formation, "
         "'selfcheck' runs the differential-simulation oracle, 'trace'/"
         "'stats' record one workload under the decision tracer, "
         "'record' persists a run record to the ledger, 'compare' diffs "
-        "two run records, 'backends' lists the IR analysis backends, "
-        "'fleet' runs a corpus on the self-healing worker fleet, 'top' "
+        "two run records, 'fleet' runs a corpus on the self-healing worker fleet, 'top' "
         "renders a live view of a run started with --expose, 'replay' "
         "check-replays a workload against a recorded decision log or "
         "bisects two recorded runs to the first diverging decision)",
@@ -159,16 +157,6 @@ def run(argv: Optional[list[str]] = None) -> str:
         "--profile", action="store_true",
         help="bench: cProfile one sequential formation pass and report "
         "the top-20 functions by cumulative time",
-    )
-    parser.add_argument(
-        "--backend-smoke", action="store_true", dest="backend_smoke",
-        help="bench: race every accelerated IR backend (arena, and numpy "
-        "when installed) against the legacy object walkers on one scaling "
-        "tier and fail if any is slower",
-    )
-    parser.add_argument(
-        "--smoke-tier", default="50x", dest="smoke_tier",
-        help="bench --backend-smoke: scaling tier to time (10x/50x/200x)",
     )
     parser.add_argument(
         "--selfcheck", action="store_true",
@@ -333,9 +321,8 @@ def run(argv: Optional[list[str]] = None) -> str:
     parser.add_argument(
         "--mem-profile", action="store_true", dest="mem_profile",
         help="bench: attribute allocations (tracemalloc) to formation "
-        "phases over an extra untimed pass, plus arena/mirror byte "
-        "accounting; results land in the bench JSON and the "
-        "formation_phase_alloc_bytes histogram",
+        "phases over an extra untimed pass; results land in the bench "
+        "JSON and the formation_phase_alloc_bytes histogram",
     )
     parser.add_argument(
         "--mem-ceiling", type=float, default=None, dest="mem_ceiling",
@@ -396,7 +383,6 @@ def run(argv: Optional[list[str]] = None) -> str:
                 "--expose only applies to the fleet, bench and selfcheck "
                 "verbs"
             )
-        from repro.ir import arena as _arena
         from repro.obs.expo import expose_registry, publish_build_info
         from repro.obs.ledger import RECORD_SCHEMA_VERSION
         from repro.obs.metrics import MetricsRegistry
@@ -404,10 +390,9 @@ def run(argv: Optional[list[str]] = None) -> str:
 
         args.metrics = MetricsRegistry()
         # Build-info gauge: lets a scrape correlate every series with
-        # the backend/schema/interpreter that produced it.
+        # the schema/interpreter that produced it.
         publish_build_info(
             args.metrics,
-            ir_backend=_arena.backend(),
             record_schema=str(RECORD_SCHEMA_VERSION),
             decision_log_schema=str(DECISION_LOG_SCHEMA_VERSION),
             python=sys.version.split()[0],
@@ -427,34 +412,6 @@ def run(argv: Optional[list[str]] = None) -> str:
 
 
 def _dispatch(args, subset: Optional[list[str]]) -> str:
-
-    if args.target == "backends":
-        from repro.ir import arena as _arena
-
-        active = _arena.backend()
-        lines = ["IR analysis backends"]
-        notes = {
-            "numpy": "vectorized kernels over the arena columns "
-            "(pip install .[fast])",
-            "arena": "struct-of-arrays columns, pure CPython consumers",
-            "legacy": "object-graph walkers (the reference semantics)",
-        }
-        for name in _arena._BACKENDS:
-            installed = name in _arena.available_backends()
-            marker = "*" if name == active else " "
-            status = notes[name] if installed else "NOT AVAILABLE (no numpy)"
-            lines.append(f"  {marker} {name:<6} {status}")
-        counters = _arena.STORE.counters()
-        lines.append(
-            f"  active: {active} (select with {_arena.BACKEND_ENV}); "
-            f"{counters['column_bytes']} column bytes resident"
-        )
-        report = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        return report
-
     if args.target == "fleet":
         report = _run_fleet_target(args)
         if args.out:
@@ -576,18 +533,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         if not drill["ok"]:
             print(report, file=sys.stderr)
             raise SystemExit("fault drill failed: a fault escaped containment")
-        return report
-
-    if args.target == "bench" and args.backend_smoke:
-        import json as _json
-
-        from repro.harness.bench import run_backend_smoke
-
-        smoke = run_backend_smoke(tier=args.smoke_tier, repeat=args.repeat)
-        report = _json.dumps(smoke, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
         return report
 
     if args.target == "bench":

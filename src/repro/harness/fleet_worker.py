@@ -3,10 +3,10 @@
 One worker is one spawned process running :func:`worker_main` over a
 duplex :class:`multiprocessing.connection.Connection` back to the
 supervisor (:mod:`repro.harness.fleet`).  Unlike a pool worker, it is
-*persistent*: interpreter start-up, module imports and arena warm-up are
-paid once per worker, then amortized over every job the supervisor leases
-to it — the prun-style scheduler model (long-lived contexts, polled job
-queue) rather than pool-per-run.
+*persistent*: interpreter start-up and module imports are paid once per
+worker, then amortized over every job the supervisor leases to it — the
+prun-style scheduler model (long-lived contexts, polled job queue)
+rather than pool-per-run.
 
 Protocol (pickled tuples; first element is the message tag):
 

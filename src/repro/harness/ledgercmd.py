@@ -24,7 +24,6 @@ import os
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.ir import arena as _arena
 from repro.obs.ledger import (
     RECORD_SCHEMA_VERSION,
     Ledger,
@@ -115,7 +114,6 @@ def build_suite_record(
                 module, profile=profile, record_events=False
             )
         trace = tracer.finish()
-        _arena.STORE.publish_metrics(registry)
         fingerprints = decision_fingerprints(trace, prefix=f"{name}:")
         log_stats: dict[str, dict] = {}
         for func in module:
@@ -195,7 +193,6 @@ def build_suite_record(
             "rejections": rejections,
             "driver_counters": driver_counters,
         },
-        "arena": {"backend": _arena.backend(), **_arena.STORE.counters()},
     }
     if bench_result is not None:
         record["bench"] = {
@@ -253,8 +250,8 @@ def record_suite_run(
     ledger = Ledger(ledger_dir) if ledger_dir else Ledger()
     # The flight-recorder log is persisted first so the run record can
     # reference it by digest; the digest is deterministic (the log holds
-    # no timestamps or machine metadata), so identical runs — including
-    # cross-backend bit-identical ones — still dedupe in both stores.
+    # no timestamps or machine metadata), so identical runs still dedupe
+    # in both stores.
     record["decision_log"] = ledger.record_decisions(
         build_log_set(decision_logs)
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.constraints import TripsConstraints, estimate_blocks
+from repro.core.constraints import TripsConstraints, estimate_block
 from repro.analysis.liveness import Liveness
 from repro.ir.function import Module
 from repro.sim.functional import SimStats
@@ -96,7 +96,10 @@ def occupancy_report(
             (block, live.live_out[name])
             for name, block in func.blocks.items()
         ]
-        estimates = estimate_blocks(items, constraints)
+        estimates = [
+            estimate_block(block, live_out, constraints)
+            for block, live_out in items
+        ]
         for (block, _), estimate in zip(items, estimates):
             execs = counts.get((func.name, block.name), 0)
             report.blocks.append((f"{func.name}/{block.name}",

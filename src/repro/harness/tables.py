@@ -11,11 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-try:  # optional extra (`pip install .[fast]`); figure7 has a pure fit
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None
-
 from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import (
     RunResult,
@@ -198,19 +193,7 @@ def figure7(table1_result: Optional[TableResult] = None) -> RegressionResult:
             points.append((workload, config, dblocks, dcycles))
             xs.append(dblocks)
             ys.append(dcycles)
-    if np is not None:
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        slope, intercept = np.polyfit(x, y, 1)
-        predicted = slope * x + intercept
-        ss_res = float(np.sum((y - predicted) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r_squared = 1.0 - ss_res / ss_tot if ss_tot else 1.0
-        return RegressionResult(
-            points, float(slope), float(intercept), r_squared
-        )
-    # Ordinary least squares, degree 1 — the closed form numpy's polyfit
-    # solves, so numpy-free installs regenerate the same figure.
+    # Ordinary least squares, degree 1, in closed form.
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n

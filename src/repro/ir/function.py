@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from repro.ir import arena as _arena
 from repro.ir.block import BasicBlock
 from repro.ir.regdense import RegisterSpace
 
@@ -30,9 +29,8 @@ class CFG:
     def __init__(self, func: "Function"):
         self.succs: dict[str, list[str]] = {}
         self.preds: dict[str, list[str]] = {name: [] for name in func.blocks}
-        successors_of = _arena.successors_of
         for name, block in func.blocks.items():
-            succ = successors_of(block)
+            succ = block.successors()
             self.succs[name] = succ
             for target in succ:
                 if target in self.preds:
@@ -85,12 +83,6 @@ class Function:
         #: Monotonic stamp bumped whenever the block set changes (add or
         #: remove); per-block content changes bump the block's own version.
         self.version = next(_fn_version_counter)
-        #: The struct-of-arrays analysis backend selected at build time:
-        #: the process-global column store, or ``None`` under
-        #: ``REPRO_IR_BACKEND=legacy``.  Trial guards checkpoint/restore
-        #: through this handle; the ledger records which backend formed
-        #: the function.
-        self.arena = _arena.STORE if _arena.ENABLED else None
 
     def touch(self) -> int:
         """Re-stamp the function after a structural mutation."""
@@ -188,24 +180,13 @@ class Function:
         clone.entry = self.entry
         clone.regs = self.regs.copy()
         clone._name_counter = self._name_counter
-        clone.arena = self.arena
         return clone
-
-    def __getstate__(self):
-        # The arena handle is the process-global store: pickling it would
-        # drag every encoded column across the process boundary (the
-        # parallel formation driver ships Functions to workers).
-        state = dict(self.__dict__)
-        state.pop("arena", None)
-        return state
 
     def __setstate__(self, state) -> None:
         # Versions are process-local; re-stamp on unpickle (see
-        # BasicBlock.__setstate__) and re-bind the receiving process's
-        # own backend selection.
+        # BasicBlock.__setstate__).
         self.__dict__.update(state)
         self.version = next(_fn_version_counter)
-        self.arena = _arena.STORE if _arena.ENABLED else None
 
     def __repr__(self) -> str:
         return f"<Function @{self.name} [{len(self.blocks)} blocks]>"

@@ -97,7 +97,7 @@ def extract_series(history: Sequence[dict]) -> dict[str, list[float]]:
 
     Series names encode the comparability group, tier and backend —
     e.g. ``quick/5wl suite sequential_fast_s``, ``full/19wl tier=50x
-    sequential_fast_s``, ``quick/5wl backend=arena phase=commit``.
+    sequential_fast_s``, ``quick/5wl backend=legacy phase=commit``.
     Entries missing a field simply do not contribute to that series.
     """
     series: dict[str, list[float]] = {}

@@ -46,8 +46,8 @@ BUILD_INFO_GAUGE = "formation_build_info"
 def publish_build_info(registry: MetricsRegistry, **labels) -> None:
     """Set the ``formation_build_info`` gauge to 1 with identity labels.
 
-    Callers supply the labels (``ir_backend``, schema versions, python
-    version, ...) — this module, like the rest of ``repro.obs``, cannot
+    Callers supply the labels (schema versions, python version, ...) —
+    this module, like the rest of ``repro.obs``, cannot
     import the IR layer to discover them itself.  Scrapes join on the
     labels to correlate any series with the build that produced it.
     """

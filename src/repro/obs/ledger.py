@@ -328,7 +328,7 @@ class Ledger:
         Lives next to ``runs/`` — run records reference a log by digest
         via their optional ``decision_log`` field.  Logs are stored
         separately because they are an order of magnitude larger than
-        records and deliberately hash-stable across machines/backends:
+        records and deliberately hash-stable across machines:
         two bit-identical runs share one log file.
         """
         return os.path.join(self.root, "decisions")
@@ -364,7 +364,7 @@ class Ledger:
         """Validate and persist a decision-log set; returns its digest.
 
         Idempotent like :meth:`record`: identical logs (same decisions,
-        any backend/machine) share one file.
+        any machine) share one file.
         """
         # Imported lazily: replay.py imports this module at load time.
         from repro.obs.replay import log_digest, validate_log_set

@@ -24,10 +24,7 @@ per-phase allocation distribution next to the existing
 
 ``tracemalloc`` instruments *every* Python allocation, so this is a
 diagnosis tool, not an always-on series: ``bench --mem-profile`` runs it
-on dedicated untimed passes, exactly like the sampling profiler.  Like
-all of ``repro.obs``, this module knows nothing about the IR: arena
-column bytes and numpy mirror bytes are appended to the report by the
-bench layer via :meth:`attach_section`.
+on dedicated untimed passes, exactly like the sampling profiler.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ class PhaseMemoryProfiler:
         self.baseline = 0
         self.total_net = 0
         self.total_peak = 0
-        self.sections: dict[str, dict] = {}
         self._stack: list[_Frame] = []
         self._owns_tracemalloc = False
         self._running = False
@@ -155,11 +151,6 @@ class PhaseMemoryProfiler:
 
     # -- reporting ---------------------------------------------------
 
-    def attach_section(self, name: str, data: dict) -> None:
-        """Attach an extra accounting section (e.g. arena column bytes,
-        numpy mirror bytes) supplied by a layer that can see the IR."""
-        self.sections[name] = dict(data)
-
     def report(self) -> dict:
         """JSON-safe summary: per-phase rows plus run-wide totals."""
         out = {
@@ -171,7 +162,6 @@ class PhaseMemoryProfiler:
         }
         attributed = sum(r["self_net_bytes"] for r in self.phases.values())
         out["unattributed_net_bytes"] = self.total_net - attributed
-        out.update(self.sections)
         return out
 
 

@@ -13,8 +13,8 @@ pieces:
   :class:`~repro.core.constraints.BlockEstimate` numbers, and the ordinal
   of the offer each verdict answers.  Timings, span ids and machine
   metadata are deliberately excluded, so two bit-identical formation
-  runs — even on different IR backends or machines — produce
-  byte-identical logs that content-address to the *same* digest;
+  runs — even on different machines — produce byte-identical logs that
+  content-address to the *same* digest;
 - a **replay checker** (:class:`ReplayChecker`) — a trace sink that
   validates each live decision against a recorded log as it is emitted
   and halts at the first divergence by raising
@@ -23,7 +23,7 @@ pieces:
   every ``Exception`` inside a trial, and a divergence must stop the
   run *at the diverging decision*, not be rolled back and retried;
 - a **bisector** (:func:`first_divergence`) — given two logs (two
-  backends, two commits, a clean run and a fault drill), the first
+  commits, a clean run and a fault drill), the first
   diverging record per function, with both sides' estimates and
   constraint attribution.
 
@@ -67,7 +67,7 @@ def decision_record(name: str, attrs: dict) -> dict:
     (module, profile, policy, constraints, fault plane): block names,
     offer depth/seq, merge kind, constraint attribution, and the integer
     estimator projection.  Nothing timing- or process-dependent survives,
-    which is what makes logs diff-able across machines and backends.
+    which is what makes logs diff-able across machines.
     """
     record = {
         "event": name,
@@ -173,9 +173,9 @@ def derived_counts(records: Sequence[dict]) -> dict:
 def build_log_set(functions: dict[str, dict]) -> dict:
     """Assemble (and validate) a complete, hashable decision-log set.
 
-    The set holds *only* deterministic content — no timestamps, machine
-    or backend metadata — so identical formation runs recorded on
-    different days, machines, or IR backends dedupe to the same digest
+    The set holds *only* deterministic content — no timestamps or
+    machine metadata — so identical formation runs recorded on
+    different days or machines dedupe to the same digest
     in the ledger's content-addressed store.  Provenance lives in the
     run record that references the log, not in the log itself.
     """

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 #: Default bounded capacity for ring sinks (and the ``MergeStats`` event
-#: compatibility view that deprecated ``MAX_RECORDED_EVENTS``): far above
+#: compatibility view): far above
 #: any single formation run in this repo (~1e3 events), small enough that
 #: a leaked module-scale trace cannot eat the process.
 DEFAULT_RING_CAPACITY = 65536

@@ -25,8 +25,6 @@ subexpressions) while staying trivially sound.
 from __future__ import annotations
 
 from repro.analysis.dominators import DominatorTree
-from repro.ir import arena as _arena
-from repro.ir.arena import F_PURE, OP_FLAGS, OP_MOV, OP_MOVI
 from repro.ir.function import Function, Module
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import COMMUTATIVE_OPS, Opcode
@@ -37,19 +35,6 @@ def _def_counts(func: Function) -> dict[int, int]:
     for instr in func.instructions():
         if instr.dest is not None:
             counts[instr.dest] = counts.get(instr.dest, 0) + 1
-    return counts
-
-
-def _def_counts_arena(func: Function, store) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    counts_get = counts.get
-    dests = store.dest
-    for block in func.blocks.values():
-        view = store.view_of(block)
-        for j in range(view.base, view.base + view.n):
-            d = dests[j]
-            if d >= 0:
-                counts[d] = counts_get(d, 0) + 1
     return counts
 
 
@@ -68,20 +53,7 @@ def global_value_numbering(func: Function) -> int:
     if func.entry is None:
         return 0
     dom = DominatorTree(func)
-    arena_on = _arena.ENABLED
-    use_np = arena_on and _arena.NUMPY
-    store = _arena.STORE if arena_on else None
-    if use_np:
-        from repro.ir import arena_np
-
-        counts_np, mirror = arena_np.def_count_array(func, store)
-        counts = None
-        counts_get = None
-    else:
-        counts = (
-            _def_counts_arena(func, store) if arena_on else _def_counts(func)
-        )
-        counts_get = counts.get
+    counts_get = _def_counts(func).get
 
     def single_def(reg: int) -> bool:
         return counts_get(reg, 0) <= 1
@@ -89,118 +61,6 @@ def global_value_numbering(func: Function) -> int:
     rewritten = 0
     #: value key -> register holding it (scoped by dom-tree recursion)
     table: dict = {}
-
-    def visit_arena(block_name: str) -> None:
-        # Same walk over flat columns: opcode-id keys instead of Opcode
-        # members (internally consistent — a GVN run never mixes
-        # backends), object mutation only on an actual rewrite.  A
-        # rewrite stales this block's view for slots already visited
-        # only; later slots are untouched, and the exit touch() retires
-        # the view entirely.
-        nonlocal rewritten
-        block = func.blocks[block_name]
-        view = store.view_of(block)
-        ops = store.op
-        dests = store.dest
-        preds = store.pred
-        off = store.src_off
-        pool = store.src_pool
-        imms = store.imm
-        base = view.base
-        flags = OP_FLAGS
-        changed = False
-        added: list = []
-        for i in range(view.n):
-            j = base + i
-            opid = ops[j]
-            dest = dests[j]
-            if (
-                dest < 0
-                or preds[j] >= 0
-                or not flags[opid] & F_PURE
-                or opid == OP_MOVI
-                or opid == OP_MOV
-            ):
-                continue
-            lo = off[j]
-            hi = off[j + 1]
-            eligible = True
-            for k in range(lo, hi):
-                if counts_get(pool[k], 0) > 1:
-                    eligible = False
-                    break
-            if not eligible:
-                continue
-            srcs = tuple(pool[lo:hi])
-            if flags[opid] & _arena.F_COMMUTATIVE and len(srcs) == 2:
-                if srcs[0] > srcs[1]:
-                    srcs = (srcs[1], srcs[0])
-            key = (opid, srcs, imms[j])
-            available = table.get(key)
-            if available is not None and available != dest:
-                instr = block.instrs[i]
-                instr.op = Opcode.MOV
-                instr.srcs = (available,)
-                instr.imm = None
-                rewritten += 1
-                changed = True
-            elif available is None and counts_get(dest, 0) <= 1:
-                table[key] = dest
-                added.append(key)
-        if changed:
-            block.touch()
-        for child in dom.children.get(block_name, []):
-            visit_arena(child)
-        for key in added:
-            del table[key]
-
-    def visit_arena_np(block_name: str) -> None:
-        # Same walk as visit_arena, but the per-slot eligibility tests
-        # (pure, unpredicated, non-copy, all sources single-def) run as
-        # one vectorized prefilter; the table walk then only visits the
-        # surviving slots.  Values entering IR objects are read from the
-        # CPython ``array`` columns, never from the mirrors, so no
-        # ``np.int64`` leaks into instructions.
-        nonlocal rewritten
-        block = func.blocks[block_name]
-        view = store.view_of(block)
-        cand = arena_np.gvn_candidates(mirror, view.base, view.n, counts_np)
-        added: list = []
-        if cand.size:
-            ops = store.op
-            dests = store.dest
-            off = store.src_off
-            pool = store.src_pool
-            imms = store.imm
-            base = view.base
-            flags = OP_FLAGS
-            changed = False
-            for i in cand.tolist():
-                j = base + i
-                opid = ops[j]
-                dest = dests[j]
-                srcs = tuple(pool[off[j]:off[j + 1]])
-                if flags[opid] & _arena.F_COMMUTATIVE and len(srcs) == 2:
-                    if srcs[0] > srcs[1]:
-                        srcs = (srcs[1], srcs[0])
-                key = (opid, srcs, imms[j])
-                available = table.get(key)
-                if available is not None and available != dest:
-                    instr = block.instrs[i]
-                    instr.op = Opcode.MOV
-                    instr.srcs = (available,)
-                    instr.imm = None
-                    rewritten += 1
-                    changed = True
-                elif available is None and int(counts_np[dest]) <= 1:
-                    table[key] = dest
-                    added.append(key)
-            if changed:
-                block.touch()
-        for child in dom.children.get(block_name, []):
-            visit_arena_np(child)
-        for key in added:
-            del table[key]
 
     def visit(block_name: str) -> None:
         nonlocal rewritten
@@ -238,11 +98,6 @@ def global_value_numbering(func: Function) -> int:
         for key in added:
             del table[key]
 
-    if use_np:
-        visit = visit_arena_np
-    elif arena_on:
-        visit = visit_arena
-
     # Iterative dominator-tree walk to avoid recursion limits.
     import sys
 
@@ -252,12 +107,6 @@ def global_value_numbering(func: Function) -> int:
         visit(func.entry)
     finally:
         sys.setrecursionlimit(old_limit)
-    if use_np:
-        # visit_arena_np is a self-recursive closure: the function ->
-        # cell -> function cycle would keep the captured mirror alive
-        # (pinning the column buffers) until a cyclic GC pass.  Rebinding
-        # the cell releases it immediately.
-        mirror = None  # noqa: F841
     return rewritten
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ir import arena as _arena
 from repro.ir.block import BasicBlock
 from repro.ir.instruction import Instruction, Predicate
 from repro.ir.regmask import as_mask
@@ -78,10 +77,6 @@ def optimize_block(
         # The passes mutate instructions and reassign ``instrs`` directly;
         # re-stamp once here so version-keyed analysis caches notice.
         block.touch()
-    if _arena.ENABLED:
-        # Encode the settled block once: the estimator and use/kill
-        # lookups that follow every trial then hit its view.
-        _arena.STORE.encode_block(block)
     return changed_any
 
 

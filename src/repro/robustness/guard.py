@@ -296,17 +296,9 @@ class _TrialCheckpoint:
             else None
         )
         self.saved_bodies = dict(ctx.saved_bodies)
-        # Arena backend: an O(1) mark of the column extents, so a rolled-
-        # back trial's scratch encodes are reclaimed instead of leaking
-        # until compaction.  (Correctness never depends on this — views
-        # are keyed by version stamps that restore() re-mints.)
-        arena = getattr(func, "arena", None)
-        self.arena_mark = arena.checkpoint() if arena is not None else None
 
     def restore(self, ctx: FormationContext) -> None:
         func = ctx.func
-        if self.arena_mark is not None and func.arena is not None:
-            func.arena.restore(self.arena_mark)
         blocks: dict = {}
         for name in self.order:
             if name == self.hb_name:

@@ -5,8 +5,8 @@ immediate-dominator map that ``FormationContext`` keeps must equal those
 of a fresh ``LoopForest``/``DominatorTree`` built from the function, and
 its liveness must equal a fresh solve, with the same SCCs ranked
 successors first.  The programs are formed by the Table-2 configurators
-the benchmark runs (the VLIW columns include their unroll/peel prepass),
-under every IR backend.  One formation pass checks both analyses.
+the benchmark runs (the VLIW columns include their unroll/peel prepass).
+One formation pass checks both analyses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import convergent
 from repro.harness.experiment import heuristic_config
-from repro.ir import arena
 from repro.profiles.collect import collect_profile
 from repro.workloads.generators import random_inputs, scaled_program
 from repro.workloads.microbench import MICROBENCH_ORDER, MICROBENCHMARKS
@@ -55,18 +54,14 @@ def programs():
     }
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    arena.set_backend(None)
-
-
-@pytest.mark.parametrize("backend", arena.available_backends())
-@pytest.mark.parametrize("group, configs", GROUPS, ids=[g for g, _ in GROUPS])
+# ``legacy`` names the object walk, as in earlier records, so these ids
+# carry over from the days when the oracle ran under several IR backends.
+@pytest.mark.parametrize(
+    "group, configs", GROUPS, ids=[f"{g}-legacy" for g, _ in GROUPS]
+)
 def test_patched_forest_matches_fresh_after_every_commit(
-    programs, monkeypatch, group, configs, backend
+    programs, monkeypatch, group, configs
 ):
-    arena.set_backend(backend)
     commits = 0
 
     def check(ctx, hb_name):

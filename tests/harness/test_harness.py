@@ -4,6 +4,8 @@ import pytest
 
 from repro.harness import (
     ExperimentError,
+    RunResult,
+    TableResult,
     WorkloadExperiment,
     figure7,
     ordering_config,
@@ -38,10 +40,34 @@ def test_format_contains_all_rows(small_table1):
     assert "Average" in text and "m/t/u/p" in text
 
 
+def _figure7_of(points):
+    """Figure 7's fit over hand-made ``(dblocks, dcycles)`` points."""
+    rows = {}
+    for i, (dblocks, dcycles) in enumerate(points):
+        rows[f"w{i}"] = {
+            "BB": RunResult(f"w{i}", "BB", 1000, 100, 0, 1),
+            "X": RunResult(f"w{i}", "X", 1000 - dcycles, 100 - dblocks, 0, 1),
+        }
+    return figure7(TableResult("hand-made", ("X",), rows))
+
+
 def test_figure7_regression(small_table1):
     regression = figure7(small_table1)
     assert len(regression.points) == 2 * 4
     assert "linear fit" in regression.format()
+
+    collinear = _figure7_of([(1, 8), (2, 11), (3, 14), (4, 17)])
+    assert collinear.slope == pytest.approx(3.0)
+    assert collinear.intercept == pytest.approx(5.0)
+    assert collinear.r_squared == pytest.approx(1.0)
+
+    # By hand: mean x 1.5, mean y 2.75, Sxx 5, Sxy 5.5, so slope 1.1,
+    # intercept 1.1; residuals -0.1, 0.8, -1.3, 0.6 give SSres 2.7
+    # against SStot 8.75.
+    scattered = _figure7_of([(0, 1), (1, 3), (2, 2), (3, 5)])
+    assert scattered.slope == pytest.approx(1.1)
+    assert scattered.intercept == pytest.approx(1.1)
+    assert scattered.r_squared == pytest.approx(1 - 2.7 / 8.75)
 
 
 def test_table3_counts_blocks_without_timing():

@@ -120,13 +120,12 @@ def test_http_server_scrape_sees_live_updates():
 def test_build_info_gauge_carries_identity_labels():
     registry = MetricsRegistry()
     publish_build_info(
-        registry, ir_backend="arena", record_schema=3,
-        decision_log_schema=1, python="3.12.1",
+        registry, record_schema=3, decision_log_schema=1, python="3.12.1",
     )
     samples = parse_prometheus(render_prometheus(registry.snapshot()))
     ((labels, value),) = samples[BUILD_INFO_GAUGE]
     assert value == 1
-    assert labels["ir_backend"] == "arena"
+    assert labels["record_schema"] == "3"
     # Non-string label values are stringified for the exposition.
     assert labels["decision_log_schema"] == "1"
     assert labels["python"] == "3.12.1"

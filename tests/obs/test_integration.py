@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from repro.core.convergent import form_module
-from repro.core.merge import MAX_RECORDED_EVENTS, MergeStats
+from repro.core.merge import MergeStats
 from repro.harness.cli import run as cli_run
 from repro.harness.tracecmd import (
     phase_table,
@@ -14,7 +14,6 @@ from repro.harness.tracecmd import (
     rejection_breakdown,
     slowest_trials,
 )
-from repro.obs.sink import DEFAULT_RING_CAPACITY
 from repro.obs.trace import Tracer, tracing
 from repro.profiles import collect_profile
 from repro.workloads.spec import SPEC_BENCHMARKS
@@ -153,9 +152,3 @@ def test_merge_stats_events_capacity_counts_overflow():
     total.add(other)
     assert len(total.events) == 3  # room for one more
     assert total.trace_dropped_events == 2 + 1  # propagated + overflow
-
-
-def test_max_recorded_events_alias_matches_ring_capacity():
-    # Deprecated alias kept for compatibility; the bound now lives with
-    # the trace layer's ring default.
-    assert MAX_RECORDED_EVENTS == DEFAULT_RING_CAPACITY
