@@ -8,10 +8,9 @@ without pytest::
 
 The same benchmark is reachable as ``python -m repro.harness bench``.
 
-Three configurations are timed over the SPEC workloads (setup untimed):
-the default fast path, the ``fast_path=False`` invalidate-everything
-control, and the process-pool driver.  Merge counts must agree across all
-three — the run aborts otherwise.
+Two configurations are timed over the SPEC workloads (setup untimed):
+formation without and with the trial guards.  Merge counts must agree
+across the two — the run aborts otherwise.
 """
 
 from __future__ import annotations
@@ -22,18 +21,15 @@ from typing import Optional
 
 
 def test_formation_quick(benchmark):
-    """pytest-benchmark entry: quick subset, sequential configurations."""
+    """pytest-benchmark entry: quick subset."""
     from repro.harness.bench import run_bench
 
     result = benchmark.pedantic(
-        lambda: run_bench(quick=True, parallel=False, repeat=1),
+        lambda: run_bench(quick=True, repeat=1),
         rounds=1,
         iterations=1,
     )
     assert result["merges"] > 0
-    # The fast path must never lose to the invalidate-everything control
-    # by more than noise.
-    assert result["speedup_fast_vs_legacy"] > 0.8
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -50,15 +46,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="output JSON path (default: %(default)s)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: executor's choice)",
-    )
-    parser.add_argument(
         "--repeat", type=int, default=3, help="timing repetitions (best-of)",
-    )
-    parser.add_argument(
-        "--no-parallel", action="store_true",
-        help="skip the process-pool configuration",
     )
     parser.add_argument(
         "--scale", action="store_true",
@@ -84,9 +72,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     result = run_bench(
         subset=subset,
         quick=args.quick,
-        workers=args.workers,
         repeat=args.repeat,
-        parallel=not args.no_parallel,
         scale=args.scale,
         profile=args.profile,
     )

@@ -162,7 +162,6 @@ def form_function(
     optimize_during: bool = True,
     allow_head_dup: bool = True,
     allow_block_splitting: bool = False,
-    fast_path: bool = True,
     record_events: bool = True,
     failsafe: bool = True,
     guard: Optional[TrialGuard] = None,
@@ -174,9 +173,7 @@ def form_function(
     reachable block not yet consumed by an earlier hyperblock becomes the
     seed of a new one.  Unreachable remnants are swept afterwards.
 
-    ``fast_path=False`` disables incremental analysis updates and merge
-    trial memoization (the pre-optimization behavior, kept as a benchmark
-    control); ``record_events=False`` keeps ``MergeStats.events`` empty for
+    ``record_events=False`` keeps ``MergeStats.events`` empty for
     module-scale runs that only need the counters.
 
     With ``failsafe`` (the default) every trial is guarded, the formed
@@ -190,15 +187,14 @@ def form_function(
         with tracer.span("function", function=func.name) as span:
             report = _form_function_impl(
                 func, profile, policy, constraints, optimize_during,
-                allow_head_dup, allow_block_splitting, fast_path,
-                record_events, failsafe, guard, post_commit,
+                allow_head_dup, allow_block_splitting, record_events,
+                failsafe, guard, post_commit,
             )
             span.set(status=report.status.value, merges=report.stats.merges)
             return report
     return _form_function_impl(
         func, profile, policy, constraints, optimize_during, allow_head_dup,
-        allow_block_splitting, fast_path, record_events, failsafe, guard,
-        post_commit,
+        allow_block_splitting, record_events, failsafe, guard, post_commit,
     )
 
 
@@ -210,7 +206,6 @@ def _form_function_impl(
     optimize_during: bool,
     allow_head_dup: bool,
     allow_block_splitting: bool,
-    fast_path: bool,
     record_events: bool,
     failsafe: bool,
     guard: Optional[TrialGuard],
@@ -230,7 +225,6 @@ def _form_function_impl(
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
             allow_block_splitting=allow_block_splitting,
-            fast_path=fast_path,
             record_events=record_events,
             guard=guard,
             post_commit=post_commit,
@@ -329,7 +323,6 @@ def form_module(
     optimize_during: bool = True,
     allow_head_dup: bool = True,
     allow_block_splitting: bool = False,
-    fast_path: bool = True,
     record_events: bool = True,
     failsafe: bool = True,
     selfcheck: Optional[str] = None,
@@ -355,15 +348,15 @@ def form_module(
         with tracer.span("module", module=module.name) as span:
             report = _form_module_impl(
                 module, profile, policy, constraints, optimize_during,
-                allow_head_dup, allow_block_splitting, fast_path,
-                record_events, failsafe, selfcheck, oracle_probes, tracer,
+                allow_head_dup, allow_block_splitting, record_events,
+                failsafe, selfcheck, oracle_probes, tracer,
             )
             span.set(merges=report.stats.merges)
             return report
     return _form_module_impl(
         module, profile, policy, constraints, optimize_during,
-        allow_head_dup, allow_block_splitting, fast_path, record_events,
-        failsafe, selfcheck, oracle_probes, None,
+        allow_head_dup, allow_block_splitting, record_events, failsafe,
+        selfcheck, oracle_probes, None,
     )
 
 
@@ -375,7 +368,6 @@ def _form_module_impl(
     optimize_during: bool,
     allow_head_dup: bool,
     allow_block_splitting: bool,
-    fast_path: bool,
     record_events: bool,
     failsafe: bool,
     selfcheck: Optional[str],
@@ -420,7 +412,6 @@ def _form_module_impl(
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
             allow_block_splitting=allow_block_splitting,
-            fast_path=fast_path,
             record_events=record_events,
             failsafe=failsafe,
             post_commit=post_commit,

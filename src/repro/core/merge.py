@@ -7,7 +7,7 @@ the structural constraints, and only then commit the CFG transformation.
 The four CFG cases (simple merge / unroll / peel / tail duplication) are
 classified exactly as in lines 7-15 of the figure.
 
-The formation *fast path* (on by default) keeps the per-trial bill low:
+Two caches keep the per-trial bill low:
 
 - analyses survive a committed merge instead of being thrown away
   wholesale — the CFG, the loop forest's dominator tree and back edges,
@@ -18,9 +18,9 @@ The formation *fast path* (on by default) keeps the per-trial bill low:
   candidate)`` pair the policy re-offers is not re-previewed, re-optimized
   and re-estimated when neither block nor its live-out environment changed.
 
-``fast_path=False`` restores the original invalidate-everything behavior
-and is kept as the benchmark control; formed IR is identical either way
-(pinned by the cache-equivalence tests).
+Formed IR is identical to discarding every analysis at each commit and
+memoizing nothing; ``tests/core/test_trial_cache.py`` checks that against
+an invalidate-everything reference context.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class MergeKind(enum.Enum):
 
 @dataclass
 class FormationCacheStats:
-    """Perf counters for the formation fast path (see BENCH_formation.json)."""
+    """Perf counters for formation's caches (see BENCH_formation.json)."""
 
     trial_hits: int = 0  # rejected trials answered from the memo table
     trial_misses: int = 0  # memoizable trials that had to run
@@ -183,11 +183,10 @@ class MergeStats:
 class FormationContext:
     """Shared state for forming hyperblocks within one function.
 
-    Caches liveness, the CFG view and the loop forest across merges.  With
-    ``fast_path`` on (the default) a committed merge updates them in place
-    (see :meth:`note_commit`); with it off every commit discards them, as
-    the original implementation did.  Per-block facts keyed by block
-    version (use/kill masks, :meth:`block_height`) survive either way.
+    Caches liveness, the CFG view and the loop forest across merges; a
+    committed merge updates them in place (see :meth:`note_commit`).
+    Per-block facts keyed by block version (use/kill masks,
+    :meth:`block_height`) survive even :meth:`invalidate`.
     """
 
     def __init__(
@@ -199,8 +198,6 @@ class FormationContext:
         allow_head_dup: bool = True,
         allow_block_splitting: bool = False,
         max_merges_per_block: int = 512,
-        fast_path: bool = True,
-        memoize_trials: Optional[bool] = None,
         record_events: bool = True,
         guard=None,
         post_commit=None,
@@ -228,20 +225,15 @@ class FormationContext:
         #: whole, split it and merge the first piece.
         self.allow_block_splitting = allow_block_splitting
         self.max_merges_per_block = max_merges_per_block
-        self.fast_path = fast_path
         # Trial memoization is only sound when estimates are invariant
         # under renaming of the preview's fresh guard registers: strict
         # banking assigns registers to banks by number, so two previews of
         # the same merge can estimate differently there.  Block splitting
         # gives rejections side effects (the split itself), so it also
         # disables the memo table.
-        if memoize_trials is None:
-            memoize_trials = (
-                fast_path
-                and not self.constraints.strict_banking
-                and not allow_block_splitting
-            )
-        self.memoize_trials = memoize_trials
+        self.memoize_trials = (
+            not self.constraints.strict_banking and not allow_block_splitting
+        )
         self.stats = MergeStats(record_events=record_events)
         self.cache_stats = FormationCacheStats()
         #: loop header name -> saved single-iteration body for unrolling
@@ -264,7 +256,8 @@ class FormationContext:
     # -- cached analyses ----------------------------------------------------
 
     def invalidate(self) -> None:
-        """Discard every cached analysis (the slow, always-sound path)."""
+        """Discard every cached analysis (block splitting and guard
+        rollback edit the CFG outside :meth:`note_commit`)."""
         self._liveness = None
         self._loops = None
         self._cfg = None
@@ -290,9 +283,6 @@ class FormationContext:
           components the change propagates into
           (:meth:`Liveness.note_commit`).
         """
-        if not self.fast_path:
-            self.invalidate()
-            return
         cfg = self._cfg
         if cfg is None:
             return

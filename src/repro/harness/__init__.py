@@ -16,7 +16,6 @@ from repro.harness.fleet import (
     run_fleet_drill,
 )
 from repro.harness.occupancy import OccupancyReport, occupancy_report
-from repro.harness.parallel import form_many_parallel, form_module_parallel
 from repro.harness.selfcheck import run_fault_drill, run_selfcheck
 from repro.harness.tables import (
     RegressionResult,
@@ -36,11 +35,9 @@ __all__ = [
     "TableResult",
     "WorkloadExperiment",
     "figure7",
-    "form_many_parallel",
     "Fleet",
     "FleetConfig",
     "form_many_fleet",
-    "form_module_parallel",
     "format_report",
     "run_bench",
     "run_fault_drill",

@@ -1,18 +1,18 @@
 """Formation performance benchmark (``BENCH_formation.json``).
 
 Times end-to-end hyperblock formation over the SPEC workload suite in
-three configurations:
+two configurations:
 
-- ``sequential_fast``   — ``form_module`` with the fast path (default),
-- ``sequential_legacy`` — ``form_module(fast_path=False)``: the
-  invalidate-everything control,
-- ``parallel``          — :func:`repro.harness.parallel.form_many_parallel`.
+- ``sequential_fast`` — ``form_module`` without the trial guards,
+- ``guarded``         — ``form_module(failsafe=True)``, pricing the
+  guards' transactions.
 
 Module construction and profile collection are *not* timed: the benchmark
-isolates formation, which is what this repo's fast path optimizes.  Each
-configuration is timed best-of-``repeat`` on fresh modules.  Merge counts
-are asserted identical across configurations — a formation speedup that
-changes the formed IR is a bug, not a win.
+isolates formation.  Each configuration is timed best-of-``repeat`` on
+fresh modules.  Merge counts are asserted identical across the two — the
+guards must never change a decision.  That formation's caches change no
+decision either is a tier-1 test (``tests/core/test_trial_cache.py``),
+not a timed configuration.
 
 ``BASELINE_PRE_PR_S`` pins the wall time of the same sequential loop
 measured before the fast-path work (commit d482983), so the headline
@@ -27,7 +27,6 @@ import time
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.harness.parallel import form_many_parallel
 from repro.profiles import collect_profile
 from repro.workloads.generators import random_inputs, scaled_program
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
@@ -66,15 +65,20 @@ SCALING_SEED = 2006
 QUICK_SUBSET = ("ammp", "art", "bzip2", "equake", "mcf")
 
 
-def prepare_workloads(subset: Optional[list[str]] = None):
-    """Build modules and collect profiles (untimed setup)."""
-    names = list(subset) if subset else list(SPEC_ORDER)
+def check_workload_names(names) -> None:
+    """Exit with the available SPEC names if any of ``names`` is unknown."""
     unknown = [name for name in names if name not in SPEC_BENCHMARKS]
     if unknown:
         raise SystemExit(
             f"unknown workload(s): {', '.join(unknown)}; "
             f"available: {', '.join(SPEC_ORDER)}"
         )
+
+
+def prepare_workloads(subset: Optional[list[str]] = None):
+    """Build modules and collect profiles (untimed setup)."""
+    names = list(subset) if subset else list(SPEC_ORDER)
+    check_workload_names(names)
     prepared = []
     for name in names:
         workload = SPEC_BENCHMARKS[name]
@@ -86,14 +90,12 @@ def prepare_workloads(subset: Optional[list[str]] = None):
     return prepared
 
 
-def _time_sequential(prepared, fast_path: bool, repeat: int,
-                     failsafe: bool = False):
+def _time_sequential(prepared, repeat: int, failsafe: bool = False):
     """Best-of-``repeat`` wall time; also returns the last run's cache
-    counters (aggregated outside the timed window, ``None`` on the legacy
-    path, which keeps no caches).
+    counters (aggregated outside the timed window).
 
     ``failsafe`` defaults to *off* here (unlike the drivers): the pinned
-    baselines predate the trial guards, so the raw configurations must
+    baselines predate the trial guards, so the raw configuration must
     keep measuring ungated formation.  The ``guarded`` configuration
     times ``failsafe=True`` explicitly to price the transaction overhead.
     """
@@ -110,8 +112,8 @@ def _time_sequential(prepared, fast_path: bool, repeat: int,
         all_stats = []
         for module, profile in modules:
             stats = form_module(
-                module, profile=profile, fast_path=fast_path,
-                record_events=False, failsafe=failsafe,
+                module, profile=profile, record_events=False,
+                failsafe=failsafe,
             )
             total_merges += stats.merges
             total_mtup = tuple(
@@ -122,14 +124,13 @@ def _time_sequential(prepared, fast_path: bool, repeat: int,
         if best is None or elapsed < best:
             best = elapsed
         merges, mtup = total_merges, total_mtup
-        if fast_path:
-            total = FormationCacheStats()
-            attempts = 0
-            for stats in all_stats:
-                attempts += stats.attempts
-                if stats.cache is not None:
-                    total.add(stats.cache)
-            cache = _cache_dict(total, attempts)
+        total = FormationCacheStats()
+        attempts = 0
+        for stats in all_stats:
+            attempts += stats.attempts
+            if stats.cache is not None:
+                total.add(stats.cache)
+        cache = _cache_dict(total, attempts)
     return best, merges, mtup, cache
 
 
@@ -328,25 +329,6 @@ def _mem_profile_formation(prepared, metrics=None) -> dict:
     return summary
 
 
-def _time_parallel(
-    prepared, workers: Optional[int], repeat: int, driver: str = "pool"
-):
-    best = None
-    merges = None
-    for _ in range(repeat):
-        items = [(w.module(), p) for _, w, p in prepared]
-        start = time.perf_counter()
-        results = form_many_parallel(
-            items, max_workers=workers, record_events=False, failsafe=False,
-            driver=driver,
-        )
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-        merges = sum(stats.merges for _, stats in results)
-    return best, merges
-
-
 # -- scaling tier -----------------------------------------------------------
 
 
@@ -369,13 +351,8 @@ def run_scale_bench(
 ) -> list[dict]:
     """Time formation on synthetic functions of growing size.
 
-    For each tier the fast path and the invalidate-everything legacy path
-    are timed on the *same* generated program (setup untimed); merge
-    counts must agree or the run aborts.  The interesting column is
-    ``speedup_fast_vs_legacy`` as a function of ``instrs``: the bitmask
-    dataflow engine plus the incremental analyses pay off more the larger
-    the function, because legacy re-analysis cost grows with function
-    size while the fast path's per-merge work stays local.
+    Each tier is one generated program (setup untimed); its row records
+    the program's size, formation time, merge counts and cache counters.
     """
     rows = []
     for label, target in tiers:
@@ -389,17 +366,8 @@ def run_scale_bench(
         prepared = [(label, workload, profile)]
 
         fast_s, fast_merges, fast_mtup, fast_cache = _time_sequential(
-            prepared, True, repeat
+            prepared, repeat
         )
-        legacy_s, legacy_merges, legacy_mtup, _ = _time_sequential(
-            prepared, False, repeat
-        )
-        if (fast_merges, fast_mtup) != (legacy_merges, legacy_mtup):
-            raise RuntimeError(
-                f"scaling tier {label}: fast path changed formation "
-                f"results: {(fast_merges, fast_mtup)} != "
-                f"{(legacy_merges, legacy_mtup)}"
-            )
         rows.append(
             {
                 "tier": label,
@@ -409,8 +377,6 @@ def run_scale_bench(
                 "seed": seed,
                 "repeat": repeat,
                 "sequential_fast_s": round(fast_s, 4),
-                "sequential_legacy_s": round(legacy_s, 4),
-                "speedup_fast_vs_legacy": round(legacy_s / fast_s, 3),
                 "merges": fast_merges,
                 "mtup": list(fast_mtup),
                 "cache": fast_cache,
@@ -422,12 +388,9 @@ def run_scale_bench(
 def run_bench(
     subset: Optional[list[str]] = None,
     quick: bool = False,
-    workers: Optional[int] = None,
     repeat: int = 3,
-    parallel: bool = True,
     scale: bool = False,
     profile: bool = False,
-    driver: str = "pool",
     sample_profile: bool = False,
     sample_hz: Optional[float] = None,
     sample_out: Optional[str] = None,
@@ -438,8 +401,6 @@ def run_bench(
 
     ``scale=True`` additionally times the synthetic scaling tiers (see
     :func:`run_scale_bench`); with ``quick`` only the smallest tier runs.
-    ``driver`` selects the parallel configuration's engine (``"pool"`` or
-    ``"fleet"``), so the two can be raced on identical inputs.
     ``sample_profile=True`` runs the sampling profiler over an extra
     untimed pass (``sample_hz`` samples/s; ``sample_out`` is the path
     prefix for collapsed-stack and speedscope exports);
@@ -455,17 +416,9 @@ def run_bench(
     prepared = prepare_workloads(subset)
     names = [name for name, _, _ in prepared]
 
-    fast_s, fast_merges, mtup, cache = _time_sequential(prepared, True, repeat)
-    legacy_s, legacy_merges, legacy_mtup, _ = _time_sequential(
-        prepared, False, repeat
-    )
-    if (fast_merges, mtup) != (legacy_merges, legacy_mtup):
-        raise RuntimeError(
-            "fast path changed formation results: "
-            f"{(fast_merges, mtup)} != {(legacy_merges, legacy_mtup)}"
-        )
+    fast_s, fast_merges, mtup, cache = _time_sequential(prepared, repeat)
     guarded_s, guarded_merges, guarded_mtup, _ = _time_sequential(
-        prepared, True, repeat, failsafe=True
+        prepared, repeat, failsafe=True
     )
     if (guarded_merges, guarded_mtup) != (fast_merges, mtup):
         raise RuntimeError(
@@ -479,8 +432,6 @@ def run_bench(
         "workloads": names,
         "repeat": repeat,
         "sequential_fast_s": round(fast_s, 4),
-        "sequential_legacy_s": round(legacy_s, 4),
-        "speedup_fast_vs_legacy": round(legacy_s / fast_s, 3),
         "guarded_s": round(guarded_s, 4),
         "guard_overhead": round(guarded_s / fast_s, 3),
         "merges": fast_merges,
@@ -508,18 +459,6 @@ def run_bench(
                 "SPEC CFGs rarely produce — see docs/PERFORMANCE.md"
             ),
         }
-
-    if parallel:
-        par_s, par_merges = _time_parallel(prepared, workers, repeat, driver)
-        if par_merges != fast_merges:
-            raise RuntimeError(
-                f"{driver} formation changed merge count: "
-                f"{par_merges} != {fast_merges}"
-            )
-        result["parallel_s"] = round(par_s, 4)
-        result["parallel_workers"] = workers or 0  # 0 = executor default
-        result["parallel_driver"] = driver
-        result["speedup_parallel_vs_fast"] = round(fast_s / par_s, 3)
 
     if scale:
         tiers = SCALING_TIERS[:1] if quick else SCALING_TIERS
@@ -550,8 +489,6 @@ def format_report(result: dict) -> str:
         f"best of {result['repeat']}",
         f"  sequential fast:   {result['sequential_fast_s']:.4f}s "
         f"({result['merges_per_sec']:.0f} merges/s)",
-        f"  sequential legacy: {result['sequential_legacy_s']:.4f}s "
-        f"(fast is {result['speedup_fast_vs_legacy']:.2f}x)",
     ]
     if "guarded_s" in result:
         lines.append(
@@ -569,11 +506,6 @@ def format_report(result: dict) -> str:
             f"  PR-1 baseline:     {result['baseline_pr1_s']:.4f}s at "
             f"{result['baseline_pr1_commit']} "
             f"(fast is {result['speedup_vs_pr1']:.2f}x)"
-        )
-    if "parallel_s" in result:
-        lines.append(
-            f"  parallel:          {result['parallel_s']:.4f}s "
-            f"({result['speedup_parallel_vs_fast']:.2f}x vs fast)"
         )
     cache = result["cache"]
     lines.append(
@@ -598,8 +530,6 @@ def format_report(result: dict) -> str:
         lines.append(
             f"  scale {row['tier']:>4}: {row['instrs']} instrs / "
             f"{row['blocks']} blocks, fast {row['sequential_fast_s']:.3f}s, "
-            f"legacy {row['sequential_legacy_s']:.3f}s "
-            f"(fast is {row['speedup_fast_vs_legacy']:.2f}x), "
             f"{row['merges']} merges"
         )
     telemetry = result.get("telemetry")
@@ -684,13 +614,10 @@ def _history_summary(result: dict) -> dict:
     summary = {
         "timestamp": result.get("timestamp"),
         "sequential_fast_s": result.get("sequential_fast_s"),
-        "sequential_legacy_s": result.get("sequential_legacy_s"),
         "merges": result.get("merges"),
         "quick": result.get("quick"),
         "workload_count": len(result.get("workloads", ())),
     }
-    if "parallel_s" in result:
-        summary["parallel_s"] = result["parallel_s"]
     if "guarded_s" in result:
         summary["guarded_s"] = result["guarded_s"]
         fast_s = result.get("sequential_fast_s")
@@ -702,11 +629,7 @@ def _history_summary(result: dict) -> dict:
             summary["guard_overhead"] = round(result["guarded_s"] / fast_s, 3)
     if "scaling" in result:
         summary["scaling"] = [
-            {
-                "tier": row["tier"],
-                "sequential_fast_s": row["sequential_fast_s"],
-                "speedup_fast_vs_legacy": row["speedup_fast_vs_legacy"],
-            }
+            {"tier": row["tier"], "sequential_fast_s": row["sequential_fast_s"]}
             for row in result["scaling"]
         ]
     telemetry = result.get("telemetry")

@@ -133,15 +133,12 @@ def run(argv: Optional[list[str]] = None) -> str:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="bench: process-pool size for the parallel configuration",
+        help="fleet only: worker-process count (default: 4 for --drill, "
+        "else up to 4 by CPU count)",
     )
     parser.add_argument(
         "--repeat", type=int, default=3,
         help="bench: timing repetitions (best-of)",
-    )
-    parser.add_argument(
-        "--no-parallel", action="store_true",
-        help="bench: skip the process-pool configuration",
     )
     parser.add_argument(
         "--scale", action="store_true",
@@ -175,11 +172,6 @@ def run(argv: Optional[list[str]] = None) -> str:
         "--fault-seed", type=int, default=None,
         help="bench --faults / fleet --drill: fault-plane seed "
         "(default: 0 for bench, 2 for the fleet drill)",
-    )
-    parser.add_argument(
-        "--driver", choices=["pool", "fleet", "serial"], default="pool",
-        help="bench/selfcheck: parallel-driver engine to race against "
-        "the sequential reference",
     )
     parser.add_argument(
         "--drill", action="store_true",
@@ -499,9 +491,7 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         # Table targets take *microbenchmark* subsets; the oracle runs
         # over SPEC workloads, so only forward SPEC-speaking subsets.
         check_subset = subset if args.target in ("selfcheck", "bench") else None
-        check = run_selfcheck(
-            subset=check_subset, driver=args.driver, metrics=args.metrics
-        )
+        check = run_selfcheck(subset=check_subset, metrics=args.metrics)
         if not check["ok"]:
             print(check["report"], file=sys.stderr)
             raise SystemExit("selfcheck failed: oracle divergence")
@@ -544,12 +534,9 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         result = run_bench(
             subset=subset,
             quick=args.quick,
-            workers=args.workers,
             repeat=args.repeat,
-            parallel=not args.no_parallel,
             scale=args.scale,
             profile=args.profile,
-            driver=args.driver,
             sample_profile=args.sample_profile,
             sample_hz=args.sample_hz,
             sample_out=sample_out,

@@ -1,13 +1,13 @@
 """Self-healing formation fleet: persistent workers, leases, respawn.
 
-The pool drivers (:mod:`repro.harness.parallel`) have a single-fault
-collapse mode: one worker dying hard breaks the whole
-``ProcessPoolExecutor`` and every unfinished task degrades to in-process
-serial — a 10,000-function corpus run loses all parallelism to one bad
-function.  This module replaces pool-per-run with a *fleet*: long-lived
-daemon worker processes (:mod:`repro.harness.fleet_worker`) fed from a
+Formation is embarrassingly parallel at module granularity: it never
+looks across function boundaries, and the profile is read-only.  The
+fleet is the one parallel driver.  Long-lived daemon worker processes
+(:mod:`repro.harness.fleet_worker`; processes, not threads, because
+formation is pure CPython bytecode and holds the GIL) are fed from a
 lease-based job queue, supervised like a prun-style scheduler (polled
-job queue, per-job contexts, bounded parallelism):
+job queue, per-job contexts, bounded parallelism).  One worker dying
+hard costs that worker and its lease, never the run:
 
 - every job is **leased** to one worker with a heartbeat channel and an
   optional hard deadline; the supervisor polls worker pipes and worker
@@ -16,7 +16,7 @@ job queue, per-job contexts, bounded parallelism):
   heartbeats, expired lease) costs *one worker and one lease*: the
   supervisor respawns only the dead worker and requeues the lease with a
   retry budget and capped, deterministically-jittered backoff
-  (:func:`repro.harness.parallel.retry_delay`);
+  (:func:`retry_delay`);
 - a job that kills its worker twice is **quarantined** — resolved
   ``failed_safe`` like the in-process trial-guard blacklist, so one
   poison function can never starve the corpus;
@@ -31,10 +31,10 @@ Supervision decisions are first-class telemetry: ``worker_spawn`` /
 (respawns, lease expiries, requeues, quarantines, heartbeat age, steal
 latency, job seconds) in the active tracer's metrics registry.
 
-Entry points: :func:`form_many_fleet` mirrors
-:func:`~repro.harness.parallel.form_many_parallel` (and backs its
-``driver="fleet"`` switch); :func:`run_fleet_corpus` is the journalled
-corpus runner behind ``python -m repro.harness fleet``; and
+Entry points: :func:`form_many_fleet` forms many (module, profile)
+pairs and returns them in input order, bit-identical to forming them in
+sequence (``selfcheck`` races the two); :func:`run_fleet_corpus` is the
+journalled corpus runner behind ``python -m repro.harness fleet``; and
 :func:`run_fleet_drill` is the suite-wide kill/stall/raise containment
 proof.
 """
@@ -55,14 +55,6 @@ from typing import Callable, Optional, Sequence
 from repro.core.convergent import form_module
 from repro.core.merge import MergeStats
 from repro.harness import fleet_worker
-from repro.harness.parallel import (
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
-    _auto_serial,
-    _failed_safe_report,
-    _module_failed_safe,
-    retry_delay,
-)
 from repro.ir.function import Module
 from repro.obs import trace as obs_trace
 from repro.obs.ledger import (
@@ -80,8 +72,13 @@ from repro.obs.replay import attach_stats, log_from_trace
 from repro.obs.trace import FormationTrace, Tracer, tracing
 from repro.obs.sink import MemorySink
 from repro.profiles import collect_profile
-from repro.robustness.faultinject import FaultPlane, active_plane
-from repro.robustness.guard import FormationReport, TrialFailure
+from repro.robustness.faultinject import FaultPlane, active_plane, stable_roll
+from repro.robustness.guard import (
+    FormationReport,
+    FunctionReport,
+    FunctionStatus,
+    TrialFailure,
+)
 
 #: Fleet metric names (the ``obs.metrics`` face of the supervisor).
 RESPAWNS_METRIC = "fleet_respawns_total"
@@ -96,6 +93,79 @@ JOB_SECONDS_METRIC = "fleet_job_seconds"
 #: Default fleet width when the caller does not pick one: modest, because
 #: fleet start-up cost is per *worker* (spawned interpreter), not per run.
 DEFAULT_FLEET_WORKERS = min(4, os.cpu_count() or 1)
+
+#: Below this many basic blocks (summed over the input), auto mode
+#: (``max_workers=None``) forms in-process: spawning workers costs at
+#: least an interpreter start-up each while formation chews through a
+#: few thousand blocks per second, so small inputs lose more to pickling
+#: and start-up than they gain from parallelism.  An explicit
+#: ``max_workers`` >= 2 always spawns.
+AUTO_SERIAL_MAX_BLOCKS = 256
+
+#: Default retry budget for a raising job (total attempts =
+#: 1 + DEFAULT_RETRIES) and the base of the exponential backoff between
+#: attempts.
+DEFAULT_RETRIES = 1
+DEFAULT_BACKOFF = 0.05
+
+#: Ceiling on any single retry delay.  ``backoff * 2**attempt`` must not
+#: grow without bound: a generous retry budget would otherwise turn into
+#: minutes of sleeping on a deterministic crash.
+BACKOFF_CAP = 2.0
+
+
+def retry_delay(
+    backoff: float,
+    attempt: int,
+    task_name: str,
+    cap: float = BACKOFF_CAP,
+) -> float:
+    """Capped exponential backoff with deterministic per-task jitter.
+
+    The jitter factor lives in [0.5, 1.5) and is a pure function of
+    ``(task_name, attempt)``, so simultaneous retries of *different*
+    tasks de-synchronize (they stop hammering a shared resource in lock
+    step) while any given run remains exactly reproducible.
+    """
+    delay = min(cap, backoff * (2 ** attempt))
+    jitter = 0.5 + stable_roll(task_name, "retry", attempt)
+    return min(cap, delay * jitter)
+
+
+def _auto_serial(modules, max_workers: Optional[int]) -> bool:
+    """True when :func:`form_many_fleet` should form in-process."""
+    if max_workers is not None:
+        return max_workers == 1
+    blocks = sum(len(func.blocks) for module in modules for func in module)
+    return blocks < AUTO_SERIAL_MAX_BLOCKS
+
+
+def _module_failed_safe(
+    module: Module, failure: TrialFailure, record_events: bool
+) -> FormationReport:
+    """Report for a module whose job was written off entirely: every
+    function ``failed_safe`` with a copy of the job's failure (attempt
+    count included)."""
+    report = FormationReport(stats=MergeStats(record_events=record_events))
+    for func in module:
+        per_func = TrialFailure(
+            function=func.name,
+            stage=failure.stage,
+            error_type=failure.error_type,
+            error=failure.error,
+            traceback=failure.traceback,
+            fault_kind=failure.fault_kind,
+            attempts=failure.attempts,
+        )
+        report.add_function(
+            FunctionReport(
+                func.name,
+                FunctionStatus.FAILED_SAFE,
+                MergeStats(record_events=record_events),
+                [per_func],
+            )
+        )
+    return report
 
 
 class FleetError(RuntimeError):
@@ -668,14 +738,13 @@ class Fleet:
 
 
 # ---------------------------------------------------------------------------
-# form_many_parallel's fleet twin
+# The parallel driver
 # ---------------------------------------------------------------------------
 
 
 def form_many_fleet(
     items: Sequence[tuple],
     max_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     config: Optional[FleetConfig] = None,
@@ -683,16 +752,24 @@ def form_many_fleet(
 ) -> list[tuple[Module, FormationReport]]:
     """Form many (module, profile) pairs on a persistent worker fleet.
 
-    Drop-in for :func:`~repro.harness.parallel.form_many_parallel` (it is
-    the ``driver="fleet"`` implementation): same input shape, same
-    result order, same failure semantics at the interface — a failed
-    module task returns the caller's original module with an all-
-    ``failed_safe`` report.  What differs is what failure *costs*: a
-    worker death respawns one worker and requeues one lease; there is no
-    broken-pool mode and no blanket serial fallback.
+    This is the shape benchmark suites have — many small modules.
+    Returns ``(formed module, report)`` pairs in input order, identical
+    to :func:`~repro.core.convergent.form_module` on each pair in turn.
+    ``form_kwargs`` are forwarded to ``form_module`` and must be
+    picklable.  On the fleet the returned modules are the formed copies
+    the workers ship back, and the caller's input modules are left
+    untouched; formed in-process (below), the inputs are formed in place
+    and returned.
 
-    Auto mode (``max_workers=None``) stays sequential for trivially
-    small inputs, like the pool driver.
+    A module job that fails (raises after ``retries`` retries, or loses
+    its lease too often — worker death, missed heartbeats, or the
+    ``config`` lease timeout exceeded) returns a copy of the caller's
+    module with an all-``failed_safe`` report.  A worker death respawns
+    one worker and requeues one lease.
+
+    Forms in-process, without spawning, when there is at most one module,
+    when ``max_workers == 1``, or — in auto mode (``max_workers=None``) —
+    when the input has fewer than ``AUTO_SERIAL_MAX_BLOCKS`` basic blocks.
     """
     record_events = form_kwargs.get("record_events", True)
     if len(items) <= 1 or _auto_serial(
@@ -707,7 +784,6 @@ def form_many_fleet(
     if config is None:
         config = FleetConfig(
             workers=max_workers or DEFAULT_FLEET_WORKERS,
-            lease_timeout=task_timeout,
             retries=retries,
             backoff=backoff,
         )
@@ -1293,9 +1369,7 @@ def run_fleet_drill(
     - every touched module failed *safe* (quarantined or retried out),
       never half-formed;
     - worker deaths actually healed: respawns > 0 whenever a
-      ``kill``/``stall`` fault fired, and the fleet never fell back to
-      in-process serial formation (it has no such mode — the counter
-      exists to prove the run stayed parallel).
+      ``kill``/``stall`` fault fired.
     """
     corpus_items = build_corpus(corpus, modules, seed)
     serial = serial_corpus_entries(
@@ -1375,8 +1449,7 @@ def run_fleet_drill(
         f"lease expiries: {stats.get('lease_expiries', 0)}, "
         f"quarantined: {len(stats.get('quarantined', ()))}",
         f"  jobs: {stats.get('jobs_ok', 0)} ok, "
-        f"{stats.get('jobs_failed', 0)} failed_safe, "
-        "serial fallbacks: 0 (the fleet has no such mode)",
+        f"{stats.get('jobs_failed', 0)} failed_safe",
         f"  decision drift vs serial (untouched modules): {len(drift)}",
     ]
     for problem in problems:

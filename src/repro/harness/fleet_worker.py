@@ -2,11 +2,10 @@
 
 One worker is one spawned process running :func:`worker_main` over a
 duplex :class:`multiprocessing.connection.Connection` back to the
-supervisor (:mod:`repro.harness.fleet`).  Unlike a pool worker, it is
-*persistent*: interpreter start-up and module imports are paid once per
-worker, then amortized over every job the supervisor leases to it — the
-prun-style scheduler model (long-lived contexts, polled job queue)
-rather than pool-per-run.
+supervisor (:mod:`repro.harness.fleet`).  It is *persistent*:
+interpreter start-up and module imports are paid once per worker, then
+amortized over every job the supervisor leases to it — the prun-style
+scheduler model (long-lived contexts, polled job queue).
 
 Protocol (pickled tuples; first element is the message tag):
 
@@ -45,10 +44,11 @@ supervisor merges the stream per-worker-label into its own registry
 (:class:`~repro.obs.live.SnapshotMerger`), which is what ``--expose``
 serves and ``python -m repro.harness top`` renders.
 
-Job payloads are the pool drivers' payload shape plus a task kind:
-``(kind, obj, profile, form_kwargs, plane, trace_on)`` with ``kind`` in
-``{"module", "function"}``.  The active :class:`FaultPlane` ships inside
-each payload (a spawned worker inherits nothing), exactly like the pool.
+Job payloads are ``(kind, obj, profile, form_kwargs, plane, trace_on)``
+with ``kind`` in ``{"module", "function"}``.  The active
+:class:`FaultPlane` ships inside each payload, and a traced job builds
+its own tracer (see :func:`_worker_tracer`): a spawned worker inherits
+neither from the supervisor.
 
 Heartbeats come from a daemon thread so a *busy* worker (deep inside a
 long formation) still beats.  The injected ``stall`` fault deliberately
@@ -161,10 +161,10 @@ class _Heartbeat:
 def _apply_fleet_fault(plane, task_name: str, heartbeat: _Heartbeat) -> None:
     """Act out a worker-level fault inside a fleet worker.
 
-    Same kinds as the pool workers (``raise``/``stall``/``kill``), but
-    ``stall`` additionally pauses the heartbeat beacon: a wedged process
-    does not beat, and missed heartbeats are what the supervisor's lease
-    expiry detects.
+    ``raise`` raises :class:`InjectedFault`, ``kill`` exits the process
+    mid-job, and ``stall`` sleeps with the heartbeat beacon paused: a
+    wedged process does not beat, and missed heartbeats are what the
+    supervisor's lease expiry detects.
     """
     kind = plane.worker_fault(task_name)
     if kind is None:
@@ -228,11 +228,52 @@ def _publish_job_metrics(metrics, report, fragment) -> None:
             )
 
 
+def _worker_tracer(trace_on: bool, metrics=None):
+    """Install a fragment tracer for one job when the supervisor traces.
+
+    A spawned worker does not inherit the supervisor's installed tracer,
+    so each traced job builds its own in-memory tracer and ships the
+    collected events back inside the job result for the supervisor to
+    :meth:`~repro.obs.trace.Tracer.absorb`.  ``metrics`` (the worker's
+    process-local registry) makes phase spans feed
+    ``formation_phase_seconds`` worker-side, where the live snapshot
+    stream picks them up.
+    """
+    if not trace_on:
+        return None
+    from repro.obs import trace as obs_trace
+    from repro.obs.sink import MemorySink
+
+    tracer = obs_trace.Tracer(sinks=(MemorySink(),), metrics=metrics)
+    obs_trace.install(tracer)
+    return tracer
+
+
+def _collect_fragment(tracer):
+    """The job's trace events, stamped with the worker's pid and thread id.
+
+    The stamps let the Chrome exporter lane fleet work as one track per
+    worker process instead of one interleaved track.  They are
+    fingerprint-safe by construction: :func:`repro.obs.ledger.
+    decision_entry` projects a fixed attribute set that never includes
+    ``pid``/``tid``.
+    """
+    if tracer is None:
+        return None
+    events = tracer.collected_events()
+    pid = os.getpid()
+    tid = threading.get_ident()
+    for event in events:
+        event.attrs.setdefault("pid", pid)
+        event.attrs.setdefault("tid", tid)
+    return events
+
+
 def _run_job(job_id, payload, heartbeat: _Heartbeat, metrics=None):
     """Execute one leased job; returns the message to send back.
 
-    Mirrors the pool workers' task bodies (install plane + tracer, form,
-    collect the trace fragment) but never lets an exception escape: a
+    Installs the shipped fault plane and a fragment tracer, forms, and
+    collects the trace fragment, but never lets an exception escape: a
     raising job becomes a ``failed`` message, and the worker lives on to
     take the next lease.  ``metrics`` is the worker's persistent
     registry: the per-job tracer feeds phase histograms into it, and the
@@ -242,7 +283,6 @@ def _run_job(job_id, payload, heartbeat: _Heartbeat, metrics=None):
     # pay for the formation stack — and to keep boot (hence respawn
     # latency) dominated by interpreter start-up alone.
     from repro.core.convergent import form_function, form_module
-    from repro.harness.parallel import _collect_fragment, _worker_tracer
     from repro.obs import trace as obs_trace
 
     kind, obj, profile, form_kwargs, plane, trace_on = payload

@@ -53,10 +53,7 @@ from repro.harness.tracecmd import phase_table, rejection_breakdown
 #: carries in richer form).
 _BENCH_KEYS = (
     "sequential_fast_s",
-    "sequential_legacy_s",
-    "speedup_fast_vs_legacy",
     "guarded_s",
-    "parallel_s",
     "merges",
     "mtup",
     "quick",
@@ -84,7 +81,7 @@ def build_suite_record(
     """Form ``subset`` (default: the full SPEC suite) under a tracer and
     assemble a run record.
 
-    Formation runs with driver defaults (fast path, failsafe) — the same
+    Formation runs with driver defaults (failsafe on) — the same
     configuration ``form_module`` callers get — so the recorded decisions
     are the decisions the system actually makes.  The traced pass is
     *untimed*: records are about decisions; wall-time comparisons come
@@ -150,10 +147,10 @@ def build_suite_record(
             event_counts[event_name] = event_counts.get(event_name, 0) + count
         for reason, count in rejection_breakdown(trace).items():
             rejections[reason] = rejections.get(reason, 0) + count
-        # Driver recovery counters (``formation_task_retries_total``,
-        # ``fleet_respawns_total``, ...) land in the same registry as the
-        # phase histogram; fold any nonzero ones into the record so a
-        # ledger diff can see recovery activity, not just decisions.
+        # Driver recovery counters (``fleet_respawns_total``, ...) land
+        # in the same registry as the phase histogram; fold any nonzero
+        # ones into the record so a ledger diff can see recovery
+        # activity, not just decisions.
         for metric_name, entries in registry.snapshot().items():
             if not metric_name.endswith("_total"):
                 continue
@@ -356,15 +353,12 @@ def _format_history(history: list[dict]) -> str:
         return "bench history: empty (run `bench` to append a data point)"
     lines = [
         f"bench history: {len(history)} run(s)",
-        f"  {'timestamp':<26} {'fast_s':>8} {'legacy_s':>9} "
-        f"{'merges':>6} {'quick':>5}",
+        f"  {'timestamp':<26} {'fast_s':>8} {'merges':>6} {'quick':>5}",
     ]
     for entry in history:
-        legacy = entry.get("sequential_legacy_s")
         lines.append(
             f"  {str(entry.get('timestamp')):<26} "
             f"{entry.get('sequential_fast_s', float('nan')):>8.4f} "
-            f"{legacy if legacy is None else format(legacy, '>9.4f')} "
             f"{entry.get('merges', '?'):>6} "
             f"{'yes' if entry.get('quick') else 'no':>5}"
         )

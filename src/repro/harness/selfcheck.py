@@ -6,7 +6,8 @@ Two CI-facing entry points over the robustness layer:
   oracle armed (``selfcheck="function"``), re-checks the final formed
   module against the pre-formation module on the workload's own inputs,
   and compares the serial driver's :class:`FormationReport` against the
-  parallel driver's — all three must agree for the run to pass.
+  fleet's (:func:`~repro.harness.fleet.form_many_fleet`) — all three
+  must agree for the run to pass.
 - :func:`run_fault_drill` is the containment proof behind ``bench
   --faults``: form the suite once clean and once under a seeded
   :class:`FaultPlane`, then check that the faulted run never escaped a
@@ -20,7 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.harness.parallel import form_many_parallel
+from repro.harness.bench import check_workload_names
+from repro.harness.fleet import form_many_fleet
 from repro.obs.trace import FormationTrace, Tracer, tracing
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane, injected
@@ -32,9 +34,7 @@ from repro.workloads.spec import SPEC_BENCHMARKS
 def _suite(subset: Optional[list[str]]) -> dict:
     if subset is None:
         return dict(SPEC_BENCHMARKS)
-    unknown = [name for name in subset if name not in SPEC_BENCHMARKS]
-    if unknown:
-        raise KeyError(f"unknown benchmark(s): {', '.join(unknown)}")
+    check_workload_names(subset)
     return {name: SPEC_BENCHMARKS[name] for name in subset}
 
 
@@ -51,7 +51,6 @@ def _workload_probes(workload) -> list[BehaviorProbe]:
 def run_selfcheck(
     subset: Optional[list[str]] = None,
     workers: int = 2,
-    driver: str = "pool",
     metrics=None,
 ) -> dict:
     """Oracle self-check over the SPEC suite (the ``--selfcheck`` gate).
@@ -59,8 +58,8 @@ def run_selfcheck(
     Per workload: form with ``selfcheck="function"`` armed, then run one
     final differential check of the formed module against a fresh
     pre-formation module over the workload's inputs.  With ``workers`` >=
-    2, additionally form every workload through the parallel driver
-    (``driver``: ``"pool"`` or ``"fleet"``) and require its report
+    2, additionally form every workload on a ``workers``-wide fleet
+    (:func:`~repro.harness.fleet.form_many_fleet`) and require its report
     summary to match the serial one.  Returns a dict with ``ok``,
     per-workload rows, and a formatted ``report``.
 
@@ -71,13 +70,13 @@ def run_selfcheck(
     """
     suite = _suite(subset)
     rows = []
-    parallel_items = []
+    fleet_items = []
     profiles = {}
     for name, workload in suite.items():
         profiles[name] = collect_profile(
             workload.module(), args=workload.args, preload=workload.preload
         )
-        parallel_items.append((workload.module(), profiles[name]))
+        fleet_items.append((workload.module(), profiles[name]))
 
     serial_reports: dict[str, FormationReport] = {}
     for name, workload in suite.items():
@@ -112,11 +111,9 @@ def run_selfcheck(
 
     drivers_equal = True
     if workers and workers > 1:
-        par_results = form_many_parallel(
-            parallel_items, max_workers=workers, driver=driver
-        )
-        for (name, _), (_, par_report) in zip(suite.items(), par_results):
-            if par_report.summary() != serial_reports[name].summary():
+        fleet_results = form_many_fleet(fleet_items, max_workers=workers)
+        for (name, _), (_, fleet_report) in zip(suite.items(), fleet_results):
+            if fleet_report.summary() != serial_reports[name].summary():
                 drivers_equal = False
                 rows.append(
                     {
@@ -125,9 +122,9 @@ def run_selfcheck(
                         "degraded": 0,
                         "failed_safe": 0,
                         "divergences": 1,
-                        "detail": f"serial vs {driver} report mismatch: "
+                        "detail": "serial vs fleet report mismatch: "
                         f"{serial_reports[name].summary()} != "
-                        f"{par_report.summary()}",
+                        f"{fleet_report.summary()}",
                     }
                 )
 

@@ -88,7 +88,7 @@ def _format_event(event: TraceEvent, depth: int) -> str:
         parts.append(f"{pair[0]}<-{pair[1]}")
     elif "function" in attrs:
         parts.append(attrs["function"])
-    elif "task" in attrs and event.name.startswith(("task_", "pool_", "serial_")):
+    elif "task" in attrs and event.name.startswith("task_"):
         parts.append(attrs["task"])
     if event.name == "reject":
         reason = attrs.get("reason", "?")
@@ -417,9 +417,9 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
                 f"sum={entry['sum'] * 1e3:.2f}ms"
             )
 
-    # Driver recovery counters (retries/timeouts/serial fallbacks, fleet
-    # respawns/requeues/...) — zero on a clean serial run, so the section
-    # only appears when a parallel driver actually recovered something.
+    # Fleet recovery counters (respawns/requeues/...) — zero on a clean
+    # serial run, so the section only appears when the fleet actually
+    # recovered something.
     recovery = [
         (name, entry)
         for name, entries in sorted(snapshot.items())

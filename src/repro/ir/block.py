@@ -144,7 +144,7 @@ class BasicBlock:
 
     def __setstate__(self, state) -> None:
         # Versions are process-local: a block shipped across a process
-        # boundary (the parallel formation driver) is re-stamped from the
+        # boundary (the formation fleet) is re-stamped from the
         # local counter so it can never alias a stamp already handed out
         # in this process.  Instruction uids keep their values, so the
         # local uid counter skips past them instead.

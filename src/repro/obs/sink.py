@@ -4,7 +4,7 @@ A *sink* receives every :class:`~repro.obs.trace.TraceEvent` a tracer
 emits.  Three are provided:
 
 - :class:`MemorySink` — unbounded list; the default for short runs and
-  for worker-side fragments that ship back through the process pool.
+  for worker-side fragments that ship back from fleet workers.
 - :class:`RingSink` — bounded ring keeping the *newest* ``capacity``
   events; overflow increments a ``dropped`` counter instead of vanishing
   silently (the counter surfaces as ``trace_dropped_events`` in bench
@@ -120,9 +120,9 @@ def chrome_trace(events: Sequence, meta: Optional[dict] = None) -> dict:
     Each distinct ``attrs["function"]`` becomes one virtual thread so
     Perfetto renders per-function phase lanes; events without a function
     attribute land on a shared "run" lane.  Worker fragments absorbed
-    from pool/fleet processes carry real ``pid`` attrs (stamped by the
-    parallel drivers), so each worker process renders as its own Chrome
-    track with a ``process_name`` label; driver-side events keep pid 0.
+    from fleet workers carry real ``pid`` attrs (stamped worker-side),
+    so each worker process renders as its own Chrome track with a
+    ``process_name`` label; driver-side events keep pid 0.
     Timestamps and durations are microseconds, as the format requires.
     """
     tids: dict[tuple, int] = {}

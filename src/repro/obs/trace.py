@@ -17,13 +17,13 @@ that record:
   subsystem keeps its disabled overhead under the 2% budget.
 - :class:`FormationTrace` — the finished, queryable trace: event counts,
   span trees, per-decision paths (``decision_path``), and merging of
-  worker-side fragments shipped back from process-pool tasks.
+  worker-side fragments shipped back from fleet jobs.
 
 Like :mod:`repro.robustness.faultinject`, the active tracer is a process
 global (:func:`install` / :func:`clear` / :func:`tracing`): it must reach
 code deep inside the merge loop without threading a parameter through
-every call site, and pool workers install their own from the task
-payload.  The ``obs`` package imports nothing from the rest of ``repro``
+every call site, and fleet workers install their own for each traced
+job.  The ``obs`` package imports nothing from the rest of ``repro``
 so every layer (core, robustness, harness) can import it without cycles.
 """
 

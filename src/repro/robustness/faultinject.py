@@ -16,11 +16,14 @@ Trial-level fault kinds (applied to the scratch preview of a merge trial):
   wrong-code bug only the differential oracle can catch);
 - ``"predicate"`` — silently drop a predicate from the preview (ditto).
 
-Worker-level fault kinds (applied by the parallel drivers):
+Worker-level fault kinds (acted out by fleet workers, see
+:mod:`repro.harness.fleet_worker`):
 
-- ``"raise"`` — the worker task raises before forming;
-- ``"stall"`` — the worker sleeps past the driver's task timeout;
-- ``"kill"``  — the worker process dies (``os._exit``), breaking the pool.
+- ``"raise"`` — the worker job raises before forming;
+- ``"stall"`` — the worker wedges with its heartbeat paused, until the
+  supervisor expires its lease;
+- ``"kill"``  — the worker process dies (``os._exit``); the supervisor
+  respawns it and requeues the job.
 
 The module keeps no repro imports so that ``repro.core.merge`` can import
 it without cycles.
@@ -44,7 +47,7 @@ def stable_roll(seed, *key) -> float:
     The repo's one idiom for "deterministic randomness": a pure function
     of its inputs, independent of call order, interpreter hash seed, or
     process.  The fault plane decides firing sites with it, and the
-    parallel drivers derive retry-backoff jitter from it so repeated runs
+    fleet derives retry-backoff jitter from it so repeated runs
     de-synchronize retries identically.
     """
     digest = hashlib.sha256(
@@ -74,7 +77,7 @@ class FiredFault:
 
 @dataclass
 class FaultPlane:
-    """Seeded fault decider; picklable so it can ship to pool workers.
+    """Seeded fault decider; picklable so it can ship to fleet workers.
 
     ``rate`` is the per-site firing probability; ``functions`` (when set)
     restricts injection to the named functions.  The ``fired`` log is

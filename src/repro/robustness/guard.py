@@ -53,7 +53,7 @@ class TrialFailure:
     """One contained failure, with enough structure to reproduce it.
 
     Exceptions are stored as strings (type, message, traceback tail) so a
-    failure can cross a process-pool boundary inside a report.
+    failure can cross a process boundary inside a report.
     """
 
     function: str
@@ -234,7 +234,7 @@ class FormationReport(_StatsProxy):
     def summary(self) -> dict[str, tuple]:
         """Order-insensitive equivalence view: {function: (status, mtup)}.
 
-        Two drivers (serial vs. parallel) producing the same summary made
+        Two drivers (serial vs. fleet) producing the same summary made
         the same decisions and contained the same failures.
         """
         return {

@@ -2,13 +2,43 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.analysis.loops import LoopForest
+from repro.core import convergent
+from repro.core.merge import FormationContext
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
 from repro.profiles.data import root_name
+
+
+class ReferenceFormationContext(FormationContext):
+    """Formation without the in-place analysis patches and the trial memo:
+    the reference they are checked against.
+
+    Every commit discards the CFG view, the loop forest and liveness
+    instead of patching them, and no rejected trial is memoized, so each
+    trial re-derives those analyses from the IR as it stands.  Facts
+    keyed by block version survive, as they survive any ``invalidate()``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.memoize_trials = False
+
+    def note_commit(self, hb_name, s_name, preview, removed) -> None:
+        self.invalidate()
+
+
+def reference_formation():
+    """Within this context ``form_function``/``form_module`` form under
+    :class:`ReferenceFormationContext`."""
+    return mock.patch.object(
+        convergent, "FormationContext", ReferenceFormationContext
+    )
 
 
 def make_counting_loop(bound: int = 10, name: str = "main") -> Function:

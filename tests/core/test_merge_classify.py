@@ -17,6 +17,7 @@ from repro.ir.regmask import has
 from repro.profiles import collect_profile
 from repro.sim import run_module
 from tests.conftest import (
+    ReferenceFormationContext,
     assert_forest_matches_fresh,
     make_counting_loop,
     make_diamond,
@@ -181,7 +182,7 @@ def test_stats_mtup_and_add():
 
 def test_context_caches_invalidate():
     func = make_counting_loop()
-    ctx = ctx_for(func, fast_path=False)
+    ctx = ReferenceFormationContext(func)
     loops_before = ctx.loops
     assert ctx.loops is loops_before  # cached
     merge_blocks(ctx, "head", "body")

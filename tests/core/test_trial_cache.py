@@ -1,12 +1,14 @@
-"""Cache-equivalence: the formation fast path changes nothing but time.
+"""Cache-equivalence: formation's caches change nothing but time.
 
-The fast path layers three caches under formation — in-place analysis
+Formation layers three caches under the merge loop — in-place analysis
 updates, version-keyed use/kill sets, and a rejected-trial memo that
 replays even the *register numbers* a rejected preview consumed.  These
-tests pin the contract those caches must honor: formed IR (printed, so
-block names, instruction order, operand and predicate registers all
-participate) and the paper's m/t/u/p counters are bit-identical with the
-caches on and off.
+tests pin the contract those caches must honor against the reference
+run, which forms under :class:`tests.conftest.ReferenceFormationContext`
+(every commit discards the analyses, nothing is memoized): formed IR
+(printed, so block names, instruction order, operand and predicate
+registers all participate), the paper's m/t/u/p counters, the attempt
+count and each function's highest register are identical.
 """
 
 from __future__ import annotations
@@ -16,52 +18,53 @@ import pytest
 from repro.core.convergent import form_function, form_module
 from repro.ir.printer import format_function, format_module
 from repro.profiles import collect_profile
-from repro.workloads.generators import random_inputs, random_program
-from repro.workloads.spec import SPEC_BENCHMARKS
+from repro.workloads.generators import random_inputs, random_program, scaled_program
+from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
+from tests.conftest import reference_formation
 
 SEEDS = list(range(16))
 
 
-def _form_both(make_module, profile):
-    fast = make_module()
-    slow = make_module()
-    fast_stats = form_module(fast, profile=profile, fast_path=True)
-    slow_stats = form_module(slow, profile=profile, fast_path=False)
-    return fast, slow, fast_stats, slow_stats
+def _assert_forms_like_reference(make_module, profile):
+    cached = make_module()
+    reference = make_module()
+    cached_report = form_module(cached, profile=profile)
+    with reference_formation():
+        reference_report = form_module(reference, profile=profile)
+    assert format_module(cached) == format_module(reference)
+    assert cached_report.mtup == reference_report.mtup
+    assert cached_report.attempts == reference_report.attempts
+    assert [f.max_reg() for f in cached] == [f.max_reg() for f in reference]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_programs_form_identically(seed):
     profile = collect_profile(random_program(seed), args=random_inputs(seed))
-    fast, slow, fast_stats, slow_stats = _form_both(
-        lambda: random_program(seed), profile
-    )
-    assert fast_stats.mtup == slow_stats.mtup
-    assert fast_stats.attempts == slow_stats.attempts
-    assert format_module(fast) == format_module(slow)
+    _assert_forms_like_reference(lambda: random_program(seed), profile)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_random_programs_form_identically_without_profile(seed):
     # No profile changes seed ordering and policy decisions; the caches
     # must agree on that path too.
-    fast, slow, fast_stats, slow_stats = _form_both(
-        lambda: random_program(seed), None
-    )
-    assert fast_stats.mtup == slow_stats.mtup
-    assert format_module(fast) == format_module(slow)
+    _assert_forms_like_reference(lambda: random_program(seed), None)
 
 
-@pytest.mark.parametrize("name", ["ammp", "bzip2", "parser", "twolf"])
+@pytest.mark.parametrize("name", SPEC_ORDER)
 def test_spec_workloads_form_identically(name):
     workload = SPEC_BENCHMARKS[name]
     profile = collect_profile(
         workload.module(), args=workload.args, preload=workload.preload
     )
-    fast, slow, fast_stats, slow_stats = _form_both(workload.module, profile)
-    assert fast_stats.mtup == slow_stats.mtup
-    assert fast_stats.rejected_illegal == slow_stats.rejected_illegal
-    assert format_module(fast) == format_module(slow)
+    _assert_forms_like_reference(workload.module, profile)
+
+
+def test_scaled_program_forms_identically():
+    """The 10x tier (one ~440-instruction function), where the patched
+    analyses live through hundreds of commits."""
+    seed = 2006
+    profile = collect_profile(scaled_program(440, seed), args=random_inputs(seed))
+    _assert_forms_like_reference(lambda: scaled_program(440, seed), profile)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])
@@ -69,9 +72,10 @@ def test_memoized_rejections_replay_register_numbers(seed):
     """A memo hit must leave the register counter exactly where a re-run
     trial would have (rejected previews mint fresh guard registers)."""
     profile = collect_profile(random_program(seed), args=random_inputs(seed))
-    fast = random_program(seed).function("main")
-    slow = random_program(seed).function("main")
-    form_function(fast, profile=profile, fast_path=True)
-    form_function(slow, profile=profile, fast_path=False)
-    assert fast.max_reg() == slow.max_reg()
-    assert format_function(fast) == format_function(slow)
+    cached = random_program(seed).function("main")
+    reference = random_program(seed).function("main")
+    form_function(cached, profile=profile)
+    with reference_formation():
+        form_function(reference, profile=profile)
+    assert cached.max_reg() == reference.max_reg()
+    assert format_function(cached) == format_function(reference)

@@ -12,7 +12,11 @@ import time
 import pytest
 
 from repro.core.convergent import form_module
+from repro.harness import fleet as fleet_mod
 from repro.harness.fleet import (
+    AUTO_SERIAL_MAX_BLOCKS,
+    BACKOFF_CAP,
+    DEFAULT_BACKOFF,
     FleetConfig,
     FleetError,
     RunJournal,
@@ -20,11 +24,11 @@ from repro.harness.fleet import (
     compare_against_serial,
     corpus_config_fingerprint,
     form_many_fleet,
+    retry_delay,
     run_fleet_corpus,
     run_fleet_drill,
     serial_corpus_entries,
 )
-from repro.harness.parallel import form_many_parallel
 from repro.ir.function import Module
 from repro.ir.printer import format_module
 from repro.obs.ledger import validate_record
@@ -98,16 +102,102 @@ def test_driver_switch_matches_sequential_formation():
         control = module.copy()
         form_module(control)
         controls.append(control)
-    results = form_many_parallel(
-        items, max_workers=2, driver="fleet", backoff=0.01
-    )
+    results = form_many_fleet(items, max_workers=2, backoff=0.01)
     assert len(results) == len(items)
     for control, (formed, report) in zip(controls, results):
         assert report.all_ok
         assert format_module(formed) == format_module(control)
-    # The caller's input modules come back untouched (pool-driver contract).
+    # The caller's input modules come back untouched.
     for (module, _), before in zip(items, pristine):
         assert format_module(module) == before
+
+
+def _combo_module(name: str, seeds) -> Module:
+    """One module holding a random single-function program per seed,
+    its functions renamed ``<name>_0``, ``<name>_1``, ..."""
+    module = Module(name)
+    for index, seed in enumerate(seeds):
+        func = random_program(seed).function("main")
+        func.name = f"{name}_{index}"
+        module.add_function(func)
+    return module
+
+
+def test_traced_run_merges_one_span_tree_per_function():
+    """Each worker's trace fragment lands once in the caller's trace:
+    one ``function`` span per function, stamped with its module's task,
+    and one ``accept`` per counted merge."""
+    items = [
+        (_combo_module("a", (3, 5)), None),
+        (_combo_module("b", (8, 13)), None),
+    ]
+    with tracing(Tracer()) as tracer:
+        results = form_many_fleet(items, max_workers=2, backoff=0.01)
+        trace = tracer.finish()
+    spans = trace.named("function")
+    assert sorted(span.attrs["function"] for span in spans) == [
+        "a_0", "a_1", "b_0", "b_1",
+    ]
+    for span in spans:
+        assert span.attrs["task"] == span.attrs["function"].split("_")[0]
+    for _, report in results:
+        assert report.all_ok
+        for name, freport in report.functions.items():
+            accepts = [
+                e for e in trace.named("accept")
+                if e.attrs.get("function") == name
+            ]
+            assert len(accepts) == freport.stats.merges
+
+
+# ---------------------------------------------------------------------------
+# auto mode: when the driver forms in-process instead of spawning
+# ---------------------------------------------------------------------------
+
+
+class _Spawned(Exception):
+    pass
+
+
+class _NoFleet:
+    def __init__(self, *args, **kwargs):
+        raise _Spawned
+
+
+def test_auto_mode_small_input_never_spawns(monkeypatch):
+    """Below the block threshold (or with ``max_workers=1``) the driver
+    forms in-process, exactly as ``form_module`` does."""
+    monkeypatch.setattr(fleet_mod, "Fleet", _NoFleet)
+    items = _named_modules(2)
+    blocks = sum(len(f.blocks) for module, _ in items for f in module)
+    assert blocks < AUTO_SERIAL_MAX_BLOCKS
+    controls = []
+    for module, _ in items:
+        control = module.copy()
+        form_module(control)
+        controls.append(format_module(control))
+    for max_workers in (None, 1):
+        results = form_many_fleet(
+            [(module.copy(), profile) for module, profile in items],
+            max_workers=max_workers,
+        )
+        assert [format_module(formed) for formed, _ in results] == controls
+
+
+def test_auto_mode_large_input_spawns_the_fleet(monkeypatch):
+    monkeypatch.setattr(fleet_mod, "Fleet", _NoFleet)
+    # Shrink the threshold instead of building a huge corpus: the
+    # heuristic's input is the block count, which is what is under test.
+    monkeypatch.setattr(fleet_mod, "AUTO_SERIAL_MAX_BLOCKS", 1)
+    with pytest.raises(_Spawned):
+        form_many_fleet(_named_modules(2))
+
+
+def test_explicit_workers_bypass_the_threshold(monkeypatch):
+    """``max_workers=2`` spawns the fleet even for a tiny input."""
+    monkeypatch.setattr(fleet_mod, "Fleet", _NoFleet)
+    with pytest.raises(_Spawned):
+        form_many_fleet(_named_modules(2), max_workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +221,7 @@ def test_worker_kill_is_contained_and_telemetered():
     registry = MetricsRegistry()
     tracer = Tracer(sinks=(MemorySink(),), metrics=registry)
     with tracing(tracer), injected(plane):
-        results = form_many_parallel(
-            items, max_workers=2, driver="fleet", backoff=0.01
-        )
+        results = form_many_fleet(items, max_workers=2, backoff=0.01)
     poisoned_module, poisoned_report = results[1]
     assert poisoned_report.failed_safe_functions == list(
         poisoned_module.functions
@@ -160,8 +248,72 @@ def test_worker_kill_is_contained_and_telemetered():
     assert total("fleet_respawns_total") >= 1
     assert total("fleet_quarantined_total") == 1
     assert total("fleet_requeues_total") >= 1
-    # The fleet never falls back to in-process serial formation.
-    assert total("formation_serial_fallbacks_total") == 0
+
+
+def _raise_plane(module_name: str) -> FaultPlane:
+    return FaultPlane(
+        rate=1.0, seed=0, kinds=(), worker_kinds=("raise",),
+        functions=frozenset({module_name}),
+    )
+
+
+def test_raising_module_fails_safe_while_its_sibling_forms():
+    """A job that raises every time comes back as an untouched copy of
+    the caller's module, all ``failed_safe``, while its sibling forms
+    exactly as sequential formation would."""
+    items = _named_modules(2)
+    control = items[0][0].copy()
+    form_module(control)
+    pristine = format_module(items[1][0])
+    with injected(_raise_plane("mod_001")):
+        results = form_many_fleet(items, max_workers=2, backoff=0.01)
+    formed, sibling_report = results[0]
+    assert sibling_report.all_ok
+    assert format_module(formed) == format_module(control)
+    poisoned, report = results[1]
+    assert report.failed_safe_functions == list(poisoned.functions)
+    for name in poisoned.functions:
+        assert report.status_of(name) is FunctionStatus.FAILED_SAFE
+    failure = report.failures[0]
+    assert failure.stage == "worker"
+    assert failure.error_type == "InjectedFault"
+    assert failure.fault_kind == "raise"
+    # The caller's input module is untouched on the failure path too.
+    assert format_module(poisoned) == pristine
+    assert format_module(items[1][0]) == pristine
+
+
+def test_retry_exhaustion_lands_one_failure_with_attempts():
+    """A deterministic raise burns the whole retry budget, then lands
+    exactly one failure per function recording the attempt count."""
+    items = _named_modules(2)
+    tracer = Tracer(sinks=(MemorySink(),))
+    with tracing(tracer), injected(_raise_plane("mod_001")):
+        results = form_many_fleet(items, max_workers=2, retries=2, backoff=0.01)
+    poisoned, report = results[1]
+    for name in poisoned.functions:
+        (failure,) = report.functions[name].failures
+        assert failure.attempts == 3  # 1 first try + 2 retries
+        assert failure.error_type == "InjectedFault"
+    trace = tracer.finish()
+    assert len(trace.named("lease_requeue")) == 2
+    (failed,) = trace.named("task_failed")
+    assert failed.attrs["attempts"] == 3
+
+
+def test_retry_delay_is_capped_and_deterministic():
+    # Huge attempt counts must not sleep for minutes.
+    assert retry_delay(0.05, 40, "task_a") <= BACKOFF_CAP
+    assert retry_delay(10.0, 0, "task_a") <= BACKOFF_CAP
+    # Deterministic per (task, attempt); jittered across tasks/attempts.
+    assert retry_delay(0.05, 1, "task_a") == retry_delay(0.05, 1, "task_a")
+    delays = {retry_delay(0.05, 1, f"task_{i}") for i in range(8)}
+    assert len(delays) > 1  # de-synchronized, not lock-step
+    # The jitter factor lives in [0.5, 1.5) of the capped exponential.
+    base = min(BACKOFF_CAP, 0.05 * 2)
+    delay = retry_delay(0.05, 1, "task_b")
+    assert 0.5 * base <= delay < 1.5 * base
+    assert DEFAULT_BACKOFF < BACKOFF_CAP
 
 
 def test_worker_stall_expires_the_lease():

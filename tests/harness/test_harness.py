@@ -1,7 +1,13 @@
 """Tests for the experiment harness (small subsets to stay fast)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.harness import (
     ExperimentError,
     RunResult,
@@ -109,6 +115,24 @@ def test_cli_subset_and_out(tmp_path):
 def test_cli_rejects_unknown_target():
     with pytest.raises(SystemExit):
         cli_run(["table9"])
+
+
+@pytest.mark.parametrize(
+    "verb", [["selfcheck"], ["bench", "--faults"]], ids=["selfcheck", "faults"]
+)
+def test_cli_unknown_spec_subset_lists_the_available_names(verb):
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.harness", *verb, "--subset", "nosuch"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode != 0
+    assert "available:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_ordering_config_applies_policy():

@@ -179,7 +179,7 @@ def test_cli_record_and_compare_verbs(tmp_path):
 def _bench_result():
     return {
         "benchmark": "formation", "quick": True, "workloads": ["mcf"],
-        "repeat": 1, "sequential_fast_s": 0.1, "sequential_legacy_s": 0.2,
+        "repeat": 1, "sequential_fast_s": 0.1,
         "merges": 5, "mtup": [5, 0, 0, 0],
     }
 

@@ -205,7 +205,7 @@ def test_bench_mem_profile_and_ceiling(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = cli_run([
         "bench", "--quick", "--subset", "mcf", "--repeat", "1",
-        "--mem-profile", "--mem-ceiling", "4096", "--no-parallel",
+        "--mem-profile", "--mem-ceiling", "4096",
     ])
     assert "memory profile:" in report
     result = json.loads((tmp_path / "BENCH_formation.json").read_text())
@@ -216,11 +216,11 @@ def test_bench_mem_profile_and_ceiling(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="memory ceiling exceeded"):
         cli_run([
             "bench", "--quick", "--subset", "mcf", "--repeat", "1",
-            "--mem-profile", "--mem-ceiling", "0.001", "--no-parallel",
+            "--mem-profile", "--mem-ceiling", "0.001",
         ])
 
     with pytest.raises(SystemExit, match="needs --mem-profile"):
         cli_run([
             "bench", "--quick", "--subset", "mcf", "--repeat", "1",
-            "--mem-ceiling", "64", "--no-parallel",
+            "--mem-ceiling", "64",
         ])

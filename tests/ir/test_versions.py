@@ -11,6 +11,8 @@ from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instruction import Instruction, Predicate
 from repro.ir.opcodes import Opcode
+from repro.ir.printer import format_function
+from repro.workloads.generators import random_program
 
 
 def _add(dest, a, b):
@@ -122,3 +124,12 @@ def test_exposed_uses_memo_predicated_path():
     first = exposed_uses(block)
     assert 5 not in first
     assert first == exposed_uses(block)
+
+
+def test_function_pickle_restamps_versions():
+    func = random_program(2).function("main")
+    clone = pickle.loads(pickle.dumps(func))
+    assert format_function(clone) == format_function(func)
+    for name, block in clone.blocks.items():
+        # A shipped-back block must never alias a live local stamp.
+        assert block.version != func.blocks[name].version
