@@ -27,9 +27,10 @@ from repro.ir.function import Function, Module
 from repro.ir.opcodes import Opcode
 
 
-def _targets_of(block: BasicBlock) -> dict[int, list[str]]:
+def _targets_of(
+    block: BasicBlock, preds: list[tuple[int, ...]]
+) -> dict[int, list[str]]:
     """instruction index -> list of target annotations ("N5.op1", ...)."""
-    preds = dep_preds(block)
     targets: dict[int, list[str]] = {i: [] for i in range(len(block.instrs))}
     for consumer, producer_list in enumerate(preds):
         instr = block.instrs[consumer]
@@ -63,7 +64,8 @@ def format_block_assembly(
     writes = sorted(block.defined_regs())
     lines.append(f"  ; reads={len(reads)} writes={len(writes)} "
                  f"size={len(block)}")
-    targets = _targets_of(block)
+    preds = placement.preds if placement is not None else dep_preds(block)
+    targets = _targets_of(block, preds)
     lsid = 0
     for index, instr in enumerate(block.instrs):
         mnemonic = instr.op.value
@@ -93,16 +95,25 @@ def format_block_assembly(
 
 
 def emit_assembly(
-    module: Module, with_placement: bool = True
+    module: Module,
+    placements: Optional[dict[str, dict[str, Placement]]] = None,
 ) -> str:
-    """Emit the whole module as TRIPS-like assembly text."""
+    """Emit the whole module as TRIPS-like assembly text.
+
+    ``placements`` (function -> block -> placement of the blocks as they
+    stand, as ``compile_backend`` computes them) are printed as given;
+    without them each block is placed on the 128-slot execution array.
+    Either way a block that does not fit that array raises ``ValueError``.
+    """
     scheduler = GridScheduler()
     parts = []
     for func in module:
         parts.append(f";;; function @{func.name}")
         for block in func.blocks.values():
-            placement = (
-                scheduler.schedule_block(block) if with_placement else None
-            )
+            if placements is None:
+                placement = scheduler.schedule_block(block)
+            else:
+                scheduler.check_fits(block)
+                placement = placements[func.name][block.name]
             parts.append(format_block_assembly(func, block, placement))
     return "\n".join(parts)

@@ -9,7 +9,7 @@
 3. load/store identifier assignment,
 4. fanout insertion,
 5. instruction placement on the execution array,
-6. assembly emission.
+6. assembly emission of those placements.
 """
 
 from __future__ import annotations
@@ -114,5 +114,5 @@ def compile_backend(
         )
 
     if emit:
-        result.assembly = emit_assembly(module)
+        result.assembly = emit_assembly(module, result.placements)
     return result

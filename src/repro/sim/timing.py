@@ -63,23 +63,56 @@ class TimingStats:
 
 
 class _BlockTiming:
-    """Static per-block information reused across dynamic executions."""
+    """Static per-block facts, compiled once and reused by every execution.
 
-    __slots__ = ("instrs", "size", "fetch_cycles")
+    An execution keeps one list of operand times: each instruction's
+    completion time at its index, then the ready time of each register
+    the block reads before defining it (``inputs``, read once when the
+    execution starts).  Every source and predicate is compiled to its
+    index in that list: the last earlier definition in the block,
+    executed or nullified (both resolve a time), else the register's
+    input.
+    """
+
+    __slots__ = (
+        "instrs", "inputs", "outputs", "exits", "size", "fetch_cycles",
+    )
 
     def __init__(self, block, config: MachineConfig):
-        # Precompile to (latency, srcs, pred_reg, dest, uid).
+        size = len(block.instrs)
+        slot_of: dict[int, int] = {}  # register -> index of its time
+        inputs: list[int] = []
+
+        def operand(reg: int) -> int:
+            slot = slot_of.get(reg)
+            if slot is None:
+                slot = slot_of[reg] = size + len(inputs)
+                inputs.append(reg)
+            return slot
+
+        #: (latency + route, operands incl. predicate, predicate operand)
         self.instrs = []
-        for instr in block.instrs:
-            latency = instr.latency
+        #: branch uid -> its index; the branch that fires resolves the exit
+        self.exits: dict[int, int] = {}
+        for index, instr in enumerate(block.instrs):
+            cost = instr.latency + config.route_latency
             if instr.op is Opcode.LOAD:
-                latency += config.load_extra
-            pred_reg = instr.pred.reg if instr.pred is not None else None
-            self.instrs.append(
-                (latency, instr.srcs, pred_reg, instr.dest, instr.uid)
-            )
-        self.size = len(block.instrs)
-        self.fetch_cycles = config.block_fetch_cycles(self.size)
+                cost += config.load_extra
+            # ``uses()`` lists the predicate register last.
+            operands = tuple(operand(reg) for reg in instr.uses())
+            pred = operands[-1] if instr.pred is not None else None
+            self.instrs.append((cost, operands, pred))
+            if instr.dest is not None:
+                slot_of[instr.dest] = index
+            if instr.is_branch:
+                self.exits[instr.uid] = index
+        self.inputs = inputs
+        #: (register, index of its last definition) per register written
+        self.outputs = [
+            (reg, slot) for reg, slot in slot_of.items() if slot < size
+        ]
+        self.size = size
+        self.fetch_cycles = config.block_fetch_cycles(size)
 
 
 class TimingSimulator:
@@ -97,7 +130,8 @@ class TimingSimulator:
         self.stats = TimingStats()
         self._block_cache: dict[tuple[str, str], _BlockTiming] = {}
         # Microarchitectural clock state.
-        self._reg_ready: dict[tuple[str, int], int] = {}
+        #: function -> register -> cycle its value reaches a later block
+        self._reg_ready: dict[str, dict[int, int]] = {}
         self._issued: dict[int, int] = {}
         self._next_fetch = 0
         self._commit_times: list[int] = []
@@ -124,25 +158,6 @@ class TimingSimulator:
 
     # -- per-block timing ------------------------------------------------------
 
-    def _block_timing(self, func_name: str, block_name: str) -> _BlockTiming:
-        key = (func_name, block_name)
-        cached = self._block_cache.get(key)
-        if cached is None:
-            block = self.module.function(func_name).blocks[block_name]
-            cached = _BlockTiming(block, self.config)
-            self._block_cache[key] = cached
-        return cached
-
-    def _issue_slot(self, ready: int) -> int:
-        """Earliest cycle >= ready with a free issue slot."""
-        issued = self._issued
-        width = self.config.issue_width
-        t = ready
-        while issued.get(t, 0) >= width:
-            t += 1
-        issued[t] = issued.get(t, 0) + 1
-        return t
-
     def _on_block(
         self,
         func_name: str,
@@ -156,7 +171,13 @@ class TimingSimulator:
         stats.blocks += 1
         key = (func_name, block_name)
         stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
-        timing = self._block_timing(func_name, block_name)
+        timing = self._block_cache.get(key)
+        if timing is None:
+            block = self.module.function(func_name).blocks[block_name]
+            timing = self._block_cache[key] = _BlockTiming(block, config)
+        reg_ready = self._reg_ready.get(func_name)
+        if reg_ready is None:
+            reg_ready = self._reg_ready[func_name] = {}
 
         # Fetch: pipelined behind the previous block, limited by the window.
         fetch = self._next_fetch
@@ -170,50 +191,37 @@ class TimingSimulator:
         # after its predicate arrives, without taking an issue slot — this
         # is why a long dependence chain on a falsely-predicated path does
         # not delay block commit on an EDGE machine (paper, Section 5).
-        reg_ready = self._reg_ready
-        local: dict[int, int] = {}
-        branch_resolve = map_done
+        # An executed instruction issues in the first cycle from its last
+        # operand's arrival that has a free issue slot.
+        get = reg_ready.get
+        times = [0] * timing.size + [get(reg, 0) for reg in timing.inputs]
+        issued = self._issued
+        issued_get = issued.get
+        width = config.issue_width
         block_done = map_done
-        route = config.route_latency
-        fired_uid = fired.uid
         nullified_set = set(nullified)
-        executed = 0
-        for index, (latency, srcs, pred_reg, dest, uid) in enumerate(
-            timing.instrs
-        ):
+        for index, (cost, operands, pred) in enumerate(timing.instrs):
             if index in nullified_set:
-                t = local.get(pred_reg)
-                if t is None:
-                    t = reg_ready.get((func_name, pred_reg), 0)
-                done = max(map_done, t) + 1
-                if dest is not None:
-                    local[dest] = done
-                if done > block_done:
-                    block_done = done
-                continue
-            ready = map_done
-            for reg in srcs:
-                t = local.get(reg)
-                if t is None:
-                    t = reg_ready.get((func_name, reg), 0)
-                if t > ready:
-                    ready = t
-            if pred_reg is not None:
-                t = local.get(pred_reg)
-                if t is None:
-                    t = reg_ready.get((func_name, pred_reg), 0)
-                if t > ready:
-                    ready = t
-            start = self._issue_slot(ready)
-            done = start + latency + route
-            executed += 1
-            if dest is not None:
-                local[dest] = done
+                t = times[pred]
+                done = (t if t > map_done else map_done) + 1
+            else:
+                ready = map_done
+                for slot in operands:
+                    t = times[slot]
+                    if t > ready:
+                        ready = t
+                used = issued_get(ready, 0)
+                while used >= width:
+                    ready += 1
+                    used = issued_get(ready, 0)
+                issued[ready] = used + 1
+                done = ready + cost
+            times[index] = done
             if done > block_done:
                 block_done = done
-            if uid == fired_uid:
-                branch_resolve = done
-        stats.instructions += executed
+        stats.instructions += timing.size - len(nullified_set)
+        exit_index = timing.exits.get(fired.uid)
+        branch_resolve = map_done if exit_index is None else times[exit_index]
 
         # Commit: in order, all outputs produced.
         commit = max(block_done, self._last_commit) + config.commit_overhead
@@ -224,8 +232,8 @@ class TimingSimulator:
 
         # Forward register outputs to later blocks.
         forward = config.interblock_forward
-        for reg, t in local.items():
-            reg_ready[(func_name, reg)] = t + forward
+        for reg, index in timing.outputs:
+            reg_ready[reg] = times[index] + forward
 
         # Next-block prediction decides where fetch resumes.
         is_return = fired.op is Opcode.RET

@@ -19,7 +19,12 @@ from repro.core.constraints import TripsConstraints
 from repro.ir import FunctionBuilder, build_module, verify_function, verify_module
 from repro.sim import run_module
 from repro.workloads.generators import random_inputs, random_program
-from tests.conftest import make_counting_loop, make_diamond, make_while_loop
+from tests.conftest import (
+    formed_program,
+    make_counting_loop,
+    make_diamond,
+    make_while_loop,
+)
 
 
 # -- register allocation ------------------------------------------------------
@@ -223,6 +228,17 @@ def test_compile_backend_assigns_lsids():
         i for i in module.function("main").instructions() if i.is_memory
     ]
     assert [i.lsid for i in mem_ops] == [0, 1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="known defect: fanout inserted after the split loop grows for1 "
+    "to 132 instructions, past the 128-slot execution array",
+)
+def test_forward_gmti_formed_under_bf_compiles():
+    module, _ = formed_program("forward_gmti", "BF")
+    assert compile_backend(module.copy()).assembly
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from unittest import mock
 
 import pytest
@@ -11,8 +12,13 @@ from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.analysis.loops import LoopForest
 from repro.core import convergent
 from repro.core.merge import FormationContext
+from repro.harness.experiment import heuristic_config
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
+from repro.profiles.collect import collect_profile
 from repro.profiles.data import root_name
+from repro.workloads.generators import random_inputs, scaled_program
+from repro.workloads.microbench import MICROBENCH_ORDER, MICROBENCHMARKS
+from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 
 
 class ReferenceFormationContext(FormationContext):
@@ -209,6 +215,56 @@ def scan_edge_probability(profile, func: str, src: str, dst) -> float:
     if total == 0:
         return 0.0
     return profile.edge_count(func, src, dst) / total
+
+
+#: Seeds of the ``scaled-440-<seed>`` programs (``scaled_program(440,
+#: seed)``) the post-formation oracles form under BF.
+SCALED_440_SEEDS = (2006, 2007, 2008)
+
+
+@functools.lru_cache(maxsize=None)
+def profiled_program(name: str) -> tuple:
+    """``(module, args, preload, profile)`` of a SPEC or microbenchmark
+    workload, or of ``scaled-440-<seed>``, built and profiled once per
+    session."""
+    if name.startswith("scaled-440-"):
+        seed = int(name.rsplit("-", 1)[1])
+        module = scaled_program(440, seed)
+        args, preload = random_inputs(seed), {}
+    else:
+        table = SPEC_BENCHMARKS if name in SPEC_BENCHMARKS else MICROBENCHMARKS
+        workload = table[name]
+        module = workload.module()
+        args, preload = workload.args, workload.preload
+    profile = collect_profile(module.copy(), args=args, preload=preload)
+    return module, args, preload, profile
+
+
+@functools.lru_cache(maxsize=None)
+def formed_program(name: str, config: str) -> tuple:
+    """``(module, stats)``: ``profiled_program(name)`` formed under the
+    Table-2 configuration ``config``, once per session.  The golden pin
+    and the post-formation oracles share it; copy the module before
+    mutating it."""
+    module, _, _, profile = profiled_program(name)
+    module = module.copy()
+    stats = heuristic_config(config)(module, profile)
+    return module, stats
+
+
+def formed_programs(config: str) -> list:
+    """The post-formation oracles' inputs under ``config``: the 19 SPEC
+    and 24 microbenchmark programs, and under ``BF`` also
+    ``scaled_program(440, 2006..2008)``, as ``(name, module, args,
+    preload)``."""
+    names = list(SPEC_ORDER) + list(MICROBENCH_ORDER)
+    if config == "BF":
+        names += [f"scaled-440-{seed}" for seed in SCALED_440_SEEDS]
+    out = []
+    for name in names:
+        _, args, preload, _ = profiled_program(name)
+        out.append((name, formed_program(name, config)[0], args, preload))
+    return out
 
 
 @pytest.fixture

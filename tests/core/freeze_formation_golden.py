@@ -11,8 +11,18 @@ say so in the change::
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
-from test_formation_golden import GOLDEN_PATH, PIPELINES, run_pipeline
+# The pipelines form through ``tests.conftest``, so the repository root
+# must be importable when this file runs as a script.
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from tests.core.test_formation_golden import (  # noqa: E402
+    GOLDEN_PATH,
+    PIPELINES,
+    run_pipeline,
+)
 
 
 def main() -> None:
