@@ -9,15 +9,10 @@ per trial — costs at most ~2% of formation time.  This bench measures:
   metrics registry (the full event firehose),
 - ``overhead_disabled`` / ``overhead_enabled`` ratios against a pinned
   control loop,
-- ``record_s``    — one ``bench --record`` ledger pass (build + persist
-  a run record).  The record pass runs *outside* every timed window, so
-  it can never perturb the numbers the bench reports — ``record_s`` is
-  informational pricing, and the disabled-overhead ceiling is the gate
-  proving ``--record`` left the timed loops untouched.
-- ``sampler``     — formation under the sampling profiler
-  (:mod:`repro.obs.prof`) at its default hz versus plain formation.
-  The profiler's contract is <= 5% overhead at the default rate; the
-  ``--sampler-ceiling`` gate enforces it.
+- ``record_s``    — one ``record`` ledger pass (build + persist a run
+  record).  The record pass runs *outside* every timed window, so it
+  can never perturb the numbers the bench reports — ``record_s`` is
+  informational pricing.
 - ``recorder``    — the decision flight recorder's capture cost.  The
   recorder adds no instrumentation of its own — decision logs are
   post-hoc projections (:func:`repro.obs.replay.log_from_trace`) of
@@ -32,7 +27,7 @@ Run without pytest::
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--quick]
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --ceiling 1.10
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
-        --sampler-ceiling 1.05 --recorder-ceiling 1.05
+        --recorder-ceiling 1.05
 
 The ``--ceiling`` gate bounds ``overhead_disabled``; the CI job uses a
 generous 1.10x because hosted runners are noisy — the real number on a
@@ -50,10 +45,10 @@ from typing import Optional
 
 def _measure(subset: Optional[list[str]], repeat: int) -> dict:
     from repro.core.convergent import form_module
-    from repro.harness.bench import QUICK_SUBSET, prepare_workloads
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.sink import MemorySink
     from repro.obs.trace import Tracer, tracing
+    from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
     prepared = prepare_workloads(subset or list(QUICK_SUBSET))
 
@@ -97,59 +92,6 @@ def _measure(subset: Optional[list[str]], repeat: int) -> dict:
     }
 
 
-def run_sampler_overhead(
-    subset: Optional[list[str]] = None,
-    repeat: int = 3,
-    hz: Optional[float] = None,
-) -> dict:
-    """Formation under the sampling profiler vs plain formation.
-
-    Interleaved best-of-``repeat`` at the profiler's default frequency
-    unless ``hz`` overrides it.  ``overhead_sampled`` is the ratio the
-    <= 5% contract bounds.
-    """
-    from repro.core.convergent import form_module
-    from repro.harness.bench import QUICK_SUBSET, prepare_workloads
-    from repro.obs.prof import DEFAULT_HZ, SamplingProfiler
-
-    if hz is None:
-        hz = DEFAULT_HZ
-    prepared = prepare_workloads(subset or list(QUICK_SUBSET))
-
-    def run_suite() -> float:
-        modules = [(w.module(), p) for _, w, p in prepared]
-        start = time.perf_counter()
-        for module, profile in modules:
-            form_module(module, profile=profile, record_events=False)
-        return time.perf_counter() - start
-
-    def sampled_suite() -> tuple[float, int]:
-        modules = [(w.module(), p) for _, w, p in prepared]
-        with SamplingProfiler(hz=hz) as sampler:
-            start = time.perf_counter()
-            for module, profile in modules:
-                form_module(module, profile=profile, record_events=False)
-            elapsed = time.perf_counter() - start
-        return elapsed, sampler.profile.samples
-
-    run_suite()  # warm-up
-    plain = sampled = None
-    samples = 0
-    for _ in range(repeat):
-        sample = run_suite()
-        plain = sample if plain is None else min(plain, sample)
-        sample, n = sampled_suite()
-        sampled = sample if sampled is None else min(sampled, sample)
-        samples = max(samples, n)
-    return {
-        "hz": hz,
-        "plain_s": round(plain, 4),
-        "sampled_s": round(sampled, 4),
-        "overhead_sampled": round(sampled / plain, 3),
-        "samples": samples,
-    }
-
-
 def run_recorder_overhead(
     subset: Optional[list[str]] = None, repeat: int = 3
 ) -> dict:
@@ -157,21 +99,21 @@ def run_recorder_overhead(
 
     The recorder's entire cost is the post-hoc projection of an
     already-collected trace (``log_from_trace`` + ``build_log_set``) —
-    exactly the work ``bench --record`` and the fleet workers add per
-    run.  Formation runs best-of-``repeat`` under the firehose tracer;
-    the projection is then timed best-of-``repeat`` on the kept trace,
-    so formation's run-to-run jitter (often > 10% on hosted runners,
-    larger than the recorder itself) cancels out of the ratio instead
-    of masquerading as recorder cost.  ``overhead_recorded`` =
+    exactly the work ``record`` and the fleet workers add per run.
+    Formation runs best-of-``repeat`` under the firehose tracer; the
+    projection is then timed best-of-``repeat`` on the kept trace, so
+    formation's run-to-run jitter (often > 10% on hosted runners, larger
+    than the recorder itself) cancels out of the ratio instead of
+    masquerading as recorder cost.  ``overhead_recorded`` =
     (traced + log build) / traced, bounded by the <= 1.05x contract;
     ``decisions`` is the number of records projected.
     """
     from repro.core.convergent import form_module
-    from repro.harness.bench import QUICK_SUBSET, prepare_workloads
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.replay import build_log_set, log_from_trace
     from repro.obs.sink import MemorySink
     from repro.obs.trace import Tracer, tracing
+    from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
     prepared = prepare_workloads(subset or list(QUICK_SUBSET))
 
@@ -223,12 +165,12 @@ def run_overhead_bench(
     result["overhead_disabled"] = round(
         control["disabled_s"] / result["disabled_s"], 3
     )
-    # Price the `--record` ledger pass (build a full run record in a
+    # Price the `record` ledger pass (build a full run record in a
     # throwaway directory).  Untimed elsewhere; priced here.
     import tempfile
 
-    from repro.harness.bench import QUICK_SUBSET
     from repro.harness.ledgercmd import record_suite_run
+    from repro.workloads.spec import QUICK_SUBSET
 
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
@@ -237,7 +179,6 @@ def run_overhead_bench(
             label="overhead-pricing", ledger_dir=tmp,
         )
         result["record_s"] = round(time.perf_counter() - start, 4)
-    result["sampler"] = run_sampler_overhead(subset, repeat=repeat)
     result["recorder"] = run_recorder_overhead(subset, repeat=repeat)
     return result
 
@@ -252,17 +193,8 @@ def format_report(result: dict) -> str:
         f"  enabled telemetry:  {result['enabled_s']:.4f}s "
         f"({result['overhead_enabled']:.3f}x, "
         f"{result['events']} events)",
-        f"  record pass:        {result['record_s']:.4f}s "
-        f"(untimed by bench --record; informational)",
+        f"  record pass:        {result['record_s']:.4f}s (informational)",
     ]
-    sampler = result.get("sampler")
-    if sampler:
-        lines.append(
-            f"  sampling profiler @ {sampler['hz']:g} Hz: "
-            f"{sampler['sampled_s']:.4f}s vs {sampler['plain_s']:.4f}s "
-            f"plain ({sampler['overhead_sampled']:.3f}x, "
-            f"{sampler['samples']} samples)"
-        )
     recorder = result.get("recorder")
     if recorder:
         lines.append(
@@ -303,11 +235,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="fail (exit 1) if overhead_disabled exceeds this ratio",
     )
     parser.add_argument(
-        "--sampler-ceiling", type=float, default=None, dest="sampler_ceiling",
-        help="fail (exit 1) if the sampling profiler's overhead_sampled "
-        "exceeds this ratio (the contract is 1.05 at the default hz)",
-    )
-    parser.add_argument(
         "--recorder-ceiling", type=float, default=None,
         dest="recorder_ceiling",
         help="fail (exit 1) if the decision recorder's overhead_recorded "
@@ -331,17 +258,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(
             f"overhead ceiling exceeded: {result['overhead_disabled']:.3f}x "
             f"> {args.ceiling:.3f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.sampler_ceiling is not None
-        and result["sampler"]["overhead_sampled"] > args.sampler_ceiling
-    ):
-        print(
-            "sampler overhead ceiling exceeded: "
-            f"{result['sampler']['overhead_sampled']:.3f}x "
-            f"> {args.sampler_ceiling:.3f}x",
             file=sys.stderr,
         )
         return 1

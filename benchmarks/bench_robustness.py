@@ -7,8 +7,8 @@ formed from one input's profile must stay correct and still beat basic
 blocks when run on different inputs.  Correctness is asserted through the
 differential-simulation oracle (``repro.robustness.oracle``), which
 compares results, memory, and call traces — the same gate the
-fault-injection tier (``python -m repro.harness bench --faults``) uses to
-prove containment.
+fault-injection tier (``python -m repro.harness selfcheck --faults``) uses
+to prove containment.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ class MergeKind(enum.Enum):
 
 @dataclass
 class FormationCacheStats:
-    """Perf counters for formation's caches (see BENCH_formation.json)."""
+    """Perf counters for formation's caches (e2e's ``core.*`` metrics)."""
 
     trial_hits: int = 0  # rejected trials answered from the memo table
     trial_misses: int = 0  # memoizable trials that had to run
@@ -70,14 +70,6 @@ class FormationCacheStats:
     def add(self, other: "FormationCacheStats") -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def trial_hit_rate(self) -> float:
-        total = self.trial_hits + self.trial_misses
-        return self.trial_hits / total if total else 0.0
 
 
 @dataclass

@@ -7,7 +7,6 @@ from repro.harness.experiment import (
     heuristic_config,
     ordering_config,
 )
-from repro.harness.bench import format_report, run_bench, write_json
 from repro.harness.fleet import (
     Fleet,
     FleetConfig,
@@ -38,13 +37,10 @@ __all__ = [
     "Fleet",
     "FleetConfig",
     "form_many_fleet",
-    "format_report",
-    "run_bench",
     "run_fault_drill",
     "run_fleet_corpus",
     "run_fleet_drill",
     "run_selfcheck",
-    "write_json",
     "heuristic_config",
     "ordering_config",
     "table1",

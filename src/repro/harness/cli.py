@@ -7,39 +7,35 @@ Usage::
     python -m repro.harness table3
     python -m repro.harness figure7
     python -m repro.harness all --out results.txt
-    python -m repro.harness bench [--quick] [--json BENCH_formation.json]
     python -m repro.harness selfcheck [--subset sieve,mcf]
     python -m repro.harness table1 --selfcheck
-    python -m repro.harness bench --faults [--fault-rate 0.1] [--fault-seed 0]
+    python -m repro.harness selfcheck --faults [--fault-rate 0.1] \
+        [--fault-seed 0]
     python -m repro.harness trace mcf [--why b0,b3] [--jsonl t.jsonl] \
         [--chrome t.json] [--dot prefix_]
     python -m repro.harness stats mcf [--top 10]
     python -m repro.harness record [--quick] [--label ci] [--out rec.json]
-    python -m repro.harness bench --record
     python -m repro.harness compare <run-a> <run-b> [--html report.html]
     python -m repro.harness compare rec.json --against-ledger latest
     python -m repro.harness fleet [--workers 4] [--corpus 10x] \
         [--modules 12] [--journal j.jsonl] [--resume] [--max-jobs N] \
         [--verify-serial] [--record]
     python -m repro.harness fleet --drill [--fault-rate 0.1] [--fault-seed 2]
-    python -m repro.harness fleet --corpus 50x --expose 9100
-    python -m repro.harness top [--port 9100] [--interval 1] [--once]
-    python -m repro.harness bench --quick --sample-profile [--sample-hz 100]
-    python -m repro.harness bench --quick --gate-trend
     python -m repro.harness replay mcf [--fn main] [--run latest]
     python -m repro.harness replay --bisect <runA> <runB>
-    python -m repro.harness bench --quick --mem-profile [--mem-ceiling MB]
+
+Options and positionals may come in any order.
 
 ``selfcheck`` (or the ``--selfcheck`` flag on any target) runs the
 differential-simulation oracle over the suite before the experiment and
-fails the run on any divergence; ``bench --faults`` runs the seeded
-fault-containment drill instead of the timing benchmark.  ``trace`` and
-``stats`` record one workload's formation under the decision tracer
-(:mod:`repro.obs`) and render the record / its aggregates.
+fails the run on any divergence; ``selfcheck --faults`` runs the seeded
+fault-containment drill instead.  ``trace`` and ``stats`` record one
+workload's formation under the decision tracer (:mod:`repro.obs`) and
+render the record / its aggregates.
 
 ``record`` persists a run record (per-function decision fingerprints,
 merge counts, phase times) into the ``.repro-ledger/`` directory — also
-reachable as ``--record`` on ``bench``/``selfcheck``/``trace``; and
+reachable as ``--record`` on ``selfcheck``/``trace``/``fleet``; and
 ``compare`` diffs two records (files, ledger hashes, or ``latest``),
 exiting nonzero on decision drift or a same-machine phase-time
 regression beyond ``--threshold``.
@@ -52,17 +48,10 @@ regression beyond ``--threshold``.
 ``replay`` validates a live formation run against the flight-recorder
 decision log a ``record`` run left in the ledger, halting at the first
 divergence; ``replay --bisect`` pinpoints the first diverging decision
-between two recorded runs (:mod:`repro.harness.replaycmd`).  ``bench
---mem-profile`` attributes allocations to formation phases over an extra
-untimed pass (:mod:`repro.obs.memprof`).
+between two recorded runs (:mod:`repro.harness.replaycmd`).
 
-``--expose PORT`` (fleet/bench/selfcheck) serves ``/metrics`` (Prometheus
-text), ``/healthz`` and ``/snapshot.json`` for the duration of the run;
-``top`` renders a live per-worker terminal view by polling that endpoint
-from another terminal.  ``bench --sample-profile`` runs the stdlib
-sampling profiler over an extra untimed pass; ``bench --gate-trend``
-robust-z scores the run against the bench JSON's own history and fails
-on slow-direction trajectory outliers (:mod:`repro.obs.anomaly`).
+Performance is measured end to end by ``benchmarks/e2e`` (see
+``docs/PERFORMANCE.md``), not by a verb here.
 """
 
 from __future__ import annotations
@@ -91,18 +80,17 @@ def run(argv: Optional[list[str]] = None) -> str:
     parser.add_argument(
         "target",
         choices=[
-            "table1", "table2", "table3", "figure7", "all", "bench",
-            "selfcheck", "trace", "stats", "record", "compare",
-            "fleet", "top", "replay",
+            "table1", "table2", "table3", "figure7", "all", "selfcheck",
+            "trace", "stats", "record", "compare", "fleet", "replay",
         ],
-        help="which experiment to regenerate ('bench' times formation, "
-        "'selfcheck' runs the differential-simulation oracle, 'trace'/"
-        "'stats' record one workload under the decision tracer, "
-        "'record' persists a run record to the ledger, 'compare' diffs "
-        "two run records, 'fleet' runs a corpus on the self-healing worker fleet, 'top' "
-        "renders a live view of a run started with --expose, 'replay' "
-        "check-replays a workload against a recorded decision log or "
-        "bisects two recorded runs to the first diverging decision)",
+        help="which experiment to regenerate ('selfcheck' runs the "
+        "differential-simulation oracle or, with --faults, the fault "
+        "drill, 'trace'/'stats' record one workload under the decision "
+        "tracer, 'record' persists a run record to the ledger, 'compare' "
+        "diffs two run records, 'fleet' runs a corpus on the "
+        "self-healing worker fleet, 'replay' check-replays a workload "
+        "against a recorded decision log or bisects two recorded runs to "
+        "the first diverging decision)",
     )
     parser.add_argument(
         "workload", nargs="?",
@@ -122,38 +110,17 @@ def run(argv: Optional[list[str]] = None) -> str:
     parser.add_argument("--out", help="also write the report to this file")
     parser.add_argument(
         "--quick", action="store_true",
-        help="bench: small workload subset for CI smoke runs",
+        help="record: the five-workload quick subset",
     )
     parser.add_argument(
         "--json", nargs="?", const="-", default=None,
-        help="bench: where to write the JSON result (default "
-        "BENCH_formation.json); stats / trace --why: emit machine-"
-        "readable JSON instead of the rendered tables (bare --json "
-        "prints to stdout, or give a path)",
+        help="stats / trace: emit machine-readable JSON instead of the "
+        "rendered tables (bare --json prints to stdout, or give a path)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="fleet only: worker-process count (default: 4 for --drill, "
-        "else up to 4 by CPU count)",
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=3,
-        help="bench: timing repetitions (best-of)",
-    )
-    parser.add_argument(
-        "--scale", action="store_true",
-        help="bench: also time the synthetic scaling tiers (10x/50x/200x "
-        "SPEC-sized functions; with --quick only the smallest tier)",
-    )
-    parser.add_argument(
-        "--ceiling", type=float, default=None,
-        help="bench: fail (exit 1) if sequential fast time exceeds this "
-        "many seconds",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="bench: cProfile one sequential formation pass and report "
-        "the top-20 functions by cumulative time",
+        help="fleet only: worker-process count, at least 1 (default: 4 "
+        "for --drill, else up to 4 by CPU count)",
     )
     parser.add_argument(
         "--selfcheck", action="store_true",
@@ -162,16 +129,18 @@ def run(argv: Optional[list[str]] = None) -> str:
     )
     parser.add_argument(
         "--faults", action="store_true",
-        help="bench: run the fault-containment drill instead of timing",
+        help="selfcheck: run the fault-containment drill instead of the "
+        "oracle check",
     )
     parser.add_argument(
         "--fault-rate", type=float, default=0.1,
-        help="bench --faults: per-trial fault probability",
+        help="selfcheck --faults / fleet --drill: fault probability per "
+        "trial / per module, in (0, 1]",
     )
     parser.add_argument(
         "--fault-seed", type=int, default=None,
-        help="bench --faults / fleet --drill: fault-plane seed "
-        "(default: 0 for bench, 2 for the fleet drill)",
+        help="selfcheck --faults / fleet --drill: fault-plane seed "
+        "(default: 0 for selfcheck, 2 for the fleet drill)",
     )
     parser.add_argument(
         "--drill", action="store_true",
@@ -191,7 +160,7 @@ def run(argv: Optional[list[str]] = None) -> str:
     parser.add_argument(
         "--corpus-seed", type=int, default=None, dest="corpus_seed",
         help="fleet: base seed of the synthetic corpus (default: the "
-        "bench scaling seed)",
+        "scaling-tier seed, 2006)",
     )
     parser.add_argument(
         "--journal", default=None,
@@ -235,7 +204,7 @@ def run(argv: Optional[list[str]] = None) -> str:
     )
     parser.add_argument(
         "--record", action="store_true",
-        help="bench/selfcheck/trace: also persist a run record to the "
+        help="selfcheck/trace/fleet: also persist a run record to the "
         "ledger",
     )
     parser.add_argument(
@@ -259,42 +228,6 @@ def run(argv: Optional[list[str]] = None) -> str:
         "is noise (default 0.15)",
     )
     parser.add_argument(
-        "--history", action="store_true",
-        help="compare: also render the BENCH_formation.json trajectory",
-    )
-    parser.add_argument(
-        "--bench-json", default="BENCH_formation.json",
-        help="compare --history: which bench JSON to read the "
-        "trajectory from",
-    )
-    parser.add_argument(
-        "--expose", type=int, metavar="PORT", default=None,
-        help="fleet/bench/selfcheck: serve /metrics (Prometheus text), "
-        "/healthz and /snapshot.json on this port for the duration of "
-        "the run (0 = ephemeral; the bound port is printed to stderr)",
-    )
-    parser.add_argument(
-        "--sample-profile", action="store_true", dest="sample_profile",
-        help="bench: run the zero-dependency sampling profiler over an "
-        "extra untimed pass; reports phase shares and hottest frames, "
-        "and writes collapsed-stack + speedscope exports",
-    )
-    parser.add_argument(
-        "--sample-hz", type=float, default=None, dest="sample_hz",
-        help="bench --sample-profile: sampling frequency (default 100)",
-    )
-    parser.add_argument(
-        "--sample-out", default=None, dest="sample_out",
-        help="bench --sample-profile: path prefix for the exports "
-        "(default: derived from --json)",
-    )
-    parser.add_argument(
-        "--gate-trend", action="store_true", dest="gate_trend",
-        help="bench: after writing --json, robust-z score this run "
-        "against the file's own history and exit 1 if it is a "
-        "slow-direction trajectory outlier",
-    )
-    parser.add_argument(
         "--fn", default=None,
         help="replay: restrict check-mode replay to this function",
     )
@@ -310,102 +243,26 @@ def run(argv: Optional[list[str]] = None) -> str:
         "report the first diverging decision per function (exit 2 on "
         "any divergence)",
     )
-    parser.add_argument(
-        "--mem-profile", action="store_true", dest="mem_profile",
-        help="bench: attribute allocations (tracemalloc) to formation "
-        "phases over an extra untimed pass; results land in the bench "
-        "JSON and the formation_phase_alloc_bytes histogram",
-    )
-    parser.add_argument(
-        "--mem-ceiling", type=float, default=None, dest="mem_ceiling",
-        metavar="MB",
-        help="bench --mem-profile: fail (exit 1) if the process peak "
-        "RSS exceeds this many MiB",
-    )
-    parser.add_argument(
-        "--url", default=None,
-        help="top: metrics endpoint base URL "
-        "(default http://127.0.0.1:<--port>)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=9100,
-        help="top: port of the exposed endpoint on localhost",
-    )
-    parser.add_argument(
-        "--interval", type=float, default=1.0,
-        help="top: seconds between redraws",
-    )
-    parser.add_argument(
-        "--frames", type=int, default=None,
-        help="top: stop after this many redraws (default: run until "
-        "ctrl-c or the endpoint goes away)",
-    )
-    parser.add_argument(
-        "--once", action="store_true",
-        help="top: print a single plain frame (no ANSI redraw) and exit",
-    )
-    args = parser.parse_args(argv)
-
-    # `--json` is shared: a result path for bench (with its historical
-    # default), a render-as-JSON switch for stats / trace --why.
-    if args.target == "bench" and args.json in (None, "-"):
-        args.json = "BENCH_formation.json"
-
-    subset = _parse_subset(args.subset)
-
-    if args.target == "top":
-        from repro.harness.topcmd import run_top
-
-        url = args.url or f"http://127.0.0.1:{args.port}"
-        code = run_top(
-            url, interval=args.interval, frames=args.frames, once=args.once
+    # Intermixed: the optional positionals may follow options
+    # (`replay --bisect A B`), which plain parse_args would reject.
+    args = parser.parse_intermixed_args(argv)
+    if not 0 < args.fault_rate <= 1:
+        raise SystemExit(
+            f"--fault-rate must be in (0, 1], got {args.fault_rate:g}"
         )
-        if code:
-            raise SystemExit(code)
-        return ""
-
-    # --expose: run-scoped observability.  The registry is created here
-    # and handed to the verb; the endpoint lives exactly as long as the
-    # run (daemon thread, closed in the finally).
-    args.metrics = None
-    server = None
-    if args.expose is not None:
-        if args.target not in ("fleet", "bench", "selfcheck"):
-            raise SystemExit(
-                "--expose only applies to the fleet, bench and selfcheck "
-                "verbs"
-            )
-        from repro.obs.expo import expose_registry, publish_build_info
-        from repro.obs.ledger import RECORD_SCHEMA_VERSION
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.replay import DECISION_LOG_SCHEMA_VERSION
-
-        args.metrics = MetricsRegistry()
-        # Build-info gauge: lets a scrape correlate every series with
-        # the schema/interpreter that produced it.
-        publish_build_info(
-            args.metrics,
-            record_schema=str(RECORD_SCHEMA_VERSION),
-            decision_log_schema=str(DECISION_LOG_SCHEMA_VERSION),
-            python=sys.version.split()[0],
-        )
-        server = expose_registry(args.metrics, args.expose)
-        print(
-            f"metrics exposed at {server.url}/metrics "
-            f"(also /healthz, /snapshot.json; watch with: "
-            f"python -m repro.harness top --port {server.port})",
-            file=sys.stderr,
-        )
-    try:
-        return _dispatch(args, subset)
-    finally:
-        if server is not None:
-            server.close()
+    if args.workers is not None and args.workers < 1:
+        raise SystemExit(f"--workers must be at least 1, got {args.workers}")
+    return _dispatch(args, _parse_subset(args.subset))
 
 
 def _dispatch(args, subset: Optional[list[str]]) -> str:
     if args.target == "fleet":
-        report = _run_fleet_target(args)
+        from repro.harness.fleet import FleetError
+
+        try:
+            report = _run_fleet_target(args)
+        except FleetError as exc:
+            raise SystemExit(f"fleet: {exc}")
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(report + "\n")
@@ -454,7 +311,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
             run_a=args.workload, run_b=args.other,
             against_ledger=args.against_ledger, ledger_dir=args.ledger,
             html=args.html, threshold=args.threshold,
-            history=args.history, bench_json=args.bench_json,
         )
 
     if args.target in ("trace", "stats"):
@@ -485,13 +341,32 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
                 handle.write(report + "\n")
         return report
 
+    if args.target == "selfcheck" and args.faults:
+        from repro.harness.selfcheck import run_fault_drill
+
+        drill = run_fault_drill(
+            subset=subset, rate=args.fault_rate,
+            seed=args.fault_seed if args.fault_seed is not None else 0,
+        )
+        report = drill["report"]
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(report + "\n")
+        if not drill["ok"]:
+            print(report, file=sys.stderr)
+            raise SystemExit(
+                "fault drill failed: a fault escaped containment or no "
+                "fault fired"
+            )
+        return report
+
     if args.target == "selfcheck" or args.selfcheck:
         from repro.harness.selfcheck import run_selfcheck
 
         # Table targets take *microbenchmark* subsets; the oracle runs
         # over SPEC workloads, so only forward SPEC-speaking subsets.
-        check_subset = subset if args.target in ("selfcheck", "bench") else None
-        check = run_selfcheck(subset=check_subset, metrics=args.metrics)
+        check_subset = subset if args.target == "selfcheck" else None
+        check = run_selfcheck(subset=check_subset)
         if not check["ok"]:
             print(check["report"], file=sys.stderr)
             raise SystemExit("selfcheck failed: oracle divergence")
@@ -509,95 +384,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
                     handle.write(report + "\n")
             return report
 
-    if args.target == "bench" and args.faults:
-        from repro.harness.selfcheck import run_fault_drill
-
-        drill = run_fault_drill(
-            subset=subset, rate=args.fault_rate,
-            seed=args.fault_seed if args.fault_seed is not None else 0,
-        )
-        report = drill["report"]
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        if not drill["ok"]:
-            print(report, file=sys.stderr)
-            raise SystemExit("fault drill failed: a fault escaped containment")
-        return report
-
-    if args.target == "bench":
-        from repro.harness.bench import format_report, run_bench, write_json
-
-        sample_out = args.sample_out
-        if args.sample_profile and sample_out is None and args.json:
-            sample_out = args.json.rsplit(".json", 1)[0] + ".profile"
-        result = run_bench(
-            subset=subset,
-            quick=args.quick,
-            repeat=args.repeat,
-            scale=args.scale,
-            profile=args.profile,
-            sample_profile=args.sample_profile,
-            sample_hz=args.sample_hz,
-            sample_out=sample_out,
-            mem_profile=args.mem_profile,
-            metrics=args.metrics,
-        )
-        if args.json:
-            write_json(result, args.json)
-        report = format_report(result)
-        trend_ok = True
-        if args.gate_trend:
-            from repro.obs.anomaly import gate_trend
-
-            if not args.json:
-                raise SystemExit(
-                    "--gate-trend needs --json: the history it scores "
-                    "lives in the bench JSON"
-                )
-            trend_ok, trend_report = gate_trend(args.json)
-            report += "\n" + trend_report
-        if args.record:
-            from repro.harness.ledgercmd import run_record
-
-            # The record pass re-forms the suite under the tracer,
-            # *outside* the timed windows — recording never perturbs the
-            # numbers it records (priced in bench_obs_overhead.py).
-            report += "\n" + run_record(
-                subset=subset, quick=args.quick, kind="bench",
-                label=args.label, ledger_dir=args.ledger,
-                bench_result=result,
-            )
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        if (
-            args.ceiling is not None
-            and result["sequential_fast_s"] > args.ceiling
-        ):
-            print(report, file=sys.stderr)
-            raise SystemExit(
-                f"bench ceiling exceeded: {result['sequential_fast_s']:.4f}s "
-                f"> {args.ceiling:.4f}s"
-            )
-        if args.mem_ceiling is not None:
-            if not args.mem_profile:
-                raise SystemExit("--mem-ceiling needs --mem-profile")
-            peak = result["mem_profile"]["peak_rss_bytes"]
-            limit = args.mem_ceiling * 1024 * 1024
-            if peak > limit:
-                print(report, file=sys.stderr)
-                raise SystemExit(
-                    f"bench memory ceiling exceeded: peak RSS "
-                    f"{peak / 1048576:.1f} MiB > {args.mem_ceiling:.1f} MiB"
-                )
-        if not trend_ok:
-            print(report, file=sys.stderr)
-            raise SystemExit(
-                "bench trend gate failed: this run is a slow-direction "
-                "trajectory outlier (see the trend report above)"
-            )
-        return report
     sections: list[str] = []
     started = time.time()
 
@@ -622,7 +408,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
 
 def _run_fleet_target(args) -> str:
     """The ``fleet`` verb: drill, or a (resumable) journalled corpus run."""
-    from repro.harness.bench import SCALING_SEED
     from repro.harness.fleet import (
         DEFAULT_FLEET_WORKERS,
         FleetConfig,
@@ -633,6 +418,7 @@ def _run_fleet_target(args) -> str:
         run_fleet_drill,
         serial_corpus_entries,
     )
+    from repro.workloads.generators import SCALING_SEED
 
     if args.drill:
         drill = run_fleet_drill(
@@ -641,7 +427,7 @@ def _run_fleet_target(args) -> str:
             seed=args.corpus_seed
             if args.corpus_seed is not None
             else SCALING_SEED,
-            workers=args.workers or 4,
+            workers=args.workers if args.workers is not None else 4,
             rate=args.fault_rate,
             fault_seed=args.fault_seed if args.fault_seed is not None else 2,
         )
@@ -656,7 +442,10 @@ def _run_fleet_target(args) -> str:
     seed = args.corpus_seed if args.corpus_seed is not None else SCALING_SEED
     corpus_items = build_corpus(args.corpus, args.modules, seed)
     config_fp = corpus_config_fingerprint(args.corpus, args.modules, seed, None)
-    config = FleetConfig(workers=args.workers or DEFAULT_FLEET_WORKERS)
+    config = FleetConfig(
+        workers=args.workers if args.workers is not None
+        else DEFAULT_FLEET_WORKERS
+    )
     result = run_fleet_corpus(
         corpus_items,
         config=config,
@@ -664,7 +453,6 @@ def _run_fleet_target(args) -> str:
         resume=args.resume,
         config_fingerprint=config_fp,
         stop_after=args.max_jobs,
-        metrics=getattr(args, "metrics", None),
     )
     stats = result.fleet_stats
     lines = [

@@ -66,8 +66,6 @@ from repro.obs.ledger import (
     utc_timestamp,
     validate_record,
 )
-from repro.obs import live as obs_live
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.replay import attach_stats, log_from_trace
 from repro.obs.trace import FormationTrace, Tracer, tracing
 from repro.obs.sink import MemorySink
@@ -224,7 +222,7 @@ class _WorkerHandle:
 
     __slots__ = (
         "worker_id", "process", "conn", "spawned", "ready", "last_beat",
-        "lease", "jobs_done",
+        "lease",
     )
 
     def __init__(self, worker_id: int, process, conn, now: float):
@@ -235,7 +233,6 @@ class _WorkerHandle:
         self.ready = False
         self.last_beat = now
         self.lease: Optional[_Lease] = None
-        self.jobs_done = 0
 
 
 class Fleet:
@@ -247,26 +244,12 @@ class Fleet:
     persist across batches, which is the whole point.
     """
 
-    def __init__(
-        self,
-        config: Optional[FleetConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, config: Optional[FleetConfig] = None):
         self.config = config or FleetConfig()
         if self.config.workers < 1:
             raise FleetError("a fleet needs at least one worker")
         self.tracer = obs_trace.active_tracer()
-        self.metrics = metrics if metrics is not None else (
-            self.tracer.metrics if self.tracer is not None else None
-        )
-        # Live stream: per-worker snapshots from heartbeat piggybacks
-        # merge into our registry under a worker label (idempotent —
-        # duplicates and reordering on the pipe cannot double-count).
-        self._merger = (
-            obs_live.SnapshotMerger(self.metrics)
-            if self.metrics is not None
-            else None
-        )
+        self.metrics = self.tracer.metrics if self.tracer is not None else None
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: dict[int, _WorkerHandle] = {}
         self._next_worker_id = 0
@@ -359,12 +342,6 @@ class Fleet:
             "quarantined": sorted(self.quarantined),
             "jobs_ok": self.jobs_ok,
             "jobs_failed": self.jobs_failed,
-            "live_snapshots_applied": (
-                self._merger.applied if self._merger is not None else 0
-            ),
-            "live_snapshots_stale": (
-                self._merger.stale if self._merger is not None else 0
-            ),
         }
 
     # -- the event loop --------------------------------------------------
@@ -503,36 +480,12 @@ class Fleet:
                         HEARTBEAT_AGE_METRIC, now - handle.last_beat
                     )
                 handle.last_beat = now
-                # The live-telemetry piggyback (message[3]) is optional:
-                # pre-live workers send 3-tuples and still supervise fine.
-                if len(message) > 3:
-                    self._live_update(handle, message[3])
             elif tag == "done":
                 handle.last_beat = now
                 self._on_done(handle, message[1], message[2], now)
             elif tag == "failed":
                 handle.last_beat = now
                 self._on_failed(handle, message[1], message[2], now)
-
-    def _worker_label(self, handle: _WorkerHandle) -> str:
-        return f"w{handle.worker_id}"
-
-    def _live_update(self, handle: _WorkerHandle, extras) -> None:
-        """Fold one heartbeat's telemetry piggyback into our registry."""
-        if self.metrics is None or not isinstance(extras, dict):
-            return
-        worker = self._worker_label(handle)
-        if self._merger is not None:
-            self._merger.apply(worker, extras.get("snapshot"))
-        obs_live.record_worker_health(
-            self.metrics,
-            worker,
-            heartbeat_age=0.0,
-            leased=handle.lease is not None,
-            jobs_in_flight=1 if handle.lease is not None else 0,
-            rss=extras.get("rss"),
-            jobs_done=extras.get("jobs_done"),
-        )
 
     def _release(self, handle: _WorkerHandle, job_id) -> Optional[_Job]:
         lease = handle.lease
@@ -546,7 +499,6 @@ class Fleet:
         job = self._release(handle, job_id)
         if job is None or job.key in self._results:
             return
-        handle.jobs_done += 1
         if self.metrics is not None:
             self.metrics.observe(JOB_SECONDS_METRIC, now - granted)
             self.metrics.inc(JOBS_METRIC, outcome="ok")
@@ -594,7 +546,7 @@ class Fleet:
         # The fault plane is a pure decider, so the supervisor can name
         # the fault that (deterministically) took the worker down even
         # though the worker never got to report it.
-        plane = job.payload[4]
+        plane = job.payload[3]
         fault_kind = plane.worker_fault(job.name) if plane is not None else None
         return TrialFailure(
             function=job.name,
@@ -705,16 +657,6 @@ class Fleet:
         for handle in list(self._workers.values()):
             if handle.worker_id not in self._workers:
                 continue
-            # Age the health gauges from the supervisor's clock so a
-            # wedged worker shows a *growing* heartbeat age between
-            # beats, not its last happy value.
-            obs_live.record_worker_health(
-                self.metrics,
-                self._worker_label(handle),
-                heartbeat_age=now - handle.last_beat,
-                leased=handle.lease is not None,
-                jobs_in_flight=1 if handle.lease is not None else 0,
-            )
             if not handle.process.is_alive():
                 # Drain any final messages (a result may have raced the
                 # exit) before declaring death.
@@ -795,9 +737,7 @@ def form_many_fleet(
             key=index,
             name=module.name,
             size=module.size(),
-            payload=(
-                "module", module, profile, form_kwargs, plane, trace_on
-            ),
+            payload=(module, profile, form_kwargs, plane, trace_on),
         )
         for index, (module, profile) in enumerate(items)
     ]
@@ -1134,8 +1074,11 @@ def build_corpus(
     ``"spec"`` (the 19 SPEC workloads).  Deterministic end to end, so a
     resumed driver rebuilds the identical corpus.
     """
-    from repro.harness.bench import SCALING_TIERS
-    from repro.workloads.generators import random_inputs, scaled_program
+    from repro.workloads.generators import (
+        SCALING_TIERS,
+        random_inputs,
+        scaled_program,
+    )
     from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 
     out = []
@@ -1216,7 +1159,6 @@ def run_fleet_corpus(
     resume: bool = False,
     config_fingerprint: str = "",
     stop_after: Optional[int] = None,
-    metrics: Optional[MetricsRegistry] = None,
     **form_kwargs,
 ) -> CorpusRunResult:
     """Form a corpus on the fleet, journalling every completed job.
@@ -1227,11 +1169,6 @@ def run_fleet_corpus(
     ``journal_path``, completed jobs are appended as they land and —
     with ``resume=True`` — journalled jobs from a previous (killed)
     driver are skipped, not re-formed.
-
-    ``metrics`` (optional) is the supervisor-side registry the live
-    heartbeat stream merges into — pass the registry backing an
-    ``--expose`` endpoint to watch the run mid-flight.  Defaults to the
-    active tracer's registry, exactly like :class:`Fleet`.
     """
     form_kwargs.setdefault("record_events", False)
     journal = RunJournal(journal_path) if journal_path else None
@@ -1249,7 +1186,7 @@ def run_fleet_corpus(
             key=name,
             name=name,
             size=module.size(),
-            payload=("module", module, profile, dict(form_kwargs), plane, True),
+            payload=(module, profile, dict(form_kwargs), plane, True),
         )
         for name, module, profile in todo
     ]
@@ -1270,7 +1207,7 @@ def run_fleet_corpus(
 
     fleet_stats: dict = {}
     if jobs:
-        with Fleet(config, metrics=metrics) as fleet:
+        with Fleet(config) as fleet:
             fleet.run(jobs, on_complete=on_complete, stop_after=stop_after)
             fleet_stats = fleet.stats()
 

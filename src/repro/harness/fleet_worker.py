@@ -15,10 +15,9 @@ direction  message                       meaning
 sup → wkr  ``("job", job_id, payload)``  lease one job to this worker
 sup → wkr  ``("shutdown",)``             drain and exit cleanly
 wkr → sup  ``("ready", wid, pid)``       worker finished booting
-wkr → sup  ``("heartbeat", wid, job,     liveness beacon (``job`` =
-           extras)``                     currently leased job id or
-                                         None); ``extras`` piggybacks
-                                         live telemetry — see below
+wkr → sup  ``("heartbeat", wid, job)``   liveness beacon (``job`` =
+                                         currently leased job id or
+                                         None)
 wkr → sup  ``("done", job_id, result)``  ``result = (formed, report,
                                          trace fragment)``
 wkr → sup  ``("failed", job_id, info)``  the job raised; ``info`` is a
@@ -26,29 +25,10 @@ wkr → sup  ``("failed", job_id, info)``  the job raised; ``info`` is a
                                          traceback/fault kind)
 ========== ============================ =================================
 
-The heartbeat's ``extras`` dict (new in the live-observability layer;
-old supervisors that index only ``message[0..2]`` still work) carries:
-
-- ``snapshot`` — the next delta-encoded, sequence-numbered metrics
-  snapshot from this worker's :class:`~repro.obs.live.MetricsPublisher`
-  (``None`` when nothing changed since the last beat — an idle worker
-  ships no metric payload at all);
-- ``rss`` — peak resident set size in bytes;
-- ``jobs_done`` — jobs completed by this worker since boot.
-
-Each worker owns one process-local :class:`~repro.obs.metrics.
-MetricsRegistry` for its whole life: per-job tracers feed phase
-histograms into it, job completions bump the ``formation_*`` counters,
-and the publisher streams the cumulative state back on every beat.  The
-supervisor merges the stream per-worker-label into its own registry
-(:class:`~repro.obs.live.SnapshotMerger`), which is what ``--expose``
-serves and ``python -m repro.harness top`` renders.
-
-Job payloads are ``(kind, obj, profile, form_kwargs, plane, trace_on)``
-with ``kind`` in ``{"module", "function"}``.  The active
-:class:`FaultPlane` ships inside each payload, and a traced job builds
-its own tracer (see :func:`_worker_tracer`): a spawned worker inherits
-neither from the supervisor.
+Job payloads are ``(module, profile, form_kwargs, plane, trace_on)``.
+The active :class:`FaultPlane` ships inside each payload, and a traced
+job builds its own tracer (see :func:`_worker_tracer`): a spawned worker
+inherits neither from the supervisor.
 
 Heartbeats come from a daemon thread so a *busy* worker (deep inside a
 long formation) still beats.  The injected ``stall`` fault deliberately
@@ -106,24 +86,12 @@ class _Channel:
 
 
 class _Heartbeat:
-    """Daemon thread beating ``("heartbeat", wid, current_job, extras)``.
+    """Daemon thread beating ``("heartbeat", wid, current_job)``."""
 
-    ``extras`` is built fresh per beat by the optional ``extras_fn``
-    callback (the live-telemetry piggyback); a callback failure never
-    silences the beacon — liveness detection outranks telemetry.
-    """
-
-    def __init__(
-        self,
-        channel: _Channel,
-        worker_id: int,
-        interval: float,
-        extras_fn=None,
-    ):
+    def __init__(self, channel: _Channel, worker_id: int, interval: float):
         self.channel = channel
         self.worker_id = worker_id
         self.interval = interval
-        self.extras_fn = extras_fn
         self.current_job = None
         self._paused = threading.Event()
         self._stop = threading.Event()
@@ -145,14 +113,8 @@ class _Heartbeat:
     def _run(self) -> None:
         while not self._stop.is_set():
             if not self._paused.is_set():
-                extras = None
-                if self.extras_fn is not None:
-                    try:
-                        extras = self.extras_fn()
-                    except Exception:
-                        extras = None
                 self.channel.send(
-                    ("heartbeat", self.worker_id, self.current_job, extras)
+                    ("heartbeat", self.worker_id, self.current_job)
                 )
             # wait() instead of sleep(): stop() interrupts immediately.
             self._stop.wait(self.interval)
@@ -195,56 +157,20 @@ def _failure_info(exc: BaseException) -> dict:
     }
 
 
-def _publish_job_metrics(metrics, report, fragment) -> None:
-    """Fold one finished job's formation counters into the worker's
-    long-lived registry (the live stream's ``formation_*`` series).
-
-    Reads only the report/fragment the job already produced — no extra
-    work happens inside formation itself, so the decision stream is
-    untouched.
-    """
-    if metrics is None:
-        return
-    stats = getattr(report, "stats", None)
-    if stats is not None:
-        metrics.inc("formation_merges_total", stats.merges)
-        metrics.inc("formation_attempts_total", stats.attempts)
-        metrics.inc("formation_rejected_total", stats.rejected_illegal)
-        cache = stats.cache
-        if cache is not None:
-            metrics.inc("formation_trial_cache_total", cache.trial_hits,
-                        outcome="hit")
-            metrics.inc("formation_trial_cache_total", cache.trial_misses,
-                        outcome="miss")
-            metrics.inc("formation_use_kill_cache_total",
-                        cache.use_kill_hits, outcome="hit")
-            metrics.inc("formation_use_kill_cache_total",
-                        cache.use_kill_misses, outcome="miss")
-    for event in fragment or ():
-        if event.name == "reject":
-            metrics.inc(
-                "formation_rejections_total",
-                reason=event.attrs.get("reason", "unknown"),
-            )
-
-
-def _worker_tracer(trace_on: bool, metrics=None):
+def _worker_tracer(trace_on: bool):
     """Install a fragment tracer for one job when the supervisor traces.
 
     A spawned worker does not inherit the supervisor's installed tracer,
     so each traced job builds its own in-memory tracer and ships the
     collected events back inside the job result for the supervisor to
-    :meth:`~repro.obs.trace.Tracer.absorb`.  ``metrics`` (the worker's
-    process-local registry) makes phase spans feed
-    ``formation_phase_seconds`` worker-side, where the live snapshot
-    stream picks them up.
+    :meth:`~repro.obs.trace.Tracer.absorb`.
     """
     if not trace_on:
         return None
     from repro.obs import trace as obs_trace
     from repro.obs.sink import MemorySink
 
-    tracer = obs_trace.Tracer(sinks=(MemorySink(),), metrics=metrics)
+    tracer = obs_trace.Tracer(sinks=(MemorySink(),))
     obs_trace.install(tracer)
     return tracer
 
@@ -269,35 +195,28 @@ def _collect_fragment(tracer):
     return events
 
 
-def _run_job(job_id, payload, heartbeat: _Heartbeat, metrics=None):
+def _run_job(job_id, payload, heartbeat: _Heartbeat):
     """Execute one leased job; returns the message to send back.
 
     Installs the shipped fault plane and a fragment tracer, forms, and
     collects the trace fragment, but never lets an exception escape: a
     raising job becomes a ``failed`` message, and the worker lives on to
-    take the next lease.  ``metrics`` is the worker's persistent
-    registry: the per-job tracer feeds phase histograms into it, and the
-    finished job's counters are folded in for the live stream.
+    take the next lease.
     """
     # Imported lazily so a worker that only ever relays faults does not
     # pay for the formation stack — and to keep boot (hence respawn
     # latency) dominated by interpreter start-up alone.
-    from repro.core.convergent import form_function, form_module
+    from repro.core.convergent import form_module
     from repro.obs import trace as obs_trace
 
-    kind, obj, profile, form_kwargs, plane, trace_on = payload
-    tracer = _worker_tracer(trace_on, metrics=metrics)
+    module, profile, form_kwargs, plane, trace_on = payload
+    tracer = _worker_tracer(trace_on)
     try:
         try:
             if plane is not None:
                 faultinject.install(plane)
-                _apply_fleet_fault(plane, obj.name, heartbeat)
-            if kind == "module":
-                report = form_module(obj, profile=profile, **form_kwargs)
-            elif kind == "function":
-                report = form_function(obj, profile=profile, **form_kwargs)
-            else:
-                raise ValueError(f"unknown fleet job kind {kind!r}")
+                _apply_fleet_fault(plane, module.name, heartbeat)
+            report = form_module(module, profile=profile, **form_kwargs)
         finally:
             if plane is not None:
                 faultinject.clear()
@@ -308,33 +227,13 @@ def _run_job(job_id, payload, heartbeat: _Heartbeat, metrics=None):
         info = _failure_info(exc)
         info["fragment"] = fragment
         return ("failed", job_id, info)
-    fragment = _collect_fragment(tracer)
-    _publish_job_metrics(metrics, report, fragment)
-    return ("done", job_id, (obj, report, fragment))
+    return ("done", job_id, (module, report, _collect_fragment(tracer)))
 
 
 def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
     """Entry point of a fleet worker process: beat, lease, form, repeat."""
-    from repro.obs.live import MetricsPublisher, rss_bytes
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    publisher = MetricsPublisher(registry)
-    jobs_done = [0]
-
-    def _beat_extras() -> dict:
-        # Runs on the heartbeat thread; snapshot() tolerates the job
-        # thread mutating the registry concurrently (see obs.live).
-        return {
-            "snapshot": publisher.snapshot(),
-            "rss": rss_bytes(),
-            "jobs_done": jobs_done[0],
-        }
-
     channel = _Channel(conn)
-    heartbeat = _Heartbeat(
-        channel, worker_id, heartbeat_interval, extras_fn=_beat_extras
-    )
+    heartbeat = _Heartbeat(channel, worker_id, heartbeat_interval)
     heartbeat.start()
     channel.send(("ready", worker_id, os.getpid()))
     try:
@@ -349,9 +248,8 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
                 continue  # unknown tags are ignored, not fatal
             _, job_id, payload = message
             heartbeat.current_job = job_id
-            reply = _run_job(job_id, payload, heartbeat, metrics=registry)
+            reply = _run_job(job_id, payload, heartbeat)
             heartbeat.current_job = None
-            jobs_done[0] += 1
             if not channel.send(reply):
                 break  # result undeliverable: supervisor is gone
     finally:

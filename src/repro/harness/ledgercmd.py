@@ -5,16 +5,15 @@ a schema-versioned run record (per-function decision fingerprints with
 constraint attribution, merge counters, block composition, phase
 self-times, telemetry snapshot, machine/commit metadata) into the
 append-only content-addressed ledger (``.repro-ledger/`` by default).
-``bench --record``, ``trace --record`` and ``selfcheck --record`` reuse
-the same path, so every harness entry point can leave a durable record.
+``trace --record`` and ``selfcheck --record`` reuse the same path, so
+every harness entry point can leave a durable record.
 
 ``compare`` diffs two records — ledger references (``latest`` or a hash
 prefix) or plain JSON file paths, so CI can gate against a committed
 baseline under ``benchmarks/baselines/`` — and exits nonzero on decision
 drift, or on a phase-time regression beyond the noise threshold when
 both records came from the same machine.  ``--html`` additionally writes
-a static self-contained report; ``--history`` renders the
-``BENCH_formation.json`` trajectory.
+a static self-contained report.
 """
 
 from __future__ import annotations
@@ -37,28 +36,11 @@ from repro.obs.ledger import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.replay import attach_stats, build_log_set, log_from_trace
-from repro.obs.rundiff import (
-    diff_runs,
-    format_diff,
-    load_history,
-    write_html_report,
-)
+from repro.obs.rundiff import diff_runs, format_diff, write_html_report
 from repro.obs.sink import MemorySink
 from repro.obs.trace import Tracer, tracing
-from repro.harness.bench import QUICK_SUBSET, prepare_workloads
 from repro.harness.tracecmd import phase_table, rejection_breakdown
-
-#: Keys of a bench result worth embedding in a run record (timings and
-#: counters, not the nested history/telemetry blobs the record already
-#: carries in richer form).
-_BENCH_KEYS = (
-    "sequential_fast_s",
-    "guarded_s",
-    "merges",
-    "mtup",
-    "quick",
-    "repeat",
-)
+from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
 
 def _composition(func) -> dict:
@@ -75,7 +57,6 @@ def build_suite_record(
     subset: Optional[list[str]] = None,
     kind: str = "suite",
     label: Optional[str] = None,
-    bench_result: Optional[dict] = None,
     decision_logs: Optional[dict] = None,
 ) -> dict:
     """Form ``subset`` (default: the full SPEC suite) under a tracer and
@@ -191,12 +172,6 @@ def build_suite_record(
             "driver_counters": driver_counters,
         },
     }
-    if bench_result is not None:
-        record["bench"] = {
-            key: bench_result[key]
-            for key in _BENCH_KEYS
-            if key in bench_result
-        }
     return record
 
 
@@ -229,7 +204,6 @@ def record_suite_run(
     subset: Optional[list[str]] = None,
     kind: str = "suite",
     label: Optional[str] = None,
-    bench_result: Optional[dict] = None,
     ledger_dir: str = None,
     out: Optional[str] = None,
 ) -> tuple[dict, str]:
@@ -241,8 +215,7 @@ def record_suite_run(
     """
     decision_logs: dict = {}
     record = build_suite_record(
-        subset=subset, kind=kind, label=label, bench_result=bench_result,
-        decision_logs=decision_logs,
+        subset=subset, kind=kind, label=label, decision_logs=decision_logs,
     )
     ledger = Ledger(ledger_dir) if ledger_dir else Ledger()
     # The flight-recorder log is persisted first so the run record can
@@ -329,7 +302,6 @@ def run_record(
     ledger_dir: Optional[str] = None,
     out: Optional[str] = None,
     kind: str = "suite",
-    bench_result: Optional[dict] = None,
 ) -> str:
     """The ``record`` verb (and the ``--record`` flag's implementation)."""
     if quick and subset is None:
@@ -338,7 +310,6 @@ def run_record(
         subset=subset,
         kind=kind,
         label=label,
-        bench_result=bench_result,
         ledger_dir=ledger_dir,
         out=out,
     )
@@ -348,23 +319,6 @@ def run_record(
     return report
 
 
-def _format_history(history: list[dict]) -> str:
-    if not history:
-        return "bench history: empty (run `bench` to append a data point)"
-    lines = [
-        f"bench history: {len(history)} run(s)",
-        f"  {'timestamp':<26} {'fast_s':>8} {'merges':>6} {'quick':>5}",
-    ]
-    for entry in history:
-        lines.append(
-            f"  {str(entry.get('timestamp')):<26} "
-            f"{entry.get('sequential_fast_s', float('nan')):>8.4f} "
-            f"{entry.get('merges', '?'):>6} "
-            f"{'yes' if entry.get('quick') else 'no':>5}"
-        )
-    return "\n".join(lines)
-
-
 def run_compare(
     run_a: Optional[str] = None,
     run_b: Optional[str] = None,
@@ -372,13 +326,10 @@ def run_compare(
     ledger_dir: Optional[str] = None,
     html: Optional[str] = None,
     threshold: float = 0.15,
-    history: bool = False,
-    bench_json: str = "BENCH_formation.json",
 ) -> str:
     """The ``compare`` verb.  Raises ``SystemExit`` (nonzero) on drift or
     on a same-machine phase-time regression beyond ``threshold``."""
     ledger = Ledger(ledger_dir) if ledger_dir else Ledger()
-    trajectory = load_history(bench_json) if history else None
 
     if against_ledger is not None:
         if run_a is None:
@@ -396,21 +347,16 @@ def run_compare(
     elif run_a is not None and run_b is not None:
         record_a = resolve_record(run_a, ledger)
         record_b = resolve_record(run_b, ledger)
-    elif history:
-        # `compare --history` alone: just render the bench trajectory.
-        return _format_history(trajectory or [])
     else:
         raise SystemExit(
-            "compare needs two runs (`compare <run-a> <run-b>`), one run "
-            "plus --against-ledger, or --history"
+            "compare needs two runs (`compare <run-a> <run-b>`) or one "
+            "run plus --against-ledger"
         )
 
     diff = diff_runs(record_a, record_b, time_threshold=threshold)
     report = format_diff(diff)
-    if history:
-        report += "\n\n" + _format_history(trajectory or [])
     if html:
-        write_html_report(diff, html, history=trajectory)
+        write_html_report(diff, html)
         report += f"\nhtml report written to {html}"
     if diff["has_drift"] or diff["has_time_regression"]:
         print(report)

@@ -8,12 +8,13 @@ Two CI-facing entry points over the robustness layer:
   and compares the serial driver's :class:`FormationReport` against the
   fleet's (:func:`~repro.harness.fleet.form_many_fleet`) — all three
   must agree for the run to pass.
-- :func:`run_fault_drill` is the containment proof behind ``bench
+- :func:`run_fault_drill` is the containment proof behind ``selfcheck
   --faults``: form the suite once clean and once under a seeded
-  :class:`FaultPlane`, then check that the faulted run never escaped a
-  fault (every plane-touched function is ``degraded``/``failed_safe``),
-  that every *untouched* function made byte-identical merge decisions,
-  and that the oracle passes on everything the faulted run formed.
+  :class:`FaultPlane`, then check that the plane fired at all, that the
+  faulted run never escaped a fault (every plane-touched function is
+  ``degraded``/``failed_safe``), that every *untouched* function made
+  byte-identical merge decisions, and that the oracle passes on
+  everything the faulted run formed.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.harness.bench import check_workload_names
 from repro.harness.fleet import form_many_fleet
 from repro.obs.trace import FormationTrace, Tracer, tracing
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane, injected
 from repro.robustness.guard import FormationReport, FunctionStatus
 from repro.robustness.oracle import BehaviorProbe, differential_check
-from repro.workloads.spec import SPEC_BENCHMARKS
+from repro.workloads.spec import SPEC_BENCHMARKS, check_workload_names
 
 
 def _suite(subset: Optional[list[str]]) -> dict:
@@ -51,7 +51,6 @@ def _workload_probes(workload) -> list[BehaviorProbe]:
 def run_selfcheck(
     subset: Optional[list[str]] = None,
     workers: int = 2,
-    metrics=None,
 ) -> dict:
     """Oracle self-check over the SPEC suite (the ``--selfcheck`` gate).
 
@@ -62,11 +61,6 @@ def run_selfcheck(
     (:func:`~repro.harness.fleet.form_many_fleet`) and require its report
     summary to match the serial one.  Returns a dict with ``ok``,
     per-workload rows, and a formatted ``report``.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
-    the per-workload tracers' phase histograms — ``selfcheck --expose``
-    hands in the registry its endpoint serves so a scraper can watch the
-    check progress.
     """
     suite = _suite(subset)
     rows = []
@@ -85,7 +79,7 @@ def run_selfcheck(
         # Each workload forms under its own tracer, so a failure can be
         # explained from the decision record: the probe that caught the
         # divergence and the last merge accepted before it.
-        with tracing(Tracer(metrics=metrics)) as tracer:
+        with tracing(Tracer()) as tracer:
             report = form_module(
                 module,
                 profile=profiles[name],
@@ -177,12 +171,14 @@ def run_fault_drill(
     seed: int = 0,
     kinds: tuple = TRIAL_KINDS,
 ) -> dict:
-    """Fault-containment drill over the SPEC suite (``bench --faults``).
+    """Fault-containment drill over the SPEC suite (``selfcheck --faults``).
 
     Returns a dict with ``ok`` plus per-workload rows recording: faults
     fired, functions degraded/failed-safe, whether any *un*-faulted
     function changed its merge decisions versus the clean control run,
-    and whether the oracle passed on the faulted run's output.
+    and whether the oracle passed on the faulted run's output.  A drill
+    whose plane fired no fault over the whole suite proves nothing, so
+    it fails too.
     """
     suite = _suite(subset)
     rows = []
@@ -232,7 +228,8 @@ def run_fault_drill(
                 "oracle_ok": oracle.ok,
             }
         )
-    ok = all(
+    fired = any(row["fired"] for row in rows)
+    ok = fired and all(
         not row["escaped"] and not row["clean_mismatch"] and row["oracle_ok"]
         for row in rows
     )
@@ -241,11 +238,13 @@ def run_fault_drill(
         "rate": rate,
         "seed": seed,
         "rows": rows,
-        "report": _format_drill(rows, rate, seed, ok),
+        "report": _format_drill(rows, rate, seed, fired, ok),
     }
 
 
-def _format_drill(rows: list[dict], rate: float, seed: int, ok: bool) -> str:
+def _format_drill(
+    rows: list[dict], rate: float, seed: int, fired: bool, ok: bool
+) -> str:
     lines = [f"fault drill: rate={rate} seed={seed}"]
     lines.append(
         f"{'workload':<12} {'fired':>5} {'degr':>4} {'safe':>4} "
@@ -262,5 +261,10 @@ def _format_drill(rows: list[dict], rate: float, seed: int, ok: bool) -> str:
             lines.append(f"    ESCAPED: fault touched @{fname} but status is ok")
         for fname in row["clean_mismatch"]:
             lines.append(f"    DRIFT: unfaulted @{fname} formed differently")
+    if not fired:
+        lines.append(
+            "  no fault fired over the suite: this drill exercised nothing "
+            "(raise --fault-rate or pick another --fault-seed)"
+        )
     lines.append("fault drill: PASS" if ok else "fault drill: FAIL")
     return "\n".join(lines)

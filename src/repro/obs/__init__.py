@@ -1,6 +1,6 @@
 """Zero-dependency observability for the formation engine.
 
-Three layers (see ``docs/OBSERVABILITY.md``):
+The modules (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.trace` — structured events and spans, the installed
   tracer, and the queryable :class:`FormationTrace`;
@@ -12,14 +12,8 @@ Three layers (see ``docs/OBSERVABILITY.md``):
   with per-function decision fingerprints;
 - :mod:`repro.obs.rundiff` — decision-drift diffing between two run
   records, with text and static-HTML renderers;
-- :mod:`repro.obs.live` — delta-encoded metric snapshots streamed from
-  fleet workers on heartbeats, merged into the supervisor's registry;
-- :mod:`repro.obs.prof` — zero-dependency sampling profiler with
-  formation-phase attribution (collapsed stacks, speedscope);
-- :mod:`repro.obs.expo` — Prometheus text exposition plus ``/healthz``
-  and ``/snapshot.json`` over stdlib ``http.server`` (``--expose``);
-- :mod:`repro.obs.anomaly` — robust-z trajectory gating over the bench
-  history (``bench --gate-trend``).
+- :mod:`repro.obs.replay` — the decision flight recorder: per-function
+  decision logs, check-mode replay and bisection.
 
 Telemetry is opt-in: nothing is recorded until a :class:`Tracer` is
 installed (``with tracing(tracer): ...``), and with no tracer installed
@@ -36,8 +30,6 @@ from repro.obs.ledger import (
     decision_fingerprints,
     fingerprint_of,
     run_hash,
-    sanitize_history,
-    validate_history_entry,
     validate_record,
 )
 from repro.obs.metrics import (
@@ -62,7 +54,6 @@ from repro.obs.rundiff import (
     diff_runs,
     format_diff,
     html_report,
-    load_history,
     write_html_report,
 )
 from repro.obs.trace import (
@@ -76,37 +67,6 @@ from repro.obs.trace import (
     install,
     tracing,
 )
-from repro.obs.anomaly import (
-    DEFAULT_THRESHOLD,
-    SeriesVerdict,
-    extract_series,
-    gate_trend,
-    robust_zscore,
-    score_latest,
-)
-from repro.obs.expo import (
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsServer,
-    expose_registry,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.obs.live import (
-    SNAPSHOT_SCHEMA,
-    MetricsPublisher,
-    SnapshotMerger,
-    record_worker_health,
-    rss_bytes,
-    worker_series,
-)
-from repro.obs.prof import (
-    DEFAULT_HZ,
-    SampleProfile,
-    SamplingProfiler,
-    write_collapsed,
-    write_speedscope,
-)
-
 __all__ = [
     "DECISION_EVENTS",
     "DEFAULT_LEDGER_DIR",
@@ -116,14 +76,11 @@ __all__ = [
     "decision_fingerprints",
     "fingerprint_of",
     "run_hash",
-    "sanitize_history",
-    "validate_history_entry",
     "validate_record",
     "DEFAULT_TIME_THRESHOLD",
     "diff_runs",
     "format_diff",
     "html_report",
-    "load_history",
     "write_html_report",
     "Counter",
     "Gauge",
@@ -147,26 +104,4 @@ __all__ = [
     "clear",
     "install",
     "tracing",
-    "DEFAULT_THRESHOLD",
-    "SeriesVerdict",
-    "extract_series",
-    "gate_trend",
-    "robust_zscore",
-    "score_latest",
-    "PROMETHEUS_CONTENT_TYPE",
-    "MetricsServer",
-    "expose_registry",
-    "parse_prometheus",
-    "render_prometheus",
-    "SNAPSHOT_SCHEMA",
-    "MetricsPublisher",
-    "SnapshotMerger",
-    "record_worker_health",
-    "rss_bytes",
-    "worker_series",
-    "DEFAULT_HZ",
-    "SampleProfile",
-    "SamplingProfiler",
-    "write_collapsed",
-    "write_speedscope",
 ]

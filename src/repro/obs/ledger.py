@@ -4,7 +4,7 @@ PR 4's telemetry answers *single-run* questions ("why was this merge
 rejected?").  The paper's central claim — that unroll/peel/duplicate
 decisions fall out of the merge order — is only checkable *across* runs:
 did this commit change which merges were accepted, and why?  This module
-gives every bench/selfcheck/formation run a durable, diffable identity:
+gives every record/selfcheck/formation run a durable, diffable identity:
 
 - a **run record**: a schema-versioned JSON document holding, per
   function, the ordered accept/reject *decision fingerprint* (with
@@ -14,8 +14,7 @@ gives every bench/selfcheck/formation run a durable, diffable identity:
 - a **ledger**: an append-only on-disk directory (``.repro-ledger/`` by
   default) addressing each record by the sha256 of its canonical JSON,
   plus a human-greppable ``index.jsonl``;
-- **validation** for both full run records and the compact history
-  entries ``BENCH_formation.json`` appends per run.
+- **validation** of run records.
 
 Diffing two records (decision drift, merge-count and phase-time deltas)
 lives in :mod:`repro.obs.rundiff`; the glue that actually *forms* the
@@ -160,8 +159,6 @@ def commit_metadata(cwd: Optional[str] = None) -> dict:
 # Validation
 # ---------------------------------------------------------------------------
 
-_NUMBER = (int, float)
-
 #: ``key -> allowed types`` for the record's required top-level fields.
 _RECORD_REQUIRED = {
     "schema_version": (int,),
@@ -187,16 +184,6 @@ _FUNCTION_REQUIRED = {
     "blocks": (int,),
     "instrs": (int,),
     "max_block": (int,),
-}
-
-#: Required fields of a ``BENCH_formation.json`` history entry (the
-#: compact per-run summary, not the full record).
-_HISTORY_REQUIRED = {
-    "timestamp": (str,),
-    "sequential_fast_s": _NUMBER,
-    "merges": (int,),
-    "quick": (bool,),
-    "workload_count": (int,),
 }
 
 
@@ -245,45 +232,6 @@ def validate_record(record: dict) -> None:
         raise LedgerError(
             "run record: field 'decision_log' must be a digest string"
         )
-
-
-def validate_history_entry(entry: dict) -> None:
-    """Raise :class:`LedgerError` unless ``entry`` is a valid (stamped)
-    bench history summary."""
-    if not isinstance(entry, dict):
-        raise LedgerError("history entry must be a JSON object")
-    _check(entry, _HISTORY_REQUIRED, "history entry")
-
-
-def sanitize_history(
-    entries, fallback_timestamp: Optional[str] = None
-) -> tuple[list[dict], int]:
-    """Repair carried-over bench history entries; returns (kept, dropped).
-
-    Entries written before the schema existed may lack a timestamp (the
-    first ``BENCH_formation.json`` entry shipped with ``timestamp:
-    null``): those are backfilled from ``fallback_timestamp`` when one is
-    available.  Entries that still fail validation after repair are
-    dropped (counted, never silently) — history is an analysis input now
-    (``compare --history``), so a malformed row is worse than a missing
-    one.
-    """
-    kept: list[dict] = []
-    dropped = 0
-    for entry in entries if isinstance(entries, list) else ():
-        if not isinstance(entry, dict):
-            dropped += 1
-            continue
-        if not isinstance(entry.get("timestamp"), str) and fallback_timestamp:
-            entry = dict(entry)
-            entry["timestamp"] = fallback_timestamp
-        try:
-            validate_history_entry(entry)
-        except LedgerError:
-            dropped += 1
-            continue
-        kept.append(entry)
-    return kept, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The formation engine's perf counters used to be scattered across ad-hoc
 dataclasses (``FormationCacheStats``) and proxy mixins; this registry
 gives them one home with label support and a :meth:`MetricsRegistry.
-snapshot` API the bench and CLI layers can serialize directly.
+snapshot` API the CLI layer and run records can serialize directly.
 
 Everything is plain-Python and allocation-light: an instrument is looked
 up once (``registry.counter("trials", outcome="rejected")``) and then
@@ -108,8 +108,8 @@ class Histogram:
             "sum": self.sum,
             "mean": self.mean,
             # Bucket bounds and per-bucket counts ride along (additively —
-            # older consumers read only the scalar keys) so exposition and
-            # the live stream can reconstruct the full distribution.
+            # older consumers read only the scalar keys) so a consumer can
+            # reconstruct the full distribution.
             "buckets": list(self.buckets),
             "bucket_counts": list(self.counts),
         }
@@ -189,7 +189,7 @@ class MetricsRegistry:
 
 
 #: Default process-wide registry, for callers that do not thread their
-#: own (the bench and CLI layers create private registries per run).
+#: own (the CLI verbs create private registries per run).
 _DEFAULT: Optional[MetricsRegistry] = None
 
 

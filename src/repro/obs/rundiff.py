@@ -14,16 +14,15 @@ produces a structured diff answering the regression-gate questions:
   never failed on — "same code, different machine" is not a regression).
 
 :func:`format_diff` renders the diff as text, :func:`html_report` as a
-static self-contained HTML page (drift table, phase-share bars, and the
-bench history trajectory when one is supplied).  Nothing here imports
-outside ``repro.obs``, keeping the package dependency-free.
+static self-contained HTML page (drift table and phase-share bars).
+Nothing here imports outside ``repro.obs``, keeping the package
+dependency-free.
 """
 
 from __future__ import annotations
 
 import html as _html
-import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.obs.ledger import LedgerError, RECORD_SCHEMA_VERSION
 
@@ -347,50 +346,8 @@ def _phase_bars(diff: dict) -> list[str]:
     return rows
 
 
-def _history_svg(history: Sequence[dict]) -> str:
-    """Inline SVG polyline of ``sequential_fast_s`` over the trajectory."""
-    points = [
-        (entry.get("timestamp") or "?", float(entry["sequential_fast_s"]))
-        for entry in history
-        if isinstance(entry, dict) and "sequential_fast_s" in entry
-    ]
-    if len(points) < 2:
-        return "<p class='muted'>not enough history entries for a trajectory.</p>"
-    width, height, pad = 640, 160, 24
-    peak = max(v for _, v in points)
-    floor = min(v for _, v in points)
-    span = (peak - floor) or 1.0
-    step = (width - 2 * pad) / (len(points) - 1)
-    coords = [
-        (
-            pad + i * step,
-            height - pad - (v - floor) / span * (height - 2 * pad),
-        )
-        for i, (_, v) in enumerate(points)
-    ]
-    polyline = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-    dots = "".join(
-        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#7a8fd4">'
-        f"<title>{_esc(ts)}: {v:.4f}s</title></circle>"
-        for (x, y), (ts, v) in zip(coords, points)
-    )
-    return (
-        f'<svg width="{width}" height="{height}" role="img" '
-        f'aria-label="bench trajectory">'
-        f'<polyline points="{polyline}" fill="none" stroke="#7a8fd4" '
-        f'stroke-width="2"/>{dots}'
-        f'<text x="{pad}" y="{height - 4}" font-size="11" fill="#6b6b7b">'
-        f"{_esc(points[0][0])}</text>"
-        f'<text x="{width - pad}" y="{height - 4}" font-size="11" '
-        f'fill="#6b6b7b" text-anchor="end">{_esc(points[-1][0])}</text>'
-        f'<text x="{pad}" y="{pad - 8}" font-size="11" fill="#6b6b7b">'
-        f"sequential_fast_s: {floor:.4f}..{peak:.4f}</text></svg>"
-    )
-
-
 def html_report(
     diff: dict,
-    history: Optional[Sequence[dict]] = None,
     title: str = "Formation run comparison",
 ) -> str:
     """Render a self-contained static HTML drift report."""
@@ -485,10 +442,6 @@ def html_report(
     parts.extend(_phase_bars(diff))
     parts.append("</table>")
 
-    if history:
-        parts.append("<h2>Bench history trajectory</h2>")
-        parts.append(_history_svg(history))
-
     parts.append(
         "<p class='muted'>Generated by <code>python -m repro.harness "
         "compare</code>. Acknowledge intentional drift by refreshing the "
@@ -500,20 +453,9 @@ def html_report(
 def write_html_report(
     diff: dict,
     path: str,
-    history: Optional[Sequence[dict]] = None,
     title: str = "Formation run comparison",
 ) -> None:
     with open(path, "w") as handle:
-        handle.write(html_report(diff, history=history, title=title))
+        handle.write(html_report(diff, title=title))
         handle.write("\n")
 
-
-def load_history(bench_json_path: str) -> list[dict]:
-    """The ``history`` trajectory of a ``BENCH_formation.json`` file."""
-    try:
-        with open(bench_json_path) as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError):
-        return []
-    history = doc.get("history") if isinstance(doc, dict) else None
-    return history if isinstance(history, list) else []

@@ -7,8 +7,7 @@ emits.  Three are provided:
   for worker-side fragments that ship back from fleet workers.
 - :class:`RingSink` — bounded ring keeping the *newest* ``capacity``
   events; overflow increments a ``dropped`` counter instead of vanishing
-  silently (the counter surfaces as ``trace_dropped_events`` in bench
-  telemetry and CLI summaries).
+  silently (the count surfaces in ``trace``/``stats`` summaries).
 - :class:`JsonlSink` — streams events to a file as one JSON object per
   line; :func:`read_jsonl` round-trips them back.
 

@@ -116,9 +116,6 @@ class _Span:
         stack = tracer._stack
         self.parent_id = stack[-1] if stack else None
         stack.append(self.span_id)
-        tracer._names.append(self.name)
-        if tracer.memprof is not None and self.name in PHASE_SPANS:
-            tracer.memprof.enter_phase(self.name)
         self._t0 = tracer.clock()
         return self
 
@@ -128,7 +125,6 @@ class _Span:
         stack = tracer._stack
         if stack and stack[-1] == self.span_id:
             stack.pop()
-            tracer._names.pop()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
         dur = t1 - self._t0
@@ -142,11 +138,8 @@ class _Span:
                 attrs=self.attrs,
             )
         )
-        if self.name in PHASE_SPANS:
-            if tracer.metrics is not None:
-                tracer.metrics.observe(PHASE_HISTOGRAM, dur, phase=self.name)
-            if tracer.memprof is not None:
-                tracer.memprof.exit_phase(self.name)
+        if self.name in PHASE_SPANS and tracer.metrics is not None:
+            tracer.metrics.observe(PHASE_HISTOGRAM, dur, phase=self.name)
 
 
 class Tracer:
@@ -166,36 +159,14 @@ class Tracer:
     ):
         self.sinks = tuple(sinks) if sinks else (MemorySink(),)
         self.metrics = metrics
-        # Optional PhaseMemoryProfiler (repro.obs.memprof): when set,
-        # phase-span enter/exit notify it so allocations are charged to
-        # the active formation phase.  Assigned post-construction by the
-        # bench's --mem-profile pass; None costs one attribute check.
-        self.memprof = None
         self.clock = clock
         self.epoch = clock()
         self._stack: list[int] = []
-        # Parallel name stack (same push/pop discipline as _stack): the
-        # sampling profiler reads it from another thread to attribute
-        # samples to the innermost open formation phase.
-        self._names: list[str] = []
         self._ids = 0
 
     def _next_id(self) -> int:
         self._ids += 1
         return self._ids
-
-    def current_phase(self) -> Optional[str]:
-        """The innermost open span name that is a formation phase.
-
-        Safe to call from another thread (the sampling profiler does):
-        it only reads the name stack, copied once per call, and a
-        transiently stale answer merely attributes one sample to a
-        neighboring phase.
-        """
-        for name in reversed(self._names[:]):
-            if name in PHASE_SPANS:
-                return name
-        return None
 
     def _emit(self, event: TraceEvent) -> None:
         for sink in self.sinks:

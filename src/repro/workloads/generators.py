@@ -168,8 +168,18 @@ def random_program(seed: int, max_depth: int = 3, nvars: int = 4) -> Module:
 
 
 #: Mean function size (instructions) across the SPEC workload suite; the
-#: scaling tiers in :mod:`repro.harness.bench` are multiples of this.
+#: scaling tiers below are multiples of this.
 SPEC_MEAN_INSTRS = 44
+
+#: Synthetic scaling tiers: (label, target instruction count), so each
+#: tier reads as "a SPEC workload, N times larger".
+SCALING_TIERS = (
+    ("10x", 10 * SPEC_MEAN_INSTRS),
+    ("50x", 50 * SPEC_MEAN_INSTRS),
+    ("200x", 200 * SPEC_MEAN_INSTRS),
+)
+#: Default seed of the scaling-tier corpora.
+SCALING_SEED = 2006
 
 
 def scaled_program(target_instrs: int, seed: int) -> Module:

@@ -569,3 +569,34 @@ SPEC_ORDER = [
 ]
 
 assert set(SPEC_ORDER) == set(SPEC_BENCHMARKS)
+
+#: Small subset for quick runs (``record --quick``, the CI drift gate's
+#: baseline): a mix of loopy and branchy workloads, not a representative
+#: sample.
+QUICK_SUBSET = ("ammp", "art", "bzip2", "equake", "mcf")
+
+
+def check_workload_names(names) -> None:
+    """Exit with the available SPEC names if any of ``names`` is unknown."""
+    unknown = [name for name in names if name not in SPEC_BENCHMARKS]
+    if unknown:
+        raise SystemExit(
+            f"unknown workload(s): {', '.join(unknown)}; "
+            f"available: {', '.join(SPEC_ORDER)}"
+        )
+
+
+def prepare_workloads(subset=None) -> list:
+    """``(name, workload, profile)`` for ``subset`` (default: all 19)."""
+    from repro.profiles import collect_profile
+
+    names = list(subset) if subset else list(SPEC_ORDER)
+    check_workload_names(names)
+    prepared = []
+    for name in names:
+        workload = SPEC_BENCHMARKS[name]
+        profile = collect_profile(
+            workload.module(), args=workload.args, preload=workload.preload
+        )
+        prepared.append((name, workload, profile))
+    return prepared

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.convergent import form_module
 from repro.harness import fleet as fleet_mod
+from repro.harness.cli import run as cli_run
 from repro.harness.fleet import (
     AUTO_SERIAL_MAX_BLOCKS,
     BACKOFF_CAP,
@@ -476,3 +477,23 @@ def test_config_fingerprint_binds_faults_not_scheduling():
     assert base != corpus_config_fingerprint("10x", 3, 2007, None)
     plane = FaultPlane(rate=0.1, seed=2, kinds=(), worker_kinds=("kill",))
     assert base != corpus_config_fingerprint("10x", 3, 2006, plane)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--corpus", "3x"], "fleet: unknown corpus '3x'"),
+        (
+            ["--modules", "1", "--journal", "{missing}", "--resume"],
+            "fleet: cannot resume: journal",
+        ),
+        (["--workers", "0", "--corpus", "3x"], "--workers must be at least 1"),
+    ],
+    ids=["corpus", "resume", "workers"],
+)
+def test_fleet_cli_input_errors_exit_with_one_line(tmp_path, argv, message):
+    missing = str(tmp_path / "missing.jsonl")
+    argv = ["fleet", *(arg.format(missing=missing) for arg in argv)]
+    with pytest.raises(SystemExit) as excinfo:
+        cli_run(argv)
+    assert str(excinfo.value.code).startswith(message)

@@ -118,7 +118,8 @@ def test_cli_rejects_unknown_target():
 
 
 @pytest.mark.parametrize(
-    "verb", [["selfcheck"], ["bench", "--faults"]], ids=["selfcheck", "faults"]
+    "verb", [["selfcheck"], ["selfcheck", "--faults"]],
+    ids=["selfcheck", "faults"],
 )
 def test_cli_unknown_spec_subset_lists_the_available_names(verb):
     src = pathlib.Path(repro.__file__).resolve().parents[1]

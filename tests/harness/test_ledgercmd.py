@@ -137,26 +137,6 @@ def test_compare_argument_errors(tmp_path):
         )
 
 
-def test_compare_history_only(tmp_path, monkeypatch):
-    bench = tmp_path / "bench.json"
-    bench.write_text(json.dumps({
-        "history": [
-            {"timestamp": "t1", "sequential_fast_s": 0.2, "merges": 5,
-             "quick": False, "workload_count": 19},
-        ]
-    }))
-    report = run_compare(
-        history=True, bench_json=str(bench),
-        ledger_dir=str(tmp_path / "ledger"),
-    )
-    assert "bench history: 1 run(s)" in report
-    empty = run_compare(
-        history=True, bench_json=str(tmp_path / "none.json"),
-        ledger_dir=str(tmp_path / "ledger"),
-    )
-    assert "empty" in empty
-
-
 def test_cli_record_and_compare_verbs(tmp_path):
     ledger_dir = str(tmp_path / "ledger")
     out = tmp_path / "rec.json"
@@ -173,69 +153,6 @@ def test_cli_record_and_compare_verbs(tmp_path):
     assert "verdict: clean" in compare
 
 
-# -- bench history hygiene --------------------------------------------------
-
-
-def _bench_result():
-    return {
-        "benchmark": "formation", "quick": True, "workloads": ["mcf"],
-        "repeat": 1, "sequential_fast_s": 0.1,
-        "merges": 5, "mtup": [5, 0, 0, 0],
-    }
-
-
-def test_write_json_stamps_and_validates_history(tmp_path):
-    from repro.harness.bench import write_json
-
-    path = str(tmp_path / "bench.json")
-    write_json(_bench_result(), path)
-    write_json(_bench_result(), path)
-    doc = json.loads(open(path).read())
-    assert len(doc["history"]) == 2
-    for entry in doc["history"]:
-        assert isinstance(entry["timestamp"], str) and entry["timestamp"]
-    assert "history_dropped" not in doc
-
-
-def test_write_json_repairs_null_timestamps_and_drops_garbage(tmp_path):
-    from repro.harness.bench import write_json
-
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({
-        "timestamp": "2026-01-01T00:00:00+00:00",
-        "history": [
-            {"timestamp": None, "sequential_fast_s": 0.3, "merges": 7,
-             "quick": False, "workload_count": 19},   # legacy: repaired
-            {"nonsense": True},                        # dropped
-        ],
-    }))
-    write_json(_bench_result(), str(path))
-    doc = json.loads(path.read_text())
-    assert doc["history_dropped"] == 1
-    assert [e["timestamp"] for e in doc["history"][:1]] == [
-        "2026-01-01T00:00:00+00:00"
-    ]
-    assert len(doc["history"]) == 2  # repaired legacy + the new run
-
-
-def test_shipped_bench_history_is_schema_clean():
-    """The repo's own BENCH_formation.json trajectory must validate —
-    the `compare --history` plot reads it."""
-    import os
-
-    from repro.obs.ledger import validate_history_entry
-    from repro.obs.rundiff import load_history
-
-    path = os.path.join(os.path.dirname(__file__), "..", "..",
-                        "BENCH_formation.json")
-    if not os.path.exists(path):
-        pytest.skip("no BENCH_formation.json in this checkout")
-    history = load_history(path)
-    assert history, "shipped bench history is empty"
-    for entry in history:
-        validate_history_entry(entry)
-
-
 def test_run_record_quick_uses_quick_subset(tmp_path, monkeypatch):
     calls = {}
 
@@ -249,6 +166,6 @@ def test_run_record_quick_uses_quick_subset(tmp_path, monkeypatch):
         "repro.harness.ledgercmd.record_suite_run", fake_record_suite_run
     )
     run_record(quick=True, ledger_dir=str(tmp_path))
-    from repro.harness.bench import QUICK_SUBSET
+    from repro.workloads.spec import QUICK_SUBSET
 
     assert calls["subset"] == list(QUICK_SUBSET)

@@ -201,26 +201,30 @@ def test_trace_json_carries_decision_log():
     assert data["event_counts"]["accept"] > 0
 
 
-def test_bench_mem_profile_and_ceiling(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    report = cli_run([
-        "bench", "--quick", "--subset", "mcf", "--repeat", "1",
-        "--mem-profile", "--mem-ceiling", "4096",
-    ])
-    assert "memory profile:" in report
-    result = json.loads((tmp_path / "BENCH_formation.json").read_text())
-    phases = result["mem_profile"]["phases"]
-    assert "optimize" in phases
-    assert result["mem_profile"]["peak_rss_bytes"] > 0
 
-    with pytest.raises(SystemExit, match="memory ceiling exceeded"):
-        cli_run([
-            "bench", "--quick", "--subset", "mcf", "--repeat", "1",
-            "--mem-profile", "--mem-ceiling", "0.001",
-        ])
-
-    with pytest.raises(SystemExit, match="needs --mem-profile"):
-        cli_run([
-            "bench", "--quick", "--subset", "mcf", "--repeat", "1",
-            "--mem-ceiling", "64",
-        ])
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (
+            ["replay", "--bisect", "--ledger", "{ledger}", "{run}", "{run}"],
+            "zero divergences",
+        ),
+        (
+            ["compare", "--html", "{html}", "{record}", "{record}"],
+            "verdict: clean",
+        ),
+        (["trace", "--why", "b0,b1", WORKLOAD], "no events for pair (b0, b1)"),
+    ],
+    ids=["replay-bisect", "compare-html", "trace-why"],
+)
+def test_positionals_may_follow_options(recorded, tmp_path, argv, expect):
+    """The documented forms put options first (`replay --bisect A B`)."""
+    record = tmp_path / "rec.json"
+    record.write_text(json.dumps(recorded["clean"]))
+    values = {
+        "ledger": recorded["ledger_dir"],
+        "run": recorded["clean_digest"],
+        "html": str(tmp_path / "report.html"),
+        "record": str(record),
+    }
+    assert expect in cli_run([arg.format(**values) for arg in argv])

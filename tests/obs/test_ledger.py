@@ -13,9 +13,7 @@ from repro.obs.ledger import (
     fingerprint_of,
     machine_metadata,
     run_hash,
-    sanitize_history,
     utc_timestamp,
-    validate_history_entry,
     validate_record,
 )
 
@@ -154,35 +152,6 @@ def test_validate_record_rejects_tampered_fingerprint():
 def test_validate_record_rejects_bool_masquerading_as_int():
     with pytest.raises(LedgerError, match="merges"):
         validate_record(make_record(merges=True))
-
-
-def test_validate_history_entry():
-    entry = {
-        "timestamp": utc_timestamp(), "sequential_fast_s": 0.2,
-        "merges": 5, "quick": False, "workload_count": 19,
-    }
-    validate_history_entry(entry)
-    with pytest.raises(LedgerError, match="timestamp"):
-        validate_history_entry({**entry, "timestamp": None})
-
-
-def test_sanitize_history_backfills_and_drops():
-    entries = [
-        {"timestamp": None, "sequential_fast_s": 0.2, "merges": 5,
-         "quick": False, "workload_count": 19},      # repairable
-        {"sequential_fast_s": "bogus"},               # hopeless
-        "not even a dict",                            # hopeless
-        {"timestamp": "2026-01-01T00:00:00+00:00", "sequential_fast_s": 0.1,
-         "merges": 4, "quick": True, "workload_count": 5},  # fine as-is
-    ]
-    kept, dropped = sanitize_history(entries, fallback_timestamp="2026-02-02")
-    assert dropped == 2
-    assert [e["timestamp"] for e in kept] == [
-        "2026-02-02", "2026-01-01T00:00:00+00:00",
-    ]
-    # Without a fallback the null-timestamp entry cannot be repaired.
-    kept2, dropped2 = sanitize_history(entries)
-    assert len(kept2) == 1 and dropped2 == 3
 
 
 # -- the ledger directory ---------------------------------------------------

@@ -7,7 +7,6 @@ from repro.obs.rundiff import (
     diff_runs,
     format_diff,
     html_report,
-    load_history,
     write_html_report,
 )
 from tests.obs.test_ledger import (
@@ -113,18 +112,13 @@ def test_time_threshold_is_respected():
 
 def test_html_report_is_self_contained(tmp_path):
     diff = diff_runs(record_with([ACCEPT]), record_with([REJECT_INSTRS]))
-    history = [
-        {"timestamp": "t1", "sequential_fast_s": 0.2},
-        {"timestamp": "t2", "sequential_fast_s": 0.21},
-    ]
-    page = html_report(diff, history=history)
+    page = html_report(diff)
     assert page.startswith("<!doctype html>")
     assert "decision drift" in page
     assert "reject[constraint]:instructions" in page
-    assert "<svg" in page  # bench trajectory rendered inline
     assert "http" not in page.split("</style>")[1]  # no external fetches
     path = tmp_path / "report.html"
-    write_html_report(diff, str(path), history=history)
+    write_html_report(diff, str(path))
     assert path.read_text().startswith("<!doctype html>")
 
 
@@ -133,11 +127,3 @@ def test_html_report_clean_run():
     page = html_report(diff_runs(record, record))
     assert "clean: no drift" in page
 
-
-def test_load_history(tmp_path):
-    assert load_history(str(tmp_path / "missing.json")) == []
-    path = tmp_path / "bench.json"
-    path.write_text('{"history": [{"sequential_fast_s": 0.2}]}')
-    assert load_history(str(path)) == [{"sequential_fast_s": 0.2}]
-    path.write_text('{"history": "corrupt"}')
-    assert load_history(str(path)) == []
