@@ -147,7 +147,7 @@ class WorkloadExperiment:
     def _measure(self, module: Module, config_name: str, mtup) -> RunResult:
         wl = self.workload
         result, fstats, memory = run_module(
-            module.copy(),
+            module,
             args=wl.args,
             preload={k: list(v) for k, v in wl.preload.items()},
             max_blocks=self.max_blocks,
@@ -186,12 +186,12 @@ class WorkloadExperiment:
     def run(self, configs: dict[str, Configurator]) -> dict[str, RunResult]:
         base = self.workload.module()
         profile = collect_profile(
-            base.copy(),
+            base,
             args=self.workload.args,
             preload={k: list(v) for k, v in self.workload.preload.items()},
             max_blocks=self.max_blocks,
         )
-        self._measure(base.copy(), "BB", (0, 0, 0, 0))
+        self._measure(base, "BB", (0, 0, 0, 0))
         for name, configure in configs.items():
             module = base.copy()
             stats = configure(module, profile)

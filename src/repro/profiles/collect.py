@@ -1,11 +1,16 @@
 """Profile collection: run the functional simulator with a loop-aware hook.
 
-Edge frequencies fall out of block transitions directly.  Trip-count
-histograms need a little machinery: a loop "visit" starts when control
-reaches the loop header from outside the loop and ends when control leaves
-the loop (or the activation returns); the number of header executions in
-between is the visit's trip count.  Visits are keyed by call depth so
-recursive activations of the same function do not clobber each other.
+Block and edge counts are the interpreter's own ``SimStats.edge_counts``.
+Trip-count histograms need a little machinery: a loop "visit" starts when
+control reaches the loop header from outside the loop and ends when
+control leaves the loop (or the activation returns); the number of header
+executions in between is the visit's trip count.  Visits are keyed by
+call depth so recursive activations of the same function do not clobber
+each other.  The hook sees only the edges that can start, count or close
+a visit: every edge out of a loop header, every edge that leaves a loop,
+and every return.  On any other edge the block is no header, the edge
+stays inside every loop that contains the block, and control does not
+return, so the hook would change nothing.
 """
 
 from __future__ import annotations
@@ -20,13 +25,17 @@ from repro.sim.functional import Interpreter
 
 
 class _LoopTracker:
-    """Per-module loop membership tables used by the trace hook."""
+    """Per-module loop membership tables used by the trace hook, and the
+    edges the hook watches."""
 
     def __init__(self, module: Module):
         #: func -> block -> tuple of headers of loops containing the block
         self.membership: dict[str, dict[str, tuple[str, ...]]] = {}
         #: func -> set of loop headers
         self.headers: dict[str, set[str]] = {}
+        #: (func, block, target|None) edges out of a header, out of a
+        #: loop, or returning
+        self.watch: set[tuple[str, str, Optional[str]]] = set()
         for func in module:
             forest = LoopForest(func)
             table: dict[str, tuple[str, ...]] = {}
@@ -39,6 +48,17 @@ class _LoopTracker:
                 table[name] = tuple(loops)
             self.membership[func.name] = table
             self.headers[func.name] = set(forest.loops)
+            for name, block in func.blocks.items():
+                for instr in block.instrs:
+                    if not instr.is_branch:
+                        continue
+                    target = instr.target if instr.op is Opcode.BR else None
+                    if (
+                        target is None
+                        or name in forest.loops
+                        or not set(table[name]) <= set(table.get(target, ()))
+                    ):
+                        self.watch.add((func.name, name, target))
 
 
 class ProfileCollector:
@@ -50,7 +70,6 @@ class ProfileCollector:
         self._tracker = _LoopTracker(module)
         # (depth, func) -> {header: trip_counter}
         self._active: dict[tuple[int, str], dict[str, int]] = {}
-        self._last_block: dict[tuple[int, str], Optional[str]] = {}
 
     # -- trace hook -----------------------------------------------------
 
@@ -58,7 +77,6 @@ class ProfileCollector:
                   nullified: tuple = ()) -> None:
         profile = self.profile
         target = fired.target if fired.op is Opcode.BR else None
-        profile.record_step(func, block, target)
 
         key = (depth, func)
         active = self._active.get(key)
@@ -87,11 +105,17 @@ class ProfileCollector:
 
     def run(self, args: tuple = (), preload: Optional[dict[int, list]] = None,
             func_name: str = "main", max_blocks: int = 5_000_000):
-        interp = Interpreter(self.module, max_blocks=max_blocks, trace=self._on_block)
+        interp = Interpreter(
+            self.module,
+            max_blocks=max_blocks,
+            trace=self._on_block,
+            watch=self._tracker.watch,
+        )
         if preload:
             for base, values in preload.items():
                 interp.preload(base, values)
         result = interp.run(func_name, args)
+        self.profile.record_edges(interp.stats.edge_counts)
         return result, interp
 
 

@@ -33,14 +33,20 @@ class ProfileData:
 
     # -- recording ----------------------------------------------------------
 
-    def record_step(self, func: str, block: str, dst: Optional[str]) -> None:
-        """One execution of ``block`` that left along the edge to ``dst``
-        (``None``: the function returned)."""
-        key = (func, block)
-        self.block_counts[key] = self.block_counts.get(key, 0) + 1
-        self.total_blocks += 1
-        edge = (func, block, dst)
-        self.edge_counts[edge] = self.edge_counts.get(edge, 0) + 1
+    def record_edges(
+        self, edge_counts: dict[tuple[str, str, Optional[str]], int]
+    ) -> None:
+        """Add one run's ``(func, block, dst|None) -> count`` edge table
+        (the interpreter's ``SimStats.edge_counts``).  Every execution of
+        a block leaves by exactly one edge, so the block's count is the
+        sum of its edges' counts."""
+        edges = self.edge_counts
+        blocks = self.block_counts
+        for edge, count in edge_counts.items():
+            edges[edge] = edges.get(edge, 0) + count
+            key = edge[:2]
+            blocks[key] = blocks.get(key, 0) + count
+        self.total_blocks += sum(edge_counts.values())
 
     def record_trip(self, func: str, header: str, trips: int) -> None:
         key = (func, header)

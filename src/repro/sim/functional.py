@@ -50,18 +50,20 @@ class SimStats:
         )
 
 
-# Compiled-instruction kind codes (small ints dispatch faster than enums).
+# Compiled-instruction kind codes (small ints dispatch faster than enums),
+# numbered in the order the dispatch tests them: by dynamic frequency on
+# the SPEC surrogates (profile runs plus formed programs).
 _K_BIN = 0  # binary arithmetic with python function
 _K_MOVI = 1
-_K_MOV = 2
-_K_LOAD = 3
-_K_STORE = 4
-_K_BR = 5
-_K_RET = 6
-_K_CALL = 7
-_K_NOT = 8
+_K_LOAD = 2
+_K_BR = 3
+_K_NOT = 4
+_K_MOV = 5
+_K_STORE = 6
+_K_RET = 7
+_K_CALL = 8
 _K_NEG = 9
-_K_NULL = 10  # NULLW / NULLS / FANOUT behave as near-no-ops
+_K_NULL = 10  # NULLW / NULLS (null tokens)
 
 
 _BINOPS = EVAL_BINOP
@@ -84,6 +86,10 @@ class Interpreter:
             indices whose predicates evaluated false on this execution
             (needed by the timing model: nullified instructions resolve as
             null tokens at predicate time, they do not execute).
+        watch: optional set of ``(func_name, block_name, target)`` edges
+            (``target`` ``None`` for a return); when given, ``trace`` is
+            invoked only after an execution that left along one of them.
+            Block and edge counts are in :class:`SimStats` either way.
     """
 
     def __init__(
@@ -92,11 +98,13 @@ class Interpreter:
         max_blocks: int = 5_000_000,
         max_steps: int = 100_000_000,
         trace: Optional[Callable[[str, str, Instruction, int, tuple], None]] = None,
+        watch: Optional[set[tuple[str, str, Optional[str]]]] = None,
     ):
         self.module = module
         self.max_blocks = max_blocks
         self.max_steps = max_steps
         self.trace = trace
+        self.watch = watch
         self.memory: dict[int, object] = {}
         self.stats = SimStats()
         self._compiled: dict[tuple[str, str], list] = {}
@@ -148,14 +156,6 @@ class Interpreter:
             compiled.append(entry)
         return compiled
 
-    def _compiled_block(self, func: Function, block_name: str) -> list:
-        key = (func.name, block_name)
-        cached = self._compiled.get(key)
-        if cached is None:
-            cached = self._compile_block(func, block_name)
-            self._compiled[key] = cached
-        return cached
-
     # -- execution --------------------------------------------------------
 
     def run(self, func_name: str = "main", args: tuple = ()) -> object:
@@ -179,83 +179,101 @@ class Interpreter:
             stats = self.stats
             memory = self.memory
             get = regs.get
+            compiled = self._compiled
+            block_counts = stats.block_counts
+            edge_counts = stats.edge_counts
+            max_blocks = self.max_blocks
+            max_steps = self.max_steps
+            trace = self.trace
+            watch = self.watch
+            depth = self._call_depth
             while True:
                 stats.blocks_executed += 1
-                if stats.blocks_executed > self.max_blocks:
+                if stats.blocks_executed > max_blocks:
                     raise SimulationError("dynamic block limit exceeded")
-                if (
-                    stats.instrs_executed + stats.instrs_nullified
-                    > self.max_steps
-                ):
+                if stats.instrs_executed + stats.instrs_nullified > max_steps:
                     raise SimulationError("dynamic step limit exceeded")
                 key = (func_name, block_name)
-                stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
+                block_counts[key] = block_counts.get(key, 0) + 1
+                code = compiled.get(key)
+                if code is None:
+                    code = compiled[key] = self._compile_block(func, block_name)
                 fired: Optional[Instruction] = None
                 fired_target: Optional[str] = None
                 is_return = False
                 ret_value: object = 0
                 nullified: list[int] = []
-                for index, (kind, aux, dest, srcs, guard, instr) in enumerate(
-                    self._compiled_block(func, block_name)
-                ):
-                    if guard is not None:
-                        pval = get(guard[0], 0)
-                        if bool(pval) != guard[1]:
-                            stats.instrs_nullified += 1
+                # Counted in locals and added to ``stats`` when the block
+                # ends, raises, or calls (the callee's limit checks read
+                # the totals).
+                executed = nulls = loads = stores = 0
+                try:
+                    for index, (kind, aux, dest, srcs, guard, instr) in enumerate(
+                        code
+                    ):
+                        if guard is not None and (not get(guard[0], 0)) == guard[1]:
+                            nulls += 1
                             nullified.append(index)
                             continue
-                    stats.instrs_executed += 1
-                    if kind == _K_BIN:
-                        regs[dest] = aux(get(srcs[0], 0), get(srcs[1], 0))
-                    elif kind == _K_MOVI:
-                        regs[dest] = aux
-                    elif kind == _K_MOV:
-                        regs[dest] = get(srcs[0], 0)
-                    elif kind == _K_LOAD:
-                        stats.loads += 1
-                        regs[dest] = memory.get(get(srcs[0], 0) + aux, 0)
-                    elif kind == _K_STORE:
-                        stats.stores += 1
-                        memory[get(srcs[0], 0) + aux] = get(srcs[1], 0)
-                    elif kind == _K_BR:
-                        if fired is not None:
-                            raise SimulationError(
-                                f"@{func_name}/{block_name}: multiple branches "
-                                f"fired ({fired!r} then {instr!r})"
-                            )
-                        fired = instr
-                        fired_target = aux
-                    elif kind == _K_RET:
-                        if fired is not None:
-                            raise SimulationError(
-                                f"@{func_name}/{block_name}: multiple branches "
-                                f"fired ({fired!r} then {instr!r})"
-                            )
-                        fired = instr
-                        is_return = True
-                        ret_value = get(srcs[0], 0) if srcs else 0
-                    elif kind == _K_CALL:
-                        stats.calls += 1
-                        call_args = tuple(get(s, 0) for s in srcs)
-                        regs[dest] = self._call(aux, call_args)
-                    elif kind == _K_NOT:
-                        regs[dest] = 0 if get(srcs[0], 0) else 1
-                    elif kind == _K_NEG:
-                        regs[dest] = -get(srcs[0], 0)
-                    elif kind == _K_NULL:
-                        if dest is not None:
-                            regs[dest] = 0
+                        executed += 1
+                        if kind == _K_BIN:
+                            regs[dest] = aux(get(srcs[0], 0), get(srcs[1], 0))
+                        elif kind == _K_MOVI:
+                            regs[dest] = aux
+                        elif kind == _K_LOAD:
+                            loads += 1
+                            regs[dest] = memory.get(get(srcs[0], 0) + aux, 0)
+                        elif kind == _K_BR:
+                            if fired is not None:
+                                raise SimulationError(
+                                    f"@{func_name}/{block_name}: multiple "
+                                    f"branches fired ({fired!r} then {instr!r})"
+                                )
+                            fired = instr
+                            fired_target = aux
+                        elif kind == _K_NOT:
+                            regs[dest] = 0 if get(srcs[0], 0) else 1
+                        elif kind == _K_MOV:
+                            regs[dest] = get(srcs[0], 0)
+                        elif kind == _K_STORE:
+                            stores += 1
+                            memory[get(srcs[0], 0) + aux] = get(srcs[1], 0)
+                        elif kind == _K_RET:
+                            if fired is not None:
+                                raise SimulationError(
+                                    f"@{func_name}/{block_name}: multiple "
+                                    f"branches fired ({fired!r} then {instr!r})"
+                                )
+                            fired = instr
+                            is_return = True
+                            ret_value = get(srcs[0], 0) if srcs else 0
+                        elif kind == _K_CALL:
+                            stats.instrs_executed += executed
+                            stats.instrs_nullified += nulls
+                            stats.loads += loads
+                            stats.stores += stores
+                            executed = nulls = loads = stores = 0
+                            stats.calls += 1
+                            call_args = tuple(get(s, 0) for s in srcs)
+                            regs[dest] = self._call(aux, call_args)
+                        elif kind == _K_NEG:
+                            regs[dest] = -get(srcs[0], 0)
+                        elif kind == _K_NULL:
+                            if dest is not None:
+                                regs[dest] = 0
+                finally:
+                    stats.instrs_executed += executed
+                    stats.instrs_nullified += nulls
+                    stats.loads += loads
+                    stats.stores += stores
                 if fired is None:
                     raise SimulationError(
                         f"@{func_name}/{block_name}: no branch fired"
                     )
                 edge = (func_name, block_name, fired_target)
-                stats.edge_counts[edge] = stats.edge_counts.get(edge, 0) + 1
-                if self.trace is not None:
-                    self.trace(
-                        func_name, block_name, fired, self._call_depth,
-                        tuple(nullified),
-                    )
+                edge_counts[edge] = edge_counts.get(edge, 0) + 1
+                if trace is not None and (watch is None or edge in watch):
+                    trace(func_name, block_name, fired, depth, tuple(nullified))
                 if is_return:
                     return ret_value
                 block_name = fired_target

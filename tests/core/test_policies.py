@@ -18,9 +18,9 @@ def _profile_with_steps(steps: dict[tuple[str, str | None], int]) -> ProfileData
     """A profile of ``main`` whose block ``src`` left ``count`` times along
     each ``(src, dst)`` edge."""
     profile = ProfileData()
-    for (src, dst), count in steps.items():
-        for _ in range(count):
-            profile.record_step("main", src, dst)
+    profile.record_edges(
+        {("main", src, dst): count for (src, dst), count in steps.items()}
+    )
     return profile
 
 
