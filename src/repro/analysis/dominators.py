@@ -9,26 +9,24 @@ from repro.ir.function import CFG, Function
 
 def reverse_postorder(func: Function, cfg: Optional[CFG] = None) -> list[str]:
     """Blocks reachable from the entry, in reverse postorder."""
-    cfg = cfg or func.cfg()
-    visited: set[str] = set()
+    succs = (cfg or func.cfg()).succs
+    entry = func.entry
+    visited = {entry}
     order: list[str] = []
-
-    # Iterative DFS with explicit stack to avoid recursion limits on the
-    # long chains that unrolling produces.
-    stack: list[tuple[str, int]] = [(func.entry, 0)]
-    visited.add(func.entry)
-    while stack:
-        name, idx = stack[-1]
-        succs = cfg.succs.get(name, [])
-        if idx < len(succs):
-            stack[-1] = (name, idx + 1)
-            nxt = succs[idx]
-            if nxt not in visited and nxt in cfg.succs:
+    # Iterative DFS, one successor iterator per stack frame, to avoid
+    # recursion limits on the long chains that unrolling produces.
+    names = [entry]
+    frames = [iter(succs.get(entry, ()))]
+    while frames:
+        for nxt in frames[-1]:
+            if nxt not in visited and nxt in succs:
                 visited.add(nxt)
-                stack.append((nxt, 0))
+                names.append(nxt)
+                frames.append(iter(succs[nxt]))
+                break
         else:
-            order.append(name)
-            stack.pop()
+            order.append(names.pop())
+            frames.pop()
     order.reverse()
     return order
 

@@ -26,7 +26,7 @@ from repro.profiles.collect import collect_profile
 from repro.profiles.data import ProfileData
 from repro.sim.functional import run_module
 from repro.sim.machine import MachineConfig
-from repro.sim.timing import simulate_cycles
+from repro.sim.timing import TimingSimulator
 from repro.workloads.microbench import Workload
 
 
@@ -146,12 +146,21 @@ class WorkloadExperiment:
 
     def _measure(self, module: Module, config_name: str, mtup) -> RunResult:
         wl = self.workload
-        result, fstats, memory = run_module(
-            module,
-            args=wl.args,
-            preload={k: list(v) for k, v in wl.preload.items()},
-            max_blocks=self.max_blocks,
-        )
+        preload = {k: list(v) for k, v in wl.preload.items()}
+        if self.timing:
+            # The timing model drives the interpreter, so its run is the
+            # functional run too.
+            sim = TimingSimulator(module, config=self.machine)
+            tstats = sim.run(
+                args=wl.args, preload=preload, max_blocks=self.max_blocks
+            )
+            result, fstats, memory = sim.functional
+            cycles, mispredictions = tstats.cycles, tstats.mispredictions
+        else:
+            result, fstats, memory = run_module(
+                module, args=wl.args, preload=preload, max_blocks=self.max_blocks
+            )
+            cycles = mispredictions = 0
         if self._reference is None:
             self._reference = (result, memory)
         elif (result, memory) != self._reference:
@@ -159,18 +168,6 @@ class WorkloadExperiment:
                 f"{wl.name}/{config_name}: compiled program output differs "
                 f"({result!r} != {self._reference[0]!r})"
             )
-        cycles = 0
-        mispredictions = 0
-        if self.timing:
-            tstats = simulate_cycles(
-                module,
-                args=wl.args,
-                preload={k: list(v) for k, v in wl.preload.items()},
-                config=self.machine,
-                max_blocks=self.max_blocks,
-            )
-            cycles = tstats.cycles
-            mispredictions = tstats.mispredictions
         run = RunResult(
             workload=wl.name,
             config=config_name,

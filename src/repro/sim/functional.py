@@ -9,7 +9,8 @@ for block counts (Table 3 of the paper) and profile collection.
 
 The simulator is deliberately fast-path oriented: each block is compiled
 once per :class:`Interpreter` instance into a flat tuple form and executed
-by a tight dispatch loop.
+by a tight dispatch loop over a register file held in a list indexed by
+register number.
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ _K_NULL = 10  # NULLW / NULLS (null tokens)
 _BINOPS = EVAL_BINOP
 
 
+def register_file_size(func: Function) -> int:
+    """One past the largest register ``func``'s parameters and
+    instructions name: the length of a register file indexed by register
+    number."""
+    regs = list(func.params)
+    for block in func.blocks.values():
+        for instr in block.instrs:
+            regs += instr.uses()
+            if instr.dest is not None:
+                regs.append(instr.dest)
+    return max(regs, default=-1) + 1
+
+
 class Interpreter:
     """Executes a :class:`Module`, gathering :class:`SimStats`.
 
@@ -84,8 +98,9 @@ class Interpreter:
             (``BR`` or ``RET``), ``depth`` the current call depth (1 for
             the outermost call) and ``nullified`` the tuple of instruction
             indices whose predicates evaluated false on this execution
-            (needed by the timing model: nullified instructions resolve as
-            null tokens at predicate time, they do not execute).
+            in ascending order (needed by the timing model: nullified
+            instructions resolve as null tokens at predicate time, they do
+            not execute).
         watch: optional set of ``(func_name, block_name, target)`` edges
             (``target`` ``None`` for a return); when given, ``trace`` is
             invoked only after an execution that left along one of them.
@@ -107,7 +122,9 @@ class Interpreter:
         self.watch = watch
         self.memory: dict[int, object] = {}
         self.stats = SimStats()
-        self._compiled: dict[tuple[str, str], list] = {}
+        #: function name -> (function, register-file length, block name
+        #: -> compiled block), filled as execution reaches them
+        self._functions: dict[str, tuple[Function, int, dict[str, tuple]]] = {}
         self._call_depth = 0
         self._max_call_depth = 200
 
@@ -123,38 +140,43 @@ class Interpreter:
 
     # -- compilation ----------------------------------------------------
 
-    def _compile_block(self, func: Function, block_name: str) -> list:
+    def _compile_block(self, func: Function, block_name: str, sink: int) -> tuple:
+        """``((function, block) key, entries)``.  A branch entry's ``aux``
+        is its ``(function, block, target)`` edge key, ``target`` ``None``
+        for a return; an instruction without a destination writes the
+        register file's ``sink`` slot, which nothing reads."""
         compiled = []
         for instr in func.blocks[block_name].instrs:
-            pred = instr.pred
-            guard = (pred.reg, pred.sense) if pred is not None else None
             op = instr.op
             if op in _BINOPS:
-                entry = (_K_BIN, _BINOPS[op], instr.dest, instr.srcs, guard, instr)
+                kind, aux = _K_BIN, _BINOPS[op]
             elif op is Opcode.MOVI:
-                entry = (_K_MOVI, instr.imm, instr.dest, (), guard, instr)
+                kind, aux = _K_MOVI, instr.imm
             elif op in (Opcode.MOV, Opcode.FANOUT):
-                entry = (_K_MOV, None, instr.dest, instr.srcs, guard, instr)
+                kind, aux = _K_MOV, None
             elif op is Opcode.NOT:
-                entry = (_K_NOT, None, instr.dest, instr.srcs, guard, instr)
+                kind, aux = _K_NOT, None
             elif op is Opcode.NEG:
-                entry = (_K_NEG, None, instr.dest, instr.srcs, guard, instr)
+                kind, aux = _K_NEG, None
             elif op is Opcode.LOAD:
-                entry = (_K_LOAD, instr.imm or 0, instr.dest, instr.srcs, guard, instr)
+                kind, aux = _K_LOAD, instr.imm or 0
             elif op is Opcode.STORE:
-                entry = (_K_STORE, instr.imm or 0, None, instr.srcs, guard, instr)
+                kind, aux = _K_STORE, instr.imm or 0
             elif op is Opcode.BR:
-                entry = (_K_BR, instr.target, None, (), guard, instr)
+                kind, aux = _K_BR, (func.name, block_name, instr.target)
             elif op is Opcode.RET:
-                entry = (_K_RET, None, None, instr.srcs, guard, instr)
+                kind, aux = _K_RET, (func.name, block_name, None)
             elif op is Opcode.CALL:
-                entry = (_K_CALL, instr.callee, instr.dest, instr.srcs, guard, instr)
+                kind, aux = _K_CALL, instr.callee
             elif op in (Opcode.NULLW, Opcode.NULLS):
-                entry = (_K_NULL, None, instr.dest, (), guard, instr)
+                kind, aux = _K_NULL, None
             else:  # pragma: no cover - exhaustiveness guard
                 raise SimulationError(f"cannot interpret {instr!r}")
-            compiled.append(entry)
-        return compiled
+            dest = instr.dest if instr.dest is not None else sink
+            pred = instr.pred
+            guard, sense = (None, None) if pred is None else (pred.reg, pred.sense)
+            compiled.append((kind, aux, dest, instr.srcs, guard, sense, instr))
+        return (func.name, block_name), compiled
 
     # -- execution --------------------------------------------------------
 
@@ -169,17 +191,24 @@ class Interpreter:
         if self._call_depth > self._max_call_depth:
             raise SimulationError("call depth limit exceeded")
         try:
-            func = self.module.function(func_name)
+            table = self._functions.get(func_name)
+            if table is None:
+                func = self.module.function(func_name)
+                table = (func, register_file_size(func), {})
+                self._functions[func_name] = table
+            func, size, blocks = table
             if len(args) != len(func.params):
                 raise SimulationError(
                     f"@{func_name} expects {len(func.params)} args, got {len(args)}"
                 )
-            regs: dict[int, object] = dict(zip(func.params, args))
+            # A register never written reads 0; the slot past the last
+            # register is the sink of instructions without a destination.
+            regs = [0] * (size + 1)
+            for reg, value in zip(func.params, args):
+                regs[reg] = value
             block_name = func.entry
             stats = self.stats
             memory = self.memory
-            get = regs.get
-            compiled = self._compiled
             block_counts = stats.block_counts
             edge_counts = stats.edge_counts
             max_blocks = self.max_blocks
@@ -193,13 +222,15 @@ class Interpreter:
                     raise SimulationError("dynamic block limit exceeded")
                 if stats.instrs_executed + stats.instrs_nullified > max_steps:
                     raise SimulationError("dynamic step limit exceeded")
-                key = (func_name, block_name)
+                compiled = blocks.get(block_name)
+                if compiled is None:
+                    compiled = blocks[block_name] = self._compile_block(
+                        func, block_name, size
+                    )
+                key, code = compiled
                 block_counts[key] = block_counts.get(key, 0) + 1
-                code = compiled.get(key)
-                if code is None:
-                    code = compiled[key] = self._compile_block(func, block_name)
                 fired: Optional[Instruction] = None
-                fired_target: Optional[str] = None
+                edge = None
                 is_return = False
                 ret_value: object = 0
                 nullified: list[int] = []
@@ -208,21 +239,20 @@ class Interpreter:
                 # the totals).
                 executed = nulls = loads = stores = 0
                 try:
-                    for index, (kind, aux, dest, srcs, guard, instr) in enumerate(
-                        code
-                    ):
-                        if guard is not None and (not get(guard[0], 0)) == guard[1]:
+                    for index, entry in enumerate(code):
+                        kind, aux, dest, srcs, guard, sense, instr = entry
+                        if guard is not None and (not regs[guard]) == sense:
                             nulls += 1
                             nullified.append(index)
                             continue
                         executed += 1
                         if kind == _K_BIN:
-                            regs[dest] = aux(get(srcs[0], 0), get(srcs[1], 0))
+                            regs[dest] = aux(regs[srcs[0]], regs[srcs[1]])
                         elif kind == _K_MOVI:
                             regs[dest] = aux
                         elif kind == _K_LOAD:
                             loads += 1
-                            regs[dest] = memory.get(get(srcs[0], 0) + aux, 0)
+                            regs[dest] = memory.get(regs[srcs[0]] + aux, 0)
                         elif kind == _K_BR:
                             if fired is not None:
                                 raise SimulationError(
@@ -230,14 +260,14 @@ class Interpreter:
                                     f"branches fired ({fired!r} then {instr!r})"
                                 )
                             fired = instr
-                            fired_target = aux
+                            edge = aux
                         elif kind == _K_NOT:
-                            regs[dest] = 0 if get(srcs[0], 0) else 1
+                            regs[dest] = 0 if regs[srcs[0]] else 1
                         elif kind == _K_MOV:
-                            regs[dest] = get(srcs[0], 0)
+                            regs[dest] = regs[srcs[0]]
                         elif kind == _K_STORE:
                             stores += 1
-                            memory[get(srcs[0], 0) + aux] = get(srcs[1], 0)
+                            memory[regs[srcs[0]] + aux] = regs[srcs[1]]
                         elif kind == _K_RET:
                             if fired is not None:
                                 raise SimulationError(
@@ -245,8 +275,9 @@ class Interpreter:
                                     f"branches fired ({fired!r} then {instr!r})"
                                 )
                             fired = instr
+                            edge = aux
                             is_return = True
-                            ret_value = get(srcs[0], 0) if srcs else 0
+                            ret_value = regs[srcs[0]] if srcs else 0
                         elif kind == _K_CALL:
                             stats.instrs_executed += executed
                             stats.instrs_nullified += nulls
@@ -254,13 +285,12 @@ class Interpreter:
                             stats.stores += stores
                             executed = nulls = loads = stores = 0
                             stats.calls += 1
-                            call_args = tuple(get(s, 0) for s in srcs)
+                            call_args = tuple([regs[s] for s in srcs])
                             regs[dest] = self._call(aux, call_args)
                         elif kind == _K_NEG:
-                            regs[dest] = -get(srcs[0], 0)
+                            regs[dest] = -regs[srcs[0]]
                         elif kind == _K_NULL:
-                            if dest is not None:
-                                regs[dest] = 0
+                            regs[dest] = 0
                 finally:
                     stats.instrs_executed += executed
                     stats.instrs_nullified += nulls
@@ -270,13 +300,12 @@ class Interpreter:
                     raise SimulationError(
                         f"@{func_name}/{block_name}: no branch fired"
                     )
-                edge = (func_name, block_name, fired_target)
                 edge_counts[edge] = edge_counts.get(edge, 0) + 1
                 if trace is not None and (watch is None or edge in watch):
                     trace(func_name, block_name, fired, depth, tuple(nullified))
                 if is_return:
                     return ret_value
-                block_name = fired_target
+                block_name = edge[2]
         finally:
             self._call_depth -= 1
 

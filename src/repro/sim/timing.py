@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.ir.function import Module
 from repro.ir.opcodes import Opcode
-from repro.sim.functional import Interpreter
+from repro.sim.functional import Interpreter, SimStats, register_file_size
 from repro.sim.machine import TRIPS_MACHINE, MachineConfig
 from repro.sim.predictor import NextBlockPredictor
 
@@ -66,31 +66,37 @@ class _BlockTiming:
     """Static per-block facts, compiled once and reused by every execution.
 
     An execution keeps one list of operand times: each instruction's
-    completion time at its index, then the ready time of each register
-    the block reads before defining it (``inputs``, read once when the
-    execution starts).  Every source and predicate is compiled to its
-    index in that list: the last earlier definition in the block,
-    executed or nullified (both resolve a time), else the register's
-    input.
+    completion time at its index, then one slot that always holds 0,
+    then the ready time of each register the block reads before defining
+    it (``inputs``, read once when the execution starts).  Every source
+    and predicate is compiled to its index in that list: the last earlier
+    definition in the block, executed or nullified (both resolve a time),
+    else the register's input.  Each instruction has three fixed operand
+    slots, padded with the zero slot, and any further operands in
+    ``rest``; a 0 never delays an issue, which starts at the block's map
+    time or later.
     """
 
     __slots__ = (
-        "instrs", "inputs", "outputs", "exits", "size", "fetch_cycles",
+        "key", "instrs", "inputs", "outputs", "exits", "size", "fetch_cycles",
     )
 
-    def __init__(self, block, config: MachineConfig):
-        size = len(block.instrs)
+    def __init__(self, key: tuple[str, str], block, config: MachineConfig):
+        size = zero = len(block.instrs)
         slot_of: dict[int, int] = {}  # register -> index of its time
         inputs: list[int] = []
 
         def operand(reg: int) -> int:
             slot = slot_of.get(reg)
             if slot is None:
-                slot = slot_of[reg] = size + len(inputs)
+                slot = slot_of[reg] = zero + 1 + len(inputs)
                 inputs.append(reg)
             return slot
 
-        #: (latency + route, operands incl. predicate, predicate operand)
+        #: (function, block), the key of ``TimingStats.block_counts``
+        self.key = key
+        #: (latency + route, three operands incl. predicate, further
+        #: operands, predicate operand)
         self.instrs = []
         #: branch uid -> its index; the branch that fires resolves the exit
         self.exits: dict[int, int] = {}
@@ -99,9 +105,13 @@ class _BlockTiming:
             if instr.op is Opcode.LOAD:
                 cost += config.load_extra
             # ``uses()`` lists the predicate register last.
-            operands = tuple(operand(reg) for reg in instr.uses())
-            pred = operands[-1] if instr.pred is not None else None
-            self.instrs.append((cost, operands, pred))
+            operands = [operand(reg) for reg in instr.uses()]
+            pred = operands[-1] if instr.pred is not None else zero
+            operands += [zero] * (3 - len(operands))
+            self.instrs.append(
+                (cost, operands[0], operands[1], operands[2],
+                 tuple(operands[3:]), pred)
+            )
             if instr.dest is not None:
                 slot_of[instr.dest] = index
             if instr.is_branch:
@@ -128,14 +138,19 @@ class TimingSimulator:
         self.config = config or TRIPS_MACHINE
         self.predictor = predictor or NextBlockPredictor()
         self.stats = TimingStats()
-        self._block_cache: dict[tuple[str, str], _BlockTiming] = {}
+        #: function -> block name -> its compiled timing
+        self._block_cache: dict[str, dict[str, _BlockTiming]] = {}
         # Microarchitectural clock state.
-        #: function -> register -> cycle its value reaches a later block
-        self._reg_ready: dict[str, dict[int, int]] = {}
+        #: function -> cycle each register's value reaches a later block,
+        #: indexed by register number and shared by every activation
+        self._reg_ready: dict[str, list[int]] = {}
         self._issued: dict[int, int] = {}
         self._next_fetch = 0
         self._commit_times: list[int] = []
         self._last_commit = 0
+        #: the functional run behind the last :meth:`run` as ``run_module``
+        #: returns it: (return value, ``SimStats``, memory)
+        self.functional: Optional[tuple[object, SimStats, dict]] = None
 
     # -- driving --------------------------------------------------------------
 
@@ -152,7 +167,11 @@ class TimingSimulator:
         if preload:
             for base, values in preload.items():
                 interp.preload(base, values)
-        interp.run(func_name, args)
+        result = interp.run(func_name, args)
+        # Keep the results, not the interpreter: its trace hook refers to
+        # this simulator, and that cycle would keep both alive until the
+        # cyclic garbage collector ran.
+        self.functional = (result, interp.stats, interp.memory)
         self.stats.cycles = self._last_commit
         return self.stats
 
@@ -169,15 +188,20 @@ class TimingSimulator:
         config = self.config
         stats = self.stats
         stats.blocks += 1
-        key = (func_name, block_name)
-        stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
-        timing = self._block_cache.get(key)
+        blocks = self._block_cache.get(func_name)
+        if blocks is None:
+            func = self.module.function(func_name)
+            blocks = self._block_cache[func_name] = {}
+            self._reg_ready[func_name] = [0] * register_file_size(func)
+        timing = blocks.get(block_name)
         if timing is None:
             block = self.module.function(func_name).blocks[block_name]
-            timing = self._block_cache[key] = _BlockTiming(block, config)
-        reg_ready = self._reg_ready.get(func_name)
-        if reg_ready is None:
-            reg_ready = self._reg_ready[func_name] = {}
+            timing = blocks[block_name] = _BlockTiming(
+                (func_name, block_name), block, config
+            )
+        key = timing.key
+        stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
+        reg_ready = self._reg_ready[func_name]
 
         # Fetch: pipelined behind the previous block, limited by the window.
         fetch = self._next_fetch
@@ -193,23 +217,39 @@ class TimingSimulator:
         # not delay block commit on an EDGE machine (paper, Section 5).
         # An executed instruction issues in the first cycle from its last
         # operand's arrival that has a free issue slot.
-        get = reg_ready.get
-        times = [0] * timing.size + [get(reg, 0) for reg in timing.inputs]
+        times = [0] * (timing.size + 1)
+        for reg in timing.inputs:
+            times.append(reg_ready[reg])
         issued = self._issued
         issued_get = issued.get
         width = config.issue_width
         block_done = map_done
-        nullified_set = set(nullified)
-        for index, (cost, operands, pred) in enumerate(timing.instrs):
-            if index in nullified_set:
+        # ``nullified`` is ascending: walk it with a cursor.
+        count = len(nullified)
+        cursor = 0
+        next_null = nullified[0] if count else -1
+        for index, (cost, a, b, c, rest, pred) in enumerate(timing.instrs):
+            if index == next_null:
+                cursor += 1
+                next_null = nullified[cursor] if cursor < count else -1
                 t = times[pred]
                 done = (t if t > map_done else map_done) + 1
             else:
                 ready = map_done
-                for slot in operands:
-                    t = times[slot]
-                    if t > ready:
-                        ready = t
+                t = times[a]
+                if t > ready:
+                    ready = t
+                t = times[b]
+                if t > ready:
+                    ready = t
+                t = times[c]
+                if t > ready:
+                    ready = t
+                if rest:
+                    for slot in rest:
+                        t = times[slot]
+                        if t > ready:
+                            ready = t
                 used = issued_get(ready, 0)
                 while used >= width:
                     ready += 1
@@ -219,7 +259,7 @@ class TimingSimulator:
             times[index] = done
             if done > block_done:
                 block_done = done
-        stats.instructions += timing.size - len(nullified_set)
+        stats.instructions += timing.size - count
         exit_index = timing.exits.get(fired.uid)
         branch_resolve = map_done if exit_index is None else times[exit_index]
 
