@@ -184,6 +184,12 @@ def exposed_mask(block: BasicBlock) -> int:
     unconditionally (to decide execution), so it counts as an unguarded
     use.
 
+    The walk keeps one set of the registers already settled (killed by an
+    unpredicated write, or exposed; neither kind ever leaves it) and ORs
+    a bit into the returned mask only when a register is newly exposed,
+    so each step costs per instruction rather than per bit of the
+    register namespace.
+
     Results are memoized on the block's version stamp.  This is the
     primitive every hot analysis consumes (use/kill masks, the structural
     estimator); :func:`exposed_uses` is the ``set[int]`` view for cold
@@ -196,7 +202,8 @@ def exposed_mask(block: BasicBlock) -> int:
 
     instrs = block.instrs
     exposed = 0
-    killed = 0
+    settled: set[int] = set()
+    settle = settled.add
 
     for instr in instrs:
         if instr.pred is not None:
@@ -205,10 +212,11 @@ def exposed_mask(block: BasicBlock) -> int:
         # Entirely unpredicated: every write kills, no implication needed.
         for instr in instrs:
             for reg in instr.srcs:
-                if not killed >> reg & 1:
+                if reg not in settled:
+                    settle(reg)
                     exposed |= 1 << reg
             if instr.dest is not None:
-                killed |= 1 << instr.dest
+                settle(instr.dest)
         if len(_exposed_cache) >= _EXPOSED_CACHE_MAX:
             _exposed_cache.clear()
         _exposed_cache[version] = exposed
@@ -228,12 +236,12 @@ def exposed_mask(block: BasicBlock) -> int:
         guard = instr.pred
         if guard is not None:
             # The predicate register is read unconditionally.
-            settled = killed | exposed
-            if not settled >> guard.reg & 1:
-                exposed |= 1 << guard.reg
-                settled = killed | exposed
+            guard_reg = guard.reg
+            if guard_reg not in settled:
+                settle(guard_reg)
+                exposed |= 1 << guard_reg
             for reg in instr.srcs:
-                if settled >> reg & 1:
+                if reg in settled:
                     continue
                 writes = cond_writes_get(reg)
                 if writes is not None:
@@ -241,32 +249,31 @@ def exposed_mask(block: BasicBlock) -> int:
                         if covered(guard, write_pred, write_ver):
                             break
                     else:
+                        settle(reg)
                         exposed |= 1 << reg
-                        settled |= 1 << reg
                 else:
+                    settle(reg)
                     exposed |= 1 << reg
-                    settled |= 1 << reg
         else:
-            settled = killed | exposed
             for reg in instr.srcs:
-                if not settled >> reg & 1:
-                    bit = 1 << reg
-                    exposed |= bit
-                    settled |= bit
+                if reg not in settled:
+                    settle(reg)
+                    exposed |= 1 << reg
         dest = instr.dest
         if dest is not None:
             imp_version[dest] = imp_ver_get(dest, 0) + 1
             if guard is None:
                 # Record combinator facts after bumping the version: the
                 # edges constrain the *new* value of dest.
-                killed |= 1 << dest
+                settle(dest)
                 if cond_writes:
                     cond_writes.pop(dest, None)
                 if instr.op in _COMBINATORS:
                     record_combinator(instr)
             else:
+                # Predicates are values, so the write keeps its guard.
                 cond_writes.setdefault(dest, []).append(
-                    (Predicate(guard.reg, guard.sense), imp_ver_get(guard.reg, 0))
+                    (guard, imp_ver_get(guard.reg, 0))
                 )
     if len(_exposed_cache) >= _EXPOSED_CACHE_MAX:
         _exposed_cache.clear()

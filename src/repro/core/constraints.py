@@ -137,18 +137,9 @@ class BlockEstimate:
         }
 
 
-def _dict_fanout(consumers: dict, remat: int, width: int) -> int:
-    """Fanout slots for consumers beyond ``width`` (constants excluded)."""
-    fanout = 0
-    if remat:
-        for reg, count in consumers.items():
-            if count > width and not remat >> reg & 1:
-                fanout += count - width
-    else:
-        for count in consumers.values():
-            if count > width:
-                fanout += count - width
-    return fanout
+#: Flags of ``estimate_block``'s per-register write record.
+_UNCONDITIONAL = 1  # written unpredicated somewhere in the block
+_LAST_MOVI = 2  # last written by MOVI: a constant, rematerialized
 
 
 def estimate_block(
@@ -161,29 +152,34 @@ def estimate_block(
     ``live_out`` — a register bitmask (or any iterable of register
     numbers) — is the set of registers live on exit; it determines the
     block's register-write outputs and the null-write padding.
+
+    One dict holds two facts per written register, whether some write of
+    it is unpredicated and whether its last write is a ``MOVI``, so each
+    instruction costs per instruction rather than per bit of the register
+    namespace; the live-out mask is read once per written register.
     """
     live_out_mask = as_mask(live_out)
     consumers = {}
-    unconditional_writers = 0  # mask of unpredicated destinations
-    written = 0  # mask of all destinations
-    remat = 0  # constants: rematerialized, not fanned out
+    writes: dict[int, int] = {}  # reg -> _UNCONDITIONAL | _LAST_MOVI flags
     predicated_stores = 0
 
     consumers_get = consumers.get
+    writes_get = writes.get
     memory_ops = 0
     for instr in block.instrs:
         op = instr.op
         dest = instr.dest
         pred = instr.pred
         if dest is not None:
-            bit = 1 << dest
-            if op is _MOVI:
-                remat |= bit
-            else:
-                remat &= ~bit
-            written |= bit
             if pred is None:
-                unconditional_writers |= bit
+                writes[dest] = (
+                    _UNCONDITIONAL | _LAST_MOVI if op is _MOVI
+                    else _UNCONDITIONAL
+                )
+            elif op is _MOVI:
+                writes[dest] = writes_get(dest, 0) | _LAST_MOVI
+            else:
+                writes[dest] = writes_get(dest, 0) & _UNCONDITIONAL
         for reg in instr.srcs:
             consumers[reg] = consumers_get(reg, 0) + 1
         if pred is not None:
@@ -198,22 +194,29 @@ def estimate_block(
     est = BlockEstimate()
     est.real_instructions = len(block.instrs)
     est.memory_ops = memory_ops
-    est.fanout_instructions = _dict_fanout(
-        consumers, remat, constraints.instruction_targets
-    )
+    # Fanout slots for consumers beyond the instruction's targets;
+    # constants are rematerialized, not fanned out.
+    width = constraints.instruction_targets
+    fanout = 0
+    for reg, count in consumers.items():
+        if count > width and not writes_get(reg, 0) & _LAST_MOVI:
+            fanout += count - width
+    est.fanout_instructions = fanout
 
     # Output padding (fixed-output rule): live-out registers written only
     # under a predicate need a null write for the paths that skip them;
     # predicated stores need a matching null store.
-    live_writes = written & live_out_mask
-    est.null_writes = (live_writes & ~unconditional_writers).bit_count()
+    live_written = [reg for reg in writes if live_out_mask >> reg & 1]
+    est.null_writes = sum(
+        1 for reg in live_written if not writes[reg] & _UNCONDITIONAL
+    )
     est.null_stores = predicated_stores
 
     # Register banking: reads = upward-exposed registers (predicate-
     # implication aware), writes = live-out registers the block defines.
     reads_mask = exposed_mask(block)
     est.reg_reads = reads_mask.bit_count()
-    est.reg_writes = live_writes.bit_count()
+    est.reg_writes = len(live_written)
 
     # Violations.
     if est.total_instructions > constraints.max_instructions:
@@ -235,7 +238,7 @@ def estimate_block(
         for reg in bits(reads_mask):
             bank = bank_of(reg)
             bank_reads[bank] = bank_reads.get(bank, 0) + 1
-        for reg in bits(live_writes):
+        for reg in sorted(live_written):
             bank = bank_of(reg)
             bank_writes[bank] = bank_writes.get(bank, 0) + 1
         for bank, count in bank_reads.items():

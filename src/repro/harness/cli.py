@@ -71,6 +71,11 @@ def _parse_subset(text: Optional[str]) -> Optional[list[str]]:
 
 
 def run(argv: Optional[list[str]] = None) -> str:
+    """Run one verb and return its report, which never ends in a newline.
+
+    ``main()`` prints the report and ``--out`` writes it followed by one
+    newline, so stdout and the file carry the same bytes.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-harness",
         description="Regenerate the tables and figures of 'Merging Head "
@@ -399,10 +404,10 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         sections.append(table3(subset=subset).format())
 
     report = ("\n\n" + "=" * 72 + "\n\n").join(sections)
-    report += f"\n\n(generated in {time.time() - started:.1f}s)\n"
+    report += f"\n\n(generated in {time.time() - started:.1f}s)"
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(report)
+            handle.write(report + "\n")
     return report
 
 

@@ -28,18 +28,25 @@ class BasicBlock:
 
     Every block carries a monotonically increasing ``version`` stamp,
     refreshed by the mutating helpers below.  Analyses (use/kill sets,
-    liveness, merge-trial memoization) key their caches on it.  Code that
-    mutates ``instrs`` directly — rather than through :meth:`append`,
-    :meth:`extend` or :meth:`retarget_branches` — must call :meth:`touch`
-    afterwards to keep those caches honest.
+    liveness, merge-trial memoization, the optimizer's ``converged``
+    stamp) key their caches on it, so a version names exactly one
+    instruction sequence.  The rule every mutation path keeps: code that
+    mutates ``instrs`` or any instruction in it directly — rather than
+    through :meth:`append`, :meth:`extend` or :meth:`retarget_branches` —
+    calls :meth:`touch` afterwards.
+
+    ``converged`` is ``None`` or the ``(version, live_out)`` pair at which
+    ``repro.opt.local.optimize_block`` last found the block at its
+    fixpoint; copies and unpickled blocks start without it.
     """
 
-    __slots__ = ("name", "instrs", "version")
+    __slots__ = ("name", "instrs", "version", "converged")
 
     def __init__(self, name: str, instrs: Optional[list[Instruction]] = None):
         self.name = name
         self.instrs: list[Instruction] = list(instrs) if instrs else []
         self.version = next(_version_counter)
+        self.converged: Optional[tuple[int, int]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -150,6 +157,7 @@ class BasicBlock:
         # local uid counter skips past them instead.
         self.name, self.instrs = state
         self.version = next(_version_counter)
+        self.converged = None
         if self.instrs:
             reserve_uids(max(instr.uid for instr in self.instrs))
 

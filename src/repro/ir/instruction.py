@@ -37,7 +37,11 @@ def reserve_uids(highest: int) -> None:
 
 
 class Predicate:
-    """A guard ``(reg, sense)``: execute iff ``bool(reg_value) == sense``."""
+    """A guard ``(reg, sense)``: execute iff ``bool(reg_value) == sense``.
+
+    A predicate is a value: code that needs a different guard builds a new
+    one, so instructions may share one object (``Instruction.copy`` does).
+    """
 
     __slots__ = ("reg", "sense")
 
@@ -162,8 +166,9 @@ class Instruction:
         new.imm = self.imm
         new.target = self.target
         new.callee = self.callee
-        pred = self.pred
-        new.pred = Predicate(pred.reg, pred.sense) if pred is not None else None
+        # Predicates are values (nothing assigns ``reg`` or ``sense`` after
+        # ``Predicate.__init__``), so the copy shares its guard.
+        new.pred = self.pred
         new.uid = next(_uid_counter)
         new.origin = self.origin
         new.lsid = None

@@ -59,10 +59,11 @@ def global_value_numbering(func: Function) -> int:
         return counts_get(reg, 0) <= 1
 
     rewritten = 0
-    #: value key -> register holding it (scoped by dom-tree recursion)
+    #: value key -> register holding it (scoped by the dom-tree walk)
     table: dict = {}
 
-    def visit(block_name: str) -> None:
+    def visit(block_name: str) -> list:
+        """Number one block; return the keys it added to ``table``."""
         nonlocal rewritten
         block = func.blocks[block_name]
         changed = False
@@ -93,20 +94,23 @@ def global_value_numbering(func: Function) -> int:
             # Rewrites mutate instructions in place; re-stamp so the
             # version-keyed analysis caches cannot serve the old block.
             block.touch()
-        for child in dom.children.get(block_name, []):
-            visit(child)
-        for key in added:
-            del table[key]
+        return added
 
-    # Iterative dominator-tree walk to avoid recursion limits.
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(func.blocks) + 100))
-    try:
-        visit(func.entry)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # Preorder walk of the dominator tree on an explicit stack (chains of
+    # blocks can be deeper than the interpreter's recursion limit): each
+    # frame holds the keys its block added and an iterator over its
+    # children, and pops those keys once its whole subtree is done.
+    children = dom.children
+    stack = [(visit(func.entry), iter(children.get(func.entry, ())))]
+    while stack:
+        added, kids = stack[-1]
+        child = next(kids, None)
+        if child is None:
+            stack.pop()
+            for key in added:
+                del table[key]
+        else:
+            stack.append((visit(child), iter(children.get(child, ()))))
     return rewritten
 
 

@@ -45,8 +45,26 @@ def optimize_block(
 
     ``live_out`` is a register bitmask (any iterable of register numbers
     is accepted and converted once on entry).
+
+    A call whose last round changes nothing leaves the block at the
+    passes' fixpoint and records ``(block.version, live_out)`` in
+    ``block.converged``.  A later call with the same pair returns
+    ``False`` without running a pass.  That is exact: the passes are
+    deterministic in the instructions and the live-out set, a version
+    stamp names one instruction sequence, and a block every pass has
+    confirmed clean stays clean for any ``max_rounds``.  It relies on the
+    rule that every mutation path calls ``BasicBlock.touch()``; the stamp
+    keeps a reference to the caller's live-out int, not a copy.  A call
+    that exhausts ``max_rounds`` while still changing records nothing.
     """
     live_out = as_mask(live_out)
+    converged = block.converged
+    if (
+        converged is not None
+        and converged[0] == block.version
+        and converged[1] == live_out
+    ):
+        return False
     changed_any = False
     # Per-pass no-op elision: a pass whose input is unchanged since a run
     # where it reported no change is deterministic and would report no
@@ -70,9 +88,12 @@ def optimize_block(
                 clean[i] = -1
             else:
                 clean[i] = stamp
-        changed_any |= changed
         if not changed:
-            break
+            if changed_any:
+                block.touch()
+            block.converged = (block.version, live_out)
+            return changed_any
+        changed_any = True
     if changed_any:
         # The passes mutate instructions and reassign ``instrs`` directly;
         # re-stamp once here so version-keyed analysis caches notice.
@@ -229,17 +250,16 @@ def value_number(block: BasicBlock) -> bool:
     """Remove redundant computations; merge complementary-path duplicates.
 
     The availability table is generation-stamped: redefining a register is a
-    single counter bump, and an entry records the generations of every
-    register it depends on (sources, the provider's destination, and the
-    provider's predicate register, if any).  A lookup whose recorded
-    generations no longer match is stale and is dropped then, instead of the
-    previous scheme of scanning the whole table on every register write —
+    single counter bump, and an entry records only its provider's index and
+    the clock at its insertion.  An entry depends on the registers of its
+    key's sources and on its provider's destination and predicate register;
+    it is stale iff one of them was redefined after the insertion, which a
+    hit checks from the key and the provider.  A stale entry is dropped
+    then, instead of scanning the whole table on every register write —
     which was the single hottest leaf of convergent formation.
     """
     changed = False
-    # key -> (provider index, clock at insertion, dependence regs).  An
-    # entry is stale iff any dependence register was redefined after the
-    # insertion, i.e. iff some gen[reg] exceeds the recorded clock.
+    # key -> (provider index, clock at insertion).
     table: dict = {}
     gen: dict[int, int] = {}  # reg -> clock of its latest redefinition
     clock = 0
@@ -268,12 +288,6 @@ def value_number(block: BasicBlock) -> bool:
                 gen[dest] = clock
             continue
         srcs = instr.srcs
-        if len(srcs) == 2 and srcs[0] > srcs[1] and op in commutative:
-            srcs = (srcs[1], srcs[0])
-        if op is LOAD:
-            key = (op, srcs, instr.imm, mem_epoch)
-        else:
-            key = (op, srcs, instr.imm)
         if dest in srcs:
             # Self-referential (dest is also a source): the table entry
             # would describe the *old* value of the source, which this
@@ -281,24 +295,35 @@ def value_number(block: BasicBlock) -> bool:
             clock += 1
             gen[dest] = clock
             continue
+        if len(srcs) == 2 and srcs[0] > srcs[1] and op in commutative:
+            srcs = (srcs[1], srcs[0])
+        if op is LOAD:
+            key = (op, srcs, instr.imm, mem_epoch)
+        else:
+            key = (op, srcs, instr.imm)
         entry = table_get(key)
-        prev_idx = None
+        prev = None
         if entry is not None:
-            prev_idx, ins_clock, deps = entry
-            for reg in deps:
-                if gen_get(reg, 0) > ins_clock:
-                    del table[key]
-                    prev_idx = None
-                    break
-        pred = instr.pred
-        if prev_idx is None:
+            prev_idx, ins_clock = entry
+            prev = instrs[prev_idx]
+            prev_pred = prev.pred
+            if gen_get(prev.dest, 0) > ins_clock or (
+                prev_pred is not None and gen_get(prev_pred.reg, 0) > ins_clock
+            ):
+                prev = None
+            else:
+                for reg in srcs:
+                    if gen_get(reg, 0) > ins_clock:
+                        prev = None
+                        break
+            if prev is None:
+                del table[key]
+        if prev is None:
             clock += 1
             gen[dest] = clock
-            deps = srcs + (dest,) if pred is None else srcs + (dest, pred.reg)
-            table[key] = (i, clock, deps)
+            table[key] = (i, clock)
             continue
-        prev = instrs[prev_idx]
-        prev_pred = prev.pred
+        pred = instr.pred
         merged = False
         if prev_pred is None or (pred is not None and prev_pred == pred):
             # The value is available whenever instr would execute.
@@ -324,14 +349,14 @@ def value_number(block: BasicBlock) -> bool:
         ):
             # Instruction merging: the same computation on both sides of a
             # predicate collapses to one unconditional instruction.  The
-            # provider no longer depends on its predicate register, so its
-            # entry is re-stamped without it — otherwise a later
-            # redefinition of the (now irrelevant) predicate register would
-            # evict it.  No dependence register was redefined since the
-            # original insertion (the lookup above just validated that), so
-            # stamping with the current clock is exact.
+            # provider no longer depends on its predicate register (a later
+            # hit reads ``prev.pred``, now ``None``), so a later
+            # redefinition of that register no longer evicts it.  None of
+            # its dependence registers was redefined since the original
+            # insertion (the lookup above just validated that), so
+            # re-stamping with the current clock is exact.
             prev.pred = None
-            table[key] = (prev_idx, clock, srcs + (dest,))
+            table[key] = (prev_idx, clock)
             remove.add(i)
             merged = True
         if merged:
@@ -339,8 +364,7 @@ def value_number(block: BasicBlock) -> bool:
         else:
             clock += 1
             gen[dest] = clock
-            deps = srcs + (dest,) if pred is None else srcs + (dest, pred.reg)
-            table[key] = (i, clock, deps)
+            table[key] = (i, clock)
 
     if remove:
         block.instrs = [ins for j, ins in enumerate(instrs) if j not in remove]
@@ -595,28 +619,37 @@ def implicit_predication(block: BasicBlock, live_out: "int | set[int]") -> bool:
 
 
 def eliminate_dead_code(block: BasicBlock, live_out: "int | set[int]") -> bool:
-    """Remove pure instructions whose results are never observed."""
-    live = as_mask(live_out)
+    """Remove pure instructions whose results are never observed.
+
+    The backward walk keeps a dict of the registers already decided below
+    the current point (``True``: read there, ``False``: killed by an
+    unpredicated write first) and reads the live-out mask only for a
+    register the dict does not hold, so each step costs per instruction,
+    not per bit of the register namespace.
+    """
+    live_out = as_mask(live_out)
+    decided: dict[int, bool] = {}
+    decided_get = decided.get
     keep: list[Instruction] = []
     keep_append = keep.append
     removable_ops = _DCE_REMOVABLE_OPS
     changed = False
     for instr in reversed(block.instrs):
         dest = instr.dest
-        if (
-            dest is not None
-            and not live >> dest & 1
-            and instr.op in removable_ops
-        ):
-            changed = True
-            continue
         pred = instr.pred
-        if dest is not None and pred is None:
-            live &= ~(1 << dest)
+        if dest is not None:
+            live = decided_get(dest)
+            if live is None:
+                live = live_out >> dest & 1
+            if not live and instr.op in removable_ops:
+                changed = True
+                continue
+            if pred is None:
+                decided[dest] = False
         for reg in instr.srcs:
-            live |= 1 << reg
+            decided[reg] = True
         if pred is not None:
-            live |= 1 << pred.reg
+            decided[pred.reg] = True
         keep_append(instr)
     if changed:
         keep.reverse()

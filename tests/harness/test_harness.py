@@ -109,7 +109,7 @@ def test_cli_subset_and_out(tmp_path):
     out = tmp_path / "report.txt"
     report = cli_run(["table3", "--subset", "wupwise", "--out", str(out)])
     assert "wupwise" in report
-    assert out.read_text() == report
+    assert out.read_text() == report + "\n"
 
 
 def test_cli_rejects_unknown_target():

@@ -2,9 +2,10 @@
 reproduces ``results_full.txt``.
 
 Tables 1-3 and Figure 7 are deterministic, so the command's output must
-equal the committed file apart from its ``(generated in ...)`` line and
-trailing blank lines.  A change that moves results on purpose
-re-freezes the file and quotes the table diff in its CHANGES entry::
+equal the committed file apart from its ``(generated in ...)`` line,
+blank lines at the end included.  A change that moves results on
+purpose re-freezes the file and quotes the table diff in its CHANGES
+entry::
 
     PYTHONPATH=src python -m repro.harness all --out results_full.txt
 """
@@ -25,25 +26,32 @@ _TIMING_LINE = re.compile(r"\(generated in [0-9.]+s\)")
 
 
 def _lines(text: str) -> list[str]:
-    lines = [line for line in text.split("\n") if not _TIMING_LINE.fullmatch(line)]
-    while lines and not lines[-1]:
-        lines.pop()
-    return lines
+    return [line for line in text.split("\n") if not _TIMING_LINE.fullmatch(line)]
 
 
-def test_harness_all_reproduces_results_full():
+def _harness(*args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     run = subprocess.run(
-        [sys.executable, "-m", "repro.harness", "all"],
+        [sys.executable, "-m", "repro.harness", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, check=True,
     )
-    got = _lines(run.stdout)
+    return run.stdout
+
+
+def test_harness_all_reproduces_results_full():
+    got = _lines(_harness("all"))
     want = _lines(RESULTS_PATH.read_text())
     assert got == want, "\n".join(
         difflib.unified_diff(
             want, got, "results_full.txt", "harness all", lineterm=""
         )
     )
+
+
+def test_table_stdout_equals_its_out_file(tmp_path):
+    out = tmp_path / "table1.txt"
+    stdout = _harness("table1", "--subset", "sieve", "--out", str(out))
+    assert stdout == out.read_text()

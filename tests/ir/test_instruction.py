@@ -1,5 +1,9 @@
 """Unit tests for Instruction and Predicate."""
 
+import ast
+from pathlib import Path
+
+import repro
 from repro.ir import Instruction, Opcode, Predicate
 
 
@@ -18,11 +22,76 @@ def test_copy_gets_fresh_uid_but_keeps_origin():
     assert d.origin == a.uid
 
 
-def test_copy_is_deep_for_predicate():
+def test_copy_shares_the_predicate_value():
     a = Instruction(Opcode.ADD, dest=2, srcs=(0, 1), pred=Predicate(5, True))
     c = a.copy()
+    assert c.pred is a.pred
     c.pred = Predicate(6, False)
     assert a.pred == Predicate(5, True)
+
+
+def test_nothing_assigns_a_predicate_field_after_init():
+    """Predicates are values, which is what lets copies share them: no
+    code in the package assigns ``.reg`` or ``.sense`` (directly, by
+    augmented assignment or by ``setattr``) outside ``Predicate.__init__``."""
+    offenders = []
+
+    class Scan(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path = path
+            self.scope = []
+
+        def _scoped(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+        def _targets(self, targets, node):
+            for target in targets:
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    self._targets(target.elts, node)
+                elif isinstance(target, ast.Starred):
+                    self._targets([target.value], node)
+                elif isinstance(target, ast.Attribute) and target.attr in (
+                    "reg", "sense"
+                ):
+                    self._offend(node)
+
+        def _offend(self, node):
+            if self.scope[-2:] != ["Predicate", "__init__"]:
+                offenders.append(f"{self.path}:{node.lineno}")
+
+        def visit_Assign(self, node):
+            self._targets(node.targets, node)
+            self.generic_visit(node)
+
+        def visit_AugAssign(self, node):
+            self._targets([node.target], node)
+            self.generic_visit(node)
+
+        def visit_AnnAssign(self, node):
+            self._targets([node.target], node)
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            if (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in ("reg", "sense")
+            ):
+                self._offend(node)
+            self.generic_visit(node)
+
+    package = Path(repro.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    assert paths
+    for path in paths:
+        Scan(path.relative_to(package)).visit(ast.parse(path.read_text()))
+    assert offenders == []
 
 
 def test_uses_includes_predicate_register():

@@ -1,5 +1,7 @@
 """Tests for dominator-based global value numbering."""
 
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,28 @@ def test_dominated_redundancy_becomes_copy():
     module = build_module(func)
     assert run_module(module.copy(), args=(1, 5))[0] == 6
     assert run_module(module.copy(), args=(9, 5))[0] == 14
+
+
+def test_dominator_chain_deeper_than_the_recursion_limit(monkeypatch):
+    """The dominator-tree walk neither recurses per block nor raises the
+    process-wide recursion limit."""
+    depth = sys.getrecursionlimit() + 100
+    fb = FunctionBuilder("main", nparams=2)
+    fb.block("b0", entry=True)
+    first = fb.add(0, 1)
+    for i in range(depth):
+        fb.br(f"b{i + 1}")
+        fb.block(f"b{i + 1}")
+    fb.ret(fb.add(0, 1))
+    func = fb.finish()
+
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert global_value_numbering(func) == 1
+    rewritten = func.blocks[f"b{depth}"].instrs[0]
+    assert rewritten.op is Opcode.MOV and rewritten.srcs == (first,)
 
 
 def test_commutative_match():

@@ -1,9 +1,12 @@
 """Unit tests for the block-local scalar optimizer."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import BasicBlock, Instruction, Opcode, Predicate
+from repro.opt import local
 from repro.opt.local import (
     eliminate_dead_code,
     implicit_predication,
@@ -351,3 +354,83 @@ def test_optimize_block_runs_to_fixpoint():
     producers = [i for i in blk.instrs if i.dest == ret_src]
     assert producers and producers[-1].op is Opcode.MOVI
     assert producers[-1].imm == 10
+
+
+# -- the converged stamp -------------------------------------------------------
+
+
+def _two_round_block():
+    """Folds and drops dead code in round 1; round 2 finds the fixpoint."""
+    return block_of(
+        I(Opcode.MOVI, dest=1, imm=2),
+        I(Opcode.MOV, dest=2, srcs=(1,)),
+        I(Opcode.ADD, dest=3, srcs=(2, 2)),
+        I(Opcode.ADD, dest=4, srcs=(3, 1)),
+        I(Opcode.RET, srcs=(4,)),
+    )
+
+
+def _count_pass_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(fn):
+        def run(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(
+        local, "_PASS_FNS", tuple(counted(fn) for fn in local._PASS_FNS)
+    )
+    return calls
+
+
+def test_converged_block_runs_no_pass_for_the_same_pair(monkeypatch):
+    blk = _two_round_block()
+    live_out = 1 << 4
+    assert optimize_block(blk, live_out)
+    assert blk.converged == (blk.version, live_out)
+    assert blk.converged[1] is live_out
+    calls = _count_pass_calls(monkeypatch)
+    assert not optimize_block(blk, live_out)
+    assert not optimize_block(blk, {4}, max_rounds=1)
+    assert calls == []
+
+
+def test_touch_copy_and_pickle_defeat_the_stamp(monkeypatch):
+    blk = _two_round_block()
+    optimize_block(blk, {4})
+    calls = _count_pass_calls(monkeypatch)
+    copy = blk.copy("c")
+    clone = pickle.loads(pickle.dumps(blk))
+    assert copy.converged is None and clone.converged is None
+    for block in (copy, clone):
+        assert not optimize_block(block, {4})
+        assert calls
+        calls.clear()
+    blk.touch()
+    assert not optimize_block(blk, {4})
+    assert calls
+
+
+def test_a_different_live_out_defeats_the_stamp():
+    blk = block_of(
+        I(Opcode.ADD, dest=3, srcs=(1, 2)),
+        I(Opcode.ADD, dest=4, srcs=(1, 1)),
+        I(Opcode.RET, srcs=(4,)),
+    )
+    assert not optimize_block(blk, {3, 4})
+    assert blk.converged is not None
+    # Without v3 live-out, its definition is dead.
+    assert optimize_block(blk, {4})
+    assert [instr.dest for instr in blk.instrs] == [4, None]
+
+
+def test_exhausting_max_rounds_while_changing_leaves_no_stamp(monkeypatch):
+    blk = _two_round_block()
+    assert optimize_block(blk, {4}, max_rounds=1)
+    assert blk.converged is None
+    calls = _count_pass_calls(monkeypatch)
+    assert not optimize_block(blk, {4})
+    assert calls
+    assert blk.converged == (blk.version, 1 << 4)

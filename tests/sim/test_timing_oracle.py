@@ -2,8 +2,8 @@
 
 ``TimingSimulator`` compiles each block once: every source and predicate
 becomes an index into one list of operand times, register ready times
-live in one int-keyed dict per function, and the issue-slot search is
-inlined.  On every program of ``tests.conftest.formed_programs`` (the 19
+live in one list per function, indexed by register, and the issue-slot
+search is inlined.  On every program of ``tests.conftest.formed_programs`` (the 19
 SPEC and 24 microbenchmark programs under each Table-2 configuration,
 plus three 10x programs under BF), its statistics must equal those of
 the original model kept below, which looks each operand up by
