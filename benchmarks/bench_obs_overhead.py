@@ -99,7 +99,7 @@ def run_recorder_overhead(
 
     The recorder's entire cost is the post-hoc projection of an
     already-collected trace (``log_from_trace`` + ``build_log_set``) —
-    exactly the work ``record`` and the fleet workers add per run.
+    exactly the work ``record`` adds per run.
     Formation runs best-of-``repeat`` under the firehose tracer; the
     projection is then timed best-of-``repeat`` on the kept trace, so
     formation's run-to-run jitter (often > 10% on hosted runners, larger

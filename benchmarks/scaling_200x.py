@@ -1,7 +1,7 @@
 """Record the 200x scaling point: BF formation of ``scaled_program(8800, 2006)``.
 
-The program is one synthetic function 200 times the SPEC mean size
-(``SCALING_TIERS``).  One formation takes about 9 s at reference speed,
+The program is one synthetic function 200 times the SPEC mean size of
+44 instructions.  One formation takes about 9 s at reference speed,
 too slow for an e2e workload, so this script records the point on its
 own.  It
 profiles the program once, then forms a fresh copy of it under BF

@@ -13,6 +13,10 @@ implication over register *names* is unsound.  :func:`exposed_uses` tracks
 a version number per register: implication facts constrain the value a
 register had at a specific version, and only facts whose versions line up
 with a guarded write are used to suppress exposure.
+:func:`implication_edges` and :func:`implies` are the unversioned facts
+for a caller that tracks redefinitions itself: the optimizer's implicit
+predication passes the registers redefined since the producer as the
+``unstable`` mask.
 """
 
 from __future__ import annotations
@@ -20,39 +24,50 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.block import BasicBlock
-from repro.ir.instruction import Predicate
+from repro.ir.instruction import Instruction, Predicate
 from repro.ir.opcodes import Opcode
 
 Atom = tuple[int, bool]
-Edges = dict[Atom, set[Atom]]
 
 
-def implication_edges(block: BasicBlock) -> tuple[Edges, dict[int, int]]:
-    """Unversioned implication facts from single-def predicate combinators.
+def implication_edges(
+    block: BasicBlock,
+) -> tuple[dict[tuple[int, bool], set[tuple[int, bool]]], dict[int, int]]:
+    """Facts of the form ``atom -> implied atom`` from single-def predicate
+    combinators (AND / NOT / MOV chains built by if-conversion).
 
-    Suitable for callers that do their own redefinition tracking (the
-    optimizer's implicit-predication pass).  Returns ``(edges,
-    def_counts)``.
+    Also returns per-register definition counts: implication reasoning
+    (including the reflexive case) is only sound for registers defined once
+    in the block — a redefined test register names *different* dynamic
+    values at different points (unrolled iterations recompute the loop test
+    into the same register).
     """
     def_counts: dict[int, int] = {}
+    counts_get = def_counts.get
+    combinators: list[Instruction] = []
+    AND, NOT, MOV = Opcode.AND, Opcode.NOT, Opcode.MOV
     for instr in block.instrs:
-        if instr.dest is not None:
-            def_counts[instr.dest] = def_counts.get(instr.dest, 0) + 1
-    edges: Edges = {}
-    for instr in block.instrs:
-        if instr.dest is None or def_counts.get(instr.dest, 0) != 1:
-            continue
-        if instr.pred is not None:
-            continue
         d = instr.dest
-        if instr.op is Opcode.AND:
+        if d is not None:
+            def_counts[d] = counts_get(d, 0) + 1
+            if instr.pred is None:
+                op = instr.op
+                if op is AND or op is NOT or op is MOV:
+                    combinators.append(instr)
+    edges: dict[tuple[int, bool], set[tuple[int, bool]]] = {}
+    for instr in combinators:
+        d = instr.dest
+        if def_counts.get(d, 0) != 1:
+            continue
+        op = instr.op
+        if op is AND:
             a, b = instr.srcs
             edges.setdefault((d, True), set()).update({(a, True), (b, True)})
-        elif instr.op is Opcode.NOT:
+        elif op is NOT:
             (a,) = instr.srcs
             edges.setdefault((d, True), set()).add((a, False))
             edges.setdefault((d, False), set()).add((a, True))
-        elif instr.op is Opcode.MOV:
+        else:
             (a,) = instr.srcs
             edges.setdefault((d, True), set()).add((a, True))
             edges.setdefault((d, False), set()).add((a, False))
@@ -60,17 +75,17 @@ def implication_edges(block: BasicBlock) -> tuple[Edges, dict[int, int]]:
 
 
 def implies(
-    edges: Edges,
+    edges: dict[tuple[int, bool], set[tuple[int, bool]]],
     q: Predicate,
     p: Predicate,
-    unstable: frozenset[int] = frozenset(),
+    unstable: int = 0,
 ) -> bool:
-    """True if ``q`` holding guarantees ``p`` holds (unversioned).
+    """True if ``q`` holding guarantees ``p`` holds.
 
-    Atoms over registers in ``unstable`` are not traversed.
+    Atoms over registers in the ``unstable`` mask (redefined between the
+    producer and the consumer) name different dynamic values and are not
+    traversed.
     """
-    if p.reg in unstable:
-        return False
     start = (q.reg, q.sense)
     goal = (p.reg, p.sense)
     if start == goal:
@@ -80,7 +95,7 @@ def implies(
     while stack:
         node = stack.pop()
         for nxt in edges.get(node, ()):
-            if nxt[0] in unstable:
+            if unstable >> nxt[0] & 1:
                 continue
             if nxt == goal:
                 return True

@@ -7,13 +7,6 @@ from repro.harness.experiment import (
     heuristic_config,
     ordering_config,
 )
-from repro.harness.fleet import (
-    Fleet,
-    FleetConfig,
-    form_many_fleet,
-    run_fleet_corpus,
-    run_fleet_drill,
-)
 from repro.harness.occupancy import OccupancyReport, occupancy_report
 from repro.harness.selfcheck import run_fault_drill, run_selfcheck
 from repro.harness.tables import (
@@ -34,12 +27,7 @@ __all__ = [
     "TableResult",
     "WorkloadExperiment",
     "figure7",
-    "Fleet",
-    "FleetConfig",
-    "form_many_fleet",
     "run_fault_drill",
-    "run_fleet_corpus",
-    "run_fleet_drill",
     "run_selfcheck",
     "heuristic_config",
     "ordering_config",

@@ -17,10 +17,6 @@ Usage::
     python -m repro.harness record [--quick] [--label ci] [--out rec.json]
     python -m repro.harness compare <run-a> <run-b> [--html report.html]
     python -m repro.harness compare rec.json --against-ledger latest
-    python -m repro.harness fleet [--workers 4] [--corpus 10x] \
-        [--modules 12] [--journal j.jsonl] [--resume] [--max-jobs N] \
-        [--verify-serial] [--record]
-    python -m repro.harness fleet --drill [--fault-rate 0.1] [--fault-seed 2]
     python -m repro.harness replay mcf [--fn main] [--run latest]
     python -m repro.harness replay --bisect <runA> <runB>
 
@@ -35,15 +31,10 @@ render the record / its aggregates.
 
 ``record`` persists a run record (per-function decision fingerprints,
 merge counts, phase times) into the ``.repro-ledger/`` directory — also
-reachable as ``--record`` on ``selfcheck``/``trace``/``fleet``; and
+reachable as ``--record`` on ``selfcheck``/``trace``; and
 ``compare`` diffs two records (files, ledger hashes, or ``latest``),
 exiting nonzero on decision drift or a same-machine phase-time
 regression beyond ``--threshold``.
-
-``fleet`` runs a corpus on the persistent self-healing worker fleet
-(:mod:`repro.harness.fleet`): journalled, resumable (``--journal`` /
-``--resume``), verifiable bit-identical to serial (``--verify-serial``).
-``fleet --drill`` instead runs the kill/stall/raise containment drill.
 
 ``replay`` validates a live formation run against the flight-recorder
 decision log a ``record`` run left in the ledger, halting at the first
@@ -86,14 +77,13 @@ def run(argv: Optional[list[str]] = None) -> str:
         "target",
         choices=[
             "table1", "table2", "table3", "figure7", "all", "selfcheck",
-            "trace", "stats", "record", "compare", "fleet", "replay",
+            "trace", "stats", "record", "compare", "replay",
         ],
         help="which experiment to regenerate ('selfcheck' runs the "
         "differential-simulation oracle or, with --faults, the fault "
         "drill, 'trace'/'stats' record one workload under the decision "
         "tracer, 'record' persists a run record to the ledger, 'compare' "
-        "diffs two run records, 'fleet' runs a corpus on the "
-        "self-healing worker fleet, 'replay' check-replays a workload "
+        "diffs two run records, 'replay' check-replays a workload "
         "against a recorded decision log or bisects two recorded runs to "
         "the first diverging decision)",
     )
@@ -123,11 +113,6 @@ def run(argv: Optional[list[str]] = None) -> str:
         "rendered tables (bare --json prints to stdout, or give a path)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="fleet only: worker-process count, at least 1 (default: 4 "
-        "for --drill, else up to 4 by CPU count)",
-    )
-    parser.add_argument(
         "--selfcheck", action="store_true",
         help="run the differential-simulation oracle over the subset "
         "before the experiment; exit 1 on any divergence",
@@ -139,53 +124,11 @@ def run(argv: Optional[list[str]] = None) -> str:
     )
     parser.add_argument(
         "--fault-rate", type=float, default=0.1,
-        help="selfcheck --faults / fleet --drill: fault probability per "
-        "trial / per module, in (0, 1]",
+        help="selfcheck --faults: fault probability per trial, in (0, 1]",
     )
     parser.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="selfcheck --faults / fleet --drill: fault-plane seed "
-        "(default: 0 for selfcheck, 2 for the fleet drill)",
-    )
-    parser.add_argument(
-        "--drill", action="store_true",
-        help="fleet: run the kill/stall/raise containment drill instead "
-        "of a plain corpus run",
-    )
-    parser.add_argument(
-        "--corpus", default="10x",
-        help="fleet: corpus specifier — a scaling tier (10x/50x/200x) "
-        "or 'spec' (the 19 SPEC workloads)",
-    )
-    parser.add_argument(
-        "--modules", type=int, default=12,
-        help="fleet: how many synthetic modules a scaling-tier corpus "
-        "holds (ignored for --corpus spec)",
-    )
-    parser.add_argument(
-        "--corpus-seed", type=int, default=None, dest="corpus_seed",
-        help="fleet: base seed of the synthetic corpus (default: the "
-        "scaling-tier seed, 2006)",
-    )
-    parser.add_argument(
-        "--journal", default=None,
-        help="fleet: append-only run journal path; completed jobs are "
-        "journalled so a killed driver can --resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="fleet: skip jobs already completed in --journal (refuses "
-        "if the journal's corpus configuration differs)",
-    )
-    parser.add_argument(
-        "--max-jobs", type=int, default=None, dest="max_jobs",
-        help="fleet: abandon the run after this many completions (the "
-        "CI resume smoke's stand-in for a killed driver)",
-    )
-    parser.add_argument(
-        "--verify-serial", action="store_true", dest="verify_serial",
-        help="fleet: re-form the corpus in-process and fail on any "
-        "decision-fingerprint divergence",
+        "--fault-seed", type=int, default=0,
+        help="selfcheck --faults: fault-plane seed (default: 0)",
     )
     parser.add_argument(
         "--why",
@@ -209,8 +152,7 @@ def run(argv: Optional[list[str]] = None) -> str:
     )
     parser.add_argument(
         "--record", action="store_true",
-        help="selfcheck/trace/fleet: also persist a run record to the "
-        "ledger",
+        help="selfcheck/trace: also persist a run record to the ledger",
     )
     parser.add_argument(
         "--ledger", default=None,
@@ -255,24 +197,10 @@ def run(argv: Optional[list[str]] = None) -> str:
         raise SystemExit(
             f"--fault-rate must be in (0, 1], got {args.fault_rate:g}"
         )
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit(f"--workers must be at least 1, got {args.workers}")
     return _dispatch(args, _parse_subset(args.subset))
 
 
 def _dispatch(args, subset: Optional[list[str]]) -> str:
-    if args.target == "fleet":
-        from repro.harness.fleet import FleetError
-
-        try:
-            report = _run_fleet_target(args)
-        except FleetError as exc:
-            raise SystemExit(f"fleet: {exc}")
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        return report
-
     if args.target == "replay":
         from repro.harness.replaycmd import run_replay_bisect, run_replay_check
 
@@ -351,7 +279,7 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
 
         drill = run_fault_drill(
             subset=subset, rate=args.fault_rate,
-            seed=args.fault_seed if args.fault_seed is not None else 0,
+            seed=args.fault_seed,
         )
         report = drill["report"]
         if args.out:
@@ -409,127 +337,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         with open(args.out, "w") as handle:
             handle.write(report + "\n")
     return report
-
-
-def _run_fleet_target(args) -> str:
-    """The ``fleet`` verb: drill, or a (resumable) journalled corpus run."""
-    from repro.harness.fleet import (
-        DEFAULT_FLEET_WORKERS,
-        FleetConfig,
-        build_corpus,
-        compare_against_serial,
-        corpus_config_fingerprint,
-        run_fleet_corpus,
-        run_fleet_drill,
-        serial_corpus_entries,
-    )
-    from repro.workloads.generators import SCALING_SEED
-
-    if args.drill:
-        drill = run_fleet_drill(
-            corpus=args.corpus,
-            modules=args.modules,
-            seed=args.corpus_seed
-            if args.corpus_seed is not None
-            else SCALING_SEED,
-            workers=args.workers if args.workers is not None else 4,
-            rate=args.fault_rate,
-            fault_seed=args.fault_seed if args.fault_seed is not None else 2,
-        )
-        if not drill["ok"]:
-            print(drill["report"], file=sys.stderr)
-            raise SystemExit(
-                "fleet drill failed: a fault escaped containment or the "
-                "fleet diverged from serial"
-            )
-        return drill["report"]
-
-    seed = args.corpus_seed if args.corpus_seed is not None else SCALING_SEED
-    corpus_items = build_corpus(args.corpus, args.modules, seed)
-    config_fp = corpus_config_fingerprint(args.corpus, args.modules, seed, None)
-    config = FleetConfig(
-        workers=args.workers if args.workers is not None
-        else DEFAULT_FLEET_WORKERS
-    )
-    result = run_fleet_corpus(
-        corpus_items,
-        config=config,
-        journal_path=args.journal,
-        resume=args.resume,
-        config_fingerprint=config_fp,
-        stop_after=args.max_jobs,
-    )
-    stats = result.fleet_stats
-    lines = [
-        f"fleet: corpus={args.corpus} jobs={len(result.workloads)} "
-        f"workers={config.workers}",
-        f"  completed: {len(result.completed)}, "
-        f"resumed from journal: {len(result.resumed)}, "
-        f"unfinished: {len(result.unfinished)}",
-    ]
-    if stats:
-        lines.append(
-            f"  respawns: {stats.get('respawns', 0)}, "
-            f"requeues: {stats.get('requeues', 0)}, "
-            f"lease expiries: {stats.get('lease_expiries', 0)}, "
-            f"quarantined: {len(stats.get('quarantined', ()))}"
-        )
-    if result.journal_path:
-        lines.append(f"  journal: {result.journal_path}")
-    if not result.finished:
-        lines.append(
-            f"  run truncated after --max-jobs {args.max_jobs}; resume "
-            f"with: fleet --corpus {args.corpus} --modules {args.modules} "
-            f"--journal {args.journal} --resume"
-        )
-        return "\n".join(lines)
-
-    record = result.record(label=args.label)
-    merges = record["merges"]
-    lines.append(
-        f"  merges: {merges}, functions: {len(record['functions'])}, "
-        "record: validated"
-    )
-    if args.verify_serial:
-        serial = serial_corpus_entries(
-            [
-                (name, module.copy(), profile)
-                for name, module, profile in corpus_items
-            ]
-        )
-        drift = compare_against_serial(result.entries, serial)
-        if drift:
-            lines.append("  DECISION DRIFT vs serial:")
-            lines.extend(f"    {problem}" for problem in drift)
-            print("\n".join(lines), file=sys.stderr)
-            raise SystemExit(
-                f"fleet run diverged from serial in {len(drift)} place(s)"
-            )
-        lines.append(
-            f"  verify-serial: {len(serial)} jobs byte-identical to the "
-            "sequential driver"
-        )
-    if args.record:
-        from repro.obs.ledger import Ledger
-        from repro.obs.replay import build_log_set
-
-        ledger = Ledger(args.ledger) if args.ledger else Ledger()
-        # Workers ship their decision events back with task results, so
-        # the merged corpus record gets a flight-recorder log too —
-        # making fleet runs bisectable like any `record` run.
-        log_functions = result.decision_log_functions()
-        if log_functions:
-            record["decision_log"] = ledger.record_decisions(
-                build_log_set(log_functions)
-            )
-        digest = ledger.record(record)
-        lines.append(f"  ledger: recorded {digest[:12]} -> {ledger.root}")
-        if "decision_log" in record:
-            lines.append(
-                f"  decision log: {record['decision_log'][:12]} "
-                f"({len(log_functions)} function stream(s))"
-            )
-    return "\n".join(lines)
 
 
 def main() -> None:  # console entry point

@@ -34,7 +34,6 @@ from repro.obs.ledger import (
     utc_timestamp,
     validate_record,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.replay import attach_stats, build_log_set, log_from_trace
 from repro.obs.rundiff import diff_runs, format_diff, write_html_report
 from repro.obs.sink import MemorySink
@@ -78,15 +77,13 @@ def build_suite_record(
     phase_totals: dict[str, float] = {}
     event_counts: dict[str, int] = {}
     rejections: dict[str, int] = {}
-    driver_counters: dict[str, int] = {}
     total_events = 0
     merges = 0
     attempts = 0
     mtup = [0, 0, 0, 0]
     for name, workload, profile in prepared:
         module = workload.module()
-        registry = MetricsRegistry()
-        tracer = Tracer(sinks=(MemorySink(),), metrics=registry)
+        tracer = Tracer(sinks=(MemorySink(),))
         with tracing(tracer):
             report = form_module(
                 module, profile=profile, record_events=False
@@ -128,18 +125,6 @@ def build_suite_record(
             event_counts[event_name] = event_counts.get(event_name, 0) + count
         for reason, count in rejection_breakdown(trace).items():
             rejections[reason] = rejections.get(reason, 0) + count
-        # Driver recovery counters (``fleet_respawns_total``, ...) land
-        # in the same registry as the phase histogram; fold any nonzero
-        # ones into the record so a ledger diff can see recovery
-        # activity, not just decisions.
-        for metric_name, entries in registry.snapshot().items():
-            if not metric_name.endswith("_total"):
-                continue
-            for entry in entries:
-                if entry.get("value"):
-                    driver_counters[metric_name] = (
-                        driver_counters.get(metric_name, 0) + entry["value"]
-                    )
         total_events += len(trace)
 
     total_phase = sum(phase_totals.values())
@@ -169,7 +154,6 @@ def build_suite_record(
             "events": total_events,
             "event_counts": event_counts,
             "rejections": rejections,
-            "driver_counters": driver_counters,
         },
     }
     return record

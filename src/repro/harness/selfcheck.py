@@ -3,11 +3,9 @@
 Two CI-facing entry points over the robustness layer:
 
 - :func:`run_selfcheck` forms every SPEC workload with the differential
-  oracle armed (``selfcheck="function"``), re-checks the final formed
-  module against the pre-formation module on the workload's own inputs,
-  and compares the serial driver's :class:`FormationReport` against the
-  fleet's (:func:`~repro.harness.fleet.form_many_fleet`) — all three
-  must agree for the run to pass.
+  oracle armed (``selfcheck="function"``) and re-checks the final formed
+  module against the pre-formation module on the workload's own inputs;
+  both must agree for the run to pass.
 - :func:`run_fault_drill` is the containment proof behind ``selfcheck
   --faults``: form the suite once clean and once under a seeded
   :class:`FaultPlane`, then check that the plane fired at all, that the
@@ -22,11 +20,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.harness.fleet import form_many_fleet
 from repro.obs.trace import FormationTrace, Tracer, tracing
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane, injected
-from repro.robustness.guard import FormationReport, FunctionStatus
+from repro.robustness.guard import FunctionStatus
 from repro.robustness.oracle import BehaviorProbe, differential_check
 from repro.workloads.spec import SPEC_BENCHMARKS, check_workload_names
 
@@ -48,32 +45,19 @@ def _workload_probes(workload) -> list[BehaviorProbe]:
     ]
 
 
-def run_selfcheck(
-    subset: Optional[list[str]] = None,
-    workers: int = 2,
-) -> dict:
+def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
     """Oracle self-check over the SPEC suite (the ``--selfcheck`` gate).
 
     Per workload: form with ``selfcheck="function"`` armed, then run one
     final differential check of the formed module against a fresh
-    pre-formation module over the workload's inputs.  With ``workers`` >=
-    2, additionally form every workload on a ``workers``-wide fleet
-    (:func:`~repro.harness.fleet.form_many_fleet`) and require its report
-    summary to match the serial one.  Returns a dict with ``ok``,
-    per-workload rows, and a formatted ``report``.
+    pre-formation module over the workload's inputs.  Returns a dict
+    with ``ok``, per-workload rows, and a formatted ``report``.
     """
-    suite = _suite(subset)
     rows = []
-    fleet_items = []
-    profiles = {}
-    for name, workload in suite.items():
-        profiles[name] = collect_profile(
+    for name, workload in _suite(subset).items():
+        profile = collect_profile(
             workload.module(), args=workload.args, preload=workload.preload
         )
-        fleet_items.append((workload.module(), profiles[name]))
-
-    serial_reports: dict[str, FormationReport] = {}
-    for name, workload in suite.items():
         probes = _workload_probes(workload)
         module = workload.module()
         # Each workload forms under its own tracer, so a failure can be
@@ -82,13 +66,12 @@ def run_selfcheck(
         with tracing(Tracer()) as tracer:
             report = form_module(
                 module,
-                profile=profiles[name],
+                profile=profile,
                 selfcheck="function",
                 oracle_probes=probes,
             )
             final = differential_check(workload.module(), module, probes=probes)
         trace = tracer.finish()
-        serial_reports[name] = report
         detail = ""
         if not final.ok:
             detail = final.describe() + "\n    " + _failure_context(trace)
@@ -103,26 +86,7 @@ def run_selfcheck(
             }
         )
 
-    drivers_equal = True
-    if workers and workers > 1:
-        fleet_results = form_many_fleet(fleet_items, max_workers=workers)
-        for (name, _), (_, fleet_report) in zip(suite.items(), fleet_results):
-            if fleet_report.summary() != serial_reports[name].summary():
-                drivers_equal = False
-                rows.append(
-                    {
-                        "workload": name,
-                        "ok": 0,
-                        "degraded": 0,
-                        "failed_safe": 0,
-                        "divergences": 1,
-                        "detail": "serial vs fleet report mismatch: "
-                        f"{serial_reports[name].summary()} != "
-                        f"{fleet_report.summary()}",
-                    }
-                )
-
-    ok = drivers_equal and all(row["divergences"] == 0 for row in rows)
+    ok = all(row["divergences"] == 0 for row in rows)
     return {"ok": ok, "rows": rows, "report": _format_selfcheck(rows, ok)}
 
 

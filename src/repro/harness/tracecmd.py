@@ -88,8 +88,6 @@ def _format_event(event: TraceEvent, depth: int) -> str:
         parts.append(f"{pair[0]}<-{pair[1]}")
     elif "function" in attrs:
         parts.append(attrs["function"])
-    elif "task" in attrs and event.name.startswith("task_"):
-        parts.append(attrs["task"])
     if event.name == "reject":
         reason = attrs.get("reason", "?")
         parts.append(f"[{reason}]")
@@ -350,12 +348,6 @@ def stats_data(workload: str, top: int = 10) -> dict:
         "phase_histogram": list(
             snapshot.get("formation_phase_seconds", ())
         ),
-        "recovery_counters": {
-            name: entries
-            for name, entries in sorted(snapshot.items())
-            if name.endswith("_total")
-            and any(entry.get("value") for entry in entries)
-        },
         "formation": {
             name: {"status": str(status), "mtup": list(mtup)}
             for name, (status, mtup) in report.summary().items()
@@ -417,28 +409,6 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
                 f"sum={entry['sum'] * 1e3:.2f}ms"
             )
 
-    # Fleet recovery counters (respawns/requeues/...) — zero on a clean
-    # serial run, so the section only appears when the fleet actually
-    # recovered something.
-    recovery = [
-        (name, entry)
-        for name, entries in sorted(snapshot.items())
-        if name.endswith("_total")
-        for entry in entries
-        if entry.get("value")
-    ]
-    if recovery:
-        lines.append("  driver recovery counters:")
-        for name, entry in recovery:
-            labels = entry.get("labels") or {}
-            suffix = (
-                " {" + ", ".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                ) + "}"
-                if labels
-                else ""
-            )
-            lines.append(f"    {name}{suffix:<24} {entry['value']}")
     return "\n".join(lines)
 
 

@@ -105,27 +105,6 @@ class BasicBlock:
                 regs.add(instr.dest)
         return regs
 
-    def used_regs(self) -> set[int]:
-        regs: set[int] = set()
-        for instr in self.instrs:
-            regs.update(instr.uses())
-        return regs
-
-    def upward_exposed_regs(self) -> set[int]:
-        """Registers read before any write in this block (live-in candidates)."""
-        exposed: set[int] = set()
-        written: set[int] = set()
-        for instr in self.instrs:
-            for reg in instr.uses():
-                if reg not in written:
-                    exposed.add(reg)
-            # A predicated write may leave the old value visible, so a
-            # predicated definition does not kill the upward exposure of
-            # later reads.
-            if instr.dest is not None and instr.pred is None:
-                written.add(instr.dest)
-        return exposed
-
     def retarget_branches(self, old: str, new: str) -> int:
         """Point every branch aimed at ``old`` to ``new``; return count."""
         count = 0
@@ -150,11 +129,10 @@ class BasicBlock:
         return (self.name, self.instrs)
 
     def __setstate__(self, state) -> None:
-        # Versions are process-local: a block shipped across a process
-        # boundary (the formation fleet) is re-stamped from the
-        # local counter so it can never alias a stamp already handed out
-        # in this process.  Instruction uids keep their values, so the
-        # local uid counter skips past them instead.
+        # Versions are process-local: an unpickled block is re-stamped
+        # from the local counter so it can never alias a stamp already
+        # handed out in this process.  Instruction uids keep their
+        # values, so the local uid counter skips past them instead.
         self.name, self.instrs = state
         self.version = next(_version_counter)
         self.converged = None

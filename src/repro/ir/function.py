@@ -138,10 +138,6 @@ class Function:
     def block(self, name: str) -> BasicBlock:
         return self.blocks[name]
 
-    def entry_block(self) -> BasicBlock:
-        assert self.entry is not None, "function has no entry block"
-        return self.blocks[self.entry]
-
     def cfg(self) -> CFG:
         return CFG(self)
 

@@ -4,8 +4,8 @@ The modules (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.trace` — structured events and spans, the installed
   tracer, and the queryable :class:`FormationTrace`;
-- :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
-  with labels and a ``snapshot()`` API;
+- :mod:`repro.obs.metrics` — per-run labelled histograms (phase times)
+  with a ``snapshot()`` API;
 - :mod:`repro.obs.sink` — JSONL / bounded-ring / in-memory sinks and the
   Chrome-trace (Perfetto) exporter;
 - :mod:`repro.obs.ledger` — persistent, content-addressed run records
@@ -32,14 +32,7 @@ from repro.obs.ledger import (
     run_hash,
     validate_record,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.sink import (
     DEFAULT_RING_CAPACITY,
     JsonlSink,
@@ -82,12 +75,8 @@ __all__ = [
     "format_diff",
     "html_report",
     "write_html_report",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
     "DEFAULT_RING_CAPACITY",
     "JsonlSink",
     "MemorySink",

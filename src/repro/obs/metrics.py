@@ -1,23 +1,18 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Per-run metrics registry: labelled histograms with a snapshot.
 
-The formation engine's perf counters used to be scattered across ad-hoc
-dataclasses (``FormationCacheStats``) and proxy mixins; this registry
-gives them one home with label support and a :meth:`MetricsRegistry.
-snapshot` API the CLI layer and run records can serialize directly.
+A tracer given a registry feeds every phase span's duration into the
+``formation_phase_seconds`` histogram, labelled by phase (see
+:class:`repro.obs.trace.Tracer`); ``stats`` renders the result through
+:meth:`MetricsRegistry.snapshot`, which serializes directly to JSON.
 
-Everything is plain-Python and allocation-light: an instrument is looked
-up once (``registry.counter("trials", outcome="rejected")``) and then
-bumped with attribute calls; the convenience forms (:meth:`inc`,
-:meth:`observe`, :meth:`set`) do the lookup per call and are meant for
-cold paths.  When telemetry is disabled no registry exists at all — the
-instrumented code guards on the active tracer, so the disabled cost of
-this module is zero.
+Everything is plain-Python and allocation-light.  When telemetry is
+disabled no registry exists at all — the instrumented code guards on the
+active tracer, so the disabled cost of this module is zero.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 #: Default histogram buckets for second-scale timings: half-decade log
 #: steps from 1 microsecond to 10 seconds (phase timings in this repo
@@ -29,40 +24,6 @@ DEFAULT_TIME_BUCKETS = tuple(
 
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("labels", "value")
-    kind = "counter"
-
-    def __init__(self, labels: dict):
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def as_dict(self) -> dict:
-        return {"labels": self.labels, "value": self.value}
-
-
-class Gauge:
-    """Last-written value."""
-
-    __slots__ = ("labels", "value")
-    kind = "gauge"
-
-    def __init__(self, labels: dict):
-        self.labels = labels
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def as_dict(self) -> dict:
-        return {"labels": self.labels, "value": self.value}
 
 
 class Histogram:
@@ -120,37 +81,20 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named, labelled instruments with a serializable snapshot."""
+    """Named, labelled histograms with a serializable snapshot."""
 
     def __init__(self) -> None:
-        self._instruments: dict[tuple, object] = {}
-
-    def _get(self, factory, name: str, labels: dict, **kwargs):
-        key = (name, _label_key(labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = factory(labels, **kwargs)
-            self._instruments[key] = instrument
-        return instrument
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
+        self._instruments: dict[tuple, Histogram] = {}
 
     def histogram(
         self, name: str, buckets: tuple = DEFAULT_TIME_BUCKETS, **labels
     ) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
-
-    # -- convenience (cold paths) ---------------------------------------
-
-    def inc(self, name: str, amount: int = 1, **labels) -> None:
-        self.counter(name, **labels).inc(amount)
-
-    def set(self, name: str, value: float, **labels) -> None:
-        self.gauge(name, **labels).set(value)
+        key = (name, _label_key(labels))
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = Histogram(labels, buckets=buckets)
+            self._instruments[key] = instrument
+        return instrument
 
     def observe(self, name: str, value: float, **labels) -> None:
         self.histogram(name, **labels).observe(value)
@@ -171,35 +115,3 @@ class MetricsRegistry:
             record["type"] = instrument.kind
             out.setdefault(name, []).append(record)
         return out
-
-    def totals(self, name: str) -> dict:
-        """Aggregate every labelling of ``name`` (histograms: sum/count)."""
-        total_count = 0
-        total_sum = 0.0
-        value = 0
-        for (metric_name, _), instrument in self._instruments.items():
-            if metric_name != name:
-                continue
-            if instrument.kind == "histogram":
-                total_count += instrument.count
-                total_sum += instrument.sum
-            else:
-                value += instrument.value
-        return {"count": total_count, "sum": total_sum, "value": value}
-
-
-#: Default process-wide registry, for callers that do not thread their
-#: own (the CLI verbs create private registries per run).
-_DEFAULT: Optional[MetricsRegistry] = None
-
-
-def get_registry() -> MetricsRegistry:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = MetricsRegistry()
-    return _DEFAULT
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> None:
-    global _DEFAULT
-    _DEFAULT = registry

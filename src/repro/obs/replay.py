@@ -45,9 +45,9 @@ from repro.obs.ledger import fingerprint_of
 DECISION_LOG_SCHEMA_VERSION = 1
 
 #: Trace instants that enter the flight recorder.  Everything else in a
-#: trace (spans, guard bookkeeping, worker lifecycle) is context the
-#: recorder deliberately leaves behind: it is either timing-dependent or
-#: process-local, and the log must be machine-stable.
+#: trace (spans, guard bookkeeping) is context the recorder deliberately
+#: leaves behind: it is either timing-dependent or process-local, and
+#: the log must be machine-stable.
 FLIGHT_EVENTS = frozenset({"offer", "accept", "reject"})
 
 
@@ -103,10 +103,9 @@ def log_from_trace(trace, prefix: str = "") -> dict[str, dict]:
     """Per-function decision logs from a finished trace.
 
     ``trace`` is anything with an ``events`` list in emission order (a
-    :class:`~repro.obs.trace.FormationTrace`, a raw worker fragment
-    wrapped in one) — or the bare event sequence itself, e.g.
-    ``tracer.collected_events()``.  Events are grouped by their
-    ``function`` attribute
+    :class:`~repro.obs.trace.FormationTrace`) — or the bare event
+    sequence itself, e.g. ``tracer.collected_events()``.  Events are
+    grouped by their ``function`` attribute
     (key-prefixed with the workload name, exactly like the ledger's
     :func:`~repro.obs.ledger.decision_fingerprints`); each record carries
     the ordinal of the most recent preceding ``offer`` for its function,

@@ -3,8 +3,7 @@
 A *sink* receives every :class:`~repro.obs.trace.TraceEvent` a tracer
 emits.  Three are provided:
 
-- :class:`MemorySink` — unbounded list; the default for short runs and
-  for worker-side fragments that ship back from fleet workers.
+- :class:`MemorySink` — unbounded list; the default for short runs.
 - :class:`RingSink` — bounded ring keeping the *newest* ``capacity``
   events; overflow increments a ``dropped`` counter instead of vanishing
   silently (the count surfaces in ``trace``/``stats`` summaries).
@@ -118,36 +117,25 @@ def chrome_trace(events: Sequence, meta: Optional[dict] = None) -> dict:
 
     Each distinct ``attrs["function"]`` becomes one virtual thread so
     Perfetto renders per-function phase lanes; events without a function
-    attribute land on a shared "run" lane.  Worker fragments absorbed
-    from fleet workers carry real ``pid`` attrs (stamped worker-side),
-    so each worker process renders as its own Chrome track with a
-    ``process_name`` label; driver-side events keep pid 0.
+    attribute land on a shared "run" lane.  Every event is on pid 0.
     Timestamps and durations are microseconds, as the format requires.
     """
-    tids: dict[tuple, int] = {}
-    pids: set = set()
+    tids: dict[str, int] = {}
     trace_events: list[dict] = []
-
-    def tid_of(pid, label: str) -> int:
-        tid = tids.get((pid, label))
-        if tid is None:
-            tid = len(tids) + 1
-            tids[(pid, label)] = tid
-        return tid
-
     for event in events:
-        pid = event.attrs.get("pid", 0)
-        pids.add(pid)
-        lane = event.attrs.get("function") or event.attrs.get("task") or "run"
+        lane = str(event.attrs.get("function") or "run")
+        tid = tids.get(lane)
+        if tid is None:
+            tid = tids[lane] = len(tids) + 1
         record = {
             "name": event.name,
-            "pid": pid,
-            "tid": tid_of(pid, str(lane)),
+            "pid": 0,
+            "tid": tid,
             "ts": round(event.ts * 1e6, 3),
             "args": {
                 key: value
                 for key, value in event.attrs.items()
-                if key not in ("function", "pid", "tid")
+                if key != "function"
             },
         }
         if event.dur is not None:
@@ -158,26 +146,14 @@ def chrome_trace(events: Sequence, meta: Optional[dict] = None) -> dict:
             record["s"] = "t"
         trace_events.append(record)
 
-    for (pid, label), tid in tids.items():
+    for lane, tid in tids.items():
         trace_events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": 0,
                 "tid": tid,
-                "args": {"name": label},
-            }
-        )
-    for pid in sorted(pids, key=str):
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {
-                    "name": "driver" if pid == 0 else f"worker pid {pid}"
-                },
+                "args": {"name": lane},
             }
         )
     document = {"traceEvents": trace_events, "displayTimeUnit": "ms"}

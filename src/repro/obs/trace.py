@@ -16,15 +16,14 @@ that record:
   attribute load and an ``is None`` test per trial, which is how the
   subsystem keeps its disabled overhead under the 2% budget.
 - :class:`FormationTrace` — the finished, queryable trace: event counts,
-  span trees, per-decision paths (``decision_path``), and merging of
-  worker-side fragments shipped back from fleet jobs.
+  span trees and per-decision paths (``decision_path``).
 
 Like :mod:`repro.robustness.faultinject`, the active tracer is a process
 global (:func:`install` / :func:`clear` / :func:`tracing`): it must reach
 code deep inside the merge loop without threading a parameter through
-every call site, and fleet workers install their own for each traced
-job.  The ``obs`` package imports nothing from the rest of ``repro``
-so every layer (core, robustness, harness) can import it without cycles.
+every call site.  The ``obs`` package imports nothing from the rest of
+``repro`` so every layer (core, robustness, harness) can import it
+without cycles.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ class _Span:
 
 
 class Tracer:
-    """Per-run trace emitter: spans, instants, and fragment absorption.
+    """Per-run trace emitter: spans and instants.
 
     ``sinks`` receive every event as it completes (spans are emitted at
     *exit*, so a parent span follows its children in sink order — readers
@@ -193,40 +192,6 @@ class Tracer:
     #: Phase spans are ordinary spans whose names are in
     #: :data:`PHASE_SPANS`; kept as an alias so call sites read as intent.
     phase = span
-
-    def absorb(self, events: Sequence[TraceEvent], **extra_attrs) -> int:
-        """Merge a worker-side trace fragment into this tracer.
-
-        Remaps the fragment's span ids into this tracer's id space
-        (preserving parent/child structure), shifts timestamps into this
-        tracer's timeline (fragments start at the absorption instant) and
-        re-emits every event to the sinks.  Returns the number of events
-        absorbed.
-        """
-        if not events:
-            return 0
-        remap: dict[int, int] = {}
-        for event in events:
-            remap[event.span_id] = self._next_id()
-        base = min(e.ts for e in events)
-        offset = self.clock() - self.epoch
-        parent = self._stack[-1] if self._stack else None
-        count = 0
-        for event in events:
-            attrs = dict(event.attrs)
-            attrs.update(extra_attrs)
-            self._emit(
-                TraceEvent(
-                    name=event.name,
-                    ts=event.ts - base + offset,
-                    span_id=remap[event.span_id],
-                    parent_id=remap.get(event.parent_id, parent),
-                    dur=event.dur,
-                    attrs=attrs,
-                )
-            )
-            count += 1
-        return count
 
     # -- finishing -------------------------------------------------------
 
@@ -352,33 +317,6 @@ class FormationTrace:
             if last is None or event.ts >= last.ts:
                 last = event
         return last
-
-    def merge_fragment(
-        self, events: Sequence[TraceEvent], **extra_attrs
-    ) -> int:
-        """Append a worker fragment (id-remapped) to this trace."""
-        if not events:
-            return 0
-        next_id = max((e.span_id for e in self.events), default=0) + 1
-        remap: dict[int, int] = {}
-        for event in events:
-            remap[event.span_id] = next_id
-            next_id += 1
-        for event in events:
-            attrs = dict(event.attrs)
-            attrs.update(extra_attrs)
-            self.events.append(
-                TraceEvent(
-                    name=event.name,
-                    ts=event.ts,
-                    span_id=remap[event.span_id],
-                    parent_id=remap.get(event.parent_id),
-                    dur=event.dur,
-                    attrs=attrs,
-                )
-            )
-        self._children = None
-        return len(events)
 
 
 # ---------------------------------------------------------------------------

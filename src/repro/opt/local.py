@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.predimpl import implication_edges, implies
 from repro.ir.block import BasicBlock
 from repro.ir.instruction import Instruction, Predicate
 from repro.ir.regmask import as_mask
@@ -469,81 +470,6 @@ def fold_moves(block: BasicBlock, live_out: "int | set[int]") -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _implication_edges(
-    block: BasicBlock,
-) -> tuple[dict[tuple[int, bool], set[tuple[int, bool]]], dict[int, int]]:
-    """Facts of the form ``atom -> implied atom`` from single-def predicate
-    combinators (AND / NOT / MOV chains built by if-conversion).
-
-    Also returns per-register definition counts: implication reasoning
-    (including the reflexive case) is only sound for registers defined once
-    in the block — a redefined test register names *different* dynamic
-    values at different points (unrolled iterations recompute the loop test
-    into the same register).
-    """
-    def_counts: dict[int, int] = {}
-    counts_get = def_counts.get
-    combinators: list[Instruction] = []
-    AND, NOT, MOV = Opcode.AND, Opcode.NOT, Opcode.MOV
-    for instr in block.instrs:
-        d = instr.dest
-        if d is not None:
-            def_counts[d] = counts_get(d, 0) + 1
-            if instr.pred is None:
-                op = instr.op
-                if op is AND or op is NOT or op is MOV:
-                    combinators.append(instr)
-    edges: dict[tuple[int, bool], set[tuple[int, bool]]] = {}
-    for instr in combinators:
-        d = instr.dest
-        if def_counts.get(d, 0) != 1:
-            continue
-        op = instr.op
-        if op is AND:
-            a, b = instr.srcs
-            edges.setdefault((d, True), set()).update({(a, True), (b, True)})
-        elif op is NOT:
-            (a,) = instr.srcs
-            edges.setdefault((d, True), set()).add((a, False))
-            edges.setdefault((d, False), set()).add((a, True))
-        else:
-            (a,) = instr.srcs
-            edges.setdefault((d, True), set()).add((a, True))
-            edges.setdefault((d, False), set()).add((a, False))
-    return edges, def_counts
-
-
-def _implies(
-    edges: dict[tuple[int, bool], set[tuple[int, bool]]],
-    q: Predicate,
-    p: Predicate,
-    unstable: int = 0,
-) -> bool:
-    """True if ``q`` holding guarantees ``p`` holds.
-
-    Atoms over registers in the ``unstable`` mask (redefined between the
-    producer and the consumer) name different dynamic values and are not
-    traversed.
-    """
-    start = (q.reg, q.sense)
-    goal = (p.reg, p.sense)
-    if start == goal:
-        return True
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in edges.get(node, ()):
-            if unstable >> nxt[0] & 1:
-                continue
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def implicit_predication(block: BasicBlock, live_out: "int | set[int]") -> bool:
     """Drop predicates that are implied by every consumer's predicate.
 
@@ -598,8 +524,8 @@ def implicit_predication(block: BasicBlock, live_out: "int | set[int]") -> bool:
                     break
                 if q.reg != p.reg or q.sense != p.sense:
                     if edges is None:
-                        edges, _ = _implication_edges(block)
-                    if not _implies(edges, q, p, redefined):
+                        edges, _ = implication_edges(block)
+                    if not implies(edges, q, p, redefined):
                         ok = False
                         break
             later_dest = later.dest

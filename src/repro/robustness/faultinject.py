@@ -2,9 +2,9 @@
 
 A :class:`FaultPlane` is a seeded, *stateless* decider: whether a fault
 fires at a given site is a pure function of ``(seed, site, keys...)``, so
-the same plane produces the same faults regardless of trial order, worker
-count, or scheduling — which is what lets the containment proofs compare a
-faulted run against a no-fault control run function by function.
+the same plane produces the same faults regardless of trial order — which
+is what lets the containment proof compare a faulted run against a
+no-fault control run function by function.
 
 Trial-level fault kinds (applied to the scratch preview of a merge trial):
 
@@ -15,15 +15,6 @@ Trial-level fault kinds (applied to the scratch preview of a merge trial):
 - ``"operand"``   — silently corrupt a source operand of the preview (a
   wrong-code bug only the differential oracle can catch);
 - ``"predicate"`` — silently drop a predicate from the preview (ditto).
-
-Worker-level fault kinds (acted out by fleet workers, see
-:mod:`repro.harness.fleet_worker`):
-
-- ``"raise"`` — the worker job raises before forming;
-- ``"stall"`` — the worker wedges with its heartbeat paused, until the
-  supervisor expires its lease;
-- ``"kill"``  — the worker process dies (``os._exit``); the supervisor
-  respawns it and requeues the job.
 
 The module keeps no repro imports so that ``repro.core.merge`` can import
 it without cycles.
@@ -46,9 +37,7 @@ def stable_roll(seed, *key) -> float:
 
     The repo's one idiom for "deterministic randomness": a pure function
     of its inputs, independent of call order, interpreter hash seed, or
-    process.  The fault plane decides firing sites with it, and the
-    fleet derives retry-backoff jitter from it so repeated runs
-    de-synchronize retries identically.
+    process.  The fault plane decides firing sites with it.
     """
     digest = hashlib.sha256(
         "|".join((str(seed),) + tuple(str(k) for k in key)).encode()
@@ -61,14 +50,13 @@ def stable_roll(seed, *key) -> float:
 RAISING_KINDS = ("optimizer", "commit")
 CORRUPTING_KINDS = ("operand", "predicate")
 TRIAL_KINDS = RAISING_KINDS + CORRUPTING_KINDS
-WORKER_KINDS = ("raise", "stall", "kill")
 
 
 @dataclass
 class FiredFault:
     """A fault the plane actually injected."""
 
-    site: str  # "trial" or "worker"
+    site: str  # "trial"
     kind: str
     function: str
     seed: Optional[str] = None  # hyperblock seed (trial faults)
@@ -77,20 +65,17 @@ class FiredFault:
 
 @dataclass
 class FaultPlane:
-    """Seeded fault decider; picklable so it can ship to fleet workers.
+    """Seeded fault decider.
 
     ``rate`` is the per-site firing probability; ``functions`` (when set)
-    restricts injection to the named functions.  The ``fired`` log is
-    process-local: a worker's log travels back inside its
-    :class:`~repro.robustness.guard.FunctionReport`, not via the plane.
+    restricts injection to the named functions.  ``fired`` logs every
+    fault the plane injected, in firing order.
     """
 
     rate: float = 0.1
     seed: int = 0
     kinds: tuple = RAISING_KINDS
-    worker_kinds: tuple = ()
     functions: Optional[frozenset] = None
-    stall_seconds: float = 2.0
     fired: list = field(default_factory=list)
 
     def _roll(self, *key: str) -> float:
@@ -151,18 +136,6 @@ class FaultPlane:
                     return True
             return False
         raise ValueError(f"not a corrupting fault kind: {kind!r}")
-
-    # -- worker faults --------------------------------------------------
-
-    def worker_fault(self, task_name: str) -> Optional[str]:
-        """Which worker-level fault (if any) fires for this task."""
-        if not self.worker_kinds or not self._targets(task_name):
-            return None
-        roll = self._roll("worker", task_name)
-        if roll >= self.rate:
-            return None
-        index = int(roll / self.rate * len(self.worker_kinds))
-        return self.worker_kinds[min(index, len(self.worker_kinds) - 1)]
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -52,12 +52,12 @@ class FunctionStatus(enum.Enum):
 class TrialFailure:
     """One contained failure, with enough structure to reproduce it.
 
-    Exceptions are stored as strings (type, message, traceback tail) so a
-    failure can cross a process boundary inside a report.
+    Exceptions are stored as strings (type, message, traceback tail), so
+    a report keeps no exception or its frames alive.
     """
 
     function: str
-    stage: str  # "trial" | "function" | "verify" | "oracle" | "worker"
+    stage: str  # "trial" | "function" | "verify" | "oracle"
     seed: Optional[str] = None  # hyperblock seed of the failing trial
     candidate: Optional[str] = None
     error_type: str = ""
@@ -65,9 +65,6 @@ class TrialFailure:
     traceback: str = ""
     ir_hash: str = ""  # sha256 of the printed function at failure time
     fault_kind: Optional[str] = None  # set when injected by a FaultPlane
-    #: How many executions were burned before the failure was written off
-    #: (> 1 only for retried worker tasks / requeued fleet leases).
-    attempts: int = 1
 
     @classmethod
     def from_exception(
@@ -234,8 +231,8 @@ class FormationReport(_StatsProxy):
     def summary(self) -> dict[str, tuple]:
         """Order-insensitive equivalence view: {function: (status, mtup)}.
 
-        Two drivers (serial vs. fleet) producing the same summary made
-        the same decisions and contained the same failures.
+        Two formation runs producing the same summary made the same
+        decisions and contained the same failures.
         """
         return {
             name: (report.status.value, report.stats.mtup)

@@ -2,7 +2,6 @@
 
 from repro.transform.duplicate import duplicate_region
 from repro.transform.ifconvert import MergeError, inline_block, merge_preview
-from repro.transform.inline_ir import inline_call, inline_small_functions
 from repro.transform.loop_transforms import peel_loop, unroll_loop
 from repro.transform.predicates import PredicateBuilder
 from repro.transform.split import SplitError, split_block
@@ -12,8 +11,6 @@ __all__ = [
     "PredicateBuilder",
     "duplicate_region",
     "inline_block",
-    "inline_call",
-    "inline_small_functions",
     "merge_preview",
     "peel_loop",
     "unroll_loop",

@@ -167,21 +167,6 @@ def random_program(seed: int, max_depth: int = 3, nvars: int = 4) -> Module:
     return _Gen(rng, max_depth=max_depth).build(nvars=nvars)
 
 
-#: Mean function size (instructions) across the SPEC workload suite; the
-#: scaling tiers below are multiples of this.
-SPEC_MEAN_INSTRS = 44
-
-#: Synthetic scaling tiers: (label, target instruction count), so each
-#: tier reads as "a SPEC workload, N times larger".
-SCALING_TIERS = (
-    ("10x", 10 * SPEC_MEAN_INSTRS),
-    ("50x", 50 * SPEC_MEAN_INSTRS),
-    ("200x", 200 * SPEC_MEAN_INSTRS),
-)
-#: Default seed of the scaling-tier corpora.
-SCALING_SEED = 2006
-
-
 def scaled_program(target_instrs: int, seed: int) -> Module:
     """A deterministic synthetic program of roughly ``target_instrs``.
 

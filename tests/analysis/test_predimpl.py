@@ -72,7 +72,7 @@ def test_unstable_registers_not_traversed():
     )
     edges, _ = implication_edges(blk)
     assert not implies(
-        edges, Predicate(5, True), Predicate(1, True), frozenset({1})
+        edges, Predicate(5, True), Predicate(1, True), 1 << 1
     )
 
 

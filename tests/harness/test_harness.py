@@ -136,6 +136,49 @@ def test_cli_unknown_spec_subset_lists_the_available_names(verb):
     assert "Traceback" not in result.stderr
 
 
+#: The ``repro`` modules ``benchmarks/e2e/e2e.py`` imports at start-up;
+#: their import time is part of its ``setup_s``.
+E2E_IMPORTS = (
+    "repro.backend.pipeline",
+    "repro.harness.experiment",
+    "repro.ir.arena",
+    "repro.ir.function",
+    "repro.ir.printer",
+    "repro.ir.verify",
+    "repro.profiles.collect",
+    "repro.sim.functional",
+    "repro.sim.timing",
+    "repro.workloads.generators",
+    "repro.workloads.microbench",
+    "repro.workloads.spec",
+)
+
+
+def test_pipeline_imports_load_no_process_machinery():
+    # Formation runs in one process, so nothing the pipeline imports
+    # needs multiprocessing; loading it anyway costs every e2e process
+    # start-up time and memory.  A fresh interpreter, so modules other
+    # tests imported do not count.
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import importlib, sys\n"
+        f"for name in {E2E_IMPORTS!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_ordering_config_applies_policy():
     from repro.core.policies import BreadthFirstPolicy
     from repro.profiles import collect_profile

@@ -30,25 +30,6 @@ def test_branches_to_and_retarget():
     assert blk.successors() == ["B2", "C"]
 
 
-def test_upward_exposed_ignores_killed_regs():
-    blk = BasicBlock("A")
-    blk.append(Instruction(Opcode.MOVI, dest=1, imm=5))
-    blk.append(Instruction(Opcode.ADD, dest=2, srcs=(1, 0)))
-    blk.append(Instruction(Opcode.BR, target="A"))
-    # v1 written before use -> not exposed; v0 read first -> exposed.
-    assert blk.upward_exposed_regs() == {0}
-
-
-def test_upward_exposed_predicated_write_does_not_kill():
-    blk = BasicBlock("A")
-    blk.append(Instruction(Opcode.MOVI, dest=1, imm=5, pred=Predicate(3)))
-    blk.append(Instruction(Opcode.ADD, dest=2, srcs=(1, 1)))
-    blk.append(Instruction(Opcode.BR, target="A"))
-    # v1's write is conditional, so the later read may see the old value.
-    assert 1 in blk.upward_exposed_regs()
-    assert 3 in blk.upward_exposed_regs()
-
-
 def test_block_copy_is_deep():
     func = make_diamond()
     original = func.block("B")

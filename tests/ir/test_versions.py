@@ -73,8 +73,8 @@ def test_unpickled_uids_are_never_minted_again(monkeypatch):
     entry = func.add_block(BasicBlock("entry", [_add(3, 1, 2), _add(4, 3, 3)]))
     entry.append(Instruction(Opcode.RET, srcs=(4,)))
     shipped = [i.uid for i in entry.instrs]
-    # A fresh worker process starts its counter at 1, below every uid the
-    # driver has shipped.
+    # A fresh process starts its counter at 1, below every uid the
+    # pickling process minted.
     monkeypatch.setattr(instruction, "_uid_counter", itertools.count(1))
     clone = pickle.loads(pickle.dumps(func))
     assert [i.uid for i in clone.blocks["entry"].instrs] == shipped

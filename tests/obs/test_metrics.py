@@ -1,30 +1,10 @@
-"""The metrics registry: instruments, labels, snapshots."""
+"""The metrics registry: histograms, labels, snapshots."""
 
 from __future__ import annotations
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
+import json
 
-
-def test_counter_identity_by_name_and_labels():
-    registry = MetricsRegistry()
-    a = registry.counter("trials", outcome="rejected")
-    b = registry.counter("trials", outcome="rejected")
-    c = registry.counter("trials", outcome="committed")
-    assert a is b and a is not c
-    a.inc()
-    a.inc(2)
-    assert a.value == 3 and c.value == 0
-
-
-def test_gauge_keeps_last_value():
-    registry = MetricsRegistry()
-    registry.set("pool_size", 4)
-    registry.set("pool_size", 2)
-    assert registry.gauge("pool_size").value == 2
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_histogram_stats_and_buckets():
@@ -41,36 +21,14 @@ def test_histogram_stats_and_buckets():
 
 def test_snapshot_is_json_shaped_and_stable():
     registry = MetricsRegistry()
-    registry.inc("rejects", reason="policy")
-    registry.inc("rejects", reason="constraint")
+    registry.observe("trial", 0.5, outcome="rejected")
+    registry.observe("trial", 0.125, outcome="committed")
     registry.observe("phase", 0.25, phase="estimate")
     snapshot = registry.snapshot()
-    assert sorted(snapshot) == ["phase", "rejects"]
-    labels = [entry["labels"]["reason"] for entry in snapshot["rejects"]]
+    assert sorted(snapshot) == ["phase", "trial"]
+    labels = [entry["labels"]["outcome"] for entry in snapshot["trial"]]
     assert labels == sorted(labels)  # label order is deterministic
     (phase_entry,) = snapshot["phase"]
     assert phase_entry["type"] == "histogram"
     assert phase_entry["count"] == 1 and phase_entry["sum"] == 0.25
-
-
-def test_totals_aggregates_across_labels():
-    registry = MetricsRegistry()
-    registry.inc("rejects", reason="policy", amount=1)
-    registry.inc("rejects", reason="constraint")
-    registry.observe("phase", 0.25, phase="estimate")
-    registry.observe("phase", 0.75, phase="commit")
-    assert registry.totals("rejects")["value"] == 2
-    phase = registry.totals("phase")
-    assert phase["count"] == 2 and phase["sum"] == 1.0
-
-
-def test_default_registry_is_process_global():
-    set_registry(None)
-    try:
-        first = get_registry()
-        assert get_registry() is first
-        mine = MetricsRegistry()
-        set_registry(mine)
-        assert get_registry() is mine
-    finally:
-        set_registry(None)
+    assert json.loads(json.dumps(snapshot)) == snapshot

@@ -30,8 +30,8 @@ def _sample_events() -> list[TraceEvent]:
                 "reason": "constraint", "constraints": ["instructions"],
             },
         ),
-        TraceEvent(name="task_dispatch", ts=0.002, span_id=3,
-                   attrs={"task": "g"}),
+        TraceEvent(name="offer", ts=0.002, span_id=3,
+                   attrs={"hb": "c", "target": "d"}),
     ]
 
 
@@ -84,11 +84,10 @@ def test_chrome_trace_structure():
     instants = [e for e in events if e["ph"] == "i"]
     metadata = [e for e in events if e["ph"] == "M"]
     thread_meta = [e for e in metadata if e["name"] == "thread_name"]
-    process_meta = [e for e in metadata if e["name"] == "process_name"]
     assert len(spans) == 1 and len(instants) == 2
-    assert len(thread_meta) == 2
-    # No pid attrs anywhere -> everything on the driver process track.
-    assert [e["args"]["name"] for e in process_meta] == ["driver"]
+    assert thread_meta == metadata
+    # One process: every record is on pid 0.
+    assert {e["pid"] for e in events} == {0}
 
     (span,) = spans
     assert span["name"] == "trial"
@@ -96,12 +95,14 @@ def test_chrome_trace_structure():
     assert span["dur"] == 500.0
     assert "function" not in span["args"]  # lifted into the lane
 
-    # One virtual thread per function/task lane, each named.
+    # One virtual thread per function, each named; events without a
+    # function share the "run" lane.
     lanes = {e["args"]["name"]: e["tid"] for e in thread_meta}
-    assert set(lanes) == {"f", "g"}
+    assert set(lanes) == {"f", "run"}
     assert span["tid"] == lanes["f"]
-    (dispatch,) = [e for e in instants if e["name"] == "task_dispatch"]
-    assert dispatch["tid"] == lanes["g"]
+    (offer,) = [e for e in instants if e["name"] == "offer"]
+    assert offer["tid"] == lanes["run"]
+    assert offer["args"] == {"hb": "c", "target": "d"}
 
     # The whole document is JSON-serializable.
     json.dumps(document)
@@ -128,67 +129,3 @@ def test_jsonl_sink_context_manager_flushes_and_closes(tmp_path):
     assert sink._handle.closed
     sink.close()  # idempotent: finish() may close it again
     assert read_jsonl(path) == events
-
-
-def test_absorb_drop_accounting_under_ring_overflow():
-    # A tracer whose only sink is a tiny ring: absorbing a fragment
-    # larger than the ring must (a) report every event absorbed — the
-    # fragment *was* processed — and (b) account the overflow in the
-    # sink's dropped counter, surfaced by dropped_events()/finish().
-    tracer = Tracer(sinks=(RingSink(capacity=4),))
-    fragment = [
-        TraceEvent(name="offer", ts=i * 0.001, span_id=i + 1,
-                   attrs={"function": "f"})
-        for i in range(10)
-    ]
-    absorbed = tracer.absorb(fragment, task="t0")
-    assert absorbed == 10
-    assert tracer.dropped_events() == 6  # 10 emitted into capacity 4
-    trace = tracer.finish()
-    assert len(trace) == 4  # the newest events survive
-    assert trace.dropped == 6
-    # The survivors are the *last* four of the fragment, stamped with
-    # the absorb-time extra attrs.
-    assert all(e.attrs.get("task") == "t0" for e in trace.events)
-
-
-def test_absorb_drop_accounting_accumulates_across_fragments():
-    tracer = Tracer(sinks=(RingSink(capacity=3),))
-    frag = [
-        TraceEvent(name="offer", ts=0.0, span_id=1),
-        TraceEvent(name="offer", ts=0.001, span_id=2),
-    ]
-    tracer.absorb(frag)
-    assert tracer.dropped_events() == 0
-    tracer.absorb(frag)
-    assert tracer.dropped_events() == 1
-    tracer.absorb(frag)
-    assert tracer.dropped_events() == 3
-
-
-def test_chrome_trace_worker_pid_tracks():
-    # Fragments stamped with real worker pids render as separate Chrome
-    # process tracks; pid/tid attrs are lifted out of args.
-    events = [
-        TraceEvent(name="trial", ts=0.001, span_id=1, dur=0.0005,
-                   attrs={"function": "f", "pid": 111, "tid": 7}),
-        TraceEvent(name="trial", ts=0.002, span_id=2, dur=0.0005,
-                   attrs={"function": "f", "pid": 222, "tid": 9}),
-        TraceEvent(name="offer", ts=0.003, span_id=3,
-                   attrs={"function": "g"}),
-    ]
-    document = chrome_trace(events)
-    spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
-    assert {e["pid"] for e in spans} == {111, 222}
-    # Same lane name, different pid -> different tid (separate tracks).
-    assert spans[0]["tid"] != spans[1]["tid"]
-    for span in spans:
-        assert "pid" not in span["args"] and "tid" not in span["args"]
-    process_names = {
-        e["pid"]: e["args"]["name"]
-        for e in document["traceEvents"]
-        if e["ph"] == "M" and e["name"] == "process_name"
-    }
-    assert process_names == {
-        0: "driver", 111: "worker pid 111", 222: "worker pid 222",
-    }

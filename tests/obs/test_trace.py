@@ -80,33 +80,6 @@ def test_install_clear_and_tracing_context():
     assert active_tracer() is None
 
 
-def test_absorb_remaps_ids_and_preserves_structure():
-    worker = Tracer()
-    with worker.span("function", function="w"):
-        worker.event("accept", hb="a", target="b")
-    fragment = worker.collected_events()
-
-    parent = Tracer()
-    parent.event("task_dispatch", task="w")
-    absorbed = parent.absorb(fragment, task="w")
-    assert absorbed == len(fragment)
-
-    trace = parent.finish()
-    (func_span,) = trace.named("function")
-    (accept,) = trace.named("accept")
-    assert accept.parent_id == func_span.span_id
-    assert accept.attrs["task"] == "w"  # extra attr stamped on
-    # Remapped ids never collide with the parent's own events.
-    ids = [e.span_id for e in trace.events]
-    assert len(ids) == len(set(ids))
-
-
-def test_absorb_empty_fragment_is_a_noop():
-    tracer = Tracer()
-    assert tracer.absorb([]) == 0
-    assert tracer.collected_events() == []
-
-
 def test_ring_sink_bounds_the_trace_and_counts_drops():
     tracer = Tracer(sinks=(RingSink(capacity=3),))
     for i in range(5):
@@ -156,25 +129,6 @@ def test_formation_trace_queries():
     accept = trace.last_accept()
     assert accept is not None and accept.attrs["target"] == "b1"
     assert trace.last_accept(function="g") is None
-
-
-def test_merge_fragment_appends_with_fresh_ids():
-    base = Tracer()
-    base.event("module")
-    trace = base.finish()
-    fragment = [
-        TraceEvent(name="function", ts=0.0, span_id=1, dur=0.5),
-        TraceEvent(name="accept", ts=0.1, span_id=2, parent_id=1),
-    ]
-    added = trace.merge_fragment(fragment, task="w")
-    assert added == 2
-    assert len(trace) == 3
-    (accept,) = trace.named("accept")
-    (func,) = trace.named("function")
-    assert accept.parent_id == func.span_id
-    assert accept.attrs == {"task": "w"}
-    ids = [e.span_id for e in trace.events]
-    assert len(ids) == len(set(ids))
 
 
 def test_empty_trace_is_queryable():

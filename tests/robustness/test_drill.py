@@ -44,6 +44,6 @@ def test_cli_rejects_a_fault_rate_outside_the_unit_interval(rate):
 
 
 def test_selfcheck_passes_and_drivers_agree():
-    check = run_selfcheck(subset=SUBSET, workers=2)
+    check = run_selfcheck(subset=SUBSET)
     assert check["ok"], check["report"]
     assert all(row["divergences"] == 0 for row in check["rows"])

@@ -53,7 +53,6 @@ def test_function_targeting():
     )
     assert plane.trial_fault("hot", "b0", "b1") is not None
     assert plane.trial_fault("cold", "b0", "b1") is None
-    assert plane.worker_fault("cold") is None
 
 
 def test_corrupt_operand_and_predicate_mutate_a_block():
@@ -80,22 +79,13 @@ def test_corrupt_operand_and_predicate_mutate_a_block():
             raise AssertionError(f"no block eligible for {kind} corruption")
 
 
-def test_worker_fault_selection_is_deterministic():
-    plane = FaultPlane(rate=1.0, seed=5, worker_kinds=("raise", "stall", "kill"))
-    names = [f"task{i}" for i in range(20)]
-    first = [plane.worker_fault(name) for name in names]
-    second = [plane.worker_fault(name) for name in names]
-    assert first == second
-    assert set(first) <= {"raise", "stall", "kill"}
-
-
 def test_fired_log_and_marks():
     plane = FaultPlane()
     mark = plane.fired_mark()
     plane.record("trial", "optimizer", "f", "b0", "b1")
-    plane.record("worker", "raise", "g")
+    plane.record("trial", "commit", "g", "b2", "b3")
     assert [f.kind for f in plane.fired_since(mark, "f")] == ["optimizer"]
-    assert [f.kind for f in plane.fired_since(mark, "g")] == ["raise"]
+    assert [f.kind for f in plane.fired_since(mark, "g")] == ["commit"]
     assert plane.fired_since(plane.fired_mark(), "f") == []
 
 
