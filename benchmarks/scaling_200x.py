@@ -9,7 +9,9 @@ profiles the program once, then forms a fresh copy of it under BF
 three times on e2e's reference-speed clock (``benchmarks/e2e/speedclock.py``).
 It writes the median and spread of the formation seconds (reference
 speed, wall clock alongside), m/t/u/p and attempts, which must repeat
-exactly, and ``max_reg`` before and after formation::
+exactly, ``max_reg`` before and after formation, and how many commits
+made formation rebuild its loop forest and its liveness components
+(``loop_rebuilds``, ``liveness_rebuilds``)::
 
     python3 benchmarks/scaling_200x.py     # writes benchmarks/baselines/scaling_200x.json
 
@@ -63,9 +65,14 @@ def measure() -> dict:
             "mtup": list(stats.mtup),
             "attempts": stats.attempts,
             "max_reg_after": max_reg(formed),
+            "loop_rebuilds": stats.cache.loop_rebuilds,
+            "liveness_rebuilds": stats.cache.liveness_rebuilds,
         })
     decisions = {
-        (tuple(run["mtup"]), run["attempts"], run["max_reg_after"])
+        (
+            tuple(run["mtup"]), run["attempts"], run["max_reg_after"],
+            run["loop_rebuilds"], run["liveness_rebuilds"],
+        )
         for run in runs
     }
     if len(decisions) != 1:
@@ -86,6 +93,8 @@ def measure() -> dict:
         "attempts": runs[0]["attempts"],
         "max_reg_before": max_reg(module),
         "max_reg_after": runs[0]["max_reg_after"],
+        "loop_rebuilds": runs[0]["loop_rebuilds"],
+        "liveness_rebuilds": runs[0]["liveness_rebuilds"],
         "clock": clock.summary(),
         "machine": machine_metadata(),
         "date": time.strftime("%Y-%m-%d"),

@@ -26,7 +26,7 @@ divided by the word width rather than with live-set cardinality.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.analysis.predimpl import exposed_mask
 from repro.ir.function import CFG, Function
@@ -197,17 +197,19 @@ class Liveness:
         self._rank = {cid: float(cid) for cid in self._members}
         self._next_id = len(comps)
 
-    def note_commit(self, hb: str, s: str, in_shape: bool) -> bool:
+    def note_commit(
+        self, hb: str, s: str, added: Optional[Iterable[str]]
+    ) -> bool:
         """Re-solve after a formation commit rewrote ``hb`` by merging
         ``s`` into it (and possibly deleted ``s``).
 
         ``self.cfg`` must already hold ``hb``'s new successors and no
-        longer hold a deleted ``s``.  ``in_shape`` says the commit replaced
-        the edge ``hb -> s`` by edges from ``hb`` to the successors of
-        ``s`` and changed no other edge.  Then reachability among all
-        blocks other than ``s`` is unchanged (a path through ``hb -> s ->
-        t`` maps to one through ``hb -> t`` and back), so only ``s`` can
-        leave its component:
+        longer hold a deleted ``s``.  An empty ``added`` says the commit
+        replaced the edge ``hb -> s`` by edges from ``hb`` to the
+        successors of ``s`` and changed no other edge.  Then reachability
+        among all blocks other than ``s`` is unchanged (a path through
+        ``hb -> s -> t`` maps to one through ``hb -> t`` and back), so
+        only ``s`` can leave its component:
 
         - a deleted ``s`` leaves it;
         - ``s`` stays while another predecessor remains in its component;
@@ -215,14 +217,21 @@ class Liveness:
           component (which it branches into) and its lowest-ranked
           remaining predecessor.
 
-        Any other edit (an unroll whose saved body adds a successor), or a
-        rank gap exhausted by repeated splits, re-discovers the components
-        instead.  Either way the dirty components are then popped from a
-        heap in rank order, starting at ``hb``'s, and re-solved; a
-        component whose live-in sets change dirties its predecessors'.
-        Every other component keeps its solution: its transfer functions
-        and its successors' live-in sets are unchanged, so its old
-        solution is still the least fixpoint.
+        For an unroll (``s == hb``) whose saved body added the edges
+        ``hb -> t``, ``added`` names the targets ``t``; no edge was
+        removed.  When each ``t`` is in ``hb``'s component or ranked below
+        it, every edge still runs from a higher rank to a lower one or
+        inside a component, so no path leads from a ``t`` back to ``hb``:
+        the edit closes no cycle and the components and ranks stand.
+
+        Any other edit (``added`` is ``None``, or an added edge that runs
+        upward in rank), or a rank gap exhausted by repeated splits,
+        re-discovers the components instead.  Either way the dirty
+        components are then popped from a heap in rank order, starting at
+        ``hb``'s, and re-solved; a component whose live-in sets change
+        dirties its predecessors'.  Every other component keeps its
+        solution: its transfer functions and its successors' live-in sets
+        are unchanged, so its old solution is still the least fixpoint.
 
         Returns ``False`` when the components were re-discovered.
         """
@@ -231,11 +240,26 @@ class Liveness:
             for table in (self.live_in, self.live_out, self._use, self._kill):
                 del table[s]
         self._use[hb], self._kill[hb] = block_use_kill(self.func.blocks[hb])
-        patched = in_shape and self._patch(s, removed)
+        patched = (
+            added is not None
+            and self._ranks_hold(hb, added)
+            and self._patch(s, removed)
+        )
         if not patched:
             self._discover()
         self._resolve(hb)
         return patched
+
+    def _ranks_hold(self, hb: str, added: Iterable[str]) -> bool:
+        """Every added edge ``hb -> t`` stays inside ``hb``'s component or
+        runs down to a lower rank (see :meth:`note_commit`)."""
+        comp_of = self._comp_of
+        rank = self._rank
+        cid = comp_of[hb]
+        top = rank[cid]
+        return all(
+            comp_of[t] == cid or rank[comp_of[t]] < top for t in added
+        )
 
     def _patch(self, s: str, removed: bool) -> bool:
         """Move ``s`` out of its component if the commit cut it off (see

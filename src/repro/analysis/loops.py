@@ -130,14 +130,16 @@ class LoopForest:
 
     # -- incremental update -------------------------------------------------
 
-    def note_commit(self, hb: str, s: str, in_shape: bool) -> bool:
+    def note_commit(
+        self, hb: str, s: str, added: Optional[Iterable[str]]
+    ) -> bool:
         """Patch the dominator tree and back edges after a merge commit.
 
         ``self.cfg`` must already hold ``hb``'s new successor list and
         still hold ``s`` (a block the commit deletes is removed from the
-        CFG afterwards).  ``in_shape``, checked by the caller, says the
-        edit replaced the edge ``hb -> s`` by edges from ``hb`` to
-        successors of ``s`` — every commit, since the local optimizer
+        CFG afterwards).  ``added``, worked out by the caller, is empty
+        when the edit replaced the edge ``hb -> s`` by edges from ``hb``
+        to successors of ``s`` — every commit, since the local optimizer
         never deletes a branch, except an unroll whose saved body adds a
         successor ``hb`` lacked.  The update is exact for that shape.
         Each new path maps to an old one with ``s`` inserted, and each old
@@ -145,19 +147,27 @@ class LoopForest:
         the same or loses ``s``:
 
         - ``s`` dominates ``hb`` (tail duplication of a header into its
-          latch; an unroll that adds no successor): the tree is unchanged
-          and only ``hb``'s out-edges can change status;
+          latch; an unroll): the tree is unchanged and only ``hb``'s
+          out-edges can change status;
         - otherwise every block ``s`` dominated is reachable around it
           through ``hb``'s new edges, so ``s``'s children move to its old
           idom, ``s`` is re-hung under the nearest common ancestor of its
           remaining reachable predecessors (or leaves the tree), and only
           edges at ``hb`` and ``s`` can change status.
 
-        Returns ``False`` for any other edit; the caller then rebuilds
-        the forest.  :class:`Loop` objects already handed out are never
-        mutated: changed loops are replaced.
+        For an unroll (``s == hb``) that added the edges ``hb -> t``,
+        ``added`` names the targets ``t``; no edge was removed.  When
+        every ``t`` is reachable and NCA(``hb``, ``t``) is ``t`` or
+        idom(``t``), no immediate dominator changes (see
+        :meth:`_keeps_idoms`), so the edit is patched like the first case.
+
+        Returns ``False`` for any other edit (``added`` is ``None``); the
+        caller then rebuilds the forest.  :class:`Loop` objects already
+        handed out are never mutated: changed loops are replaced.
         """
-        if not in_shape:
+        if added is None:
+            return False
+        if not all(self._keeps_idoms(hb, t) for t in added):
             return False
         cfg = self.cfg
         if self._bodies_done:
@@ -187,6 +197,28 @@ class LoopForest:
                 src, dst, src in idom and self._dominates(dst, src)
             )
         return True
+
+    def _keeps_idoms(self, hb: str, t: str) -> bool:
+        """Adding the edge ``hb -> t`` changes no immediate dominator:
+        ``t`` is reachable and NCA(``hb``, ``t``) is ``t`` or idom(``t``),
+        that is, ``t`` is the entry or idom(``t``) dominates ``hb``.
+
+        Proof, one added edge at a time: a path to a block ``w`` that
+        avoids an old dominator ``d`` of ``w`` must use the edge.  If
+        ``d`` dominates ``t``, it is not ``t`` (the path passes ``t``), so
+        it dominates idom(``t``) and with it ``hb``; yet the path up to
+        its first use of the edge is an old path to ``hb`` that avoids
+        ``d``.  Otherwise an old path to ``t`` avoids ``d``, and joined
+        with the path after its last use of the edge it is an old path
+        to ``w`` that avoids ``d``.  Both contradict ``d`` dominating
+        ``w``, so no dominator set changes, and the next added edge is
+        tested against the same tree.
+        """
+        idom = self.idom
+        if t not in idom:
+            return False
+        parent = idom[t]
+        return parent is None or self._dominates(parent, hb)
 
     def _dominates(self, a: str, b: str) -> bool:
         """True if ``a`` dominates ``b`` (reflexively), by idom-chain walk."""

@@ -132,7 +132,8 @@ def _expand_block(
                 )
             continue
         if guard is None:
-            if not legal_merge(ctx, hb_name, cand.name):
+            kind = legal_merge(ctx, hb_name, cand.name)
+            if kind is None:
                 if tracer is not None:
                     tracer.event(
                         "reject",
@@ -142,7 +143,7 @@ def _expand_block(
                         reason="illegal",
                     )
                 continue
-            new_succs = merge_blocks(ctx, hb_name, cand.name)
+            new_succs = merge_blocks(ctx, hb_name, cand.name, kind)
         else:
             new_succs = guard.attempt(ctx, hb_name, cand.name)
         if new_succs is None:
@@ -287,7 +288,7 @@ def _fired_fault_failures(
                 seed=fault.seed,
                 candidate=fault.candidate,
                 error_type="FiredFault",
-                error=f"injected {fault.kind} fault ({fault.site} site)",
+                error=f"injected {fault.kind} fault",
                 fault_kind=fault.kind,
             )
         )

@@ -63,7 +63,7 @@ class FormationCacheStats:
     use_kill_misses: int = 0
     cfg_patches: int = 0  # commits that patched the CFG in place
     loop_patches: int = 0  # commits that patched the loop forest in place
-    loop_rebuilds: int = 0  # forests dropped: unrolls that add a successor
+    loop_rebuilds: int = 0  # forests dropped: unroll edges that move idoms
     liveness_sccs_solved: int = 0  # SCCs re-solved after commits
     liveness_rebuilds: int = 0  # commits that forced SCC re-discovery
 
@@ -262,15 +262,17 @@ class FormationContext:
 
         A commit changes the successor list of exactly one block
         (``hb_name``) and possibly deletes one block (``removed``).  Its
-        shape is decided once, while the CFG still holds ``s_name``: does
-        HB's new successor set equal (old set − S) ∪ succ(S)?  Every commit
-        but an unroll whose saved body adds a successor has that shape.
-        Then:
+        shape is decided once, while the CFG still holds ``s_name``: is
+        HB's new successor set (old set − S) ∪ succ(S), and if not, is the
+        commit an unroll that only added targets?  Every commit but an
+        unroll whose saved body adds a successor HB lacked has the first
+        shape; ``added`` names the targets such an unroll added (empty for
+        the first shape, ``None`` for any other edit).  Then:
 
         - the CFG view is patched in place;
         - the loop forest patches its dominator tree and back edges in
           place (:meth:`LoopForest.note_commit`), or is dropped for lazy
-          rebuild after an edit of another shape;
+          rebuild after an edit it cannot patch;
         - liveness patches its SCC condensation and re-solves only the
           components the change propagates into
           (:meth:`Liveness.note_commit`).
@@ -279,15 +281,24 @@ class FormationContext:
         if cfg is None:
             return
         old_succs = cfg.succs[hb_name]
-        new_succs = preview.successors()
-        in_shape = set(new_succs) == set(old_succs) - {s_name} | set(
-            old_succs if s_name == hb_name else cfg.succs[s_name]
-        )
+        new_succs = preview.shape().succs
+        expected = set(old_succs)
+        if s_name != hb_name:
+            expected.discard(s_name)
+            expected.update(cfg.succs[s_name])
+        new = set(new_succs)
+        added: Optional[set[str]]
+        if new == expected:
+            added = set()
+        elif s_name == hb_name and new > expected:
+            added = new - expected
+        else:
+            added = None
         cfg.update_block(hb_name, new_succs)
         # The forest shares this CFG and must see ``removed`` lose its last
         # predecessor before the block leaves the view.
         if self._loops is not None:
-            if self._loops.note_commit(hb_name, s_name, in_shape):
+            if self._loops.note_commit(hb_name, s_name, added):
                 self.cache_stats.loop_patches += 1
             else:
                 self._loops = None
@@ -300,13 +311,13 @@ class FormationContext:
             return
         tracer = self.tracer
         if tracer is None:
-            patched = live.note_commit(hb_name, s_name, in_shape)
+            patched = live.note_commit(hb_name, s_name, added)
         else:
             # The incremental dataflow re-solve is its own phase: at scale
             # it is the dominant commit cost (see BENCH telemetry), so it
             # must be attributable separately.
             with tracer.phase("liveness", function=self.func.name):
-                patched = live.note_commit(hb_name, s_name, in_shape)
+                patched = live.note_commit(hb_name, s_name, added)
         if not patched:
             self.cache_stats.liveness_rebuilds += 1
         self.cache_stats.liveness_sccs_solved += live.sccs_solved
@@ -377,7 +388,7 @@ class FormationContext:
         """Live-out mask of a (possibly scratch) block from its branch targets."""
         live = 0
         live_in = self.liveness.live_in
-        for succ in block.successors():
+        for succ in block.shape().succs:
             live |= live_in.get(succ, 0)
         return live
 
@@ -398,42 +409,49 @@ def classify_merge(ctx: FormationContext, hb_name: str, s_name: str) -> MergeKin
     return MergeKind.TAIL_DUP
 
 
-def legal_merge(ctx: FormationContext, hb_name: str, s_name: str) -> bool:
-    """The paper's ``LegalMerge``: structural conditions for attempting a merge."""
+def legal_merge(
+    ctx: FormationContext, hb_name: str, s_name: str
+) -> Optional[MergeKind]:
+    """The paper's ``LegalMerge``: structural conditions for attempting a
+    merge.  Returns the merge's kind (:func:`classify_merge`) when they
+    hold, so ``merge_blocks`` need not classify again, and ``None`` when
+    they do not."""
     func = ctx.func
-    if s_name not in func.blocks or hb_name not in func.blocks:
-        return False
-    hb = func.blocks[hb_name]
-    if not hb.branches_to(s_name):
-        return False
-    s = func.blocks[s_name]
+    blocks = func.blocks
+    hb = blocks.get(hb_name)
+    s = blocks.get(s_name)
+    if hb is None or s is None:
+        return None
+    hb_shape = hb.shape()
+    if s_name not in hb_shape.succs:
+        return None
     # TRIPS calls terminate blocks: a block containing a call can neither
     # absorb successors nor be absorbed.
-    if hb.has_call() or s.has_call():
-        return False
+    if hb_shape.has_call or s.shape().has_call:
+        return None
     if s_name == func.entry and s_name != hb_name:
         # Merging the function entry would duplicate the prologue; the real
         # compiler never does this.
-        return False
+        return None
     kind = classify_merge(ctx, hb_name, s_name)
     if not ctx.allow_head_dup:
         if kind in (MergeKind.UNROLL, MergeKind.PEEL):
-            return False
+            return None
         if ctx.loops.is_back_edge(hb_name, s_name):
-            return False
+            return None
         if ctx.loops.is_header(s_name):
             # Classical acyclic if-conversion never crosses loop headers.
-            return False
+            return None
     if kind is MergeKind.UNROLL and not ctx.loops.is_back_edge(hb_name, s_name):
         # A self-branch that is not a back edge cannot occur in a reducible
         # CFG, but guard against it anyway.
-        return False
-    return True
+        return None
+    return kind
 
 
 def _saved_body_references(ctx: FormationContext, name: str) -> bool:
     return any(
-        name in body.successors()
+        name in body.shape().succs
         for body in ctx.saved_bodies.values()
     )
 
@@ -495,7 +513,7 @@ def _trial_live_out(
     """
     live = 0
     live_in = ctx.liveness.live_in
-    for succ in hb.successors():
+    for succ in hb.shape().succs:
         if succ != s_name:
             live |= live_in.get(succ, 0)
     for succ in candidate_succs:
@@ -503,33 +521,19 @@ def _trial_live_out(
     return live
 
 
-#: Memo for :func:`_def_mask`, keyed by ``BasicBlock.version`` (stamps are
-#: process-unique and never reused).  Cleared wholesale past the cap.
-_def_mask_cache: dict[int, int] = {}
-_DEF_MASK_CACHE_MAX = 4096
-
-
-def _def_mask(block: BasicBlock) -> int:
-    """Mask of every register the block writes (predicated or not)."""
-    version = block.version
-    cached = _def_mask_cache.get(version)
-    if cached is not None:
-        return cached
-    mask = 0
-    for instr in block.instrs:
-        if instr.dest is not None:
-            mask |= 1 << instr.dest
-    if len(_def_mask_cache) >= _DEF_MASK_CACHE_MAX:
-        _def_mask_cache.clear()
-    _def_mask_cache[version] = mask
-    return mask
-
-
 def merge_blocks(
-    ctx: FormationContext, hb_name: str, s_name: str, _splitting: bool = False
+    ctx: FormationContext,
+    hb_name: str,
+    s_name: str,
+    kind: Optional[MergeKind] = None,
+    _splitting: bool = False,
 ) -> Optional[list[str]]:
     """Attempt the merge; return the inlined body's successor names on
     success (the new merge candidates), or ``None`` on failure.
+
+    ``kind`` is the merge's :func:`classify_merge` kind when the caller
+    already has it (``legal_merge`` returns it); it is classified here
+    otherwise.
 
     With a tracer installed (:func:`repro.obs.trace.install`) the whole
     attempt is recorded as a ``trial`` span — optimize/estimate/commit/
@@ -540,25 +544,30 @@ def merge_blocks(
     """
     tracer = ctx.tracer
     if tracer is None:
-        return _merge_trial(ctx, hb_name, s_name, _splitting)
+        return _merge_trial(ctx, hb_name, s_name, kind, _splitting)
     with tracer.span(
         "trial", function=ctx.func.name, hb=hb_name, target=s_name
     ) as span:
         if _splitting:
             span.set(splitting=True)
-        result = _merge_trial(ctx, hb_name, s_name, _splitting)
+        result = _merge_trial(ctx, hb_name, s_name, kind, _splitting)
         span.set(committed=result is not None)
         return result
 
 
 def _merge_trial(
-    ctx: FormationContext, hb_name: str, s_name: str, _splitting: bool
+    ctx: FormationContext,
+    hb_name: str,
+    s_name: str,
+    kind: Optional[MergeKind],
+    _splitting: bool,
 ) -> Optional[list[str]]:
     func = ctx.func
     tracer = ctx.tracer
     ctx.stats.attempts += 1
     hb = func.blocks[hb_name]
-    kind = classify_merge(ctx, hb_name, s_name)
+    if kind is None:
+        kind = classify_merge(ctx, hb_name, s_name)
 
     if kind is MergeKind.UNROLL:
         # First unroll of this loop: save the single-iteration body so that
@@ -588,7 +597,7 @@ def _merge_trial(
     # hit the memo instead of re-running.
     memo_key = None
     if ctx.memoize_trials and not _splitting:
-        defs = _def_mask(hb) | _def_mask(body_source or target)
+        defs = hb.def_mask() | (body_source or target).def_mask()
         memo_key = (
             hb_name,
             hb.version,
@@ -632,11 +641,11 @@ def _merge_trial(
         else None
     )
     if fault_kind == "optimizer":
-        plane.record("trial", fault_kind, func.name, hb_name, s_name)
+        plane.record(fault_kind, func.name, hb_name, s_name)
         raise _injected_fault(fault_kind, "optimizer crashed mid-trial")
     if fault_kind in ("operand", "predicate"):
         if plane.corrupt(fault_kind, preview):
-            plane.record("trial", fault_kind, func.name, hb_name, s_name)
+            plane.record(fault_kind, func.name, hb_name, s_name)
     if ctx.optimize_during:
         if tracer is None:
             optimize_block(preview, live_out)
@@ -732,7 +741,7 @@ def _commit_preview(
     if fault_kind == "commit":
         # Mid-commit crash: the CFG is already mutated, which is exactly
         # the state the trial guard's checkpoint must be able to restore.
-        plane.record("trial", fault_kind, func.name, hb_name, s_name)
+        plane.record(fault_kind, func.name, hb_name, s_name)
         raise _injected_fault(fault_kind, "commit crashed after CFG mutation")
     ctx.note_commit(hb_name, s_name, preview, removed)
     return removed

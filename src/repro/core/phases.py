@@ -198,14 +198,16 @@ def phase_unroll_peel_hyper(
                 if len({pred for pred, _ in entries}) != 1:
                     break
                 pred = entries[0][0]
-                if not legal_merge(ctx, pred, header):
+                kind = legal_merge(ctx, pred, header)
+                if kind is None:
                     break
-                if merge_blocks(ctx, pred, header) is None:
+                if merge_blocks(ctx, pred, header, kind) is None:
                     break
             for _ in range(factors.unroll):
-                if not legal_merge(ctx, header, header):
+                kind = legal_merge(ctx, header, header)
+                if kind is None:
                     break
-                if merge_blocks(ctx, header, header) is None:
+                if merge_blocks(ctx, header, header, kind) is None:
                     break
         for func_stats in (ctx.stats,):
             stats.add(func_stats)

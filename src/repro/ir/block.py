@@ -23,6 +23,34 @@ from repro.ir.opcodes import Opcode
 _version_counter = itertools.count(1)
 
 
+class BlockShape:
+    """Facts about one version of a block, scanned once per version stamp.
+
+    ``succs`` are the branch targets in instruction order, de-duplicated;
+    ``has_call`` says whether any instruction is a ``CALL``.  ``def_mask``
+    (every register the block writes, predicated or not) is ``None`` until
+    :meth:`BasicBlock.def_mask` first asks for it.
+    """
+
+    __slots__ = ("version", "succs", "has_call", "def_mask")
+
+    def __init__(self, block: "BasicBlock"):
+        succs: list[str] = []
+        has_call = False
+        for instr in block.instrs:
+            op = instr.op
+            if op is Opcode.BR:
+                target = instr.target
+                if target is not None and target not in succs:
+                    succs.append(target)
+            elif op is Opcode.CALL:
+                has_call = True
+        self.version = block.version
+        self.succs: tuple[str, ...] = tuple(succs)
+        self.has_call = has_call
+        self.def_mask: Optional[int] = None
+
+
 class BasicBlock:
     """A single-entry, multiple-exit region of predicated instructions.
 
@@ -37,16 +65,19 @@ class BasicBlock:
 
     ``converged`` is ``None`` or the ``(version, live_out)`` pair at which
     ``repro.opt.local.optimize_block`` last found the block at its
-    fixpoint; copies and unpickled blocks start without it.
+    fixpoint; ``_shape`` is the :class:`BlockShape` of the version
+    :meth:`shape` last scanned.  Copies and unpickled blocks start without
+    either.
     """
 
-    __slots__ = ("name", "instrs", "version", "converged")
+    __slots__ = ("name", "instrs", "version", "converged", "_shape")
 
     def __init__(self, name: str, instrs: Optional[list[Instruction]] = None):
         self.name = name
         self.instrs: list[Instruction] = list(instrs) if instrs else []
         self.version = next(_version_counter)
         self.converged: Optional[tuple[int, int]] = None
+        self._shape: Optional[BlockShape] = None
 
     # -- construction -----------------------------------------------------
 
@@ -73,14 +104,17 @@ class BasicBlock:
     def non_branch_instrs(self) -> list[Instruction]:
         return [i for i in self.instrs if not i.is_branch]
 
+    def shape(self) -> BlockShape:
+        """The :class:`BlockShape` of the current version, scanned once per
+        version stamp (exact under the :meth:`touch` rule above)."""
+        shape = self._shape
+        if shape is None or shape.version != self.version:
+            shape = self._shape = BlockShape(self)
+        return shape
+
     def successors(self) -> list[str]:
         """Branch-target block names, in instruction order, de-duplicated."""
-        seen: list[str] = []
-        for instr in self.instrs:
-            if instr.op is Opcode.BR and instr.target is not None:
-                if instr.target not in seen:
-                    seen.append(instr.target)
-        return seen
+        return list(self.shape().succs)
 
     def branches_to(self, target: str) -> list[Instruction]:
         """Branch instructions in this block whose target is ``target``."""
@@ -92,10 +126,23 @@ class BasicBlock:
         return any(i.op is Opcode.RET for i in self.instrs)
 
     def has_call(self) -> bool:
-        return any(i.op is Opcode.CALL for i in self.instrs)
+        return self.shape().has_call
 
     def memory_op_count(self) -> int:
         return sum(1 for i in self.instrs if i.is_memory)
+
+    def def_mask(self) -> int:
+        """Mask of every register the block writes (predicated or not),
+        computed on first use per version."""
+        shape = self.shape()
+        mask = shape.def_mask
+        if mask is None:
+            mask = 0
+            for instr in self.instrs:
+                if instr.dest is not None:
+                    mask |= 1 << instr.dest
+            shape.def_mask = mask
+        return mask
 
     def defined_regs(self) -> set[int]:
         """Registers written by any instruction in the block."""
@@ -136,6 +183,7 @@ class BasicBlock:
         self.name, self.instrs = state
         self.version = next(_version_counter)
         self.converged = None
+        self._shape = None
         if self.instrs:
             reserve_uids(max(instr.uid for instr in self.instrs))
 

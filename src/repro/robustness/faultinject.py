@@ -54,12 +54,11 @@ TRIAL_KINDS = RAISING_KINDS + CORRUPTING_KINDS
 
 @dataclass
 class FiredFault:
-    """A fault the plane actually injected."""
+    """A trial fault the plane actually injected."""
 
-    site: str  # "trial"
     kind: str
     function: str
-    seed: Optional[str] = None  # hyperblock seed (trial faults)
+    seed: Optional[str] = None  # hyperblock seed
     candidate: Optional[str] = None
 
 
@@ -102,13 +101,12 @@ class FaultPlane:
 
     def record(
         self,
-        site: str,
         kind: str,
         func_name: str,
         hb_name: Optional[str] = None,
         cand_name: Optional[str] = None,
     ) -> FiredFault:
-        fault = FiredFault(site, kind, func_name, hb_name, cand_name)
+        fault = FiredFault(kind, func_name, hb_name, cand_name)
         self.fired.append(fault)
         return fault
 

@@ -7,9 +7,9 @@ violation, a malformed split) killed the whole formation run.  This module
 makes every trial a transaction:
 
 - :class:`TrialGuard` wraps each ``legal_merge`` + ``merge_blocks`` pair
-  in a checkpoint of exactly the state a trial may mutate (the hyperblock,
-  the candidate block, the function's block set, the saved unroll bodies).
-  An escaping exception rolls that state back, records a structured
+  in a checkpoint of exactly the state a trial may mutate (the function's
+  block set, kept as the pre-trial block objects, and the saved unroll
+  bodies).  An escaping exception rolls that state back, records a structured
   :class:`TrialFailure`, blacklists the ``(seed, candidate)`` pair for the
   rest of the run, and lets formation continue with the next candidate.
 - :class:`FunctionReport` / :class:`FormationReport` replace the bare
@@ -274,43 +274,38 @@ def adopt_function_state(func: "Function", source: "Function") -> None:
 class _TrialCheckpoint:
     """Everything a single merge trial may mutate, saved for rollback.
 
-    A trial's scratch preview never aliases committed blocks (``merge_
-    preview`` deep-copies), so the mutable surface is small: the
-    hyperblock entry, the candidate entry, the block-set membership (block
-    splitting adds blocks, simple merges remove one), and the saved unroll
-    bodies.  The register frontier only grows and is harmless to leave.
+    No trial mutates a committed block: the preview is scratch
+    (``merge_preview`` copies both blocks), and a commit only swaps the
+    hyperblock's dict entry for the preview and may delete the
+    candidate's.  So the checkpoint keeps the pre-trial block *objects*,
+    in order, and the saved unroll bodies; restoring them restores the
+    function's blocks exactly, version stamps included.  Block splitting
+    is the one exception: it edits the candidate in place, so under it
+    the candidate is copied.  The register frontier only grows and is
+    harmless to leave.
     """
 
-    def __init__(self, ctx: FormationContext, hb_name: str, cand_name: str):
+    def __init__(self, ctx: FormationContext, cand_name: str):
         func = ctx.func
-        self.hb_name = hb_name
-        self.cand_name = cand_name
-        self.order = list(func.blocks)
-        self.hb_copy = func.blocks[hb_name].copy(hb_name)
-        cand = func.blocks.get(cand_name)
-        self.cand_copy = (
-            cand.copy(cand_name) if cand is not None and cand_name != hb_name
-            else None
-        )
-        self.saved_bodies = dict(ctx.saved_bodies)
+        self.blocks = func.blocks.copy()
+        self.split_copy = None
+        if ctx.allow_block_splitting and cand_name in func.blocks:
+            self.split_copy = func.blocks[cand_name].copy(cand_name)
+        self.saved_bodies = ctx.saved_bodies.copy()
 
     def restore(self, ctx: FormationContext) -> None:
         func = ctx.func
-        blocks: dict = {}
-        for name in self.order:
-            if name == self.hb_name:
-                blocks[name] = self.hb_copy
-            elif name == self.cand_name and self.cand_copy is not None:
-                blocks[name] = self.cand_copy
-            elif name in func.blocks:
-                blocks[name] = func.blocks[name]
-        func.blocks = blocks
+        func.blocks = self.blocks
+        if self.split_copy is not None:
+            func.blocks[self.split_copy.name] = self.split_copy
         func.touch()
         ctx.saved_bodies.clear()
         ctx.saved_bodies.update(self.saved_bodies)
-        # The restored copies carry fresh version stamps, so version-keyed
-        # caches (trial memo, use/kill) can never serve pre-rollback state;
-        # the structural analyses are simply rebuilt.
+        # The restored blocks are the pre-trial objects under their
+        # pre-trial stamps, so version-keyed facts (trial memo, use/kill
+        # masks, block shapes, the optimizer's converged stamps) stay
+        # valid; the structural analyses may have been patched for the
+        # aborted commit, so they are rebuilt.
         ctx.invalidate()
 
 
@@ -341,17 +336,18 @@ class TrialGuard:
         """
         func = ctx.func
         tracer = ctx.tracer
-        checkpoint = _TrialCheckpoint(ctx, hb_name, cand_name)
+        checkpoint = _TrialCheckpoint(ctx, cand_name)
         if tracer is not None:
             tracer.event(
                 "guard_checkpoint",
                 function=func.name,
                 hb=hb_name,
                 target=cand_name,
-                blocks=len(checkpoint.order),
+                blocks=len(checkpoint.blocks),
             )
         try:
-            if not legal_merge(ctx, hb_name, cand_name):
+            kind = legal_merge(ctx, hb_name, cand_name)
+            if kind is None:
                 if tracer is not None:
                     tracer.event(
                         "reject",
@@ -361,7 +357,7 @@ class TrialGuard:
                         reason="illegal",
                     )
                 return None
-            return merge_blocks(ctx, hb_name, cand_name)
+            return merge_blocks(ctx, hb_name, cand_name, kind)
         except Exception as exc:
             self.failures.append(
                 TrialFailure.from_exception(
@@ -372,10 +368,12 @@ class TrialGuard:
             checkpoint.restore(ctx)
             if tracer is not None:
                 # Version stamps are read *after* restore, so the instant
-                # records the block versions now live in the function —
-                # the timeline anchor a replay-divergence dump links to.
-                # Stamps are process-unique, which is why they live here
-                # in the trace and never in the decision log itself.
+                # records the block versions now live in the function (the
+                # pre-trial ones) — the timeline anchor a replay-divergence
+                # dump links to.  Stamps are process-unique, which is why
+                # they live here in the trace and never in the decision
+                # log itself.
+                cand = func.blocks.get(cand_name)
                 tracer.event(
                     "guard_restore",
                     function=func.name,
@@ -383,10 +381,10 @@ class TrialGuard:
                     target=cand_name,
                     error_type=type(exc).__name__,
                     error=str(exc)[:200],
-                    hb_version=checkpoint.hb_copy.version,
+                    hb_version=func.blocks[hb_name].version,
                     target_version=(
-                        checkpoint.cand_copy.version
-                        if checkpoint.cand_copy is not None
+                        cand.version
+                        if cand is not None and cand_name != hb_name
                         else None
                     ),
                 )

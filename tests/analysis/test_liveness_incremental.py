@@ -1,9 +1,9 @@
 """Incremental liveness (`Liveness.note_commit`) vs full re-solve.
 
 Each commit case of the patched SCC condensation — the absorbed block
-deleted, split off, or kept in its component, an edit of another shape,
-and an exhausted rank gap — is driven through a real merge and compared
-with a fresh solve and a fresh Tarjan.
+deleted, split off, or kept in its component, an unroll that adds an edge
+down in rank or up, and an exhausted rank gap — is driven through a real
+merge and compared with a fresh solve and a fresh Tarjan.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from tests.conftest import (
     make_counting_loop,
     make_diamond,
     make_exiting_unroll_loop,
+    make_reentering_unroll_loop,
     make_while_loop,
 )
 
@@ -48,7 +49,7 @@ def test_refresh_after_block_edit_matches_full_solve():
     extra = Instruction(Opcode.ADD, dest=func.new_reg(), srcs=(0, 1))
     body.instrs.insert(0, extra)
     body.touch()
-    assert live.note_commit("body", "body", in_shape=True)
+    assert live.note_commit("body", "body", added=())
     assert_liveness_matches_fresh(live, func)
 
 
@@ -71,7 +72,7 @@ def test_refresh_propagates_to_predecessor_components():
     block = func.blocks["C"]
     block.instrs.insert(0, Instruction(Opcode.NEG, dest=func.new_reg(), srcs=(v,)))
     block.touch()
-    live.note_commit("C", "C", in_shape=True)
+    live.note_commit("C", "C", added=())
     assert has(live.live_out["entry"], v)
     assert has(live.live_in["A"], v)
     assert live.sccs_solved == 4
@@ -83,7 +84,7 @@ def test_refresh_skips_unaffected_components():
     cfg = func.cfg()
     live = Liveness(func, cfg=cfg)
     func.blocks["D"].touch()
-    live.note_commit("D", "D", in_shape=True)
+    live.note_commit("D", "D", added=())
     # D's live-in did not change, so no predecessor component is dirtied.
     assert live.sccs_solved == 1
     assert len(live._members) == 4
@@ -146,16 +147,32 @@ def test_block_with_a_second_pred_in_its_component_stays():
     assert ctx.cache_stats.liveness_rebuilds == 0
 
 
-def test_unroll_adding_a_successor_rediscovers_components():
+def test_unroll_adding_a_successor_below_keeps_the_components():
     func = make_exiting_unroll_loop()
     ctx = FormationContext(func)
     live = ctx.liveness
     _commit(ctx, "loop", "loop", MergeKind.UNROLL)
     _commit(ctx, "loop", "exit", MergeKind.SIMPLE)
+    # The saved body branches to exit again: an added edge, which runs
+    # down in rank.  exit is unreachable, so the forest still rebuilds.
+    _commit(ctx, "loop", "loop", MergeKind.UNROLL)
     assert ctx.cache_stats.liveness_rebuilds == 0
-    # The saved body branches to exit again: not a replaced edge.
+    assert ctx.cache_stats.loop_rebuilds == 1
+    assert live._rank[live._comp_of["loop"]] > live._rank[live._comp_of["exit"]]
+
+
+def test_unroll_adding_a_successor_rediscovers_components():
+    func = make_reentering_unroll_loop()
+    ctx = FormationContext(func)
+    live = ctx.liveness
+    _commit(ctx, "loop", "loop", MergeKind.UNROLL)
+    _commit(ctx, "loop", "back", MergeKind.SIMPLE)
+    assert ctx.cache_stats.liveness_rebuilds == 0
+    # back lost its last predecessor and was ranked above loop; the saved
+    # body branches to it again, which closes the cycle loop -> back.
     _commit(ctx, "loop", "loop", MergeKind.UNROLL)
     assert ctx.cache_stats.liveness_rebuilds == 1
+    assert live._comp_of["loop"] == live._comp_of["back"]
     assert ctx.cache_stats.liveness_rebuilds == ctx.cache_stats.loop_rebuilds
 
 

@@ -167,6 +167,53 @@ def make_exiting_unroll_loop(name: str = "main") -> Function:
     return fb.finish()
 
 
+def make_shared_exit_unroll_loop(name: str = "main") -> Function:
+    """A single-block loop whose exit block the entry also branches to.
+
+    Blocks: entry -> {loop, exit}, loop -> {loop, exit}, exit -> done.
+    Once ``loop`` is unrolled and then tail-duplicates ``exit``, the next
+    unroll brings the edge ``loop -> exit`` back.  ``exit`` is still
+    reachable, and its immediate dominator ``entry`` dominates ``loop``,
+    so the added edge moves no dominator; it also runs down in rank.
+    """
+    fb = FunctionBuilder(name, nparams=1)
+    fb.block("entry", entry=True)
+    i = fb.movi(0)
+    fb.br_cond(fb.tlt(0, fb.movi(4)), "loop", "exit")
+    fb.block("loop")
+    fb.mov_to(i, fb.addi(i, 1))
+    fb.br_cond(fb.tlt(i, fb.movi(8)), "loop", "exit")
+    fb.block("exit")
+    fb.mov_to(i, fb.addi(i, 3))
+    fb.br("done")
+    fb.block("done")
+    fb.ret(i)
+    return fb.finish()
+
+
+def make_reentering_unroll_loop(name: str = "main") -> Function:
+    """A single-block loop left through a block that branches back in.
+
+    Blocks: entry -> loop -> {loop, back}, back -> {loop, done}.  Once
+    ``loop`` is unrolled and then absorbs ``back``, the next unroll brings
+    the edge ``loop -> back`` back: it closes the cycle ``loop -> back ->
+    loop`` again, so it runs up in rank.
+    """
+    fb = FunctionBuilder(name)
+    fb.block("entry", entry=True)
+    i = fb.movi(0)
+    fb.br("loop")
+    fb.block("loop")
+    fb.mov_to(i, fb.addi(i, 1))
+    fb.br_cond(fb.tlt(i, fb.movi(8)), "loop", "back")
+    fb.block("back")
+    fb.mov_to(i, fb.addi(i, 3))
+    fb.br_cond(fb.tlt(i, fb.movi(20)), "loop", "done")
+    fb.block("done")
+    fb.ret(i)
+    return fb.finish()
+
+
 def assert_forest_matches_fresh(forest: LoopForest, func: Function,
                                 where: str = "") -> None:
     """A loop forest kept across commits equals a fresh one: same headers,
@@ -180,6 +227,25 @@ def assert_forest_matches_fresh(forest: LoopForest, func: Function,
 
     assert facts(forest) == facts(fresh), where
     assert forest.idom == tree.idom, where
+
+
+def assert_shapes_match_fresh(func: Function, where: str = "") -> None:
+    """Every block's cached shape (successors, has-call flag, def mask)
+    equals a fresh scan of its instructions."""
+    for name, block in func.blocks.items():
+        succs: list[str] = []
+        mask = 0
+        for instr in block.instrs:
+            target = instr.target
+            if instr.op is Opcode.BR and target is not None:
+                if target not in succs:
+                    succs.append(target)
+            if instr.dest is not None:
+                mask |= 1 << instr.dest
+        has_call = any(instr.op is Opcode.CALL for instr in block.instrs)
+        assert block.successors() == succs, (where, name)
+        assert block.has_call() == has_call, (where, name)
+        assert block.def_mask() == mask, (where, name)
 
 
 def assert_liveness_matches_fresh(live: Liveness, func: Function,

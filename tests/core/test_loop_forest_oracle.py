@@ -2,17 +2,25 @@
 
 After every committed merge, the header set, back-edge set and
 immediate-dominator map that ``FormationContext`` keeps must equal those
-of a fresh ``LoopForest``/``DominatorTree`` built from the function, and
-its liveness must equal a fresh solve, with the same SCCs ranked
-successors first.  The programs are formed by the Table-2 configurators
-the benchmark runs (the VLIW columns include their unroll/peel prepass).
-One formation pass checks both analyses.
+of a fresh ``LoopForest``/``DominatorTree`` built from the function, its
+liveness must equal a fresh solve, with the same SCCs ranked successors
+first, and every block's cached shape must equal a fresh scan.  The
+programs are formed by the Table-2 configurators the benchmark runs (the
+VLIW columns include their unroll/peel prepass).  One formation pass
+checks all three.
+
+An unroll whose saved body adds a successor the hyperblock lacked is
+patched by each analysis when it can prove the edit harmless, and
+rebuilt otherwise; the ``unroll-edits`` programs were picked because
+their formation contains both outcomes for both analyses.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.liveness import Liveness
+from repro.analysis.loops import LoopForest
 from repro.core import convergent
 from repro.harness.experiment import heuristic_config
 from repro.profiles.collect import collect_profile
@@ -22,13 +30,22 @@ from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 from tests.conftest import (
     assert_forest_matches_fresh,
     assert_liveness_matches_fresh,
+    assert_shapes_match_fresh,
 )
 
 GROUPS = [
     ("spec19", ("BF",)),
     ("micro24", ("VLIW", "Convergent VLIW", "DF", "BF")),
     ("scaled-10x", ("BF",)),
+    ("unroll-edits", ("BF",)),
 ]
+
+
+def _scaled(seeds):
+    return [
+        _profiled(scaled_program(440, seed), random_inputs(seed), None)
+        for seed in seeds
+    ]
 
 
 def _profiled(module, args, preload):
@@ -47,22 +64,36 @@ def programs():
     return {
         "spec19": workloads(SPEC_BENCHMARKS, SPEC_ORDER),
         "micro24": workloads(MICROBENCHMARKS, MICROBENCH_ORDER),
-        "scaled-10x": [
-            _profiled(scaled_program(440, seed), random_inputs(seed), None)
-            for seed in (2006, 2007)
-        ],
+        "scaled-10x": _scaled((2006, 2007)),
+        "unroll-edits": _scaled((2017, 2019)),
     }
 
 
-# ``legacy`` names the object walk, as in earlier records, so these ids
-# carry over from the days when the oracle ran under several IR backends.
-@pytest.mark.parametrize(
-    "group, configs", GROUPS, ids=[f"{g}-legacy" for g, _ in GROUPS]
-)
+def _counting(analysis, unroll_edits):
+    """``analysis.note_commit`` that also counts, per ``(class name,
+    patched)``, the commits of unrolls that added a successor."""
+    note_commit = analysis.note_commit
+
+    def counted(self, hb, s, added):
+        patched = note_commit(self, hb, s, added)
+        if added:
+            key = (analysis.__name__, patched)
+            unroll_edits[key] = unroll_edits.get(key, 0) + 1
+        return patched
+
+    return counted
+
+
+@pytest.mark.parametrize("group, configs", GROUPS, ids=[g for g, _ in GROUPS])
 def test_patched_forest_matches_fresh_after_every_commit(
     programs, monkeypatch, group, configs
 ):
     commits = 0
+    unroll_edits: dict[tuple[str, bool], int] = {}
+    for analysis in (LoopForest, Liveness):
+        monkeypatch.setattr(
+            analysis, "note_commit", _counting(analysis, unroll_edits)
+        )
 
     def check(ctx, hb_name):
         nonlocal commits
@@ -70,6 +101,7 @@ def test_patched_forest_matches_fresh_after_every_commit(
         where = f"{ctx.func.name}: commit {commits} into {hb_name}"
         assert_forest_matches_fresh(ctx.loops, ctx.func, where)
         assert_liveness_matches_fresh(ctx.liveness, ctx.func, where)
+        assert_shapes_match_fresh(ctx.func, where)
 
     form_function = convergent.form_function
 
@@ -87,3 +119,8 @@ def test_patched_forest_matches_fresh_after_every_commit(
             patches += report.stats.cache.loop_patches
             solved += report.stats.cache.liveness_sccs_solved
     assert commits and patches and solved
+    if group == "unroll-edits":
+        for analysis in ("LoopForest", "Liveness"):
+            for patched in (True, False):
+                assert unroll_edits.get((analysis, patched)), (
+                    analysis, patched, unroll_edits)

@@ -19,9 +19,11 @@ from repro.sim import run_module
 from tests.conftest import (
     ReferenceFormationContext,
     assert_forest_matches_fresh,
+    assert_liveness_matches_fresh,
     make_counting_loop,
     make_diamond,
     make_exiting_unroll_loop,
+    make_shared_exit_unroll_loop,
     make_while_loop,
 )
 
@@ -297,6 +299,28 @@ def test_unroll_whose_saved_body_adds_an_exit_rebuilds():
     assert ctx.cache_stats.loop_patches == 2
     assert ctx.loops is not loops
     assert_forest_matches_fresh(ctx.loops, func)
+
+
+def test_unroll_adding_a_reachable_exit_keeps_the_tree():
+    func = make_shared_exit_unroll_loop()
+    ctx = ctx_for(func)
+    loops = ctx.loops
+    assert merge_blocks(ctx, "loop", "loop") is not None
+    assert classify_merge(ctx, "loop", "exit") is MergeKind.TAIL_DUP
+    assert merge_blocks(ctx, "loop", "exit") is not None
+    assert "exit" not in func.blocks["loop"].successors()
+    idom_before = dict(loops.idom)
+    # The second unroll adds loop -> exit again; idom(exit) = entry
+    # dominates loop, so the tree stands and the edit is patched.
+    assert merge_blocks(ctx, "loop", "loop") is not None
+    assert "exit" in func.blocks["loop"].successors()
+    assert ctx.loops is loops
+    assert loops.idom == idom_before
+    assert ctx.cache_stats.loop_rebuilds == 0
+    assert ctx.cache_stats.loop_patches == 3
+    assert ctx.cache_stats.liveness_rebuilds == 0
+    assert_forest_matches_fresh(loops, func)
+    assert_liveness_matches_fresh(ctx.liveness, func)
 
 
 def test_live_out_of_uses_successor_live_in():

@@ -5,7 +5,11 @@ from __future__ import annotations
 import itertools
 import pickle
 
+import pytest
+
 from repro.analysis.predimpl import exposed_uses
+from repro.backend.pipeline import compile_backend
+from repro.harness.tables import TABLE2_HEURISTICS
 from repro.ir import instruction
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -13,6 +17,7 @@ from repro.ir.instruction import Instruction, Predicate
 from repro.ir.opcodes import Opcode
 from repro.ir.printer import format_function
 from repro.workloads.generators import random_program
+from tests.conftest import assert_shapes_match_fresh, formed_programs
 
 
 def _add(dest, a, b):
@@ -133,3 +138,41 @@ def test_function_pickle_restamps_versions():
     for name, block in clone.blocks.items():
         # A shipped-back block must never alias a live local stamp.
         assert block.version != func.blocks[name].version
+
+
+def test_shape_is_scanned_once_per_version():
+    block = BasicBlock("b", [_add(3, 1, 2)])
+    block.append(Instruction(Opcode.CALL, dest=4, srcs=(3,), callee="g"))
+    block.append(Instruction(Opcode.BR, target="x", pred=Predicate(3, True)))
+    block.append(Instruction(Opcode.BR, target="x", pred=Predicate(3, False)))
+    shape = block.shape()
+    assert block.shape() is shape
+    assert shape.succs == ("x",) and shape.has_call
+    assert block.def_mask() == 1 << 3 | 1 << 4
+    succs = block.successors()
+    succs.append("y")  # a fresh list: the caller may keep or edit it
+    assert block.successors() == ["x"]
+    block.retarget_branches("x", "y")
+    assert block.shape() is not shape
+    assert block.successors() == ["y"]
+    block.instrs.pop(1)
+    block.touch()
+    assert not block.has_call()
+    assert block.def_mask() == 1 << 3
+    for clone in (block.copy("c"), pickle.loads(pickle.dumps(block))):
+        assert clone._shape is None
+        assert clone.successors() == ["y"]
+
+
+@pytest.mark.parametrize("config", TABLE2_HEURISTICS)
+def test_shapes_match_a_fresh_scan_after_compile_backend(config):
+    """The backend edits blocks (splits, spill code, fanout) after
+    formation; every edit re-stamps, so no cached shape goes stale."""
+    for name, formed, _, _ in formed_programs(config):
+        module = formed.copy()
+        for func in module:
+            for block in func.blocks.values():
+                block.def_mask()  # cache every shape before the backend
+        compile_backend(module, emit=False)
+        for func in module:
+            assert_shapes_match_fresh(func, f"{name}/{config}/{func.name}")

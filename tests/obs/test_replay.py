@@ -230,8 +230,9 @@ def test_diff_records_flattens_estimates():
 
 
 def test_guard_restore_carries_version_stamps():
-    """Satellite: failed trials' restore instants stamp the restored
-    block versions, so a trace can prove rollback produced fresh state."""
+    """Failed trials' restore instants stamp the restored block
+    versions, which are the pre-trial ones: rollback puts the original
+    block objects back."""
     plane = FaultPlane(rate=1.0, kinds=("optimizer",))
     events, report = _form_traced("mcf", plane=plane)
     restores = [e for e in events if e.name == "guard_restore"]

@@ -82,8 +82,8 @@ def test_corrupt_operand_and_predicate_mutate_a_block():
 def test_fired_log_and_marks():
     plane = FaultPlane()
     mark = plane.fired_mark()
-    plane.record("trial", "optimizer", "f", "b0", "b1")
-    plane.record("trial", "commit", "g", "b2", "b3")
+    plane.record("optimizer", "f", "b0", "b1")
+    plane.record("commit", "g", "b2", "b3")
     assert [f.kind for f in plane.fired_since(mark, "f")] == ["optimizer"]
     assert [f.kind for f in plane.fired_since(mark, "g")] == ["commit"]
     assert plane.fired_since(plane.fired_mark(), "f") == []

@@ -4,17 +4,78 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.constraints import TripsConstraints
 from repro.core.convergent import form_function, form_module
 from repro.core.policies import BreadthFirstPolicy
-from repro.ir.printer import format_function, format_module
+from repro.harness.experiment import heuristic_config
+from repro.ir.printer import format_block, format_function, format_module
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import FaultPlane, InjectedFault, injected
-from repro.robustness.guard import FunctionStatus
+from repro.robustness.guard import FunctionStatus, TrialGuard
 from repro.robustness.oracle import assert_equivalent
 from repro.workloads.generators import random_program
-from repro.workloads.spec import SPEC_BENCHMARKS
+from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
+from tests.conftest import profiled_program
+from tests.core.test_block_splitting import big_successor_module
 
 ALL_RAISING = FaultPlane(rate=1.0, seed=0, kinds=("optimizer",))
+
+
+def _blocks(func):
+    """Each block in order: name, object, version stamp, printed payload."""
+    return [
+        (name, block, block.version, format_block(block))
+        for name, block in func.blocks.items()
+    ]
+
+
+def _watch_trials(monkeypatch) -> dict:
+    """Check every guarded trial against the checkpoint's premise.
+
+    A rejected or rolled-back trial leaves every block as it was: the same
+    object, in the same place, under the same version stamp, printing the
+    same.  A committed one only swaps the hyperblock's entry and may
+    delete the candidate's; every other block, and the replaced
+    hyperblock object itself, is left as it was.  Returns the number of
+    trials checked per outcome.
+    """
+    seen = {"rejected": 0, "restored": 0, "committed": 0}
+    attempt = TrialGuard.attempt
+
+    def watched(self, ctx, hb_name, cand_name):
+        func = ctx.func
+        before = _blocks(func)
+        failures = len(self.failures)
+        result = attempt(self, ctx, hb_name, cand_name)
+        after = _blocks(func)
+        where = (func.name, hb_name, cand_name)
+        if result is None:
+            assert after == before, where
+            restored = len(self.failures) > failures
+            seen["restored" if restored else "rejected"] += 1
+            return result
+        assert set(func.blocks) <= {name for name, *_ in before}, where
+        kept = [entry for entry in before if entry[0] in func.blocks]
+        assert [e for e in after if e[0] != hb_name] == [
+            e for e in kept if e[0] != hb_name
+        ], where
+        assert {name for name, *_ in before} - set(func.blocks) <= {cand_name}
+        (_, old_hb, version, payload), = (e for e in before if e[0] == hb_name)
+        assert (old_hb.version, format_block(old_hb)) == (version, payload)
+        seen["committed"] += 1
+        return result
+
+    monkeypatch.setattr(TrialGuard, "attempt", watched)
+    return seen
+
+
+def test_trials_never_mutate_committed_blocks(monkeypatch):
+    seen = _watch_trials(monkeypatch)
+    names = list(SPEC_ORDER) + ["scaled-440-2006", "scaled-440-2007"]
+    for name in names:
+        module, _, _, profile = profiled_program(name)
+        heuristic_config("BF")(module.copy(), profile)
+    assert seen["rejected"] and seen["committed"], seen
 
 
 def _workload(name="mcf"):
@@ -46,8 +107,10 @@ def test_every_trial_raising_leaves_the_function_unformed_but_alive():
     assert_equivalent(workload.module(), module)
 
 
-def test_commit_stage_fault_rolls_back_the_mutated_cfg():
-    """The hardest rollback: the fault fires *after* the CFG was mutated."""
+def test_commit_stage_fault_rolls_back_the_mutated_cfg(monkeypatch):
+    """The hardest rollback: the fault fires *after* the CFG was mutated.
+    Each restore puts back the same block objects, in the same order."""
+    seen = _watch_trials(monkeypatch)
     workload, module, profile = _workload("gzip")
     pristine = format_module(workload.module())
     plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
@@ -56,7 +119,25 @@ def test_commit_stage_fault_rolls_back_the_mutated_cfg():
     assert report.stats.merges == 0
     assert format_module(module) == pristine
     assert plane.fired  # the commit faults really fired mid-commit
+    assert seen["restored"] == len(plane.fired)
     assert_equivalent(workload.module(), module)
+
+
+def test_commit_fault_after_a_split_restores_the_candidate():
+    """Block splitting edits the candidate in place, so the checkpoint
+    keeps a copy of it: the rolled-back function is whole and unformed."""
+    module = big_successor_module()
+    pristine = format_module(module)
+    plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
+    with injected(plane):
+        report = form_module(
+            module,
+            constraints=TripsConstraints(max_instructions=24),
+            allow_block_splitting=True,
+        )
+    assert plane.fired
+    assert report.status_of("main") is FunctionStatus.DEGRADED
+    assert format_module(module) == pristine
 
 
 def test_failsafe_off_propagates_the_fault():
