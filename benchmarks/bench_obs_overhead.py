@@ -56,7 +56,7 @@ def _measure(subset: Optional[list[str]], repeat: int) -> dict:
         modules = [(w.module(), p) for _, w, p in prepared]
         start = time.perf_counter()
         for module, profile in modules:
-            form_module(module, profile=profile, record_events=False)
+            form_module(module, profile=profile)
         return time.perf_counter() - start
 
     def traced_suite() -> tuple[float, int]:
@@ -65,7 +65,7 @@ def _measure(subset: Optional[list[str]], repeat: int) -> dict:
         start = time.perf_counter()
         with tracing(tracer):
             for module, profile in modules:
-                form_module(module, profile=profile, record_events=False)
+                form_module(module, profile=profile)
         elapsed = time.perf_counter() - start
         return elapsed, len(tracer.collected_events())
 
@@ -123,7 +123,7 @@ def run_recorder_overhead(
         start = time.perf_counter()
         with tracing(tracer):
             for module, profile in modules:
-                form_module(module, profile=profile, record_events=False)
+                form_module(module, profile=profile)
         return time.perf_counter() - start, tracer.collected_events()
 
     traced_suite()  # warm-up

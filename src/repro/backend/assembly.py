@@ -61,8 +61,8 @@ def format_block_assembly(
     from repro.analysis.predimpl import exposed_uses
 
     reads = sorted(exposed_uses(block))
-    writes = sorted(block.defined_regs())
-    lines.append(f"  ; reads={len(reads)} writes={len(writes)} "
+    writes = block.def_mask().bit_count()
+    lines.append(f"  ; reads={len(reads)} writes={writes} "
                  f"size={len(block)}")
     preds = placement.preds if placement is not None else dep_preds(block)
     targets = _targets_of(block, preds)

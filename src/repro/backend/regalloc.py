@@ -23,7 +23,7 @@ from repro.analysis.liveness import Liveness
 from repro.analysis.predimpl import exposed_uses
 from repro.ir.function import Function
 from repro.ir.instruction import Instruction
-from repro.ir.regmask import mask_of, regs_of
+from repro.ir.regmask import bits, mask_of, regs_of
 from repro.ir.opcodes import Opcode
 
 #: base address of the (simulated) spill area in memory
@@ -109,9 +109,8 @@ class RegisterAllocator:
         spilled = self.result.spilled
         for block in self.func.blocks.values():
             used = {r for i in block.instrs for r in i.uses()}
-            defined = block.defined_regs()
             reload_regs = sorted(used & set(spilled))
-            store_regs = sorted(defined & set(spilled))
+            store_regs = [r for r in bits(block.def_mask()) if r in spilled]
             prologue = []
             for vreg in reload_regs:
                 addr = self.func.new_reg()
@@ -165,7 +164,7 @@ class RegisterAllocator:
                 if arch is not None:
                     bank = self.bank_of(arch)
                     reads[bank] = reads.get(bank, 0) + 1
-            for vreg in block.defined_regs():
+            for vreg in bits(block.def_mask()):
                 arch = assignment.get(vreg)
                 if arch is not None:
                     bank = self.bank_of(arch)

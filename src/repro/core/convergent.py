@@ -163,7 +163,6 @@ def form_function(
     optimize_during: bool = True,
     allow_head_dup: bool = True,
     allow_block_splitting: bool = False,
-    record_events: bool = True,
     failsafe: bool = True,
     guard: Optional[TrialGuard] = None,
     post_commit: Optional[Callable] = None,
@@ -173,9 +172,6 @@ def form_function(
     Seeds are processed in reverse postorder of the evolving CFG: each
     reachable block not yet consumed by an earlier hyperblock becomes the
     seed of a new one.  Unreachable remnants are swept afterwards.
-
-    ``record_events=False`` keeps ``MergeStats.events`` empty for
-    module-scale runs that only need the counters.
 
     With ``failsafe`` (the default) every trial is guarded, the formed
     function must pass :func:`repro.ir.verify.verify_function`, and *any*
@@ -188,14 +184,14 @@ def form_function(
         with tracer.span("function", function=func.name) as span:
             report = _form_function_impl(
                 func, profile, policy, constraints, optimize_during,
-                allow_head_dup, allow_block_splitting, record_events,
-                failsafe, guard, post_commit,
+                allow_head_dup, allow_block_splitting, failsafe, guard,
+                post_commit,
             )
             span.set(status=report.status.value, merges=report.stats.merges)
             return report
     return _form_function_impl(
         func, profile, policy, constraints, optimize_during, allow_head_dup,
-        allow_block_splitting, record_events, failsafe, guard, post_commit,
+        allow_block_splitting, failsafe, guard, post_commit,
     )
 
 
@@ -207,7 +203,6 @@ def _form_function_impl(
     optimize_during: bool,
     allow_head_dup: bool,
     allow_block_splitting: bool,
-    record_events: bool,
     failsafe: bool,
     guard: Optional[TrialGuard],
     post_commit: Optional[Callable],
@@ -226,7 +221,6 @@ def _form_function_impl(
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
             allow_block_splitting=allow_block_splitting,
-            record_events=record_events,
             guard=guard,
             post_commit=post_commit,
         )
@@ -253,7 +247,7 @@ def _form_function_impl(
         return FunctionReport(
             func.name,
             FunctionStatus.FAILED_SAFE,
-            MergeStats(record_events=record_events),
+            MergeStats(),
             failures,
         )
     failures = guard.failures_for(func.name) if guard is not None else []
@@ -324,7 +318,6 @@ def form_module(
     optimize_during: bool = True,
     allow_head_dup: bool = True,
     allow_block_splitting: bool = False,
-    record_events: bool = True,
     failsafe: bool = True,
     selfcheck: Optional[str] = None,
     oracle_probes: Optional[Sequence] = None,
@@ -349,15 +342,15 @@ def form_module(
         with tracer.span("module", module=module.name) as span:
             report = _form_module_impl(
                 module, profile, policy, constraints, optimize_during,
-                allow_head_dup, allow_block_splitting, record_events,
-                failsafe, selfcheck, oracle_probes, tracer,
+                allow_head_dup, allow_block_splitting, failsafe, selfcheck,
+                oracle_probes, tracer,
             )
             span.set(merges=report.stats.merges)
             return report
     return _form_module_impl(
         module, profile, policy, constraints, optimize_during,
-        allow_head_dup, allow_block_splitting, record_events, failsafe,
-        selfcheck, oracle_probes, None,
+        allow_head_dup, allow_block_splitting, failsafe, selfcheck,
+        oracle_probes, None,
     )
 
 
@@ -369,7 +362,6 @@ def _form_module_impl(
     optimize_during: bool,
     allow_head_dup: bool,
     allow_block_splitting: bool,
-    record_events: bool,
     failsafe: bool,
     selfcheck: Optional[str],
     oracle_probes: Optional[Sequence],
@@ -381,7 +373,7 @@ def _form_module_impl(
         raise ValueError(
             f"selfcheck must be None, 'function' or 'commit', got {selfcheck!r}"
         )
-    report = FormationReport(stats=MergeStats(record_events=record_events))
+    report = FormationReport(stats=MergeStats())
     probes = baseline = None
     post_commit = None
     if selfcheck:
@@ -413,7 +405,6 @@ def _form_module_impl(
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
             allow_block_splitting=allow_block_splitting,
-            record_events=record_events,
             failsafe=failsafe,
             post_commit=post_commit,
         )
@@ -443,7 +434,7 @@ def _form_module_impl(
                 freport = FunctionReport(
                     func.name,
                     FunctionStatus.FAILED_SAFE,
-                    MergeStats(record_events=record_events),
+                    MergeStats(),
                     failures,
                 )
         report.add_function(freport)

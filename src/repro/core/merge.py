@@ -26,15 +26,13 @@ an invalidate-everything reference context.
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.analysis.depgraph import dependence_height
 from repro.analysis.liveness import Liveness
 from repro.analysis.loops import LoopForest
 from repro.core.constraints import TripsConstraints, estimate_block
-from repro.obs.sink import DEFAULT_RING_CAPACITY
 from repro.obs.trace import active_tracer
 from repro.robustness.faultinject import InjectedFault, active_plane
 from repro.ir.block import BasicBlock
@@ -74,17 +72,13 @@ class FormationCacheStats:
 
 @dataclass
 class MergeStats:
-    """The paper's m/t/u/p counters plus a compatibility event view.
+    """The paper's m/t/u/p counters plus attempt and illegal counts.
 
-    The full decision record now lives in the trace layer
-    (:mod:`repro.obs.trace`): ``merge_blocks`` emits structured
-    offer/trial/accept/reject events through the installed tracer.  The
-    ``events`` tuple list here is kept as a thin compatibility view of
-    the *accepted* merges only, bounded by ``events_capacity``; overflow
-    increments ``trace_dropped_events`` instead of disappearing.
-    Callers that form at module scale and only need the counters can pass
-    ``record_events=False`` (threaded through ``form_function``/
-    ``form_module``) to keep the view empty.
+    The decision record itself lives in the trace layer: ``merge_blocks``
+    emits offer/trial/accept/reject events through the installed tracer,
+    and :mod:`repro.obs.replay` projects them into per-function decision
+    logs.  These counters stay engine-side because the tables and the
+    end-to-end benchmark form without a tracer.
     """
 
     merges: int = 0
@@ -93,18 +87,11 @@ class MergeStats:
     peels: int = 0
     attempts: int = 0
     rejected_illegal: int = 0
-    record_events: bool = True
-    events: list[tuple[str, str, str]] = field(default_factory=list)
-    #: Bounded capacity of the compatibility view (mirrors the trace ring
-    #: sink's bound).
-    events_capacity: int = DEFAULT_RING_CAPACITY
-    #: Events that did not fit ``events_capacity`` (never silently lost).
-    trace_dropped_events: int = 0
     #: Fast-path perf counters of the run that produced these stats
     #: (attached by ``form_function``; aggregated by ``add``).
     cache: Optional[FormationCacheStats] = None
 
-    def record(self, kind: MergeKind, hb: str, target: str) -> None:
+    def record(self, kind: MergeKind) -> None:
         self.merges += 1
         if kind is MergeKind.TAIL_DUP:
             self.tail_dups += 1
@@ -112,45 +99,11 @@ class MergeStats:
             self.unrolls += 1
         elif kind is MergeKind.PEEL:
             self.peels += 1
-        if self.record_events:
-            if len(self.events) < self.events_capacity:
-                self.events.append((kind.value, hb, target))
-            else:
-                self.trace_dropped_events += 1
 
     @property
     def mtup(self) -> tuple[int, int, int, int]:
         """(merged, tail duplicated, unrolled, peeled) as in Table 1."""
         return (self.merges, self.tail_dups, self.unrolls, self.peels)
-
-    def decision_fingerprint(self) -> str:
-        """Stable digest of this run's formation outcome.
-
-        Hashes the m/t/u/p counters, the attempt/illegal counts and the
-        ordered accepted-merge event view.  Two runs with the same
-        fingerprint made the same merges in the same order — the cheap
-        half of the run-ledger's identity check (the trace-derived
-        per-decision fingerprint in :mod:`repro.obs.ledger` adds the
-        rejection side).  Perf counters (``cache``) and capacity settings
-        are deliberately excluded: they describe *how fast* a run was,
-        not *what it decided*.
-        """
-        digest = hashlib.sha256()
-        digest.update(
-            repr(
-                (
-                    self.merges,
-                    self.tail_dups,
-                    self.unrolls,
-                    self.peels,
-                    self.attempts,
-                    self.rejected_illegal,
-                )
-            ).encode()
-        )
-        for event in self.events:
-            digest.update(repr(tuple(event)).encode())
-        return digest.hexdigest()[:16]
 
     def add(self, other: "MergeStats") -> None:
         self.merges += other.merges
@@ -159,17 +112,10 @@ class MergeStats:
         self.peels += other.peels
         self.attempts += other.attempts
         self.rejected_illegal += other.rejected_illegal
-        self.trace_dropped_events += other.trace_dropped_events
-        if self.record_events:
-            room = self.events_capacity - len(self.events)
-            taken = other.events[: max(room, 0)]
-            self.events.extend(taken)
-            self.trace_dropped_events += len(other.events) - len(taken)
         if other.cache is not None:
             if self.cache is None:
                 self.cache = FormationCacheStats()
             self.cache.add(other.cache)
-
 
 
 class FormationContext:
@@ -190,7 +136,6 @@ class FormationContext:
         allow_head_dup: bool = True,
         allow_block_splitting: bool = False,
         max_merges_per_block: int = 512,
-        record_events: bool = True,
         guard=None,
         post_commit=None,
         tracer=None,
@@ -226,7 +171,7 @@ class FormationContext:
         self.memoize_trials = (
             not self.constraints.strict_banking and not allow_block_splitting
         )
-        self.stats = MergeStats(record_events=record_events)
+        self.stats = MergeStats()
         self.cache_stats = FormationCacheStats()
         #: loop header name -> saved single-iteration body for unrolling
         self.saved_bodies: dict[str, BasicBlock] = {}
@@ -697,7 +642,7 @@ def _merge_trial(
         else:
             with tracer.phase("oracle", function=func.name):
                 ctx.post_commit(ctx, hb_name)
-    ctx.stats.record(kind, hb_name, s_name)
+    ctx.stats.record(kind)
     if tracer is not None:
         # The estimate rides along so the flight recorder captures the
         # accepted side's projection too — a bisection can then show what

@@ -15,8 +15,6 @@ Usage::
         [--chrome t.json] [--dot prefix_]
     python -m repro.harness stats mcf [--top 10]
     python -m repro.harness record [--quick] [--label ci] [--out rec.json]
-    python -m repro.harness compare <run-a> <run-b> [--html report.html]
-    python -m repro.harness compare rec.json --against-ledger latest
     python -m repro.harness replay mcf [--fn main] [--run latest]
     python -m repro.harness replay --bisect <runA> <runB>
 
@@ -29,12 +27,9 @@ fault-containment drill instead.  ``trace`` and ``stats`` record one
 workload's formation under the decision tracer (:mod:`repro.obs`) and
 render the record / its aggregates.
 
-``record`` persists a run record (per-function decision fingerprints,
-merge counts, phase times) into the ``.repro-ledger/`` directory — also
-reachable as ``--record`` on ``selfcheck``/``trace``; and
-``compare`` diffs two records (files, ledger hashes, or ``latest``),
-exiting nonzero on decision drift or a same-machine phase-time
-regression beyond ``--threshold``.
+``record`` persists a run's decision log and a run record (per-function
+merge counts and status, phase times) into the ``.repro-ledger/``
+directory.
 
 ``replay`` validates a live formation run against the flight-recorder
 decision log a ``record`` run left in the ledger, halting at the first
@@ -77,26 +72,26 @@ def run(argv: Optional[list[str]] = None) -> str:
         "target",
         choices=[
             "table1", "table2", "table3", "figure7", "all", "selfcheck",
-            "trace", "stats", "record", "compare", "replay",
+            "trace", "stats", "record", "replay",
         ],
         help="which experiment to regenerate ('selfcheck' runs the "
         "differential-simulation oracle or, with --faults, the fault "
         "drill, 'trace'/'stats' record one workload under the decision "
-        "tracer, 'record' persists a run record to the ledger, 'compare' "
-        "diffs two run records, 'replay' check-replays a workload "
+        "tracer, 'record' persists a run and its decision log to the "
+        "ledger, 'replay' check-replays a workload "
         "against a recorded decision log or bisects two recorded runs to "
         "the first diverging decision)",
     )
     parser.add_argument(
         "workload", nargs="?",
         help="trace/stats/replay: the SPEC workload to form under the "
-        "tracer; compare / replay --bisect: the baseline run (file path, "
-        "ledger hash, or 'latest')",
+        "tracer; replay --bisect: the baseline run (file path, ledger "
+        "hash, or 'latest')",
     )
     parser.add_argument(
         "other", nargs="?",
-        help="compare / replay --bisect: the candidate run (file path, "
-        "ledger hash, or 'latest')",
+        help="replay --bisect: the candidate run (file path, ledger hash, "
+        "or 'latest')",
     )
     parser.add_argument(
         "--subset",
@@ -151,28 +146,11 @@ def run(argv: Optional[list[str]] = None) -> str:
         "hyperblocks) with this filename prefix",
     )
     parser.add_argument(
-        "--record", action="store_true",
-        help="selfcheck/trace: also persist a run record to the ledger",
-    )
-    parser.add_argument(
         "--ledger", default=None,
         help="ledger directory (default: .repro-ledger)",
     )
     parser.add_argument(
         "--label", help="record: free-form label stored with the run",
-    )
-    parser.add_argument(
-        "--against-ledger", dest="against_ledger", metavar="REF",
-        help="compare: baseline from the ledger ('latest' or a hash "
-        "prefix) instead of a second positional run",
-    )
-    parser.add_argument(
-        "--html", help="compare: also write a self-contained HTML report",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="compare: relative phase-time change below which a delta "
-        "is noise (default 0.15)",
     )
     parser.add_argument(
         "--fn", default=None,
@@ -237,15 +215,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         )
         return report
 
-    if args.target == "compare":
-        from repro.harness.ledgercmd import run_compare
-
-        return run_compare(
-            run_a=args.workload, run_b=args.other,
-            against_ledger=args.against_ledger, ledger_dir=args.ledger,
-            html=args.html, threshold=args.threshold,
-        )
-
     if args.target in ("trace", "stats"):
         from repro.harness.tracecmd import run_stats, run_trace
 
@@ -257,13 +226,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
                 args.workload, why=args.why, jsonl=args.jsonl,
                 chrome=args.chrome, dot=args.dot, as_json=as_json,
             )
-            if args.record:
-                from repro.harness.ledgercmd import run_record
-
-                report += "\n" + run_record(
-                    subset=[args.workload], kind="trace",
-                    label=args.label, ledger_dir=args.ledger,
-                )
         else:
             report = run_stats(args.workload, top=args.top, as_json=as_json)
         if as_json and args.json != "-":
@@ -305,13 +267,6 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
             raise SystemExit("selfcheck failed: oracle divergence")
         if args.target == "selfcheck":
             report = check["report"]
-            if args.record:
-                from repro.harness.ledgercmd import run_record
-
-                report += "\n" + run_record(
-                    subset=check_subset, kind="selfcheck",
-                    label=args.label, ledger_dir=args.ledger,
-                )
             if args.out:
                 with open(args.out, "w") as handle:
                     handle.write(report + "\n")

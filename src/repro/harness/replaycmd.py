@@ -18,9 +18,9 @@ records (:mod:`repro.obs.replay`):
   found, 0 when the runs are decision-identical.
 
 Replay re-forms with the exact configuration ``record`` used (driver
-defaults, ``record_events=False``), so a clean check also cross-checks
-``MergeStats.decision_fingerprint()`` against the fingerprint the log
-embedded at record time.
+defaults), so a clean check also compares the live engine counters
+(``merges``, ``mtup``, ``attempts``) with the ones the log embedded at
+record time.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ def run_replay_check(
 ) -> str:
     """Re-run one workload's formation against a recorded decision log.
 
-    Raises ``SystemExit(2)`` at the first divergence, with the dump on
-    stdout.  On success returns a short confirmation including the
-    ``MergeStats.decision_fingerprint()`` cross-check.
+    Raises ``SystemExit(2)`` at the first divergence, or when the
+    decision stream matched but a live engine counter differs from the
+    one the log embedded, with the dump on stdout.  On success returns a
+    short confirmation.
     """
     if workload_name not in SPEC_BENCHMARKS:
         raise SystemExit(
@@ -152,10 +153,8 @@ def run_replay_check(
     tracer = Tracer(sinks=(MemorySink(), checker))
     try:
         with tracing(tracer):
-            # Mirror the `record` verb's configuration exactly: driver
-            # defaults, compatibility event view off.
-            report = form_module(module, profile=profile,
-                                 record_events=False)
+            # Mirror the `record` verb's configuration: driver defaults.
+            report = form_module(module, profile=profile)
     except ReplayDivergence as divergence:
         print(format_divergence_dump(divergence, label))
         raise SystemExit(2)
@@ -167,28 +166,35 @@ def run_replay_check(
 
     mismatched = []
     for key in sorted(only):
-        recorded = functions[key].get("stats_fingerprint")
-        func_name = key[len(prefix):]
-        freport = report.functions.get(func_name)
-        if recorded and freport is not None:
-            live = freport.stats.decision_fingerprint()
-            if live != recorded:
-                mismatched.append((key, recorded, live))
+        freport = report.functions.get(key[len(prefix):])
+        if freport is None:
+            continue
+        live = {
+            "merges": freport.stats.merges,
+            "mtup": list(freport.stats.mtup),
+            "attempts": freport.stats.attempts,
+        }
+        for field, value in live.items():
+            recorded = functions[key].get(field)
+            if recorded is not None and recorded != value:
+                mismatched.append((key, field, recorded, value))
     if mismatched:
         lines = [
-            "replay: decision stream matched but MergeStats "
-            "fingerprints drifted (engine counters out of sync with "
-            "the decision log — this is a bug, not workload drift):"
+            "replay: decision stream matched but engine counters "
+            "drifted (out of sync with the decision log — this is a "
+            "bug, not workload drift):"
         ]
-        for key, recorded, live in mismatched:
-            lines.append(f"  {key}: recorded {recorded} live {live}")
+        for key, field, recorded, value in mismatched:
+            lines.append(
+                f"  {key}: {field} recorded {recorded} live {value}"
+            )
         print("\n".join(lines))
         raise SystemExit(2)
 
     return (
         f"replay ok: {workload_name} matched {label} — "
         f"{checker.checked} decision(s) across {len(only)} function(s), "
-        "stats fingerprints verified"
+        "engine counters verified"
     )
 
 

@@ -11,8 +11,8 @@ Two CI-facing entry points over the robustness layer:
   :class:`FaultPlane`, then check that the plane fired at all, that the
   faulted run never escaped a fault (every plane-touched function is
   ``degraded``/``failed_safe``), that every *untouched* function made
-  byte-identical merge decisions, and that the oracle passes on
-  everything the faulted run formed.
+  byte-identical merge decisions (equal decision-log fingerprints), and
+  that the oracle passes on everything the faulted run formed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.convergent import form_module
+from repro.obs.replay import log_from_trace
 from repro.obs.trace import FormationTrace, Tracer, tracing
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane, injected
@@ -138,11 +139,12 @@ def run_fault_drill(
     """Fault-containment drill over the SPEC suite (``selfcheck --faults``).
 
     Returns a dict with ``ok`` plus per-workload rows recording: faults
-    fired, functions degraded/failed-safe, whether any *un*-faulted
-    function changed its merge decisions versus the clean control run,
-    and whether the oracle passed on the faulted run's output.  A drill
-    whose plane fired no fault over the whole suite proves nothing, so
-    it fails too.
+    fired, functions degraded/failed-safe, which *un*-faulted functions
+    changed their status or their decision log (any offer, verdict,
+    ``CONSTRAINT_*`` attribution or estimate) versus the clean control
+    run, and whether the oracle passed on the faulted run's output.  Both
+    runs form under a tracer.  A drill whose plane fired no fault over
+    the whole suite proves nothing, so it fails too.
     """
     suite = _suite(subset)
     rows = []
@@ -151,11 +153,13 @@ def run_fault_drill(
             workload.module(), args=workload.args, preload=workload.preload
         )
         control = workload.module()
-        control_report = form_module(control, profile=profile)
+        with tracing(Tracer()) as tracer:
+            control_report = form_module(control, profile=profile)
+        control_logs = log_from_trace(tracer.collected_events())
 
         faulted = workload.module()
         plane = FaultPlane(rate=rate, seed=seed, kinds=kinds)
-        with injected(plane):
+        with injected(plane), tracing(Tracer()) as tracer:
             # selfcheck guards the corrupting kinds: a silently wrong
             # hyperblock must be caught and rolled back, not shipped.
             faulted_report = form_module(
@@ -164,6 +168,7 @@ def run_fault_drill(
                 selfcheck="function",
                 oracle_probes=_workload_probes(workload),
             )
+        faulted_logs = log_from_trace(tracer.collected_events())
 
         touched = {fault.function for fault in plane.fired}
         escaped = [
@@ -172,10 +177,11 @@ def run_fault_drill(
             if faulted_report.status_of(fname) is FunctionStatus.OK
         ]
         clean_mismatch = [
-            fname
-            for fname, summary in control_report.summary().items()
-            if fname not in touched
-            and faulted_report.summary().get(fname) != summary
+            func.name
+            for func in control
+            if func.name not in touched
+            and _outcome(control_report, control_logs, func.name)
+            != _outcome(faulted_report, faulted_logs, func.name)
         ]
         oracle = differential_check(
             workload.module(), faulted, probes=_workload_probes(workload)
@@ -204,6 +210,14 @@ def run_fault_drill(
         "rows": rows,
         "report": _format_drill(rows, rate, seed, fired, ok),
     }
+
+
+def _outcome(report, logs: dict, fname: str) -> tuple:
+    """A function's status and decision-log fingerprint (``None`` when
+    it made no decision)."""
+    bucket = logs.get(fname)
+    fingerprint = bucket["fingerprint"] if bucket is not None else None
+    return report.status_of(fname), fingerprint
 
 
 def _format_drill(

@@ -144,14 +144,6 @@ class BasicBlock:
             shape.def_mask = mask
         return mask
 
-    def defined_regs(self) -> set[int]:
-        """Registers written by any instruction in the block."""
-        regs: set[int] = set()
-        for instr in self.instrs:
-            if instr.dest is not None:
-                regs.add(instr.dest)
-        return regs
-
     def retarget_branches(self, old: str, new: str) -> int:
         """Point every branch aimed at ``old`` to ``new``; return count."""
         count = 0

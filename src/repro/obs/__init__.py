@@ -9,9 +9,7 @@ The modules (see ``docs/OBSERVABILITY.md``):
 - :mod:`repro.obs.sink` — JSONL / bounded-ring / in-memory sinks and the
   Chrome-trace (Perfetto) exporter;
 - :mod:`repro.obs.ledger` — persistent, content-addressed run records
-  with per-function decision fingerprints;
-- :mod:`repro.obs.rundiff` — decision-drift diffing between two run
-  records, with text and static-HTML renderers;
+  and the decision logs they reference;
 - :mod:`repro.obs.replay` — the decision flight recorder: per-function
   decision logs, check-mode replay and bisection.
 
@@ -22,13 +20,10 @@ per trial.
 """
 
 from repro.obs.ledger import (
-    DECISION_EVENTS,
     DEFAULT_LEDGER_DIR,
     RECORD_SCHEMA_VERSION,
     Ledger,
     LedgerError,
-    decision_fingerprints,
-    fingerprint_of,
     run_hash,
     validate_record,
 )
@@ -42,13 +37,6 @@ from repro.obs.sink import (
     read_jsonl,
     write_chrome_trace,
 )
-from repro.obs.rundiff import (
-    DEFAULT_TIME_THRESHOLD,
-    diff_runs,
-    format_diff,
-    html_report,
-    write_html_report,
-)
 from repro.obs.trace import (
     PHASE_HISTOGRAM,
     PHASE_SPANS,
@@ -61,20 +49,12 @@ from repro.obs.trace import (
     tracing,
 )
 __all__ = [
-    "DECISION_EVENTS",
     "DEFAULT_LEDGER_DIR",
     "RECORD_SCHEMA_VERSION",
     "Ledger",
     "LedgerError",
-    "decision_fingerprints",
-    "fingerprint_of",
     "run_hash",
     "validate_record",
-    "DEFAULT_TIME_THRESHOLD",
-    "diff_runs",
-    "format_diff",
-    "html_report",
-    "write_html_report",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_RING_CAPACITY",

@@ -1,26 +1,22 @@
 """Persistent run ledger: schema-versioned run records, content-addressed.
 
-PR 4's telemetry answers *single-run* questions ("why was this merge
-rejected?").  The paper's central claim — that unroll/peel/duplicate
-decisions fall out of the merge order — is only checkable *across* runs:
-did this commit change which merges were accepted, and why?  This module
-gives every record/selfcheck/formation run a durable, diffable identity:
+Single-run telemetry answers "why was this merge rejected?"; the ledger
+keeps runs so they can be compared later.  It holds two stores:
 
-- a **run record**: a schema-versioned JSON document holding, per
-  function, the ordered accept/reject *decision fingerprint* (with
-  constraint attribution lifted from the trace), merge counters, block
-  composition after formation, phase self-times, a telemetry snapshot,
-  and machine/commit metadata;
-- a **ledger**: an append-only on-disk directory (``.repro-ledger/`` by
-  default) addressing each record by the sha256 of its canonical JSON,
-  plus a human-greppable ``index.jsonl``;
-- **validation** of run records.
+- **run records**: schema-versioned JSON documents holding, per
+  function, the merge counters, fail-safe status and block composition
+  after formation, plus run-level phase self-times, a telemetry
+  snapshot, machine/commit metadata and the digest of the run's
+  decision log;
+- **decision logs** (:mod:`repro.obs.replay`), the one encoding of
+  formation decisions, stored by digest so identical runs share a file.
 
-Diffing two records (decision drift, merge-count and phase-time deltas)
-lives in :mod:`repro.obs.rundiff`; the glue that actually *forms* the
-workloads and assembles a record lives in :mod:`repro.harness.ledgercmd`
-— this module, like the rest of ``repro.obs``, imports nothing from the
-rest of ``repro`` so every layer can use it without cycles.
+Both live in an append-only directory (``.repro-ledger/`` by default)
+with a human-greppable ``index.jsonl``.  The glue that *forms* the
+workloads and assembles a record lives in
+:mod:`repro.harness.ledgercmd`; this module, like the rest of
+``repro.obs``, imports nothing from the rest of ``repro`` so every layer
+can use it without cycles.
 """
 
 from __future__ import annotations
@@ -32,83 +28,20 @@ import os
 import platform
 import subprocess
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
-#: Bumped whenever the record layout changes incompatibly.  ``compare``
-#: refuses to diff records with mismatched schema versions.
-RECORD_SCHEMA_VERSION = 1
+from repro.obs.replay import log_digest, validate_log_set
+
+#: Bumped whenever the record layout changes incompatibly; reading a
+#: record of another version is refused.
+RECORD_SCHEMA_VERSION = 2
 
 #: Default ledger directory, relative to the invoking working directory.
 DEFAULT_LEDGER_DIR = ".repro-ledger"
 
-#: Event names that constitute a *decision* (everything else in a trace —
-#: offers, phases, guard bookkeeping — is context, not outcome).
-DECISION_EVENTS = frozenset({"accept", "reject"})
-
 
 class LedgerError(ValueError):
     """A record failed validation or a run reference did not resolve."""
-
-
-# ---------------------------------------------------------------------------
-# Decision fingerprints
-# ---------------------------------------------------------------------------
-
-
-def decision_entry(event) -> dict:
-    """The durable projection of one accept/reject trace event.
-
-    Keeps exactly the attributes whose change *means* a decision changed:
-    the pair, the verdict, the merge kind, and — for constraint
-    rejections — which ``CONSTRAINT_*`` limits fired.  Timings, span ids
-    and estimates are deliberately dropped so fingerprints are stable
-    across machines and noise.
-    """
-    attrs = event.attrs
-    entry = {
-        "verdict": event.name,
-        "hb": attrs.get("hb"),
-        "target": attrs.get("target"),
-    }
-    if event.name == "accept":
-        entry["kind"] = attrs.get("kind")
-        entry["removed"] = attrs.get("removed")
-    else:
-        entry["reason"] = attrs.get("reason")
-        if attrs.get("reason") == "constraint":
-            entry["constraints"] = sorted(attrs.get("constraints", ()))
-    return entry
-
-
-def fingerprint_of(decisions: Sequence[dict]) -> str:
-    """sha256 (short form) over the canonical JSON of a decision list."""
-    blob = json.dumps(list(decisions), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def decision_fingerprints(trace, prefix: str = "") -> dict[str, dict]:
-    """Per-function ordered decision lists + fingerprints from a trace.
-
-    ``trace`` is a :class:`~repro.obs.trace.FormationTrace` (or anything
-    with an ``events`` list in emission order).  Events are taken in
-    emission order — deterministic for a deterministic formation run —
-    and grouped by their ``function`` attribute, key-prefixed with
-    ``prefix`` (the workload name) so functions from different workloads
-    never collide in one record.
-    """
-    out: dict[str, dict] = {}
-    for event in trace.events:
-        if event.name not in DECISION_EVENTS:
-            continue
-        func = event.attrs.get("function")
-        if func is None:
-            continue
-        key = f"{prefix}{func}"
-        bucket = out.setdefault(key, {"decisions": []})
-        bucket["decisions"].append(decision_entry(event))
-    for bucket in out.values():
-        bucket["fingerprint"] = fingerprint_of(bucket["decisions"])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +106,10 @@ _RECORD_REQUIRED = {
     "functions": (dict,),
     "phase_time_s": (dict,),
     "telemetry": (dict,),
+    "decision_log": (str,),
 }
 
 _FUNCTION_REQUIRED = {
-    "fingerprint": (str,),
-    "decisions": (list,),
     "merges": (int,),
     "mtup": (list,),
     "status": (str,),
@@ -213,25 +145,6 @@ def validate_record(record: dict) -> None:
         if not isinstance(entry, dict):
             raise LedgerError(f"run record: function {name!r} is not an object")
         _check(entry, _FUNCTION_REQUIRED, f"function {name!r}")
-        if entry["fingerprint"] != fingerprint_of(entry["decisions"]):
-            raise LedgerError(
-                f"function {name!r}: fingerprint does not match its "
-                "decision list (corrupt or hand-edited record)"
-            )
-        for decision in entry["decisions"]:
-            if not isinstance(decision, dict) or "verdict" not in decision:
-                raise LedgerError(
-                    f"function {name!r}: malformed decision entry {decision!r}"
-                )
-    # Optional since PR 10: the digest of the full decision log (flight
-    # recorder stream) persisted next to this record in the ledger's
-    # ``decisions/`` store.  Older records simply lack the field.
-    if "decision_log" in record and not isinstance(
-        record["decision_log"], str
-    ):
-        raise LedgerError(
-            "run record: field 'decision_log' must be a digest string"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +187,7 @@ class Ledger:
         """Content-addressed store of decision logs (flight recorder).
 
         Lives next to ``runs/`` — run records reference a log by digest
-        via their optional ``decision_log`` field.  Logs are stored
+        via their ``decision_log`` field.  Logs are stored
         separately because they are an order of magnitude larger than
         records and deliberately hash-stable across machines:
         two bit-identical runs share one log file.
@@ -314,9 +227,6 @@ class Ledger:
         Idempotent like :meth:`record`: identical logs (same decisions,
         any machine) share one file.
         """
-        # Imported lazily: replay.py imports this module at load time.
-        from repro.obs.replay import log_digest, validate_log_set
-
         validate_log_set(log_set)
         digest = log_digest(log_set)
         os.makedirs(self.decisions_dir, exist_ok=True)
@@ -355,8 +265,6 @@ class Ledger:
 
     def load_decisions(self, ref: str) -> dict:
         """Load a decision log by digest prefix; validates on read."""
-        from repro.obs.replay import validate_log_set
-
         digest = self.resolve_decisions(ref)
         path = os.path.join(self.decisions_dir, f"{digest}.json")
         try:

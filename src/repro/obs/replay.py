@@ -1,11 +1,12 @@
 """The decision flight recorder: schema-versioned decision logs,
 check-mode replay, and first-divergence bisection.
 
-The run ledger (:mod:`repro.obs.ledger`) answers "*did* this run make
-different decisions?" at whole-function fingerprint granularity.  This
-module answers the follow-up a fingerprint mismatch always raises:
-"*which* decision diverged first, and what did each side see?"  Three
-pieces:
+The decision log is the one encoding of formation decisions: the run
+ledger (:mod:`repro.obs.ledger`) stores logs by digest, the formation
+golden pins each pipeline's digest, and the fault drill compares
+per-function fingerprints.  A digest mismatch says *that* two runs
+decided differently; this module also answers "*which* decision
+diverged first, and what did each side see?"  Three pieces:
 
 - a **decision log** — per function, the ordered, machine-stable
   projection of the trace's offer/accept/reject instants: pair ids,
@@ -28,9 +29,9 @@ pieces:
   constraint attribution.
 
 Like the rest of ``repro.obs`` this module imports nothing from the
-rest of ``repro``: logs are built from trace events, and the counters a
-log cross-checks (``merges``/``mtup``/``MergeStats.decision_fingerprint``)
-are passed in by the harness layer.
+rest of ``repro``: logs are built from trace events, and the engine
+counters a log carries (``merges``/``mtup``/``attempts``) are passed in
+by the harness layer.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Optional, Sequence
-
-from repro.obs.ledger import fingerprint_of
 
 #: Bumped whenever the decision-record layout changes incompatibly.
 DECISION_LOG_SCHEMA_VERSION = 1
@@ -58,6 +57,12 @@ class ReplayError(ValueError):
 # ---------------------------------------------------------------------------
 # Record projection
 # ---------------------------------------------------------------------------
+
+
+def fingerprint_of(records: Sequence[dict]) -> str:
+    """sha256 (short form) over the canonical JSON of a record list."""
+    blob = json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def decision_record(name: str, attrs: dict) -> dict:
@@ -105,9 +110,9 @@ def log_from_trace(trace, prefix: str = "") -> dict[str, dict]:
     ``trace`` is anything with an ``events`` list in emission order (a
     :class:`~repro.obs.trace.FormationTrace`) — or the bare event
     sequence itself, e.g. ``tracer.collected_events()``.  Events are
-    grouped by their ``function`` attribute
-    (key-prefixed with the workload name, exactly like the ledger's
-    :func:`~repro.obs.ledger.decision_fingerprints`); each record carries
+    grouped by their ``function`` attribute, key-prefixed with
+    ``prefix`` (the workload name) so functions from different workloads
+    never collide in one log set; each record carries
     the ordinal of the most recent preceding ``offer`` for its function,
     so a verdict can always be tied back to the offer it answers — also
     through block-splitting recursion, where one offer yields several
@@ -265,12 +270,11 @@ def attach_stats(
     """Embed engine-side counters into per-function logs (in place).
 
     ``stats_by_function`` maps the same keys to dicts with ``merges``,
-    ``mtup``, ``attempts`` and ``stats_fingerprint`` (the value of
-    ``MergeStats.decision_fingerprint()``) — the authoritative counters
-    the log's derived accept counts are validated against, and the hook
-    that ties a log back to the cheap stats-level identity check.
-    Functions that formed without any decision events (nothing to offer)
-    gain an empty record bucket so the cross-check still covers them.
+    ``mtup``, ``attempts`` and ``status`` — the engine's counters, which
+    validation checks against the log's derived accept counts and
+    check-mode replay checks against a live run.  Functions that formed
+    without any decision events (nothing to offer) gain an empty record
+    bucket so both checks still cover them.
     """
     for key, stats in stats_by_function.items():
         bucket = functions.setdefault(key, {"records": []})

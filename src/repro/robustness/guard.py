@@ -141,19 +141,8 @@ class _StatsProxy:
         return self.stats.rejected_illegal
 
     @property
-    def events(self):
-        return self.stats.events
-
-    @property
-    def trace_dropped_events(self):
-        return self.stats.trace_dropped_events
-
-    @property
     def cache(self):
         return self.stats.cache
-
-    def decision_fingerprint(self) -> str:
-        return self.stats.decision_fingerprint()
 
 
 @dataclass

@@ -249,7 +249,9 @@ def inline_block(
     # The simplified-guard path may hand back a register the body is about
     # to redefine (unrolling recomputes loop tests into the same register);
     # snapshot its current value first.
-    if guard is not None and guard.reg in body.defined_regs():
+    if guard is not None and any(
+        instr.dest == guard.reg for instr in body.instrs
+    ):
         guard = pb.snapshot(guard)
     for instr in body.instrs:
         instr.pred = pb.conjoin(guard, instr.pred)

@@ -237,7 +237,7 @@ def test_compile_backend_assigns_lsids():
     "to 132 instructions, past the 128-slot execution array",
 )
 def test_forward_gmti_formed_under_bf_compiles():
-    module, _ = formed_program("forward_gmti", "BF")
+    module = formed_program("forward_gmti", "BF")[0]
     assert compile_backend(module.copy()).assembly
 
 

@@ -14,6 +14,8 @@ from repro.core import convergent
 from repro.core.merge import FormationContext
 from repro.harness.experiment import heuristic_config
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
+from repro.obs.replay import log_from_trace
+from repro.obs.trace import Tracer, tracing
 from repro.profiles.collect import collect_profile
 from repro.profiles.data import root_name
 from repro.workloads.generators import random_inputs, scaled_program
@@ -308,14 +310,17 @@ def profiled_program(name: str) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def formed_program(name: str, config: str) -> tuple:
-    """``(module, stats)``: ``profiled_program(name)`` formed under the
-    Table-2 configuration ``config``, once per session.  The golden pin
-    and the post-formation oracles share it; copy the module before
+    """``(module, stats, logs)``: ``profiled_program(name)`` formed under
+    the Table-2 configuration ``config`` with a memory-sink tracer
+    installed, once per session; ``logs`` are the per-function decision
+    logs of that run (``repro.obs.replay.log_from_trace``).  The golden
+    pin and the post-formation oracles share it; copy the module before
     mutating it."""
     module, _, _, profile = profiled_program(name)
     module = module.copy()
-    stats = heuristic_config(config)(module, profile)
-    return module, stats
+    with tracing(Tracer()) as tracer:
+        stats = heuristic_config(config)(module, profile)
+    return module, stats, log_from_trace(tracer.collected_events())
 
 
 def formed_programs(config: str) -> list:

@@ -1,7 +1,8 @@
 """Write ``formation_golden.json``: the pinned output of every golden pipeline.
 
 For each pipeline of ``test_formation_golden.py`` the sha256 of the
-printed module, the m/t/u/p counters and the attempt count are frozen.
+printed module, the m/t/u/p counters, the attempt count and the digest
+of the decision log are frozen.
 Re-freeze only when a change moves formation decisions on purpose, and
 say so in the change::
 

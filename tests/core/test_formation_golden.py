@@ -1,13 +1,16 @@
-"""Formation output pinned to frozen values: printed IR, m/t/u/p, attempts.
+"""Formation output pinned to frozen values: printed IR, m/t/u/p, attempts
+and the decision log.
 
 116 pipelines: the 19 SPEC surrogates under BF, the 24 microbenchmarks
 under each Table-2 configuration, and ``scaled_program(440, 2006)``
 under BF.  Each program is profiled once, then formed through
-``heuristic_config`` by ``tests.conftest.formed_program``, a session
-cache the post-formation oracles share.  The sha256 of its printed
-module, its m/t/u/p counters and its attempt count must equal the
-values frozen in ``formation_golden.json``.  A change that moves
-decisions on purpose re-freezes them::
+``heuristic_config`` under a tracer by ``tests.conftest.formed_program``,
+a session cache the post-formation oracles share.  The sha256 of its
+printed module, its m/t/u/p counters, its attempt count and the digest
+of its decision log (every offer, verdict, ``CONSTRAINT_*`` attribution
+and estimate, per function) must equal the values frozen in
+``formation_golden.json``.  A change that moves decisions on purpose
+re-freezes them::
 
     PYTHONPATH=src python tests/core/freeze_formation_golden.py
 """
@@ -22,6 +25,7 @@ import pytest
 
 from repro.harness.tables import TABLE2_HEURISTICS
 from repro.ir.printer import format_module
+from repro.obs.replay import build_log_set, log_digest
 from repro.workloads.microbench import MICROBENCH_ORDER
 from repro.workloads.spec import SPEC_ORDER
 from tests.conftest import formed_program
@@ -45,12 +49,13 @@ PIPELINES = [
 
 def run_pipeline(name: str, config: str) -> dict:
     """Summarize one profiled program formed under ``config``."""
-    module, stats = formed_program(name, config)
+    module, stats, logs = formed_program(name, config)
     printed = format_module(module)
     return {
         "ir_sha256": hashlib.sha256(printed.encode()).hexdigest(),
         "mtup": list(stats.mtup),
         "attempts": stats.attempts,
+        "decision_log": log_digest(build_log_set(logs)),
     }
 
 

@@ -12,9 +12,8 @@ from repro.harness.ledgercmd import record_suite_run
 from repro.obs.ledger import Ledger
 from repro.robustness.faultinject import FaultPlane, injected
 
-#: Operand corruption demonstrably flips formation decisions on bzip2
-#: (see tests/harness/test_ledgercmd.py), which is what the bisection
-#: acceptance drill needs.
+#: Operand corruption demonstrably flips formation decisions on bzip2,
+#: which is what the bisection acceptance drill needs.
 WORKLOAD = "bzip2"
 
 
@@ -55,7 +54,29 @@ def test_replay_check_clean_run(recorded):
         "--ledger", recorded["ledger_dir"],
     ])
     assert "replay ok" in report
-    assert "stats fingerprints verified" in report
+    assert "engine counters verified" in report
+
+
+def test_replay_check_exits_2_when_live_counters_drift(
+    recorded, tmp_path, capsys
+):
+    """A log whose decisions match the live run but whose embedded
+    engine counter does not is an engine bug, not workload drift."""
+    ledger = Ledger(recorded["ledger_dir"])
+    log_set = ledger.load_decisions(recorded["clean"]["decision_log"])
+    key = f"{WORKLOAD}:main"
+    log_set["functions"][key]["attempts"] += 1
+    path = tmp_path / "drifted.json"
+    path.write_text(json.dumps(log_set))
+    with pytest.raises(SystemExit) as excinfo:
+        cli_run([
+            "replay", WORKLOAD, "--run", str(path),
+            "--ledger", recorded["ledger_dir"],
+        ])
+    assert excinfo.value.code == 2
+    out = capsys.readouterr().out
+    assert "engine counters drifted" in out
+    assert f"{key}: attempts recorded" in out
 
 
 def test_replay_check_latest_and_fn_filter(recorded):
@@ -209,22 +230,14 @@ def test_trace_json_carries_decision_log():
             ["replay", "--bisect", "--ledger", "{ledger}", "{run}", "{run}"],
             "zero divergences",
         ),
-        (
-            ["compare", "--html", "{html}", "{record}", "{record}"],
-            "verdict: clean",
-        ),
         (["trace", "--why", "b0,b1", WORKLOAD], "no events for pair (b0, b1)"),
     ],
-    ids=["replay-bisect", "compare-html", "trace-why"],
+    ids=["replay-bisect", "trace-why"],
 )
-def test_positionals_may_follow_options(recorded, tmp_path, argv, expect):
+def test_positionals_may_follow_options(recorded, argv, expect):
     """The documented forms put options first (`replay --bisect A B`)."""
-    record = tmp_path / "rec.json"
-    record.write_text(json.dumps(recorded["clean"]))
     values = {
         "ledger": recorded["ledger_dir"],
         "run": recorded["clean_digest"],
-        "html": str(tmp_path / "report.html"),
-        "record": str(record),
     }
     assert expect in cli_run([arg.format(**values) for arg in argv])

@@ -1,12 +1,11 @@
 """End-to-end telemetry: traced SPEC formation, the trace/stats CLI
-verbs, exports, and the MergeStats compatibility view."""
+verbs and exports."""
 
 from __future__ import annotations
 
 import json
 
 from repro.core.convergent import form_module
-from repro.core.merge import MergeStats
 from repro.harness.cli import run as cli_run
 from repro.harness.tracecmd import (
     phase_table,
@@ -132,23 +131,3 @@ def test_cli_stats_verb():
     assert "phase table" in out
     assert "100.0%" in out  # one function -> it owns all phase time
 
-
-def test_merge_stats_events_capacity_counts_overflow():
-    from repro.core.merge import MergeKind
-
-    stats = MergeStats(events_capacity=2)
-    for i in range(4):
-        stats.record(MergeKind.SIMPLE, "hb", f"b{i}")
-    assert len(stats.events) == 2
-    assert stats.trace_dropped_events == 2
-    assert stats.merges == 4  # counters never drop
-
-    total = MergeStats(events_capacity=3)
-    total.add(stats)
-    assert len(total.events) == 2
-    other = MergeStats(events_capacity=2)
-    other.record(MergeKind.SIMPLE, "hb", "x")
-    other.record(MergeKind.SIMPLE, "hb", "y")
-    total.add(other)
-    assert len(total.events) == 3  # room for one more
-    assert total.trace_dropped_events == 2 + 1  # propagated + overflow

@@ -8,9 +8,6 @@ from repro.obs.ledger import (
     RECORD_SCHEMA_VERSION,
     Ledger,
     LedgerError,
-    decision_entry,
-    decision_fingerprints,
-    fingerprint_of,
     machine_metadata,
     run_hash,
     utc_timestamp,
@@ -18,38 +15,10 @@ from repro.obs.ledger import (
 )
 
 
-class FakeEvent:
-    def __init__(self, name, **attrs):
-        self.name = name
-        self.attrs = attrs
-
-
-class FakeTrace:
-    def __init__(self, events):
-        self.events = events
-
-
-def accept(func, hb, target, kind="merge", removed=1):
-    return FakeEvent(
-        "accept", function=func, hb=hb, target=target, kind=kind,
-        removed=removed,
-    )
-
-
-def reject(func, hb, target, reason="constraint", constraints=("instructions",)):
-    return FakeEvent(
-        "reject", function=func, hb=hb, target=target, reason=reason,
-        constraints=list(constraints),
-    )
-
-
 def make_record(functions=None, **overrides):
     if functions is None:
-        decisions = [decision_entry(accept("f", "b0", "b1"))]
         functions = {
             "w:f": {
-                "fingerprint": fingerprint_of(decisions),
-                "decisions": decisions,
                 "merges": 1,
                 "mtup": [1, 0, 0, 0],
                 "status": "ok",
@@ -69,57 +38,12 @@ def make_record(functions=None, **overrides):
         "mtup": [1, 0, 0, 0],
         "attempts": 2,
         "functions": functions,
+        "decision_log": "0" * 64,
         "phase_time_s": {"optimize": 0.001},
         "telemetry": {"events": 5},
     }
     record.update(overrides)
     return record
-
-
-# -- fingerprints -----------------------------------------------------------
-
-
-def test_decision_entry_projects_accept_and_reject():
-    a = decision_entry(accept("f", "b0", "b1", kind="unroll", removed=2))
-    assert a == {
-        "verdict": "accept", "hb": "b0", "target": "b1",
-        "kind": "unroll", "removed": 2,
-    }
-    r = decision_entry(
-        reject("f", "b0", "b2", constraints=["register_writes", "instructions"])
-    )
-    assert r["verdict"] == "reject"
-    assert r["reason"] == "constraint"
-    # Constraints are sorted so attribute emission order never matters.
-    assert r["constraints"] == ["instructions", "register_writes"]
-
-
-def test_fingerprint_changes_with_decisions():
-    a = [decision_entry(accept("f", "b0", "b1"))]
-    b = [decision_entry(reject("f", "b0", "b1"))]
-    assert fingerprint_of(a) != fingerprint_of(b)
-    assert fingerprint_of(a) == fingerprint_of(list(a))
-    assert len(fingerprint_of(a)) == 16
-
-
-def test_decision_fingerprints_groups_by_function_with_prefix():
-    trace = FakeTrace([
-        accept("f", "b0", "b1"),
-        FakeEvent("offer", function="f", hb="b0", target="b2"),  # not a decision
-        reject("g", "b0", "b2"),
-        accept("f", "b0", "b2"),
-    ])
-    out = decision_fingerprints(trace, prefix="w:")
-    assert set(out) == {"w:f", "w:g"}
-    assert len(out["w:f"]["decisions"]) == 2
-    assert out["w:f"]["fingerprint"] == fingerprint_of(out["w:f"]["decisions"])
-
-
-def test_decision_order_matters():
-    e1, e2 = accept("f", "b0", "b1"), reject("f", "b0", "b2")
-    fwd = decision_fingerprints(FakeTrace([e1, e2]))["f"]["fingerprint"]
-    rev = decision_fingerprints(FakeTrace([e2, e1]))["f"]["fingerprint"]
-    assert fwd != rev
 
 
 # -- validation -------------------------------------------------------------
@@ -141,11 +65,10 @@ def test_validate_record_rejects_wrong_schema_version():
         validate_record(make_record(schema_version=RECORD_SCHEMA_VERSION + 1))
 
 
-def test_validate_record_rejects_tampered_fingerprint():
+def test_validate_record_requires_a_decision_log():
     record = make_record()
-    entry = next(iter(record["functions"].values()))
-    entry["fingerprint"] = "0" * 16
-    with pytest.raises(LedgerError, match="fingerprint"):
+    del record["decision_log"]
+    with pytest.raises(LedgerError, match="decision_log"):
         validate_record(record)
 
 

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.core.convergent import form_module
-from repro.obs.ledger import fingerprint_of
 from repro.obs.replay import (
     DECISION_LOG_SCHEMA_VERSION,
     ReplayChecker,
@@ -16,8 +15,10 @@ from repro.obs.replay import (
     ReplayError,
     attach_stats,
     build_log_set,
+    decision_record,
     derived_counts,
     diff_records,
+    fingerprint_of,
     first_divergence,
     log_from_trace,
     validate_log_set,
@@ -38,20 +39,90 @@ def _form_traced(name: str, plane=None):
     tracer = Tracer(sinks=(MemorySink(),))
     if plane is not None:
         with injected(plane), tracing(tracer):
-            report = form_module(
-                module, profile=profile, record_events=False
-            )
+            report = form_module(module, profile=profile)
     else:
         with tracing(tracer):
-            report = form_module(
-                module, profile=profile, record_events=False
-            )
+            report = form_module(module, profile=profile)
     return tracer.collected_events(), report
 
 
 def _log(name: str, plane=None):
     events, report = _form_traced(name, plane=plane)
     return log_from_trace(events), events, report
+
+
+class FakeEvent:
+    def __init__(self, name, **attrs):
+        self.name = name
+        self.attrs = attrs
+
+
+def accept(func, hb, target, kind="merge", removed=1):
+    return FakeEvent(
+        "accept", function=func, hb=hb, target=target, kind=kind,
+        removed=removed,
+    )
+
+
+def reject(func, hb, target, constraints=("instructions",)):
+    return FakeEvent(
+        "reject", function=func, hb=hb, target=target, reason="constraint",
+        constraints=list(constraints),
+    )
+
+
+def test_decision_record_projects_accept_and_reject():
+    a = decision_record("accept", accept("f", "b0", "b1", "unroll", 2).attrs)
+    assert a == {
+        "event": "accept", "hb": "b0", "target": "b1",
+        "kind": "unroll", "removed": 2,
+    }
+    r = decision_record(
+        "reject",
+        reject("f", "b0", "b2", ["register_writes", "instructions"]).attrs,
+    )
+    assert r["event"] == "reject"
+    assert r["reason"] == "constraint"
+    # Attribution keeps the order the estimator reported it in.
+    assert r["constraints"] == ["register_writes", "instructions"]
+
+
+def test_fingerprint_changes_with_records():
+    a = log_from_trace([accept("f", "b0", "b1")])["f"]["records"]
+    b = log_from_trace([reject("f", "b0", "b1")])["f"]["records"]
+    assert fingerprint_of(a) != fingerprint_of(b)
+    assert fingerprint_of(a) == fingerprint_of(list(a))
+    assert len(fingerprint_of(a)) == 16
+
+
+def test_log_from_trace_groups_by_function_with_prefix():
+    out = log_from_trace([
+        accept("f", "b0", "b1"),
+        FakeEvent("offer", function="f", hb="b0", target="b2"),
+        reject("g", "b0", "b2"),
+        accept("f", "b0", "b2"),
+        FakeEvent("trial", function="f", hb="b0", target="b2"),
+    ], prefix="w:")
+    assert set(out) == {"w:f", "w:g"}
+    assert [r["event"] for r in out["w:f"]["records"]] == [
+        "accept", "offer", "accept",
+    ]
+    assert out["w:f"]["fingerprint"] == fingerprint_of(out["w:f"]["records"])
+
+
+def test_decision_order_matters():
+    e1, e2 = accept("f", "b0", "b1"), reject("f", "b0", "b2")
+    fwd = log_from_trace([e1, e2])["f"]["fingerprint"]
+    rev = log_from_trace([e2, e1])["f"]["fingerprint"]
+    assert fwd != rev
+
+
+def test_function_only_in_one_log_is_a_divergence():
+    a = log_from_trace([accept("f", "b0", "b1")])
+    b = log_from_trace([accept("f", "b0", "b1"), reject("g", "b0", "b2")])
+    (div,) = first_divergence(a, b)
+    assert (div.function, div.index, div.record_a) == ("g", 0, None)
+    assert div.record_b["event"] == "reject"
 
 
 def test_log_shape_and_counts():
@@ -183,7 +254,6 @@ def test_attach_stats_and_validate():
     stats = {
         "main": {
             "attempts": report.stats.attempts,
-            "stats_fingerprint": report.stats.decision_fingerprint(),
             "status": "ok",
             "merges": report.stats.merges,
             "mtup": list(report.stats.mtup),

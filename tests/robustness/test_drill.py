@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness import selfcheck
 from repro.harness.cli import run as cli_run
 from repro.harness.selfcheck import run_fault_drill, run_selfcheck
+from repro.obs.replay import derived_counts, fingerprint_of
 
 #: A loop-heavy / branch-heavy / call-heavy slice of the suite: the full
 #: 19-workload drill runs in the dedicated CI job, not per-test.
@@ -34,6 +36,43 @@ def test_fault_drill_fails_when_no_fault_fires():
     assert sum(row["fired"] for row in drill["rows"]) == 0
     assert not drill["ok"]
     assert "no fault fired over the suite" in drill["report"]
+
+
+def test_fault_drill_reports_attribution_drift_as_drift(monkeypatch):
+    """An untouched function whose decision log differs only in one
+    rejection's ``CONSTRAINT_*`` attribution made the same merges (equal
+    m/t/u/p), but not the same decisions: the drill must say so."""
+    real = selfcheck.log_from_trace
+    calls = []
+    changed = []
+
+    def log_from_trace(events):
+        logs = real(events)
+        calls.append(logs)
+        if len(calls) == 2:  # the faulted run's log
+            name, record = next(
+                (name, record)
+                for name, bucket in logs.items()
+                for record in bucket["records"]
+                if record.get("constraints")
+            )
+            record["constraints"] = record["constraints"] + ["memory_ops"]
+            logs[name]["fingerprint"] = fingerprint_of(logs[name]["records"])
+            changed.append(name)
+        return logs
+
+    monkeypatch.setattr(selfcheck, "log_from_trace", log_from_trace)
+    drill = run_fault_drill(subset=["bzip2"], rate=1e-9, seed=0)
+    (row,) = drill["rows"]
+    (name,) = changed
+    control, faulted = calls
+    assert derived_counts(control[name]["records"]) == derived_counts(
+        faulted[name]["records"]
+    )
+    assert row["touched"] == []
+    assert row["clean_mismatch"] == changed
+    assert f"DRIFT: unfaulted @{name} formed differently" in drill["report"]
+    assert not drill["ok"]
 
 
 @pytest.mark.parametrize("rate", ["0", "-1", "2"])
