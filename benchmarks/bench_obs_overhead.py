@@ -4,9 +4,9 @@ Telemetry is opt-in, and the contract (docs/OBSERVABILITY.md) is that the
 *disabled* instrumentation — one attribute load and an ``is None`` test
 per trial — costs at most ~2% of formation time.  This bench measures:
 
-- ``disabled_s``  — formation with no tracer installed (the default),
-- ``enabled_s``   — the same formation under a memory-sink tracer with a
-  metrics registry (the full event firehose),
+- ``disabled_s``  — formation with no tracer (the default),
+- ``enabled_s``   — the same formation under a memory-sink tracer (the
+  full event firehose),
 - ``overhead_disabled`` / ``overhead_enabled`` ratios against a pinned
   control loop,
 - ``record_s``    — one ``record`` ledger pass (build + persist a run
@@ -45,9 +45,8 @@ from typing import Optional
 
 def _measure(subset: Optional[list[str]], repeat: int) -> dict:
     from repro.core.convergent import form_module
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.sink import MemorySink
-    from repro.obs.trace import Tracer, tracing
+    from repro.obs.trace import Tracer
     from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
     prepared = prepare_workloads(subset or list(QUICK_SUBSET))
@@ -61,11 +60,10 @@ def _measure(subset: Optional[list[str]], repeat: int) -> dict:
 
     def traced_suite() -> tuple[float, int]:
         modules = [(w.module(), p) for _, w, p in prepared]
-        tracer = Tracer(sinks=(MemorySink(),), metrics=MetricsRegistry())
+        tracer = Tracer(sinks=(MemorySink(),))
         start = time.perf_counter()
-        with tracing(tracer):
-            for module, profile in modules:
-                form_module(module, profile=profile)
+        for module, profile in modules:
+            form_module(module, profile=profile, tracer=tracer)
         elapsed = time.perf_counter() - start
         return elapsed, len(tracer.collected_events())
 
@@ -109,21 +107,19 @@ def run_recorder_overhead(
     ``decisions`` is the number of records projected.
     """
     from repro.core.convergent import form_module
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.replay import build_log_set, log_from_trace
     from repro.obs.sink import MemorySink
-    from repro.obs.trace import Tracer, tracing
+    from repro.obs.trace import Tracer
     from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
     prepared = prepare_workloads(subset or list(QUICK_SUBSET))
 
     def traced_suite() -> tuple[float, list]:
         modules = [(w.module(), p) for _, w, p in prepared]
-        tracer = Tracer(sinks=(MemorySink(),), metrics=MetricsRegistry())
+        tracer = Tracer(sinks=(MemorySink(),))
         start = time.perf_counter()
-        with tracing(tracer):
-            for module, profile in modules:
-                form_module(module, profile=profile)
+        for module, profile in modules:
+            form_module(module, profile=profile, tracer=tracer)
         return time.perf_counter() - start, tracer.collected_events()
 
     traced_suite()  # warm-up
@@ -155,7 +151,7 @@ def run_overhead_bench(
     """Measure disabled- and enabled-telemetry formation time.
 
     ``overhead_disabled`` is the ratio of two *identical* untraced runs
-    (the instrumentation compiled in, no tracer installed, both sides) —
+    (the instrumentation compiled in, no tracer passed, both sides) —
     by construction it hovers around 1.0 and its spread is the noise
     floor the ``overhead_enabled`` number should be read against.
     """

@@ -1,8 +1,8 @@
 """Intra-block dataflow dependence graphs and dependence height.
 
-Used by the VLIW block-selection heuristic (static schedule height, cached
-per block version by ``FormationContext.block_height``) and by the backend:
-``scheduler.py`` places instructions in dependence order and
+Used by the VLIW block-selection heuristic (static schedule height, kept
+on each block's per-version shape by :func:`dependence_height`) and by
+the backend: ``scheduler.py`` places instructions in dependence order and
 ``assembly.py`` prints each instruction's consumers as its targets.
 
 Dependence rules:
@@ -67,10 +67,16 @@ def dependence_height(block: BasicBlock) -> int:
 
     This is the quantity the classical VLIW heuristic minimizes: on a
     statically scheduled machine the longest path bounds the block's
-    schedule length even if that path is never taken at run time.
+    schedule length even if that path is never taken at run time.  It is
+    computed once per block version and kept on the block's
+    :class:`~repro.ir.block.BlockShape`.
     """
-    depths = completion_depths(block)
-    return max(depths) if depths else 0
+    shape = block.shape()
+    height = shape.height
+    if height is None:
+        depths = completion_depths(block)
+        height = shape.height = max(depths) if depths else 0
+    return height
 
 
 def path_dependence_height(blocks: list[BasicBlock]) -> int:

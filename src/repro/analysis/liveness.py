@@ -38,14 +38,11 @@ def block_use_kill(block) -> tuple[int, int]:
     Upward-exposed uses are predicate-implication aware: a read guarded by
     the same (or a stronger) predicate than an earlier write in the block
     is not exposed.  Without this every predicated temporary of a
-    hyperblock would look live across the CFG.
+    hyperblock would look live across the CFG.  Both masks are kept on
+    the block's per-version shape, so a rebuild rescans only the blocks
+    that changed since their masks were last asked for.
     """
-    use = exposed_mask(block)
-    kill = 0
-    for instr in block:
-        if instr.dest is not None and instr.pred is None:
-            kill |= 1 << instr.dest
-    return use, kill
+    return exposed_mask(block), block.kill_mask()
 
 
 def _tarjan_sccs(nodes: list[str], succs: dict[str, list[str]]) -> list[list[str]]:
@@ -112,9 +109,6 @@ class Liveness:
 
     ``live_in``/``live_out`` map block name to an int bitmask (bit ``r`` =
     register ``r``); use :func:`repro.ir.regmask.regs_of` for a set view.
-    ``use_kill`` may supply precomputed per-block (use, kill) masks for
-    the initial solve — hyperblock formation caches them by block version
-    across the rebuilds its slow path forces.
 
     The analysis owns the CFG's SCC condensation: a component id per
     block, the members of each component, and a successors-first rank per
@@ -122,12 +116,7 @@ class Liveness:
     rank to the lower).  :meth:`note_commit` patches it in place.
     """
 
-    def __init__(
-        self,
-        func: Function,
-        cfg: Optional[CFG] = None,
-        use_kill: Optional[dict[str, tuple[int, int]]] = None,
-    ):
+    def __init__(self, func: Function, cfg: Optional[CFG] = None):
         self.func = func
         self.cfg = cfg or func.cfg()
         self.live_in: dict[str, int] = {}
@@ -139,10 +128,7 @@ class Liveness:
         self._rank: dict[int, float] = {}
         self._next_id = 0
         for name, block in func.blocks.items():
-            if use_kill is not None and name in use_kill:
-                self._use[name], self._kill[name] = use_kill[name]
-            else:
-                self._use[name], self._kill[name] = block_use_kill(block)
+            self._use[name], self._kill[name] = block_use_kill(block)
         self._discover()
         for comp in self._members.values():
             self._solve_component(comp)

@@ -180,16 +180,6 @@ class _VersionedImplication:
         return False
 
 
-#: Memo for :func:`exposed_mask`, keyed by ``BasicBlock.version``.  Version
-#: stamps are process-unique and never reused (see ``repro.ir.block``), so a
-#: version alone identifies the exact instruction sequence it was computed
-#: from.  Cleared wholesale when it grows past ``_EXPOSED_CACHE_MAX``.
-_exposed_cache: dict[int, int] = {}
-#: Materialized ``set[int]`` views for :func:`exposed_uses` (cold paths).
-_exposed_set_cache: dict[int, set[int]] = {}
-_EXPOSED_CACHE_MAX = 4096
-
-
 def exposed_mask(block: BasicBlock) -> int:
     """Upward-exposed register reads as a bitmask (bit ``r`` = register ``r``).
 
@@ -205,13 +195,13 @@ def exposed_mask(block: BasicBlock) -> int:
     so each step costs per instruction rather than per bit of the
     register namespace.
 
-    Results are memoized on the block's version stamp.  This is the
-    primitive every hot analysis consumes (use/kill masks, the structural
-    estimator); :func:`exposed_uses` is the ``set[int]`` view for cold
-    callers.
+    The mask is computed once per block version and kept on the block's
+    :class:`~repro.ir.block.BlockShape`.  This is the primitive every hot
+    analysis consumes (liveness's use masks, the structural estimator);
+    :func:`exposed_uses` is the ``set[int]`` view for cold callers.
     """
-    version = block.version
-    cached = _exposed_cache.get(version)
+    shape = block.shape()
+    cached = shape.exposed_mask
     if cached is not None:
         return cached
 
@@ -232,9 +222,7 @@ def exposed_mask(block: BasicBlock) -> int:
                     exposed |= 1 << reg
             if instr.dest is not None:
                 settle(instr.dest)
-        if len(_exposed_cache) >= _EXPOSED_CACHE_MAX:
-            _exposed_cache.clear()
-        _exposed_cache[version] = exposed
+        shape.exposed_mask = exposed
         return exposed
 
     imp = _VersionedImplication()
@@ -290,26 +278,12 @@ def exposed_mask(block: BasicBlock) -> int:
                 cond_writes.setdefault(dest, []).append(
                     (guard, imp_ver_get(guard.reg, 0))
                 )
-    if len(_exposed_cache) >= _EXPOSED_CACHE_MAX:
-        _exposed_cache.clear()
-    _exposed_cache[version] = exposed
+    shape.exposed_mask = exposed
     return exposed
 
 
 def exposed_uses(block: BasicBlock) -> set[int]:
-    """``set[int]`` view of :func:`exposed_mask` (cold paths and tests).
-
-    Memoized on the block version like the mask; callers must treat the
-    returned set as read-only.
-    """
+    """``set[int]`` view of :func:`exposed_mask` (cold paths and tests)."""
     from repro.ir.regmask import regs_of
 
-    version = block.version
-    cached = _exposed_set_cache.get(version)
-    if cached is not None:
-        return cached
-    view = regs_of(exposed_mask(block))
-    if len(_exposed_set_cache) >= _EXPOSED_CACHE_MAX:
-        _exposed_set_cache.clear()
-    _exposed_set_cache[version] = view
-    return view
+    return regs_of(exposed_mask(block))

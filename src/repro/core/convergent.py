@@ -32,11 +32,9 @@ from typing import Callable, Optional, Sequence
 from repro.analysis.dominators import reverse_postorder
 from repro.core.merge import FormationContext, MergeStats, legal_merge, merge_blocks
 from repro.core.policies import BreadthFirstPolicy, Candidate, MergePolicy
-from repro.obs.trace import active_tracer
 from repro.ir.function import Function, Module
 from repro.ir.verify import VerificationError, verify_function
 from repro.profiles.data import ProfileData
-from repro.robustness.faultinject import active_plane
 from repro.robustness.guard import (
     FormationReport,
     FunctionReport,
@@ -56,7 +54,7 @@ def expand_block(
     failure counts as a rejection, the ``(seed, candidate)`` pair is
     blacklisted, and expansion moves on to the next candidate.
 
-    With a tracer installed the expansion is an ``expand`` span: every
+    With a tracer on the context the expansion is an ``expand`` span: every
     candidate the policy selects is an ``offer`` event, and offers turned
     away before the trial carry a ``reject`` event naming why
     (``blacklisted``, ``policy``, ``illegal``).
@@ -166,6 +164,8 @@ def form_function(
     failsafe: bool = True,
     guard: Optional[TrialGuard] = None,
     post_commit: Optional[Callable] = None,
+    tracer=None,
+    faults=None,
 ) -> FunctionReport:
     """Form hyperblocks over every reachable block of ``func``.
 
@@ -178,21 +178,22 @@ def form_function(
     escaping exception restores the pre-formation CFG and returns a
     ``failed_safe`` report instead of raising.  ``failsafe=False`` restores
     the raw propagate-everything behavior.
+
+    ``tracer`` (a :class:`repro.obs.trace.Tracer`) records the run's
+    decisions and ``faults`` (a
+    :class:`repro.robustness.faultinject.FaultPlane`) perturbs its trials;
+    both default to ``None`` and reach nothing but this run.
     """
-    tracer = active_tracer()
-    if tracer is not None:
-        with tracer.span("function", function=func.name) as span:
-            report = _form_function_impl(
-                func, profile, policy, constraints, optimize_during,
-                allow_head_dup, allow_block_splitting, failsafe, guard,
-                post_commit,
-            )
-            span.set(status=report.status.value, merges=report.stats.merges)
-            return report
-    return _form_function_impl(
+    args = (
         func, profile, policy, constraints, optimize_during, allow_head_dup,
-        allow_block_splitting, failsafe, guard, post_commit,
+        allow_block_splitting, failsafe, guard, post_commit, tracer, faults,
     )
+    if tracer is None:
+        return _form_function_impl(*args)
+    with tracer.span("function", function=func.name) as span:
+        report = _form_function_impl(*args)
+        span.set(status=report.status.value, merges=report.stats.merges)
+        return report
 
 
 def _form_function_impl(
@@ -206,12 +207,13 @@ def _form_function_impl(
     failsafe: bool,
     guard: Optional[TrialGuard],
     post_commit: Optional[Callable],
+    tracer,
+    faults,
 ) -> FunctionReport:
     policy = policy or BreadthFirstPolicy()
     if guard is None and failsafe:
         guard = TrialGuard()
-    plane = active_plane()
-    fired_mark = plane.fired_mark() if plane is not None else 0
+    fired_mark = faults.fired_mark() if faults is not None else 0
     original = func.copy() if guard is not None else None
     try:
         ctx = FormationContext(
@@ -223,6 +225,8 @@ def _form_function_impl(
             allow_block_splitting=allow_block_splitting,
             guard=guard,
             post_commit=post_commit,
+            tracer=tracer,
+            faults=faults,
         )
         processed: set[str] = set()
         while True:
@@ -251,10 +255,10 @@ def _form_function_impl(
             failures,
         )
     failures = guard.failures_for(func.name) if guard is not None else []
-    if plane is not None:
+    if faults is not None:
         failures.extend(
             _fired_fault_failures(
-                func.name, plane.fired_since(fired_mark, func.name), failures
+                func.name, faults.fired_since(fired_mark, func.name), failures
             )
         )
     status = FunctionStatus.DEGRADED if failures else FunctionStatus.OK
@@ -321,6 +325,8 @@ def form_module(
     failsafe: bool = True,
     selfcheck: Optional[str] = None,
     oracle_probes: Optional[Sequence] = None,
+    tracer=None,
+    faults=None,
 ) -> FormationReport:
     """Run hyperblock formation over every function in the module.
 
@@ -336,22 +342,21 @@ def form_module(
     ``oracle_probes`` is a sequence of
     :class:`~repro.robustness.oracle.BehaviorProbe` (workload inputs);
     without it, probes are derived from ``main``'s arity.
+
+    ``tracer`` and ``faults`` are the run's tracer and fault plane, as
+    for :func:`form_function`.
     """
-    tracer = active_tracer()
-    if tracer is not None:
-        with tracer.span("module", module=module.name) as span:
-            report = _form_module_impl(
-                module, profile, policy, constraints, optimize_during,
-                allow_head_dup, allow_block_splitting, failsafe, selfcheck,
-                oracle_probes, tracer,
-            )
-            span.set(merges=report.stats.merges)
-            return report
-    return _form_module_impl(
+    args = (
         module, profile, policy, constraints, optimize_during,
         allow_head_dup, allow_block_splitting, failsafe, selfcheck,
-        oracle_probes, None,
+        oracle_probes, tracer, faults,
     )
+    if tracer is None:
+        return _form_module_impl(*args)
+    with tracer.span("module", module=module.name) as span:
+        report = _form_module_impl(*args)
+        span.set(merges=report.stats.merges)
+        return report
 
 
 def _form_module_impl(
@@ -366,6 +371,7 @@ def _form_module_impl(
     selfcheck: Optional[str],
     oracle_probes: Optional[Sequence],
     tracer,
+    faults,
 ) -> FormationReport:
     if selfcheck is True:
         selfcheck = "function"
@@ -390,7 +396,8 @@ def _form_module_impl(
             def post_commit(ctx: FormationContext, hb_name: str) -> None:
                 verify_function(ctx.func)
                 check = differential_check(
-                    module, module, probes=probes, baseline=baseline
+                    module, module, probes=probes, baseline=baseline,
+                    tracer=tracer,
                 )
                 if not check.ok:
                     raise OracleDivergenceError(check)
@@ -407,6 +414,8 @@ def _form_module_impl(
             allow_block_splitting=allow_block_splitting,
             failsafe=failsafe,
             post_commit=post_commit,
+            tracer=tracer,
+            faults=faults,
         )
         if selfcheck and freport.status is not FunctionStatus.FAILED_SAFE:
             from repro.robustness.oracle import differential_check
@@ -418,7 +427,8 @@ def _form_module_impl(
             else:
                 with tracer.phase("oracle", function=func.name):
                     check = differential_check(
-                        module, module, probes=probes, baseline=baseline
+                        module, module, probes=probes, baseline=baseline,
+                        tracer=tracer,
                     )
             if not check.ok:
                 adopt_function_state(func, saved)

@@ -29,12 +29,10 @@ import enum
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from repro.analysis.depgraph import dependence_height
 from repro.analysis.liveness import Liveness
 from repro.analysis.loops import LoopForest
 from repro.core.constraints import TripsConstraints, estimate_block
-from repro.obs.trace import active_tracer
-from repro.robustness.faultinject import InjectedFault, active_plane
+from repro.robustness.faultinject import InjectedFault
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.opcodes import Opcode
@@ -57,8 +55,6 @@ class FormationCacheStats:
     trial_hits: int = 0  # rejected trials answered from the memo table
     trial_misses: int = 0  # memoizable trials that had to run
     trial_stores: int = 0  # rejections recorded into the memo table
-    use_kill_hits: int = 0  # per-block use/kill sets served by version
-    use_kill_misses: int = 0
     cfg_patches: int = 0  # commits that patched the CFG in place
     loop_patches: int = 0  # commits that patched the loop forest in place
     loop_rebuilds: int = 0  # forests dropped: unroll edges that move idoms
@@ -75,7 +71,7 @@ class MergeStats:
     """The paper's m/t/u/p counters plus attempt and illegal counts.
 
     The decision record itself lives in the trace layer: ``merge_blocks``
-    emits offer/trial/accept/reject events through the installed tracer,
+    emits offer/trial/accept/reject events through the run's tracer,
     and :mod:`repro.obs.replay` projects them into per-function decision
     logs.  These counters stay engine-side because the tables and the
     end-to-end benchmark form without a tracer.
@@ -123,8 +119,9 @@ class FormationContext:
 
     Caches liveness, the CFG view and the loop forest across merges; a
     committed merge updates them in place (see :meth:`note_commit`).
-    Per-block facts keyed by block version (use/kill masks,
-    :meth:`block_height`) survive even :meth:`invalidate`.
+    Per-block facts (use/kill masks, dependence heights) live on each
+    block's per-version shape (:meth:`BasicBlock.shape`), so they survive
+    even :meth:`invalidate`.
     """
 
     def __init__(
@@ -139,17 +136,20 @@ class FormationContext:
         guard=None,
         post_commit=None,
         tracer=None,
+        faults=None,
     ):
         self.func = func
         #: Optional :class:`repro.robustness.guard.TrialGuard`: when set,
         #: ``expand_block`` routes every trial through it so an escaping
         #: exception is contained and rolled back instead of propagating.
         self.guard = guard
-        #: The trace emitter for this run (resolved once here, so the
-        #: per-trial disabled cost is a single attribute load):
-        #: ``None`` — the default, when no tracer is installed — disables
-        #: all instrumentation in the merge loop.
-        self.tracer = tracer if tracer is not None else active_tracer()
+        #: The run's :class:`repro.obs.trace.Tracer`; ``None`` (the
+        #: default) disables all instrumentation in the merge loop at the
+        #: cost of one attribute load per trial.
+        self.tracer = tracer
+        #: The run's :class:`repro.robustness.faultinject.FaultPlane`;
+        #: ``None`` (the default) injects nothing.
+        self.faults = faults
         #: Optional ``(ctx, hb_name) -> None`` hook run after every
         #: committed merge, *before* the merge is counted — raising here
         #: (verifier or oracle gate) makes the guard roll the commit back.
@@ -182,10 +182,6 @@ class FormationContext:
         #: preview can define (see ``merge_blocks``), so trials re-offered
         #: after unrelated liveness churn still collide.
         self._rejected_trials: dict[tuple, int] = {}
-        self._use_kill_cache: dict[str, tuple[int, tuple[int, int]]] = {}
-        #: block version -> dependence height, which the VLIW path prepass
-        #: reads at every seed (see :meth:`block_height`).
-        self._block_heights: dict[int, int] = {}
         self._liveness: Optional[Liveness] = None
         self._loops: Optional[LoopForest] = None
         self._cfg = None
@@ -276,52 +272,8 @@ class FormationContext:
     @property
     def liveness(self) -> Liveness:
         if self._liveness is None:
-            self._liveness = Liveness(
-                self.func, self.cfg, use_kill=self._use_kill_view()
-            )
+            self._liveness = Liveness(self.func, self.cfg)
         return self._liveness
-
-    def _use_kill_view(self) -> dict[str, tuple[int, int]]:
-        """Per-block (use, kill) register masks for a liveness rebuild,
-        cached across the rebuilds ``invalidate`` forces (a commit patches
-        liveness with the merged block's masks alone).
-
-        Keyed by the block's monotonic version stamp: every mutation path
-        bumps it and a stamp is never reused, so — unlike the ``id(block)``
-        token this replaced — a recycled object can never serve stale masks.
-        """
-        from repro.analysis.liveness import block_use_kill
-
-        view: dict[str, tuple[int, int]] = {}
-        fresh: dict[str, tuple[int, tuple[int, int]]] = {}
-        cache = self._use_kill_cache
-        stats = self.cache_stats
-        for name, block in self.func.blocks.items():
-            version = block.version
-            cached = cache.get(name)
-            if cached is not None and cached[0] == version:
-                sets = cached[1]
-                stats.use_kill_hits += 1
-            else:
-                sets = block_use_kill(block)
-                stats.use_kill_misses += 1
-            fresh[name] = (version, sets)
-            view[name] = sets
-        self._use_kill_cache = fresh
-        return view
-
-    def block_height(self, block: BasicBlock) -> int:
-        """``dependence_height(block)``, computed once per block version.
-
-        The height is a pure function of the block's instructions, and a
-        version stamp is never reused, so an entry can never go stale: a
-        committed merge re-stamps the merged block and its height is
-        recomputed on the next lookup.
-        """
-        height = self._block_heights.get(block.version)
-        if height is None:
-            height = self._block_heights[block.version] = dependence_height(block)
-        return height
 
     @property
     def loops(self) -> LoopForest:
@@ -480,11 +432,11 @@ def merge_blocks(
     already has it (``legal_merge`` returns it); it is classified here
     otherwise.
 
-    With a tracer installed (:func:`repro.obs.trace.install`) the whole
-    attempt is recorded as a ``trial`` span — optimize/estimate/commit/
-    oracle/liveness phases nested inside, the verdict attached as an
-    ``accept`` or ``reject`` event naming the exact structural constraint
-    that fired.  With no tracer the added cost is one attribute load and
+    With a tracer on the context (``ctx.tracer``) the whole attempt is
+    recorded as a ``trial`` span — optimize/estimate/commit/oracle/
+    liveness phases nested inside, the verdict attached as an ``accept``
+    or ``reject`` event naming the exact structural constraint that
+    fired.  With no tracer the added cost is one attribute load and
     a handful of ``is None`` tests.
     """
     tracer = ctx.tracer
@@ -575,11 +527,11 @@ def _merge_trial(
     # Scratch-space trial merge (lines 1-6 of MergeBlocks).
     regs_before = func.max_reg()
     preview = merge_preview(func, hb, target, body_source=body_source)
-    # Fault-injection hook (no-op unless a plane is installed; see
+    # Fault-injection hook (no-op unless the run has a plane; see
     # repro.robustness.faultinject).  Raising kinds simulate engine crashes
     # for the trial guard to contain; corrupting kinds plant silent
     # wrong-code bugs for the differential oracle to catch.
-    plane = active_plane()
+    plane = ctx.faults
     fault_kind = (
         plane.trial_fault(func.name, hb_name, s_name)
         if plane is not None

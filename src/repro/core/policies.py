@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.analysis.depgraph import dependence_height
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.merge import FormationContext
 
@@ -172,7 +174,6 @@ class VLIWPolicy(MergePolicy):
         cfg = ctx.cfg
         loops = ctx.loops
         profile = ctx.profile
-        heights = ctx.block_height
         paths: list[_PathInfo] = []
         acc: list[str] = []
         # name -> (successor, clamped edge probability) for the successors
@@ -185,7 +186,7 @@ class VLIWPolicy(MergePolicy):
             if len(paths) >= self.max_paths:
                 return
             block = blocks[name]
-            height += heights(block)
+            height += dependence_height(block)
             ops += len(block)
             acc.append(name)
             nexts = extensions.get(name)

@@ -28,8 +28,8 @@ workload's formation under the decision tracer (:mod:`repro.obs`) and
 render the record / its aggregates.
 
 ``record`` persists a run's decision log and a run record (per-function
-merge counts and status, phase times) into the ``.repro-ledger/``
-directory.
+merge counts and status, trace event counts) into the
+``.repro-ledger/`` directory.
 
 ``replay`` validates a live formation run against the flight-recorder
 decision log a ``record`` run left in the ledger, halting at the first

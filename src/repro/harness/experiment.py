@@ -8,7 +8,7 @@ drivers live in :mod:`repro.harness.tables`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
 from repro.core.constraints import TripsConstraints
 from repro.core.convergent import form_module
@@ -21,6 +21,7 @@ from repro.core.policies import (
 )
 from repro.ir.function import Module
 from repro.ir.verify import verify_module
+from repro.obs.trace import Tracer
 from repro.opt.pipeline import optimize_module
 from repro.profiles.collect import collect_profile
 from repro.profiles.data import ProfileData
@@ -66,6 +67,17 @@ class RunResult:
 Configurator = Callable[[Module, ProfileData], MergeStats]
 
 
+class TableConfigurator(Protocol):
+    """A Table-2 :data:`Configurator`, which also takes the run's tracer."""
+
+    def __call__(
+        self,
+        module: Module,
+        profile: ProfileData,
+        tracer: Optional[Tracer] = None,
+    ) -> MergeStats: ...
+
+
 def ordering_config(ordering: str, policy_factory=None) -> Configurator:
     def apply(module: Module, profile: ProfileData) -> MergeStats:
         policy = policy_factory() if policy_factory else None
@@ -74,10 +86,16 @@ def ordering_config(ordering: str, policy_factory=None) -> Configurator:
     return apply
 
 
-def heuristic_config(name: str) -> Configurator:
-    """Table 2 configurations."""
+def heuristic_config(name: str) -> TableConfigurator:
+    """Table 2 configurations.
 
-    def vliw_discrete(module: Module, profile: ProfileData) -> MergeStats:
+    Each configurator hands its ``tracer`` (``None`` by default) to
+    ``form_module``; the VLIW unroll prepass before it is not traced.
+    """
+
+    def vliw_discrete(
+        module: Module, profile: ProfileData, tracer=None
+    ) -> MergeStats:
         constraints = TripsConstraints()
         phase_unroll_peel_bb(module, profile, constraints)
         stats = form_module(
@@ -87,11 +105,14 @@ def heuristic_config(name: str) -> Configurator:
             constraints=constraints,
             optimize_during=False,
             allow_head_dup=False,
+            tracer=tracer,
         )
         optimize_module(module)
         return stats
 
-    def vliw_convergent(module: Module, profile: ProfileData) -> MergeStats:
+    def vliw_convergent(
+        module: Module, profile: ProfileData, tracer=None
+    ) -> MergeStats:
         # The same block-selection heuristic and unroll prepass as the
         # discrete VLIW column, but with iterative optimization inside the
         # merge loop — isolating the paper's "with iterative optimization"
@@ -105,12 +126,15 @@ def heuristic_config(name: str) -> Configurator:
             constraints=constraints,
             optimize_during=True,
             allow_head_dup=False,
+            tracer=tracer,
         )
         optimize_module(module)
         return stats
 
-    def convergent(policy_factory) -> Configurator:
-        def apply(module: Module, profile: ProfileData) -> MergeStats:
+    def convergent(policy_factory) -> TableConfigurator:
+        def apply(
+            module: Module, profile: ProfileData, tracer=None
+        ) -> MergeStats:
             stats = form_module(
                 module,
                 profile=profile,
@@ -118,6 +142,7 @@ def heuristic_config(name: str) -> Configurator:
                 constraints=TripsConstraints(),
                 optimize_during=True,
                 allow_head_dup=True,
+                tracer=tracer,
             )
             optimize_module(module)
             return stats

@@ -5,8 +5,8 @@ two documents into the append-only ledger (``.repro-ledger/`` by
 default): the run's decision log (:mod:`repro.obs.replay`, the one
 encoding of formation decisions, with the engine's counters embedded per
 function) and a schema-versioned run record (per-function merge
-counters, status and block composition, phase self-times, telemetry
-snapshot, machine/commit metadata) that references the log by digest.
+counters, status and block composition, trace event counts,
+machine/commit metadata) that references the log by digest.
 ``replay`` checks a live run against a recorded log and bisects two logs
 to their first diverging decision (:mod:`repro.harness.replaycmd`).
 """
@@ -31,8 +31,7 @@ from repro.obs.replay import (
     log_from_trace,
 )
 from repro.obs.sink import MemorySink
-from repro.obs.trace import Tracer, tracing
-from repro.harness.tracecmd import phase_table, rejection_breakdown
+from repro.obs.trace import Tracer
 from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
 
@@ -50,26 +49,26 @@ def build_suite_record(
     subset: Optional[list[str]] = None,
     kind: str = "suite",
     label: Optional[str] = None,
+    faults=None,
 ) -> tuple[dict, dict]:
     """Form ``subset`` (default: the full SPEC suite) under a tracer;
     returns ``(record, log_set)``.
 
     Formation runs with driver defaults (failsafe on) — the same
     configuration ``form_module`` callers get — so the recorded decisions
-    are the decisions the system actually makes.  The traced pass is
-    *untimed*: records are about decisions; wall-time comparisons come
-    from the phase self-times the trace itself carries.
+    are the decisions the system actually makes; ``faults`` (a
+    :class:`repro.robustness.faultinject.FaultPlane`) perturbs every
+    workload's run.  Records are about decisions, not time: for where
+    time goes, use ``stats``.
 
-    ``log_set`` holds the per-function decision logs projected from the
-    same traces, with the engine's counters embedded; the record carries
-    its digest as ``decision_log``.
+    ``log_set`` holds the per-function decision logs projected from
+    per-workload traces, with the engine's counters embedded; the record
+    carries its digest as ``decision_log``.
     """
     prepared = prepare_workloads(subset)
     functions: dict[str, dict] = {}
     logs: dict[str, dict] = {}
-    phase_totals: dict[str, float] = {}
     event_counts: dict[str, int] = {}
-    rejections: dict[str, int] = {}
     total_events = 0
     merges = 0
     attempts = 0
@@ -77,8 +76,9 @@ def build_suite_record(
     for name, workload, profile in prepared:
         module = workload.module()
         tracer = Tracer(sinks=(MemorySink(),))
-        with tracing(tracer):
-            report = form_module(module, profile=profile)
+        report = form_module(
+            module, profile=profile, tracer=tracer, faults=faults
+        )
         trace = tracer.finish()
         log_stats: dict[str, dict] = {}
         for func in module:
@@ -99,17 +99,11 @@ def build_suite_record(
         merges += report.stats.merges
         attempts += report.stats.attempts
         mtup = [a + b for a, b in zip(mtup, report.stats.mtup)]
-        for row in phase_table(trace).values():
-            for phase, dur in row.items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + dur
         for event_name, count in trace.event_counts().items():
             event_counts[event_name] = event_counts.get(event_name, 0) + count
-        for reason, count in rejection_breakdown(trace).items():
-            rejections[reason] = rejections.get(reason, 0) + count
         total_events += len(trace)
 
     log_set = build_log_set(logs)
-    total_phase = sum(phase_totals.values())
     record = {
         "schema_version": RECORD_SCHEMA_VERSION,
         "kind": kind,
@@ -123,21 +117,7 @@ def build_suite_record(
         "attempts": attempts,
         "functions": functions,
         "decision_log": log_digest(log_set),
-        "phase_time_s": {
-            phase: round(phase_totals[phase], 6)
-            for phase in sorted(phase_totals)
-        },
-        "phase_shares": {
-            phase: round(phase_totals[phase] / total_phase, 4)
-            if total_phase
-            else 0.0
-            for phase in sorted(phase_totals)
-        },
-        "telemetry": {
-            "events": total_events,
-            "event_counts": event_counts,
-            "rejections": rejections,
-        },
+        "telemetry": {"events": total_events, "event_counts": event_counts},
     }
     return record, log_set
 
@@ -167,14 +147,18 @@ def record_suite_run(
     label: Optional[str] = None,
     ledger_dir: str = None,
     out: Optional[str] = None,
+    faults=None,
 ) -> tuple[dict, str]:
     """Build a record, persist it and its decision log, and return
     ``(record, run_hash)``.
 
     ``ledger_dir=None`` uses the default ledger; ``out`` additionally
-    writes the record JSON to a standalone file.
+    writes the record JSON to a standalone file; ``faults`` is forwarded
+    to :func:`build_suite_record`.
     """
-    record, log_set = build_suite_record(subset=subset, kind=kind, label=label)
+    record, log_set = build_suite_record(
+        subset=subset, kind=kind, label=label, faults=faults
+    )
     ledger = Ledger(ledger_dir) if ledger_dir else Ledger()
     # The log holds no timestamps or machine metadata, so identical runs
     # dedupe in both stores.

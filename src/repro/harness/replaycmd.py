@@ -39,7 +39,7 @@ from repro.obs.replay import (
     validate_log_set,
 )
 from repro.obs.sink import MemorySink
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.profiles import collect_profile
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 
@@ -152,9 +152,8 @@ def run_replay_check(
     checker = ReplayChecker(functions, prefix=prefix, only=only)
     tracer = Tracer(sinks=(MemorySink(), checker))
     try:
-        with tracing(tracer):
-            # Mirror the `record` verb's configuration: driver defaults.
-            report = form_module(module, profile=profile)
+        # Mirror the `record` verb's configuration: driver defaults.
+        report = form_module(module, profile=profile, tracer=tracer)
     except ReplayDivergence as divergence:
         print(format_divergence_dump(divergence, label))
         raise SystemExit(2)

@@ -21,9 +21,9 @@ from typing import Optional
 
 from repro.core.convergent import form_module
 from repro.obs.replay import log_from_trace
-from repro.obs.trace import FormationTrace, Tracer, tracing
+from repro.obs.trace import FormationTrace, Tracer
 from repro.profiles import collect_profile
-from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane, injected
+from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane
 from repro.robustness.guard import FunctionStatus
 from repro.robustness.oracle import BehaviorProbe, differential_check
 from repro.workloads.spec import SPEC_BENCHMARKS, check_workload_names
@@ -64,14 +64,17 @@ def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
         # Each workload forms under its own tracer, so a failure can be
         # explained from the decision record: the probe that caught the
         # divergence and the last merge accepted before it.
-        with tracing(Tracer()) as tracer:
-            report = form_module(
-                module,
-                profile=profile,
-                selfcheck="function",
-                oracle_probes=probes,
-            )
-            final = differential_check(workload.module(), module, probes=probes)
+        tracer = Tracer()
+        report = form_module(
+            module,
+            profile=profile,
+            selfcheck="function",
+            oracle_probes=probes,
+            tracer=tracer,
+        )
+        final = differential_check(
+            workload.module(), module, probes=probes, tracer=tracer
+        )
         trace = tracer.finish()
         detail = ""
         if not final.ok:
@@ -153,21 +156,23 @@ def run_fault_drill(
             workload.module(), args=workload.args, preload=workload.preload
         )
         control = workload.module()
-        with tracing(Tracer()) as tracer:
-            control_report = form_module(control, profile=profile)
+        tracer = Tracer()
+        control_report = form_module(control, profile=profile, tracer=tracer)
         control_logs = log_from_trace(tracer.collected_events())
 
         faulted = workload.module()
         plane = FaultPlane(rate=rate, seed=seed, kinds=kinds)
-        with injected(plane), tracing(Tracer()) as tracer:
-            # selfcheck guards the corrupting kinds: a silently wrong
-            # hyperblock must be caught and rolled back, not shipped.
-            faulted_report = form_module(
-                faulted,
-                profile=profile,
-                selfcheck="function",
-                oracle_probes=_workload_probes(workload),
-            )
+        tracer = Tracer()
+        # selfcheck guards the corrupting kinds: a silently wrong
+        # hyperblock must be caught and rolled back, not shipped.
+        faulted_report = form_module(
+            faulted,
+            profile=profile,
+            selfcheck="function",
+            oracle_probes=_workload_probes(workload),
+            tracer=tracer,
+            faults=plane,
+        )
         faulted_logs = log_from_trace(tracer.collected_events())
 
         touched = {fault.function for fault in plane.fired}

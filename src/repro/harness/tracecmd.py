@@ -1,7 +1,7 @@
 """The ``trace`` and ``stats`` CLI verbs: record a formation run's
 decision trace and answer questions from it.
 
-``trace`` forms one SPEC workload with a tracer installed and prints the
+``trace`` forms one SPEC workload under a tracer and prints the
 decision record — every offer, trial, rejection (with the structural
 constraint that fired), acceptance and guard action.  ``--why HB,TARGET``
 narrows the output to the full decision path of one (hyperblock, target)
@@ -22,9 +22,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import JsonlSink, MemorySink, write_chrome_trace
-from repro.obs.trace import FormationTrace, TraceEvent, Tracer, tracing
+from repro.obs.trace import PHASE_SPANS, FormationTrace, TraceEvent, Tracer
 from repro.profiles import collect_profile
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 
@@ -32,15 +31,13 @@ from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 def record_formation_trace(
     workload_name: str,
     jsonl: Optional[str] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> tuple[FormationTrace, object, MetricsRegistry, object]:
+) -> tuple[FormationTrace, object, object]:
     """Form one SPEC workload under a fresh tracer.
 
-    Returns ``(trace, formation report, metrics registry, formed
-    module)``.  Setup (module build, profile collection) happens outside
-    the trace so the record is purely about formation decisions; the
-    formed module rides along so callers can render what the decisions
-    produced (``--dot``).
+    Returns ``(trace, formation report, formed module)``.  Setup (module
+    build, profile collection) happens outside the trace so the record is
+    purely about formation decisions; the formed module rides along so
+    callers can render what the decisions produced (``--dot``).
     """
     if workload_name not in SPEC_BENCHMARKS:
         raise SystemExit(
@@ -52,24 +49,21 @@ def record_formation_trace(
     profile = collect_profile(
         module, args=workload.args, preload=workload.preload
     )
-    if registry is None:
-        registry = MetricsRegistry()
     sinks: list = [MemorySink()]
     jsonl_sink: Optional[JsonlSink] = None
     if jsonl:
         jsonl_sink = JsonlSink(jsonl)
         sinks.append(jsonl_sink)
-    tracer = Tracer(sinks=sinks, metrics=registry)
+    tracer = Tracer(sinks=sinks)
     try:
-        with tracing(tracer):
-            report = form_module(module, profile=profile)
+        report = form_module(module, profile=profile, tracer=tracer)
     finally:
         # Deterministic flush even when formation raises: whatever was
         # traced is complete lines on disk (close is idempotent; the
         # tracer's finish() below closes the sink again harmlessly).
         if jsonl_sink is not None:
             jsonl_sink.close()
-    return tracer.finish(), report, registry, module
+    return tracer.finish(), report, module
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,7 @@ def run_trace(
     (and the ``--why`` explanation) as a JSON document instead of the
     tree, with the decision stream in flight-recorder record form.
     """
-    trace, report, _, module = record_formation_trace(workload, jsonl=jsonl)
+    trace, report, module = record_formation_trace(workload, jsonl=jsonl)
     if as_json:
         import json as _json
 
@@ -206,7 +200,6 @@ def run_trace(
         data: dict = {
             "workload": workload,
             "events": len(trace),
-            "dropped": trace.dropped,
             "event_counts": trace.event_counts(),
             "formation": {
                 name: {"status": str(status), "mtup": list(mtup)}
@@ -229,8 +222,7 @@ def run_trace(
             data["why"] = explain_decision_data(trace, hb, target)
         return _json.dumps(data, indent=2, sort_keys=True)
     lines = [
-        f"trace: {workload}: {len(trace)} events"
-        + (f" ({trace.dropped} dropped)" if trace.dropped else ""),
+        f"trace: {workload}: {len(trace)} events",
         "  " + ", ".join(
             f"{name}={count}" for name, count in trace.event_counts().items()
         ),
@@ -283,8 +275,6 @@ def phase_table(trace: FormationTrace) -> dict[str, dict[str, float]]:
     no nested phases.  The returned shares therefore sum to ~100% of
     phase-attributed time.
     """
-    from repro.obs.trace import PHASE_SPANS
-
     nested_liveness: dict[Optional[int], float] = {}
     for event in trace.events:
         if event.name == "liveness" and event.dur is not None:
@@ -327,8 +317,7 @@ def slowest_trials(trace: FormationTrace, top: int) -> list[TraceEvent]:
 
 def stats_data(workload: str, top: int = 10) -> dict:
     """Machine-readable ``stats``: the same aggregates the table renders."""
-    trace, report, registry, _ = record_formation_trace(workload)
-    snapshot = registry.snapshot()
+    trace, report, _ = record_formation_trace(workload)
     return {
         "workload": workload,
         "events": len(trace),
@@ -345,9 +334,6 @@ def stats_data(workload: str, top: int = 10) -> dict:
         ],
         "rejections": rejection_breakdown(trace),
         "phase_table_s": phase_table(trace),
-        "phase_histogram": list(
-            snapshot.get("formation_phase_seconds", ())
-        ),
         "formation": {
             name: {"status": str(status), "mtup": list(mtup)}
             for name, (status, mtup) in report.summary().items()
@@ -362,7 +348,7 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
 
         return _json.dumps(stats_data(workload, top=top), indent=2,
                            sort_keys=True)
-    trace, report, registry, _ = record_formation_trace(workload)
+    trace, _, _ = record_formation_trace(workload)
     lines = [f"stats: {workload}: {len(trace)} events"]
 
     lines.append(f"  top {top} slowest trials:")
@@ -397,17 +383,6 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
         )
         share = total / grand_total if grand_total else 0.0
         lines.append(f"    {func:<16}{cells}{total * 1e3:>10.2f}ms{share:>8.1%}")
-
-    snapshot = registry.snapshot()
-    hist = snapshot.get("formation_phase_seconds", ())
-    if hist:
-        lines.append("  phase histogram (all functions):")
-        for entry in sorted(hist, key=lambda e: -e.get("sum", 0.0)):
-            phase = entry["labels"].get("phase", "?")
-            lines.append(
-                f"    {phase:<12} n={entry['count']:<6} "
-                f"sum={entry['sum'] * 1e3:.2f}ms"
-            )
 
     return "\n".join(lines)
 

@@ -27,12 +27,23 @@ class BlockShape:
     """Facts about one version of a block, scanned once per version stamp.
 
     ``succs`` are the branch targets in instruction order, de-duplicated;
-    ``has_call`` says whether any instruction is a ``CALL``.  ``def_mask``
-    (every register the block writes, predicated or not) is ``None`` until
-    :meth:`BasicBlock.def_mask` first asks for it.
+    ``has_call`` says whether any instruction is a ``CALL``.  The other
+    facts are ``None`` until their first use fills them:
+
+    - ``def_mask`` — every register the block writes, predicated or not
+      (:meth:`BasicBlock.def_mask`);
+    - ``kill_mask`` — every register an unpredicated instruction writes
+      (:meth:`BasicBlock.kill_mask`);
+    - ``exposed_mask`` — the upward-exposed register reads
+      (``repro.analysis.predimpl.exposed_mask``);
+    - ``height`` — the dependence height
+      (``repro.analysis.depgraph.dependence_height``).
     """
 
-    __slots__ = ("version", "succs", "has_call", "def_mask")
+    __slots__ = (
+        "version", "succs", "has_call", "def_mask", "kill_mask",
+        "exposed_mask", "height",
+    )
 
     def __init__(self, block: "BasicBlock"):
         succs: list[str] = []
@@ -49,6 +60,9 @@ class BlockShape:
         self.succs: tuple[str, ...] = tuple(succs)
         self.has_call = has_call
         self.def_mask: Optional[int] = None
+        self.kill_mask: Optional[int] = None
+        self.exposed_mask: Optional[int] = None
+        self.height: Optional[int] = None
 
 
 class BasicBlock:
@@ -142,6 +156,20 @@ class BasicBlock:
                 if instr.dest is not None:
                     mask |= 1 << instr.dest
             shape.def_mask = mask
+        return mask
+
+    def kill_mask(self) -> int:
+        """Mask of every register an unpredicated instruction writes (a
+        predicated write leaves the old value visible), computed on first
+        use per version."""
+        shape = self.shape()
+        mask = shape.kill_mask
+        if mask is None:
+            mask = 0
+            for instr in self.instrs:
+                if instr.dest is not None and instr.pred is None:
+                    mask |= 1 << instr.dest
+            shape.kill_mask = mask
         return mask
 
     def retarget_branches(self, old: str, new: str) -> int:

@@ -5,9 +5,8 @@ keeps runs so they can be compared later.  It holds two stores:
 
 - **run records**: schema-versioned JSON documents holding, per
   function, the merge counters, fail-safe status and block composition
-  after formation, plus run-level phase self-times, a telemetry
-  snapshot, machine/commit metadata and the digest of the run's
-  decision log;
+  after formation, plus the run's trace event counts, machine/commit
+  metadata and the digest of the run's decision log;
 - **decision logs** (:mod:`repro.obs.replay`), the one encoding of
   formation decisions, stored by digest so identical runs share a file.
 
@@ -34,7 +33,7 @@ from repro.obs.replay import log_digest, validate_log_set
 
 #: Bumped whenever the record layout changes incompatibly; reading a
 #: record of another version is refused.
-RECORD_SCHEMA_VERSION = 2
+RECORD_SCHEMA_VERSION = 3
 
 #: Default ledger directory, relative to the invoking working directory.
 DEFAULT_LEDGER_DIR = ".repro-ledger"
@@ -104,7 +103,6 @@ _RECORD_REQUIRED = {
     "mtup": (list,),
     "attempts": (int,),
     "functions": (dict,),
-    "phase_time_s": (dict,),
     "telemetry": (dict,),
     "decision_log": (str,),
 }

@@ -1,12 +1,9 @@
-"""Trace sinks and exporters: JSONL, bounded ring, Chrome trace format.
+"""Trace sinks and exporters: in-memory, JSONL, Chrome trace format.
 
 A *sink* receives every :class:`~repro.obs.trace.TraceEvent` a tracer
-emits.  Three are provided:
+emits.  Two are provided:
 
-- :class:`MemorySink` — unbounded list; the default for short runs.
-- :class:`RingSink` — bounded ring keeping the *newest* ``capacity``
-  events; overflow increments a ``dropped`` counter instead of vanishing
-  silently (the count surfaces in ``trace``/``stats`` summaries).
+- :class:`MemorySink` — an unbounded list; the tracer's default.
 - :class:`JsonlSink` — streams events to a file as one JSON object per
   line; :func:`read_jsonl` round-trips them back.
 
@@ -19,14 +16,7 @@ become "i" events, and thread-name metadata labels each function lane.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Optional, Sequence
-
-#: Default bounded capacity for ring sinks (and the ``MergeStats`` event
-#: compatibility view): far above
-#: any single formation run in this repo (~1e3 events), small enough that
-#: a leaked module-scale trace cannot eat the process.
-DEFAULT_RING_CAPACITY = 65536
 
 
 class MemorySink:
@@ -34,30 +24,9 @@ class MemorySink:
 
     def __init__(self) -> None:
         self.events: list = []
-        self.dropped = 0
 
     def emit(self, event) -> None:
         self.events.append(event)
-
-
-class RingSink:
-    """Bounded sink keeping the newest events; counts what it drops."""
-
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self.dropped = 0
-
-    @property
-    def events(self) -> list:
-        return list(self._ring)
-
-    def emit(self, event) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(event)
 
 
 class JsonlSink:
@@ -72,7 +41,6 @@ class JsonlSink:
     def __init__(self, path: str):
         self.path = path
         self._handle = open(path, "w")
-        self.dropped = 0
 
     def emit(self, event) -> None:
         json.dump(event.as_dict(), self._handle, default=str)

@@ -10,41 +10,31 @@ that record:
   ``parent_id``, so a merge trial's optimize/estimate/commit/oracle
   phases nest under their trial, trials nest under their hyperblock
   expansion, expansions under their function.
-- :class:`Tracer` — the per-run emitter.  Instrumented code asks for the
-  installed tracer (:func:`active_tracer`) and emits through it; when no
-  tracer is installed (the default) the instrumentation reduces to one
-  attribute load and an ``is None`` test per trial, which is how the
-  subsystem keeps its disabled overhead under the 2% budget.
+- :class:`Tracer` — the per-run emitter.  A run takes it as an argument
+  (``form_module(..., tracer=tracer)``) and keeps it on its
+  ``FormationContext``; with no tracer (the default) the instrumentation
+  reduces to one attribute load and an ``is None`` test per trial, which
+  is how the subsystem keeps its disabled overhead under the 2% budget.
 - :class:`FormationTrace` — the finished, queryable trace: event counts,
   span trees and per-decision paths (``decision_path``).
 
-Like :mod:`repro.robustness.faultinject`, the active tracer is a process
-global (:func:`install` / :func:`clear` / :func:`tracing`): it must reach
-code deep inside the merge loop without threading a parameter through
-every call site.  The ``obs`` package imports nothing from the rest of
-``repro`` so every layer (core, robustness, harness) can import it
-without cycles.
+The ``obs`` package imports nothing from the rest of ``repro`` so every
+layer (core, robustness, harness) can import it without cycles.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import MemorySink, RingSink
+from repro.obs.sink import MemorySink
 
-#: Span names that double as formation *phases*: their durations feed the
-#: ``formation_phase_seconds`` histogram (labelled by phase) so per-phase
-#: time shares can be reported without re-walking the trace.
+#: Span names that double as formation *phases*: ``stats`` charges their
+#: self time per function (``repro.harness.tracecmd.phase_table``).
 PHASE_SPANS = frozenset(
     {"optimize", "estimate", "commit", "oracle", "liveness"}
 )
-
-#: Histogram fed by phase spans (see :class:`Tracer.phase`).
-PHASE_HISTOGRAM = "formation_phase_seconds"
 
 
 @dataclass(slots=True)
@@ -126,19 +116,16 @@ class _Span:
             stack.pop()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        dur = t1 - self._t0
         tracer._emit(
             TraceEvent(
                 name=self.name,
                 ts=self._t0 - tracer.epoch,
                 span_id=self.span_id,
                 parent_id=self.parent_id,
-                dur=dur,
+                dur=t1 - self._t0,
                 attrs=self.attrs,
             )
         )
-        if self.name in PHASE_SPANS and tracer.metrics is not None:
-            tracer.metrics.observe(PHASE_HISTOGRAM, dur, phase=self.name)
 
 
 class Tracer:
@@ -146,18 +133,15 @@ class Tracer:
 
     ``sinks`` receive every event as it completes (spans are emitted at
     *exit*, so a parent span follows its children in sink order — readers
-    that need tree order sort by ``ts``).  ``metrics`` (optional) receives
-    phase-span durations as histogram observations.
+    that need tree order sort by ``ts``).
     """
 
     def __init__(
         self,
         sinks: Sequence = (),
-        metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
         self.sinks = tuple(sinks) if sinks else (MemorySink(),)
-        self.metrics = metrics
         self.clock = clock
         self.epoch = clock()
         self._stack: list[int] = []
@@ -198,18 +182,13 @@ class Tracer:
     def collected_events(self) -> list[TraceEvent]:
         """Events retained by the first in-memory sink (empty if none)."""
         for sink in self.sinks:
-            if isinstance(sink, (MemorySink, RingSink)):
+            if isinstance(sink, MemorySink):
                 return list(sink.events)
         return []
 
-    def dropped_events(self) -> int:
-        return sum(getattr(sink, "dropped", 0) for sink in self.sinks)
-
     def finish(self) -> "FormationTrace":
         """Close sinks and return the queryable :class:`FormationTrace`."""
-        trace = FormationTrace(
-            self.collected_events(), dropped=self.dropped_events()
-        )
+        trace = FormationTrace(self.collected_events())
         for sink in self.sinks:
             close = getattr(sink, "close", None)
             if close is not None:
@@ -220,9 +199,8 @@ class Tracer:
 class FormationTrace:
     """A finished formation trace: the event list plus query helpers."""
 
-    def __init__(self, events: Sequence[TraceEvent], dropped: int = 0):
+    def __init__(self, events: Sequence[TraceEvent]):
         self.events = list(events)
-        self.dropped = dropped
         self._children: Optional[dict] = None
 
     def __len__(self) -> int:
@@ -318,39 +296,3 @@ class FormationTrace:
                 last = event
         return last
 
-
-# ---------------------------------------------------------------------------
-# The installed tracer (process-global, like the fault plane)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def install(tracer: Tracer) -> None:
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
-def clear() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active_tracer() -> Optional[Tracer]:
-    return _ACTIVE
-
-
-@contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install ``tracer`` (or a fresh memory-sink one) for a ``with`` block."""
-    if tracer is None:
-        tracer = Tracer()
-    previous = _ACTIVE
-    install(tracer)
-    try:
-        yield tracer
-    finally:
-        if previous is None:
-            clear()
-        else:
-            install(previous)

@@ -13,7 +13,6 @@ _EXPORTS = {
     "FaultPlane": "repro.robustness.faultinject",
     "FiredFault": "repro.robustness.faultinject",
     "InjectedFault": "repro.robustness.faultinject",
-    "injected": "repro.robustness.faultinject",
     "FormationReport": "repro.robustness.guard",
     "FunctionReport": "repro.robustness.guard",
     "FunctionStatus": "repro.robustness.guard",

@@ -16,16 +16,17 @@ Trial-level fault kinds (applied to the scratch preview of a merge trial):
   wrong-code bug only the differential oracle can catch);
 - ``"predicate"`` — silently drop a predicate from the preview (ditto).
 
-The module keeps no repro imports so that ``repro.core.merge`` can import
-it without cycles.
+A run takes its plane as an argument (``form_module(..., faults=plane)``)
+and keeps it on its ``FormationContext``, so a plane perturbs only the
+run it was handed.  The module keeps no repro imports so that
+``repro.core.merge`` can import it without cycles.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class InjectedFault(RuntimeError):
@@ -145,36 +146,3 @@ class FaultPlane:
         """Faults fired for ``func_name`` after the ``mark`` cursor."""
         return [f for f in self.fired[mark:] if f.function == func_name]
 
-
-#: The plane consulted by the formation engine (see ``core/merge.py``).
-#: Process-global by design: planes must reach code deep inside the merge
-#: loop without threading a parameter through every call site.
-_ACTIVE: Optional[FaultPlane] = None
-
-
-def install(plane: FaultPlane) -> None:
-    global _ACTIVE
-    _ACTIVE = plane
-
-
-def clear() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active_plane() -> Optional[FaultPlane]:
-    return _ACTIVE
-
-
-@contextmanager
-def injected(plane: FaultPlane) -> Iterator[FaultPlane]:
-    """Install ``plane`` for the duration of a ``with`` block."""
-    previous = _ACTIVE
-    install(plane)
-    try:
-        yield plane
-    finally:
-        if previous is None:
-            clear()
-        else:
-            install(previous)

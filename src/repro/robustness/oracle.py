@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.ir.function import Module
-from repro.obs.trace import active_tracer
 from repro.sim.functional import Interpreter, SimulationError
 
 #: Generous defaults for oracle probes: far above any legitimate workload
@@ -183,12 +182,15 @@ def differential_check(
     baseline: Optional[list[dict]] = None,
     max_steps: int = ORACLE_MAX_STEPS,
     max_blocks: int = ORACLE_MAX_BLOCKS,
+    tracer=None,
 ) -> OracleReport:
     """Compare ``before`` and ``after`` over ``probes``.
 
     ``baseline`` short-circuits re-simulating ``before`` when the caller
     already holds its snapshot (the per-function selfcheck gate re-checks
-    the same baseline after every function forms).
+    the same baseline after every function forms).  With a ``tracer``
+    (a :class:`repro.obs.trace.Tracer`) each probe's verdict is an
+    ``oracle_probe`` event.
     """
     if probes is None:
         probes = default_probes(before)
@@ -197,7 +199,6 @@ def differential_check(
         baseline = snapshot_behavior(
             before, probes, max_steps=max_steps, max_blocks=max_blocks
         )
-    tracer = active_tracer()
     for probe, reference in zip(probes, baseline):
         formed = probe_behavior(
             after, probe, max_steps=max_steps, max_blocks=max_blocks

@@ -7,15 +7,18 @@ from unittest import mock
 
 import pytest
 
+from repro.analysis.depgraph import completion_depths
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.analysis.loops import LoopForest
+from repro.analysis.predimpl import exposed_mask
 from repro.core import convergent
 from repro.core.merge import FormationContext
 from repro.harness.experiment import heuristic_config
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
+from repro.ir.block import BasicBlock
 from repro.obs.replay import log_from_trace
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.profiles.collect import collect_profile
 from repro.profiles.data import root_name
 from repro.workloads.generators import random_inputs, scaled_program
@@ -231,12 +234,18 @@ def assert_forest_matches_fresh(forest: LoopForest, func: Function,
     assert forest.idom == tree.idom, where
 
 
+def fresh_height(block) -> int:
+    """``dependence_height(block)`` computed without the block's shape."""
+    return max(completion_depths(block), default=0)
+
+
 def assert_shapes_match_fresh(func: Function, where: str = "") -> None:
-    """Every block's cached shape (successors, has-call flag, def mask)
-    equals a fresh scan of its instructions."""
+    """Every block's cached shape equals a fresh scan of its instructions:
+    successors, has-call flag, def and kill masks, and, wherever they
+    were filled, the exposed mask and the dependence height."""
     for name, block in func.blocks.items():
         succs: list[str] = []
-        mask = 0
+        mask = kill = 0
         for instr in block.instrs:
             target = instr.target
             if instr.op is Opcode.BR and target is not None:
@@ -244,10 +253,20 @@ def assert_shapes_match_fresh(func: Function, where: str = "") -> None:
                     succs.append(target)
             if instr.dest is not None:
                 mask |= 1 << instr.dest
+                if instr.pred is None:
+                    kill |= 1 << instr.dest
         has_call = any(instr.op is Opcode.CALL for instr in block.instrs)
         assert block.successors() == succs, (where, name)
         assert block.has_call() == has_call, (where, name)
         assert block.def_mask() == mask, (where, name)
+        assert block.kill_mask() == kill, (where, name)
+        shape = block.shape()
+        if shape.exposed_mask is not None:
+            # A block over the same instructions has nothing cached yet.
+            scratch = BasicBlock(name, block.instrs)
+            assert shape.exposed_mask == exposed_mask(scratch), (where, name)
+        if shape.height is not None:
+            assert shape.height == fresh_height(block), (where, name)
 
 
 def assert_liveness_matches_fresh(live: Liveness, func: Function,
@@ -311,15 +330,15 @@ def profiled_program(name: str) -> tuple:
 @functools.lru_cache(maxsize=None)
 def formed_program(name: str, config: str) -> tuple:
     """``(module, stats, logs)``: ``profiled_program(name)`` formed under
-    the Table-2 configuration ``config`` with a memory-sink tracer
-    installed, once per session; ``logs`` are the per-function decision
-    logs of that run (``repro.obs.replay.log_from_trace``).  The golden
-    pin and the post-formation oracles share it; copy the module before
-    mutating it."""
+    the Table-2 configuration ``config`` with a memory-sink tracer, once
+    per session; ``logs`` are the per-function decision logs of that run
+    (``repro.obs.replay.log_from_trace``).  The golden pin and the
+    post-formation oracles share it; copy the module before mutating
+    it."""
     module, _, _, profile = profiled_program(name)
     module = module.copy()
-    with tracing(Tracer()) as tracer:
-        stats = heuristic_config(config)(module, profile)
+    tracer = Tracer()
+    stats = heuristic_config(config)(module, profile, tracer=tracer)
     return module, stats, log_from_trace(tracer.collected_events())
 
 

@@ -5,8 +5,12 @@ from repro.core.convergent import expand_block, form_function, form_module, _nex
 from repro.core.merge import FormationContext
 from repro.core.policies import BreadthFirstPolicy
 from repro.ir import FunctionBuilder, build_module
+from repro.ir.printer import format_module
+from repro.obs.trace import Tracer
 from repro.profiles import ProfileData, collect_profile
+from repro.robustness.faultinject import FaultPlane
 from repro.sim import run_module
+from repro.workloads.spec import SPEC_BENCHMARKS
 from tests.conftest import make_counting_loop, make_diamond, make_while_loop
 
 
@@ -108,3 +112,29 @@ def test_formation_under_tiny_limits_leaves_cfg_unchanged_shape():
     )
     assert stats.merges == 0
     assert run_module(module, args=(6,))[0] == 8
+
+
+def test_tracer_and_fault_plane_reach_only_their_own_run():
+    """The tracer and the fault plane are arguments of one run: a later
+    run given neither forms exactly like a control run, and the first
+    run's plane and tracer record nothing of it."""
+    workload = SPEC_BENCHMARKS["bzip2"]
+    profile = collect_profile(
+        workload.module(), args=workload.args, preload=workload.preload
+    )
+
+    def form(**run_state):
+        module = workload.module()
+        report = form_module(module, profile=profile, **run_state)
+        return format_module(module), report.summary()
+
+    control = form()
+    plane = FaultPlane(rate=1.0, kinds=("operand",))
+    tracer = Tracer()
+    faulted = form(tracer=tracer, faults=plane)
+    fired = list(plane.fired)
+    events = tracer.collected_events()
+    assert fired and events and faulted != control
+    assert form() == control
+    assert plane.fired == fired
+    assert tracer.collected_events() == events

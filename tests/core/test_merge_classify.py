@@ -20,6 +20,7 @@ from tests.conftest import (
     ReferenceFormationContext,
     assert_forest_matches_fresh,
     assert_liveness_matches_fresh,
+    fresh_height,
     make_counting_loop,
     make_diamond,
     make_exiting_unroll_loop,
@@ -119,13 +120,15 @@ def test_merge_blocks_returns_new_candidates():
 def test_block_height_is_recomputed_for_a_merged_block():
     func = make_diamond()
     ctx = ctx_for(func)
-    before = ctx.block_height(func.blocks["A"])
-    assert before == dependence_height(func.blocks["A"])
+    seed = func.blocks["A"]
+    before = dependence_height(seed)
+    assert seed.shape().height == before == fresh_height(seed)
     assert merge_blocks(ctx, "A", "B") == ["D"]
     merged = func.blocks["A"]
-    fresh = dependence_height(merged)
+    fresh = fresh_height(merged)
     assert fresh != before
-    assert ctx.block_height(merged) == fresh
+    assert dependence_height(merged) == fresh
+    assert seed.shape().height == before  # the old version keeps its own
 
 
 def test_merge_blocks_failure_keeps_cfg():

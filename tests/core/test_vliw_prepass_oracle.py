@@ -1,7 +1,7 @@
 """Oracle for the VLIW path prepass.
 
 ``VLIWPolicy.begin_block`` enumerates paths from per-version dependence
-heights that ``FormationContext`` caches, with running sums carried down
+heights kept on each block's shape, with running sums carried down
 the walk and O(1) profile probabilities.  After every call made while
 forming the 24 microbenchmarks and 19 SPEC programs under the two VLIW
 Table-2 configurations, its paths, inclusion set and ranks must equal
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.depgraph import dependence_height
 from repro.core import convergent
 from repro.core.policies import VLIWPolicy
 from repro.harness.experiment import heuristic_config
 from repro.profiles.collect import collect_profile
 from repro.workloads.microbench import MICROBENCH_ORDER, MICROBENCHMARKS
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
-from tests.conftest import scan_edge_probability
+from tests.conftest import fresh_height, scan_edge_probability
 
 
 def _reference_paths(policy, ctx, seed) -> list[tuple]:
@@ -51,7 +50,7 @@ def _reference_paths(policy, ctx, seed) -> list[tuple]:
             paths.append((
                 tuple(acc),
                 prob,
-                max(1, sum(dependence_height(b) for b in blocks)),
+                max(1, sum(fresh_height(b) for b in blocks)),
                 max(1, sum(len(b) for b in blocks)),
             ))
         else:
@@ -133,10 +132,14 @@ def test_prepass_matches_reference_enumeration(programs, monkeypatch, config):
         assert self._included == included, where
         assert self._rank == rank, where
         for block in ctx.func.blocks.values():
-            cached = ctx._block_heights.get(block.version)
-            if cached is not None:
-                fresh = dependence_height(block)
-                assert cached == fresh, f"{where}: height of {block.name}"
+            shape = block._shape
+            if (
+                shape is not None
+                and shape.version == block.version
+                and shape.height is not None
+            ):
+                fresh = fresh_height(block)
+                assert shape.height == fresh, f"{where}: height of {block.name}"
                 heights_checked += 1
 
     form_function = convergent.form_function

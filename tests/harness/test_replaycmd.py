@@ -10,7 +10,7 @@ import pytest
 from repro.harness.cli import run as cli_run
 from repro.harness.ledgercmd import record_suite_run
 from repro.obs.ledger import Ledger
-from repro.robustness.faultinject import FaultPlane, injected
+from repro.robustness.faultinject import FaultPlane
 
 #: Operand corruption demonstrably flips formation decisions on bzip2,
 #: which is what the bisection acceptance drill needs.
@@ -25,10 +25,9 @@ def recorded(tmp_path_factory):
         subset=[WORKLOAD], kind="test", ledger_dir=ledger_dir,
     )
     plane = FaultPlane(rate=1.0, kinds=("operand",))
-    with injected(plane):
-        faulted, faulted_digest = record_suite_run(
-            subset=[WORKLOAD], kind="test", ledger_dir=ledger_dir,
-        )
+    faulted, faulted_digest = record_suite_run(
+        subset=[WORKLOAD], kind="test", ledger_dir=ledger_dir, faults=plane,
+    )
     assert plane.fired
     return {
         "ledger_dir": ledger_dir,

@@ -20,11 +20,10 @@ def recorded():
     return record_formation_trace(WORKLOAD)
 
 
-def test_record_returns_trace_report_registry_module(recorded):
-    trace, report, registry, module = recorded
+def test_record_returns_trace_report_module(recorded):
+    trace, report, module = recorded
     assert len(trace) > 0
     assert report.summary()  # a FormationReport
-    assert registry.snapshot() is not None
     assert any(func.name == "main" for func in module)
 
 

@@ -7,7 +7,8 @@ import pickle
 
 import pytest
 
-from repro.analysis.predimpl import exposed_uses
+from repro.analysis.depgraph import dependence_height
+from repro.analysis.predimpl import exposed_mask, exposed_uses
 from repro.backend.pipeline import compile_backend
 from repro.harness.tables import TABLE2_HEURISTICS
 from repro.ir import instruction
@@ -108,11 +109,12 @@ def test_exposed_uses_memo_tracks_mutation():
     block.append(_add(3, 1, 2))
     block.append(Instruction(Opcode.RET, srcs=(3,)))
     assert exposed_uses(block) == {1, 2}
-    # Same version: the memoized set comes back (identity is the contract).
-    assert exposed_uses(block) is exposed_uses(block)
+    # The memo is the mask on the version's shape; a touch drops it.
+    assert block.shape().exposed_mask == 1 << 1 | 1 << 2
     block.instrs.insert(0, _add(1, 7, 7))
     block.touch()
     assert exposed_uses(block) == {2, 7}
+    assert block.shape().exposed_mask == 1 << 2 | 1 << 7
 
 
 def test_exposed_uses_memo_predicated_path():
@@ -148,17 +150,35 @@ def test_shape_is_scanned_once_per_version():
     shape = block.shape()
     assert block.shape() is shape
     assert shape.succs == ("x",) and shape.has_call
+    facts = ("def_mask", "kill_mask", "exposed_mask", "height")
+    assert [getattr(shape, fact) for fact in facts] == [None] * 4
     assert block.def_mask() == 1 << 3 | 1 << 4
+    assert block.kill_mask() == 1 << 3 | 1 << 4
+    assert exposed_mask(block) == 1 << 1 | 1 << 2
+    height = dependence_height(block)
+    assert height > 0
+    # Each fact is filled on first use and kept on this version's shape.
+    assert [getattr(shape, fact) for fact in facts] == [
+        1 << 3 | 1 << 4, 1 << 3 | 1 << 4, 1 << 1 | 1 << 2, height,
+    ]
+    shape.exposed_mask, shape.height = -1, -1
+    assert exposed_mask(block) == -1 and dependence_height(block) == -1
     succs = block.successors()
     succs.append("y")  # a fresh list: the caller may keep or edit it
     assert block.successors() == ["x"]
     block.retarget_branches("x", "y")
     assert block.shape() is not shape
     assert block.successors() == ["y"]
-    block.instrs.pop(1)
+    assert exposed_mask(block) == 1 << 1 | 1 << 2
+    assert dependence_height(block) == height
+    block.instrs[1] = _add(3, 3, 3)
+    block.instrs[0].pred = Predicate(9, True)
     block.touch()
     assert not block.has_call()
     assert block.def_mask() == 1 << 3
+    assert block.kill_mask() == 1 << 3
+    assert exposed_mask(block) == 1 << 1 | 1 << 2 | 1 << 3 | 1 << 9
+    assert dependence_height(block) == height + 1
     for clone in (block.copy("c"), pickle.loads(pickle.dumps(block))):
         assert clone._shape is None
         assert clone.successors() == ["y"]
@@ -172,7 +192,11 @@ def test_shapes_match_a_fresh_scan_after_compile_backend(config):
         module = formed.copy()
         for func in module:
             for block in func.blocks.values():
-                block.def_mask()  # cache every shape before the backend
+                # Cache every shape and its facts before the backend.
+                block.def_mask()
+                block.kill_mask()
+                exposed_mask(block)
+                dependence_height(block)
         compile_backend(module, emit=False)
         for func in module:
             assert_shapes_match_fresh(func, f"{name}/{config}/{func.name}")

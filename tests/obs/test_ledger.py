@@ -39,7 +39,6 @@ def make_record(functions=None, **overrides):
         "attempts": 2,
         "functions": functions,
         "decision_log": "0" * 64,
-        "phase_time_s": {"optimize": 0.001},
         "telemetry": {"events": 5},
     }
     record.update(overrides)

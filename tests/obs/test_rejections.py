@@ -17,7 +17,7 @@ from repro.core.constraints import (
 )
 from repro.core.convergent import form_function
 from repro.ir import BasicBlock, FunctionBuilder, Instruction, Opcode
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from tests.conftest import make_diamond
 
 
@@ -151,8 +151,10 @@ def _constraint_rejects(trace):
 
 def test_formation_reject_names_instruction_constraint():
     func = make_diamond()
-    with tracing(Tracer()) as tracer:
-        form_function(func, constraints=TripsConstraints(max_instructions=4))
+    tracer = Tracer()
+    form_function(
+        func, constraints=TripsConstraints(max_instructions=4), tracer=tracer
+    )
     trace = tracer.finish()
     rejects = _constraint_rejects(trace)
     assert rejects, "tight instruction limit must reject at least one trial"
@@ -177,8 +179,10 @@ def test_formation_reject_names_memory_constraint():
     fb.ret(acc)
     func = fb.finish()
 
-    with tracing(Tracer()) as tracer:
-        form_function(func, constraints=TripsConstraints(max_memory_ops=2))
+    tracer = Tracer()
+    form_function(
+        func, constraints=TripsConstraints(max_memory_ops=2), tracer=tracer
+    )
     trace = tracer.finish()
     rejects = _constraint_rejects(trace)
     assert rejects
@@ -194,8 +198,8 @@ def test_formation_reject_names_bank_constraint():
         strict_banking=True, register_banks=1, reads_per_bank=1,
         writes_per_bank=1,
     )
-    with tracing(Tracer()) as tracer:
-        form_function(func, constraints=tight)
+    tracer = Tracer()
+    form_function(func, constraints=tight, tracer=tracer)
     trace = tracer.finish()
     kinds = {
         kind
@@ -207,8 +211,10 @@ def test_formation_reject_names_bank_constraint():
 
 def test_rejected_trial_span_wraps_the_reject_event():
     func = make_diamond()
-    with tracing(Tracer()) as tracer:
-        form_function(func, constraints=TripsConstraints(max_instructions=4))
+    tracer = Tracer()
+    form_function(
+        func, constraints=TripsConstraints(max_instructions=4), tracer=tracer
+    )
     trace = tracer.finish()
     reject = _constraint_rejects(trace)[0]
     trial = next(

@@ -24,9 +24,9 @@ from repro.obs.replay import (
     validate_log_set,
 )
 from repro.obs.sink import MemorySink
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.profiles import collect_profile
-from repro.robustness.faultinject import FaultPlane, injected
+from repro.robustness.faultinject import FaultPlane
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 
 
@@ -37,12 +37,7 @@ def _form_traced(name: str, plane=None):
         module, args=workload.args, preload=workload.preload
     )
     tracer = Tracer(sinks=(MemorySink(),))
-    if plane is not None:
-        with injected(plane), tracing(tracer):
-            report = form_module(module, profile=profile)
-    else:
-        with tracing(tracer):
-            report = form_module(module, profile=profile)
+    report = form_module(module, profile=profile, tracer=tracer, faults=plane)
     return tracer.collected_events(), report
 
 

@@ -1,15 +1,12 @@
-"""Sinks and exporters: JSONL round-trip, ring bounds, Chrome format."""
+"""Sinks and exporters: JSONL round-trip, Chrome format."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs.sink import (
     JsonlSink,
     MemorySink,
-    RingSink,
     chrome_trace,
     read_jsonl,
     write_chrome_trace,
@@ -41,12 +38,6 @@ def test_memory_sink_collects_everything():
     for event in events:
         sink.emit(event)
     assert sink.events == events
-    assert sink.dropped == 0
-
-
-def test_ring_sink_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        RingSink(capacity=0)
 
 
 def test_jsonl_roundtrip(tmp_path):

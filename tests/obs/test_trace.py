@@ -1,21 +1,11 @@
-"""The trace layer: events, spans, the installed tracer, absorption."""
+"""The trace layer: events, spans and trace queries."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import MemorySink, RingSink
-from repro.obs.trace import (
-    PHASE_HISTOGRAM,
-    FormationTrace,
-    TraceEvent,
-    Tracer,
-    active_tracer,
-    clear,
-    install,
-    tracing,
-)
+from repro.obs.sink import MemorySink
+from repro.obs.trace import FormationTrace, TraceEvent, Tracer
 
 
 def test_event_roundtrips_through_dict():
@@ -48,46 +38,6 @@ def test_span_set_and_error_attrs():
             raise ValueError("boom")
     (event,) = tracer.collected_events()
     assert event.attrs == {"committed": False, "error": "ValueError"}
-
-
-def test_phase_spans_feed_the_histogram():
-    registry = MetricsRegistry()
-    tracer = Tracer(metrics=registry)
-    with tracer.phase("estimate", function="f"):
-        pass
-    with tracer.phase("not_a_phase"):
-        pass
-    snapshot = registry.snapshot()
-    (entry,) = snapshot[PHASE_HISTOGRAM]
-    assert entry["labels"] == {"phase": "estimate"}
-    assert entry["count"] == 1
-
-
-def test_install_clear_and_tracing_context():
-    assert active_tracer() is None
-    tracer = Tracer()
-    install(tracer)
-    try:
-        assert active_tracer() is tracer
-    finally:
-        clear()
-    assert active_tracer() is None
-    with tracing() as inner:
-        assert active_tracer() is inner
-        with tracing(tracer):
-            assert active_tracer() is tracer
-        assert active_tracer() is inner  # previous tracer restored
-    assert active_tracer() is None
-
-
-def test_ring_sink_bounds_the_trace_and_counts_drops():
-    tracer = Tracer(sinks=(RingSink(capacity=3),))
-    for i in range(5):
-        tracer.event("offer", seq=i)
-    trace = tracer.finish()
-    assert len(trace) == 3
-    assert trace.dropped == 2
-    assert [e.attrs["seq"] for e in trace.events] == [2, 3, 4]
 
 
 def test_formation_trace_queries():

@@ -7,8 +7,6 @@ from repro.robustness.faultinject import (
     RAISING_KINDS,
     TRIAL_KINDS,
     FaultPlane,
-    active_plane,
-    injected,
 )
 from repro.workloads.generators import random_program
 
@@ -87,15 +85,3 @@ def test_fired_log_and_marks():
     assert [f.kind for f in plane.fired_since(mark, "f")] == ["optimizer"]
     assert [f.kind for f in plane.fired_since(mark, "g")] == ["commit"]
     assert plane.fired_since(plane.fired_mark(), "f") == []
-
-
-def test_injected_context_manager_restores_previous_plane():
-    assert active_plane() is None
-    outer = FaultPlane(seed=1)
-    inner = FaultPlane(seed=2)
-    with injected(outer):
-        assert active_plane() is outer
-        with injected(inner):
-            assert active_plane() is inner
-        assert active_plane() is outer
-    assert active_plane() is None

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.depgraph import dependence_height
+from repro.analysis.predimpl import exposed_mask
 from repro.core.constraints import TripsConstraints
 from repro.core.convergent import form_function, form_module
 from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import heuristic_config
 from repro.ir.printer import format_block, format_function, format_module
 from repro.profiles import collect_profile
-from repro.robustness.faultinject import FaultPlane, InjectedFault, injected
+from repro.robustness.faultinject import FaultPlane, InjectedFault
 from repro.robustness.guard import FunctionStatus, TrialGuard
 from repro.robustness.oracle import assert_equivalent
 from repro.workloads.generators import random_program
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
-from tests.conftest import profiled_program
+from tests.conftest import assert_shapes_match_fresh, profiled_program
 from tests.core.test_block_splitting import big_successor_module
 
 ALL_RAISING = FaultPlane(rate=1.0, seed=0, kinds=("optimizer",))
@@ -90,8 +92,7 @@ def _workload(name="mcf"):
 def test_every_trial_raising_leaves_the_function_unformed_but_alive():
     workload, module, profile = _workload()
     pristine = format_module(workload.module())
-    with injected(ALL_RAISING):
-        report = form_module(module, profile=profile)
+    report = form_module(module, profile=profile, faults=ALL_RAISING)
     # Every merge trial crashed; the guard contained each one.
     assert report.stats.merges == 0
     assert format_module(module) == pristine
@@ -114,13 +115,57 @@ def test_commit_stage_fault_rolls_back_the_mutated_cfg(monkeypatch):
     workload, module, profile = _workload("gzip")
     pristine = format_module(workload.module())
     plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
-    with injected(plane):
-        report = form_module(module, profile=profile)
+    report = form_module(module, profile=profile, faults=plane)
     assert report.stats.merges == 0
     assert format_module(module) == pristine
     assert plane.fired  # the commit faults really fired mid-commit
     assert seen["restored"] == len(plane.fired)
     assert_equivalent(workload.module(), module)
+
+
+def _cached_facts(func) -> dict:
+    """Each block's object, cached shape and the per-version facts on it."""
+    out = {}
+    for name, block in func.blocks.items():
+        shape = block._shape
+        out[name] = (block, shape) + (
+            ()
+            if shape is None
+            else (shape.exposed_mask, shape.kill_mask, shape.height)
+        )
+    return out
+
+
+def test_rollback_keeps_the_facts_cached_before_the_trial(monkeypatch):
+    """A rolled-back commit puts back the pre-trial block objects under
+    their pre-trial stamps, so each block's exposed mask, kill mask and
+    dependence height are still the ones computed before the trial, and
+    still equal a fresh computation."""
+    attempt = TrialGuard.attempt
+    restored = 0
+
+    def watched(self, ctx, hb_name, cand_name):
+        nonlocal restored
+        func = ctx.func
+        for block in func.blocks.values():
+            exposed_mask(block)
+            block.kill_mask()
+            dependence_height(block)
+        before = _cached_facts(func)
+        failures = len(self.failures)
+        result = attempt(self, ctx, hb_name, cand_name)
+        if len(self.failures) > failures:
+            where = (func.name, hb_name, cand_name)
+            assert _cached_facts(func) == before, where
+            assert_shapes_match_fresh(func, str(where))
+            restored += 1
+        return result
+
+    monkeypatch.setattr(TrialGuard, "attempt", watched)
+    workload, module, profile = _workload("gzip")
+    plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
+    form_module(module, profile=profile, faults=plane)
+    assert restored == len(plane.fired) > 0
 
 
 def test_commit_fault_after_a_split_restores_the_candidate():
@@ -129,12 +174,12 @@ def test_commit_fault_after_a_split_restores_the_candidate():
     module = big_successor_module()
     pristine = format_module(module)
     plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
-    with injected(plane):
-        report = form_module(
-            module,
-            constraints=TripsConstraints(max_instructions=24),
-            allow_block_splitting=True,
-        )
+    report = form_module(
+        module,
+        constraints=TripsConstraints(max_instructions=24),
+        allow_block_splitting=True,
+        faults=plane,
+    )
     assert plane.fired
     assert report.status_of("main") is FunctionStatus.DEGRADED
     assert format_module(module) == pristine
@@ -142,9 +187,10 @@ def test_commit_fault_after_a_split_restores_the_candidate():
 
 def test_failsafe_off_propagates_the_fault():
     workload, module, profile = _workload()
-    with injected(ALL_RAISING):
-        with pytest.raises(InjectedFault):
-            form_module(module, profile=profile, failsafe=False)
+    with pytest.raises(InjectedFault):
+        form_module(
+            module, profile=profile, failsafe=False, faults=ALL_RAISING
+        )
 
 
 def test_partial_faults_degrade_and_blacklist_only_the_hit_pairs():
@@ -152,8 +198,7 @@ def test_partial_faults_degrade_and_blacklist_only_the_hit_pairs():
     control = workload.module()
     control_report = form_module(control, profile=profile)
     plane = FaultPlane(rate=0.25, seed=3, kinds=("optimizer",))
-    with injected(plane):
-        report = form_module(module, profile=profile)
+    report = form_module(module, profile=profile, faults=plane)
     assert plane.fired, "rate 0.25 must fire on this workload"
     # Faults cost merges but never the function.
     assert 0 < report.stats.merges <= control_report.stats.merges
@@ -198,8 +243,7 @@ def test_failed_safe_function_does_not_sink_its_module_siblings():
         func.name = f"f{i}"
         control.add_function(func)
     control_report = form_module(control)
-    with injected(plane):
-        report = form_module(module)
+    report = form_module(module, faults=plane)
     assert report.status_of("f1") is not FunctionStatus.OK
     for name in ("f0", "f2"):
         assert report.status_of(name) is FunctionStatus.OK

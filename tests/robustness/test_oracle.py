@@ -7,7 +7,7 @@ import pytest
 from repro.core.convergent import form_module
 from repro.ir.printer import format_module
 from repro.profiles import collect_profile
-from repro.robustness.faultinject import FaultPlane, injected
+from repro.robustness.faultinject import FaultPlane
 from repro.robustness.guard import FunctionStatus
 from repro.robustness.oracle import (
     BehaviorProbe,
@@ -102,11 +102,10 @@ def test_selfcheck_catches_silent_corruption_and_rolls_back():
         workload.module(), args=workload.args, preload=workload.preload
     )
     plane = FaultPlane(rate=1.0, seed=0, kinds=("operand",))
-    with injected(plane):
-        report = form_module(
-            module, profile=profile, selfcheck="function",
-            oracle_probes=_probes(workload),
-        )
+    report = form_module(
+        module, profile=profile, selfcheck="function",
+        oracle_probes=_probes(workload), faults=plane,
+    )
     assert plane.fired
     # The corrupted function must not have shipped: either the per-commit
     # containment or the per-function oracle rolled it back.
