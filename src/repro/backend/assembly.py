@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.depgraph import dep_preds
+from repro.analysis.predimpl import exposed_mask
 from repro.backend.scheduler import GridScheduler, Placement
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function, Module
@@ -58,11 +59,9 @@ def format_block_assembly(
     """Emit one block in target form."""
     lines = [f".bbegin {func.name}${block.name}"]
     # Block header: register reads (upward-exposed) and writes.
-    from repro.analysis.predimpl import exposed_uses
-
-    reads = sorted(exposed_uses(block))
+    reads = exposed_mask(block).bit_count()
     writes = block.def_mask().bit_count()
-    lines.append(f"  ; reads={len(reads)} writes={writes} "
+    lines.append(f"  ; reads={reads} writes={writes} "
                  f"size={len(block)}")
     preds = placement.preds if placement is not None else dep_preds(block)
     targets = _targets_of(block, preds)

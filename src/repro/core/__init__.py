@@ -34,10 +34,8 @@ from repro.core.policies import (
     BreadthFirstPolicy,
     Candidate,
     DepthFirstPolicy,
-    LookaheadPolicy,
     MergePolicy,
     VLIWPolicy,
-    policy_by_name,
 )
 from repro.robustness.guard import (
     FormationReport,
@@ -56,7 +54,6 @@ __all__ = [
     "FormationReport",
     "FunctionReport",
     "FunctionStatus",
-    "LookaheadPolicy",
     "LoopFactors",
     "MergeKind",
     "MergePolicy",
@@ -76,5 +73,4 @@ __all__ = [
     "legal_block",
     "legal_merge",
     "merge_blocks",
-    "policy_by_name",
 ]

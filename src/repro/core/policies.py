@@ -263,80 +263,3 @@ class VLIWPolicy(MergePolicy):
                 best_key = key
                 best = i
         return best
-
-
-class LookaheadPolicy(BreadthFirstPolicy):
-    """Single-exit lookahead (paper Section 5, "Local and global
-    heuristics").
-
-    A heuristic that improves predictability favors single-exit blocks.
-    Merging one arm of a diamond adds an exit; this policy admits such a
-    merge only when lookahead estimates that the whole region down to the
-    next merge point still fits the remaining block budget — i.e. the
-    added exits can be closed again.  Candidates that would leave a
-    dangling exit in a nearly-full block are vetoed.
-    """
-
-    name = "lookahead"
-
-    def __init__(self, slack: float = 1.0):
-        #: fraction of the remaining budget the looked-ahead region may use
-        self.slack = slack
-
-    def _region_size(self, ctx, root: str, limit: int) -> int:
-        """Instructions in the acyclic region rooted at ``root``, up to the
-        next merge point (a block with predecessors outside the region)."""
-        func = ctx.func
-        cfg = ctx.cfg
-        loops = ctx.loops
-        seen = {root}
-        total = len(func.blocks[root])
-        frontier = [root]
-        while frontier and total <= limit:
-            name = frontier.pop()
-            for succ in cfg.succs.get(name, []):
-                if succ in seen or succ not in func.blocks:
-                    continue
-                if loops.is_header(succ) or loops.is_back_edge(name, succ):
-                    continue
-                preds = cfg.preds.get(succ, [])
-                if any(p not in seen for p in preds):
-                    # Merge point fed from outside the region: stop here —
-                    # this is where the exits re-converge.
-                    continue
-                seen.add(succ)
-                total += len(func.blocks[succ])
-                frontier.append(succ)
-        return total
-
-    def admits(self, ctx, hb_name, cand) -> bool:
-        func = ctx.func
-        if cand.name not in func.blocks or hb_name not in func.blocks:
-            return True  # let legality checking produce the real answer
-        hb = func.blocks[hb_name]
-        # Merges that keep the exit count flat are always fine: single
-        # successor blocks, back edges (unroll), loop headers (peel).
-        target = func.blocks[cand.name]
-        if len(target.successors()) <= 1:
-            return True
-        if cand.name == hb_name or ctx.loops.is_header(cand.name):
-            return True
-        remaining = ctx.constraints.max_instructions - len(hb)
-        region = self._region_size(ctx, cand.name, remaining + 1)
-        return region <= remaining * self.slack
-
-
-def policy_by_name(name: str, **kwargs) -> MergePolicy:
-    """Factory used by the harness CLI."""
-    table = {
-        "breadth-first": BreadthFirstPolicy,
-        "bf": BreadthFirstPolicy,
-        "depth-first": DepthFirstPolicy,
-        "df": DepthFirstPolicy,
-        "vliw": VLIWPolicy,
-        "lookahead": LookaheadPolicy,
-    }
-    try:
-        return table[name](**kwargs)
-    except KeyError:
-        raise ValueError(f"unknown policy {name!r}") from None

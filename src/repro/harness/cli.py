@@ -14,9 +14,9 @@ Usage::
     python -m repro.harness trace mcf [--why b0,b3] [--jsonl t.jsonl] \
         [--chrome t.json] [--dot prefix_]
     python -m repro.harness stats mcf [--top 10]
-    python -m repro.harness record [--quick] [--label ci] [--out rec.json]
-    python -m repro.harness replay mcf [--fn main] [--run latest]
-    python -m repro.harness replay --bisect <runA> <runB>
+    python -m repro.harness record [--quick] --out log.json
+    python -m repro.harness replay mcf --run log.json [--fn main]
+    python -m repro.harness replay --bisect a.json b.json
 
 Options and positionals may come in any order.
 
@@ -27,14 +27,11 @@ fault-containment drill instead.  ``trace`` and ``stats`` record one
 workload's formation under the decision tracer (:mod:`repro.obs`) and
 render the record / its aggregates.
 
-``record`` persists a run's decision log and a run record (per-function
-merge counts and status, trace event counts) into the
-``.repro-ledger/`` directory.
-
-``replay`` validates a live formation run against the flight-recorder
-decision log a ``record`` run left in the ledger, halting at the first
-divergence; ``replay --bisect`` pinpoints the first diverging decision
-between two recorded runs (:mod:`repro.harness.replaycmd`).
+``record`` writes the suite's decision log, with the engine counters
+embedded per function, to the ``--out`` file.  ``replay`` re-forms a
+workload and compares its decisions with such a file; ``replay
+--bisect`` names the first diverging decision of each function between
+two files (:mod:`repro.harness.replaycmd`).
 
 Performance is measured end to end by ``benchmarks/e2e`` (see
 ``docs/PERFORMANCE.md``), not by a verb here.
@@ -77,27 +74,28 @@ def run(argv: Optional[list[str]] = None) -> str:
         help="which experiment to regenerate ('selfcheck' runs the "
         "differential-simulation oracle or, with --faults, the fault "
         "drill, 'trace'/'stats' record one workload under the decision "
-        "tracer, 'record' persists a run and its decision log to the "
-        "ledger, 'replay' check-replays a workload "
-        "against a recorded decision log or bisects two recorded runs to "
-        "the first diverging decision)",
+        "tracer, 'record' writes the suite's decision log to --out, "
+        "'replay' compares a re-formed workload with a decision-log file "
+        "or bisects two files to the first diverging decision)",
     )
     parser.add_argument(
         "workload", nargs="?",
         help="trace/stats/replay: the SPEC workload to form under the "
-        "tracer; replay --bisect: the baseline run (file path, ledger "
-        "hash, or 'latest')",
+        "tracer; replay --bisect: the baseline decision-log file",
     )
     parser.add_argument(
         "other", nargs="?",
-        help="replay --bisect: the candidate run (file path, ledger hash, "
-        "or 'latest')",
+        help="replay --bisect: the candidate decision-log file",
     )
     parser.add_argument(
         "--subset",
         help="comma-separated benchmark names (default: the full suite)",
     )
-    parser.add_argument("--out", help="also write the report to this file")
+    parser.add_argument(
+        "--out",
+        help="also write the report to this file; record: the "
+        "decision-log file to write",
+    )
     parser.add_argument(
         "--quick", action="store_true",
         help="record: the five-workload quick subset",
@@ -146,25 +144,16 @@ def run(argv: Optional[list[str]] = None) -> str:
         "hyperblocks) with this filename prefix",
     )
     parser.add_argument(
-        "--ledger", default=None,
-        help="ledger directory (default: .repro-ledger)",
-    )
-    parser.add_argument(
-        "--label", help="record: free-form label stored with the run",
-    )
-    parser.add_argument(
         "--fn", default=None,
-        help="replay: restrict check-mode replay to this function",
+        help="replay: compare only this function",
     )
     parser.add_argument(
-        "--run", default="latest",
-        help="replay: which recorded run to check against — a ledger "
-        "run ('latest' or a hash prefix), a decision-log digest, or a "
-        "JSON file path (default: latest)",
+        "--run",
+        help="replay: the decision-log file to compare the workload with",
     )
     parser.add_argument(
         "--bisect", action="store_true",
-        help="replay: compare the two positional run references and "
+        help="replay: compare the two positional decision-log files and "
         "report the first diverging decision per function (exit 2 on "
         "any divergence)",
     )
@@ -185,35 +174,26 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
         if args.bisect:
             if not args.workload or not args.other:
                 raise SystemExit(
-                    "replay --bisect needs two run references "
-                    "(e.g. `replay --bisect latest run_b.json`)"
+                    "replay --bisect needs two decision-log files "
+                    "(e.g. `replay --bisect a.json b.json`)"
                 )
-            report = run_replay_bisect(
-                args.workload, args.other, ledger_dir=args.ledger
-            )
+            report = run_replay_bisect(args.workload, args.other)
         else:
             if not args.workload:
                 raise SystemExit(
                     "replay needs a workload name (check mode) or "
-                    "--bisect with two run references"
+                    "--bisect with two decision-log files"
                 )
-            report = run_replay_check(
-                args.workload, fn=args.fn, run=args.run,
-                ledger_dir=args.ledger,
-            )
+            report = run_replay_check(args.workload, run=args.run, fn=args.fn)
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(report + "\n")
         return report
 
     if args.target == "record":
-        from repro.harness.ledgercmd import run_record
+        from repro.harness.replaycmd import run_record
 
-        report = run_record(
-            subset=subset, quick=args.quick, label=args.label,
-            ledger_dir=args.ledger, out=args.out,
-        )
-        return report
+        return run_record(subset=subset, quick=args.quick, out=args.out)
 
     if args.target in ("trace", "stats"):
         from repro.harness.tracecmd import run_stats, run_trace

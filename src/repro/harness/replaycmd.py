@@ -1,102 +1,178 @@
-"""The ``replay`` CLI verb: check-mode replay and decision bisection.
+"""The ``record`` and ``replay`` CLI verbs: the flight recorder on files.
 
-Two modes over the flight-recorder logs the ledger stores next to run
-records (:mod:`repro.obs.replay`):
+The flight recorder keeps one artifact, a decision-log file
+(:mod:`repro.obs.replay`), and makes one comparison,
+:func:`~repro.obs.replay.first_divergence`:
 
-- **check mode** — ``replay <workload> [--fn NAME] [--run REF]`` re-runs
-  formation with a :class:`~repro.obs.replay.ReplayChecker` attached to
-  the live tracer, validating every offer/accept/reject against the
-  recorded stream and halting at the first divergence with a full
-  context dump (record and offer index, both sides' estimates, the
-  constraint-attribution diff, and the last accepted merge).  Exit 2 on
-  divergence, so CI can gate on it;
-- **bisect mode** — ``replay --bisect <runA> <runB>`` loads two logs
-  (ledger run references, decision-log digests, or JSON file paths) and
-  reports the first diverging decision per function — turning
-  "fingerprints differ" into "offer #47 on pair (bb3,bb7): A accepted,
-  B rejected CONSTRAINT_INSTRUCTIONS".  Exit 2 when any divergence is
-  found, 0 when the runs are decision-identical.
+- ``record [--quick | --subset A,B] --out FILE`` forms the suite under a
+  tracer and writes the validated log set to FILE, with the engine's
+  counters (``status``, ``merges``, ``mtup``, ``attempts``) embedded per
+  function.  The log holds no timestamps or machine metadata, so two
+  recordings of the same code write byte-identical files;
+- ``replay <workload> --run FILE [--fn NAME]`` re-forms the workload
+  through the same helper (:func:`record_workload`) and compares the
+  fresh log with the workload's functions in FILE (``--fn`` narrows the
+  comparison to one function).  A diverging decision prints
+  ``REPLAY DIVERGENCE`` with the first diverging record of each
+  diverging function, both sides' constraint attribution and the
+  recorded side's last accepted merge before it.  Matching decisions
+  with a drifted embedded counter are an engine bug, not workload drift.
+  Both exit 2; otherwise the check exits 0;
+- ``replay --bisect A B`` reports the first diverging decision of every
+  function between two files, exiting 2 on any divergence and 0 when
+  the files are decision-identical.
 
-Replay re-forms with the exact configuration ``record`` used (driver
-defaults), so a clean check also compares the live engine counters
-(``merges``, ``mtup``, ``attempts``) with the ones the log embedded at
-record time.
+A file that cannot be read or is not a valid decision log exits 1 with
+one line naming it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Optional
 
 from repro.core.convergent import form_module
-from repro.obs.ledger import Ledger, LedgerError
 from repro.obs.replay import (
-    ReplayChecker,
-    ReplayDivergence,
-    ReplayError,
+    attach_stats,
+    build_log_set,
+    derived_counts,
     first_divergence,
+    log_digest,
+    log_from_trace,
+    summarize_record,
     validate_log_set,
 )
 from repro.obs.sink import MemorySink
 from repro.obs.trace import Tracer
-from repro.profiles import collect_profile
-from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
+from repro.workloads.spec import (
+    QUICK_SUBSET,
+    check_workload_names,
+    prepare_workloads,
+)
+
+#: Engine counters embedded in a function's log, which check mode
+#: compares with a fresh run's.
+COUNTERS = ("status", "merges", "mtup", "attempts")
 
 
-def resolve_log_functions(ref: str, ledger: Ledger) -> tuple[dict, str]:
-    """Resolve a reference to a decision log; returns ``(functions, label)``.
+# ---------------------------------------------------------------------------
+# Recording
+# ---------------------------------------------------------------------------
 
-    Accepts, in order of preference:
 
-    - a JSON file path — either a decision-log set or a run record whose
-      ``decision_log`` digest resolves in the ledger;
-    - ``latest`` or a run-hash prefix — the referenced record's log;
-    - a decision-log digest prefix (when no run matches).
+def record_workload(name: str, workload, profile, faults=None) -> dict:
+    """Form one prepared workload under a tracer; returns its decision logs.
+
+    The logs are keyed ``name:function`` and carry the engine's counters.
+    Formation runs with driver defaults (failsafe on), so the log holds
+    the decisions every ``form_module`` caller gets; ``faults`` (a
+    :class:`repro.robustness.faultinject.FaultPlane`) perturbs the run.
     """
-    if os.path.exists(ref):
-        try:
-            with open(ref) as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read {ref!r}: {exc}")
-        if isinstance(doc, dict) and doc.get("kind") == "decision_log":
-            try:
-                validate_log_set(doc)
-            except ReplayError as exc:
-                raise SystemExit(f"invalid decision log {ref!r}: {exc}")
-            return doc["functions"], ref
-        digest = doc.get("decision_log") if isinstance(doc, dict) else None
-        if not digest:
-            raise SystemExit(
-                f"{ref!r} is neither a decision log nor a run record "
-                "with a 'decision_log' digest (re-record with this "
-                "version to capture one)"
-            )
-        try:
-            return ledger.load_decisions(digest)["functions"], ref
-        except (LedgerError, ReplayError) as exc:
-            raise SystemExit(str(exc))
-    # Ledger references: run first (the common case), then the decision
-    # store directly, so raw log digests work too.
+    module = workload.module()
+    tracer = Tracer(sinks=(MemorySink(),))
+    report = form_module(
+        module, profile=profile, tracer=tracer, faults=faults
+    )
+    logs = log_from_trace(tracer.collected_events(), prefix=f"{name}:")
+    return attach_stats(logs, {
+        f"{name}:{fname}": _counters(freport)
+        for fname, freport in report.functions.items()
+    })
+
+
+def _counters(freport) -> dict:
+    """Engine-side counters embedded in a function's decision log.
+
+    ``merges``/``mtup`` are only embedded for clean formations: a
+    failed-safe function was rolled back, so its counters describe the
+    aborted attempt while its events may have been truncated — the
+    validator's accepts==merges cross-check would be comparing different
+    things.  The attempt count and status always ride along.
+    """
+    stats = {
+        "attempts": freport.stats.attempts,
+        "status": freport.status.value,
+    }
+    if freport.status.value == "ok":
+        stats["merges"] = freport.stats.merges
+        stats["mtup"] = list(freport.stats.mtup)
+    return stats
+
+
+def record_suite(subset: Optional[list[str]] = None, faults=None) -> dict:
+    """The validated decision-log set of ``subset`` (default: the whole
+    SPEC suite), each workload formed by :func:`record_workload`."""
+    logs: dict[str, dict] = {}
+    for name, workload, profile in prepare_workloads(subset):
+        logs.update(record_workload(name, workload, profile, faults=faults))
+    return build_log_set(logs)
+
+
+def write_log_set(log_set: dict, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(log_set, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def load_logs(path: str) -> dict:
+    """The per-function logs of a decision-log file.
+
+    Exits 1 with one line naming the file when it cannot be read or is
+    not a valid decision log.
+    """
     try:
-        record = ledger.load(ref)
-    except LedgerError as run_error:
-        try:
-            log_set = ledger.load_decisions(ref)
-        except (LedgerError, ReplayError):
-            raise SystemExit(str(run_error))
-        return log_set["functions"], f"decisions:{ref}"
-    digest = record.get("decision_log")
-    if not digest:
+        with open(path) as handle:
+            log_set = json.load(handle)
+        validate_log_set(log_set)
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # bad JSON or a ReplayError
+        raise SystemExit(f"{path} is not a valid decision log: {exc}")
+    return log_set["functions"]
+
+
+def summarize_log_set(log_set: dict, path: str) -> str:
+    functions = log_set["functions"]
+    counts = derived_counts([
+        record for bucket in functions.values()
+        for record in bucket["records"]
+    ])
+    workloads = {key.split(":", 1)[0] for key in functions}
+    lines = [
+        f"recorded {len(workloads)} workload(s), {len(functions)} "
+        f"function(s) to {path}",
+        f"  merges: {counts['accepts']} "
+        f"(m/t/u/p = {'/'.join(str(n) for n in counts['mtup'])})",
+        f"  decisions: accept={counts['accepts']}, "
+        f"offer={counts['offers']}, reject={counts['rejects']}",
+        f"  decision log: {log_digest(log_set)[:12]} "
+        "(compare with `replay --run` or `replay --bisect`)",
+    ]
+    drifty = [
+        f"{key} ({bucket['status']})"
+        for key, bucket in functions.items()
+        if bucket["status"] != "ok"
+    ]
+    if drifty:
+        lines.append("  non-ok functions: " + ", ".join(drifty))
+    return "\n".join(lines)
+
+
+def run_record(
+    subset: Optional[list[str]] = None,
+    quick: bool = False,
+    out: Optional[str] = None,
+) -> str:
+    """The ``record`` verb."""
+    if not out:
         raise SystemExit(
-            f"ledger run {ref!r} predates the flight recorder (no "
-            "'decision_log' field); re-record to capture one"
+            "record needs --out FILE, the decision-log file to write"
         )
-    try:
-        return ledger.load_decisions(digest)["functions"], ref
-    except (LedgerError, ReplayError) as exc:
-        raise SystemExit(str(exc))
+    if quick and subset is None:
+        subset = list(QUICK_SUBSET)
+    log_set = record_suite(subset)
+    write_log_set(log_set, out)
+    return summarize_log_set(log_set, out)
 
 
 # ---------------------------------------------------------------------------
@@ -106,107 +182,90 @@ def resolve_log_functions(ref: str, ledger: Ledger) -> tuple[dict, str]:
 
 def run_replay_check(
     workload_name: str,
+    run: Optional[str],
     fn: Optional[str] = None,
-    run: str = "latest",
-    ledger_dir: Optional[str] = None,
 ) -> str:
-    """Re-run one workload's formation against a recorded decision log.
+    """Re-form one workload and compare its log with the file ``run``.
 
-    Raises ``SystemExit(2)`` at the first divergence, or when the
-    decision stream matched but a live engine counter differs from the
-    one the log embedded, with the dump on stdout.  On success returns a
-    short confirmation.
+    Raises ``SystemExit(2)`` on a diverging decision, or when the
+    decisions match but an embedded engine counter differs from the
+    fresh run's, with the dump on stdout.  On success returns a short
+    confirmation.
     """
-    if workload_name not in SPEC_BENCHMARKS:
+    if not run:
         raise SystemExit(
-            f"unknown workload {workload_name!r}; "
-            f"available: {', '.join(SPEC_ORDER)}"
+            "replay <workload> needs --run FILE, a decision-log file "
+            "`record --out` wrote"
         )
-    ledger = Ledger(ledger_dir) if ledger_dir else Ledger()
-    functions, label = resolve_log_functions(run, ledger)
+    check_workload_names([workload_name])
+    recorded = load_logs(run)
     prefix = f"{workload_name}:"
-    in_scope = {key for key in functions if key.startswith(prefix)}
+    in_file = sorted(key for key in recorded if key.startswith(prefix))
+    if not in_file:
+        raise SystemExit(
+            f"{run} has no decisions for workload {workload_name!r} "
+            "(recorded workloads: "
+            + ", ".join(sorted({k.split(':', 1)[0] for k in recorded}))
+            + ")"
+        )
+    if fn is not None and prefix + fn not in in_file:
+        raise SystemExit(
+            f"no recorded log for {prefix + fn!r} in {run}; recorded "
+            "functions: " + ", ".join(in_file)
+        )
+    ((name, workload, profile),) = prepare_workloads([workload_name])
+    fresh = record_workload(name, workload, profile)
     if fn is not None:
-        wanted = f"{prefix}{fn}"
-        if wanted not in in_scope:
-            raise SystemExit(
-                f"no recorded log for {wanted!r} in {label}; recorded "
-                "functions: " + (", ".join(sorted(in_scope)) or "<none>")
-            )
-        only = {wanted}
-    else:
-        if not in_scope:
-            raise SystemExit(
-                f"run {label} has no recorded decisions for workload "
-                f"{workload_name!r} (recorded workloads: "
-                + ", ".join(sorted({k.split(':', 1)[0] for k in functions}))
-                + ")"
-            )
-        only = in_scope
+        fresh = {key: fresh[key] for key in fresh if key == prefix + fn}
+        in_file = [prefix + fn]
+    recorded = {key: recorded[key] for key in in_file}
 
-    workload = SPEC_BENCHMARKS[workload_name]
-    module = workload.module()
-    profile = collect_profile(
-        module, args=workload.args, preload=workload.preload
-    )
-    checker = ReplayChecker(functions, prefix=prefix, only=only)
-    tracer = Tracer(sinks=(MemorySink(), checker))
-    try:
-        # Mirror the `record` verb's configuration: driver defaults.
-        report = form_module(module, profile=profile, tracer=tracer)
-    except ReplayDivergence as divergence:
-        print(format_divergence_dump(divergence, label))
+    divergences = first_divergence(recorded, fresh)
+    if divergences:
+        print(format_divergences(divergences, recorded, run))
         raise SystemExit(2)
-    try:
-        checker.finalize()
-    except ReplayDivergence as divergence:
-        print(format_divergence_dump(divergence, label))
-        raise SystemExit(2)
-
-    mismatched = []
-    for key in sorted(only):
-        freport = report.functions.get(key[len(prefix):])
-        if freport is None:
-            continue
-        live = {
-            "merges": freport.stats.merges,
-            "mtup": list(freport.stats.mtup),
-            "attempts": freport.stats.attempts,
-        }
-        for field, value in live.items():
-            recorded = functions[key].get(field)
-            if recorded is not None and recorded != value:
-                mismatched.append((key, field, recorded, value))
-    if mismatched:
+    drifted = [
+        (key, field, bucket[field], fresh[key].get(field))
+        for key, bucket in sorted(recorded.items())
+        for field in COUNTERS
+        if field in bucket and fresh[key].get(field) != bucket[field]
+    ]
+    if drifted:
         lines = [
             "replay: decision stream matched but engine counters "
             "drifted (out of sync with the decision log — this is a "
             "bug, not workload drift):"
         ]
-        for key, field, recorded, value in mismatched:
-            lines.append(
-                f"  {key}: {field} recorded {recorded} live {value}"
-            )
+        for key, field, was, now in drifted:
+            lines.append(f"  {key}: {field} recorded {was} live {now}")
         print("\n".join(lines))
         raise SystemExit(2)
 
+    decisions = sum(len(bucket["records"]) for bucket in recorded.values())
     return (
-        f"replay ok: {workload_name} matched {label} — "
-        f"{checker.checked} decision(s) across {len(only)} function(s), "
+        f"replay ok: {workload_name} matched {run} — "
+        f"{decisions} decision(s) across {len(recorded)} function(s), "
         "engine counters verified"
     )
 
 
-def format_divergence_dump(
-    divergence: ReplayDivergence, label: str
-) -> str:
-    lines = [
-        f"REPLAY DIVERGENCE against {label}",
-        divergence.describe(),
-        "",
-        "The live run stops at the diverging decision; everything "
-        "before it matched the recording.",
-    ]
+def format_divergences(divergences, recorded: dict, label: str) -> str:
+    """The check-mode dump: each diverging function's first diverging
+    record and the recorded side's last accepted merge before it."""
+    lines = [f"REPLAY DIVERGENCE against {label}"]
+    for divergence in divergences:
+        lines.append(divergence.describe("recorded", "live"))
+        bucket = recorded.get(divergence.function)
+        before = bucket["records"][:divergence.index] if bucket else ()
+        last = next(
+            (r for r in reversed(before) if r["event"] == "accept"), None
+        )
+        if last is not None:
+            lines.append("  last accepted merge: " + summarize_record(last))
+    lines.append(
+        f"functions compared: {len(recorded)}, "
+        f"diverging: {len(divergences)}"
+    )
     return "\n".join(lines)
 
 
@@ -215,32 +274,27 @@ def format_divergence_dump(
 # ---------------------------------------------------------------------------
 
 
-def run_replay_bisect(
-    ref_a: str,
-    ref_b: str,
-    ledger_dir: Optional[str] = None,
-) -> str:
-    """First-divergence bisection between two recorded runs.
+def run_replay_bisect(path_a: str, path_b: str) -> str:
+    """First-divergence bisection between two decision-log files.
 
     Returns the zero-divergence summary, or prints the per-function
     first divergences and raises ``SystemExit(2)``.
     """
-    ledger = Ledger(ledger_dir) if ledger_dir else Ledger()
-    functions_a, label_a = resolve_log_functions(ref_a, ledger)
-    functions_b, label_b = resolve_log_functions(ref_b, ledger)
+    functions_a = load_logs(path_a)
+    functions_b = load_logs(path_b)
     divergences = first_divergence(functions_a, functions_b)
     if not divergences:
         total = sum(
-            len(bucket.get("records", ())) for bucket in functions_a.values()
+            len(bucket["records"]) for bucket in functions_a.values()
         )
         return (
             f"bisect: zero divergences — {len(functions_a)} function(s), "
             f"{total} decision record(s) identical between "
-            f"{label_a} and {label_b}"
+            f"{path_a} and {path_b}"
         )
     lines = [
         f"bisect: {len(divergences)} diverging function(s) between "
-        f"A={label_a} and B={label_b}; first divergence of each:",
+        f"A={path_a} and B={path_b}; first divergence of each:",
         "",
     ]
     for divergence in divergences:

@@ -6,10 +6,8 @@ The modules (see ``docs/OBSERVABILITY.md``):
   :class:`Tracer`, and the queryable :class:`FormationTrace`;
 - :mod:`repro.obs.sink` — in-memory and JSONL sinks and the Chrome-trace
   (Perfetto) exporter;
-- :mod:`repro.obs.ledger` — persistent, content-addressed run records
-  and the decision logs they reference;
 - :mod:`repro.obs.replay` — the decision flight recorder: per-function
-  decision logs, check-mode replay and bisection.
+  decision logs, their validation, and first-divergence bisection.
 
 Telemetry is opt-in: nothing is recorded unless a run is given a
 :class:`Tracer` (``form_module(module, tracer=tracer)``), and without one
@@ -17,14 +15,6 @@ the instrumentation in the formation engine costs one ``is None`` test
 per trial.
 """
 
-from repro.obs.ledger import (
-    DEFAULT_LEDGER_DIR,
-    RECORD_SCHEMA_VERSION,
-    Ledger,
-    LedgerError,
-    run_hash,
-    validate_record,
-)
 from repro.obs.sink import (
     JsonlSink,
     MemorySink,
@@ -35,12 +25,6 @@ from repro.obs.sink import (
 from repro.obs.trace import PHASE_SPANS, FormationTrace, TraceEvent, Tracer
 
 __all__ = [
-    "DEFAULT_LEDGER_DIR",
-    "RECORD_SCHEMA_VERSION",
-    "Ledger",
-    "LedgerError",
-    "run_hash",
-    "validate_record",
     "JsonlSink",
     "MemorySink",
     "chrome_trace",

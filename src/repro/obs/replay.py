@@ -1,12 +1,12 @@
-"""The decision flight recorder: schema-versioned decision logs,
-check-mode replay, and first-divergence bisection.
+"""The decision flight recorder: schema-versioned decision logs and
+first-divergence bisection.
 
-The decision log is the one encoding of formation decisions: the run
-ledger (:mod:`repro.obs.ledger`) stores logs by digest, the formation
-golden pins each pipeline's digest, and the fault drill compares
-per-function fingerprints.  A digest mismatch says *that* two runs
-decided differently; this module also answers "*which* decision
-diverged first, and what did each side see?"  Three pieces:
+The decision log is the one encoding of formation decisions: ``record``
+writes a log set to a file, the formation golden pins each pipeline's
+digest, and the fault drill compares per-function fingerprints.  A
+digest mismatch says *that* two runs decided differently; this module
+also answers "*which* decision diverged first, and what did each side
+see?"  Two pieces:
 
 - a **decision log** — per function, the ordered, machine-stable
   projection of the trace's offer/accept/reject instants: pair ids,
@@ -14,19 +14,12 @@ diverged first, and what did each side see?"  Three pieces:
   :class:`~repro.core.constraints.BlockEstimate` numbers, and the ordinal
   of the offer each verdict answers.  Timings, span ids and machine
   metadata are deliberately excluded, so two bit-identical formation
-  runs — even on different machines — produce byte-identical logs that
-  content-address to the *same* digest;
-- a **replay checker** (:class:`ReplayChecker`) — a trace sink that
-  validates each live decision against a recorded log as it is emitted
-  and halts at the first divergence by raising
-  :class:`ReplayDivergence`.  The exception derives from
-  ``BaseException`` on purpose: the fail-safe formation drivers contain
-  every ``Exception`` inside a trial, and a divergence must stop the
-  run *at the diverging decision*, not be rolled back and retried;
+  runs — even on different machines — produce byte-identical logs with
+  the *same* digest;
 - a **bisector** (:func:`first_divergence`) — given two logs (two
-  commits, a clean run and a fault drill), the first
-  diverging record per function, with both sides' estimates and
-  constraint attribution.
+  commits, a recorded file and a fresh run, a clean run and a fault
+  drill), the first diverging record per function, with both sides'
+  estimates and constraint attribution.
 
 Like the rest of ``repro.obs`` this module imports nothing from the
 rest of ``repro``: logs are built from trace events, and the engine
@@ -51,7 +44,7 @@ FLIGHT_EVENTS = frozenset({"offer", "accept", "reject"})
 
 
 class ReplayError(ValueError):
-    """A decision log failed validation or a reference did not resolve."""
+    """A decision log failed validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +172,8 @@ def build_log_set(functions: dict[str, dict]) -> dict:
 
     The set holds *only* deterministic content — no timestamps or
     machine metadata — so identical formation runs recorded on
-    different days or machines dedupe to the same digest
-    in the ledger's content-addressed store.  Provenance lives in the
-    run record that references the log, not in the log itself.
+    different days or machines write byte-identical files with the
+    same digest.
     """
     log_set = {
         "schema_version": DECISION_LOG_SCHEMA_VERSION,
@@ -272,7 +264,7 @@ def attach_stats(
     ``stats_by_function`` maps the same keys to dicts with ``merges``,
     ``mtup``, ``attempts`` and ``status`` — the engine's counters, which
     validation checks against the log's derived accept counts and
-    check-mode replay checks against a live run.  Functions that formed
+    check-mode replay checks against a fresh run's.  Functions that formed
     without any decision events (nothing to offer) gain an empty record
     bucket so both checks still cover them.
     """
@@ -284,64 +276,8 @@ def attach_stats(
 
 
 # ---------------------------------------------------------------------------
-# Check-mode replay
+# Rendering and bisection
 # ---------------------------------------------------------------------------
-
-
-class ReplayDivergence(BaseException):
-    """A live decision did not match the recorded log.
-
-    Derives from ``BaseException`` so the fail-safe machinery
-    (``TrialGuard.attempt`` and the formation drivers contain every
-    ``Exception``) cannot swallow it: the whole point of check mode is
-    to stop *at* the first diverging decision with the live state
-    intact.
-    """
-
-    def __init__(
-        self,
-        function: str,
-        index: int,
-        expected: Optional[dict],
-        actual: Optional[dict],
-        note: str = "",
-        last_accept: Optional[dict] = None,
-    ):
-        self.function = function
-        self.index = index
-        self.expected = expected
-        self.actual = actual
-        self.note = note
-        self.last_accept = last_accept
-        super().__init__(self.describe())
-
-    @property
-    def offer(self) -> Optional[int]:
-        for record in (self.actual, self.expected):
-            if record is not None and record.get("offer", -1) >= 0:
-                return record["offer"]
-        return None
-
-    def describe(self) -> str:
-        lines = [
-            f"replay divergence in {self.function} at record "
-            f"#{self.index}"
-            + (f" (offer #{self.offer})" if self.offer is not None else "")
-        ]
-        if self.note:
-            lines.append(f"  {self.note}")
-        lines.append("  recorded: " + summarize_record(self.expected))
-        lines.append("  live:     " + summarize_record(self.actual))
-        for key, a, b in diff_records(self.expected, self.actual):
-            lines.append(
-                f"    {key}: recorded={a!r} live={b!r}"
-                + diff_attribution(key)
-            )
-        if self.last_accept is not None:
-            lines.append(
-                "  last accepted merge: " + summarize_record(self.last_accept)
-            )
-        return "\n".join(lines)
 
 
 def summarize_record(record: Optional[dict]) -> str:
@@ -429,100 +365,6 @@ def diff_records(a: Optional[dict], b: Optional[dict]) -> list[tuple]:
         else:
             out.append((key, va, vb))
     return out
-
-
-class ReplayChecker:
-    """A trace sink that validates live decisions against a recorded log.
-
-    Attach alongside the usual sinks
-    (``Tracer(sinks=(MemorySink(), checker))``); every offer/accept/
-    reject instant is projected through :func:`decision_record` and
-    compared to the recorded stream in order.  The first mismatch — a
-    different verdict, a different pair, a drifted estimate, an extra or
-    missing decision — raises :class:`ReplayDivergence` with the full
-    context.  ``only`` restricts checking to a subset of function keys
-    (the ``replay --fn`` filter); other functions stream by unchecked.
-    """
-
-    def __init__(
-        self,
-        functions: dict[str, dict],
-        prefix: str = "",
-        only: Optional[set] = None,
-    ):
-        self.expected = functions
-        self.prefix = prefix
-        self.only = set(only) if only is not None else None
-        self.cursor: dict[str, int] = {}
-        self.offers: dict[str, int] = {}
-        self.last_accept: dict[str, dict] = {}
-        self.checked = 0
-
-    def emit(self, event) -> None:
-        if event.name not in FLIGHT_EVENTS:
-            return
-        func = event.attrs.get("function")
-        if func is None:
-            return
-        key = f"{self.prefix}{func}"
-        if self.only is not None and key not in self.only:
-            return
-        actual = decision_record(event.name, event.attrs)
-        if event.name == "offer":
-            self.offers[key] = self.offers.get(key, -1) + 1
-            actual["offer"] = self.offers[key]
-        else:
-            actual["offer"] = self.offers.get(key, -1)
-        bucket = self.expected.get(key)
-        index = self.cursor.get(key, 0)
-        self.cursor[key] = index + 1
-        if bucket is None:
-            raise ReplayDivergence(
-                key, index, None, actual,
-                note="function has no recorded decision log",
-                last_accept=self.last_accept.get(key),
-            )
-        records = bucket.get("records", ())
-        if index >= len(records):
-            raise ReplayDivergence(
-                key, index, None, actual,
-                note=f"recorded log ended after {len(records)} record(s); "
-                "the live run kept deciding",
-                last_accept=self.last_accept.get(key),
-            )
-        expected = records[index]
-        if expected != actual:
-            raise ReplayDivergence(
-                key, index, expected, actual,
-                last_accept=self.last_accept.get(key),
-            )
-        if event.name == "accept":
-            self.last_accept[key] = actual
-        self.checked += 1
-
-    def finalize(self) -> None:
-        """Raise unless every checked function consumed its whole log.
-
-        A live run that *stops early* matches every record it emits but
-        still diverged — the missing tail is the divergence.
-        """
-        for key, bucket in self.expected.items():
-            if self.only is not None and key not in self.only:
-                continue
-            records = bucket.get("records", ())
-            seen = self.cursor.get(key, 0)
-            if seen < len(records):
-                raise ReplayDivergence(
-                    key, seen, records[seen], None,
-                    note=f"live run stopped after {seen} of "
-                    f"{len(records)} recorded decision(s)",
-                    last_accept=self.last_accept.get(key),
-                )
-
-
-# ---------------------------------------------------------------------------
-# Bisection
-# ---------------------------------------------------------------------------
 
 
 class FunctionDivergence:

@@ -570,9 +570,9 @@ SPEC_ORDER = [
 
 assert set(SPEC_ORDER) == set(SPEC_BENCHMARKS)
 
-#: Small subset for quick runs (``record --quick``, the CI drift gate's
-#: baseline): a mix of loopy and branchy workloads, not a representative
-#: sample.
+#: Small subset for quick runs (``record --quick``, which CI's
+#: replay-determinism job records twice): a mix of loopy and branchy
+#: workloads, not a representative sample.
 QUICK_SUBSET = ("ammp", "art", "bzip2", "equake", "mcf")
 
 

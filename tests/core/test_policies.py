@@ -6,7 +6,6 @@ from repro.core.policies import (
     Candidate,
     DepthFirstPolicy,
     VLIWPolicy,
-    policy_by_name,
 )
 from repro.ir import FunctionBuilder
 from repro.profiles import ProfileData, collect_profile
@@ -121,83 +120,3 @@ def test_vliw_admits_loop_headers_for_head_dup():
     policy = VLIWPolicy()
     policy.begin_block(ctx, "entry")
     assert policy.admits(ctx, "entry", Candidate("head", 1, 0))
-
-
-def test_policy_by_name():
-    assert isinstance(policy_by_name("bf"), BreadthFirstPolicy)
-    assert isinstance(policy_by_name("breadth-first"), BreadthFirstPolicy)
-    assert isinstance(policy_by_name("df"), DepthFirstPolicy)
-    assert isinstance(policy_by_name("vliw", threshold=0.5), VLIWPolicy)
-    import pytest
-
-    with pytest.raises(ValueError):
-        policy_by_name("nonsense")
-
-
-def test_lookahead_policy_closes_small_diamonds():
-    """A diamond that fits the budget is admitted (single-exit restored)."""
-    from repro.core.policies import LookaheadPolicy
-    from repro.core.constraints import TripsConstraints
-
-    func = make_diamond()
-    ctx = FormationContext(func, constraints=TripsConstraints())
-    policy = LookaheadPolicy()
-    assert policy.admits(ctx, "A", Candidate("B", 1, 0))
-
-
-def test_lookahead_policy_vetoes_unclosable_exits():
-    """When the region past the branch cannot fit, the merge that would
-    add a dangling exit is vetoed."""
-    from repro.core.policies import LookaheadPolicy
-    from repro.core.constraints import TripsConstraints
-    from repro.ir import FunctionBuilder
-
-    fb = FunctionBuilder("main", nparams=2)
-    fb.block("A", entry=True)
-    c = fb.tlt(0, 1)
-    fb.br_cond(c, "Branchy", "Other")
-    fb.block("Branchy")
-    c2 = fb.tlt(1, 0)
-    fb.br_cond(c2, "Big1", "Big2")
-    for name in ("Big1", "Big2"):
-        fb.block(name)
-        acc = fb.movi(0)
-        for _ in range(30):
-            acc = fb.add(acc, acc)
-        fb.br("Join")
-    fb.block("Other")
-    fb.br("Join")
-    fb.block("Join")
-    fb.ret(fb.movi(0))
-    func = fb.finish()
-
-    tight = TripsConstraints(max_instructions=24)
-    ctx = FormationContext(func, constraints=tight)
-    policy = LookaheadPolicy()
-    # Branchy has two successors whose region is far larger than the
-    # remaining budget -> vetoed; Other is single-successor -> admitted.
-    assert not policy.admits(ctx, "A", Candidate("Branchy", 1, 0))
-    assert policy.admits(ctx, "A", Candidate("Other", 1, 1))
-
-
-def test_lookahead_policy_preserves_semantics():
-    from repro.core.convergent import form_module
-    from repro.core.policies import LookaheadPolicy
-    from repro.profiles import collect_profile
-    from repro.sim import run_module
-    from repro.workloads.generators import random_inputs, random_program
-
-    for seed in (11, 222, 3333):
-        module = random_program(seed)
-        args = random_inputs(seed)
-        ref, _, refmem = run_module(module.copy(), args=args)
-        profile = collect_profile(module.copy(), args=args)
-        form_module(module, profile=profile, policy=LookaheadPolicy())
-        r, _, mem = run_module(module, args=args)
-        assert r == ref and mem == refmem
-
-
-def test_lookahead_named_in_factory():
-    from repro.core.policies import LookaheadPolicy
-
-    assert isinstance(policy_by_name("lookahead"), LookaheadPolicy)

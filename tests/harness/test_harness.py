@@ -155,10 +155,11 @@ E2E_IMPORTS = (
 
 
 def test_pipeline_imports_load_no_process_machinery():
-    # Formation runs in one process, so nothing the pipeline imports
-    # needs multiprocessing; loading it anyway costs every e2e process
-    # start-up time and memory.  A fresh interpreter, so modules other
-    # tests imported do not count.
+    # Formation runs in one process and starts no other program, so
+    # nothing the pipeline imports needs multiprocessing or subprocess;
+    # loading them anyway costs every e2e process start-up time and
+    # memory.  A fresh interpreter, so modules other tests imported do
+    # not count.
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -169,7 +170,8 @@ def test_pipeline_imports_load_no_process_machinery():
         f"for name in {E2E_IMPORTS!r}:\n"
         "    importlib.import_module(name)\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'multiprocessing'))\n"
+        "             if m.split('.')[0] in ('multiprocessing',\n"
+        "                                    'subprocess')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],

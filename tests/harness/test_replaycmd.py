@@ -1,15 +1,20 @@
-"""The ``replay`` verb end to end: check-mode replay, bisection, the
-ledger decision store, and the satellite CLI/JSON surfaces."""
+"""The ``replay`` verb end to end on decision-log files: check-mode
+replay, bisection, unreadable files, and the satellite CLI/JSON
+surfaces."""
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness.cli import run as cli_run
-from repro.harness.ledgercmd import record_suite_run
-from repro.obs.ledger import Ledger
+from repro.harness.replaycmd import record_suite, write_log_set
 from repro.robustness.faultinject import FaultPlane
 
 #: Operand corruption demonstrably flips formation decisions on bzip2,
@@ -19,39 +24,39 @@ WORKLOAD = "bzip2"
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """A ledger holding a clean run and a fault-injected run."""
-    ledger_dir = str(tmp_path_factory.mktemp("ledger"))
-    clean, clean_digest = record_suite_run(
-        subset=[WORKLOAD], kind="test", ledger_dir=ledger_dir,
-    )
+    """A clean and a fault-injected decision-log file of one workload."""
+    root = tmp_path_factory.mktemp("logs")
+    clean = record_suite([WORKLOAD])
     plane = FaultPlane(rate=1.0, kinds=("operand",))
-    faulted, faulted_digest = record_suite_run(
-        subset=[WORKLOAD], kind="test", ledger_dir=ledger_dir, faults=plane,
-    )
+    faulted = record_suite([WORKLOAD], faults=plane)
     assert plane.fired
-    return {
-        "ledger_dir": ledger_dir,
-        "clean": clean, "clean_digest": clean_digest,
-        "faulted": faulted, "faulted_digest": faulted_digest,
-    }
+    clean_path = str(root / "clean.json")
+    faulted_path = str(root / "faulted.json")
+    write_log_set(clean, clean_path)
+    write_log_set(faulted, faulted_path)
+    return {"clean": clean, "faulted": faulted,
+            "clean_path": clean_path, "faulted_path": faulted_path}
 
 
 def test_record_persists_decision_log(recorded):
-    ledger = Ledger(recorded["ledger_dir"])
-    record = ledger.load(recorded["clean_digest"])
-    digest = record["decision_log"]
-    log_set = ledger.load_decisions(digest)
-    assert f"{WORKLOAD}:main" in log_set["functions"]
-    # Content addressing: re-recording the identical run dedupes.
-    assert ledger.record_decisions(log_set) == digest
+    on_disk = json.loads(pathlib.Path(recorded["clean_path"]).read_text())
+    assert on_disk == recorded["clean"]
+    assert f"{WORKLOAD}:main" in on_disk["functions"]
+
+
+def test_record_twice_writes_identical_files(tmp_path):
+    """The log holds no timestamps or machine metadata, so recording the
+    same code twice writes the same bytes, and bisecting them is clean."""
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for path in (a, b):
+        cli_run(["record", "--subset", "mcf,vortex", "--out", path])
+    assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+    report = cli_run(["replay", "--bisect", a, b])
+    assert "zero divergences — 3 function(s)" in report
 
 
 def test_replay_check_clean_run(recorded):
-    report = cli_run([
-        "replay", WORKLOAD,
-        "--run", recorded["clean_digest"],
-        "--ledger", recorded["ledger_dir"],
-    ])
+    report = cli_run(["replay", WORKLOAD, "--run", recorded["clean_path"]])
     assert "replay ok" in report
     assert "engine counters verified" in report
 
@@ -61,73 +66,77 @@ def test_replay_check_exits_2_when_live_counters_drift(
 ):
     """A log whose decisions match the live run but whose embedded
     engine counter does not is an engine bug, not workload drift."""
-    ledger = Ledger(recorded["ledger_dir"])
-    log_set = ledger.load_decisions(recorded["clean"]["decision_log"])
+    log_set = json.loads(json.dumps(recorded["clean"]))
     key = f"{WORKLOAD}:main"
     log_set["functions"][key]["attempts"] += 1
     path = tmp_path / "drifted.json"
     path.write_text(json.dumps(log_set))
     with pytest.raises(SystemExit) as excinfo:
-        cli_run([
-            "replay", WORKLOAD, "--run", str(path),
-            "--ledger", recorded["ledger_dir"],
-        ])
+        cli_run(["replay", WORKLOAD, "--run", str(path)])
     assert excinfo.value.code == 2
     out = capsys.readouterr().out
     assert "engine counters drifted" in out
     assert f"{key}: attempts recorded" in out
 
 
-def test_replay_check_latest_and_fn_filter(recorded):
-    # `latest` is the faulted record (recorded second): a clean live
-    # run against it must stop at the first diverging decision.
-    with pytest.raises(SystemExit) as excinfo:
-        cli_run([
-            "replay", WORKLOAD, "--ledger", recorded["ledger_dir"],
-        ])
-    assert excinfo.value.code == 2
-
+def test_replay_check_fn_filter(recorded):
     report = cli_run([
-        "replay", WORKLOAD, "--fn", "main",
-        "--run", recorded["clean_digest"],
-        "--ledger", recorded["ledger_dir"],
+        "replay", WORKLOAD, "--fn", "main", "--run", recorded["clean_path"],
     ])
     assert "1 function(s)" in report
 
     with pytest.raises(SystemExit, match="no recorded log"):
         cli_run([
             "replay", WORKLOAD, "--fn", "nope",
-            "--run", recorded["clean_digest"],
-            "--ledger", recorded["ledger_dir"],
+            "--run", recorded["clean_path"],
         ])
+    with pytest.raises(SystemExit, match="needs --run FILE"):
+        cli_run(["replay", WORKLOAD])
+    with pytest.raises(SystemExit, match="no decisions for workload 'mcf'"):
+        cli_run(["replay", "mcf", "--run", recorded["clean_path"]])
 
 
 def test_replay_divergence_dump_names_the_decision(recorded, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        cli_run([
-            "replay", WORKLOAD,
-            "--run", recorded["faulted_digest"],
-            "--ledger", recorded["ledger_dir"],
-        ])
+        cli_run(["replay", WORKLOAD, "--run", recorded["faulted_path"]])
     assert excinfo.value.code == 2
     out = capsys.readouterr().out
-    assert "REPLAY DIVERGENCE" in out
+    assert f"REPLAY DIVERGENCE against {recorded['faulted_path']}" in out
     assert f"{WORKLOAD}:main" in out
     assert "recorded:" in out and "live:" in out
     assert "CONSTRAINT_" in out  # estimate drift carries attribution
 
 
+def test_check_mode_and_bisect_name_the_same_first_divergence(
+    recorded, capsys
+):
+    def head_line(argv) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            cli_run(argv)
+        assert excinfo.value.code == 2
+        out = capsys.readouterr().out
+        return next(
+            line for line in out.splitlines()
+            if line.startswith(f"{WORKLOAD}:main: record #")
+        )
+
+    check = head_line(["replay", WORKLOAD, "--run", recorded["faulted_path"]])
+    bisect = head_line([
+        "replay", "--bisect", recorded["clean_path"],
+        recorded["faulted_path"],
+    ])
+    assert "offer #" in check
+    assert check == bisect
+
+
 def test_replay_unknown_workload(recorded):
     with pytest.raises(SystemExit, match="unknown workload"):
-        cli_run([
-            "replay", "quake3", "--ledger", recorded["ledger_dir"],
-        ])
+        cli_run(["replay", "quake3", "--run", recorded["clean_path"]])
 
 
 def test_bisect_self_is_clean(recorded):
     report = cli_run([
-        "replay", recorded["clean_digest"], recorded["clean_digest"],
-        "--bisect", "--ledger", recorded["ledger_dir"],
+        "replay", recorded["clean_path"], recorded["clean_path"], "--bisect",
     ])
     assert "zero divergences" in report
 
@@ -135,8 +144,8 @@ def test_bisect_self_is_clean(recorded):
 def test_bisect_finds_first_attributed_divergence(recorded, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli_run([
-            "replay", recorded["clean_digest"], recorded["faulted_digest"],
-            "--bisect", "--ledger", recorded["ledger_dir"],
+            "replay", recorded["clean_path"], recorded["faulted_path"],
+            "--bisect",
         ])
     assert excinfo.value.code == 2
     out = capsys.readouterr().out
@@ -144,61 +153,65 @@ def test_bisect_finds_first_attributed_divergence(recorded, capsys):
     assert f"{WORKLOAD}:main" in out
     assert "offer #" in out
     assert "estimate." in out and "CONSTRAINT_" in out
+    assert "diverging: 1" in out
 
 
 def test_bisect_needs_two_references(recorded):
-    with pytest.raises(SystemExit, match="two run references"):
-        cli_run([
-            "replay", recorded["clean_digest"], "--bisect",
-            "--ledger", recorded["ledger_dir"],
-        ])
-
-
-def test_replay_accepts_record_files_and_raw_digests(
-    recorded, tmp_path
-):
-    # A run-record JSON file resolves through its decision_log digest.
-    path = tmp_path / "clean.json"
-    path.write_text(json.dumps(recorded["clean"]))
-    report = cli_run([
-        "replay", WORKLOAD, "--run", str(path),
-        "--ledger", recorded["ledger_dir"],
-    ])
-    assert "replay ok" in report
-    # A raw decision-log digest resolves through the decision store.
-    report = cli_run([
-        "replay", WORKLOAD,
-        "--run", recorded["clean"]["decision_log"],
-        "--ledger", recorded["ledger_dir"],
-    ])
-    assert "replay ok" in report
+    with pytest.raises(SystemExit, match="two decision-log files"):
+        cli_run(["replay", recorded["clean_path"], "--bisect"])
 
 
 def test_pre_recorder_record_is_rejected(recorded, tmp_path):
+    """A run record, which older versions wrote next to the log, is not a
+    decision log."""
     legacy = {
-        k: v for k, v in recorded["clean"].items() if k != "decision_log"
+        "schema_version": 3, "kind": "suite", "workloads": [WORKLOAD],
+        "decision_log": "0" * 64, "functions": {},
     }
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(legacy))
-    with pytest.raises(SystemExit, match="decision_log"):
-        cli_run([
-            "replay", WORKLOAD, "--run", str(path),
-            "--ledger", recorded["ledger_dir"],
-        ])
+    with pytest.raises(SystemExit, match="is not a valid decision log"):
+        cli_run(["replay", WORKLOAD, "--run", str(path)])
 
 
 def test_tampered_log_file_is_rejected(recorded, tmp_path):
-    ledger = Ledger(recorded["ledger_dir"])
-    log_set = ledger.load_decisions(recorded["clean"]["decision_log"])
+    log_set = json.loads(json.dumps(recorded["clean"]))
     key = f"{WORKLOAD}:main"
     log_set["functions"][key]["records"][0]["hb"] = "tampered"
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(log_set))
-    with pytest.raises(SystemExit, match="invalid decision log"):
-        cli_run([
-            "replay", WORKLOAD, "--run", str(path),
-            "--ledger", recorded["ledger_dir"],
-        ])
+    with pytest.raises(
+        SystemExit, match="not a valid decision log.*fingerprint"
+    ):
+        cli_run(["replay", WORKLOAD, "--run", str(path)])
+
+
+@pytest.mark.parametrize("mode", ["check", "bisect"])
+@pytest.mark.parametrize("content", [None, '{"kind": "trace"}', "not json"],
+                         ids=["missing", "not-a-log", "not-json"])
+def test_unreadable_log_file_exits_1_with_one_line(
+    recorded, tmp_path, mode, content
+):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    if mode == "check":
+        argv = ["replay", WORKLOAD, "--run", str(bad)]
+    else:
+        argv = ["replay", "--bisect", recorded["clean_path"], str(bad)]
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.harness", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and str(bad) in lines[0], result.stderr
 
 
 # -- satellite surfaces -----------------------------------------------------
@@ -225,18 +238,12 @@ def test_trace_json_carries_decision_log():
 @pytest.mark.parametrize(
     "argv, expect",
     [
-        (
-            ["replay", "--bisect", "--ledger", "{ledger}", "{run}", "{run}"],
-            "zero divergences",
-        ),
+        (["replay", "--bisect", "{run}", "{run}"], "zero divergences"),
         (["trace", "--why", "b0,b1", WORKLOAD], "no events for pair (b0, b1)"),
     ],
     ids=["replay-bisect", "trace-why"],
 )
 def test_positionals_may_follow_options(recorded, argv, expect):
     """The documented forms put options first (`replay --bisect A B`)."""
-    values = {
-        "ledger": recorded["ledger_dir"],
-        "run": recorded["clean_digest"],
-    }
+    values = {"run": recorded["clean_path"]}
     assert expect in cli_run([arg.format(**values) for arg in argv])

@@ -1,5 +1,5 @@
-"""The decision flight recorder: round-trip replay, digest contents,
-divergence detection, and log-set validation."""
+"""The decision flight recorder: round-trip replay through a log file,
+digest contents, divergence detection, and log-set validation."""
 
 from __future__ import annotations
 
@@ -8,10 +8,13 @@ import json
 import pytest
 
 from repro.core.convergent import form_module
+from repro.harness.replaycmd import (
+    record_suite,
+    run_replay_check,
+    write_log_set,
+)
 from repro.obs.replay import (
     DECISION_LOG_SCHEMA_VERSION,
-    ReplayChecker,
-    ReplayDivergence,
     ReplayError,
     attach_stats,
     build_log_set,
@@ -139,24 +142,41 @@ def test_log_shape_and_counts():
             assert "estimate" in record and "kind" in record
 
 
-def test_round_trip_replay_is_clean():
-    functions, events, _ = _log("mcf")
-    checker = ReplayChecker(functions)
-    for event in events:
-        checker.emit(event)
-    checker.finalize()
-    assert checker.checked == sum(
-        len(b["records"]) for b in functions.values()
-    )
+def _write(tmp_path, log_set: dict, *edited: str) -> str:
+    """Write ``log_set`` to a file; each ``edited`` function gets its
+    fingerprint and counters re-derived so the file still validates."""
+    functions = log_set["functions"]
+    for key in edited:
+        bucket = functions[key]
+        counts = derived_counts(bucket["records"])
+        bucket["fingerprint"] = fingerprint_of(bucket["records"])
+        bucket["merges"] = counts["accepts"]
+        bucket["mtup"] = counts["mtup"]
+    path = str(tmp_path / "log.json")
+    write_log_set(build_log_set(functions), path)
+    return path
 
 
-def test_replay_round_trip_every_spec_workload():
+def _check_divergence(capsys, workload: str, path: str, fn=None) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        run_replay_check(workload, run=path, fn=fn)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().out
+
+
+def test_round_trip_replay_is_clean(tmp_path):
+    log_set = record_suite(["mcf"])
+    path = _write(tmp_path, log_set)
+    report = run_replay_check("mcf", run=path)
+    counts = log_set["counts"]
+    decisions = counts["offers"] + counts["accepts"] + counts["rejects"]
+    assert f"matched {path} — {decisions} decision(s)" in report
+
+
+def test_replay_round_trip_every_spec_workload(tmp_path):
+    path = _write(tmp_path, record_suite())
     for name in SPEC_ORDER:
-        functions, events, _ = _log(name)
-        checker = ReplayChecker(functions)
-        for event in events:
-            checker.emit(event)
-        checker.finalize()
+        assert "replay ok" in run_replay_check(name, run=path)
 
 
 def test_digest_excludes_provenance():
@@ -164,48 +184,56 @@ def test_digest_excludes_provenance():
     log_set = build_log_set(functions)
     blob = json.dumps(log_set, sort_keys=True)
     # Deliberately no wall-clock, machine, or backend fields: identical
-    # runs must dedupe to one digest in the content-addressed store.
+    # runs must write byte-identical files with one digest.
     for needle in ("time", "host", "backend", "duration"):
         assert needle not in blob
 
 
-def test_checker_raises_at_mutated_record():
-    functions, events, _ = _log("mcf")
-    records = functions["main"]["records"]
-    target = next(
-        i for i, r in enumerate(records) if r["event"] == "accept"
-    )
+def test_checker_raises_at_mutated_record(tmp_path, capsys):
+    """Check mode names a recorded verdict the fresh run does not make."""
+    log_set = record_suite(["mcf"])
+    records = log_set["functions"]["mcf:main"]["records"]
+    target = [i for i, r in enumerate(records) if r["event"] == "accept"][1]
     records[target] = dict(
         records[target], event="reject", reason="constraint",
         constraints=["instructions"], violations=["too big"],
     )
-    checker = ReplayChecker(functions)
-    with pytest.raises(ReplayDivergence) as excinfo:
-        for event in events:
-            checker.emit(event)
-    div = excinfo.value
-    assert div.index == target
-    dump = div.describe()
-    assert "recorded:" in dump and "live:" in dump
-    assert "CONSTRAINT_INSTRUCTIONS" in dump
+    out = _check_divergence(
+        capsys, "mcf", _write(tmp_path, log_set, "mcf:main")
+    )
+    assert f"mcf:main: record #{target}," in out
+    assert "recorded: rejected" in out and "live: accepted" in out
+    assert "CONSTRAINT_INSTRUCTIONS" in out
+    assert "last accepted merge: accepted (" in out
 
 
-def test_checker_raises_on_truncated_live_run():
-    functions, events, _ = _log("mcf")
-    cut = len(events) // 2
-    checker = ReplayChecker(functions)
-    for event in events[:cut]:
-        checker.emit(event)
-    with pytest.raises(ReplayDivergence):
-        checker.finalize()
+def test_checker_raises_on_truncated_live_run(tmp_path, capsys):
+    """A recorded log that goes on after the fresh run stopped diverges
+    at the first record the fresh run lacks."""
+    log_set = record_suite(["mcf"])
+    records = log_set["functions"]["mcf:main"]["records"]
+    length = len(records)
+    records.append(dict(records[-1]))
+    out = _check_divergence(
+        capsys, "mcf", _write(tmp_path, log_set, "mcf:main")
+    )
+    assert f"mcf:main: record #{length}," in out
+    assert "live: <none>" in out
 
 
-def test_checker_only_filter_skips_other_functions():
-    functions, events, _ = _log("mcf")
-    checker = ReplayChecker(functions, only={"no_such_function"})
-    for event in events:
-        checker.emit(event)
-    assert checker.checked == 0
+def test_checker_only_filter_skips_other_functions(tmp_path, capsys):
+    """``--fn`` narrows the comparison: a divergence in another function
+    of the workload does not fail it."""
+    log_set = record_suite(["vortex"])
+    records = log_set["functions"]["vortex:validate"]["records"]
+    records[0] = dict(records[0], hb="tampered")
+    path = _write(tmp_path, log_set, "vortex:validate")
+    report = run_replay_check("vortex", run=path, fn="main")
+    assert "1 function(s)" in report
+    out = _check_divergence(capsys, "vortex", path, fn="validate")
+    assert "vortex:validate: record #0" in out
+    out = _check_divergence(capsys, "vortex", path)
+    assert "vortex:validate" in out and "vortex:main:" not in out
 
 
 def test_first_divergence_identical_and_mutated():
