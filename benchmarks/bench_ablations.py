@@ -128,37 +128,6 @@ def test_ablation_structural_constraints(benchmark):
     assert trips > 0
 
 
-def test_ablation_predictor_history(benchmark):
-    """Next-block prediction quality matters: a history-less predictor
-    costs cycles on the branchy slice."""
-    from repro.sim.predictor import NextBlockPredictor
-    from repro.sim.timing import TimingSimulator
-
-    def run_with(history_bits):
-        total = 0
-        for name in ("bzip2_3", "parser_1", "twolf_1"):
-            workload = MICROBENCHMARKS[name]
-            sim = TimingSimulator(
-                workload.module(),
-                predictor=NextBlockPredictor(history_bits=history_bits),
-            )
-            stats = sim.run(
-                args=workload.args,
-                preload={k: list(v) for k, v in workload.preload.items()},
-            )
-            total += stats.cycles
-        return total
-
-    def run():
-        return run_with(8), run_with(0)
-
-    with_history, without_history = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    print(f"\n8-bit history: {with_history}  no history: {without_history}")
-    assert with_history <= without_history * 1.05
-
-
 def test_ablation_block_splitting(benchmark):
     """Section 9's basic-block splitting under tight constraints: density
     must not regress, semantics must hold."""

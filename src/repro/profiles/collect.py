@@ -74,7 +74,7 @@ class ProfileCollector:
     # -- trace hook -----------------------------------------------------
 
     def _on_block(self, func: str, block: str, fired, depth: int,
-                  nullified: tuple = ()) -> None:
+                  nullified: list) -> None:
         profile = self.profile
         target = fired.target if fired.op is Opcode.BR else None
 

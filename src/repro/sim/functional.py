@@ -96,11 +96,11 @@ class Interpreter:
             depth, nullified)`` invoked after each block execution;
             ``fired_instr`` is the branch :class:`Instruction` that fired
             (``BR`` or ``RET``), ``depth`` the current call depth (1 for
-            the outermost call) and ``nullified`` the tuple of instruction
+            the outermost call) and ``nullified`` the list of instruction
             indices whose predicates evaluated false on this execution
             in ascending order (needed by the timing model: nullified
             instructions resolve as null tokens at predicate time, they do
-            not execute).
+            not execute); each execution gets a fresh list.
         watch: optional set of ``(func_name, block_name, target)`` edges
             (``target`` ``None`` for a return); when given, ``trace`` is
             invoked only after an execution that left along one of them.
@@ -112,7 +112,7 @@ class Interpreter:
         module: Module,
         max_blocks: int = 5_000_000,
         max_steps: int = 100_000_000,
-        trace: Optional[Callable[[str, str, Instruction, int, tuple], None]] = None,
+        trace: Optional[Callable[[str, str, Instruction, int, list], None]] = None,
         watch: Optional[set[tuple[str, str, Optional[str]]]] = None,
     ):
         self.module = module
@@ -302,7 +302,7 @@ class Interpreter:
                     )
                 edge_counts[edge] = edge_counts.get(edge, 0) + 1
                 if trace is not None and (watch is None or edge in watch):
-                    trace(func_name, block_name, fired, depth, tuple(nullified))
+                    trace(func_name, block_name, fired, depth, nullified)
                 if is_return:
                     return ret_value
                 block_name = edge[2]

@@ -33,6 +33,9 @@ class MachineConfig:
     fetch_gap: int = 3
     #: cycles from branch resolution to fetch restart on a misprediction
     mispredict_penalty: int = 12
+    #: bits of global exit history that index each block's next-block
+    #: pattern table (0 leaves one pattern entry per block)
+    history_bits: int = 8
     #: operand network hop charged on every producer->consumer edge
     route_latency: int = 1
     #: extra cycles for a register value to reach a consuming block

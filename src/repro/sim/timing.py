@@ -21,31 +21,38 @@ effects the paper's evaluation hinges on:
 Within a block the schedule is a greedy list schedule over the dataflow
 graph; across blocks, register ready times are forwarded and fetch is
 pipelined.  The simulation is O(dynamic instructions).
+
+Next-block prediction is a small tournament.  TRIPS fetches blocks
+speculatively, and a hyperblock's "branch" for prediction purposes is
+*which exit fires*.  Each block keeps a table from the global exit
+history (``MachineConfig.history_bits`` wide) to a last target with 2-bit
+hysteresis, which captures patterned exits such as a loop that
+alternates, and falls back to a per-block last-target entry when the
+history entry is cold.  Returns are predicted by a return-address stack,
+which the model treats as perfect, so a return is always correct and
+neither trains the tables nor enters the history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ir.function import Module
 from repro.ir.opcodes import Opcode
 from repro.sim.functional import Interpreter, SimStats, register_file_size
 from repro.sim.machine import TRIPS_MACHINE, MachineConfig
-from repro.sim.predictor import NextBlockPredictor
 
 
 @dataclass
 class TimingStats:
-    """Results of one timing simulation."""
+    """Results of one timing simulation.  ``blocks`` and ``instructions``
+    are the functional run's executed blocks and instructions."""
 
     cycles: int = 0
     blocks: int = 0
     instructions: int = 0
     mispredictions: int = 0
-    flushes: int = 0
-    #: dynamic blocks per (func, block-name) for hot-spot reporting
-    block_counts: dict = field(default_factory=dict)
 
     @property
     def misprediction_rate(self) -> float:
@@ -62,8 +69,19 @@ class TimingStats:
         )
 
 
+def _history_bits(target: str) -> int:
+    """The three bits a taken exit to ``target`` shifts into the global
+    history: a stable hash of the name (``hash(str)`` is randomized per
+    process and would make cycle counts irreproducible)."""
+    value = 0
+    for ch in target:
+        value = (value * 131 + ord(ch)) & 0xFFFF
+    return value & 0x7
+
+
 class _BlockTiming:
-    """Static per-block facts, compiled once and reused by every execution.
+    """Static per-block facts, compiled once, and the block's predictor
+    state, both reused by every execution.
 
     An execution keeps one list of operand times: each instruction's
     completion time at its index, then one slot that always holds 0,
@@ -78,10 +96,11 @@ class _BlockTiming:
     """
 
     __slots__ = (
-        "key", "instrs", "inputs", "outputs", "exits", "size", "fetch_cycles",
+        "instrs", "blank", "inputs", "outputs", "exits", "map_cycles",
+        "reg_ready", "pattern", "fallback",
     )
 
-    def __init__(self, key: tuple[str, str], block, config: MachineConfig):
+    def __init__(self, block, reg_ready: list, config: MachineConfig):
         size = zero = len(block.instrs)
         slot_of: dict[int, int] = {}  # register -> index of its time
         inputs: list[int] = []
@@ -93,13 +112,13 @@ class _BlockTiming:
                 inputs.append(reg)
             return slot
 
-        #: (function, block), the key of ``TimingStats.block_counts``
-        self.key = key
         #: (latency + route, three operands incl. predicate, further
         #: operands, predicate operand)
         self.instrs = []
-        #: branch uid -> its index; the branch that fires resolves the exit
-        self.exits: dict[int, int] = {}
+        #: branch uid -> (its index, its target or ``None`` for a return,
+        #: the history bits of that target); the branch that fires
+        #: resolves the exit
+        self.exits: dict[int, tuple[int, Optional[str], int]] = {}
         for index, instr in enumerate(block.instrs):
             cost = instr.latency + config.route_latency
             if instr.op is Opcode.LOAD:
@@ -114,40 +133,56 @@ class _BlockTiming:
             )
             if instr.dest is not None:
                 slot_of[instr.dest] = index
-            if instr.is_branch:
-                self.exits[instr.uid] = index
+            if instr.op is Opcode.BR:
+                self.exits[instr.uid] = (
+                    index, instr.target, _history_bits(instr.target)
+                )
+            elif instr.op is Opcode.RET:
+                self.exits[instr.uid] = (index, None, 0)
+        #: the operand times before any instruction resolves
+        self.blank = [0] * (size + 1)
         self.inputs = inputs
         #: (register, index of its last definition) per register written
         self.outputs = [
             (reg, slot) for reg, slot in slot_of.items() if slot < size
         ]
-        self.size = size
-        self.fetch_cycles = config.block_fetch_cycles(size)
+        #: cycles from fetch until an instruction may issue
+        self.map_cycles = config.map_latency + config.block_fetch_cycles(size)
+        #: the ready times of the function's registers, shared with every
+        #: other block and activation of the function
+        self.reg_ready = reg_ready
+        #: global history -> [target, confidence 1..3]
+        self.pattern: dict[int, list] = {}
+        #: [last target, confidence 1..3], or ``None`` before the block
+        #: first leaves by a branch
+        self.fallback: Optional[list] = None
 
 
 class TimingSimulator:
     """Runs a module functionally while accumulating a cycle model."""
 
-    def __init__(
-        self,
-        module: Module,
-        config: Optional[MachineConfig] = None,
-        predictor: Optional[NextBlockPredictor] = None,
-    ):
+    def __init__(self, module: Module, config: Optional[MachineConfig] = None):
         self.module = module
-        self.config = config or TRIPS_MACHINE
-        self.predictor = predictor or NextBlockPredictor()
+        self.config = config = config or TRIPS_MACHINE
         self.stats = TimingStats()
         #: function -> block name -> its compiled timing
         self._block_cache: dict[str, dict[str, _BlockTiming]] = {}
-        # Microarchitectural clock state.
         #: function -> cycle each register's value reaches a later block,
         #: indexed by register number and shared by every activation
         self._reg_ready: dict[str, list[int]] = {}
+        self._history_mask = (1 << config.history_bits) - 1
+        # Microarchitectural clock state, read into locals when a block
+        # starts and written back when it ends.
+        #: issue cycle -> instructions issued in it
         self._issued: dict[int, int] = {}
         self._next_fetch = 0
-        self._commit_times: list[int] = []
         self._last_commit = 0
+        #: global exit history, ``config.history_bits`` wide
+        self._history = 0
+        #: commit times of the last ``window_blocks`` blocks, oldest at
+        #: ``_ring_pos``; 0 before a block fills the slot
+        self._ring = [0] * config.window_blocks
+        self._ring_pos = 0
         #: the functional run behind the last :meth:`run` as ``run_module``
         #: returns it: (return value, ``SimStats``, memory)
         self.functional: Optional[tuple[object, SimStats, dict]] = None
@@ -172,10 +207,24 @@ class TimingSimulator:
         # this simulator, and that cycle would keep both alive until the
         # cyclic garbage collector ran.
         self.functional = (result, interp.stats, interp.memory)
-        self.stats.cycles = self._last_commit
-        return self.stats
+        stats = self.stats
+        stats.cycles = self._last_commit
+        stats.blocks = interp.stats.blocks_executed
+        stats.instructions = interp.stats.instrs_executed
+        return stats
 
     # -- per-block timing ------------------------------------------------------
+
+    def _compile(self, func_name: str, block_name: str) -> _BlockTiming:
+        func = self.module.function(func_name)
+        blocks = self._block_cache.get(func_name)
+        if blocks is None:
+            blocks = self._block_cache[func_name] = {}
+            self._reg_ready[func_name] = [0] * register_file_size(func)
+        timing = blocks[block_name] = _BlockTiming(
+            func.blocks[block_name], self._reg_ready[func_name], self.config
+        )
+        return timing
 
     def _on_block(
         self,
@@ -183,32 +232,25 @@ class TimingSimulator:
         block_name: str,
         fired,
         depth: int,
-        nullified: tuple = (),
+        nullified: list,
     ) -> None:
-        config = self.config
-        stats = self.stats
-        stats.blocks += 1
         blocks = self._block_cache.get(func_name)
-        if blocks is None:
-            func = self.module.function(func_name)
-            blocks = self._block_cache[func_name] = {}
-            self._reg_ready[func_name] = [0] * register_file_size(func)
-        timing = blocks.get(block_name)
+        timing = None if blocks is None else blocks.get(block_name)
         if timing is None:
-            block = self.module.function(func_name).blocks[block_name]
-            timing = blocks[block_name] = _BlockTiming(
-                (func_name, block_name), block, config
-            )
-        key = timing.key
-        stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
-        reg_ready = self._reg_ready[func_name]
+            timing = self._compile(func_name, block_name)
+        config = self.config
+        reg_ready = timing.reg_ready
+        issued = self._issued
+        ring = self._ring
+        ring_pos = self._ring_pos
+        last_commit = self._last_commit
 
         # Fetch: pipelined behind the previous block, limited by the window.
         fetch = self._next_fetch
-        window = config.window_blocks
-        if len(self._commit_times) >= window:
-            fetch = max(fetch, self._commit_times[-window])
-        map_done = fetch + config.map_latency + timing.fetch_cycles
+        oldest = ring[ring_pos]
+        if oldest > fetch:
+            fetch = oldest
+        map_done = fetch + timing.map_cycles
 
         # Dataflow schedule.  A nullified instruction (predicate evaluated
         # false) does not execute: it resolves as a null token one cycle
@@ -217,24 +259,13 @@ class TimingSimulator:
         # not delay block commit on an EDGE machine (paper, Section 5).
         # An executed instruction issues in the first cycle from its last
         # operand's arrival that has a free issue slot.
-        times = [0] * (timing.size + 1)
-        for reg in timing.inputs:
-            times.append(reg_ready[reg])
-        issued = self._issued
+        times = timing.blank + [reg_ready[reg] for reg in timing.inputs]
         issued_get = issued.get
         width = config.issue_width
         block_done = map_done
-        # ``nullified`` is ascending: walk it with a cursor.
-        count = len(nullified)
-        cursor = 0
-        next_null = nullified[0] if count else -1
-        for index, (cost, a, b, c, rest, pred) in enumerate(timing.instrs):
-            if index == next_null:
-                cursor += 1
-                next_null = nullified[cursor] if cursor < count else -1
-                t = times[pred]
-                done = (t if t > map_done else map_done) + 1
-            else:
+        if not nullified:
+            index = 0
+            for cost, a, b, c, rest, _ in timing.instrs:
                 ready = map_done
                 t = times[a]
                 if t > ready:
@@ -256,19 +287,55 @@ class TimingSimulator:
                     used = issued_get(ready, 0)
                 issued[ready] = used + 1
                 done = ready + cost
-            times[index] = done
-            if done > block_done:
-                block_done = done
-        stats.instructions += timing.size - count
-        exit_index = timing.exits.get(fired.uid)
-        branch_resolve = map_done if exit_index is None else times[exit_index]
+                times[index] = done
+                index += 1
+                if done > block_done:
+                    block_done = done
+        else:
+            # ``nullified`` is ascending: walk it with a cursor.
+            count = len(nullified)
+            cursor = 0
+            next_null = nullified[0]
+            for index, (cost, a, b, c, rest, pred) in enumerate(timing.instrs):
+                if index == next_null:
+                    cursor += 1
+                    next_null = nullified[cursor] if cursor < count else -1
+                    t = times[pred]
+                    done = (t if t > map_done else map_done) + 1
+                else:
+                    ready = map_done
+                    t = times[a]
+                    if t > ready:
+                        ready = t
+                    t = times[b]
+                    if t > ready:
+                        ready = t
+                    t = times[c]
+                    if t > ready:
+                        ready = t
+                    if rest:
+                        for slot in rest:
+                            t = times[slot]
+                            if t > ready:
+                                ready = t
+                    used = issued_get(ready, 0)
+                    while used >= width:
+                        ready += 1
+                        used = issued_get(ready, 0)
+                    issued[ready] = used + 1
+                    done = ready + cost
+                times[index] = done
+                if done > block_done:
+                    block_done = done
 
         # Commit: in order, all outputs produced.
-        commit = max(block_done, self._last_commit) + config.commit_overhead
-        self._last_commit = commit
-        self._commit_times.append(commit)
-        if len(self._commit_times) > config.window_blocks + 1:
-            del self._commit_times[: -config.window_blocks - 1]
+        if block_done > last_commit:
+            last_commit = block_done
+        last_commit += config.commit_overhead
+        self._last_commit = last_commit
+        ring[ring_pos] = last_commit
+        ring_pos += 1
+        self._ring_pos = ring_pos if ring_pos < len(ring) else 0
 
         # Forward register outputs to later blocks.
         forward = config.interblock_forward
@@ -276,24 +343,47 @@ class TimingSimulator:
             reg_ready[reg] = times[index] + forward
 
         # Next-block prediction decides where fetch resumes.
-        is_return = fired.op is Opcode.RET
-        target = fired.target if not is_return else None
-        correct = self.predictor.predict_and_update(
-            func_name, block_name, target, is_return
-        )
+        exit_index, target, bits = timing.exits[fired.uid]
+        if target is None:
+            correct = True  # the return-address stack
+        else:
+            history = self._history
+            entry = timing.pattern.get(history)
+            fallback = timing.fallback
+            if fallback is None:
+                # Cold block: charge no misprediction (warm-up).
+                timing.fallback = [target, 1]
+                timing.pattern[history] = [target, 1]
+                correct = True
+            else:
+                if entry is None:
+                    timing.pattern[history] = [target, 1]
+                    correct = fallback[0] == target
+                    trained = (fallback,)
+                else:
+                    correct = entry[0] == target
+                    trained = (entry, fallback)
+                # 2-bit hysteresis: a miss first costs confidence, and
+                # replaces the target only at the lowest.
+                for entry in trained:
+                    if entry[0] == target:
+                        if entry[1] < 3:
+                            entry[1] += 1
+                    elif entry[1] > 1:
+                        entry[1] -= 1
+                    else:
+                        entry[0] = target
+            self._history = ((history << 1) ^ bits) & self._history_mask
         if correct:
             self._next_fetch = fetch + config.fetch_gap
         else:
-            stats.mispredictions += 1
-            stats.flushes += 1
-            self._next_fetch = branch_resolve + config.mispredict_penalty
+            self.stats.mispredictions += 1
+            self._next_fetch = times[exit_index] + config.mispredict_penalty
 
         # Keep the issue table from growing without bound.
-        if len(self._issued) > 65536:
-            horizon = self._last_commit - 1024
-            self._issued = {
-                t: n for t, n in self._issued.items() if t >= horizon
-            }
+        if len(issued) > 65536:
+            horizon = last_commit - 1024
+            self._issued = {t: n for t, n in issued.items() if t >= horizon}
 
 
 def simulate_cycles(

@@ -12,9 +12,22 @@ the original emission's, which placed every block again on the
 128-slot array with fresh dependence lists.  ``forward_gmti`` under BF
 overflows that array (a known defect: fanout is inserted after the
 split loop), and both must fail it with the same error.
+
+The reference prints with the production ``format_block_assembly``, so
+the comparison cannot see a change to what that function prints (the
+``reads=``/``writes=``/``size=`` header, say).  A sha256 of each
+program's assembly text (or of the overflow's error) is therefore also
+pinned in ``assembly_golden.json``.  Only a change to the backend's
+output may re-freeze it::
+
+    PYTHONPATH=src python tests/backend/freeze_assembly_golden.py
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +37,12 @@ from repro.backend.pipeline import compile_backend
 from repro.backend.scheduler import GridScheduler, Placement
 from repro.harness.tables import TABLE2_HEURISTICS
 from tests.conftest import formed_programs
+
+GOLDEN_PATH = Path(__file__).with_name("assembly_golden.json")
+
+
+def assembly_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def reference_schedule_block(scheduler: GridScheduler, block) -> Placement:
@@ -92,6 +111,7 @@ def _outcome(emit):
 def test_placement_and_emission_match_reference(config):
     default_depth = GridScheduler().depth
     blocks = overflows = 0
+    digests = {}
     for name, formed, _, _ in formed_programs(config):
         module = formed.copy()
         try:
@@ -123,5 +143,8 @@ def test_placement_and_emission_match_reference(config):
             lambda: reference_emit_assembly(module, on_default_grid)
         )
         assert got == want_text, name
+        digests[name] = assembly_sha256(got)
     assert blocks
     assert overflows == (config == "BF")
+    with open(GOLDEN_PATH) as handle:
+        assert digests == json.load(handle)[config]

@@ -177,7 +177,7 @@ class ReferenceInterpreter(Interpreter):
                 if self.trace is not None:
                     self.trace(
                         func_name, block_name, fired, self._call_depth,
-                        tuple(nullified),
+                        nullified,
                     )
                 if is_return:
                     return ret_value

@@ -18,7 +18,10 @@ from __future__ import annotations
 from repro.ir import FunctionBuilder, Instruction, Opcode, Predicate, build_module
 from repro.sim.functional import Interpreter, register_file_size
 from tests.sim.test_interpreter_oracle import ReferenceInterpreter, _run
-from tests.sim.test_timing_oracle import FIELDS, LockstepSimulator
+from tests.sim.test_timing_oracle import (
+    LockstepSimulator,
+    assert_matches_reference,
+)
 
 
 def _module():
@@ -86,7 +89,4 @@ def test_timing_matches_reference():
     for arg in (1, 20):
         sim = LockstepSimulator(module)
         got = sim.run(args=(arg,))
-        want = sim.reference.stats
-        want.cycles = sim.reference._last_commit
-        for field in FIELDS:
-            assert getattr(got, field) == getattr(want, field), field
+        assert_matches_reference(sim, got, f"main({arg})")

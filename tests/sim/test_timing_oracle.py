@@ -1,23 +1,104 @@
-"""Oracle for the timing model's compiled per-block dataflow.
+"""Oracle for the timing model's compiled per-block dataflow and
+per-block predictor state.
 
 ``TimingSimulator`` compiles each block once: every source and predicate
 becomes an index into one list of operand times, register ready times
-live in one list per function, indexed by register, and the issue-slot
-search is inlined.  On every program of ``tests.conftest.formed_programs`` (the 19
-SPEC and 24 microbenchmark programs under each Table-2 configuration,
-plus three 10x programs under BF), its statistics must equal those of
+live in one list per function, indexed by register, the issue-slot
+search is inlined, and each compiled block keeps its own history ->
+exit table and fallback entry.  Its blocks and instructions are the
+functional run's counts.  On every program of
+``tests.conftest.formed_programs`` (the 19 SPEC and 24 microbenchmark
+programs under each Table-2 configuration, plus three 10x programs under
+BF), its clocks after every block and its statistics must equal those of
 the original model kept below, which looks each operand up by
-``(function, register)`` as the block runs.
+``(function, register)`` as the block runs, counts blocks and
+instructions itself, and predicts with the original tuple-keyed
+``NextBlockPredictor``.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import pytest
 
 from repro.harness.tables import TABLE2_HEURISTICS
 from repro.ir.opcodes import Opcode
+from repro.sim.machine import TRIPS_MACHINE
 from repro.sim.timing import TimingSimulator
 from tests.conftest import formed_programs
+
+
+class _Entry:
+    __slots__ = ("target", "confidence")
+
+    def __init__(self, target):
+        self.target = target
+        self.confidence = 1
+
+
+class NextBlockPredictor:
+    """The original next-block predictor: a tournament of a
+    ``(function, block, global history)``-keyed last-target table with
+    2-bit hysteresis and a ``(function, block)``-keyed last-target table
+    for cold history entries; returns are always predicted correctly (a
+    return-address stack) and leave both tables and the history alone."""
+
+    def __init__(self, history_bits: int = 8):
+        self.history_mask = (1 << history_bits) - 1
+        self._history = 0
+        self._pattern: dict[tuple, _Entry] = {}
+        self._fallback: dict[tuple, _Entry] = {}
+        self._hashes: dict[Optional[str], int] = {None: 5}
+
+    def _stable_hash(self, name: Optional[str]) -> int:
+        value = self._hashes.get(name)
+        if value is None:
+            value = 0
+            for ch in name:  # type: ignore[union-attr]
+                value = (value * 131 + ord(ch)) & 0xFFFF
+            self._hashes[name] = value
+        return value
+
+    def predict_and_update(
+        self, func: str, block: str, actual: Optional[str], is_return: bool
+    ) -> bool:
+        """Predict the exit of (func, block); learn ``actual``; return
+        whether the prediction was correct."""
+        if is_return:
+            return True
+        pattern_key = (func, block, self._history)
+        fallback_key = (func, block)
+        entry = self._pattern.get(pattern_key)
+        fallback = self._fallback.get(fallback_key)
+        if entry is not None and entry.confidence >= 1:
+            predicted = entry.target
+        elif fallback is not None:
+            predicted = fallback.target
+        else:
+            predicted = actual  # cold: charge no misprediction (warm-up)
+
+        correct = predicted == actual
+
+        for table, key in (
+            (self._pattern, pattern_key),
+            (self._fallback, fallback_key),
+        ):
+            e = table.get(key)
+            if e is None:
+                table[key] = _Entry(actual)
+            elif e.target == actual:
+                e.confidence = min(e.confidence + 1, 3)
+            else:
+                e.confidence -= 1
+                if e.confidence <= 0:
+                    e.target = actual
+                    e.confidence = 1
+
+        self._history = (
+            (self._history << 1) ^ (self._stable_hash(actual) & 0x7)
+        ) & self.history_mask
+        return correct
 
 
 class _ReferenceBlockTiming:
@@ -37,13 +118,25 @@ class _ReferenceBlockTiming:
         self.fetch_cycles = config.block_fetch_cycles(self.size)
 
 
-class ReferenceTimingSimulator(TimingSimulator):
+class ReferenceTimingSimulator:
     """The original model: a ``(function, register)``-keyed ready-time
-    dict read per operand, and an issue-slot method."""
+    dict read per operand, an issue-slot method, a list of recent commit
+    times, its own block, instruction and per-block counts, and the
+    original predictor."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._reg_ready = {}
+    def __init__(self, module, config=None):
+        self.module = module
+        self.config = config or TRIPS_MACHINE
+        self.predictor = NextBlockPredictor(self.config.history_bits)
+        self.blocks = self.instructions = 0
+        self.mispredictions = self.flushes = 0
+        self.block_counts: dict = {}
+        self._block_cache: dict = {}
+        self._reg_ready: dict = {}
+        self._issued: dict[int, int] = {}
+        self._next_fetch = 0
+        self._commit_times: list[int] = []
+        self._last_commit = 0
 
     def _block_timing(self, func_name, block_name):
         key = (func_name, block_name)
@@ -65,10 +158,9 @@ class ReferenceTimingSimulator(TimingSimulator):
 
     def _on_block(self, func_name, block_name, fired, depth, nullified=()):
         config = self.config
-        stats = self.stats
-        stats.blocks += 1
+        self.blocks += 1
         key = (func_name, block_name)
-        stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
+        self.block_counts[key] = self.block_counts.get(key, 0) + 1
         timing = self._block_timing(func_name, block_name)
 
         fetch = self._next_fetch
@@ -120,7 +212,7 @@ class ReferenceTimingSimulator(TimingSimulator):
                 block_done = done
             if uid == fired_uid:
                 branch_resolve = done
-        stats.instructions += executed
+        self.instructions += executed
 
         commit = max(block_done, self._last_commit) + config.commit_overhead
         self._last_commit = commit
@@ -140,8 +232,8 @@ class ReferenceTimingSimulator(TimingSimulator):
         if correct:
             self._next_fetch = fetch + config.fetch_gap
         else:
-            stats.mispredictions += 1
-            stats.flushes += 1
+            self.mispredictions += 1
+            self.flushes += 1
             self._next_fetch = branch_resolve + config.mispredict_penalty
 
         if len(self._issued) > 65536:
@@ -155,9 +247,9 @@ class LockstepSimulator(TimingSimulator):
     """Feeds each traced block to this model and to the reference, and
     checks their clocks agree after every block."""
 
-    def __init__(self, module):
-        super().__init__(module)
-        self.reference = ReferenceTimingSimulator(module)
+    def __init__(self, module, config=None):
+        super().__init__(module, config)
+        self.reference = ReferenceTimingSimulator(module, self.config)
 
     def _on_block(self, *event):
         super()._on_block(*event)
@@ -168,8 +260,17 @@ class LockstepSimulator(TimingSimulator):
         ), event[:2]
 
 
-FIELDS = ("cycles", "blocks", "instructions", "mispredictions", "flushes",
-          "block_counts")
+def assert_matches_reference(sim: LockstepSimulator, got, where: str) -> None:
+    """The statistics of a finished lockstep run equal the reference's;
+    the interpreter's per-block counts equal the ones the reference kept,
+    and every flush the reference counted was a misprediction."""
+    reference = sim.reference
+    want = (reference._last_commit, reference.blocks, reference.instructions,
+            reference.mispredictions)
+    assert (got.cycles, got.blocks, got.instructions,
+            got.mispredictions) == want, where
+    assert sim.functional[1].block_counts == reference.block_counts, where
+    assert reference.flushes == reference.mispredictions, where
 
 
 @pytest.mark.parametrize("config", TABLE2_HEURISTICS)
@@ -177,9 +278,4 @@ def test_timing_matches_reference(config):
     for name, module, args, preload in formed_programs(config):
         sim = LockstepSimulator(module)
         got = sim.run(args=args, preload=preload)
-        want = sim.reference.stats
-        want.cycles = sim.reference._last_commit
-        for field in FIELDS:
-            assert getattr(got, field) == getattr(want, field), (
-                f"{name}/{config}: {field}"
-            )
+        assert_matches_reference(sim, got, f"{name}/{config}")
