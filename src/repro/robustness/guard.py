@@ -31,13 +31,7 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.merge import (
-    FormationContext,
-    MergeKind,
-    MergeStats,
-    legal_merge,
-    merge_blocks,
-)
+from repro.core.merge import FormationContext, MergeStats, legal_merge, merge_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.function import Function
@@ -272,42 +266,25 @@ class _TrialCheckpoint:
     No trial mutates a committed block: the preview is scratch
     (``merge_preview`` copies both blocks), and a commit only swaps the
     hyperblock's dict entry for the preview and may delete the
-    candidate's.  So the checkpoint keeps pre-trial block *objects* and
-    the saved unroll bodies; restoring them restores the function's
-    blocks exactly, version stamps included.  Only a SIMPLE commit (which
-    may delete the candidate) or block splitting changes the dict's keys
-    or order; for those kinds :meth:`keep_blocks` saves the whole dict,
-    and for every other kind the hyperblock's object is all there is to
-    put back.  Block splitting edits the candidate in place, so under it
+    candidate's.  So the checkpoint keeps the pre-trial block *objects*,
+    in order, and the saved unroll bodies; restoring them restores the
+    function's blocks exactly, version stamps included.  Block splitting
+    is the one exception: it edits the candidate in place, so under it
     the candidate is copied.  The register frontier only grows and is
     harmless to leave.
     """
 
-    def __init__(self, ctx: FormationContext, hb_name: str):
-        self.hb_name = hb_name
-        self.hb = ctx.func.blocks.get(hb_name)
-        self.blocks = None
-        self.split_copy = None
-        self.saved_bodies = ctx.saved_bodies.copy()
-
-    def keep_blocks(
-        self, ctx: FormationContext, cand_name: str, kind: MergeKind
-    ) -> None:
-        """Save what a merge of ``kind`` may change beyond the
-        hyperblock's dict entry."""
+    def __init__(self, ctx: FormationContext, cand_name: str):
         func = ctx.func
-        if ctx.allow_block_splitting:
-            self.blocks = func.blocks.copy()
+        self.blocks = func.blocks.copy()
+        self.split_copy = None
+        if ctx.allow_block_splitting and cand_name in func.blocks:
             self.split_copy = func.blocks[cand_name].copy(cand_name)
-        elif kind is MergeKind.SIMPLE:
-            self.blocks = func.blocks.copy()
+        self.saved_bodies = ctx.saved_bodies.copy()
 
     def restore(self, ctx: FormationContext) -> None:
         func = ctx.func
-        if self.blocks is not None:
-            func.blocks = self.blocks
-        elif self.hb is not None:
-            func.blocks[self.hb_name] = self.hb
+        func.blocks = self.blocks
         if self.split_copy is not None:
             func.blocks[self.split_copy.name] = self.split_copy
         func.touch()
@@ -348,14 +325,14 @@ class TrialGuard:
         """
         func = ctx.func
         tracer = ctx.tracer
-        checkpoint = _TrialCheckpoint(ctx, hb_name)
+        checkpoint = _TrialCheckpoint(ctx, cand_name)
         if tracer is not None:
             tracer.event(
                 "guard_checkpoint",
                 function=func.name,
                 hb=hb_name,
                 target=cand_name,
-                blocks=len(func.blocks),
+                blocks=len(checkpoint.blocks),
             )
         try:
             kind = legal_merge(ctx, hb_name, cand_name)
@@ -369,7 +346,6 @@ class TrialGuard:
                         reason="illegal",
                     )
                 return None
-            checkpoint.keep_blocks(ctx, cand_name, kind)
             return merge_blocks(ctx, hb_name, cand_name, kind)
         except Exception as exc:
             self.failures.append(

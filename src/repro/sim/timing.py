@@ -263,9 +263,17 @@ class TimingSimulator:
         issued_get = issued.get
         width = config.issue_width
         block_done = map_done
-        if not nullified:
-            index = 0
-            for cost, a, b, c, rest, _ in timing.instrs:
+        # ``nullified`` is ascending: walk it with a cursor.
+        count = len(nullified)
+        cursor = 0
+        next_null = nullified[0] if count else -1
+        for index, (cost, a, b, c, rest, pred) in enumerate(timing.instrs):
+            if index == next_null:
+                cursor += 1
+                next_null = nullified[cursor] if cursor < count else -1
+                t = times[pred]
+                done = (t if t > map_done else map_done) + 1
+            else:
                 ready = map_done
                 t = times[a]
                 if t > ready:
@@ -287,46 +295,9 @@ class TimingSimulator:
                     used = issued_get(ready, 0)
                 issued[ready] = used + 1
                 done = ready + cost
-                times[index] = done
-                index += 1
-                if done > block_done:
-                    block_done = done
-        else:
-            # ``nullified`` is ascending: walk it with a cursor.
-            count = len(nullified)
-            cursor = 0
-            next_null = nullified[0]
-            for index, (cost, a, b, c, rest, pred) in enumerate(timing.instrs):
-                if index == next_null:
-                    cursor += 1
-                    next_null = nullified[cursor] if cursor < count else -1
-                    t = times[pred]
-                    done = (t if t > map_done else map_done) + 1
-                else:
-                    ready = map_done
-                    t = times[a]
-                    if t > ready:
-                        ready = t
-                    t = times[b]
-                    if t > ready:
-                        ready = t
-                    t = times[c]
-                    if t > ready:
-                        ready = t
-                    if rest:
-                        for slot in rest:
-                            t = times[slot]
-                            if t > ready:
-                                ready = t
-                    used = issued_get(ready, 0)
-                    while used >= width:
-                        ready += 1
-                        used = issued_get(ready, 0)
-                    issued[ready] = used + 1
-                    done = ready + cost
-                times[index] = done
-                if done > block_done:
-                    block_done = done
+            times[index] = done
+            if done > block_done:
+                block_done = done
 
         # Commit: in order, all outputs produced.
         if block_done > last_commit:

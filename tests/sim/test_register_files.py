@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from repro.ir import FunctionBuilder, Instruction, Opcode, Predicate, build_module
 from repro.sim.functional import Interpreter, register_file_size
+from repro.sim.machine import TRIPS_MACHINE
 from tests.sim.test_interpreter_oracle import ReferenceInterpreter, _run
 from tests.sim.test_timing_oracle import (
+    NO_HISTORY,
     LockstepSimulator,
     assert_matches_reference,
 )
@@ -86,7 +88,8 @@ def test_interpreter_matches_reference():
 
 def test_timing_matches_reference():
     module = _module()
-    for arg in (1, 20):
-        sim = LockstepSimulator(module)
-        got = sim.run(args=(arg,))
-        assert_matches_reference(sim, got, f"main({arg})")
+    for machine in (TRIPS_MACHINE, NO_HISTORY):
+        for arg in (1, 20):
+            sim = LockstepSimulator(module, machine)
+            got = sim.run(args=(arg,))
+            assert_matches_reference(sim, got, f"main({arg})")

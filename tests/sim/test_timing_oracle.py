@@ -13,7 +13,8 @@ BF), its clocks after every block and its statistics must equal those of
 the original model kept below, which looks each operand up by
 ``(function, register)`` as the block runs, counts blocks and
 instructions itself, and predicts with the original tuple-keyed
-``NextBlockPredictor``.
+``NextBlockPredictor``.  The microbenchmark programs are checked again
+on a machine with no exit history (``MachineConfig(history_bits=0)``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import Optional
 import pytest
 
 from repro.harness.tables import TABLE2_HEURISTICS
+from repro.workloads.microbench import MICROBENCH_ORDER
 from repro.ir.opcodes import Opcode
-from repro.sim.machine import TRIPS_MACHINE
+from repro.sim.machine import TRIPS_MACHINE, MachineConfig
 from repro.sim.timing import TimingSimulator
 from tests.conftest import formed_programs
 
@@ -129,7 +131,7 @@ class ReferenceTimingSimulator:
         self.config = config or TRIPS_MACHINE
         self.predictor = NextBlockPredictor(self.config.history_bits)
         self.blocks = self.instructions = 0
-        self.mispredictions = self.flushes = 0
+        self.mispredictions = 0
         self.block_counts: dict = {}
         self._block_cache: dict = {}
         self._reg_ready: dict = {}
@@ -233,7 +235,6 @@ class ReferenceTimingSimulator:
             self._next_fetch = fetch + config.fetch_gap
         else:
             self.mispredictions += 1
-            self.flushes += 1
             self._next_fetch = branch_resolve + config.mispredict_penalty
 
         if len(self._issued) > 65536:
@@ -261,16 +262,15 @@ class LockstepSimulator(TimingSimulator):
 
 
 def assert_matches_reference(sim: LockstepSimulator, got, where: str) -> None:
-    """The statistics of a finished lockstep run equal the reference's;
-    the interpreter's per-block counts equal the ones the reference kept,
-    and every flush the reference counted was a misprediction."""
+    """The statistics of a finished lockstep run equal the reference's,
+    and the interpreter's per-block counts equal the ones the reference
+    kept."""
     reference = sim.reference
     want = (reference._last_commit, reference.blocks, reference.instructions,
             reference.mispredictions)
     assert (got.cycles, got.blocks, got.instructions,
             got.mispredictions) == want, where
     assert sim.functional[1].block_counts == reference.block_counts, where
-    assert reference.flushes == reference.mispredictions, where
 
 
 @pytest.mark.parametrize("config", TABLE2_HEURISTICS)
@@ -279,3 +279,16 @@ def test_timing_matches_reference(config):
         sim = LockstepSimulator(module)
         got = sim.run(args=args, preload=preload)
         assert_matches_reference(sim, got, f"{name}/{config}")
+
+
+#: a machine with no exit history: one pattern entry per block
+NO_HISTORY = MachineConfig(history_bits=0)
+
+
+@pytest.mark.parametrize("config", TABLE2_HEURISTICS)
+def test_timing_without_history_matches_reference(config):
+    for name, module, args, preload in formed_programs(config):
+        if name in MICROBENCH_ORDER:
+            sim = LockstepSimulator(module, NO_HISTORY)
+            got = sim.run(args=args, preload=preload)
+            assert_matches_reference(sim, got, f"{name}/{config}")
