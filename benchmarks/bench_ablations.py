@@ -126,38 +126,3 @@ def test_ablation_structural_constraints(benchmark):
     trips, big = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nTRIPS limits: {trips:+.1f}%  4x limits: {big:+.1f}%")
     assert trips > 0
-
-
-def test_ablation_block_splitting(benchmark):
-    """Section 9's basic-block splitting under tight constraints: density
-    must not regress, semantics must hold."""
-    tight = TripsConstraints(max_instructions=32)
-
-    def improvement(split):
-        total = 0.0
-        for name in SLICE:
-            workload = MICROBENCHMARKS[name]
-            base, profile, _ = _baseline(name, None)
-            bb = simulate_cycles(
-                base.copy(), args=workload.args,
-                preload={k: list(v) for k, v in workload.preload.items()},
-            ).cycles
-            formed = base.copy()
-            form_module(
-                formed, profile=profile, constraints=tight,
-                allow_block_splitting=split,
-            )
-            optimize_module(formed)
-            cycles = simulate_cycles(
-                formed, args=workload.args,
-                preload={k: list(v) for k, v in workload.preload.items()},
-            ).cycles
-            total += 100.0 * (bb - cycles) / bb
-        return total / len(SLICE)
-
-    def run():
-        return improvement(True), improvement(False)
-
-    with_split, without_split = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nblock splitting: {with_split:+.1f}%  without: {without_split:+.1f}%")
-    assert with_split > without_split - 8.0

@@ -10,8 +10,6 @@ Run ``pytest benchmarks/ --benchmark-only -s`` to see the regenerated rows.
 
 from __future__ import annotations
 
-import pytest
-
 #: Representative microbenchmark slice used by timing-limited benches:
 #: covers the paper's key effects (low-trip while loops, the bzip2_3
 #: pathology, the unroll-factor-sensitive matmul, branchy and streaming
@@ -28,10 +26,3 @@ TABLE_SLICE = [
 ]
 
 SPEC_SLICE = ["ammp", "bzip2", "gzip", "mcf", "parser", "twolf"]
-
-
-@pytest.fixture(scope="session")
-def table1_result():
-    from repro.harness import table1
-
-    return table1(subset=TABLE_SLICE)

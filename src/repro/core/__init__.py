@@ -25,7 +25,6 @@ from repro.core.merge import (
 )
 from repro.core.phases import (
     ORDERINGS,
-    FactorPolicy,
     LoopFactors,
     choose_factors,
     compile_with_ordering,
@@ -49,7 +48,6 @@ __all__ = [
     "BreadthFirstPolicy",
     "Candidate",
     "DepthFirstPolicy",
-    "FactorPolicy",
     "FormationContext",
     "FormationReport",
     "FunctionReport",

@@ -25,7 +25,7 @@ from typing import Iterable, Union
 from repro.analysis.predimpl import exposed_mask
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode
-from repro.ir.regmask import as_mask, bits
+from repro.ir.regmask import as_mask
 
 _LOAD = Opcode.LOAD
 _STORE = Opcode.STORE
@@ -38,7 +38,13 @@ LiveOut = Union[int, Iterable[int]]
 
 @dataclass(frozen=True)
 class TripsConstraints:
-    """Architectural block limits (defaults = the TRIPS prototype)."""
+    """Architectural block limits (defaults = the TRIPS prototype).
+
+    Register reads and writes are budgeted in total against
+    ``register_banks * reads_per_bank`` (``writes_per_bank``), which is
+    what the Scale size estimator effectively assumes: the register
+    allocator, not formation, balances them across banks.
+    """
 
     max_instructions: int = 128
     max_memory_ops: int = 32
@@ -47,14 +53,6 @@ class TripsConstraints:
     writes_per_bank: int = 8
     #: data targets an instruction can encode; more consumers need fanout.
     instruction_targets: int = 2
-    #: if True, charge reads/writes to banks by hashing virtual register
-    #: numbers (pessimistic: the later register allocator balances banks).
-    #: The default budgets *total* reads/writes against banks*per_bank,
-    #: which is what the Scale size estimator effectively assumes.
-    strict_banking: bool = False
-
-    def bank_of(self, reg: int) -> int:
-        return reg % self.register_banks
 
     @property
     def max_reads(self) -> int:
@@ -81,8 +79,6 @@ CONSTRAINT_INSTRUCTIONS = "instructions"
 CONSTRAINT_MEMORY_OPS = "memory_ops"
 CONSTRAINT_REG_READS = "register_reads"
 CONSTRAINT_REG_WRITES = "register_writes"
-CONSTRAINT_BANK_READS = "bank_reads"
-CONSTRAINT_BANK_WRITES = "bank_writes"
 
 
 @dataclass
@@ -97,9 +93,6 @@ class BlockEstimate:
     #: total register-read/-write outputs (exposed reads, live-out writes)
     reg_reads: int = 0
     reg_writes: int = 0
-    #: per-bank breakdowns, filled only under ``strict_banking``
-    bank_reads: dict[int, int] = field(default_factory=dict)
-    bank_writes: dict[int, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     #: structural identifier per entry of ``violations`` (same order):
     #: one of the ``CONSTRAINT_*`` names above.
@@ -231,40 +224,16 @@ def estimate_block(
             CONSTRAINT_MEMORY_OPS,
             f"memory ops {mem_total} > {constraints.max_memory_ops}",
         )
-    if constraints.strict_banking:
-        bank_of = constraints.bank_of
-        bank_reads = est.bank_reads
-        bank_writes = est.bank_writes
-        for reg in bits(reads_mask):
-            bank = bank_of(reg)
-            bank_reads[bank] = bank_reads.get(bank, 0) + 1
-        for reg in sorted(live_written):
-            bank = bank_of(reg)
-            bank_writes[bank] = bank_writes.get(bank, 0) + 1
-        for bank, count in bank_reads.items():
-            if count > constraints.reads_per_bank:
-                est.violate(
-                    CONSTRAINT_BANK_READS,
-                    f"bank {bank} reads {count} > {constraints.reads_per_bank}",
-                )
-        for bank, count in bank_writes.items():
-            if count > constraints.writes_per_bank:
-                est.violate(
-                    CONSTRAINT_BANK_WRITES,
-                    f"bank {bank} writes {count} > "
-                    f"{constraints.writes_per_bank}",
-                )
-    else:
-        if est.reg_reads > constraints.max_reads:
-            est.violate(
-                CONSTRAINT_REG_READS,
-                f"register reads {est.reg_reads} > {constraints.max_reads}",
-            )
-        if est.reg_writes > constraints.max_writes:
-            est.violate(
-                CONSTRAINT_REG_WRITES,
-                f"register writes {est.reg_writes} > {constraints.max_writes}",
-            )
+    if est.reg_reads > constraints.max_reads:
+        est.violate(
+            CONSTRAINT_REG_READS,
+            f"register reads {est.reg_reads} > {constraints.max_reads}",
+        )
+    if est.reg_writes > constraints.max_writes:
+        est.violate(
+            CONSTRAINT_REG_WRITES,
+            f"register writes {est.reg_writes} > {constraints.max_writes}",
+        )
     return est
 
 

@@ -160,9 +160,7 @@ def form_function(
     constraints=None,
     optimize_during: bool = True,
     allow_head_dup: bool = True,
-    allow_block_splitting: bool = False,
     failsafe: bool = True,
-    guard: Optional[TrialGuard] = None,
     post_commit: Optional[Callable] = None,
     tracer=None,
     faults=None,
@@ -186,7 +184,7 @@ def form_function(
     """
     args = (
         func, profile, policy, constraints, optimize_during, allow_head_dup,
-        allow_block_splitting, failsafe, guard, post_commit, tracer, faults,
+        failsafe, post_commit, tracer, faults,
     )
     if tracer is None:
         return _form_function_impl(*args)
@@ -203,16 +201,13 @@ def _form_function_impl(
     constraints,
     optimize_during: bool,
     allow_head_dup: bool,
-    allow_block_splitting: bool,
     failsafe: bool,
-    guard: Optional[TrialGuard],
     post_commit: Optional[Callable],
     tracer,
     faults,
 ) -> FunctionReport:
     policy = policy or BreadthFirstPolicy()
-    if guard is None and failsafe:
-        guard = TrialGuard()
+    guard = TrialGuard() if failsafe else None
     fired_mark = faults.fired_mark() if faults is not None else 0
     original = func.copy() if guard is not None else None
     try:
@@ -222,7 +217,6 @@ def _form_function_impl(
             constraints=constraints,
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
-            allow_block_splitting=allow_block_splitting,
             guard=guard,
             post_commit=post_commit,
             tracer=tracer,
@@ -321,7 +315,6 @@ def form_module(
     constraints=None,
     optimize_during: bool = True,
     allow_head_dup: bool = True,
-    allow_block_splitting: bool = False,
     failsafe: bool = True,
     selfcheck: Optional[str] = None,
     oracle_probes: Optional[Sequence] = None,
@@ -332,9 +325,9 @@ def form_module(
 
     ``selfcheck`` arms the differential-simulation oracle:
 
-    - ``"function"`` (or ``True``) — after each function forms, re-run the
-      module over the oracle probes and compare against the pre-formation
-      baseline; a divergence rolls that function back (``failed_safe``);
+    - ``"function"`` — after each function forms, re-run the module over
+      the oracle probes and compare against the pre-formation baseline; a
+      divergence rolls that function back (``failed_safe``);
     - ``"commit"`` — additionally gate every committed merge behind
       ``verify_function`` plus the oracle (debugging mode: very slow, but
       pins a wrong-code bug to the exact merge that introduced it).
@@ -348,8 +341,7 @@ def form_module(
     """
     args = (
         module, profile, policy, constraints, optimize_during,
-        allow_head_dup, allow_block_splitting, failsafe, selfcheck,
-        oracle_probes, tracer, faults,
+        allow_head_dup, failsafe, selfcheck, oracle_probes, tracer, faults,
     )
     if tracer is None:
         return _form_module_impl(*args)
@@ -366,15 +358,12 @@ def _form_module_impl(
     constraints,
     optimize_during: bool,
     allow_head_dup: bool,
-    allow_block_splitting: bool,
     failsafe: bool,
     selfcheck: Optional[str],
     oracle_probes: Optional[Sequence],
     tracer,
     faults,
 ) -> FormationReport:
-    if selfcheck is True:
-        selfcheck = "function"
     if selfcheck not in (None, "function", "commit"):
         raise ValueError(
             f"selfcheck must be None, 'function' or 'commit', got {selfcheck!r}"
@@ -411,7 +400,6 @@ def _form_module_impl(
             constraints=constraints,
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
-            allow_block_splitting=allow_block_splitting,
             failsafe=failsafe,
             post_commit=post_commit,
             tracer=tracer,

@@ -35,7 +35,6 @@ from repro.core.constraints import TripsConstraints, estimate_block
 from repro.robustness.faultinject import InjectedFault
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.opcodes import Opcode
 from repro.opt.local import optimize_block
 from repro.profiles.data import ProfileData
 from repro.transform.ifconvert import merge_preview
@@ -131,7 +130,6 @@ class FormationContext:
         constraints: Optional[TripsConstraints] = None,
         optimize_during: bool = True,
         allow_head_dup: bool = True,
-        allow_block_splitting: bool = False,
         max_merges_per_block: int = 512,
         guard=None,
         post_commit=None,
@@ -158,19 +156,7 @@ class FormationContext:
         self.constraints = constraints or TripsConstraints()
         self.optimize_during = optimize_during
         self.allow_head_dup = allow_head_dup
-        #: Section 9 extension: when a candidate is too large to absorb
-        #: whole, split it and merge the first piece.
-        self.allow_block_splitting = allow_block_splitting
         self.max_merges_per_block = max_merges_per_block
-        # Trial memoization is only sound when estimates are invariant
-        # under renaming of the preview's fresh guard registers: strict
-        # banking assigns registers to banks by number, so two previews of
-        # the same merge can estimate differently there.  Block splitting
-        # gives rejections side effects (the split itself), so it also
-        # disables the memo table.
-        self.memoize_trials = (
-            not self.constraints.strict_banking and not allow_block_splitting
-        )
         self.stats = MergeStats()
         self.cache_stats = FormationCacheStats()
         #: loop header name -> saved single-iteration body for unrolling
@@ -189,8 +175,8 @@ class FormationContext:
     # -- cached analyses ----------------------------------------------------
 
     def invalidate(self) -> None:
-        """Discard every cached analysis (block splitting and guard
-        rollback edit the CFG outside :meth:`note_commit`)."""
+        """Discard every cached analysis (a guard rollback edits the CFG
+        outside :meth:`note_commit`)."""
         self._liveness = None
         self._loops = None
         self._cfg = None
@@ -353,47 +339,6 @@ def _saved_body_references(ctx: FormationContext, name: str) -> bool:
     )
 
 
-def _try_split_candidate(
-    ctx: FormationContext, hb_name: str, s_name: str, kind: MergeKind
-) -> Optional[list[str]]:
-    """Section 9's basic-block splitting: the candidate did not fit whole,
-    so cut it and merge the first piece (the tail becomes a new candidate).
-
-    Only applies to plain merges (splitting a loop header would change
-    loop structure), and only when a meaningfully sized first piece can
-    fit the remaining budget.
-    """
-    from repro.transform.split import SplitError, split_block
-
-    if kind not in (MergeKind.SIMPLE, MergeKind.TAIL_DUP):
-        return None
-    func = ctx.func
-    target = func.blocks[s_name]
-    remaining = ctx.constraints.max_instructions - len(func.blocks[hb_name])
-    # The first piece keeps `cut` instructions plus a new branch; it must
-    # be strictly smaller than the original or no progress is possible.
-    cut = min(len(target) - 2, max(remaining // 2, 2))
-    if cut < 2:
-        return None
-    try:
-        first, second = split_block(func, s_name, at=cut)
-    except SplitError:
-        return None
-    ctx.invalidate()
-    result = merge_blocks(ctx, hb_name, s_name, _splitting=True)
-    if result is None:
-        # Revert: re-join the pieces so a failed attempt leaves no trace
-        # (otherwise degenerate splits accumulate blocks forever).
-        first_block = func.blocks[first]
-        assert first_block.instrs[-1].op is Opcode.BR
-        first_block.instrs.pop()
-        first_block.instrs.extend(func.blocks[second].instrs)
-        first_block.touch()
-        func.remove_block(second)
-        ctx.invalidate()
-    return result
-
-
 def _trial_live_out(
     ctx: FormationContext,
     hb: BasicBlock,
@@ -423,7 +368,6 @@ def merge_blocks(
     hb_name: str,
     s_name: str,
     kind: Optional[MergeKind] = None,
-    _splitting: bool = False,
 ) -> Optional[list[str]]:
     """Attempt the merge; return the inlined body's successor names on
     success (the new merge candidates), or ``None`` on failure.
@@ -441,13 +385,11 @@ def merge_blocks(
     """
     tracer = ctx.tracer
     if tracer is None:
-        return _merge_trial(ctx, hb_name, s_name, kind, _splitting)
+        return _merge_trial(ctx, hb_name, s_name, kind)
     with tracer.span(
         "trial", function=ctx.func.name, hb=hb_name, target=s_name
     ) as span:
-        if _splitting:
-            span.set(splitting=True)
-        result = _merge_trial(ctx, hb_name, s_name, kind, _splitting)
+        result = _merge_trial(ctx, hb_name, s_name, kind)
         span.set(committed=result is not None)
         return result
 
@@ -457,7 +399,6 @@ def _merge_trial(
     hb_name: str,
     s_name: str,
     kind: Optional[MergeKind],
-    _splitting: bool,
 ) -> Optional[list[str]]:
     func = ctx.func
     tracer = ctx.tracer
@@ -492,37 +433,35 @@ def _merge_trial(
     # blocks plus fresh guards (never live-out).  Restricting the mask to
     # that def set makes trials re-offered after unrelated liveness churn
     # hit the memo instead of re-running.
-    memo_key = None
-    if ctx.memoize_trials and not _splitting:
-        defs = hb.def_mask() | (body_source or target).def_mask()
-        memo_key = (
-            hb_name,
-            hb.version,
-            s_name,
-            target.version,
-            body_source.version if body_source is not None else 0,
-            live_out & defs,
-        )
-        cached_regs = ctx._rejected_trials.get(memo_key)
-        if cached_regs is not None:
-            # Known rejection: skip the preview entirely, but mint the same
-            # fresh registers it would have, so committed merges downstream
-            # number their guards identically to an uncached run.
-            ctx.cache_stats.trial_hits += 1
-            ctx.stats.rejected_illegal += 1
-            if tracer is not None:
-                tracer.event(
-                    "reject",
-                    function=func.name,
-                    hb=hb_name,
-                    target=s_name,
-                    kind=kind.value,
-                    reason="memoized",
-                )
-            if cached_regs:
-                func.note_reg(func.max_reg() + cached_regs - 1)
-            return None
-        ctx.cache_stats.trial_misses += 1
+    defs = hb.def_mask() | (body_source or target).def_mask()
+    memo_key = (
+        hb_name,
+        hb.version,
+        s_name,
+        target.version,
+        body_source.version if body_source is not None else 0,
+        live_out & defs,
+    )
+    cached_regs = ctx._rejected_trials.get(memo_key)
+    if cached_regs is not None:
+        # Known rejection: skip the preview entirely, but mint the same
+        # fresh registers it would have, so committed merges downstream
+        # number their guards identically to an uncached run.
+        ctx.cache_stats.trial_hits += 1
+        ctx.stats.rejected_illegal += 1
+        if tracer is not None:
+            tracer.event(
+                "reject",
+                function=func.name,
+                hb=hb_name,
+                target=s_name,
+                kind=kind.value,
+                reason="memoized",
+            )
+        if cached_regs:
+            func.note_reg(func.max_reg() + cached_regs - 1)
+        return None
+    ctx.cache_stats.trial_misses += 1
 
     # Scratch-space trial merge (lines 1-6 of MergeBlocks).
     regs_before = func.max_reg()
@@ -568,11 +507,8 @@ def _merge_trial(
                 violations=list(estimate.violations),
                 estimate=estimate.as_attrs(),
             )
-        if memo_key is not None:
-            ctx._rejected_trials[memo_key] = func.max_reg() - regs_before
-            ctx.cache_stats.trial_stores += 1
-        if ctx.allow_block_splitting and not _splitting:
-            return _try_split_candidate(ctx, hb_name, s_name, kind)
+        ctx._rejected_trials[memo_key] = func.max_reg() - regs_before
+        ctx.cache_stats.trial_stores += 1
         return None
 
     # Commit (lines 7-16).

@@ -30,7 +30,7 @@ from repro.core.merge import (
     legal_merge,
     merge_blocks,
 )
-from repro.core.policies import BreadthFirstPolicy, MergePolicy
+from repro.core.policies import BreadthFirstPolicy
 from repro.ir.function import Function, Module
 from repro.opt.pipeline import optimize_module
 from repro.profiles.data import ProfileData
@@ -47,22 +47,12 @@ class LoopFactors:
     unroll: int = 0
 
 
-@dataclass
-class FactorPolicy:
-    """Heuristic knobs for discrete unroll/peel factor selection."""
-
-    peel_limit: int = 4  # never peel more than this many iterations
-    peel_coverage: float = 0.5  # fraction of visits the peel must cover
-    unroll_cap: int = 7  # max extra iterations appended
-    #: UPIO's handicap: the expected code-size growth of if-converting one
-    #: iteration (predicate chains, merge duplication) that a pre-I size
-    #: estimate cannot see.  1.0 = the (wrong) assumption the paper's UPIO
-    #: baseline effectively makes.
-    post_ifconvert_growth: float = 1.0
-    #: if True, do not derive a capacity bound from the size estimate —
-    #: the caller validates each appended iteration with the scratch-space
-    #: legality check instead (IUPO: sizes are accurate post-I).
-    ignore_capacity: bool = False
+#: Never peel more than this many iterations.
+PEEL_LIMIT = 4
+#: Fraction of a loop's visits the peeled iterations must cover.
+PEEL_COVERAGE = 0.5
+#: Most extra iterations an unroll appends.
+UNROLL_CAP = 7
 
 
 def choose_factors(
@@ -71,15 +61,18 @@ def choose_factors(
     profile: ProfileData,
     constraints: TripsConstraints,
     body_size: int,
-    policy: Optional[FactorPolicy] = None,
+    ignore_capacity: bool = False,
 ) -> LoopFactors:
     """Pick peel/unroll factors for one loop from its trip-count profile.
 
     ``body_size`` is the caller's estimate of one iteration's instruction
     footprint — a basic-block sum for UPIO (inaccurate) or the measured
-    hyperblock size for IUPO (accurate).
+    hyperblock size for IUPO (accurate).  UPIO bounds the factors by how
+    many copies of ``body_size`` fit a block; IUPO passes
+    ``ignore_capacity`` and validates each appended iteration with the
+    scratch-space legality check instead, so only :data:`UNROLL_CAP`
+    bounds it.
     """
-    policy = policy or FactorPolicy()
     factors = LoopFactors()
     header = loop.header
     trips = profile.expected_trips(func.name, header)
@@ -88,20 +81,19 @@ def choose_factors(
     iterations = max(trips - 1.0, 0.0)  # header executions include exit test
     common_iters = max(profile.common_trip_count(func.name, header) - 1, 0)
 
-    effective_size = max(1, int(body_size * policy.post_ifconvert_growth))
-    if policy.ignore_capacity:
-        capacity = policy.unroll_cap
+    if ignore_capacity:
+        capacity = UNROLL_CAP
     else:
-        capacity = max(constraints.max_instructions // effective_size - 1, 0)
+        capacity = max(constraints.max_instructions // body_size - 1, 0)
 
     if (
-        0 < common_iters <= policy.peel_limit
+        0 < common_iters <= PEEL_LIMIT
         and profile.trip_count_coverage(func.name, header, common_iters + 1)
-        >= policy.peel_coverage
+        >= PEEL_COVERAGE
     ):
         factors.peel = min(common_iters, capacity)
     if iterations > common_iters + 1 or factors.peel == 0:
-        factors.unroll = int(min(max(iterations - 1, 0), capacity, policy.unroll_cap))
+        factors.unroll = int(min(max(iterations - 1, 0), capacity, UNROLL_CAP))
     return factors
 
 
@@ -114,7 +106,6 @@ def phase_unroll_peel_bb(
     module: Module,
     profile: ProfileData,
     constraints: TripsConstraints,
-    factor_policy: Optional[FactorPolicy] = None,
     stats: Optional[MergeStats] = None,
 ) -> None:
     """UPIO's U/P: whole-body CFG duplication before if-conversion.
@@ -144,7 +135,7 @@ def phase_unroll_peel_bb(
                 if profile.block_count(func.name, b) * 2 >= header_count
             )
             factors = choose_factors(
-                func, loop, profile, constraints, body_size, factor_policy
+                func, loop, profile, constraints, body_size
             )
             if factors.peel and len(loop.blocks) == 1:
                 peel_loop(func, loop, factors.peel)
@@ -160,29 +151,24 @@ def phase_unroll_peel_hyper(
     module: Module,
     profile: ProfileData,
     constraints: TripsConstraints,
-    optimize_during: bool = False,
-    factor_policy: Optional[FactorPolicy] = None,
 ) -> MergeStats:
     """IUPO's U/P: head-duplication against factors from measured sizes.
 
     Runs after if-conversion, so loop bodies are hyperblocks and their real
     sizes are known.  Peeling merges the header into its (unique) outside
     predecessor; unrolling merges single-block loops with themselves.  Each
-    step still goes through the scratch-space legality check.
+    step still goes through the scratch-space legality check, which is
+    therefore the capacity bound (paper: "the unroller has more accurate
+    block counts and size estimates ... after if-conversion").  Trials
+    are not optimized: IUPO optimizes once, at the end.
     """
-    if factor_policy is None:
-        # Post-if-conversion sizes are accurate, so the per-step scratch
-        # legality check *is* the capacity bound (paper: "the unroller has
-        # more accurate block counts and size estimates ... after
-        # if-conversion").
-        factor_policy = FactorPolicy(ignore_capacity=True)
     stats = MergeStats()
     for func in module:
         ctx = FormationContext(
             func,
             profile=profile,
             constraints=constraints,
-            optimize_during=optimize_during,
+            optimize_during=False,
             allow_head_dup=True,
         )
         for header in [l.header for l in LoopForest(func).all_loops_innermost_first()]:
@@ -191,7 +177,8 @@ def phase_unroll_peel_hyper(
                 continue
             body_size = sum(len(func.blocks[b]) for b in loop.blocks)
             factors = choose_factors(
-                func, loop, profile, constraints, body_size, factor_policy
+                func, loop, profile, constraints, body_size,
+                ignore_capacity=True,
             )
             for _ in range(factors.peel):
                 entries = loop.entry_edges(ctx.cfg)
@@ -209,8 +196,7 @@ def phase_unroll_peel_hyper(
                     break
                 if merge_blocks(ctx, header, header, kind) is None:
                     break
-        for func_stats in (ctx.stats,):
-            stats.add(func_stats)
+        stats.add(ctx.stats)
         func.remove_unreachable_blocks()
     return stats
 
@@ -224,20 +210,18 @@ def compile_with_ordering(
     module: Module,
     ordering: str,
     profile: ProfileData,
-    constraints: Optional[TripsConstraints] = None,
-    policy: Optional[MergePolicy] = None,
-    factor_policy: Optional[FactorPolicy] = None,
 ) -> MergeStats:
-    """Compile ``module`` in place under one of :data:`ORDERINGS`."""
-    constraints = constraints or TripsConstraints()
-    policy = policy or BreadthFirstPolicy()
+    """Compile ``module`` in place under one of :data:`ORDERINGS`, with
+    the TRIPS limits and the breadth-first policy."""
+    constraints = TripsConstraints()
+    policy = BreadthFirstPolicy()
     stats = MergeStats()
 
     if ordering == "BB":
         return stats
 
     if ordering == "UPIO":
-        phase_unroll_peel_bb(module, profile, constraints, factor_policy, stats)
+        phase_unroll_peel_bb(module, profile, constraints, stats)
         stats.add(
             form_module(
                 module,
@@ -262,12 +246,7 @@ def compile_with_ordering(
                 allow_head_dup=False,
             )
         )
-        stats.add(
-            phase_unroll_peel_hyper(
-                module, profile, constraints, optimize_during=False,
-                factor_policy=factor_policy,
-            )
-        )
+        stats.add(phase_unroll_peel_hyper(module, profile, constraints))
         optimize_module(module)
         return stats
 

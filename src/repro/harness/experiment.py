@@ -78,10 +78,9 @@ class TableConfigurator(Protocol):
     ) -> MergeStats: ...
 
 
-def ordering_config(ordering: str, policy_factory=None) -> Configurator:
+def ordering_config(ordering: str) -> Configurator:
     def apply(module: Module, profile: ProfileData) -> MergeStats:
-        policy = policy_factory() if policy_factory else None
-        return compile_with_ordering(module, ordering, profile, policy=policy)
+        return compile_with_ordering(module, ordering, profile)
 
     return apply
 
@@ -93,43 +92,30 @@ def heuristic_config(name: str) -> TableConfigurator:
     ``form_module``; the VLIW unroll prepass before it is not traced.
     """
 
-    def vliw_discrete(
-        module: Module, profile: ProfileData, tracer=None
-    ) -> MergeStats:
-        constraints = TripsConstraints()
-        phase_unroll_peel_bb(module, profile, constraints)
-        stats = form_module(
-            module,
-            profile=profile,
-            policy=VLIWPolicy(),
-            constraints=constraints,
-            optimize_during=False,
-            allow_head_dup=False,
-            tracer=tracer,
-        )
-        optimize_module(module)
-        return stats
+    def vliw(optimize_during: bool) -> TableConfigurator:
+        # The discrete VLIW column and Convergent VLIW share the
+        # block-selection heuristic and the unroll prepass; the latter
+        # adds iterative optimization inside the merge loop, isolating the
+        # paper's "with iterative optimization" comparison (Table 2,
+        # columns 3 vs 4).
+        def apply(
+            module: Module, profile: ProfileData, tracer=None
+        ) -> MergeStats:
+            constraints = TripsConstraints()
+            phase_unroll_peel_bb(module, profile, constraints)
+            stats = form_module(
+                module,
+                profile=profile,
+                policy=VLIWPolicy(),
+                constraints=constraints,
+                optimize_during=optimize_during,
+                allow_head_dup=False,
+                tracer=tracer,
+            )
+            optimize_module(module)
+            return stats
 
-    def vliw_convergent(
-        module: Module, profile: ProfileData, tracer=None
-    ) -> MergeStats:
-        # The same block-selection heuristic and unroll prepass as the
-        # discrete VLIW column, but with iterative optimization inside the
-        # merge loop — isolating the paper's "with iterative optimization"
-        # comparison (Table 2, columns 3 vs 4).
-        constraints = TripsConstraints()
-        phase_unroll_peel_bb(module, profile, constraints)
-        stats = form_module(
-            module,
-            profile=profile,
-            policy=VLIWPolicy(),
-            constraints=constraints,
-            optimize_during=True,
-            allow_head_dup=False,
-            tracer=tracer,
-        )
-        optimize_module(module)
-        return stats
+        return apply
 
     def convergent(policy_factory) -> TableConfigurator:
         def apply(
@@ -150,8 +136,8 @@ def heuristic_config(name: str) -> TableConfigurator:
         return apply
 
     table = {
-        "VLIW": vliw_discrete,
-        "Convergent VLIW": vliw_convergent,
+        "VLIW": vliw(optimize_during=False),
+        "Convergent VLIW": vliw(optimize_during=True),
         "DF": convergent(DepthFirstPolicy),
         "BF": convergent(BreadthFirstPolicy),
     }

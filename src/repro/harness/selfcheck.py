@@ -22,18 +22,10 @@ from typing import Optional
 from repro.core.convergent import form_module
 from repro.obs.replay import log_from_trace
 from repro.obs.trace import FormationTrace, Tracer
-from repro.profiles import collect_profile
 from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane
 from repro.robustness.guard import FunctionStatus
 from repro.robustness.oracle import BehaviorProbe, differential_check
-from repro.workloads.spec import SPEC_BENCHMARKS, check_workload_names
-
-
-def _suite(subset: Optional[list[str]]) -> dict:
-    if subset is None:
-        return dict(SPEC_BENCHMARKS)
-    check_workload_names(subset)
-    return {name: SPEC_BENCHMARKS[name] for name in subset}
+from repro.workloads.spec import prepare_workloads
 
 
 def _workload_probes(workload) -> list[BehaviorProbe]:
@@ -55,10 +47,7 @@ def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
     with ``ok``, per-workload rows, and a formatted ``report``.
     """
     rows = []
-    for name, workload in _suite(subset).items():
-        profile = collect_profile(
-            workload.module(), args=workload.args, preload=workload.preload
-        )
+    for name, workload, profile in prepare_workloads(subset):
         probes = _workload_probes(workload)
         module = workload.module()
         # Each workload forms under its own tracer, so a failure can be
@@ -149,12 +138,8 @@ def run_fault_drill(
     runs form under a tracer.  A drill whose plane fired no fault over
     the whole suite proves nothing, so it fails too.
     """
-    suite = _suite(subset)
     rows = []
-    for name, workload in suite.items():
-        profile = collect_profile(
-            workload.module(), args=workload.args, preload=workload.preload
-        )
+    for name, workload, profile in prepare_workloads(subset):
         control = workload.module()
         tracer = Tracer()
         control_report = form_module(control, profile=profile, tracer=tracer)

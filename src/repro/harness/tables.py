@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import (
     RunResult,
     WorkloadExperiment,
@@ -118,7 +117,7 @@ def table1(subset: Optional[list[str]] = None) -> TableResult:
         "Table 1: % cycle improvement over basic blocks (phase orderings)",
         MICROBENCHMARKS,
         TABLE1_ORDERINGS,
-        lambda c: ordering_config(c, BreadthFirstPolicy),
+        ordering_config,
         timing=True,
         metric="cycles",
         subset=names,
@@ -147,7 +146,7 @@ def table3(subset: Optional[list[str]] = None) -> TableResult:
         "surrogates, functional simulation)",
         SPEC_BENCHMARKS,
         TABLE1_ORDERINGS,
-        lambda c: ordering_config(c, BreadthFirstPolicy),
+        ordering_config,
         timing=False,
         metric="blocks",
         subset=names,

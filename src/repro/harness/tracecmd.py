@@ -24,8 +24,7 @@ from typing import Optional
 from repro.core.convergent import form_module
 from repro.obs.sink import JsonlSink, MemorySink, write_chrome_trace
 from repro.obs.trace import PHASE_SPANS, FormationTrace, TraceEvent, Tracer
-from repro.profiles import collect_profile
-from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
+from repro.workloads.spec import prepare_workloads
 
 
 def record_formation_trace(
@@ -39,16 +38,8 @@ def record_formation_trace(
     purely about formation decisions; the formed module rides along so
     callers can render what the decisions produced (``--dot``).
     """
-    if workload_name not in SPEC_BENCHMARKS:
-        raise SystemExit(
-            f"unknown workload {workload_name!r}; "
-            f"available: {', '.join(SPEC_ORDER)}"
-        )
-    workload = SPEC_BENCHMARKS[workload_name]
+    ((_, workload, profile),) = prepare_workloads([workload_name])
     module = workload.module()
-    profile = collect_profile(
-        module, args=workload.args, preload=workload.preload
-    )
     sinks: list = [MemorySink()]
     jsonl_sink: Optional[JsonlSink] = None
     if jsonl:

@@ -107,9 +107,7 @@ def log_from_trace(trace, prefix: str = "") -> dict[str, dict]:
     ``prefix`` (the workload name) so functions from different workloads
     never collide in one log set; each record carries
     the ordinal of the most recent preceding ``offer`` for its function,
-    so a verdict can always be tied back to the offer it answers — also
-    through block-splitting recursion, where one offer yields several
-    verdicts.
+    so a verdict can always be tied back to the offer it answers.
     """
     out: dict[str, dict] = {}
     offers: dict[str, int] = {}

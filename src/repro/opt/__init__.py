@@ -1,6 +1,6 @@
 """Scalar optimization: the Optimize step of Figure 5 and the O phase."""
 
-from repro.opt.gvn import global_value_numbering, global_value_numbering_module
+from repro.opt.gvn import global_value_numbering
 from repro.opt.local import (
     eliminate_dead_code,
     fold_moves,
@@ -14,7 +14,6 @@ from repro.opt.pipeline import optimize_function, optimize_module
 __all__ = [
     "eliminate_dead_code",
     "global_value_numbering",
-    "global_value_numbering_module",
     "fold_moves",
     "implicit_predication",
     "optimize_block",

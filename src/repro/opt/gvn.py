@@ -25,7 +25,7 @@ subexpressions) while staying trivially sound.
 from __future__ import annotations
 
 from repro.analysis.dominators import DominatorTree
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import COMMUTATIVE_OPS, Opcode
 
@@ -112,7 +112,3 @@ def global_value_numbering(func: Function) -> int:
         else:
             stack.append((visit(child), iter(children.get(child, ()))))
     return rewritten
-
-
-def global_value_numbering_module(module: Module) -> int:
-    return sum(global_value_numbering(func) for func in module)

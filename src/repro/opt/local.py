@@ -20,8 +20,6 @@ after formation, hyperblocks *are* the interesting optimization scope.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.predimpl import implication_edges, implies
 from repro.ir.block import BasicBlock
 from repro.ir.instruction import Instruction, Predicate
@@ -220,24 +218,6 @@ def propagate_and_fold(block: BasicBlock) -> bool:
 # ---------------------------------------------------------------------------
 # Predicate-aware value numbering / instruction merging
 # ---------------------------------------------------------------------------
-
-
-def _vn_key(instr: Instruction, mem_epoch: int):
-    srcs = instr.srcs
-    if instr.op in COMMUTATIVE_OPS and len(srcs) == 2 and srcs[0] > srcs[1]:
-        srcs = (srcs[1], srcs[0])
-    if instr.op is Opcode.LOAD:
-        return (instr.op, srcs, instr.imm, mem_epoch)
-    return (instr.op, srcs, instr.imm)
-
-
-def _complementary(a: Optional[Predicate], b: Optional[Predicate]) -> bool:
-    return (
-        a is not None
-        and b is not None
-        and a.reg == b.reg
-        and a.sense != b.sense
-    )
 
 
 def _reads_between(block: BasicBlock, lo: int, hi: int, reg: int) -> bool:

@@ -268,25 +268,17 @@ class _TrialCheckpoint:
     hyperblock's dict entry for the preview and may delete the
     candidate's.  So the checkpoint keeps the pre-trial block *objects*,
     in order, and the saved unroll bodies; restoring them restores the
-    function's blocks exactly, version stamps included.  Block splitting
-    is the one exception: it edits the candidate in place, so under it
-    the candidate is copied.  The register frontier only grows and is
-    harmless to leave.
+    function's blocks exactly, version stamps included.  The register
+    frontier only grows and is harmless to leave.
     """
 
-    def __init__(self, ctx: FormationContext, cand_name: str):
-        func = ctx.func
-        self.blocks = func.blocks.copy()
-        self.split_copy = None
-        if ctx.allow_block_splitting and cand_name in func.blocks:
-            self.split_copy = func.blocks[cand_name].copy(cand_name)
+    def __init__(self, ctx: FormationContext):
+        self.blocks = ctx.func.blocks.copy()
         self.saved_bodies = ctx.saved_bodies.copy()
 
     def restore(self, ctx: FormationContext) -> None:
         func = ctx.func
         func.blocks = self.blocks
-        if self.split_copy is not None:
-            func.blocks[self.split_copy.name] = self.split_copy
         func.touch()
         ctx.saved_bodies.clear()
         ctx.saved_bodies.update(self.saved_bodies)
@@ -325,7 +317,7 @@ class TrialGuard:
         """
         func = ctx.func
         tracer = ctx.tracer
-        checkpoint = _TrialCheckpoint(ctx, cand_name)
+        checkpoint = _TrialCheckpoint(ctx)
         if tracer is not None:
             tracer.event(
                 "guard_checkpoint",

@@ -55,6 +55,27 @@ class MachineConfig:
     #: ablation benchmarks)
     fixed_size_blocks: bool = True
 
+    def __post_init__(self) -> None:
+        # Bad values fail here, not late: issue_width=0 would never leave
+        # the timing model's issue-slot search, window_blocks=0 indexes an
+        # empty window and fetch_rate=0 divides by zero.
+        for name in ("issue_width", "window_blocks", "fetch_rate"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"MachineConfig.{name} must be at least 1, "
+                    f"got {getattr(self, name)}"
+                )
+        for name in (
+            "history_bits", "map_latency", "fetch_gap", "mispredict_penalty",
+            "route_latency", "interblock_forward", "load_extra",
+            "commit_overhead",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"MachineConfig.{name} must not be negative, "
+                    f"got {getattr(self, name)}"
+                )
+
     def block_fetch_cycles(self, size: int) -> int:
         """Cycles of fetch bandwidth one block of ``size`` instrs consumes."""
         if self.fixed_size_blocks:

@@ -1,9 +1,7 @@
 """Block splitting: cut one block into two sequential blocks.
 
-Used by the backend's reverse if-conversion (when spill code overflows a
-block) and by formation-time block splitting (the paper's Section 9
-extension: merge the first part of a basic block that is too large to
-absorb whole).
+Used by the backend's reverse if-conversion, when spill code overflows a
+block.
 
 The cut may not strand a branch in the first half — the first half ends
 with a new unconditional branch and exactly one branch may fire per block

@@ -26,6 +26,13 @@ from repro.workloads.microbench import MICROBENCH_ORDER, MICROBENCHMARKS
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 
 
+class _NoMemo(dict):
+    """A trial memo that stores nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 class ReferenceFormationContext(FormationContext):
     """Formation without the in-place analysis patches and the trial memo:
     the reference they are checked against.
@@ -38,7 +45,7 @@ class ReferenceFormationContext(FormationContext):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.memoize_trials = False
+        self._rejected_trials = _NoMemo()
 
     def note_commit(self, hb_name, s_name, preview, removed) -> None:
         self.invalidate()

@@ -111,16 +111,6 @@ def test_register_read_budget():
     assert any("reads" in v for v in est.violations)
 
 
-def test_strict_banking_mode():
-    # Registers 0, 4, 8, ... all hash to bank 0.
-    instrs = [I(Opcode.ADD, dest=101 + i, srcs=(i * 4, i * 4)) for i in range(9)]
-    instrs.append(I(Opcode.RET))
-    blk = block_of(*instrs)
-    strict = TripsConstraints(strict_banking=True)
-    est = estimate_block(blk, set(), strict)
-    assert any("bank 0 reads" in v for v in est.violations)
-
-
 def test_predicated_temps_do_not_count_as_reads():
     """Reads covered by a same-predicate write in the block are internal."""
     blk = block_of(

@@ -6,7 +6,6 @@ from repro.analysis import LoopForest
 from repro.core.constraints import TripsConstraints
 from repro.core.phases import (
     ORDERINGS,
-    FactorPolicy,
     choose_factors,
     compile_with_ordering,
     phase_unroll_peel_bb,
@@ -57,7 +56,7 @@ def test_choose_factors_ignore_capacity():
     module, func, loop, profile = loop_and_profile(make_counting_loop)
     factors = choose_factors(
         func, loop, profile, TripsConstraints(), body_size=100,
-        policy=FactorPolicy(ignore_capacity=True),
+        ignore_capacity=True,
     )
     assert factors.unroll > 0
 

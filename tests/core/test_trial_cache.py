@@ -31,6 +31,7 @@ def _assert_forms_like_reference(make_module, profile):
     cached_report = form_module(cached, profile=profile)
     with reference_formation():
         reference_report = form_module(reference, profile=profile)
+    assert reference_report.stats.cache.trial_hits == 0
     assert format_module(cached) == format_module(reference)
     assert cached_report.mtup == reference_report.mtup
     assert cached_report.attempts == reference_report.attempts

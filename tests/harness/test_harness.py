@@ -182,7 +182,7 @@ def test_pipeline_imports_load_no_process_machinery():
 
 
 def test_ordering_config_applies_policy():
-    from repro.core.policies import BreadthFirstPolicy
+    """An ordering configurator forms under the breadth-first policy."""
     from repro.profiles import collect_profile
 
     workload = MICROBENCHMARKS["twolf_3"]
@@ -191,5 +191,5 @@ def test_ordering_config_applies_policy():
         module.copy(), args=workload.args,
         preload={k: list(v) for k, v in workload.preload.items()},
     )
-    stats = ordering_config("(IUPO)", BreadthFirstPolicy)(module, profile)
+    stats = ordering_config("(IUPO)")(module, profile)
     assert stats.merges > 0

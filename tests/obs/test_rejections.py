@@ -6,8 +6,6 @@ end."""
 from __future__ import annotations
 
 from repro.core.constraints import (
-    CONSTRAINT_BANK_READS,
-    CONSTRAINT_BANK_WRITES,
     CONSTRAINT_INSTRUCTIONS,
     CONSTRAINT_MEMORY_OPS,
     CONSTRAINT_REG_READS,
@@ -82,31 +80,6 @@ def test_register_write_violation_kind():
         constraints=TripsConstraints(register_banks=1, writes_per_bank=4),
     )
     assert est.violation_kinds == [CONSTRAINT_REG_WRITES]
-
-
-def test_strict_banking_violation_kinds():
-    # All registers are multiples of 4 -> they pile onto bank 0.
-    regs = [4 * i for i in range(4)]
-    read_blk = _block_of(
-        I(Opcode.ADD, dest=101, srcs=(regs[0], regs[1])),
-        I(Opcode.ADD, dest=103, srcs=(regs[2], regs[3])),
-        I(Opcode.RET),
-    )
-    est = estimate_block(
-        read_blk, set(),
-        TripsConstraints(strict_banking=True, reads_per_bank=2),
-    )
-    assert est.violation_kinds == [CONSTRAINT_BANK_READS]
-
-    write_blk = _block_of(
-        *[I(Opcode.MOVI, dest=reg, imm=0) for reg in regs],
-        I(Opcode.RET),
-    )
-    est = estimate_block(
-        write_blk, live_out=set(regs),
-        constraints=TripsConstraints(strict_banking=True, writes_per_bank=2),
-    )
-    assert est.violation_kinds == [CONSTRAINT_BANK_WRITES]
 
 
 def test_multiple_violations_keep_pairwise_order():
@@ -190,23 +163,6 @@ def test_formation_reject_names_memory_constraint():
     assert CONSTRAINT_MEMORY_OPS in kinds
     for event in rejects:
         assert event.attrs["estimate"]["memory_ops"] >= 3
-
-
-def test_formation_reject_names_bank_constraint():
-    func = make_diamond()
-    tight = TripsConstraints(
-        strict_banking=True, register_banks=1, reads_per_bank=1,
-        writes_per_bank=1,
-    )
-    tracer = Tracer()
-    form_function(func, constraints=tight, tracer=tracer)
-    trace = tracer.finish()
-    kinds = {
-        kind
-        for e in _constraint_rejects(trace)
-        for kind in e.attrs["constraints"]
-    }
-    assert kinds & {CONSTRAINT_BANK_READS, CONSTRAINT_BANK_WRITES}
 
 
 def test_rejected_trial_span_wraps_the_reject_event():

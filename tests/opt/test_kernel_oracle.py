@@ -13,8 +13,8 @@ instruction payloads: the pass and trial-estimate calls recorded while
 SPEC, microbenchmark and 10x programs form (the pass table and
 ``merge.estimate_block`` wrapped), the blocks of ``random_program(0..15)``
 before and after BF formation, and hand-built corner cases.  Estimates
-are also compared under tight limits, with and without strict banking,
-so that every violation text and bank count is exercised.
+are also compared under tight limits, so that every violation text is
+exercised.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from repro.analysis.liveness import Liveness
 from repro.analysis.predimpl import _VersionedImplication, exposed_mask
 from repro.core import merge
 from repro.core.constraints import (
-    CONSTRAINT_BANK_READS,
-    CONSTRAINT_BANK_WRITES,
     CONSTRAINT_INSTRUCTIONS,
     CONSTRAINT_MEMORY_OPS,
     CONSTRAINT_REG_READS,
@@ -42,7 +40,7 @@ from repro.harness.experiment import heuristic_config
 from repro.ir.block import BasicBlock
 from repro.ir.instruction import Instruction, Predicate
 from repro.ir.opcodes import COMMUTATIVE_OPS, Opcode
-from repro.ir.regmask import as_mask, bits
+from repro.ir.regmask import as_mask
 from repro.opt import local
 from repro.opt.local import (
     _DCE_REMOVABLE_OPS,
@@ -400,40 +398,16 @@ def reference_estimate_block(
             CONSTRAINT_MEMORY_OPS,
             f"memory ops {mem_total} > {constraints.max_memory_ops}",
         )
-    if constraints.strict_banking:
-        bank_of = constraints.bank_of
-        bank_reads = est.bank_reads
-        bank_writes = est.bank_writes
-        for reg in bits(reads_mask):
-            bank = bank_of(reg)
-            bank_reads[bank] = bank_reads.get(bank, 0) + 1
-        for reg in bits(live_writes):
-            bank = bank_of(reg)
-            bank_writes[bank] = bank_writes.get(bank, 0) + 1
-        for bank, count in bank_reads.items():
-            if count > constraints.reads_per_bank:
-                est.violate(
-                    CONSTRAINT_BANK_READS,
-                    f"bank {bank} reads {count} > {constraints.reads_per_bank}",
-                )
-        for bank, count in bank_writes.items():
-            if count > constraints.writes_per_bank:
-                est.violate(
-                    CONSTRAINT_BANK_WRITES,
-                    f"bank {bank} writes {count} > "
-                    f"{constraints.writes_per_bank}",
-                )
-    else:
-        if est.reg_reads > constraints.max_reads:
-            est.violate(
-                CONSTRAINT_REG_READS,
-                f"register reads {est.reg_reads} > {constraints.max_reads}",
-            )
-        if est.reg_writes > constraints.max_writes:
-            est.violate(
-                CONSTRAINT_REG_WRITES,
-                f"register writes {est.reg_writes} > {constraints.max_writes}",
-            )
+    if est.reg_reads > constraints.max_reads:
+        est.violate(
+            CONSTRAINT_REG_READS,
+            f"register reads {est.reg_reads} > {constraints.max_reads}",
+        )
+    if est.reg_writes > constraints.max_writes:
+        est.violate(
+            CONSTRAINT_REG_WRITES,
+            f"register writes {est.reg_writes} > {constraints.max_writes}",
+        )
     return est
 
 
@@ -457,10 +431,6 @@ RECORDED_PIPELINES = (
 #: Estimator limits every estimate input is also sized against.
 TIGHT = TripsConstraints(
     max_instructions=16, max_memory_ops=2, reads_per_bank=2, writes_per_bank=2
-)
-TIGHT_BANKED = TripsConstraints(
-    max_instructions=16, max_memory_ops=2, reads_per_bank=2,
-    writes_per_bank=2, strict_banking=True,
 )
 
 
@@ -702,7 +672,7 @@ def test_estimate_block_matches_reference(source, recorded, random_blocks):
     inputs = _inputs(source, "estimate", recorded, random_blocks)
     assert inputs
     for instrs, live_out, *constraints in inputs:
-        for limits in (*constraints, TripsConstraints(), TIGHT, TIGHT_BANKED):
+        for limits in (*constraints, TripsConstraints(), TIGHT):
             got = estimate_block(_block(instrs), live_out, limits)
             want = reference_estimate_block(_block(instrs), live_out, limits)
             assert got == want, [str(instr) for instr in instrs]
@@ -715,13 +685,12 @@ def test_recorded_inputs_reach_every_branch(recorded):
     predicated = 0
     for instrs, live_out, _ in recorded["estimate"]:
         predicated += any(instr.pred is not None for instr in instrs)
-        for limits in (TIGHT, TIGHT_BANKED):
-            kinds.update(
-                reference_estimate_block(_block(instrs), live_out, limits)
-                .violation_kinds
-            )
+        kinds.update(
+            reference_estimate_block(_block(instrs), live_out, TIGHT)
+            .violation_kinds
+        )
     assert predicated
     assert kinds == {
         CONSTRAINT_INSTRUCTIONS, CONSTRAINT_MEMORY_OPS, CONSTRAINT_REG_READS,
-        CONSTRAINT_REG_WRITES, CONSTRAINT_BANK_READS, CONSTRAINT_BANK_WRITES,
+        CONSTRAINT_REG_WRITES,
     }

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.depgraph import dependence_height
 from repro.analysis.predimpl import exposed_mask
-from repro.core.constraints import TripsConstraints
 from repro.core.convergent import form_function, form_module
 from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import heuristic_config
@@ -18,7 +17,6 @@ from repro.robustness.oracle import assert_equivalent
 from repro.workloads.generators import random_program
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
 from tests.conftest import assert_shapes_match_fresh, profiled_program
-from tests.core.test_block_splitting import big_successor_module
 
 ALL_RAISING = FaultPlane(rate=1.0, seed=0, kinds=("optimizer",))
 
@@ -166,23 +164,6 @@ def test_rollback_keeps_the_facts_cached_before_the_trial(monkeypatch):
     plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
     form_module(module, profile=profile, faults=plane)
     assert restored == len(plane.fired) > 0
-
-
-def test_commit_fault_after_a_split_restores_the_candidate():
-    """Block splitting edits the candidate in place, so the checkpoint
-    keeps a copy of it: the rolled-back function is whole and unformed."""
-    module = big_successor_module()
-    pristine = format_module(module)
-    plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
-    report = form_module(
-        module,
-        constraints=TripsConstraints(max_instructions=24),
-        allow_block_splitting=True,
-        faults=plane,
-    )
-    assert plane.fired
-    assert report.status_of("main") is FunctionStatus.DEGRADED
-    assert format_module(module) == pristine
 
 
 def test_failsafe_off_propagates_the_fault():

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from repro.core.convergent import form_module
 from repro.ir import FunctionBuilder, Predicate, build_module
 from repro.profiles import collect_profile
@@ -20,6 +22,28 @@ def test_fixed_slot_fetch_cycles():
     ideal = MachineConfig(fixed_size_blocks=False)
     assert ideal.block_fetch_cycles(5) == 1
     assert ideal.block_fetch_cycles(33) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("issue_width", 0),
+        ("window_blocks", 0),
+        ("fetch_rate", 0),
+        ("history_bits", -1),
+        ("map_latency", -1),
+        ("fetch_gap", -1),
+        ("mispredict_penalty", -1),
+        ("route_latency", -1),
+        ("interblock_forward", -1),
+        ("load_extra", -1),
+        ("commit_overhead", -1),
+    ],
+)
+def test_machine_config_rejects_bad_values(field, value):
+    # Construction only: issue_width=0 would hang a simulation.
+    with pytest.raises(ValueError, match=f"MachineConfig.{field} "):
+        MachineConfig(**{field: value})
 
 
 def test_cycles_deterministic():
