@@ -19,8 +19,8 @@ estimator plays in the Scale/TRIPS compiler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
 from repro.analysis.predimpl import exposed_mask
 from repro.ir.block import BasicBlock
@@ -81,22 +81,52 @@ CONSTRAINT_REG_READS = "register_reads"
 CONSTRAINT_REG_WRITES = "register_writes"
 
 
-@dataclass
 class BlockEstimate:
-    """Sizing of one block against :class:`TripsConstraints`."""
+    """Sizing of one block against :class:`TripsConstraints`.
 
-    real_instructions: int = 0
-    memory_ops: int = 0
-    fanout_instructions: int = 0
-    null_writes: int = 0
-    null_stores: int = 0
-    #: total register-read/-write outputs (exposed reads, live-out writes)
-    reg_reads: int = 0
-    reg_writes: int = 0
-    violations: list[str] = field(default_factory=list)
-    #: structural identifier per entry of ``violations`` (same order):
-    #: one of the ``CONSTRAINT_*`` names above.
-    violation_kinds: list[str] = field(default_factory=list)
+    Counting register reads (``exposed_mask``) costs about as much as the
+    rest of an estimate, and the count can decide legality only when the
+    instruction, memory-op and write limits all hold.  ``estimate_block``
+    counts reads only then.  An estimate that failed one of those limits
+    counts them on the first read of ``reg_reads``, ``violations``,
+    ``violation_kinds`` or ``as_attrs()``, from its block as it is at that
+    point; ``legal`` never needs them.
+    """
+
+    def __init__(self) -> None:
+        self.real_instructions = 0
+        self.memory_ops = 0
+        self.fanout_instructions = 0
+        self.null_writes = 0
+        self.null_stores = 0
+        #: live-out registers the block writes
+        self.reg_writes = 0
+        self._reg_reads = 0
+        self._violations: list[str] = []
+        self._violation_kinds: list[str] = []
+        #: ``(block, constraints)`` while the reads are not counted yet.
+        self._uncounted: "Optional[tuple[BasicBlock, TripsConstraints]]" = None
+
+    @property
+    def reg_reads(self) -> int:
+        """Upward-exposed registers the block reads."""
+        if self._uncounted is not None:
+            self._count_reads()
+        return self._reg_reads
+
+    @property
+    def violations(self) -> list[str]:
+        if self._uncounted is not None:
+            self._count_reads()
+        return self._violations
+
+    @property
+    def violation_kinds(self) -> list[str]:
+        """Structural identifier per entry of ``violations`` (same order):
+        one of the ``CONSTRAINT_*`` names above."""
+        if self._uncounted is not None:
+            self._count_reads()
+        return self._violation_kinds
 
     @property
     def total_instructions(self) -> int:
@@ -109,12 +139,41 @@ class BlockEstimate:
 
     @property
     def legal(self) -> bool:
-        return not self.violations
+        # Reads stay uncounted only after another limit failed.
+        return self._uncounted is None and not self._violations
 
     def violate(self, kind: str, message: str) -> None:
         """Record one constraint violation with its structural kind."""
-        self.violations.append(message)
-        self.violation_kinds.append(kind)
+        self._violations.append(message)
+        self._violation_kinds.append(kind)
+
+    def _count_reads(self) -> None:
+        """Count register reads, then check every limit in order."""
+        block, constraints = self._uncounted
+        self._uncounted = None
+        self._reg_reads = exposed_mask(block).bit_count()
+        if self.total_instructions > constraints.max_instructions:
+            self.violate(
+                CONSTRAINT_INSTRUCTIONS,
+                f"instructions {self.total_instructions} > "
+                f"{constraints.max_instructions}",
+            )
+        mem_total = self.memory_ops + self.null_stores
+        if mem_total > constraints.max_memory_ops:
+            self.violate(
+                CONSTRAINT_MEMORY_OPS,
+                f"memory ops {mem_total} > {constraints.max_memory_ops}",
+            )
+        if self._reg_reads > constraints.max_reads:
+            self.violate(
+                CONSTRAINT_REG_READS,
+                f"register reads {self._reg_reads} > {constraints.max_reads}",
+            )
+        if self.reg_writes > constraints.max_writes:
+            self.violate(
+                CONSTRAINT_REG_WRITES,
+                f"register writes {self.reg_writes} > {constraints.max_writes}",
+            )
 
     def as_attrs(self) -> dict:
         """Estimator values as flat, JSON-safe trace-event attributes."""
@@ -207,33 +266,15 @@ def estimate_block(
 
     # Register banking: reads = upward-exposed registers (predicate-
     # implication aware), writes = live-out registers the block defines.
-    reads_mask = exposed_mask(block)
-    est.reg_reads = reads_mask.bit_count()
+    # Reads are counted now only if they can still decide legality.
     est.reg_writes = len(live_written)
-
-    # Violations.
-    if est.total_instructions > constraints.max_instructions:
-        est.violate(
-            CONSTRAINT_INSTRUCTIONS,
-            f"instructions {est.total_instructions} > "
-            f"{constraints.max_instructions}",
-        )
-    mem_total = est.memory_ops + est.null_stores
-    if mem_total > constraints.max_memory_ops:
-        est.violate(
-            CONSTRAINT_MEMORY_OPS,
-            f"memory ops {mem_total} > {constraints.max_memory_ops}",
-        )
-    if est.reg_reads > constraints.max_reads:
-        est.violate(
-            CONSTRAINT_REG_READS,
-            f"register reads {est.reg_reads} > {constraints.max_reads}",
-        )
-    if est.reg_writes > constraints.max_writes:
-        est.violate(
-            CONSTRAINT_REG_WRITES,
-            f"register writes {est.reg_writes} > {constraints.max_writes}",
-        )
+    est._uncounted = (block, constraints)
+    if (
+        est.total_instructions <= constraints.max_instructions
+        and est.memory_ops + est.null_stores <= constraints.max_memory_ops
+        and est.reg_writes <= constraints.max_writes
+    ):
+        est._count_reads()
     return est
 
 

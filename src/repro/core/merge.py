@@ -458,8 +458,7 @@ def _merge_trial(
                 kind=kind.value,
                 reason="memoized",
             )
-        if cached_regs:
-            func.note_reg(func.max_reg() + cached_regs - 1)
+        func.regs.next_reg += cached_regs
         return None
     ctx.cache_stats.trial_misses += 1
 

@@ -75,9 +75,8 @@ class Function:
         self.params: list[int] = list(params) if params else []
         self.blocks: dict[str, BasicBlock] = {}
         self.entry: Optional[str] = None
-        #: The register interning table (name ↔ dense int); owns the
-        #: allocation frontier and is stable across merges, so register
-        #: names in printed IR never change behind an analysis's back.
+        #: The register allocation frontier: ``new_reg`` hands out names
+        #: above every name in use.
         self.regs = RegisterSpace(self.params)
         self._name_counter = 0
         #: Monotonic stamp bumped whenever the block set changes (add or
@@ -99,11 +98,6 @@ class Function:
         return self.regs.note(reg)
 
     def max_reg(self) -> int:
-        return self.regs.next_reg
-
-    @property
-    def _next_reg(self) -> int:
-        # Backwards-compatible view of the interning table's frontier.
         return self.regs.next_reg
 
     def new_block_name(self, base: str, tag: str = "x") -> str:

@@ -1,4 +1,4 @@
-"""Dense register numbering: the interning table and the renumber pass.
+"""Register numbering: the allocation frontier and the renumber pass.
 
 The bitmask dataflow engine (:mod:`repro.ir.regmask`) indexes masks by
 register number, so its cost is proportional to the *largest* register
@@ -8,16 +8,10 @@ transforms are dense by construction — ``Function.new_reg`` hands out
 sequential numbers — but externally parsed IR (``repro.ir.textparse``)
 may name registers sparsely (``v7``, ``v900``).
 
-:class:`RegisterSpace` is the per-function interning table: it owns the
-allocation frontier (absorbing what used to be ``Function._next_reg``)
-and knows which register names exist, so density is a cheap query and
-the name ↔ dense-id correspondence is available without a dict.  It is
-*stable across merges*: interned names are never renamed or reused, so
-printed IR is byte-identical before and after analyses consult the
-table.  In the (overwhelmingly common) dense case the table is purely
-implicit — names are exactly ``0..next_reg-1`` — and interning a fresh
-register is one integer increment; only sparse input materializes the
-name bitmask.
+:class:`RegisterSpace` is the per-function allocation frontier: the
+next register number ``Function.new_reg`` hands out, above every name
+the function uses.  Names are never renamed or reused, so printed IR is
+stable across merges.
 
 :func:`renumber_registers` is the normalization pass: it rewrites a
 function to first-appearance dense numbering (the order the printer
@@ -29,7 +23,7 @@ byte, which the round-trip tests pin on every SPEC workload.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.ir.instruction import Predicate
 
@@ -38,121 +32,48 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class RegisterSpace:
-    """Per-function register interning table (name ↔ dense int).
+    """Per-function register allocation frontier.
 
-    ``next_reg`` is the allocation frontier.  While the namespace is
-    contiguous (every name below the frontier exists) no mask is stored;
-    a sparse :meth:`note` — a name beyond the frontier — materializes
-    ``_sparse`` and tracking becomes explicit.  ``version`` bumps
-    whenever the namespace grows, so analyses that cache per-register
-    layouts can detect growth without diffing anything.
+    ``next_reg`` is one past the highest register name allocated or
+    noted, so :meth:`new` never collides with a name in use.
     """
 
-    __slots__ = ("next_reg", "version", "_sparse")
+    __slots__ = ("next_reg",)
 
     def __init__(self, params=None):
         self.next_reg = 0
-        self.version = 0
-        self._sparse: Optional[int] = None  # None => dense 0..next_reg-1
         if params:
             for reg in params:
                 self.note(reg)
 
-    # -- interning ----------------------------------------------------------
-
     def new(self) -> int:
-        """Allocate (and intern) the next unused register name."""
+        """Allocate the next unused register name."""
         reg = self.next_reg
         self.next_reg = reg + 1
-        self.version += 1
-        if self._sparse is not None:
-            self._sparse |= 1 << reg
         return reg
 
     def note(self, reg: int) -> int:
-        """Intern ``reg``; keeps later :meth:`new` calls collision-free."""
-        if reg < self.next_reg:
-            sparse = self._sparse
-            if sparse is not None and not sparse >> reg & 1:
-                self._sparse = sparse | 1 << reg
-                self.version += 1
-            return reg
-        if reg > self.next_reg:
-            # A gap opened: switch to explicit tracking.
-            if self._sparse is None:
-                self._sparse = (1 << self.next_reg) - 1
-            self._sparse |= 1 << reg
-        elif self._sparse is not None:
-            self._sparse |= 1 << reg
-        self.next_reg = reg + 1
-        self.version += 1
+        """Record ``reg`` as in use; keeps later :meth:`new` calls
+        collision-free."""
+        if reg >= self.next_reg:
+            self.next_reg = reg + 1
         return reg
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def seen(self) -> int:
-        """Bitmask of every interned register name."""
-        if self._sparse is not None:
-            return self._sparse
-        return (1 << self.next_reg) - 1
-
-    @property
-    def count(self) -> int:
-        """Number of distinct register names interned."""
-        if self._sparse is not None:
-            return self._sparse.bit_count()
-        return self.next_reg
-
-    @property
-    def width(self) -> int:
-        """Bits a register mask for this function needs (frontier bound)."""
-        return self.next_reg
-
-    def is_dense(self) -> bool:
-        """True iff the interned names are exactly ``0..count-1``."""
-        if self._sparse is None:
-            return True
-        seen = self._sparse
-        return seen == (1 << seen.bit_length()) - 1
-
-    def dense_of(self, reg: int) -> int:
-        """Dense id of an interned name: its rank among interned names."""
-        if self._sparse is None:
-            return reg
-        return (self._sparse & ((1 << reg) - 1)).bit_count()
-
-    def reg_of(self, dense: int) -> int:
-        """Inverse of :meth:`dense_of` (cold path: walks the mask)."""
-        if self._sparse is None:
-            if dense >= self.next_reg:
-                raise IndexError(f"dense id {dense} out of range")
-            return dense
-        mask = self._sparse
-        for _ in range(dense):
-            mask ^= mask & -mask
-        if not mask:
-            raise IndexError(f"dense id {dense} out of range")
-        return (mask & -mask).bit_length() - 1
 
     def copy(self) -> "RegisterSpace":
         clone = RegisterSpace()
         clone.next_reg = self.next_reg
-        clone.version = self.version
-        clone._sparse = self._sparse
         return clone
 
     # -- pickling (slots need explicit state) --------------------------------
 
     def __getstate__(self):
-        return (self.next_reg, self.version, self._sparse)
+        return self.next_reg
 
     def __setstate__(self, state) -> None:
-        self.next_reg, self.version, self._sparse = state
+        self.next_reg = state
 
     def __repr__(self) -> str:
-        kind = "dense" if self.is_dense() else "sparse"
-        return f"<RegisterSpace {self.count} regs, next v{self.next_reg}, {kind}>"
+        return f"<RegisterSpace next v{self.next_reg}>"
 
 
 def renumber_registers(func: "Function") -> dict[int, int]:
@@ -208,7 +129,6 @@ def renumber_registers(func: "Function") -> dict[int, int]:
 
     space = RegisterSpace()
     space.next_reg = len(mapping)
-    space.version = len(mapping)
     func.regs = space
     func.touch()
     return mapping

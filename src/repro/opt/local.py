@@ -14,8 +14,12 @@ passes here are exactly the ones the paper names:
   shortening the dataflow critical path,
 - dead-code elimination against the block's live-out set.
 
-All passes run to a bounded fixpoint.  They are deliberately block-local:
-after formation, hyperblocks *are* the interesting optimization scope.
+``optimize_block`` runs rounds of all five passes and ends at the first
+round that changes nothing, at the first round that leaves the block
+exactly as it found it (``propagate_and_fold`` and ``value_number`` can
+rewrite one copy back and forth forever), or after ``max_rounds``.  The
+passes are deliberately block-local: after formation, hyperblocks *are*
+the interesting optimization scope.
 """
 
 from __future__ import annotations
@@ -40,21 +44,33 @@ def optimize_block(
     live_out: "int | set[int]",
     max_rounds: int = 4,
 ) -> bool:
-    """Optimize ``block`` in place; return whether anything changed.
+    """Optimize ``block`` in place; return whether a round changed it.
 
     ``live_out`` is a register bitmask (any iterable of register numbers
     is accepted and converted once on entry).
 
-    A call whose last round changes nothing leaves the block at the
-    passes' fixpoint and records ``(block.version, live_out)`` in
-    ``block.converged``.  A later call with the same pair returns
-    ``False`` without running a pass.  That is exact: the passes are
-    deterministic in the instructions and the live-out set, a version
-    stamp names one instruction sequence, and a block every pass has
-    confirmed clean stays clean for any ``max_rounds``.  It relies on the
-    rule that every mutation path calls ``BasicBlock.touch()``; the stamp
-    keeps a reference to the caller's live-out int, not a copy.  A call
-    that exhausts ``max_rounds`` while still changing records nothing.
+    Each round runs the five passes in order.  The call ends at the first
+    round that changes nothing; at the first round that leaves the block
+    exactly as it found it; or after ``max_rounds`` rounds.  A round undoes
+    itself when only ``propagate_and_fold`` and ``value_number`` changed
+    the block, neither made a change that cannot be undone (a constant
+    fold, a removed instruction, a dropped predicate, a non-MOV turned into
+    a MOV), and every instruction they rewrote has the fields it had when
+    the round began: ``v550 = mov v549`` becomes ``mov v543`` through the
+    copy ``v549 = mov v543`` and is mapped back.  The passes are
+    deterministic in the instructions and the live-out set, so every later
+    round would repeat that one, and ``max_rounds`` rounds would end with
+    the same block.
+
+    The return value counts only the rounds before one that undid itself,
+    and the block is re-stamped (``touch``) only when it is true.  A call
+    that ends at either kind of round leaves the block at a state no further
+    call changes, and records ``(block.version, live_out)`` in
+    ``block.converged``; a later call with the same pair returns ``False``
+    without running a pass.  That relies on the rule that every mutation
+    path calls ``BasicBlock.touch()``; the stamp keeps a reference to the
+    caller's live-out int, not a copy.  A call that exhausts ``max_rounds``
+    while still changing records nothing.
     """
     live_out = as_mask(live_out)
     converged = block.converged
@@ -72,27 +88,42 @@ def optimize_block(
     # removes provably redundant scans.  ``stamp`` counts block mutations;
     # ``clean[i]`` records the stamp at which pass ``i`` last confirmed the
     # block clean (or -1 while it has changes it has not yet re-confirmed).
+    # Dead-code elimination is clean right after its own change: it records
+    # reads only from the instructions it keeps, so a second walk over its
+    # output keeps everything.
     stamp = 0
     clean = [-1, -1, -1, -1, -1]
     for _ in range(max_rounds):
         changed = False
-        for i, needs_live in _PASSES:
+        # Whether only the two forward passes changed the block this round;
+        # they note what they rewrote in ``rewrites`` (see ``_restored``).
+        forward_only = True
+        rewrites: dict = {}
+        for i, takes_live_out in _PASSES:
             if clean[i] == stamp:
                 continue
             fn = _PASS_FNS[i]
-            did = fn(block, live_out) if needs_live else fn(block)
+            if takes_live_out:
+                did = fn(block, live_out)
+            else:
+                did = fn(block, rewrites)
             if did:
                 changed = True
                 stamp += 1
-                clean[i] = -1
+                clean[i] = stamp if i == _DCE else -1
+                if takes_live_out:
+                    forward_only = False
             else:
                 clean[i] = stamp
-        if not changed:
-            if changed_any:
-                block.touch()
-            block.converged = (block.version, live_out)
-            return changed_any
-        changed_any = True
+        if changed and not (forward_only and _restored(rewrites)):
+            changed_any = True
+            continue
+        # Nothing changed, or the round undid itself: every later round
+        # would repeat this one.
+        if changed_any:
+            block.touch()
+        block.converged = (block.version, live_out)
+        return changed_any
     if changed_any:
         # The passes mutate instructions and reassign ``instrs`` directly;
         # re-stamp once here so version-keyed analysis caches notice.
@@ -100,12 +131,32 @@ def optimize_block(
     return changed_any
 
 
+def _restored(rewrites: dict) -> bool:
+    """Whether every instruction the forward passes rewrote this round has
+    the fields they noted for it at the round's start again.
+
+    ``rewrites`` maps an instruction to its ``(op, srcs, imm, pred)`` before
+    its first rewrite of the round, or to ``None`` after a change that
+    cannot be undone, which no instruction's fields equal.
+    """
+    for instr, fields in rewrites.items():
+        if fields != (instr.op, instr.srcs, instr.imm, instr.pred):
+            return False
+    return True
+
+
+def _note(rewrites: "dict | None", instr: Instruction) -> None:
+    """Note ``instr``'s fields before its first rewrite of the round."""
+    if rewrites is not None and instr not in rewrites:
+        rewrites[instr] = (instr.op, instr.srcs, instr.imm, instr.pred)
+
+
 # ---------------------------------------------------------------------------
 # Copy propagation and constant folding
 # ---------------------------------------------------------------------------
 
 
-def propagate_and_fold(block: BasicBlock) -> bool:
+def propagate_and_fold(block: BasicBlock, rewrites: "dict | None" = None) -> bool:
     """Forward-propagate unpredicated copies/constants; fold constants.
 
     This runs once per optimizer round of every *attempted* merge, so the
@@ -114,6 +165,10 @@ def propagate_and_fold(block: BasicBlock) -> bool:
     generation went stale is dropped lazily at its next lookup instead of
     scanning the map on every write — and the per-instruction fast path
     (no copy facts apply, no constant facts apply) touches each dict once.
+
+    ``rewrites`` is ``optimize_block``'s record of the round (see
+    ``_restored``): a rewritten operand is noted with the fields it
+    replaces, a constant fold as a change that cannot be undone.
     """
     changed = False
     # reg -> (equivalent earlier reg, that reg's generation when recorded)
@@ -150,6 +205,7 @@ def propagate_and_fold(block: BasicBlock) -> bool:
                         del copies[s]
                     new_srcs.append(s)
                 if dirty:
+                    _note(rewrites, instr)
                     srcs = tuple(new_srcs)
                     instr.srcs = srcs
                     changed = True
@@ -157,6 +213,7 @@ def propagate_and_fold(block: BasicBlock) -> bool:
             if pred is not None and pred.reg in copies:
                 src, src_gen = copies[pred.reg]
                 if gen_get(src, 0) == src_gen:
+                    _note(rewrites, instr)
                     instr.pred = Predicate(src, pred.sense)
                     changed = True
                 else:
@@ -181,16 +238,22 @@ def propagate_and_fold(block: BasicBlock) -> bool:
                         # bug and must reach the trial guard, not vanish.
                         value = None
                     if value is not None:
+                        if rewrites is not None:
+                            rewrites[instr] = None
                         instr.op = MOVI
                         instr.srcs = ()
                         instr.imm = value
                         changed = True
             elif op is NOT and srcs[0] in consts:
+                if rewrites is not None:
+                    rewrites[instr] = None
                 instr.op = MOVI
                 instr.imm = 0 if consts[srcs[0]] else 1
                 instr.srcs = ()
                 changed = True
             elif op is NEG and srcs[0] in consts:
+                if rewrites is not None:
+                    rewrites[instr] = None
                 instr.op = MOVI
                 instr.imm = -consts[srcs[0]]
                 instr.srcs = ()
@@ -227,7 +290,7 @@ def _reads_between(block: BasicBlock, lo: int, hi: int, reg: int) -> bool:
     return False
 
 
-def value_number(block: BasicBlock) -> bool:
+def value_number(block: BasicBlock, rewrites: "dict | None" = None) -> bool:
     """Remove redundant computations; merge complementary-path duplicates.
 
     The availability table is generation-stamped: redefining a register is a
@@ -238,6 +301,11 @@ def value_number(block: BasicBlock) -> bool:
     hit checks from the key and the provider.  A stale entry is dropped
     then, instead of scanning the whole table on every register write —
     which was the single hottest leaf of convergent formation.
+
+    ``rewrites`` is ``optimize_block``'s record of the round (see
+    ``_restored``): a MOV given another source is noted with the fields it
+    replaces; a removal, a dropped predicate or a non-MOV turned into a MOV
+    as a change that cannot be undone.
     """
     changed = False
     # key -> (provider index, clock at insertion).
@@ -310,11 +378,17 @@ def value_number(block: BasicBlock) -> bool:
             # The value is available whenever instr would execute.
             if prev.dest == dest:
                 if not _reads_between(block, prev_idx, i, dest):
+                    if rewrites is not None:
+                        rewrites[instr] = None
                     remove.add(i)
                     merged = True
             else:
                 clock += 1
                 gen[dest] = clock
+                if op is MOV:
+                    _note(rewrites, instr)
+                elif rewrites is not None:
+                    rewrites[instr] = None
                 instr.op = MOV
                 instr.srcs = (prev.dest,)
                 instr.imm = None
@@ -336,6 +410,9 @@ def value_number(block: BasicBlock) -> bool:
             # its dependence registers was redefined since the original
             # insertion (the lookup above just validated that), so
             # re-stamping with the current clock is exact.
+            if rewrites is not None:
+                rewrites[prev] = None
+                rewrites[instr] = None
             prev.pred = None
             table[key] = (prev_idx, clock)
             remove.add(i)
@@ -564,7 +641,8 @@ def eliminate_dead_code(block: BasicBlock, live_out: "int | set[int]") -> bool:
 
 
 #: The optimize_block schedule: (index, takes-live-out) in run order; the
-#: indices key the per-pass clean stamps.
+#: indices key the per-pass clean stamps.  The two passes that take no
+#: live-out take the round's ``rewrites`` record instead.
 _PASS_FNS = (
     propagate_and_fold,
     value_number,
@@ -576,3 +654,4 @@ _PASSES = tuple(
     (i, fn in (fold_moves, implicit_predication, eliminate_dead_code))
     for i, fn in enumerate(_PASS_FNS)
 )
+_DCE = _PASS_FNS.index(eliminate_dead_code)

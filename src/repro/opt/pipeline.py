@@ -12,7 +12,12 @@ def optimize_function(func: Function, max_rounds: int = 3) -> bool:
     """Optimize every block of ``func``; returns whether anything changed.
 
     Liveness is recomputed between rounds because DCE in one block can kill
-    liveness (and thus expose more DCE) in its predecessors.
+    liveness (and thus expose more DCE) in its predecessors.  The loop ends
+    at the first round in which global value numbering rewrites nothing and
+    no ``optimize_block`` call reports a change.  A block whose passes only
+    rewrite one copy back and forth reports none (see ``optimize_block``),
+    so it does not keep the function looping: every later round would find
+    the same function again.
     """
     changed_any = False
     for _ in range(max_rounds):

@@ -10,8 +10,6 @@ execution — so the split position is clamped to the first branch.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instruction import Instruction
@@ -22,28 +20,23 @@ class SplitError(Exception):
     """Raised when a block cannot be split (no legal cut point)."""
 
 
-def split_block(
-    func: Function, name: str, at: Optional[int] = None
-) -> tuple[str, str]:
-    """Split ``name`` at instruction index ``at`` (default: halfway).
+def split_block(func: Function, name: str) -> tuple[str, str]:
+    """Split ``name`` halfway, or at its first branch if that comes first.
 
     Returns ``(first, second)`` block names; the second is freshly created.
     """
     block = func.blocks[name]
     if len(block) < 2:
         raise SplitError(f"{name}: too small to split")
-    cut = at if at is not None else len(block) // 2
     first_branch = next(
         (i for i, instr in enumerate(block.instrs) if instr.is_branch),
         len(block),
     )
-    cut = min(cut, first_branch)
+    cut = min(len(block) // 2, first_branch)
     if cut < 1:
         # The block begins with a branch: the first half would hold both
         # that branch and the new unconditional one - no legal cut exists.
         raise SplitError(f"{name}: a branch pins the cut to position 0")
-    if cut >= len(block):
-        raise SplitError(f"{name}: every legal cut point is degenerate")
 
     tail_name = func.new_block_name(name, tag="s")
     tail = BasicBlock(tail_name, block.instrs[cut:])

@@ -16,7 +16,14 @@ from repro.backend import (
     split_block,
 )
 from repro.core.constraints import TripsConstraints
-from repro.ir import FunctionBuilder, build_module, verify_function, verify_module
+from repro.ir import (
+    FunctionBuilder,
+    Instruction,
+    Opcode,
+    build_module,
+    verify_function,
+    verify_module,
+)
 from repro.sim import run_module
 from repro.workloads.generators import random_inputs, random_program
 from tests.conftest import (
@@ -79,7 +86,8 @@ def test_bank_usage_reported():
 def test_split_block_semantics(counting_loop_module):
     ref = run_module(counting_loop_module.copy())[0]
     func = counting_loop_module.function("main")
-    first, second = split_block(func, "entry", at=2)
+    assert len(func.blocks["entry"]) == 4
+    first, second = split_block(func, "entry")
     assert len(func.blocks[first]) == 3  # 2 + appended branch
     assert func.blocks[first].successors() == [second]
     verify_function(func)
@@ -90,8 +98,12 @@ def test_split_respects_branches():
     """The cut may not strand a predicated branch in the first half."""
     func = make_counting_loop()
     head = func.blocks["head"]
+    # Work after the branches puts the halfway cut past the first one.
+    for _ in range(3):
+        head.append(Instruction(Opcode.MOVI, dest=func.new_reg(), imm=1))
     branch_index = next(i for i, x in enumerate(head.instrs) if x.is_branch)
-    first, second = split_block(func, "head", at=len(head.instrs))
+    assert branch_index < len(head.instrs) // 2
+    first, second = split_block(func, "head")
     assert len(func.blocks[first]) == branch_index + 1
     module = build_module(func)
     assert run_module(module)[0] == 45

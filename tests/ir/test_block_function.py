@@ -95,7 +95,7 @@ def test_function_copy_independent():
     clone.block("body").instrs.clear()
     assert len(func.block("body")) > 0
     assert clone.entry == func.entry
-    assert clone._next_reg == func._next_reg
+    assert clone.max_reg() == func.max_reg()
 
 
 def test_module_copy_and_lookup():

@@ -1,9 +1,8 @@
-"""Dense register numbering: the interning table and the renumber pass.
+"""Register numbering: the allocation frontier and the renumber pass.
 
-Two properties are pinned here.  First, :class:`RegisterSpace` is an
-exact model of the names a function uses — dense allocation stays
-implicit, sparse notes are tracked, and ``dense_of``/``reg_of`` are
-inverses.  Second, :func:`renumber_registers` is the identity on
+Two properties are pinned here.  First, :class:`RegisterSpace` keeps
+``new`` collision-free: its frontier stays above every name allocated
+or noted.  Second, :func:`renumber_registers` is the identity on
 everything the builder produces (printed IR byte-identical, no version
 bumps) and a semantics-preserving densification on sparse parsed IR.
 """
@@ -26,63 +25,22 @@ def test_new_hands_out_sequential_names():
     space = RegisterSpace()
     assert [space.new() for _ in range(4)] == [0, 1, 2, 3]
     assert space.next_reg == 4
-    assert space.is_dense()
-    assert space.count == 4
-    assert space.seen == 0b1111
 
 
 def test_note_below_frontier_is_a_noop():
     space = RegisterSpace()
     for _ in range(3):
         space.new()
-    version = space.version
     assert space.note(1) == 1
-    assert space.version == version  # already interned, nothing grew
-    assert space.is_dense()
+    assert space.next_reg == 3
 
 
-def test_note_gap_switches_to_sparse_tracking():
+def test_note_beyond_the_frontier_skips_the_gap():
     space = RegisterSpace()
     space.new()  # v0
-    space.note(5)
-    assert not space.is_dense()
-    assert space.count == 2
-    assert space.seen == (1 << 0) | (1 << 5)
+    assert space.note(5) == 5
     assert space.next_reg == 6  # new() must not collide with v5
     assert space.new() == 6
-
-
-def test_sparse_space_fills_back_to_dense():
-    space = RegisterSpace()
-    space.note(2)  # gap: v0, v1 missing
-    assert not space.is_dense()
-    space.note(0)
-    space.note(1)
-    assert space.is_dense()
-    assert space.count == 3
-
-
-def test_dense_of_and_reg_of_are_inverses():
-    space = RegisterSpace()
-    for reg in (0, 3, 4, 9):
-        space.note(reg)
-    names = sorted(regs_of(space.seen))
-    assert names == [0, 3, 4, 9]
-    for dense, reg in enumerate(names):
-        assert space.dense_of(reg) == dense
-        assert space.reg_of(dense) == reg
-    with pytest.raises(IndexError):
-        space.reg_of(len(names))
-
-
-def test_dense_of_is_identity_on_dense_spaces():
-    space = RegisterSpace()
-    for _ in range(5):
-        space.new()
-    assert all(space.dense_of(reg) == reg for reg in range(5))
-    assert all(space.reg_of(reg) == reg for reg in range(5))
-    with pytest.raises(IndexError):
-        space.reg_of(5)
 
 
 def test_copy_is_independent():
@@ -91,20 +49,7 @@ def test_copy_is_independent():
     clone.new()
     clone.note(10)
     assert space.next_reg == 2
-    assert space.is_dense()
-    assert not clone.is_dense()
-
-
-def test_version_bumps_track_namespace_growth():
-    space = RegisterSpace()
-    v0 = space.version
-    space.new()
-    assert space.version > v0
-    v1 = space.version
-    space.note(0)  # no growth
-    assert space.version == v1
-    space.note(7)  # growth
-    assert space.version > v1
+    assert clone.next_reg == 11
 
 
 # -- regmask helpers --------------------------------------------------------
@@ -190,9 +135,8 @@ join:
 
 def test_sparse_function_renumbers_dense():
     func = parse_function_text(_SPARSE_TEXT)
-    assert not func.regs.is_dense()
+    assert func.regs.next_reg == 901
     mapping = renumber_registers(func)
-    assert func.regs.is_dense()
     # First-appearance order: params, then v7, v900, v12, then v31.
     assert mapping == {0: 0, 1: 1, 7: 2, 900: 3, 12: 4, 31: 5}
     assert func.regs.next_reg == 6

@@ -39,7 +39,7 @@ def test_split_refuses_leading_branch():
     fb.ret(fb.movi(0))
     func = fb.finish()
     with pytest.raises(SplitError, match="pins the cut"):
-        split_block(func, "a", at=5)
+        split_block(func, "a")
 
 
 def test_split_preserves_predicated_exits():
@@ -54,7 +54,12 @@ def test_split_preserves_predicated_exits():
     fb.block("big")
     fb.ret(fb.movi(2))
     func = fb.finish()
-    split_block(func, "entry", at=3)
+    # Seven instructions: the halfway cut falls after the multiply.
+    assert len(func.blocks["entry"]) == 7
+    split_block(func, "entry")
+    assert [instr.op for instr in func.blocks["entry"].instrs][-2:] == [
+        Opcode.MUL, Opcode.BR,
+    ]
     module = build_module(func)
     assert run_module(module.copy(), args=(2,))[0] == 1
     assert run_module(module.copy(), args=(9,))[0] == 2
