@@ -8,8 +8,8 @@ per trial — costs at most ~2% of formation time.  This bench measures:
 - ``control_s``   — the same untraced formation again, timed in the
   same rounds; ``overhead_disabled`` = ``control_s / disabled_s`` is the
   ratio of two identical configurations, so it reads the noise floor,
-- ``enabled_s``   — the same formation under a memory-sink tracer (the
-  full event firehose), and ``overhead_enabled`` = ``enabled_s /
+- ``enabled_s``   — the same formation under a tracer (the full event
+  firehose), and ``overhead_enabled`` = ``enabled_s /
   disabled_s``,
 - ``record_s``    — one ``record`` pass (form the subset under a tracer
   and write its decision log to a temporary file).  It runs *outside*
@@ -57,6 +57,8 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 
 from speedclock import SpeedClock, seconds  # noqa: E402
 
+from repro.obs.trace import Tracer  # noqa: E402
+
 #: Formation passes per timed window.  One pass of the quick subset is
 #: about 0.03 reference seconds, about three samples of the clock; on a
 #: shared 2-vCPU host the noise floor read 0.902-1.133x over 26 runs with
@@ -96,13 +98,6 @@ def _formation(prepared: list, tracer=None) -> Callable[[], None]:
     return form
 
 
-def _firehose():
-    from repro.obs.sink import MemorySink
-    from repro.obs.trace import Tracer
-
-    return Tracer(sinks=(MemorySink(),))
-
-
 def _prepare(subset: Optional[list[str]]) -> list:
     from repro.workloads.spec import QUICK_SUBSET, prepare_workloads
 
@@ -119,11 +114,11 @@ def _measure(subset: Optional[list[str]], repeat: int) -> dict:
         for _ in range(repeat):
             control = _best(control, _timed(clock, _formation(prepared)))
             disabled = _best(disabled, _timed(clock, _formation(prepared)))
-            tracer = _firehose()
+            tracer = Tracer()
             enabled = _best(
                 enabled, _timed(clock, _formation(prepared, tracer))
             )
-            events = len(tracer.collected_events())
+            events = len(tracer.events)
 
     return {
         "benchmark": "obs_overhead",
@@ -166,12 +161,12 @@ def run_recorder_overhead(
         counts.update(build_log_set(log_from_trace(trace))["counts"])
 
     with clock.running():
-        _formation(prepared, _firehose())()  # warm-up
+        _formation(prepared, Tracer())()  # warm-up
         for _ in range(repeat):
-            tracer = _firehose()
+            tracer = Tracer()
             sample = _timed(clock, _formation(prepared, tracer))
             if plain is None or sample < plain:
-                plain, trace = sample, tracer.collected_events()
+                plain, trace = sample, tracer.events
         for _ in range(repeat):
             build = _best(build, _timed(clock, project))
     return {

@@ -385,8 +385,7 @@ def _form_module_impl(
             def post_commit(ctx: FormationContext, hb_name: str) -> None:
                 verify_function(ctx.func)
                 check = differential_check(
-                    module, module, probes=probes, baseline=baseline,
-                    tracer=tracer,
+                    module, module, probes=probes, baseline=baseline
                 )
                 if not check.ok:
                     raise OracleDivergenceError(check)
@@ -413,10 +412,9 @@ def _form_module_impl(
                     module, module, probes=probes, baseline=baseline
                 )
             else:
-                with tracer.phase("oracle", function=func.name):
+                with tracer.span("oracle", function=func.name):
                     check = differential_check(
-                        module, module, probes=probes, baseline=baseline,
-                        tracer=tracer,
+                        module, module, probes=probes, baseline=baseline
                     )
             if not check.ok:
                 adopt_function_state(func, saved)

@@ -243,7 +243,7 @@ class FormationContext:
             # The incremental dataflow re-solve is its own phase: at scale
             # it is the dominant commit cost (see BENCH telemetry), so it
             # must be attributable separately.
-            with tracer.phase("liveness", function=self.func.name):
+            with tracer.span("liveness", function=self.func.name):
                 patched = live.note_commit(hb_name, s_name, added)
         if not patched:
             self.cache_stats.liveness_rebuilds += 1
@@ -485,12 +485,12 @@ def _merge_trial(
         if tracer is None:
             optimize_block(preview, live_out)
         else:
-            with tracer.phase("optimize", function=func.name):
+            with tracer.span("optimize", function=func.name):
                 optimize_block(preview, live_out)
     if tracer is None:
         estimate = estimate_block(preview, live_out, ctx.constraints)
     else:
-        with tracer.phase("estimate", function=func.name):
+        with tracer.span("estimate", function=func.name):
             estimate = estimate_block(preview, live_out, ctx.constraints)
     if not estimate.legal:
         ctx.stats.rejected_illegal += 1
@@ -516,7 +516,7 @@ def _merge_trial(
             ctx, hb_name, s_name, kind, preview, plane, fault_kind
         )
     else:
-        with tracer.phase("commit", function=func.name):
+        with tracer.span("commit", function=func.name):
             removed = _commit_preview(
                 ctx, hb_name, s_name, kind, preview, plane, fault_kind
             )
@@ -527,7 +527,7 @@ def _merge_trial(
         if tracer is None:
             ctx.post_commit(ctx, hb_name)
         else:
-            with tracer.phase("oracle", function=func.name):
+            with tracer.span("oracle", function=func.name):
                 ctx.post_commit(ctx, hb_name)
     ctx.stats.record(kind)
     if tracer is not None:

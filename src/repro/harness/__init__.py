@@ -1,4 +1,9 @@
-"""Experiment harness regenerating the paper's tables and figures."""
+"""Experiment harness regenerating the paper's tables and figures.
+
+The CLI verbs live in their own modules (``repro.harness.cli``,
+``replaycmd``, ``selfcheck``, ``tracecmd``), which importing the package
+does not load.
+"""
 
 from repro.harness.experiment import (
     ExperimentError,
@@ -8,7 +13,6 @@ from repro.harness.experiment import (
     ordering_config,
 )
 from repro.harness.occupancy import OccupancyReport, occupancy_report
-from repro.harness.selfcheck import run_fault_drill, run_selfcheck
 from repro.harness.tables import (
     RegressionResult,
     TableResult,
@@ -27,8 +31,6 @@ __all__ = [
     "TableResult",
     "WorkloadExperiment",
     "figure7",
-    "run_fault_drill",
-    "run_selfcheck",
     "heuristic_config",
     "ordering_config",
     "table1",

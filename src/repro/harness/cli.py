@@ -7,25 +7,24 @@ Usage::
     python -m repro.harness table3
     python -m repro.harness figure7
     python -m repro.harness all --out results.txt
-    python -m repro.harness selfcheck [--subset sieve,mcf]
-    python -m repro.harness table1 --selfcheck
+    python -m repro.harness selfcheck [--subset mcf,vortex]
     python -m repro.harness selfcheck --faults [--fault-rate 0.1] \
         [--fault-seed 0]
     python -m repro.harness trace mcf [--why b0,b3] [--jsonl t.jsonl] \
-        [--chrome t.json] [--dot prefix_]
-    python -m repro.harness stats mcf [--top 10]
+        [--chrome t.json] [--dot prefix_] [--json]
+    python -m repro.harness stats mcf [--top 10] [--json --out s.json]
     python -m repro.harness record [--quick] --out log.json
     python -m repro.harness replay mcf --run log.json [--fn main]
     python -m repro.harness replay --bisect a.json b.json
 
-Options and positionals may come in any order.
+Options and positionals may come in any order.  ``--out`` writes the
+report that stdout carries (for ``record``, the decision-log file).
 
-``selfcheck`` (or the ``--selfcheck`` flag on any target) runs the
-differential-simulation oracle over the suite before the experiment and
-fails the run on any divergence; ``selfcheck --faults`` runs the seeded
-fault-containment drill instead.  ``trace`` and ``stats`` record one
-workload's formation under the decision tracer (:mod:`repro.obs`) and
-render the record / its aggregates.
+``selfcheck`` runs the differential-simulation oracle over the SPEC
+suite and fails the run on any divergence; ``selfcheck --faults`` runs
+the seeded fault-containment drill instead.  ``trace`` and ``stats``
+record one workload's formation under the decision tracer
+(:mod:`repro.obs`) and render the record / its aggregates.
 
 ``record`` writes the suite's decision log, with the engine counters
 embedded per function, to the ``--out`` file.  ``replay`` re-forms a
@@ -57,7 +56,9 @@ def run(argv: Optional[list[str]] = None) -> str:
     """Run one verb and return its report, which never ends in a newline.
 
     ``main()`` prints the report and ``--out`` writes it followed by one
-    newline, so stdout and the file carry the same bytes.
+    newline, so stdout and the file carry the same bytes.  A failed
+    ``selfcheck`` writes its report too, then prints it to stderr and
+    exits 1.
     """
     parser = argparse.ArgumentParser(
         prog="repro-harness",
@@ -93,22 +94,17 @@ def run(argv: Optional[list[str]] = None) -> str:
     )
     parser.add_argument(
         "--out",
-        help="also write the report to this file; record: the "
-        "decision-log file to write",
+        help="also write the report (with --json, the JSON) to this "
+        "file; record: the decision-log file to write",
     )
     parser.add_argument(
         "--quick", action="store_true",
         help="record: the five-workload quick subset",
     )
     parser.add_argument(
-        "--json", nargs="?", const="-", default=None,
+        "--json", action="store_true",
         help="stats / trace: emit machine-readable JSON instead of the "
-        "rendered tables (bare --json prints to stdout, or give a path)",
-    )
-    parser.add_argument(
-        "--selfcheck", action="store_true",
-        help="run the differential-simulation oracle over the subset "
-        "before the experiment; exit 1 on any divergence",
+        "rendered tables",
     )
     parser.add_argument(
         "--faults", action="store_true",
@@ -164,10 +160,30 @@ def run(argv: Optional[list[str]] = None) -> str:
         raise SystemExit(
             f"--fault-rate must be in (0, 1], got {args.fault_rate:g}"
         )
-    return _dispatch(args, _parse_subset(args.subset))
+    takes = _POSITIONALS.get(args.target, 0)
+    extra = [arg for arg in (args.workload, args.other)[takes:] if arg]
+    if extra:
+        parser.error(
+            f"{args.target} takes {takes} positional argument(s), got "
+            f"extra {', '.join(map(repr, extra))}"
+        )
+    report, failure = _dispatch(args, _parse_subset(args.subset))
+    if args.out and args.target != "record":
+        with open(args.out, "w") as handle:
+            handle.write(report + "\n")
+    if failure:
+        print(report, file=sys.stderr)
+        raise SystemExit(failure)
+    return report
 
 
-def _dispatch(args, subset: Optional[list[str]]) -> str:
+#: How many positionals (``workload``, ``other``) each verb reads.
+_POSITIONALS = {"trace": 1, "stats": 1, "replay": 2}
+
+
+def _dispatch(args, subset: Optional[list[str]]) -> tuple[str, Optional[str]]:
+    """The verb's report and, for a failed ``selfcheck``, the exit
+    message."""
     if args.target == "replay":
         from repro.harness.replaycmd import run_replay_bisect, run_replay_check
 
@@ -177,44 +193,30 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
                     "replay --bisect needs two decision-log files "
                     "(e.g. `replay --bisect a.json b.json`)"
                 )
-            report = run_replay_bisect(args.workload, args.other)
-        else:
-            if not args.workload:
-                raise SystemExit(
-                    "replay needs a workload name (check mode) or "
-                    "--bisect with two decision-log files"
-                )
-            report = run_replay_check(args.workload, run=args.run, fn=args.fn)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        return report
+            return run_replay_bisect(args.workload, args.other), None
+        if not args.workload:
+            raise SystemExit(
+                "replay needs a workload name (check mode) or "
+                "--bisect with two decision-log files"
+            )
+        return run_replay_check(args.workload, run=args.run, fn=args.fn), None
 
     if args.target == "record":
         from repro.harness.replaycmd import run_record
 
-        return run_record(subset=subset, quick=args.quick, out=args.out)
+        return run_record(subset=subset, quick=args.quick, out=args.out), None
 
     if args.target in ("trace", "stats"):
         from repro.harness.tracecmd import run_stats, run_trace
 
         if not args.workload:
             raise SystemExit(f"{args.target} needs a workload name")
-        as_json = args.json is not None
         if args.target == "trace":
-            report = run_trace(
+            return run_trace(
                 args.workload, why=args.why, jsonl=args.jsonl,
-                chrome=args.chrome, dot=args.dot, as_json=as_json,
-            )
-        else:
-            report = run_stats(args.workload, top=args.top, as_json=as_json)
-        if as_json and args.json != "-":
-            with open(args.json, "w") as handle:
-                handle.write(report + "\n")
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        return report
+                chrome=args.chrome, dot=args.dot, as_json=args.json,
+            ), None
+        return run_stats(args.workload, top=args.top, as_json=args.json), None
 
     if args.target == "selfcheck" and args.faults:
         from repro.harness.selfcheck import run_fault_drill
@@ -223,34 +225,18 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
             subset=subset, rate=args.fault_rate,
             seed=args.fault_seed,
         )
-        report = drill["report"]
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report + "\n")
-        if not drill["ok"]:
-            print(report, file=sys.stderr)
-            raise SystemExit(
-                "fault drill failed: a fault escaped containment or no "
-                "fault fired"
-            )
-        return report
+        failure = None if drill["ok"] else (
+            "fault drill failed: a fault escaped containment or no "
+            "fault fired"
+        )
+        return drill["report"], failure
 
-    if args.target == "selfcheck" or args.selfcheck:
+    if args.target == "selfcheck":
         from repro.harness.selfcheck import run_selfcheck
 
-        # Table targets take *microbenchmark* subsets; the oracle runs
-        # over SPEC workloads, so only forward SPEC-speaking subsets.
-        check_subset = subset if args.target == "selfcheck" else None
-        check = run_selfcheck(subset=check_subset)
-        if not check["ok"]:
-            print(check["report"], file=sys.stderr)
-            raise SystemExit("selfcheck failed: oracle divergence")
-        if args.target == "selfcheck":
-            report = check["report"]
-            if args.out:
-                with open(args.out, "w") as handle:
-                    handle.write(report + "\n")
-            return report
+        check = run_selfcheck(subset=subset)
+        failure = None if check["ok"] else "selfcheck failed: oracle divergence"
+        return check["report"], failure
 
     sections: list[str] = []
     started = time.time()
@@ -268,10 +254,7 @@ def _dispatch(args, subset: Optional[list[str]]) -> str:
 
     report = ("\n\n" + "=" * 72 + "\n\n").join(sections)
     report += f"\n\n(generated in {time.time() - started:.1f}s)"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report + "\n")
-    return report
+    return report, None
 
 
 def main() -> None:  # console entry point

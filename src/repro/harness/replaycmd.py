@@ -1,8 +1,13 @@
 """The ``record`` and ``replay`` CLI verbs: the flight recorder on files.
 
+:func:`record_workload` is the one place the harness forms a workload
+under a tracer: ``trace``, ``stats``, ``record``, ``replay``,
+``selfcheck`` and both runs of the fault drill call it.
+
 The flight recorder keeps one artifact, a decision-log file
 (:mod:`repro.obs.replay`), and makes one comparison,
-:func:`~repro.obs.replay.first_divergence`:
+:func:`~repro.obs.replay.first_divergence` plus the embedded counters
+(:func:`counter_drift`):
 
 - ``record [--quick | --subset A,B] --out FILE`` forms the suite under a
   tracer and writes the validated log set to FILE, with the engine's
@@ -42,7 +47,6 @@ from repro.obs.replay import (
     summarize_record,
     validate_log_set,
 )
-from repro.obs.sink import MemorySink
 from repro.obs.trace import Tracer
 from repro.workloads.spec import (
     QUICK_SUBSET,
@@ -60,24 +64,38 @@ COUNTERS = ("status", "merges", "mtup", "attempts")
 # ---------------------------------------------------------------------------
 
 
-def record_workload(name: str, workload, profile, faults=None) -> dict:
-    """Form one prepared workload under a tracer; returns its decision logs.
+def record_workload(
+    name: str, workload, profile, faults=None, probes=None
+) -> tuple:
+    """Form one prepared workload under a tracer: the one traced run
+    behind every harness verb.
 
-    The logs are keyed ``name:function`` and carry the engine's counters.
+    Returns ``(module, report, trace, logs)``: the formed module, its
+    :class:`~repro.robustness.guard.FormationReport`, the finished
+    :class:`~repro.obs.trace.FormationTrace`, and the decision logs,
+    keyed ``name:function`` with the engine's counters embedded.
     Formation runs with driver defaults (failsafe on), so the log holds
     the decisions every ``form_module`` caller gets; ``faults`` (a
-    :class:`repro.robustness.faultinject.FaultPlane`) perturbs the run.
+    :class:`repro.robustness.faultinject.FaultPlane`) perturbs the run,
+    and ``probes`` (:class:`~repro.robustness.oracle.BehaviorProbe`
+    inputs) arms the per-function oracle (``selfcheck="function"``).
     """
     module = workload.module()
-    tracer = Tracer(sinks=(MemorySink(),))
+    tracer = Tracer()
     report = form_module(
-        module, profile=profile, tracer=tracer, faults=faults
+        module,
+        profile=profile,
+        selfcheck="function" if probes else None,
+        oracle_probes=probes,
+        tracer=tracer,
+        faults=faults,
     )
-    logs = log_from_trace(tracer.collected_events(), prefix=f"{name}:")
-    return attach_stats(logs, {
+    trace = tracer.finish()
+    logs = attach_stats(log_from_trace(trace, prefix=f"{name}:"), {
         f"{name}:{fname}": _counters(freport)
         for fname, freport in report.functions.items()
     })
+    return module, report, trace, logs
 
 
 def _counters(freport) -> dict:
@@ -104,7 +122,10 @@ def record_suite(subset: Optional[list[str]] = None, faults=None) -> dict:
     SPEC suite), each workload formed by :func:`record_workload`."""
     logs: dict[str, dict] = {}
     for name, workload, profile in prepare_workloads(subset):
-        logs.update(record_workload(name, workload, profile, faults=faults))
+        *_, workload_logs = record_workload(
+            name, workload, profile, faults=faults
+        )
+        logs.update(workload_logs)
     return build_log_set(logs)
 
 
@@ -214,7 +235,7 @@ def run_replay_check(
             "functions: " + ", ".join(in_file)
         )
     ((name, workload, profile),) = prepare_workloads([workload_name])
-    fresh = record_workload(name, workload, profile)
+    *_, fresh = record_workload(name, workload, profile)
     if fn is not None:
         fresh = {key: fresh[key] for key in fresh if key == prefix + fn}
         in_file = [prefix + fn]
@@ -224,12 +245,7 @@ def run_replay_check(
     if divergences:
         print(format_divergences(divergences, recorded, run))
         raise SystemExit(2)
-    drifted = [
-        (key, field, bucket[field], fresh[key].get(field))
-        for key, bucket in sorted(recorded.items())
-        for field in COUNTERS
-        if field in bucket and fresh[key].get(field) != bucket[field]
-    ]
+    drifted = counter_drift(recorded, fresh)
     if drifted:
         lines = [
             "replay: decision stream matched but engine counters "
@@ -247,6 +263,24 @@ def run_replay_check(
         f"{decisions} decision(s) across {len(recorded)} function(s), "
         "engine counters verified"
     )
+
+
+def counter_drift(recorded: dict, fresh: dict) -> list[tuple]:
+    """``(key, field, recorded value, fresh value)`` for every engine
+    counter (:data:`COUNTERS`) embedded in a ``recorded`` log that the
+    ``fresh`` log of the same key does not repeat.
+
+    With :func:`~repro.obs.replay.first_divergence` this is the whole
+    comparison of two logs: a guard-contained trial crash uses up an
+    attempt without leaving a decision record, so only the counters
+    show it.
+    """
+    return [
+        (key, field, bucket[field], fresh[key].get(field))
+        for key, bucket in sorted(recorded.items())
+        for field in COUNTERS
+        if field in bucket and fresh[key].get(field) != bucket[field]
+    ]
 
 
 def format_divergences(divergences, recorded: dict, label: str) -> str:

@@ -1,6 +1,7 @@
 """Suite-level self-check and fault-drill drivers.
 
-Two CI-facing entry points over the robustness layer:
+Two CI-facing entry points over the robustness layer, each forming
+through :func:`repro.harness.replaycmd.record_workload`:
 
 - :func:`run_selfcheck` forms every SPEC workload with the differential
   oracle armed (``selfcheck="function"``) and re-checks the final formed
@@ -10,21 +11,27 @@ Two CI-facing entry points over the robustness layer:
   --faults``: form the suite once clean and once under a seeded
   :class:`FaultPlane`, then check that the plane fired at all, that the
   faulted run never escaped a fault (every plane-touched function is
-  ``degraded``/``failed_safe``), that every *untouched* function made
-  byte-identical merge decisions (equal decision-log fingerprints), and
-  that the oracle passes on everything the faulted run formed.
+  ``degraded``/``failed_safe``), that every *untouched* function's
+  decision log matches the clean run's the way ``replay`` compares logs
+  (:func:`~repro.obs.replay.first_divergence` plus the embedded
+  ``status``/``merges``/``mtup``/``attempts``), and that the oracle
+  passes on everything the faulted run formed.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.convergent import form_module
-from repro.obs.replay import log_from_trace
-from repro.obs.trace import FormationTrace, Tracer
+from repro.harness.replaycmd import counter_drift, record_workload
+from repro.obs.replay import first_divergence
+from repro.obs.trace import FormationTrace
 from repro.robustness.faultinject import TRIAL_KINDS, FaultPlane
 from repro.robustness.guard import FunctionStatus
-from repro.robustness.oracle import BehaviorProbe, differential_check
+from repro.robustness.oracle import (
+    BehaviorProbe,
+    OracleReport,
+    differential_check,
+)
 from repro.workloads.spec import prepare_workloads
 
 
@@ -39,7 +46,7 @@ def _workload_probes(workload) -> list[BehaviorProbe]:
 
 
 def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
-    """Oracle self-check over the SPEC suite (the ``--selfcheck`` gate).
+    """Oracle self-check over the SPEC suite (the ``selfcheck`` verb).
 
     Per workload: form with ``selfcheck="function"`` armed, then run one
     final differential check of the formed module against a fresh
@@ -49,25 +56,15 @@ def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
     rows = []
     for name, workload, profile in prepare_workloads(subset):
         probes = _workload_probes(workload)
-        module = workload.module()
-        # Each workload forms under its own tracer, so a failure can be
-        # explained from the decision record: the probe that caught the
-        # divergence and the last merge accepted before it.
-        tracer = Tracer()
-        report = form_module(
-            module,
-            profile=profile,
-            selfcheck="function",
-            oracle_probes=probes,
-            tracer=tracer,
+        module, report, trace, _ = record_workload(
+            name, workload, profile, probes=probes
         )
-        final = differential_check(
-            workload.module(), module, probes=probes, tracer=tracer
-        )
-        trace = tracer.finish()
+        final = differential_check(workload.module(), module, probes=probes)
         detail = ""
         if not final.ok:
-            detail = final.describe() + "\n    " + _failure_context(trace)
+            detail = (
+                final.describe() + "\n    " + _failure_context(final, trace)
+            )
         rows.append(
             {
                 "workload": name,
@@ -83,20 +80,14 @@ def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
     return {"ok": ok, "rows": rows, "report": _format_selfcheck(rows, ok)}
 
 
-def _failure_context(trace: FormationTrace) -> str:
-    """Point a selfcheck failure at its trace evidence: the probe whose
-    verdict flagged the divergence and the last accepted merge span."""
-    parts = []
-    failed = [
-        e for e in trace.named("oracle_probe") if not e.attrs.get("ok")
-    ]
-    if failed:
-        last = failed[-1]
-        diverged = ", ".join(last.attrs.get("diverged", ())) or "?"
-        parts.append(
-            f"offending probe: {last.attrs.get('probe')} "
-            f"(diverged: {diverged})"
-        )
+def _failure_context(final: OracleReport, trace: FormationTrace) -> str:
+    """Point a selfcheck failure at its evidence: the last probe the
+    final check flagged and the last merge the trace accepted."""
+    probe = final.divergences[-1].probe
+    diverged = ", ".join(
+        d.observable for d in final.divergences if d.probe == probe
+    )
+    parts = [f"offending probe: {probe} (diverged: {diverged})"]
     accept = trace.last_accept()
     if accept is not None:
         attrs = accept.attrs
@@ -105,7 +96,7 @@ def _failure_context(trace: FormationTrace) -> str:
             f"{attrs.get('hb')} <- {attrs.get('target')} "
             f"({attrs.get('kind')})"
         )
-    return "; ".join(parts) if parts else "no trace events recorded"
+    return "; ".join(parts)
 
 
 def _format_selfcheck(rows: list[dict], ok: bool) -> str:
@@ -132,33 +123,22 @@ def run_fault_drill(
 
     Returns a dict with ``ok`` plus per-workload rows recording: faults
     fired, functions degraded/failed-safe, which *un*-faulted functions
-    changed their status or their decision log (any offer, verdict,
-    ``CONSTRAINT_*`` attribution or estimate) versus the clean control
-    run, and whether the oracle passed on the faulted run's output.  Both
-    runs form under a tracer.  A drill whose plane fired no fault over
-    the whole suite proves nothing, so it fails too.
+    moved versus the clean control run (``clean_mismatch``, with
+    ``drift`` holding each one's first diverging record or drifted
+    counters, as ``replay`` prints them), and whether the oracle passed
+    on the faulted run's output.  A drill whose plane fired no fault
+    over the whole suite proves nothing, so it fails too.
     """
     rows = []
     for name, workload, profile in prepare_workloads(subset):
-        control = workload.module()
-        tracer = Tracer()
-        control_report = form_module(control, profile=profile, tracer=tracer)
-        control_logs = log_from_trace(tracer.collected_events())
-
-        faulted = workload.module()
+        control, _, _, control_logs = record_workload(name, workload, profile)
         plane = FaultPlane(rate=rate, seed=seed, kinds=kinds)
-        tracer = Tracer()
         # selfcheck guards the corrupting kinds: a silently wrong
         # hyperblock must be caught and rolled back, not shipped.
-        faulted_report = form_module(
-            faulted,
-            profile=profile,
-            selfcheck="function",
-            oracle_probes=_workload_probes(workload),
-            tracer=tracer,
-            faults=plane,
+        faulted, faulted_report, _, faulted_logs = record_workload(
+            name, workload, profile, faults=plane,
+            probes=_workload_probes(workload),
         )
-        faulted_logs = log_from_trace(tracer.collected_events())
 
         touched = {fault.function for fault in plane.fired}
         escaped = [
@@ -166,12 +146,14 @@ def run_fault_drill(
             for fname in touched
             if faulted_report.status_of(fname) is FunctionStatus.OK
         ]
+        prefix = f"{name}:"
+        drift = _drift(
+            {prefix + func.name for func in control
+             if func.name not in touched},
+            control_logs, faulted_logs,
+        )
         clean_mismatch = [
-            func.name
-            for func in control
-            if func.name not in touched
-            and _outcome(control_report, control_logs, func.name)
-            != _outcome(faulted_report, faulted_logs, func.name)
+            func.name for func in control if prefix + func.name in drift
         ]
         oracle = differential_check(
             workload.module(), faulted, probes=_workload_probes(workload)
@@ -185,6 +167,9 @@ def run_fault_drill(
                 "failed_safe": len(faulted_report.failed_safe_functions),
                 "escaped": escaped,
                 "clean_mismatch": clean_mismatch,
+                "drift": {
+                    fname: drift[prefix + fname] for fname in clean_mismatch
+                },
                 "oracle_ok": oracle.ok,
             }
         )
@@ -202,12 +187,24 @@ def run_fault_drill(
     }
 
 
-def _outcome(report, logs: dict, fname: str) -> tuple:
-    """A function's status and decision-log fingerprint (``None`` when
-    it made no decision)."""
-    bucket = logs.get(fname)
-    fingerprint = bucket["fingerprint"] if bucket is not None else None
-    return report.status_of(fname), fingerprint
+def _drift(keys: set, control: dict, faulted: dict) -> dict[str, str]:
+    """Each log key in ``keys`` whose faulted-run log moved, with what
+    ``replay`` would print for it: the first diverging record or, when
+    the records match, the drifted counters."""
+    control = {key: control[key] for key in keys}
+    faulted = {key: faulted[key] for key in keys}
+    drift = {
+        divergence.function: divergence.describe("control", "faulted")
+        for divergence in first_divergence(control, faulted)
+    }
+    counters: dict[str, list[str]] = {}
+    for key, field, was, now in counter_drift(control, faulted):
+        counters.setdefault(key, []).append(
+            f"{key}: {field} control {was} faulted {now}"
+        )
+    for key, lines in counters.items():
+        drift.setdefault(key, "\n".join(lines))
+    return drift
 
 
 def _format_drill(
@@ -229,6 +226,8 @@ def _format_drill(
             lines.append(f"    ESCAPED: fault touched @{fname} but status is ok")
         for fname in row["clean_mismatch"]:
             lines.append(f"    DRIFT: unfaulted @{fname} formed differently")
+            for line in row["drift"][fname].splitlines():
+                lines.append(f"      {line}")
     if not fired:
         lines.append(
             "  no fault fired over the suite: this drill exercised nothing "

@@ -1,60 +1,38 @@
 """The ``trace`` and ``stats`` CLI verbs: record a formation run's
 decision trace and answer questions from it.
 
-``trace`` forms one SPEC workload under a tracer and prints the
-decision record — every offer, trial, rejection (with the structural
-constraint that fired), acceptance and guard action.  ``--why HB,TARGET``
-narrows the output to the full decision path of one (hyperblock, target)
-pair: the paper's "why did this merge happen / get rejected" question,
-answered from the trace instead of a debugger.  ``--jsonl`` and
-``--chrome`` export the raw events (one JSON object per line) and a
-Chrome ``chrome://tracing`` / Perfetto file.
+Both form one SPEC workload through
+:func:`repro.harness.replaycmd.record_workload`, the harness's one
+traced run.  ``trace`` prints the decision record — every offer, trial,
+rejection (with the structural constraint that fired), acceptance and
+guard action.  ``--why HB,TARGET`` narrows the output to the full
+decision path of one (hyperblock, target) pair: the paper's "why did
+this merge happen / get rejected" question, answered from the trace
+instead of a debugger.  ``--jsonl``, ``--chrome`` and ``--dot`` write
+the finished trace's events (one JSON object per line), a Chrome
+``chrome://tracing`` / Perfetto file and per-function DOT CFGs, with or
+without ``--json``.
 
-``stats`` runs the same traced formation and aggregates: the slowest
-trials, the rejection-reason breakdown (split by structural constraint),
-and the per-function phase table whose shares are computed over span
-*self time* — the ``liveness`` phase nests inside ``commit``, so commit
-is charged its self time only and the shares sum to ~100%.
+``stats`` aggregates the same traced formation: the slowest trials, the
+rejection-reason breakdown (split by structural constraint), and the
+per-function phase table whose shares are computed over span *self
+time* — the ``liveness`` phase nests inside ``commit``, so commit is
+charged its self time only and the shares sum to ~100%.
+
+Each verb builds its data once (:func:`stats_data`,
+:func:`explain_decision_data`); ``--json`` prints it and the text
+renders it.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
-from repro.core.convergent import form_module
-from repro.obs.sink import JsonlSink, MemorySink, write_chrome_trace
-from repro.obs.trace import PHASE_SPANS, FormationTrace, TraceEvent, Tracer
+from repro.harness.replaycmd import record_workload
+from repro.obs.sink import write_chrome_trace, write_jsonl
+from repro.obs.trace import PHASE_SPANS, FormationTrace, TraceEvent
 from repro.workloads.spec import prepare_workloads
-
-
-def record_formation_trace(
-    workload_name: str,
-    jsonl: Optional[str] = None,
-) -> tuple[FormationTrace, object, object]:
-    """Form one SPEC workload under a fresh tracer.
-
-    Returns ``(trace, formation report, formed module)``.  Setup (module
-    build, profile collection) happens outside the trace so the record is
-    purely about formation decisions; the formed module rides along so
-    callers can render what the decisions produced (``--dot``).
-    """
-    ((_, workload, profile),) = prepare_workloads([workload_name])
-    module = workload.module()
-    sinks: list = [MemorySink()]
-    jsonl_sink: Optional[JsonlSink] = None
-    if jsonl:
-        jsonl_sink = JsonlSink(jsonl)
-        sinks.append(jsonl_sink)
-    tracer = Tracer(sinks=sinks)
-    try:
-        report = form_module(module, profile=profile, tracer=tracer)
-    finally:
-        # Deterministic flush even when formation raises: whatever was
-        # traced is complete lines on disk (close is idempotent; the
-        # tracer's finish() below closes the sink again harmlessly).
-        if jsonl_sink is not None:
-            jsonl_sink.close()
-    return tracer.finish(), report, module
 
 
 # ---------------------------------------------------------------------------
@@ -65,41 +43,55 @@ def record_formation_trace(
 _VERDICT_EVENTS = frozenset({"accept", "reject"})
 
 
-def _format_event(event: TraceEvent, depth: int) -> str:
-    attrs = event.attrs
-    parts = [("  " * depth) + event.name]
+def _format_event(
+    name: str, attrs: dict, dur: Optional[float], depth: int
+) -> str:
+    parts = [("  " * depth) + name]
     pair = attrs.get("hb"), attrs.get("target")
     if pair[0] is not None and pair[1] is not None:
         parts.append(f"{pair[0]}<-{pair[1]}")
     elif "function" in attrs:
         parts.append(attrs["function"])
-    if event.name == "reject":
+    if name == "reject":
         reason = attrs.get("reason", "?")
         parts.append(f"[{reason}]")
         if reason == "constraint":
             parts.append("+".join(attrs.get("constraints", ())))
-    elif event.name == "accept":
+    elif name == "accept":
         parts.append(f"kind={attrs.get('kind')} removed={attrs.get('removed')}")
-    elif event.name == "trial":
+    elif name == "trial":
         verdict = "committed" if attrs.get("committed") else "rejected"
         parts.append(verdict)
-    if event.dur is not None:
-        parts.append(f"({event.dur * 1e3:.3f}ms)")
+    if dur is not None:
+        parts.append(f"({dur * 1e3:.3f}ms)")
     return " ".join(str(p) for p in parts)
 
 
 def _render_tree(trace: FormationTrace, events, depth: int, out: list[str]) -> None:
     for event in events:
-        out.append(_format_event(event, depth))
+        out.append(_format_event(event.name, event.attrs, event.dur, depth))
         _render_tree(trace, trace.children(event.span_id), depth + 1, out)
 
 
-def explain_decision_data(trace: FormationTrace, hb: str, target: str) -> dict:
-    """Machine-readable ``--why``: the pair's event path and verdict.
+def _parse_why(why: Optional[str]) -> Optional[tuple[str, str]]:
+    """``(hb, target)`` from ``--why HB,TARGET``; exits on a malformed
+    value before anything is formed."""
+    if not why:
+        return None
+    try:
+        hb, target = (part.strip() for part in why.split(",", 1))
+    except ValueError:
+        raise SystemExit(
+            f"--why wants 'HB,TARGET' (e.g. --why b0,b3), got {why!r}"
+        )
+    return hb, target
 
-    The same selection as :func:`_explain_decision`, shaped for tooling
-    (``trace --why ... --json``): raw events via ``as_dict`` plus a
-    one-object verdict summary.
+
+def explain_decision_data(trace: FormationTrace, hb: str, target: str) -> dict:
+    """``--why``'s data: the pair's event path and verdict.
+
+    Raw events via ``as_dict`` plus a one-object verdict summary;
+    ``trace --why --json`` prints it and the text renders it.
     """
     path = trace.decision_path(hb, target)
     verdict = None
@@ -124,8 +116,8 @@ def explain_decision_data(trace: FormationTrace, hb: str, target: str) -> dict:
     return data
 
 
-def _explain_decision(trace: FormationTrace, hb: str, target: str) -> str:
-    path = trace.decision_path(hb, target)
+def _explain_decision(data: dict, trace: FormationTrace) -> str:
+    hb, target, path = data["hb"], data["target"], data["path"]
     if not path:
         pairs = sorted(
             {
@@ -139,30 +131,36 @@ def _explain_decision(trace: FormationTrace, hb: str, target: str) -> str:
             f"no events for pair ({hb}, {target}); offered pairs: {listing}"
         )
     lines = [f"decision path for {hb} <- {target}:"]
-    ids = {e.span_id for e in path}
-    for event in path:
-        depth = 1 if event.parent_id not in ids else 2
-        lines.append(_format_event(event, depth))
+    ids = {record["id"] for record in path}
+    for record in path:
+        depth = 1 if record.get("parent") not in ids else 2
+        lines.append(_format_event(
+            record["name"], record.get("attrs", {}), record.get("dur"), depth
+        ))
     # One-line verdict so the answer does not have to be read out of the
     # tree: the final accept/reject for the pair.
-    verdict = None
-    for event in path:
-        if event.name in _VERDICT_EVENTS:
-            verdict = event
+    verdict = data["verdict"]
     if verdict is None:
         lines.append("  => never reached a trial verdict")
-    elif verdict.name == "accept":
+    elif verdict["event"] == "accept":
         lines.append(
-            f"  => merged (kind={verdict.attrs.get('kind')}, "
-            f"removed {verdict.attrs.get('removed')})"
+            f"  => merged (kind={verdict.get('kind')}, "
+            f"removed {verdict.get('removed')})"
         )
     else:
-        reason = verdict.attrs.get("reason")
+        reason = verdict.get("reason")
         detail = ""
         if reason == "constraint":
-            detail = ": " + "; ".join(verdict.attrs.get("violations", ()))
+            detail = ": " + "; ".join(verdict.get("violations", ()))
         lines.append(f"  => rejected ({reason}{detail})")
     return "\n".join(lines)
+
+
+def _formation_data(report) -> dict:
+    return {
+        name: {"status": str(status), "mtup": list(mtup)}
+        for name, (status, mtup) in report.summary().items()
+    }
 
 
 def run_trace(
@@ -178,55 +176,23 @@ def run_trace(
     ``dot`` is a filename prefix: each formed function is written to
     ``<prefix><function>.dot`` with hyperblocks striped by originating
     basic block (see :func:`repro.ir.dot.merge_provenance`), the visual
-    side of a drift report's before/after.  ``as_json`` renders the run
-    (and the ``--why`` explanation) as a JSON document instead of the
-    tree, with the decision stream in flight-recorder record form.
+    side of a drift report's before/after.  ``as_json`` prints the run's
+    data instead of the tree: event counts, the formation summary, the
+    ``--why`` explanation, and under ``decisions`` the workload's
+    decision logs exactly as a ``record`` file holds them (keyed
+    ``workload:function``, engine counters embedded).  The exports are
+    written in both modes.
     """
-    trace, report, module = record_formation_trace(workload, jsonl=jsonl)
-    if as_json:
-        import json as _json
-
-        from repro.obs.replay import log_from_trace
-
-        data: dict = {
-            "workload": workload,
-            "events": len(trace),
-            "event_counts": trace.event_counts(),
-            "formation": {
-                name: {"status": str(status), "mtup": list(mtup)}
-                for name, (status, mtup) in report.summary().items()
-            },
-            "decisions": log_from_trace(trace),
-        }
-        if chrome:
-            write_chrome_trace(
-                trace.events, chrome, meta={"workload": workload}
-            )
-        if why:
-            try:
-                hb, target = (part.strip() for part in why.split(",", 1))
-            except ValueError:
-                raise SystemExit(
-                    f"--why wants 'HB,TARGET' (e.g. --why b0,b3), "
-                    f"got {why!r}"
-                )
-            data["why"] = explain_decision_data(trace, hb, target)
-        return _json.dumps(data, indent=2, sort_keys=True)
-    lines = [
-        f"trace: {workload}: {len(trace)} events",
-        "  " + ", ".join(
-            f"{name}={count}" for name, count in trace.event_counts().items()
-        ),
-        "  formation: " + ", ".join(
-            f"{name}={status}:{mtup}"
-            for name, (status, mtup) in report.summary().items()
-        ),
-    ]
+    pair = _parse_why(why)
+    ((name, prepared, profile),) = prepare_workloads([workload])
+    module, report, trace, logs = record_workload(name, prepared, profile)
+    written = []
     if chrome:
         write_chrome_trace(trace.events, chrome, meta={"workload": workload})
-        lines.append(f"  chrome trace written to {chrome}")
+        written.append(f"  chrome trace written to {chrome}")
     if jsonl:
-        lines.append(f"  jsonl written to {jsonl}")
+        write_jsonl(trace.events, jsonl)
+        written.append(f"  jsonl written to {jsonl}")
     if dot:
         from repro.ir.dot import function_to_dot, merge_provenance
 
@@ -237,18 +203,35 @@ def run_trace(
                 handle.write(
                     function_to_dot(func, provenance=provenance) + "\n"
                 )
-            lines.append(f"  dot written to {path}")
-    if why:
-        try:
-            hb, target = (part.strip() for part in why.split(",", 1))
-        except ValueError:
-            raise SystemExit(
-                f"--why wants 'HB,TARGET' (e.g. --why b0,b3), got {why!r}"
-            )
-        lines.append("")
-        lines.append(_explain_decision(trace, hb, target))
+            written.append(f"  dot written to {path}")
+
+    data: dict = {
+        "workload": workload,
+        "events": len(trace),
+        "event_counts": trace.event_counts(),
+        "formation": _formation_data(report),
+        "decisions": logs,
+    }
+    if pair is not None:
+        data["why"] = explain_decision_data(trace, *pair)
+    if as_json:
+        return json.dumps(data, indent=2, sort_keys=True)
+
+    lines = [
+        f"trace: {workload}: {data['events']} events",
+        "  " + ", ".join(
+            f"{event}={count}" for event, count in data["event_counts"].items()
+        ),
+        "  formation: " + ", ".join(
+            f"{fname}={row['status']}:{tuple(row['mtup'])}"
+            for fname, row in data["formation"].items()
+        ),
+        *written,
+        "",
+    ]
+    if pair is not None:
+        lines.append(_explain_decision(data["why"], trace))
     else:
-        lines.append("")
         _render_tree(trace, trace.roots(), 0, lines)
     return "\n".join(lines)
 
@@ -307,8 +290,10 @@ def slowest_trials(trace: FormationTrace, top: int) -> list[TraceEvent]:
 
 
 def stats_data(workload: str, top: int = 10) -> dict:
-    """Machine-readable ``stats``: the same aggregates the table renders."""
-    trace, report, _ = record_formation_trace(workload)
+    """The ``stats`` verb's data: the aggregates ``--json`` prints and
+    the table renders."""
+    ((name, prepared, profile),) = prepare_workloads([workload])
+    _, report, trace, _ = record_workload(name, prepared, profile)
     return {
         "workload": workload,
         "events": len(trace),
@@ -325,33 +310,26 @@ def stats_data(workload: str, top: int = 10) -> dict:
         ],
         "rejections": rejection_breakdown(trace),
         "phase_table_s": phase_table(trace),
-        "formation": {
-            name: {"status": str(status), "mtup": list(mtup)}
-            for name, (status, mtup) in report.summary().items()
-        },
+        "formation": _formation_data(report),
     }
 
 
 def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
     """The ``stats`` verb: aggregate one traced formation run."""
+    data = stats_data(workload, top=top)
     if as_json:
-        import json as _json
-
-        return _json.dumps(stats_data(workload, top=top), indent=2,
-                           sort_keys=True)
-    trace, _, _ = record_formation_trace(workload)
-    lines = [f"stats: {workload}: {len(trace)} events"]
+        return json.dumps(data, indent=2, sort_keys=True)
+    lines = [f"stats: {workload}: {data['events']} events"]
 
     lines.append(f"  top {top} slowest trials:")
-    for event in slowest_trials(trace, top):
-        attrs = event.attrs
-        verdict = "committed" if attrs.get("committed") else "rejected"
+    for trial in data["slowest_trials"]:
+        verdict = "committed" if trial["committed"] else "rejected"
         lines.append(
-            f"    {attrs.get('function')}: {attrs.get('hb')} <- "
-            f"{attrs.get('target')}  {event.dur * 1e3:.3f}ms  {verdict}"
+            f"    {trial['function']}: {trial['hb']} <- "
+            f"{trial['target']}  {trial['dur_s'] * 1e3:.3f}ms  {verdict}"
         )
 
-    breakdown = rejection_breakdown(trace)
+    breakdown = data["rejections"]
     lines.append("  rejections:")
     if breakdown:
         for reason in sorted(breakdown):
@@ -359,7 +337,7 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
     else:
         lines.append("    <none>")
 
-    table = phase_table(trace)
+    table = data["phase_table_s"]
     grand_total = sum(sum(row.values()) for row in table.values())
     lines.append("  phase table (self time):")
     header = f"    {'function':<16}" + "".join(

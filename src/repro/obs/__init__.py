@@ -4,8 +4,8 @@ The modules (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.trace` — structured events and spans, the per-run
   :class:`Tracer`, and the queryable :class:`FormationTrace`;
-- :mod:`repro.obs.sink` — in-memory and JSONL sinks and the Chrome-trace
-  (Perfetto) exporter;
+- :mod:`repro.obs.sink` — the JSON Lines and Chrome-trace (Perfetto)
+  exporters of a finished trace;
 - :mod:`repro.obs.replay` — the decision flight recorder: per-function
   decision logs, their validation, and first-divergence bisection.
 
@@ -15,21 +15,13 @@ the instrumentation in the formation engine costs one ``is None`` test
 per trial.
 """
 
-from repro.obs.sink import (
-    JsonlSink,
-    MemorySink,
-    chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-)
+from repro.obs.sink import chrome_trace, write_chrome_trace, write_jsonl
 from repro.obs.trace import PHASE_SPANS, FormationTrace, TraceEvent, Tracer
 
 __all__ = [
-    "JsonlSink",
-    "MemorySink",
     "chrome_trace",
-    "read_jsonl",
     "write_chrome_trace",
+    "write_jsonl",
     "PHASE_SPANS",
     "FormationTrace",
     "TraceEvent",

@@ -3,10 +3,10 @@ first-divergence bisection.
 
 The decision log is the one encoding of formation decisions: ``record``
 writes a log set to a file, the formation golden pins each pipeline's
-digest, and the fault drill compares per-function fingerprints.  A
-digest mismatch says *that* two runs decided differently; this module
-also answers "*which* decision diverged first, and what did each side
-see?"  Two pieces:
+digest, and ``replay`` and the fault drill compare logs function by
+function.  A digest mismatch says *that* two runs decided differently;
+this module also answers "*which* decision diverged first, and what did
+each side see?"  Two pieces:
 
 - a **decision log** — per function, the ordered, machine-stable
   projection of the trace's offer/accept/reject instants: pair ids,
@@ -101,8 +101,9 @@ def log_from_trace(trace, prefix: str = "") -> dict[str, dict]:
     """Per-function decision logs from a finished trace.
 
     ``trace`` is anything with an ``events`` list in emission order (a
+    :class:`~repro.obs.trace.Tracer` or
     :class:`~repro.obs.trace.FormationTrace`) — or the bare event
-    sequence itself, e.g. ``tracer.collected_events()``.  Events are
+    sequence itself.  Events are
     grouped by their ``function`` attribute, key-prefixed with
     ``prefix`` (the workload name) so functions from different workloads
     never collide in one log set; each record carries

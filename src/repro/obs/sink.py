@@ -1,16 +1,15 @@
-"""Trace sinks and exporters: in-memory, JSONL, Chrome trace format.
+"""Trace exporters: JSON Lines and Chrome trace format.
 
-A *sink* receives every :class:`~repro.obs.trace.TraceEvent` a tracer
-emits.  Two are provided:
+A finished trace is a list of :class:`~repro.obs.trace.TraceEvent`;
+these write it to a file once formation ends:
 
-- :class:`MemorySink` — an unbounded list; the tracer's default.
-- :class:`JsonlSink` — streams events to a file as one JSON object per
-  line; :func:`read_jsonl` round-trips them back.
-
-:func:`chrome_trace` converts an event list into the Chrome trace-event
-JSON format, loadable in ``chrome://tracing`` and Perfetto: spans become
-complete ("X") events on one virtual thread per function, instants
-become "i" events, and thread-name metadata labels each function lane.
+- :func:`write_jsonl` — one JSON object (``TraceEvent.as_dict``) per
+  line, in the tracer's order;
+- :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
+  trace-event JSON format, loadable in ``chrome://tracing`` and
+  Perfetto: spans become complete ("X") events on one virtual thread
+  per function, instants become "i" events, and thread-name metadata
+  labels each function lane.
 """
 
 from __future__ import annotations
@@ -19,60 +18,12 @@ import json
 from typing import Optional, Sequence
 
 
-class MemorySink:
-    """Unbounded in-memory sink."""
-
-    def __init__(self) -> None:
-        self.events: list = []
-
-    def emit(self, event) -> None:
-        self.events.append(event)
-
-
-class JsonlSink:
-    """Streams events to ``path`` as JSON Lines.
-
-    Usable as a context manager; exit flushes and closes, so every
-    emitted event is durably on disk when the ``with`` block ends —
-    a crashed reader mid-run sees complete lines, never a torn tail.
-    ``close`` is idempotent (the tracer's ``finish`` also calls it).
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = open(path, "w")
-
-    def emit(self, event) -> None:
-        json.dump(event.as_dict(), self._handle, default=str)
-        self._handle.write("\n")
-
-    def flush(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def read_jsonl(path: str) -> list:
-    """Load a JSONL trace file back into :class:`TraceEvent` records."""
-    from repro.obs.trace import TraceEvent
-
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-    return events
+def write_jsonl(events: Sequence, path: str) -> None:
+    """Write ``events`` to ``path`` as JSON Lines, one event a line."""
+    with open(path, "w") as handle:
+        for event in events:
+            json.dump(event.as_dict(), handle, default=str)
+            handle.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ that record:
   ``parent_id``, so a merge trial's optimize/estimate/commit/oracle
   phases nest under their trial, trials nest under their hyperblock
   expansion, expansions under their function.
-- :class:`Tracer` — the per-run emitter.  A run takes it as an argument
+- :class:`Tracer` — the per-run emitter, which keeps its events in a
+  plain list (``tracer.events``).  A run takes it as an argument
   (``form_module(..., tracer=tracer)``) and keeps it on its
   ``FormationContext``; with no tracer (the default) the instrumentation
   reduces to one attribute load and an ``is None`` test per trial, which
@@ -24,11 +25,9 @@ layer (core, robustness, harness) can import it without cycles.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-from repro.obs.sink import MemorySink
+from time import perf_counter
+from typing import Optional, Sequence
 
 #: Span names that double as formation *phases*: ``stats`` charges their
 #: self time per function (``repro.harness.tracecmd.phase_table``).
@@ -68,17 +67,6 @@ class TraceEvent:
             record["attrs"] = self.attrs
         return record
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "TraceEvent":
-        return cls(
-            name=record["name"],
-            ts=record["ts"],
-            span_id=record["id"],
-            parent_id=record.get("parent"),
-            dur=record.get("dur"),
-            attrs=record.get("attrs", {}),
-        )
-
 
 class _Span:
     """Context manager recording one span; returned by :meth:`Tracer.span`.
@@ -105,18 +93,18 @@ class _Span:
         stack = tracer._stack
         self.parent_id = stack[-1] if stack else None
         stack.append(self.span_id)
-        self._t0 = tracer.clock()
+        self._t0 = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self.tracer
-        t1 = tracer.clock()
+        t1 = perf_counter()
         stack = tracer._stack
         if stack and stack[-1] == self.span_id:
             stack.pop()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        tracer._emit(
+        tracer.events.append(
             TraceEvent(
                 name=self.name,
                 ts=self._t0 - tracer.epoch,
@@ -131,19 +119,14 @@ class _Span:
 class Tracer:
     """Per-run trace emitter: spans and instants.
 
-    ``sinks`` receive every event as it completes (spans are emitted at
-    *exit*, so a parent span follows its children in sink order — readers
-    that need tree order sort by ``ts``).
+    ``events`` holds every event in completion order (spans are recorded
+    at *exit*, so a parent span follows its children — readers that need
+    tree order sort by ``ts``).
     """
 
-    def __init__(
-        self,
-        sinks: Sequence = (),
-        clock: Callable[[], float] = time.perf_counter,
-    ):
-        self.sinks = tuple(sinks) if sinks else (MemorySink(),)
-        self.clock = clock
-        self.epoch = clock()
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
+        self.epoch = perf_counter()
         self._stack: list[int] = []
         self._ids = 0
 
@@ -151,49 +134,27 @@ class Tracer:
         self._ids += 1
         return self._ids
 
-    def _emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
     # -- emission --------------------------------------------------------
 
     def event(self, name: str, **attrs) -> TraceEvent:
         """Record an instant event under the current span."""
         event = TraceEvent(
             name=name,
-            ts=self.clock() - self.epoch,
+            ts=perf_counter() - self.epoch,
             span_id=self._next_id(),
             parent_id=self._stack[-1] if self._stack else None,
             attrs=attrs,
         )
-        self._emit(event)
+        self.events.append(event)
         return event
 
     def span(self, name: str, **attrs) -> _Span:
         """Open a span (``with tracer.span("trial", hb=..., target=...)``)."""
         return _Span(self, name, attrs)
 
-    #: Phase spans are ordinary spans whose names are in
-    #: :data:`PHASE_SPANS`; kept as an alias so call sites read as intent.
-    phase = span
-
-    # -- finishing -------------------------------------------------------
-
-    def collected_events(self) -> list[TraceEvent]:
-        """Events retained by the first in-memory sink (empty if none)."""
-        for sink in self.sinks:
-            if isinstance(sink, MemorySink):
-                return list(sink.events)
-        return []
-
     def finish(self) -> "FormationTrace":
-        """Close sinks and return the queryable :class:`FormationTrace`."""
-        trace = FormationTrace(self.collected_events())
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()
-        return trace
+        """The queryable :class:`FormationTrace` of the events so far."""
+        return FormationTrace(self.events)
 
 
 class FormationTrace:

@@ -154,13 +154,6 @@ class FunctionReport(_StatsProxy):
     stats: MergeStats
     failures: list[TrialFailure] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.status is FunctionStatus.OK
-
-    def summary(self) -> tuple:
-        return (self.function, self.status.value, self.stats.mtup)
-
 
 @dataclass
 class FormationReport(_StatsProxy):
@@ -177,10 +170,6 @@ class FormationReport(_StatsProxy):
     def add_function(self, report: FunctionReport) -> None:
         self.functions[report.function] = report
         self.stats.add(report.stats)
-
-    def merge(self, other: "FormationReport") -> None:
-        for report in other.functions.values():
-            self.add_function(report)
 
     # -- status views ---------------------------------------------------
 

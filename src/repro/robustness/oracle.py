@@ -182,15 +182,12 @@ def differential_check(
     baseline: Optional[list[dict]] = None,
     max_steps: int = ORACLE_MAX_STEPS,
     max_blocks: int = ORACLE_MAX_BLOCKS,
-    tracer=None,
 ) -> OracleReport:
     """Compare ``before`` and ``after`` over ``probes``.
 
     ``baseline`` short-circuits re-simulating ``before`` when the caller
     already holds its snapshot (the per-function selfcheck gate re-checks
-    the same baseline after every function forms).  With a ``tracer``
-    (a :class:`repro.obs.trace.Tracer`) each probe's verdict is an
-    ``oracle_probe`` event.
+    the same baseline after every function forms).
     """
     if probes is None:
         probes = default_probes(before)
@@ -203,15 +200,7 @@ def differential_check(
         formed = probe_behavior(
             after, probe, max_steps=max_steps, max_blocks=max_blocks
         )
-        divergences = compare_behavior(probe, reference, formed)
-        report.divergences.extend(divergences)
-        if tracer is not None:
-            tracer.event(
-                "oracle_probe",
-                probe=probe.label(),
-                ok=not divergences,
-                diverged=[d.observable for d in divergences],
-            )
+        report.divergences.extend(compare_behavior(probe, reference, formed))
     return report
 
 

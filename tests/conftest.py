@@ -337,8 +337,8 @@ def profiled_program(name: str) -> tuple:
 @functools.lru_cache(maxsize=None)
 def formed_program(name: str, config: str) -> tuple:
     """``(module, stats, logs)``: ``profiled_program(name)`` formed under
-    the Table-2 configuration ``config`` with a memory-sink tracer, once
-    per session; ``logs`` are the per-function decision logs of that run
+    the Table-2 configuration ``config`` under a tracer, once per
+    session; ``logs`` are the per-function decision logs of that run
     (``repro.obs.replay.log_from_trace``).  The golden pin and the
     post-formation oracles share it; copy the module before mutating
     it."""
@@ -346,7 +346,7 @@ def formed_program(name: str, config: str) -> tuple:
     module = module.copy()
     tracer = Tracer()
     stats = heuristic_config(config)(module, profile, tracer=tracer)
-    return module, stats, log_from_trace(tracer.collected_events())
+    return module, stats, log_from_trace(tracer)
 
 
 def formed_programs(config: str) -> list:

@@ -133,8 +133,8 @@ def test_tracer_and_fault_plane_reach_only_their_own_run():
     tracer = Tracer()
     faulted = form(tracer=tracer, faults=plane)
     fired = list(plane.fired)
-    events = tracer.collected_events()
+    events = list(tracer.events)
     assert fired and events and faulted != control
     assert form() == control
     assert plane.fired == fired
-    assert tracer.collected_events() == events
+    assert tracer.events == events

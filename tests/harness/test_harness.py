@@ -154,12 +154,10 @@ E2E_IMPORTS = (
 )
 
 
-def test_pipeline_imports_load_no_process_machinery():
-    # Formation runs in one process and starts no other program, so
-    # nothing the pipeline imports needs multiprocessing or subprocess;
-    # loading them anyway costs every e2e process start-up time and
-    # memory.  A fresh interpreter, so modules other tests imported do
-    # not count.
+@pytest.fixture(scope="module")
+def e2e_modules() -> list[str]:
+    """Every module loaded by importing :data:`E2E_IMPORTS` in a fresh
+    interpreter, so modules other tests imported do not count."""
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -169,16 +167,39 @@ def test_pipeline_imports_load_no_process_machinery():
         "import importlib, sys\n"
         f"for name in {E2E_IMPORTS!r}:\n"
         "    importlib.import_module(name)\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('multiprocessing',\n"
-        "                                    'subprocess')))\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.split()
+
+
+def test_pipeline_imports_load_no_process_machinery(e2e_modules):
+    # Formation runs in one process and starts no other program, so
+    # nothing the pipeline imports needs multiprocessing or subprocess;
+    # loading them anyway costs every e2e process start-up time and
+    # memory.
+    assert [
+        name for name in e2e_modules
+        if name.split(".")[0] in ("multiprocessing", "subprocess")
+    ] == []
+
+
+def test_pipeline_imports_load_no_cli_verb(e2e_modules):
+    # The verbs (and the decision-log code only they use) are not part
+    # of the pipeline e2e times, so its start-up does not load them.
+    verbs = {
+        "repro.harness.cli",
+        "repro.harness.replaycmd",
+        "repro.harness.selfcheck",
+        "repro.harness.tracecmd",
+        "repro.obs.replay",
+    }
+    assert "repro.harness.experiment" in e2e_modules
+    assert sorted(verbs.intersection(e2e_modules)) == []
 
 
 def test_ordering_config_applies_policy():

@@ -217,8 +217,10 @@ def test_unreadable_log_file_exits_1_with_one_line(
 # -- satellite surfaces -----------------------------------------------------
 
 
-def test_stats_json_is_machine_readable():
-    out = cli_run(["stats", "mcf", "--json"])
+def test_stats_json_is_machine_readable(tmp_path):
+    path = tmp_path / "stats.json"
+    out = cli_run(["stats", "mcf", "--json", "--out", str(path)])
+    assert path.read_text() == out + "\n"
     data = json.loads(out)
     assert data["workload"] == "mcf"
     assert data["events"] > 0
@@ -227,10 +229,13 @@ def test_stats_json_is_machine_readable():
 
 
 def test_trace_json_carries_decision_log():
+    """``trace --json``'s decisions are the workload's functions exactly
+    as a ``record`` file holds them, engine counters included."""
     out = cli_run(["trace", "mcf", "--json"])
     data = json.loads(out)
     assert data["workload"] == "mcf"
-    assert data["decisions"]["main"]["records"]
+    assert data["decisions"] == record_suite(["mcf"])["functions"]
+    assert data["decisions"]["mcf:main"]["records"]
     assert data["event_counts"]["accept"] > 0
 
 

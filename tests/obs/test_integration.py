@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 
 from repro.core.convergent import form_module
+from repro.harness import tracecmd
 from repro.harness.cli import run as cli_run
 from repro.harness.tracecmd import (
     phase_table,
-    record_formation_trace,
     rejection_breakdown,
     slowest_trials,
 )
@@ -93,14 +93,25 @@ def test_stats_helpers_on_a_real_trace():
     ) == len(trace.named("reject"))
 
 
-def test_record_formation_trace_writes_jsonl(tmp_path):
-    path = str(tmp_path / "t.jsonl")
-    trace, report, module = record_formation_trace("mcf", jsonl=path)
-    assert module is not None
-    assert len(trace) > 0
-    with open(path) as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    assert len(lines) == len(trace)
+def test_trace_jsonl_holds_every_event_in_order(tmp_path, monkeypatch):
+    """``trace --jsonl`` writes the finished trace: one ``as_dict`` per
+    event, in the tracer's order, nothing dropped or added."""
+    real = tracecmd.record_workload
+    runs = []
+
+    def record_workload(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(tracecmd, "record_workload", record_workload)
+    path = tmp_path / "t.jsonl"
+    out = cli_run(["trace", "mcf", "--jsonl", str(path)])
+    ((_, _, trace, _),) = runs
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines == json.loads(
+        json.dumps([event.as_dict() for event in trace.events], default=str)
+    )
+    assert out.startswith(f"trace: mcf: {len(lines)} events")
 
 
 def test_cli_trace_verb(tmp_path):

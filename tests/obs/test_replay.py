@@ -26,7 +26,6 @@ from repro.obs.replay import (
     log_from_trace,
     validate_log_set,
 )
-from repro.obs.sink import MemorySink
 from repro.obs.trace import Tracer
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import FaultPlane
@@ -39,9 +38,9 @@ def _form_traced(name: str, plane=None):
     profile = collect_profile(
         module, args=workload.args, preload=workload.preload
     )
-    tracer = Tracer(sinks=(MemorySink(),))
+    tracer = Tracer()
     report = form_module(module, profile=profile, tracer=tracer, faults=plane)
-    return tracer.collected_events(), report
+    return tracer.events, report
 
 
 def _log(name: str, plane=None):

@@ -1,17 +1,11 @@
-"""Sinks and exporters: JSONL round-trip, Chrome format."""
+"""Exporters: JSONL round-trip, Chrome format."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.sink import (
-    JsonlSink,
-    MemorySink,
-    chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-)
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.sink import chrome_trace, write_chrome_trace, write_jsonl
+from repro.obs.trace import TraceEvent
 
 
 def _sample_events() -> list[TraceEvent]:
@@ -32,37 +26,14 @@ def _sample_events() -> list[TraceEvent]:
     ]
 
 
-def test_memory_sink_collects_everything():
-    sink = MemorySink()
-    events = _sample_events()
-    for event in events:
-        sink.emit(event)
-    assert sink.events == events
-
-
 def test_jsonl_roundtrip(tmp_path):
     path = str(tmp_path / "trace.jsonl")
-    sink = JsonlSink(path)
     events = _sample_events()
-    for event in events:
-        sink.emit(event)
-    sink.close()
-    # Every line is standalone JSON.
+    write_jsonl(events, path)
+    # Every line is standalone JSON: one event's ``as_dict``, in order.
     with open(path) as handle:
-        lines = [line for line in handle if line.strip()]
-    assert len(lines) == len(events)
-    for line in lines:
-        json.loads(line)
-    assert read_jsonl(path) == events
-
-
-def test_tracer_finish_closes_jsonl_sink(tmp_path):
-    path = str(tmp_path / "trace.jsonl")
-    tracer = Tracer(sinks=(MemorySink(), JsonlSink(path)))
-    tracer.event("offer", hb="a", target="b")
-    trace = tracer.finish()
-    assert len(trace) == 1
-    assert len(read_jsonl(path)) == 1
+        lines = [json.loads(line) for line in handle]
+    assert lines == [event.as_dict() for event in events]
 
 
 def test_chrome_trace_structure():
@@ -105,18 +76,3 @@ def test_write_chrome_trace(tmp_path):
     with open(path) as handle:
         document = json.load(handle)
     assert document["traceEvents"]
-
-
-def test_jsonl_sink_context_manager_flushes_and_closes(tmp_path):
-    path = str(tmp_path / "trace.jsonl")
-    events = _sample_events()
-    with JsonlSink(path) as sink:
-        for event in events:
-            sink.emit(event)
-        # flush() makes what is emitted so far durable mid-run.
-        sink.flush()
-        with open(path) as handle:
-            assert len(handle.readlines()) == len(events)
-    assert sink._handle.closed
-    sink.close()  # idempotent: finish() may close it again
-    assert read_jsonl(path) == events
