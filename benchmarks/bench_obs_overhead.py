@@ -1,8 +1,9 @@
 """Prices the telemetry subsystem: disabled overhead and traced cost.
 
 Telemetry is opt-in, and the contract (docs/OBSERVABILITY.md) is that the
-*disabled* instrumentation — one attribute load and an ``is None`` test
-per trial — costs at most ~2% of formation time.  This bench measures:
+*disabled* instrumentation — one ``span`` call that records nothing per
+traced region, and one ``is not None`` test per event — costs at most
+~2% of formation time.  This bench measures:
 
 - ``disabled_s``  — formation with no tracer (the default),
 - ``control_s``   — the same untraced formation again, timed in the

@@ -128,11 +128,6 @@ class _VersionedImplication:
         version = self.version
         version[reg] = version.get(reg, 0) + 1
 
-    def _edge(self, src: Atom, dst: Atom) -> None:
-        self.edges.setdefault(src, []).append(
-            (self.ver(src[0]), dst, self.ver(dst[0]))
-        )
-
     def record_combinator(self, instr) -> None:
         """Add facts for an unpredicated combinator (call after bumping
         the destination's version)."""

@@ -9,40 +9,43 @@ back edge unrolls an iteration and re-adds the block (another unroll
 candidate).  Expansion stops when no candidate can be merged — the block
 has converged on the structural constraints.
 
-Formation is *fail-safe* by default (``failsafe=True``): every trial runs
-through a transactional :class:`~repro.robustness.guard.TrialGuard`, and
-the drivers return :class:`~repro.robustness.guard.FunctionReport` /
-:class:`~repro.robustness.guard.FormationReport` objects whose per-function
-status is ``ok``, ``degraded`` (some merges skipped after contained
-failures) or ``failed_safe`` (the function was left as its pre-formation
-CFG).  Both report types proxy the :class:`MergeStats` counters, so code
-that only reads ``merges``/``mtup``/``attempts`` keeps working unchanged.
+Formation is *fail-safe*: every trial is one transaction
+(:func:`attempt_merge`), and :func:`form_function` / :func:`form_module`
+return :class:`~repro.robustness.guard.FunctionReport` /
+:class:`~repro.robustness.guard.FormationReport` objects whose
+per-function status is ``ok``, ``degraded`` (some merges skipped after
+contained failures) or ``failed_safe`` (the function was left as its
+pre-formation CFG).  Both report types proxy the :class:`MergeStats`
+counters, so code that only reads ``merges``/``mtup``/``attempts`` keeps
+working unchanged.
 
-``selfcheck`` arms the differential-simulation oracle
-(:mod:`repro.robustness.oracle`): ``"function"`` re-simulates the module
-after each function forms and rolls a diverging function back to its
-original CFG; ``"commit"`` gates *every committed merge* behind the
-verifier and the oracle (orders of magnitude slower — a debugging mode).
+``form_module(probes=...)`` arms the differential-simulation oracle
+(:mod:`repro.robustness.oracle`): the module is re-simulated over the
+probes after each function forms, and a diverging function is rolled
+back to its original CFG.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.dominators import reverse_postorder
 from repro.core.merge import FormationContext, MergeStats, legal_merge, merge_blocks
 from repro.core.policies import BreadthFirstPolicy, Candidate, MergePolicy
 from repro.ir.function import Function, Module
 from repro.ir.verify import VerificationError, verify_function
+from repro.obs.trace import span
 from repro.profiles.data import ProfileData
 from repro.robustness.guard import (
     FormationReport,
     FunctionReport,
     FunctionStatus,
     TrialFailure,
-    TrialGuard,
     adopt_function_state,
 )
+
+#: Candidates one expansion may pop before it stops, converged or not.
+MAX_MERGES_PER_BLOCK = 512
 
 
 def expand_block(
@@ -50,7 +53,7 @@ def expand_block(
 ) -> int:
     """Grow the hyperblock seeded at ``hb_name``; return merges performed.
 
-    With ``ctx.guard`` set, each trial is transactional: a contained
+    Each trial is a transaction (:func:`attempt_merge`): a contained
     failure counts as a rejection, the ``(seed, candidate)`` pair is
     blacklisted, and expansion moves on to the next candidate.
 
@@ -59,98 +62,165 @@ def expand_block(
     away before the trial carry a ``reject`` event naming why
     (``blacklisted``, ``policy``, ``illegal``).
     """
-    if hb_name not in ctx.func.blocks:
+    func = ctx.func
+    if hb_name not in func.blocks:
         return 0
     tracer = ctx.tracer
-    if tracer is None:
-        return _expand_block(ctx, policy, hb_name, None)
-    with tracer.span(
-        "expand", function=ctx.func.name, seed=hb_name
-    ) as span:
-        merges = _expand_block(ctx, policy, hb_name, tracer)
-        span.set(merges=merges)
-        return merges
+    with span(tracer, "expand", function=func.name, seed=hb_name) as expansion:
+        policy.begin_block(ctx, hb_name)
+        seq = 0
+        candidates: list[Candidate] = []
+        initial = policy.filter_new(
+            ctx, hb_name, func.blocks[hb_name].successors()
+        )
+        for succ in initial:
+            candidates.append(Candidate(succ, depth=1, seq=seq))
+            seq += 1
 
-
-def _expand_block(
-    ctx: FormationContext, policy: MergePolicy, hb_name: str, tracer
-) -> int:
-    func = ctx.func
-    policy.begin_block(ctx, hb_name)
-    seq = 0
-    candidates: list[Candidate] = []
-    initial = policy.filter_new(
-        ctx, hb_name, func.blocks[hb_name].successors()
-    )
-    for succ in initial:
-        candidates.append(Candidate(succ, depth=1, seq=seq))
-        seq += 1
-
-    guard = ctx.guard
-    merges = 0
-    attempts = 0
-    limit = ctx.max_merges_per_block
-    while candidates and attempts < limit:
-        attempts += 1
-        index = policy.select(ctx, hb_name, candidates)
-        cand = candidates.pop(index)
-        if tracer is not None:
-            # `pending` (worklist size after this pop) is a pure function
-            # of earlier decisions, so the flight recorder can keep it:
-            # replay uses it to catch candidate-discovery drift at the
-            # offer that first saw a different worklist.
-            tracer.event(
-                "offer",
-                function=func.name,
-                hb=hb_name,
-                target=cand.name,
-                depth=cand.depth,
-                seq=cand.seq,
-                pending=len(candidates),
-            )
-        if guard is not None and guard.blocked(func.name, hb_name, cand.name):
+        merges = 0
+        attempts = 0
+        while candidates and attempts < MAX_MERGES_PER_BLOCK:
+            attempts += 1
+            index = policy.select(ctx, hb_name, candidates)
+            cand = candidates.pop(index)
             if tracer is not None:
+                # `pending` (worklist size after this pop) is a pure
+                # function of earlier decisions, so the flight recorder can
+                # keep it: replay uses it to catch candidate-discovery drift
+                # at the offer that first saw a different worklist.
                 tracer.event(
-                    "reject",
+                    "offer",
                     function=func.name,
                     hb=hb_name,
                     target=cand.name,
-                    reason="blacklisted",
+                    depth=cand.depth,
+                    seq=cand.seq,
+                    pending=len(candidates),
                 )
-            continue
-        if not policy.admits(ctx, hb_name, cand):
-            if tracer is not None:
-                tracer.event(
-                    "reject",
-                    function=func.name,
-                    hb=hb_name,
-                    target=cand.name,
-                    reason="policy",
-                    policy=policy.name,
-                )
-            continue
-        if guard is None:
-            kind = legal_merge(ctx, hb_name, cand.name)
-            if kind is None:
+            if (hb_name, cand.name) in ctx.blacklist:
                 if tracer is not None:
                     tracer.event(
                         "reject",
                         function=func.name,
                         hb=hb_name,
                         target=cand.name,
-                        reason="illegal",
+                        reason="blacklisted",
                     )
                 continue
-            new_succs = merge_blocks(ctx, hb_name, cand.name, kind)
-        else:
-            new_succs = guard.attempt(ctx, hb_name, cand.name)
-        if new_succs is None:
-            continue
-        merges += 1
-        for succ in policy.filter_new(ctx, hb_name, new_succs):
-            candidates.append(Candidate(succ, depth=cand.depth + 1, seq=seq))
-            seq += 1
+            if not policy.admits(ctx, hb_name, cand):
+                if tracer is not None:
+                    tracer.event(
+                        "reject",
+                        function=func.name,
+                        hb=hb_name,
+                        target=cand.name,
+                        reason="policy",
+                        policy=policy.name,
+                    )
+                continue
+            new_succs = attempt_merge(ctx, hb_name, cand.name)
+            if new_succs is None:
+                continue
+            merges += 1
+            for succ in policy.filter_new(ctx, hb_name, new_succs):
+                candidates.append(
+                    Candidate(succ, depth=cand.depth + 1, seq=seq)
+                )
+                seq += 1
+        expansion.set(merges=merges)
     return merges
+
+
+def attempt_merge(
+    ctx: FormationContext, hb_name: str, cand_name: str
+) -> Optional[list[str]]:
+    """One merge trial as a transaction: ``legal_merge`` then
+    ``merge_blocks``, rolled back if anything raises.
+
+    Returns what ``merge_blocks`` would (the new candidate names on a
+    committed merge, ``None`` on rejection), and also ``None`` when an
+    exception was contained: the failure is recorded on
+    ``ctx.failures``, the pair is blacklisted on ``ctx.blacklist`` so a
+    deterministic crash cannot livelock formation, and the function is
+    put back as it was before the trial.
+
+    No trial mutates a committed block: the preview is scratch
+    (``merge_preview`` copies both blocks), and a commit only swaps the
+    hyperblock's dict entry for the preview and may delete the
+    candidate's.  So the checkpoint keeps the pre-trial block *objects*,
+    in order, and the saved unroll bodies; restoring them restores the
+    function's blocks exactly, version stamps included.  The register
+    frontier only grows and is harmless to leave.
+    """
+    func = ctx.func
+    tracer = ctx.tracer
+    blocks = func.blocks.copy()
+    saved_bodies = ctx.saved_bodies.copy()
+    if tracer is not None:
+        tracer.event(
+            "guard_checkpoint",
+            function=func.name,
+            hb=hb_name,
+            target=cand_name,
+            blocks=len(blocks),
+        )
+    try:
+        kind = legal_merge(ctx, hb_name, cand_name)
+        if kind is None:
+            if tracer is not None:
+                tracer.event(
+                    "reject",
+                    function=func.name,
+                    hb=hb_name,
+                    target=cand_name,
+                    reason="illegal",
+                )
+            return None
+        return merge_blocks(ctx, hb_name, cand_name, kind)
+    except Exception as exc:
+        ctx.failures.append(
+            TrialFailure.from_exception(
+                func, "trial", exc, seed=hb_name, candidate=cand_name
+            )
+        )
+        ctx.blacklist.add((hb_name, cand_name))
+        func.blocks = blocks
+        func.touch()
+        ctx.saved_bodies = saved_bodies
+        # The restored blocks are the pre-trial objects under their
+        # pre-trial stamps, so version-keyed facts (trial memo, use/kill
+        # masks, block shapes, the optimizer's converged stamps) stay
+        # valid; the structural analyses may have been patched for the
+        # aborted commit, so they are rebuilt.
+        ctx.invalidate()
+        if tracer is not None:
+            # Version stamps are read *after* the restore, so the instant
+            # records the block versions now live in the function (the
+            # pre-trial ones) — the timeline anchor a replay-divergence
+            # dump links to.  Stamps are process-unique, which is why they
+            # live here in the trace and never in the decision log itself.
+            cand = func.blocks.get(cand_name)
+            tracer.event(
+                "guard_restore",
+                function=func.name,
+                hb=hb_name,
+                target=cand_name,
+                error_type=type(exc).__name__,
+                error=str(exc)[:200],
+                hb_version=func.blocks[hb_name].version,
+                target_version=(
+                    cand.version
+                    if cand is not None and cand_name != hb_name
+                    else None
+                ),
+            )
+            tracer.event(
+                "guard_blacklist",
+                function=func.name,
+                hb=hb_name,
+                target=cand_name,
+            )
+        return None
 
 
 def form_function(
@@ -160,8 +230,6 @@ def form_function(
     constraints=None,
     optimize_during: bool = True,
     allow_head_dup: bool = True,
-    failsafe: bool = True,
-    post_commit: Optional[Callable] = None,
     tracer=None,
     faults=None,
 ) -> FunctionReport:
@@ -171,92 +239,67 @@ def form_function(
     reachable block not yet consumed by an earlier hyperblock becomes the
     seed of a new one.  Unreachable remnants are swept afterwards.
 
-    With ``failsafe`` (the default) every trial is guarded, the formed
+    Every trial is a transaction (:func:`attempt_merge`), the formed
     function must pass :func:`repro.ir.verify.verify_function`, and *any*
     escaping exception restores the pre-formation CFG and returns a
-    ``failed_safe`` report instead of raising.  ``failsafe=False`` restores
-    the raw propagate-everything behavior.
+    ``failed_safe`` report instead of raising.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records the run's
     decisions and ``faults`` (a
     :class:`repro.robustness.faultinject.FaultPlane`) perturbs its trials;
     both default to ``None`` and reach nothing but this run.
     """
-    args = (
-        func, profile, policy, constraints, optimize_during, allow_head_dup,
-        failsafe, post_commit, tracer, faults,
-    )
-    if tracer is None:
-        return _form_function_impl(*args)
-    with tracer.span("function", function=func.name) as span:
-        report = _form_function_impl(*args)
-        span.set(status=report.status.value, merges=report.stats.merges)
-        return report
-
-
-def _form_function_impl(
-    func: Function,
-    profile: Optional[ProfileData],
-    policy: Optional[MergePolicy],
-    constraints,
-    optimize_during: bool,
-    allow_head_dup: bool,
-    failsafe: bool,
-    post_commit: Optional[Callable],
-    tracer,
-    faults,
-) -> FunctionReport:
     policy = policy or BreadthFirstPolicy()
-    guard = TrialGuard() if failsafe else None
     fired_mark = faults.fired_mark() if faults is not None else 0
-    original = func.copy() if guard is not None else None
-    try:
+    with span(tracer, "function", function=func.name) as function_span:
+        original = func.copy()
         ctx = FormationContext(
             func,
             profile=profile,
             constraints=constraints,
             optimize_during=optimize_during,
             allow_head_dup=allow_head_dup,
-            guard=guard,
-            post_commit=post_commit,
             tracer=tracer,
             faults=faults,
         )
-        processed: set[str] = set()
-        while True:
-            seed = _next_seed(ctx, processed)
-            if seed is None:
-                break
-            processed.add(seed)
-            expand_block(ctx, policy, seed)
-        func.remove_unreachable_blocks()
-        ctx.stats.cache = ctx.cache_stats
-        if guard is not None:
+        failures = ctx.failures
+        try:
+            processed: set[str] = set()
+            while True:
+                seed = _next_seed(ctx, processed)
+                if seed is None:
+                    break
+                processed.add(seed)
+                expand_block(ctx, policy, seed)
+            func.remove_unreachable_blocks()
+            ctx.stats.cache = ctx.cache_stats
             # Structural post-formation gate: broken IR must never leave
             # the driver, even if every individual trial looked fine.
             verify_function(func)
-    except Exception as exc:
-        if guard is None:
-            raise
-        stage = "verify" if isinstance(exc, VerificationError) else "function"
-        failures = guard.failures_for(func.name)
-        failures.append(TrialFailure.from_exception(func, stage, exc))
-        adopt_function_state(func, original)
-        return FunctionReport(
-            func.name,
-            FunctionStatus.FAILED_SAFE,
-            MergeStats(),
-            failures,
-        )
-    failures = guard.failures_for(func.name) if guard is not None else []
-    if faults is not None:
-        failures.extend(
-            _fired_fault_failures(
-                func.name, faults.fired_since(fired_mark, func.name), failures
+        except Exception as exc:
+            stage = (
+                "verify" if isinstance(exc, VerificationError) else "function"
             )
+            failures.append(TrialFailure.from_exception(func, stage, exc))
+            adopt_function_state(func, original)
+            report = FunctionReport(
+                func.name, FunctionStatus.FAILED_SAFE, MergeStats(), failures
+            )
+        else:
+            if faults is not None:
+                failures.extend(
+                    _fired_fault_failures(
+                        func.name,
+                        faults.fired_since(fired_mark, func.name),
+                        failures,
+                    )
+                )
+            status = FunctionStatus.DEGRADED if failures else FunctionStatus.OK
+            report = FunctionReport(func.name, status, ctx.stats, failures)
+        function_span.set(
+            status=report.status.value, merges=report.stats.merges
         )
-    status = FunctionStatus.DEGRADED if failures else FunctionStatus.OK
-    return FunctionReport(func.name, status, ctx.stats, failures)
+    return report
 
 
 def _fired_fault_failures(
@@ -315,123 +358,66 @@ def form_module(
     constraints=None,
     optimize_during: bool = True,
     allow_head_dup: bool = True,
-    failsafe: bool = True,
-    selfcheck: Optional[str] = None,
-    oracle_probes: Optional[Sequence] = None,
+    probes: Optional[Sequence] = None,
     tracer=None,
     faults=None,
 ) -> FormationReport:
     """Run hyperblock formation over every function in the module.
 
-    ``selfcheck`` arms the differential-simulation oracle:
-
-    - ``"function"`` — after each function forms, re-run the module over
-      the oracle probes and compare against the pre-formation baseline; a
-      divergence rolls that function back (``failed_safe``);
-    - ``"commit"`` — additionally gate every committed merge behind
-      ``verify_function`` plus the oracle (debugging mode: very slow, but
-      pins a wrong-code bug to the exact merge that introduced it).
-
-    ``oracle_probes`` is a sequence of
-    :class:`~repro.robustness.oracle.BehaviorProbe` (workload inputs);
-    without it, probes are derived from ``main``'s arity.
+    ``probes``, a sequence of
+    :class:`~repro.robustness.oracle.BehaviorProbe` (workload inputs),
+    arms the differential-simulation oracle: after each function forms,
+    the module is re-run over the probes and compared with the
+    pre-formation baseline, and a divergence rolls that function back
+    (``failed_safe``).
 
     ``tracer`` and ``faults`` are the run's tracer and fault plane, as
     for :func:`form_function`.
     """
-    args = (
-        module, profile, policy, constraints, optimize_during,
-        allow_head_dup, failsafe, selfcheck, oracle_probes, tracer, faults,
-    )
-    if tracer is None:
-        return _form_module_impl(*args)
-    with tracer.span("module", module=module.name) as span:
-        report = _form_module_impl(*args)
-        span.set(merges=report.stats.merges)
-        return report
-
-
-def _form_module_impl(
-    module: Module,
-    profile: Optional[ProfileData],
-    policy: Optional[MergePolicy],
-    constraints,
-    optimize_during: bool,
-    allow_head_dup: bool,
-    failsafe: bool,
-    selfcheck: Optional[str],
-    oracle_probes: Optional[Sequence],
-    tracer,
-    faults,
-) -> FormationReport:
-    if selfcheck not in (None, "function", "commit"):
-        raise ValueError(
-            f"selfcheck must be None, 'function' or 'commit', got {selfcheck!r}"
-        )
     report = FormationReport(stats=MergeStats())
-    probes = baseline = None
-    post_commit = None
-    if selfcheck:
-        from repro.robustness.oracle import (
-            OracleDivergenceError,
-            default_probes,
-            differential_check,
-            snapshot_behavior,
-        )
+    with span(tracer, "module", module=module.name) as module_span:
+        if probes:
+            from repro.robustness.oracle import (
+                differential_check,
+                snapshot_behavior,
+            )
 
-        probes = list(oracle_probes) if oracle_probes else default_probes(module)
-        baseline = snapshot_behavior(module, probes)
-        if selfcheck == "commit":
-            def post_commit(ctx: FormationContext, hb_name: str) -> None:
-                verify_function(ctx.func)
-                check = differential_check(
-                    module, module, probes=probes, baseline=baseline
-                )
-                if not check.ok:
-                    raise OracleDivergenceError(check)
-
-    for func in module:
-        saved = func.copy() if selfcheck else None
-        freport = form_function(
-            func,
-            profile=profile,
-            policy=policy,
-            constraints=constraints,
-            optimize_during=optimize_during,
-            allow_head_dup=allow_head_dup,
-            failsafe=failsafe,
-            post_commit=post_commit,
-            tracer=tracer,
-            faults=faults,
-        )
-        if selfcheck and freport.status is not FunctionStatus.FAILED_SAFE:
-            from repro.robustness.oracle import differential_check
-
-            if tracer is None:
-                check = differential_check(
-                    module, module, probes=probes, baseline=baseline
-                )
-            else:
-                with tracer.span("oracle", function=func.name):
+            probes = list(probes)
+            baseline = snapshot_behavior(module, probes)
+        for func in module:
+            saved = func.copy() if probes else None
+            freport = form_function(
+                func,
+                profile=profile,
+                policy=policy,
+                constraints=constraints,
+                optimize_during=optimize_during,
+                allow_head_dup=allow_head_dup,
+                tracer=tracer,
+                faults=faults,
+            )
+            if probes and freport.status is not FunctionStatus.FAILED_SAFE:
+                with span(tracer, "oracle", function=func.name):
                     check = differential_check(
                         module, module, probes=probes, baseline=baseline
                     )
-            if not check.ok:
-                adopt_function_state(func, saved)
-                failures = list(freport.failures)
-                failures.append(
-                    TrialFailure(
-                        function=func.name,
-                        stage="oracle",
-                        error_type="OracleDivergence",
-                        error=check.describe(),
+                if not check.ok:
+                    adopt_function_state(func, saved)
+                    failures = list(freport.failures)
+                    failures.append(
+                        TrialFailure(
+                            function=func.name,
+                            stage="oracle",
+                            error_type="OracleDivergence",
+                            error=check.describe(),
+                        )
                     )
-                )
-                freport = FunctionReport(
-                    func.name,
-                    FunctionStatus.FAILED_SAFE,
-                    MergeStats(),
-                    failures,
-                )
-        report.add_function(freport)
+                    freport = FunctionReport(
+                        func.name,
+                        FunctionStatus.FAILED_SAFE,
+                        MergeStats(),
+                        failures,
+                    )
+            report.add_function(freport)
+        module_span.set(merges=report.stats.merges)
     return report

@@ -35,6 +35,7 @@ from repro.core.constraints import TripsConstraints, estimate_block
 from repro.robustness.faultinject import InjectedFault
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
+from repro.obs.trace import span
 from repro.opt.local import optimize_block
 from repro.profiles.data import ProfileData
 from repro.transform.ifconvert import merge_preview
@@ -130,33 +131,26 @@ class FormationContext:
         constraints: Optional[TripsConstraints] = None,
         optimize_during: bool = True,
         allow_head_dup: bool = True,
-        max_merges_per_block: int = 512,
-        guard=None,
-        post_commit=None,
         tracer=None,
         faults=None,
     ):
         self.func = func
-        #: Optional :class:`repro.robustness.guard.TrialGuard`: when set,
-        #: ``expand_block`` routes every trial through it so an escaping
-        #: exception is contained and rolled back instead of propagating.
-        self.guard = guard
         #: The run's :class:`repro.obs.trace.Tracer`; ``None`` (the
-        #: default) disables all instrumentation in the merge loop at the
-        #: cost of one attribute load per trial.
+        #: default) records nothing (:func:`repro.obs.trace.span`).
         self.tracer = tracer
         #: The run's :class:`repro.robustness.faultinject.FaultPlane`;
         #: ``None`` (the default) injects nothing.
         self.faults = faults
-        #: Optional ``(ctx, hb_name) -> None`` hook run after every
-        #: committed merge, *before* the merge is counted — raising here
-        #: (verifier or oracle gate) makes the guard roll the commit back.
-        self.post_commit = post_commit
         self.profile = profile if profile is not None else ProfileData()
         self.constraints = constraints or TripsConstraints()
         self.optimize_during = optimize_during
         self.allow_head_dup = allow_head_dup
-        self.max_merges_per_block = max_merges_per_block
+        #: ``(seed, candidate)`` pairs whose trial failed once; never
+        #: retried for the rest of the run (``attempt_merge``).
+        self.blacklist: set[tuple[str, str]] = set()
+        #: The run's contained failures
+        #: (:class:`repro.robustness.guard.TrialFailure`), in order.
+        self.failures: list = []
         self.stats = MergeStats()
         self.cache_stats = FormationCacheStats()
         #: loop header name -> saved single-iteration body for unrolling
@@ -175,8 +169,8 @@ class FormationContext:
     # -- cached analyses ----------------------------------------------------
 
     def invalidate(self) -> None:
-        """Discard every cached analysis (a guard rollback edits the CFG
-        outside :meth:`note_commit`)."""
+        """Discard every cached analysis (a rolled-back trial edits the
+        CFG outside :meth:`note_commit`)."""
         self._liveness = None
         self._loops = None
         self._cfg = None
@@ -236,15 +230,11 @@ class FormationContext:
         live = self._liveness
         if live is None:
             return
-        tracer = self.tracer
-        if tracer is None:
+        # The incremental dataflow re-solve is its own phase: at scale it
+        # is the dominant commit cost, so it must be attributable
+        # separately.
+        with span(self.tracer, "liveness", function=self.func.name):
             patched = live.note_commit(hb_name, s_name, added)
-        else:
-            # The incremental dataflow re-solve is its own phase: at scale
-            # it is the dominant commit cost (see BENCH telemetry), so it
-            # must be attributable separately.
-            with tracer.span("liveness", function=self.func.name):
-                patched = live.note_commit(hb_name, s_name, added)
         if not patched:
             self.cache_stats.liveness_rebuilds += 1
         self.cache_stats.liveness_sccs_solved += live.sccs_solved
@@ -377,173 +367,145 @@ def merge_blocks(
     otherwise.
 
     With a tracer on the context (``ctx.tracer``) the whole attempt is
-    recorded as a ``trial`` span — optimize/estimate/commit/oracle/
-    liveness phases nested inside, the verdict attached as an ``accept``
-    or ``reject`` event naming the exact structural constraint that
-    fired.  With no tracer the added cost is one attribute load and
-    a handful of ``is None`` tests.
+    recorded as a ``trial`` span — optimize/estimate/commit/liveness
+    phases nested inside, the verdict attached as an ``accept`` or
+    ``reject`` event naming the exact structural constraint that fired.
+    With no tracer each phase costs one no-op :func:`span` and each
+    event one ``is not None`` test.
     """
-    tracer = ctx.tracer
-    if tracer is None:
-        return _merge_trial(ctx, hb_name, s_name, kind)
-    with tracer.span(
-        "trial", function=ctx.func.name, hb=hb_name, target=s_name
-    ) as span:
-        result = _merge_trial(ctx, hb_name, s_name, kind)
-        span.set(committed=result is not None)
-        return result
-
-
-def _merge_trial(
-    ctx: FormationContext,
-    hb_name: str,
-    s_name: str,
-    kind: Optional[MergeKind],
-) -> Optional[list[str]]:
     func = ctx.func
     tracer = ctx.tracer
-    ctx.stats.attempts += 1
-    hb = func.blocks[hb_name]
-    if kind is None:
-        kind = classify_merge(ctx, hb_name, s_name)
+    with span(
+        tracer, "trial", function=func.name, hb=hb_name, target=s_name
+    ) as trial:
+        ctx.stats.attempts += 1
+        hb = func.blocks[hb_name]
+        if kind is None:
+            kind = classify_merge(ctx, hb_name, s_name)
 
-    if kind is MergeKind.UNROLL:
-        # First unroll of this loop: save the single-iteration body so that
-        # later unrolls append exactly one iteration (not a doubling).
-        body_source = ctx.saved_bodies.get(hb_name)
-        if body_source is None:
-            body_source = hb.copy(hb_name)
-            ctx.saved_bodies[hb_name] = body_source
-        target = hb
-    else:
-        body_source = None
-        target = func.blocks[s_name]
-
-    candidate_succs = (body_source or target).successors()
-    live_out = _trial_live_out(ctx, hb, s_name, candidate_succs)
-
-    # A trial's outcome is a pure function of the two blocks' contents (the
-    # saved body, for unrolls), the live-out environment and the (fixed)
-    # constraints — the merge *kind* affects only how a success commits, so
-    # rejections can be memoized kind-agnostically.  The live-out component
-    # is canonicalized before keying: the optimizer and the estimator only
-    # ever test live-out membership of registers the preview *defines*
-    # (dead-code/fold/implicit-predication decisions and the live-write
-    # count), and the preview's definitions are those of its two input
-    # blocks plus fresh guards (never live-out).  Restricting the mask to
-    # that def set makes trials re-offered after unrelated liveness churn
-    # hit the memo instead of re-running.
-    defs = hb.def_mask() | (body_source or target).def_mask()
-    memo_key = (
-        hb_name,
-        hb.version,
-        s_name,
-        target.version,
-        body_source.version if body_source is not None else 0,
-        live_out & defs,
-    )
-    cached_regs = ctx._rejected_trials.get(memo_key)
-    if cached_regs is not None:
-        # Known rejection: skip the preview entirely, but mint the same
-        # fresh registers it would have, so committed merges downstream
-        # number their guards identically to an uncached run.
-        ctx.cache_stats.trial_hits += 1
-        ctx.stats.rejected_illegal += 1
-        if tracer is not None:
-            tracer.event(
-                "reject",
-                function=func.name,
-                hb=hb_name,
-                target=s_name,
-                kind=kind.value,
-                reason="memoized",
-            )
-        func.regs.next_reg += cached_regs
-        return None
-    ctx.cache_stats.trial_misses += 1
-
-    # Scratch-space trial merge (lines 1-6 of MergeBlocks).
-    regs_before = func.max_reg()
-    preview = merge_preview(func, hb, target, body_source=body_source)
-    # Fault-injection hook (no-op unless the run has a plane; see
-    # repro.robustness.faultinject).  Raising kinds simulate engine crashes
-    # for the trial guard to contain; corrupting kinds plant silent
-    # wrong-code bugs for the differential oracle to catch.
-    plane = ctx.faults
-    fault_kind = (
-        plane.trial_fault(func.name, hb_name, s_name)
-        if plane is not None
-        else None
-    )
-    if fault_kind == "optimizer":
-        plane.record(fault_kind, func.name, hb_name, s_name)
-        raise _injected_fault(fault_kind, "optimizer crashed mid-trial")
-    if fault_kind in ("operand", "predicate"):
-        if plane.corrupt(fault_kind, preview):
-            plane.record(fault_kind, func.name, hb_name, s_name)
-    if ctx.optimize_during:
-        if tracer is None:
-            optimize_block(preview, live_out)
+        if kind is MergeKind.UNROLL:
+            # First unroll of this loop: save the single-iteration body so
+            # that later unrolls append exactly one iteration (not a
+            # doubling).
+            body_source = ctx.saved_bodies.get(hb_name)
+            if body_source is None:
+                body_source = hb.copy(hb_name)
+                ctx.saved_bodies[hb_name] = body_source
+            target = hb
         else:
-            with tracer.span("optimize", function=func.name):
-                optimize_block(preview, live_out)
-    if tracer is None:
-        estimate = estimate_block(preview, live_out, ctx.constraints)
-    else:
-        with tracer.span("estimate", function=func.name):
-            estimate = estimate_block(preview, live_out, ctx.constraints)
-    if not estimate.legal:
-        ctx.stats.rejected_illegal += 1
-        if tracer is not None:
-            tracer.event(
-                "reject",
-                function=func.name,
-                hb=hb_name,
-                target=s_name,
-                kind=kind.value,
-                reason="constraint",
-                constraints=list(estimate.violation_kinds),
-                violations=list(estimate.violations),
-                estimate=estimate.as_attrs(),
-            )
-        ctx._rejected_trials[memo_key] = func.max_reg() - regs_before
-        ctx.cache_stats.trial_stores += 1
-        return None
+            body_source = None
+            target = func.blocks[s_name]
 
-    # Commit (lines 7-16).
-    if tracer is None:
-        removed = _commit_preview(
-            ctx, hb_name, s_name, kind, preview, plane, fault_kind
+        candidate_succs = (body_source or target).successors()
+        live_out = _trial_live_out(ctx, hb, s_name, candidate_succs)
+
+        # A trial's outcome is a pure function of the two blocks' contents
+        # (the saved body, for unrolls), the live-out environment and the
+        # (fixed) constraints — the merge *kind* affects only how a
+        # success commits, so rejections can be memoized kind-agnostically.
+        # The live-out component is canonicalized before keying: the
+        # optimizer and the estimator only ever test live-out membership
+        # of registers the preview *defines* (dead-code/fold/implicit-
+        # predication decisions and the live-write count), and the
+        # preview's definitions are those of its two input blocks plus
+        # fresh guards (never live-out).  Restricting the mask to that def
+        # set makes trials re-offered after unrelated liveness churn hit
+        # the memo instead of re-running.
+        defs = hb.def_mask() | (body_source or target).def_mask()
+        memo_key = (
+            hb_name,
+            hb.version,
+            s_name,
+            target.version,
+            body_source.version if body_source is not None else 0,
+            live_out & defs,
         )
-    else:
-        with tracer.span("commit", function=func.name):
+        cached_regs = ctx._rejected_trials.get(memo_key)
+        if cached_regs is not None:
+            # Known rejection: skip the preview entirely, but mint the same
+            # fresh registers it would have, so committed merges downstream
+            # number their guards identically to an uncached run.
+            ctx.cache_stats.trial_hits += 1
+            ctx.stats.rejected_illegal += 1
+            if tracer is not None:
+                tracer.event(
+                    "reject",
+                    function=func.name,
+                    hb=hb_name,
+                    target=s_name,
+                    kind=kind.value,
+                    reason="memoized",
+                )
+            func.next_reg += cached_regs
+            trial.set(committed=False)
+            return None
+        ctx.cache_stats.trial_misses += 1
+
+        # Scratch-space trial merge (lines 1-6 of MergeBlocks).
+        regs_before = func.max_reg()
+        preview = merge_preview(func, hb, target, body_source=body_source)
+        # Fault-injection hook (no-op unless the run has a plane; see
+        # repro.robustness.faultinject).  Raising kinds simulate engine
+        # crashes for the trial transaction to contain; corrupting kinds
+        # plant silent wrong-code bugs for the differential oracle to
+        # catch.
+        plane = ctx.faults
+        fault_kind = (
+            plane.trial_fault(func.name, hb_name, s_name)
+            if plane is not None
+            else None
+        )
+        if fault_kind == "optimizer":
+            plane.record(fault_kind, func.name, hb_name, s_name)
+            raise _injected_fault(fault_kind, "optimizer crashed mid-trial")
+        if fault_kind in ("operand", "predicate"):
+            if plane.corrupt(fault_kind, preview):
+                plane.record(fault_kind, func.name, hb_name, s_name)
+        if ctx.optimize_during:
+            with span(tracer, "optimize", function=func.name):
+                optimize_block(preview, live_out)
+        with span(tracer, "estimate", function=func.name):
+            estimate = estimate_block(preview, live_out, ctx.constraints)
+        if not estimate.legal:
+            ctx.stats.rejected_illegal += 1
+            if tracer is not None:
+                tracer.event(
+                    "reject",
+                    function=func.name,
+                    hb=hb_name,
+                    target=s_name,
+                    kind=kind.value,
+                    reason="constraint",
+                    constraints=list(estimate.violation_kinds),
+                    violations=list(estimate.violations),
+                    estimate=estimate.as_attrs(),
+                )
+            ctx._rejected_trials[memo_key] = func.max_reg() - regs_before
+            ctx.cache_stats.trial_stores += 1
+            trial.set(committed=False)
+            return None
+
+        # Commit (lines 7-16).
+        with span(tracer, "commit", function=func.name):
             removed = _commit_preview(
                 ctx, hb_name, s_name, kind, preview, plane, fault_kind
             )
-    if ctx.post_commit is not None:
-        # Post-commit gate (verifier / differential oracle).  Raising here
-        # happens *before* the merge is counted, so a guard rollback leaves
-        # the stats consistent with the restored IR.
-        if tracer is None:
-            ctx.post_commit(ctx, hb_name)
-        else:
-            with tracer.span("oracle", function=func.name):
-                ctx.post_commit(ctx, hb_name)
-    ctx.stats.record(kind)
-    if tracer is not None:
-        # The estimate rides along so the flight recorder captures the
-        # accepted side's projection too — a bisection can then show what
-        # the estimator saw on *both* sides of a flipped verdict.
-        tracer.event(
-            "accept",
-            function=func.name,
-            hb=hb_name,
-            target=s_name,
-            kind=kind.value,
-            removed=removed,
-            estimate=estimate.as_attrs(),
-        )
-    return candidate_succs
+        ctx.stats.record(kind)
+        if tracer is not None:
+            # The estimate rides along so the flight recorder captures the
+            # accepted side's projection too — a bisection can then show
+            # what the estimator saw on *both* sides of a flipped verdict.
+            tracer.event(
+                "accept",
+                function=func.name,
+                hb=hb_name,
+                target=s_name,
+                kind=kind.value,
+                removed=removed,
+                estimate=estimate.as_attrs(),
+            )
+        trial.set(committed=True)
+        return candidate_succs
 
 
 def _commit_preview(
@@ -572,7 +534,7 @@ def _commit_preview(
         removed = s_name
     if fault_kind == "commit":
         # Mid-commit crash: the CFG is already mutated, which is exactly
-        # the state the trial guard's checkpoint must be able to restore.
+        # the state ``attempt_merge``'s rollback must be able to restore.
         plane.record(fault_kind, func.name, hb_name, s_name)
         raise _injected_fault(fault_kind, "commit crashed after CFG mutation")
     ctx.note_commit(hb_name, s_name, preview, removed)

@@ -8,7 +8,7 @@ drivers live in :mod:`repro.harness.tables`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from repro.core.constraints import TripsConstraints
 from repro.core.convergent import form_module
@@ -21,7 +21,6 @@ from repro.core.policies import (
 )
 from repro.ir.function import Module
 from repro.ir.verify import verify_module
-from repro.obs.trace import Tracer
 from repro.opt.pipeline import optimize_module
 from repro.profiles.collect import collect_profile
 from repro.profiles.data import ProfileData
@@ -67,17 +66,6 @@ class RunResult:
 Configurator = Callable[[Module, ProfileData], MergeStats]
 
 
-class TableConfigurator(Protocol):
-    """A Table-2 :data:`Configurator`, which also takes the run's tracer."""
-
-    def __call__(
-        self,
-        module: Module,
-        profile: ProfileData,
-        tracer: Optional[Tracer] = None,
-    ) -> MergeStats: ...
-
-
 def ordering_config(ordering: str) -> Configurator:
     def apply(module: Module, profile: ProfileData) -> MergeStats:
         return compile_with_ordering(module, ordering, profile)
@@ -85,22 +73,16 @@ def ordering_config(ordering: str) -> Configurator:
     return apply
 
 
-def heuristic_config(name: str) -> TableConfigurator:
-    """Table 2 configurations.
+def heuristic_config(name: str) -> Configurator:
+    """Table 2 configurations."""
 
-    Each configurator hands its ``tracer`` (``None`` by default) to
-    ``form_module``; the VLIW unroll prepass before it is not traced.
-    """
-
-    def vliw(optimize_during: bool) -> TableConfigurator:
+    def vliw(optimize_during: bool) -> Configurator:
         # The discrete VLIW column and Convergent VLIW share the
         # block-selection heuristic and the unroll prepass; the latter
         # adds iterative optimization inside the merge loop, isolating the
         # paper's "with iterative optimization" comparison (Table 2,
         # columns 3 vs 4).
-        def apply(
-            module: Module, profile: ProfileData, tracer=None
-        ) -> MergeStats:
+        def apply(module: Module, profile: ProfileData) -> MergeStats:
             constraints = TripsConstraints()
             phase_unroll_peel_bb(module, profile, constraints)
             stats = form_module(
@@ -110,17 +92,14 @@ def heuristic_config(name: str) -> TableConfigurator:
                 constraints=constraints,
                 optimize_during=optimize_during,
                 allow_head_dup=False,
-                tracer=tracer,
             )
             optimize_module(module)
             return stats
 
         return apply
 
-    def convergent(policy_factory) -> TableConfigurator:
-        def apply(
-            module: Module, profile: ProfileData, tracer=None
-        ) -> MergeStats:
+    def convergent(policy_factory) -> Configurator:
+        def apply(module: Module, profile: ProfileData) -> MergeStats:
             stats = form_module(
                 module,
                 profile=profile,
@@ -128,7 +107,6 @@ def heuristic_config(name: str) -> TableConfigurator:
                 constraints=TripsConstraints(),
                 optimize_during=True,
                 allow_head_dup=True,
-                tracer=tracer,
             )
             optimize_module(module)
             return stats

@@ -74,21 +74,16 @@ def record_workload(
     :class:`~repro.robustness.guard.FormationReport`, the finished
     :class:`~repro.obs.trace.FormationTrace`, and the decision logs,
     keyed ``name:function`` with the engine's counters embedded.
-    Formation runs with driver defaults (failsafe on), so the log holds
-    the decisions every ``form_module`` caller gets; ``faults`` (a
+    Formation runs with ``form_module``'s defaults, so the log holds the
+    decisions every ``form_module`` caller gets; ``faults`` (a
     :class:`repro.robustness.faultinject.FaultPlane`) perturbs the run,
     and ``probes`` (:class:`~repro.robustness.oracle.BehaviorProbe`
-    inputs) arms the per-function oracle (``selfcheck="function"``).
+    inputs) arms the per-function oracle.
     """
     module = workload.module()
     tracer = Tracer()
     report = form_module(
-        module,
-        profile=profile,
-        selfcheck="function" if probes else None,
-        oracle_probes=probes,
-        tracer=tracer,
-        faults=faults,
+        module, profile=profile, probes=probes, tracer=tracer, faults=faults
     )
     trace = tracer.finish()
     logs = attach_stats(log_from_trace(trace, prefix=f"{name}:"), {

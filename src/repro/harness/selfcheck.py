@@ -4,7 +4,7 @@ Two CI-facing entry points over the robustness layer, each forming
 through :func:`repro.harness.replaycmd.record_workload`:
 
 - :func:`run_selfcheck` forms every SPEC workload with the differential
-  oracle armed (``selfcheck="function"``) and re-checks the final formed
+  oracle armed (``form_module(probes=...)``) and re-checks the final formed
   module against the pre-formation module on the workload's own inputs;
   both must agree for the run to pass.
 - :func:`run_fault_drill` is the containment proof behind ``selfcheck
@@ -48,7 +48,7 @@ def _workload_probes(workload) -> list[BehaviorProbe]:
 def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
     """Oracle self-check over the SPEC suite (the ``selfcheck`` verb).
 
-    Per workload: form with ``selfcheck="function"`` armed, then run one
+    Per workload: form with the per-function oracle armed, then run one
     final differential check of the formed module against a fresh
     pre-formation module over the workload's inputs.  Returns a dict
     with ``ok``, per-workload rows, and a formatted ``report``.

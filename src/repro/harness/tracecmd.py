@@ -90,8 +90,10 @@ def _parse_why(why: Optional[str]) -> Optional[tuple[str, str]]:
 def explain_decision_data(trace: FormationTrace, hb: str, target: str) -> dict:
     """``--why``'s data: the pair's event path and verdict.
 
-    Raw events via ``as_dict`` plus a one-object verdict summary;
-    ``trace --why --json`` prints it and the text renders it.
+    Raw events via ``as_dict`` plus a one-object verdict summary, and
+    for a pair with no events the sorted ``[hb, target]`` pairs that
+    were offered; ``trace --why --json`` prints it and the text renders
+    it.
     """
     path = trace.decision_path(hb, target)
     verdict = None
@@ -104,6 +106,17 @@ def explain_decision_data(trace: FormationTrace, hb: str, target: str) -> dict:
         "found": bool(path),
         "path": [event.as_dict() for event in path],
     }
+    if not path:
+        data["offered"] = [
+            list(pair)
+            for pair in sorted(
+                {
+                    (e.attrs["hb"], e.attrs["target"])
+                    for e in trace.named("offer")
+                    if "hb" in e.attrs and "target" in e.attrs
+                }
+            )
+        ]
     if verdict is None:
         data["verdict"] = None
     else:
@@ -116,17 +129,12 @@ def explain_decision_data(trace: FormationTrace, hb: str, target: str) -> dict:
     return data
 
 
-def _explain_decision(data: dict, trace: FormationTrace) -> str:
+def _explain_decision(data: dict) -> str:
     hb, target, path = data["hb"], data["target"], data["path"]
     if not path:
-        pairs = sorted(
-            {
-                (e.attrs["hb"], e.attrs["target"])
-                for e in trace.named("offer")
-                if "hb" in e.attrs and "target" in e.attrs
-            }
+        listing = (
+            ", ".join(f"{h},{t}" for h, t in data["offered"]) or "<none>"
         )
-        listing = ", ".join(f"{h},{t}" for h, t in pairs) or "<none>"
         return (
             f"no events for pair ({hb}, {target}); offered pairs: {listing}"
         )
@@ -230,7 +238,7 @@ def run_trace(
         "",
     ]
     if pair is not None:
-        lines.append(_explain_decision(data["why"], trace))
+        lines.append(_explain_decision(data["why"]))
     else:
         _render_tree(trace, trace.roots(), 0, lines)
     return "\n".join(lines)

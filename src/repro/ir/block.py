@@ -115,9 +115,6 @@ class BasicBlock:
         """All control-transfer instructions (``BR`` and ``RET``) in order."""
         return [i for i in self.instrs if i.is_branch]
 
-    def non_branch_instrs(self) -> list[Instruction]:
-        return [i for i in self.instrs if not i.is_branch]
-
     def shape(self) -> BlockShape:
         """The :class:`BlockShape` of the current version, scanned once per
         version stamp (exact under the :meth:`touch` rule above)."""
@@ -141,9 +138,6 @@ class BasicBlock:
 
     def has_call(self) -> bool:
         return self.shape().has_call
-
-    def memory_op_count(self) -> int:
-        return sum(1 for i in self.instrs if i.is_memory)
 
     def def_mask(self) -> int:
         """Mask of every register the block writes (predicated or not),

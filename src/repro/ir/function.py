@@ -6,7 +6,6 @@ import itertools
 from typing import Iterator, Optional
 
 from repro.ir.block import BasicBlock
-from repro.ir.regdense import RegisterSpace
 
 #: Process-wide monotonic stamp source for function versions (bumped when
 #: the block *set* changes; see :attr:`Function.version`).
@@ -75,9 +74,10 @@ class Function:
         self.params: list[int] = list(params) if params else []
         self.blocks: dict[str, BasicBlock] = {}
         self.entry: Optional[str] = None
-        #: The register allocation frontier: ``new_reg`` hands out names
-        #: above every name in use.
-        self.regs = RegisterSpace(self.params)
+        #: The register allocation frontier: one past the highest register
+        #: name allocated or noted, so ``new_reg`` never collides with a
+        #: name in use.
+        self.next_reg = max(self.params) + 1 if self.params else 0
         self._name_counter = 0
         #: Monotonic stamp bumped whenever the block set changes (add or
         #: remove); per-block content changes bump the block's own version.
@@ -91,14 +91,19 @@ class Function:
     # -- namespaces ---------------------------------------------------------
 
     def new_reg(self) -> int:
-        return self.regs.new()
+        """Allocate the next unused register name."""
+        reg = self.next_reg
+        self.next_reg = reg + 1
+        return reg
 
     def note_reg(self, reg: int) -> int:
         """Record that ``reg`` is in use (keeps ``new_reg`` collision-free)."""
-        return self.regs.note(reg)
+        if reg >= self.next_reg:
+            self.next_reg = reg + 1
+        return reg
 
     def max_reg(self) -> int:
-        return self.regs.next_reg
+        return self.next_reg
 
     def new_block_name(self, base: str, tag: str = "x") -> str:
         """A fresh block name derived from ``base``, e.g. ``loop.d3``."""
@@ -168,7 +173,7 @@ class Function:
         for name, block in self.blocks.items():
             clone.blocks[name] = block.copy(name)
         clone.entry = self.entry
-        clone.regs = self.regs.copy()
+        clone.next_reg = self.next_reg
         clone._name_counter = self._name_counter
         return clone
 

@@ -1,4 +1,4 @@
-"""Register numbering: the allocation frontier and the renumber pass.
+"""Register numbering: the renumber pass.
 
 The bitmask dataflow engine (:mod:`repro.ir.regmask`) indexes masks by
 register number, so its cost is proportional to the *largest* register
@@ -8,7 +8,7 @@ transforms are dense by construction — ``Function.new_reg`` hands out
 sequential numbers — but externally parsed IR (``repro.ir.textparse``)
 may name registers sparsely (``v7``, ``v900``).
 
-:class:`RegisterSpace` is the per-function allocation frontier: the
+``Function.next_reg`` is the per-function allocation frontier: the
 next register number ``Function.new_reg`` hands out, above every name
 the function uses.  Names are never renamed or reused, so printed IR is
 stable across merges.
@@ -29,51 +29,6 @@ from repro.ir.instruction import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.function import Function
-
-
-class RegisterSpace:
-    """Per-function register allocation frontier.
-
-    ``next_reg`` is one past the highest register name allocated or
-    noted, so :meth:`new` never collides with a name in use.
-    """
-
-    __slots__ = ("next_reg",)
-
-    def __init__(self, params=None):
-        self.next_reg = 0
-        if params:
-            for reg in params:
-                self.note(reg)
-
-    def new(self) -> int:
-        """Allocate the next unused register name."""
-        reg = self.next_reg
-        self.next_reg = reg + 1
-        return reg
-
-    def note(self, reg: int) -> int:
-        """Record ``reg`` as in use; keeps later :meth:`new` calls
-        collision-free."""
-        if reg >= self.next_reg:
-            self.next_reg = reg + 1
-        return reg
-
-    def copy(self) -> "RegisterSpace":
-        clone = RegisterSpace()
-        clone.next_reg = self.next_reg
-        return clone
-
-    # -- pickling (slots need explicit state) --------------------------------
-
-    def __getstate__(self):
-        return self.next_reg
-
-    def __setstate__(self, state) -> None:
-        self.next_reg = state
-
-    def __repr__(self) -> str:
-        return f"<RegisterSpace next v{self.next_reg}>"
 
 
 def renumber_registers(func: "Function") -> dict[int, int]:
@@ -127,8 +82,6 @@ def renumber_registers(func: "Function") -> dict[int, int]:
                 instr.pred = Predicate(mapping[pred.reg], pred.sense)
         block.touch()
 
-    space = RegisterSpace()
-    space.next_reg = len(mapping)
-    func.regs = space
+    func.next_reg = len(mapping)
     func.touch()
     return mapping

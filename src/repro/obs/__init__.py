@@ -10,9 +10,10 @@ The modules (see ``docs/OBSERVABILITY.md``):
   decision logs, their validation, and first-divergence bisection.
 
 Telemetry is opt-in: nothing is recorded unless a run is given a
-:class:`Tracer` (``form_module(module, tracer=tracer)``), and without one
-the instrumentation in the formation engine costs one ``is None`` test
-per trial.
+:class:`Tracer` (``form_module(module, tracer=tracer)``).  Without one,
+each traced region of the formation engine costs one
+:func:`repro.obs.trace.span` call that records nothing, and each event
+one ``is not None`` test.
 """
 
 from repro.obs.sink import chrome_trace, write_chrome_trace, write_jsonl

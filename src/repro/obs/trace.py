@@ -7,15 +7,19 @@ that record:
 
 - :class:`TraceEvent` — one typed record: an *instant* (``dur is None``)
   or a completed *span* (``dur`` in seconds).  Events form a tree through
-  ``parent_id``, so a merge trial's optimize/estimate/commit/oracle
-  phases nest under their trial, trials nest under their hyperblock
+  ``parent_id``, so a merge trial's optimize/estimate/commit phases
+  nest under their trial, trials nest under their hyperblock
   expansion, expansions under their function.
 - :class:`Tracer` — the per-run emitter, which keeps its events in a
   plain list (``tracer.events``).  A run takes it as an argument
   (``form_module(..., tracer=tracer)``) and keeps it on its
-  ``FormationContext``; with no tracer (the default) the instrumentation
-  reduces to one attribute load and an ``is None`` test per trial, which
-  is how the subsystem keeps its disabled overhead under the 2% budget.
+  ``FormationContext``.
+- :func:`span` — the one way the engine opens a span:
+  ``with span(tracer, "trial", hb=...)`` records under a tracer and,
+  with no tracer (the default), hands out a shared span that records
+  nothing.  A disabled traced region therefore costs one call and a
+  no-op ``with``, and events cost one ``is not None`` test each, which
+  keeps the subsystem's disabled overhead under the 2% budget.
 - :class:`FormationTrace` — the finished, queryable trace: event counts,
   span trees and per-decision paths (``decision_path``).
 
@@ -114,6 +118,39 @@ class _Span:
                 attrs=self.attrs,
             )
         )
+
+
+class _NullSpan:
+    """The span :func:`span` hands out without a tracer: records nothing.
+
+    ``__enter__`` and ``__exit__`` are static so that a ``with`` binds no
+    method object, which takes about a quarter off a disabled region.
+    """
+
+    __slots__ = ()
+
+    def set(self, **attrs) -> None:
+        pass
+
+    @staticmethod
+    def __enter__() -> "_NullSpan":
+        return _NULL_SPAN
+
+    @staticmethod
+    def __exit__(exc_type, exc, tb) -> None:
+        pass
+
+
+_NULL_SPAN = _NullSpan()
+
+
+def span(tracer: Optional["Tracer"], name: str, **attrs):
+    """Open a span on ``tracer``, or a span that records nothing when
+    ``tracer`` is ``None``: ``with span(ctx.tracer, "estimate"): ...``
+    writes a traced region once for both cases."""
+    if tracer is None:
+        return _NULL_SPAN
+    return _Span(tracer, name, attrs)
 
 
 class Tracer:

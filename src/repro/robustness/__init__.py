@@ -1,5 +1,5 @@
-"""Fail-safe formation: trial guards, the differential-simulation oracle,
-and deterministic fault injection.
+"""Fail-safe formation: formation reports, the differential-simulation
+oracle, and deterministic fault injection.
 
 Submodules are imported lazily (PEP 562): ``repro.core.merge`` imports
 ``repro.robustness.faultinject`` at module load, and an eager package
@@ -17,7 +17,6 @@ _EXPORTS = {
     "FunctionReport": "repro.robustness.guard",
     "FunctionStatus": "repro.robustness.guard",
     "TrialFailure": "repro.robustness.guard",
-    "TrialGuard": "repro.robustness.guard",
     "BehaviorProbe": "repro.robustness.oracle",
     "OracleDivergenceError": "repro.robustness.oracle",
     "OracleReport": "repro.robustness.oracle",

@@ -11,7 +11,7 @@ Trial-level fault kinds (applied to the scratch preview of a merge trial):
 - ``"optimizer"`` — raise :class:`InjectedFault` where the local optimizer
   would run (an optimizer crash mid-trial);
 - ``"commit"``    — raise *mid-commit*, after the CFG has already been
-  partially mutated (the hardest rollback case for the trial guard);
+  partially mutated (the hardest rollback case for ``attempt_merge``);
 - ``"operand"``   — silently corrupt a source operand of the preview (a
   wrong-code bug only the differential oracle can catch);
 - ``"predicate"`` — silently drop a predicate from the preview (ditto).

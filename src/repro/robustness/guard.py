@@ -1,22 +1,21 @@
-"""Transactional trial guards and fail-safe formation reports.
+"""Fail-safe formation reports and function-state rollback.
 
 The paper's formation engine *tries* merges in scratch space and keeps
 only the survivors — but the original drivers only survived *anticipated*
 rejections: any exception inside a trial (an optimizer bug, a verifier
-violation, a malformed split) killed the whole formation run.  This module
-makes every trial a transaction:
+violation, a malformed split) killed the whole formation run.  Formation
+now runs every trial as a transaction
+(:func:`repro.core.convergent.attempt_merge`), and this module holds what
+that transaction and ``form_function``/``form_module`` report with:
 
-- :class:`TrialGuard` wraps each ``legal_merge`` + ``merge_blocks`` pair
-  in a checkpoint of exactly the state a trial may mutate (the function's
-  block set, kept as the pre-trial block objects, and the saved unroll
-  bodies).  An escaping exception rolls that state back, records a structured
-  :class:`TrialFailure`, blacklists the ``(seed, candidate)`` pair for the
-  rest of the run, and lets formation continue with the next candidate.
+- :class:`TrialFailure` — one contained failure, with enough structure
+  to reproduce it;
 - :class:`FunctionReport` / :class:`FormationReport` replace the bare
   merge counters as driver results: every function lands in ``ok``,
   ``degraded`` (some merges skipped after contained failures) or
   ``failed_safe`` (left as its pre-formation CFG) — a poisoned function
-  degrades instead of sinking the module.
+  degrades instead of sinking the module;
+- :func:`adopt_function_state` — the whole-function rollback.
 
 Both report types proxy the :class:`~repro.core.merge.MergeStats`
 counters (``mtup``, ``merges``, ``attempts``, ...) so existing call sites
@@ -31,7 +30,7 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.merge import FormationContext, MergeStats, legal_merge, merge_blocks
+from repro.core.merge import MergeStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.function import Function
@@ -238,130 +237,13 @@ def adopt_function_state(func: "Function", source: "Function") -> None:
     """Overwrite ``func``'s contents with ``source``'s, in place.
 
     ``source`` must be a private copy (it is adopted, not copied).  Used
-    by the guards to roll a function back to a known-good snapshot while
-    keeping every external reference to the :class:`Function` object valid.
+    by ``form_function`` and ``form_module`` to roll a function back to a
+    known-good snapshot while keeping every external reference to the
+    :class:`Function` object valid.
     """
     func.blocks = source.blocks
     func.entry = source.entry
     func.params = source.params
-    func.regs = source.regs
+    func.next_reg = source.next_reg
     func._name_counter = source._name_counter
     func.touch()
-
-
-class _TrialCheckpoint:
-    """Everything a single merge trial may mutate, saved for rollback.
-
-    No trial mutates a committed block: the preview is scratch
-    (``merge_preview`` copies both blocks), and a commit only swaps the
-    hyperblock's dict entry for the preview and may delete the
-    candidate's.  So the checkpoint keeps the pre-trial block *objects*,
-    in order, and the saved unroll bodies; restoring them restores the
-    function's blocks exactly, version stamps included.  The register
-    frontier only grows and is harmless to leave.
-    """
-
-    def __init__(self, ctx: FormationContext):
-        self.blocks = ctx.func.blocks.copy()
-        self.saved_bodies = ctx.saved_bodies.copy()
-
-    def restore(self, ctx: FormationContext) -> None:
-        func = ctx.func
-        func.blocks = self.blocks
-        func.touch()
-        ctx.saved_bodies.clear()
-        ctx.saved_bodies.update(self.saved_bodies)
-        # The restored blocks are the pre-trial objects under their
-        # pre-trial stamps, so version-keyed facts (trial memo, use/kill
-        # masks, block shapes, the optimizer's converged stamps) stay
-        # valid; the structural analyses may have been patched for the
-        # aborted commit, so they are rebuilt.
-        ctx.invalidate()
-
-
-class TrialGuard:
-    """Wraps merge trials in transactions; owns the run's blacklist."""
-
-    def __init__(self) -> None:
-        #: (function, seed, candidate) pairs that failed once — never
-        #: retried for the rest of the run.
-        self.blacklist: set[tuple[str, str, str]] = set()
-        self.failures: list[TrialFailure] = []
-
-    def blocked(self, func_name: str, hb_name: str, cand_name: str) -> bool:
-        return (func_name, hb_name, cand_name) in self.blacklist
-
-    def failures_for(self, func_name: str) -> list[TrialFailure]:
-        return [f for f in self.failures if f.function == func_name]
-
-    def attempt(
-        self, ctx: FormationContext, hb_name: str, cand_name: str
-    ) -> Optional[list[str]]:
-        """Run one guarded merge trial.
-
-        Returns what ``merge_blocks`` would (the new candidate names on a
-        committed merge, ``None`` on rejection) — and also ``None`` when
-        an exception was contained, after rolling the function back to its
-        pre-trial state and blacklisting the pair.
-        """
-        func = ctx.func
-        tracer = ctx.tracer
-        checkpoint = _TrialCheckpoint(ctx)
-        if tracer is not None:
-            tracer.event(
-                "guard_checkpoint",
-                function=func.name,
-                hb=hb_name,
-                target=cand_name,
-                blocks=len(checkpoint.blocks),
-            )
-        try:
-            kind = legal_merge(ctx, hb_name, cand_name)
-            if kind is None:
-                if tracer is not None:
-                    tracer.event(
-                        "reject",
-                        function=func.name,
-                        hb=hb_name,
-                        target=cand_name,
-                        reason="illegal",
-                    )
-                return None
-            return merge_blocks(ctx, hb_name, cand_name, kind)
-        except Exception as exc:
-            self.failures.append(
-                TrialFailure.from_exception(
-                    func, "trial", exc, seed=hb_name, candidate=cand_name
-                )
-            )
-            self.blacklist.add((func.name, hb_name, cand_name))
-            checkpoint.restore(ctx)
-            if tracer is not None:
-                # Version stamps are read *after* restore, so the instant
-                # records the block versions now live in the function (the
-                # pre-trial ones) — the timeline anchor a replay-divergence
-                # dump links to.  Stamps are process-unique, which is why
-                # they live here in the trace and never in the decision
-                # log itself.
-                cand = func.blocks.get(cand_name)
-                tracer.event(
-                    "guard_restore",
-                    function=func.name,
-                    hb=hb_name,
-                    target=cand_name,
-                    error_type=type(exc).__name__,
-                    error=str(exc)[:200],
-                    hb_version=func.blocks[hb_name].version,
-                    target_version=(
-                        cand.version
-                        if cand is not None and cand_name != hb_name
-                        else None
-                    ),
-                )
-                tracer.event(
-                    "guard_blacklist",
-                    function=func.name,
-                    hb=hb_name,
-                    target=cand_name,
-                )
-            return None

@@ -14,7 +14,11 @@ compares three observables per probe:
 Simulator errors are part of the behavior: a formation bug that creates
 an infinite loop shows up as a step-budget :class:`SimulationError` on the
 formed side against a clean run on the original side — *reported*, not
-hung on (the simulator's ``max_steps`` budget bounds every probe).
+hung on (the simulator's ``max_steps`` budget bounds every probe).  The
+formed side's budget is derived from the steps the original run took
+(:func:`formed_step_budget`), so a runaway formed module is stopped
+within a small multiple of the real run instead of at
+:data:`ORACLE_MAX_STEPS`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,14 @@ from repro.sim.functional import Interpreter, SimulationError
 #: in this repo (~1e5-1e6 steps), far below "hung in CI".
 ORACLE_MAX_STEPS = 10_000_000
 ORACLE_MAX_BLOCKS = 2_000_000
+
+#: The formed side of a probe may take this many times the original
+#: run's steps, plus a fixed slack.  Formation only removes work from a
+#: correct program: over the SPEC and micro probes the formed/original
+#: ratio peaks at 10.6 (on a 7-step probe) and at 2.69 where the original
+#: ran at least 1,000 steps.
+FORMED_STEP_FACTOR = 16
+FORMED_STEP_SLACK = 100_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,8 @@ class OracleReport:
 
 
 class OracleDivergenceError(Exception):
-    """Raised by the per-commit gate when the oracle finds a divergence."""
+    """Raised by :func:`assert_equivalent` when the oracle finds a
+    divergence."""
 
     def __init__(self, report: OracleReport):
         super().__init__(report.describe())
@@ -114,7 +127,9 @@ def probe_behavior(
 
     A :class:`SimulationError` (dynamic invariant violation, runaway
     execution) is itself an observable — two modules are equivalent only
-    if they fail the same way.
+    if they fail the same way.  A run that completes also records its
+    ``steps`` (executed plus nullified instructions), which
+    :func:`formed_step_budget` reads; it is not compared.
     """
     interp = Interpreter(module, max_blocks=max_blocks, max_steps=max_steps)
     if probe.preload:
@@ -130,11 +145,25 @@ def probe_behavior(
         invocations = counts.get((func.name, func.entry), 0)
         if invocations:
             calls[func.name] = invocations
+    stats = interp.stats
     return {
         "result": result,
         "memory": dict(sorted(interp.memory.items())),
         "calls": calls,
+        "steps": stats.instrs_executed + stats.instrs_nullified,
     }
+
+
+def formed_step_budget(reference: dict, max_steps: int) -> int:
+    """The formed side's step budget on a probe whose original behavior
+    is ``reference``: a small multiple of the original run's steps,
+    never more than ``max_steps``.  An original run that errored (or a
+    snapshot without a count) keeps ``max_steps``, so equal errors still
+    compare equal."""
+    steps = reference.get("steps")
+    if steps is None:
+        return max_steps
+    return min(max_steps, FORMED_STEP_FACTOR * steps + FORMED_STEP_SLACK)
 
 
 def snapshot_behavior(
@@ -186,8 +215,9 @@ def differential_check(
     """Compare ``before`` and ``after`` over ``probes``.
 
     ``baseline`` short-circuits re-simulating ``before`` when the caller
-    already holds its snapshot (the per-function selfcheck gate re-checks
-    the same baseline after every function forms).
+    already holds its snapshot (the per-function oracle re-checks the
+    same baseline after every function forms).  ``after`` runs each probe
+    under :func:`formed_step_budget` of its baseline.
     """
     if probes is None:
         probes = default_probes(before)
@@ -198,7 +228,10 @@ def differential_check(
         )
     for probe, reference in zip(probes, baseline):
         formed = probe_behavior(
-            after, probe, max_steps=max_steps, max_blocks=max_blocks
+            after,
+            probe,
+            max_steps=formed_step_budget(reference, max_steps),
+            max_blocks=max_blocks,
         )
         report.divergences.extend(compare_behavior(probe, reference, formed))
     return report

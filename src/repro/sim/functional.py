@@ -40,10 +40,6 @@ class SimStats:
         self.block_counts: dict[tuple[str, str], int] = {}
         self.edge_counts: dict[tuple[str, str, Optional[str]], int] = {}
 
-    def useful_fraction(self) -> float:
-        total = self.instrs_executed + self.instrs_nullified
-        return self.instrs_executed / total if total else 1.0
-
     def __repr__(self) -> str:
         return (
             f"<SimStats blocks={self.blocks_executed} "
@@ -134,9 +130,6 @@ class Interpreter:
         """Write ``values`` into memory starting at address ``base``."""
         for offset, value in enumerate(values):
             self.memory[base + offset] = value
-
-    def read_array(self, base: int, length: int) -> list:
-        return [self.memory.get(base + i, 0) for i in range(length)]
 
     # -- compilation ----------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.analysis.loops import LoopForest
 from repro.analysis.predimpl import exposed_mask
 from repro.core import convergent
 from repro.core.merge import FormationContext
+from repro.harness import experiment
 from repro.harness.experiment import heuristic_config
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
 from repro.ir.block import BasicBlock
@@ -345,7 +346,9 @@ def formed_program(name: str, config: str) -> tuple:
     module, _, _, profile = profiled_program(name)
     module = module.copy()
     tracer = Tracer()
-    stats = heuristic_config(config)(module, profile, tracer=tracer)
+    traced = functools.partial(convergent.form_module, tracer=tracer)
+    with mock.patch.object(experiment, "form_module", traced):
+        stats = heuristic_config(config)(module, profile)
     return module, stats, log_from_trace(tracer)
 
 

@@ -1,5 +1,6 @@
 """Tests for ExpandBlock and the formation drivers."""
 
+from repro.core import convergent
 from repro.core.constraints import TripsConstraints
 from repro.core.convergent import expand_block, form_function, form_module, _next_seed
 from repro.core.merge import FormationContext
@@ -39,11 +40,13 @@ def test_expand_block_missing_seed_is_noop():
     assert expand_block(ctx, BreadthFirstPolicy(), "ghost") == 0
 
 
-def test_expand_block_respects_attempt_limit():
+def test_expand_block_respects_attempt_limit(monkeypatch):
+    monkeypatch.setattr(convergent, "MAX_MERGES_PER_BLOCK", 1)
     func = make_counting_loop()
-    ctx = FormationContext(func, max_merges_per_block=1)
+    ctx = FormationContext(func)
     merges = expand_block(ctx, BreadthFirstPolicy(), "head")
     assert merges <= 1
+    assert ctx.stats.attempts == 1
 
 
 def test_next_seed_prefers_hot_blocks():

@@ -9,8 +9,9 @@ a session cache the post-formation oracles share.  The sha256 of its
 printed module, its m/t/u/p counters, its attempt count and the digest
 of its decision log (every offer, verdict, ``CONSTRAINT_*`` attribution
 and estimate, per function) must equal the values frozen in
-``formation_golden.json``.  A change that moves decisions on purpose
-re-freezes them::
+``formation_golden.json``.  The SPEC and micro pipelines are also formed
+without a tracer, which must give the same IR, m/t/u/p and attempts.
+A change that moves decisions on purpose re-freezes them::
 
     PYTHONPATH=src python tests/core/freeze_formation_golden.py
 """
@@ -23,12 +24,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.experiment import heuristic_config
 from repro.harness.tables import TABLE2_HEURISTICS
 from repro.ir.printer import format_module
 from repro.obs.replay import build_log_set, log_digest
 from repro.workloads.microbench import MICROBENCH_ORDER
 from repro.workloads.spec import SPEC_ORDER
-from tests.conftest import formed_program
+from tests.conftest import formed_program, profiled_program
 
 GOLDEN_PATH = Path(__file__).with_name("formation_golden.json")
 
@@ -47,14 +49,20 @@ PIPELINES = [
 ]
 
 
-def run_pipeline(name: str, config: str) -> dict:
-    """Summarize one profiled program formed under ``config``."""
-    module, stats, logs = formed_program(name, config)
+def _summary(module, stats) -> dict:
     printed = format_module(module)
     return {
         "ir_sha256": hashlib.sha256(printed.encode()).hexdigest(),
         "mtup": list(stats.mtup),
         "attempts": stats.attempts,
+    }
+
+
+def run_pipeline(name: str, config: str) -> dict:
+    """Summarize one profiled program formed under ``config``."""
+    module, stats, logs = formed_program(name, config)
+    return {
+        **_summary(module, stats),
         "decision_log": log_digest(build_log_set(logs)),
     }
 
@@ -69,3 +77,19 @@ def golden():
 )
 def test_formation_matches_golden(golden, pid, name, config):
     assert run_pipeline(name, config) == golden[pid]
+
+
+def test_untraced_formation_matches_golden(golden):
+    """Formation without a tracer, which is what the tables and the
+    benchmark run, forms the same IR as the traced pipelines above."""
+    moved = []
+    for pid, name, config in PIPELINES:
+        if name == SCALED_NAME:
+            continue
+        module, _, _, profile = profiled_program(name)
+        module = module.copy()
+        stats = heuristic_config(config)(module, profile)
+        summary = _summary(module, stats)
+        if summary != {key: golden[pid][key] for key in summary}:
+            moved.append(pid)
+    assert not moved, moved

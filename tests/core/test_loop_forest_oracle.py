@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.liveness import Liveness
 from repro.analysis.loops import LoopForest
-from repro.core import convergent
+from repro.core.merge import FormationContext
 from repro.harness.experiment import heuristic_config
 from repro.profiles.collect import collect_profile
 from repro.workloads.generators import random_inputs, scaled_program
@@ -95,27 +95,25 @@ def test_patched_forest_matches_fresh_after_every_commit(
             analysis, "note_commit", _counting(analysis, unroll_edits)
         )
 
-    def check(ctx, hb_name):
+    note_commit = FormationContext.note_commit
+
+    def checked(ctx, hb_name, s_name, preview, removed):
         nonlocal commits
+        note_commit(ctx, hb_name, s_name, preview, removed)
         commits += 1
         where = f"{ctx.func.name}: commit {commits} into {hb_name}"
         assert_forest_matches_fresh(ctx.loops, ctx.func, where)
         assert_liveness_matches_fresh(ctx.liveness, ctx.func, where)
         assert_shapes_match_fresh(ctx.func, where)
 
-    form_function = convergent.form_function
-
-    def checked(func, **kwargs):
-        # Without the trial guard a failed check propagates instead of
-        # being contained as a rolled-back trial.
-        kwargs.update(failsafe=False, post_commit=check)
-        return form_function(func, **kwargs)
-
-    monkeypatch.setattr(convergent, "form_function", checked)
+    # A failed check raises inside the trial, which rolls it back and
+    # reports the function degraded with the check's message.
+    monkeypatch.setattr(FormationContext, "note_commit", checked)
     patches = solved = 0
     for module, profile in programs[group]:
         for config in configs:
             report = heuristic_config(config)(module.copy(), profile)
+            assert report.all_ok, report.describe()
             patches += report.stats.cache.loop_patches
             solved += report.stats.cache.liveness_sccs_solved
     assert commits and patches and solved

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import convergent
 from repro.core.policies import VLIWPolicy
 from repro.harness.experiment import heuristic_config
 from repro.profiles.collect import collect_profile
@@ -142,17 +141,11 @@ def test_prepass_matches_reference_enumeration(programs, monkeypatch, config):
                 assert shape.height == fresh, f"{where}: height of {block.name}"
                 heights_checked += 1
 
-    form_function = convergent.form_function
-
-    def unguarded(func, **kwargs):
-        # Without the fail-safe guard a failed check propagates instead of
-        # failing the function safe.
-        kwargs.update(failsafe=False)
-        return form_function(func, **kwargs)
-
-    monkeypatch.setattr(convergent, "form_function", unguarded)
+    # A failed check fails its function safe, with the check's message
+    # in the report.
     monkeypatch.setattr(VLIWPolicy, "_enumerate_paths", recording)
     monkeypatch.setattr(VLIWPolicy, "begin_block", checked)
     for module, profile in programs:
-        heuristic_config(config)(module.copy(), profile)
+        report = heuristic_config(config)(module.copy(), profile)
+        assert report.all_ok, report.describe()
     assert calls and heights_checked

@@ -63,6 +63,17 @@ def test_trace_why_unknown_pair_lists_offers():
     assert "offered pairs:" in out
 
 
+def test_trace_why_json_carries_the_offered_pairs_the_text_prints():
+    text = run_trace(WORKLOAD, why="zz9,zz10")
+    data = json.loads(run_trace(WORKLOAD, why="zz9,zz10", as_json=True))
+    why = data["why"]
+    assert (why["found"], why["path"], why["verdict"]) == (False, [], None)
+    assert why["offered"]
+    listing = text.rsplit("offered pairs: ", 1)[1]
+    assert listing == ", ".join(f"{hb},{target}" for hb, target in why["offered"])
+    assert why["offered"] == sorted(why["offered"])
+
+
 def test_trace_why_malformed_argument(monkeypatch):
     """A malformed ``--why`` exits before anything is formed."""
     def form(*args, **kwargs):

@@ -1,8 +1,8 @@
 """Register numbering: the allocation frontier and the renumber pass.
 
-Two properties are pinned here.  First, :class:`RegisterSpace` keeps
-``new`` collision-free: its frontier stays above every name allocated
-or noted.  Second, :func:`renumber_registers` is the identity on
+Two properties are pinned here.  First, ``Function.new_reg`` stays
+collision-free: the frontier stays above every name allocated or
+noted.  Second, :func:`renumber_registers` is the identity on
 everything the builder produces (printed IR byte-identical, no version
 bumps) and a semantics-preserving densification on sparse parsed IR.
 """
@@ -10,46 +10,46 @@ bumps) and a semantics-preserving densification on sparse parsed IR.
 import pytest
 
 from repro.ir import format_function, format_module, parse_function_text
-from repro.ir.function import Module
-from repro.ir.regdense import RegisterSpace, renumber_registers
+from repro.ir.function import Function, Module
+from repro.ir.regdense import renumber_registers
 from repro.ir.regmask import as_mask, bits, has, mask_of, regs_of
 from repro.sim import run_module
 from repro.workloads.generators import random_inputs, random_program
 from repro.workloads.spec import SPEC_BENCHMARKS
 
 
-# -- RegisterSpace ----------------------------------------------------------
+# -- the register frontier --------------------------------------------------
 
 
 def test_new_hands_out_sequential_names():
-    space = RegisterSpace()
-    assert [space.new() for _ in range(4)] == [0, 1, 2, 3]
-    assert space.next_reg == 4
+    func = Function("f")
+    assert [func.new_reg() for _ in range(4)] == [0, 1, 2, 3]
+    assert func.max_reg() == 4
 
 
 def test_note_below_frontier_is_a_noop():
-    space = RegisterSpace()
+    func = Function("f")
     for _ in range(3):
-        space.new()
-    assert space.note(1) == 1
-    assert space.next_reg == 3
+        func.new_reg()
+    assert func.note_reg(1) == 1
+    assert func.max_reg() == 3
 
 
 def test_note_beyond_the_frontier_skips_the_gap():
-    space = RegisterSpace()
-    space.new()  # v0
-    assert space.note(5) == 5
-    assert space.next_reg == 6  # new() must not collide with v5
-    assert space.new() == 6
+    func = Function("f")
+    func.new_reg()  # v0
+    assert func.note_reg(5) == 5
+    assert func.max_reg() == 6  # new_reg() must not collide with v5
+    assert func.new_reg() == 6
 
 
 def test_copy_is_independent():
-    space = RegisterSpace(params=[0, 1])
-    clone = space.copy()
-    clone.new()
-    clone.note(10)
-    assert space.next_reg == 2
-    assert clone.next_reg == 11
+    func = Function("f", params=[0, 1])
+    clone = func.copy()
+    clone.new_reg()
+    clone.note_reg(10)
+    assert func.max_reg() == 2
+    assert clone.max_reg() == 11
 
 
 # -- regmask helpers --------------------------------------------------------
@@ -135,11 +135,11 @@ join:
 
 def test_sparse_function_renumbers_dense():
     func = parse_function_text(_SPARSE_TEXT)
-    assert func.regs.next_reg == 901
+    assert func.next_reg == 901
     mapping = renumber_registers(func)
     # First-appearance order: params, then v7, v900, v12, then v31.
     assert mapping == {0: 0, 1: 1, 7: 2, 900: 3, 12: 4, 31: 5}
-    assert func.regs.next_reg == 6
+    assert func.next_reg == 6
     text = format_function(func)
     assert "v900" not in text
     assert "v5 = add v3, v0" in text

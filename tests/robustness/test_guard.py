@@ -1,22 +1,27 @@
-"""Trial guards contain any exception; formation degrades, never crashes."""
+"""Trial transactions contain any exception; formation degrades, never
+crashes."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.depgraph import dependence_height
 from repro.analysis.predimpl import exposed_mask
-from repro.core.convergent import form_function, form_module
+from repro.core import convergent
+from repro.core.convergent import attempt_merge, form_function, form_module
+from repro.core.merge import FormationContext
 from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import heuristic_config
 from repro.ir.printer import format_block, format_function, format_module
 from repro.profiles import collect_profile
-from repro.robustness.faultinject import FaultPlane, InjectedFault
-from repro.robustness.guard import FunctionStatus, TrialGuard
+from repro.robustness.faultinject import FaultPlane
+from repro.robustness.guard import FunctionStatus
 from repro.robustness.oracle import assert_equivalent
 from repro.workloads.generators import random_program
 from repro.workloads.spec import SPEC_BENCHMARKS, SPEC_ORDER
-from tests.conftest import assert_shapes_match_fresh, profiled_program
+from tests.conftest import (
+    assert_shapes_match_fresh,
+    make_counting_loop,
+    profiled_program,
+)
 
 ALL_RAISING = FaultPlane(rate=1.0, seed=0, kinds=("optimizer",))
 
@@ -30,7 +35,7 @@ def _blocks(func):
 
 
 def _watch_trials(monkeypatch) -> dict:
-    """Check every guarded trial against the checkpoint's premise.
+    """Check every trial transaction against the checkpoint's premise.
 
     A rejected or rolled-back trial leaves every block as it was: the same
     object, in the same place, under the same version stamp, printing the
@@ -40,18 +45,17 @@ def _watch_trials(monkeypatch) -> dict:
     trials checked per outcome.
     """
     seen = {"rejected": 0, "restored": 0, "committed": 0}
-    attempt = TrialGuard.attempt
 
-    def watched(self, ctx, hb_name, cand_name):
+    def watched(ctx, hb_name, cand_name):
         func = ctx.func
         before = _blocks(func)
-        failures = len(self.failures)
-        result = attempt(self, ctx, hb_name, cand_name)
+        failures = len(ctx.failures)
+        result = attempt_merge(ctx, hb_name, cand_name)
         after = _blocks(func)
         where = (func.name, hb_name, cand_name)
         if result is None:
             assert after == before, where
-            restored = len(self.failures) > failures
+            restored = len(ctx.failures) > failures
             seen["restored" if restored else "rejected"] += 1
             return result
         assert set(func.blocks) <= {name for name, *_ in before}, where
@@ -65,7 +69,7 @@ def _watch_trials(monkeypatch) -> dict:
         seen["committed"] += 1
         return result
 
-    monkeypatch.setattr(TrialGuard, "attempt", watched)
+    monkeypatch.setattr(convergent, "attempt_merge", watched)
     return seen
 
 
@@ -91,7 +95,7 @@ def test_every_trial_raising_leaves_the_function_unformed_but_alive():
     workload, module, profile = _workload()
     pristine = format_module(workload.module())
     report = form_module(module, profile=profile, faults=ALL_RAISING)
-    # Every merge trial crashed; the guard contained each one.
+    # Every merge trial crashed; each transaction contained its crash.
     assert report.stats.merges == 0
     assert format_module(module) == pristine
     for func_report in report.functions.values():
@@ -139,10 +143,9 @@ def test_rollback_keeps_the_facts_cached_before_the_trial(monkeypatch):
     their pre-trial stamps, so each block's exposed mask, kill mask and
     dependence height are still the ones computed before the trial, and
     still equal a fresh computation."""
-    attempt = TrialGuard.attempt
     restored = 0
 
-    def watched(self, ctx, hb_name, cand_name):
+    def watched(ctx, hb_name, cand_name):
         nonlocal restored
         func = ctx.func
         for block in func.blocks.values():
@@ -150,28 +153,36 @@ def test_rollback_keeps_the_facts_cached_before_the_trial(monkeypatch):
             block.kill_mask()
             dependence_height(block)
         before = _cached_facts(func)
-        failures = len(self.failures)
-        result = attempt(self, ctx, hb_name, cand_name)
-        if len(self.failures) > failures:
+        failures = len(ctx.failures)
+        result = attempt_merge(ctx, hb_name, cand_name)
+        if len(ctx.failures) > failures:
             where = (func.name, hb_name, cand_name)
             assert _cached_facts(func) == before, where
             assert_shapes_match_fresh(func, str(where))
             restored += 1
         return result
 
-    monkeypatch.setattr(TrialGuard, "attempt", watched)
+    monkeypatch.setattr(convergent, "attempt_merge", watched)
     workload, module, profile = _workload("gzip")
     plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
     form_module(module, profile=profile, faults=plane)
     assert restored == len(plane.fired) > 0
 
 
-def test_failsafe_off_propagates_the_fault():
-    workload, module, profile = _workload()
-    with pytest.raises(InjectedFault):
-        form_module(
-            module, profile=profile, failsafe=False, faults=ALL_RAISING
-        )
+def test_rollback_restores_the_saved_unroll_bodies():
+    """An unroll trial saves the loop's single-iteration body before it
+    optimizes; when the trial is rolled back, that body goes too."""
+    func = make_counting_loop()
+    ctx = FormationContext(func)
+    assert attempt_merge(ctx, "head", "body") is not None
+    assert ctx.saved_bodies == {}
+    ctx.faults = FaultPlane(rate=1.0, kinds=("optimizer",))
+    assert attempt_merge(ctx, "head", "head") is None
+    (failure,) = ctx.failures
+    assert (failure.seed, failure.candidate) == ("head", "head")
+    assert failure.fault_kind == "optimizer"
+    assert ctx.blacklist == {("head", "head")}
+    assert list(ctx.saved_bodies) == []
 
 
 def test_partial_faults_degrade_and_blacklist_only_the_hit_pairs():
@@ -249,12 +260,3 @@ def test_reports_proxy_merge_stats_counters():
     for name, (status, mtup) in summary.items():
         assert status == "ok"
         assert mtup == report.functions[name].stats.mtup
-
-
-def test_guarded_formation_matches_unguarded_formation():
-    seq = random_program(9)
-    guarded = random_program(9)
-    raw_report = form_module(seq, failsafe=False)
-    guarded_report = form_module(guarded)  # failsafe on by default
-    assert guarded_report.stats.mtup == raw_report.stats.mtup
-    assert format_module(guarded) == format_module(seq)

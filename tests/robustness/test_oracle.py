@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.convergent import form_module
+from repro.ir import FunctionBuilder, build_module
 from repro.ir.printer import format_module
 from repro.profiles import collect_profile
+from repro.robustness import oracle
 from repro.robustness.faultinject import FaultPlane
 from repro.robustness.guard import FunctionStatus
 from repro.robustness.oracle import (
+    ORACLE_MAX_STEPS,
     BehaviorProbe,
     OracleDivergenceError,
     assert_equivalent,
@@ -84,10 +87,7 @@ def test_selfcheck_function_mode_passes_clean_formation():
     profile = collect_profile(
         workload.module(), args=workload.args, preload=workload.preload
     )
-    report = form_module(
-        module, profile=profile, selfcheck="function",
-        oracle_probes=_probes(workload),
-    )
+    report = form_module(module, profile=profile, probes=_probes(workload))
     assert report.all_ok
     assert_equivalent(workload.module(), module, probes=_probes(workload))
 
@@ -103,12 +103,11 @@ def test_selfcheck_catches_silent_corruption_and_rolls_back():
     )
     plane = FaultPlane(rate=1.0, seed=0, kinds=("operand",))
     report = form_module(
-        module, profile=profile, selfcheck="function",
-        oracle_probes=_probes(workload), faults=plane,
+        module, profile=profile, probes=_probes(workload), faults=plane
     )
     assert plane.fired
-    # The corrupted function must not have shipped: either the per-commit
-    # containment or the per-function oracle rolled it back.
+    # The corrupted function must not have shipped: either the trial
+    # transaction or the per-function oracle rolled it back.
     for func_report in report.functions.values():
         assert func_report.status is not FunctionStatus.OK
     final = differential_check(
@@ -118,31 +117,68 @@ def test_selfcheck_catches_silent_corruption_and_rolls_back():
     assert format_module(module) == pristine
 
 
-def test_selfcheck_commit_mode_gates_every_commit():
-    workload = SPEC_BENCHMARKS["mcf"]
-    module = workload.module()
-    profile = collect_profile(
-        workload.module(), args=workload.args, preload=workload.preload
-    )
-    control = workload.module()
-    control_report = form_module(control, profile=profile)
-    report = form_module(
-        module, profile=profile, selfcheck="commit",
-        oracle_probes=_probes(workload),
-    )
-    # A clean run must form identically with the commit gate armed.
-    assert report.stats.mtup == control_report.stats.mtup
-    assert format_module(module) == format_module(control)
-
-
-def test_selfcheck_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="selfcheck"):
-        form_module(random_program(2), selfcheck="bogus")
-
-
 def test_default_probes_match_main_arity():
     module = SPEC_BENCHMARKS["gzip"].module()
     probes = default_probes(module)
     nparams = len(module.function("main").params)
     assert len(probes) == 2
     assert all(len(p.args) == nparams for p in probes)
+
+
+def _spin_module(returns: bool):
+    """``main`` counts a register up forever, or returns after one pass."""
+    fb = FunctionBuilder("main")
+    fb.block("entry", entry=True)
+    counter = fb.movi(0)
+    fb.br("loop")
+    fb.block("loop")
+    fb.mov_to(counter, fb.add(counter, fb.movi(1)))
+    if returns:
+        fb.ret(counter)
+    else:
+        fb.br("loop")
+    return build_module(fb.finish())
+
+
+def _spy_budgets(monkeypatch) -> list:
+    """Record the ``max_steps`` of every probe the oracle runs."""
+    budgets = []
+    probe_behavior = oracle.probe_behavior
+
+    def spied(module, probe, max_steps, max_blocks):
+        budgets.append(max_steps)
+        return probe_behavior(module, probe, max_steps, max_blocks)
+
+    monkeypatch.setattr(oracle, "probe_behavior", spied)
+    return budgets
+
+
+def test_runaway_formed_module_stops_at_the_derived_budget(monkeypatch):
+    (baseline,) = oracle.snapshot_behavior(
+        _spin_module(returns=True), [BehaviorProbe()]
+    )
+    assert baseline["steps"] > 0
+    budgets = _spy_budgets(monkeypatch)
+    report = differential_check(
+        _spin_module(returns=True), _spin_module(returns=False),
+        probes=[BehaviorProbe()],
+    )
+    (divergence,) = report.divergences
+    assert divergence.observable == "error"
+    assert divergence.after == "SimulationError: dynamic step limit exceeded"
+    assert budgets == [
+        ORACLE_MAX_STEPS,
+        oracle.FORMED_STEP_FACTOR * baseline["steps"]
+        + oracle.FORMED_STEP_SLACK,
+    ]
+
+
+def test_erroring_baseline_keeps_the_full_step_budget(monkeypatch):
+    budgets = _spy_budgets(monkeypatch)
+    # Both sides spin until the block limit: the same error, so equal.
+    report = differential_check(
+        _spin_module(returns=False), _spin_module(returns=False),
+        probes=[BehaviorProbe()], max_blocks=1_000,
+    )
+    assert report.ok, report.describe()
+    assert budgets == [ORACLE_MAX_STEPS, ORACLE_MAX_STEPS]
