@@ -34,10 +34,10 @@ the three formation configurations are interleaved within each round.
 Run without pytest (no ``PYTHONPATH`` needed; the script adds ``src``)::
 
     python benchmarks/bench_obs_overhead.py [--quick]
-    python benchmarks/bench_obs_overhead.py --ceiling 1.10
-    python benchmarks/bench_obs_overhead.py --recorder-ceiling 1.05
+    python benchmarks/bench_obs_overhead.py --ceiling 1.10 --recorder-ceiling 1.05
 
-The ``--ceiling`` gate bounds ``overhead_disabled``; the CI job uses a
+Every run measures both ratios, so one run can gate both.  The
+``--ceiling`` gate bounds ``overhead_disabled``; the CI job uses a
 generous 1.10x because hosted runners are noisy — the real number on a
 quiet machine is documented in docs/OBSERVABILITY.md.
 """

@@ -2,9 +2,12 @@
 
 - :mod:`repro.core.constraints` — TRIPS structural limits + LegalBlock
 - :mod:`repro.core.merge` — MergeBlocks (Figure 5, lines 1-17)
-- :mod:`repro.core.convergent` — ExpandBlock and the formation drivers
+- :mod:`repro.core.convergent` — ExpandBlock and formation's one entry
+  point, :func:`~repro.core.convergent.form_module`
 - :mod:`repro.core.policies` — SelectBest heuristics (BF / DF / VLIW)
-- :mod:`repro.core.phases` — discrete phase-ordering baselines
+- :mod:`repro.core.phases` — the paper's configurations
+  (:data:`~repro.core.phases.CONFIGURATIONS`) and their discrete
+  unroll/peel passes
 """
 
 from repro.core.constraints import (
@@ -14,7 +17,7 @@ from repro.core.constraints import (
     estimate_block,
     legal_block,
 )
-from repro.core.convergent import expand_block, form_function, form_module
+from repro.core.convergent import expand_block, form_module
 from repro.core.merge import (
     FormationContext,
     MergeKind,
@@ -24,6 +27,7 @@ from repro.core.merge import (
     merge_blocks,
 )
 from repro.core.phases import (
+    CONFIGURATIONS,
     ORDERINGS,
     LoopFactors,
     choose_factors,
@@ -46,6 +50,7 @@ from repro.robustness.guard import (
 __all__ = [
     "BlockEstimate",
     "BreadthFirstPolicy",
+    "CONFIGURATIONS",
     "Candidate",
     "DepthFirstPolicy",
     "FormationContext",
@@ -66,7 +71,6 @@ __all__ = [
     "compile_with_ordering",
     "estimate_block",
     "expand_block",
-    "form_function",
     "form_module",
     "legal_block",
     "legal_merge",

@@ -1,4 +1,4 @@
-"""``ExpandBlock`` and the whole-function/module formation drivers.
+"""``ExpandBlock`` and formation's one entry point, :func:`form_module`.
 
 ``expand_block`` follows Figure 5: keep a candidate set of successor
 blocks, let the policy pick the best, try the merge, and on success add
@@ -10,14 +10,13 @@ candidate).  Expansion stops when no candidate can be merged — the block
 has converged on the structural constraints.
 
 Formation is *fail-safe*: every trial is one transaction
-(:func:`attempt_merge`), and :func:`form_function` / :func:`form_module`
-return :class:`~repro.robustness.guard.FunctionReport` /
-:class:`~repro.robustness.guard.FormationReport` objects whose
-per-function status is ``ok``, ``degraded`` (some merges skipped after
-contained failures) or ``failed_safe`` (the function was left as its
-pre-formation CFG).  Both report types proxy the :class:`MergeStats`
-counters, so code that only reads ``merges``/``mtup``/``attempts`` keeps
-working unchanged.
+(:func:`attempt_merge`), and :func:`form_module` returns a
+:class:`~repro.robustness.guard.FormationReport`: the
+:class:`~repro.core.merge.MergeStats` counters of the module, plus one
+:class:`~repro.robustness.guard.FunctionReport` per function whose
+status is ``ok``, ``degraded`` (some merges skipped after contained
+failures) or ``failed_safe`` (the function was left as its
+pre-formation CFG).
 
 ``form_module(probes=...)`` arms the differential-simulation oracle
 (:mod:`repro.robustness.oracle`): the module is re-simulated over the
@@ -30,9 +29,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.dominators import reverse_postorder
-from repro.core.merge import FormationContext, MergeStats, legal_merge, merge_blocks
+from repro.core.merge import FormationContext, legal_merge, merge_blocks
 from repro.core.policies import BreadthFirstPolicy, Candidate, MergePolicy
-from repro.ir.function import Function, Module
+from repro.ir.function import Module
 from repro.ir.verify import VerificationError, verify_function
 from repro.obs.trace import span
 from repro.profiles.data import ProfileData
@@ -223,17 +222,8 @@ def attempt_merge(
         return None
 
 
-def form_function(
-    func: Function,
-    profile: Optional[ProfileData] = None,
-    policy: Optional[MergePolicy] = None,
-    constraints=None,
-    optimize_during: bool = True,
-    allow_head_dup: bool = True,
-    tracer=None,
-    faults=None,
-) -> FunctionReport:
-    """Form hyperblocks over every reachable block of ``func``.
+def _form_function(ctx: FormationContext, policy: MergePolicy) -> FunctionReport:
+    """Form hyperblocks over every reachable block of ``ctx.func``.
 
     Seeds are processed in reverse postorder of the evolving CFG: each
     reachable block not yet consumed by an earlier hyperblock becomes the
@@ -243,25 +233,12 @@ def form_function(
     function must pass :func:`repro.ir.verify.verify_function`, and *any*
     escaping exception restores the pre-formation CFG and returns a
     ``failed_safe`` report instead of raising.
-
-    ``tracer`` (a :class:`repro.obs.trace.Tracer`) records the run's
-    decisions and ``faults`` (a
-    :class:`repro.robustness.faultinject.FaultPlane`) perturbs its trials;
-    both default to ``None`` and reach nothing but this run.
     """
-    policy = policy or BreadthFirstPolicy()
+    func = ctx.func
+    faults = ctx.faults
     fired_mark = faults.fired_mark() if faults is not None else 0
-    with span(tracer, "function", function=func.name) as function_span:
+    with span(ctx.tracer, "function", function=func.name) as function_span:
         original = func.copy()
-        ctx = FormationContext(
-            func,
-            profile=profile,
-            constraints=constraints,
-            optimize_during=optimize_during,
-            allow_head_dup=allow_head_dup,
-            tracer=tracer,
-            faults=faults,
-        )
         failures = ctx.failures
         try:
             processed: set[str] = set()
@@ -283,7 +260,9 @@ def form_function(
             failures.append(TrialFailure.from_exception(func, stage, exc))
             adopt_function_state(func, original)
             report = FunctionReport(
-                func.name, FunctionStatus.FAILED_SAFE, MergeStats(), failures
+                function=func.name,
+                status=FunctionStatus.FAILED_SAFE,
+                failures=failures,
             )
         else:
             if faults is not None:
@@ -295,10 +274,11 @@ def form_function(
                     )
                 )
             status = FunctionStatus.DEGRADED if failures else FunctionStatus.OK
-            report = FunctionReport(func.name, status, ctx.stats, failures)
-        function_span.set(
-            status=report.status.value, merges=report.stats.merges
-        )
+            report = FunctionReport(
+                function=func.name, status=status, failures=failures
+            )
+            report.add(ctx.stats)
+        function_span.set(status=report.status.value, merges=report.merges)
     return report
 
 
@@ -362,19 +342,28 @@ def form_module(
     tracer=None,
     faults=None,
 ) -> FormationReport:
-    """Run hyperblock formation over every function in the module.
+    """Run hyperblock formation over every function in the module: the
+    one formation entry point.
+
+    ``policy`` picks candidates (breadth-first by default);
+    ``constraints``, ``optimize_during`` and ``allow_head_dup`` are the
+    :class:`FormationContext` settings each function forms under.
 
     ``probes``, a sequence of
     :class:`~repro.robustness.oracle.BehaviorProbe` (workload inputs),
     arms the differential-simulation oracle: after each function forms,
     the module is re-run over the probes and compared with the
     pre-formation baseline, and a divergence rolls that function back
-    (``failed_safe``).
+    (``failed_safe``).  The baseline is kept as the report's
+    ``baseline``.
 
-    ``tracer`` and ``faults`` are the run's tracer and fault plane, as
-    for :func:`form_function`.
+    ``tracer`` (a :class:`repro.obs.trace.Tracer`) records the run's
+    decisions and ``faults`` (a
+    :class:`repro.robustness.faultinject.FaultPlane`) perturbs its trials;
+    both default to ``None`` and reach nothing but this run.
     """
-    report = FormationReport(stats=MergeStats())
+    policy = policy or BreadthFirstPolicy()
+    report = FormationReport()
     with span(tracer, "module", module=module.name) as module_span:
         if probes:
             from repro.robustness.oracle import (
@@ -383,23 +372,24 @@ def form_module(
             )
 
             probes = list(probes)
-            baseline = snapshot_behavior(module, probes)
+            report.baseline = snapshot_behavior(module, probes)
         for func in module:
             saved = func.copy() if probes else None
-            freport = form_function(
+            ctx = FormationContext(
                 func,
                 profile=profile,
-                policy=policy,
                 constraints=constraints,
                 optimize_during=optimize_during,
                 allow_head_dup=allow_head_dup,
                 tracer=tracer,
                 faults=faults,
             )
+            freport = _form_function(ctx, policy)
             if probes and freport.status is not FunctionStatus.FAILED_SAFE:
                 with span(tracer, "oracle", function=func.name):
                     check = differential_check(
-                        module, module, probes=probes, baseline=baseline
+                        module, module, probes=probes,
+                        baseline=report.baseline,
                     )
                 if not check.ok:
                     adopt_function_state(func, saved)
@@ -413,11 +403,10 @@ def form_module(
                         )
                     )
                     freport = FunctionReport(
-                        func.name,
-                        FunctionStatus.FAILED_SAFE,
-                        MergeStats(),
-                        failures,
+                        function=func.name,
+                        status=FunctionStatus.FAILED_SAFE,
+                        failures=failures,
                     )
             report.add_function(freport)
-        module_span.set(merges=report.stats.merges)
+        module_span.set(merges=report.merges)
     return report

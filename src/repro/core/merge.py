@@ -54,8 +54,6 @@ class FormationCacheStats:
 
     trial_hits: int = 0  # rejected trials answered from the memo table
     trial_misses: int = 0  # memoizable trials that had to run
-    trial_stores: int = 0  # rejections recorded into the memo table
-    cfg_patches: int = 0  # commits that patched the CFG in place
     loop_patches: int = 0  # commits that patched the loop forest in place
     loop_rebuilds: int = 0  # forests dropped: unroll edges that move idoms
     liveness_sccs_solved: int = 0  # SCCs re-solved after commits
@@ -84,7 +82,7 @@ class MergeStats:
     attempts: int = 0
     rejected_illegal: int = 0
     #: Fast-path perf counters of the run that produced these stats
-    #: (attached by ``form_function``; aggregated by ``add``).
+    #: (attached by ``form_module``; aggregated by ``add``).
     cache: Optional[FormationCacheStats] = None
 
     def record(self, kind: MergeKind) -> None:
@@ -226,7 +224,6 @@ class FormationContext:
                 self.cache_stats.loop_rebuilds += 1
         if removed is not None:
             cfg.remove_node(removed)
-        self.cache_stats.cfg_patches += 1
         live = self._liveness
         if live is None:
             return
@@ -256,14 +253,6 @@ class FormationContext:
         if self._loops is None:
             self._loops = LoopForest(self.func, self.cfg)
         return self._loops
-
-    def live_out_of(self, block: BasicBlock) -> int:
-        """Live-out mask of a (possibly scratch) block from its branch targets."""
-        live = 0
-        live_in = self.liveness.live_in
-        for succ in block.shape().succs:
-            live |= live_in.get(succ, 0)
-        return live
 
 
 def classify_merge(ctx: FormationContext, hb_name: str, s_name: str) -> MergeKind:
@@ -481,7 +470,6 @@ def merge_blocks(
                     estimate=estimate.as_attrs(),
                 )
             ctx._rejected_trials[memo_key] = func.max_reg() - regs_before
-            ctx.cache_stats.trial_stores += 1
             trial.set(committed=False)
             return None
 

@@ -1,9 +1,14 @@
-"""Phase-ordering drivers: the paper's Table 1/3 configurations.
+"""The paper's configurations, and the discrete unroll/peel passes some
+of them run around formation.
 
-Each driver compiles a module with one ordering of **U**\\ nrolling,
-**P**\\ eeling, **I**\\ f-conversion and scalar **O**\\ ptimization:
+Every configuration the paper measures is Figure 5's one algorithm
+(:func:`~repro.core.convergent.form_module`) under three settings — the
+merge policy, whether trials are optimized, whether head duplication is
+allowed — which :data:`CONFIGURATIONS` lists, one row each.  Tables 1
+and 3 compare phase orderings of **U**\\ nrolling, **P**\\ eeling,
+**I**\\ f-conversion and scalar **O**\\ ptimization:
 
-- ``BB`` — basic blocks as TRIPS blocks (the baseline).
+- ``BB`` — basic blocks as TRIPS blocks (the baseline; no row).
 - ``UPIO`` — discrete unroll/peel on the basic-block CFG (factors chosen
   from *pre-if-conversion* size estimates), then incremental acyclic
   if-conversion with tail duplication, then scalar optimizations.
@@ -14,27 +19,51 @@ Each driver compiles a module with one ordering of **U**\\ nrolling,
   (per-iteration legality decisions) but optimization only at the end.
 - ``(IUPO)`` — the full convergent algorithm: optimization inside every
   trial merge.
+
+Table 2 compares block-selection heuristics: ``VLIW`` (Mahlke's
+path-based selection after a basic-block unroll/peel prepass),
+``Convergent VLIW`` (the same with optimized trials), ``DF`` and ``BF``
+(depth- and breadth-first convergent formation).
+:func:`compile_with_ordering` compiles a module under any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.loops import Loop, LoopForest
 from repro.core.constraints import TripsConstraints
-from repro.core.convergent import form_module
-from repro.core.merge import (
-    FormationContext,
-    MergeStats,
-    legal_merge,
-    merge_blocks,
+from repro.core.convergent import attempt_merge, form_module
+from repro.core.merge import FormationContext, MergeStats
+from repro.core.policies import (
+    BreadthFirstPolicy,
+    DepthFirstPolicy,
+    VLIWPolicy,
 )
-from repro.core.policies import BreadthFirstPolicy
 from repro.ir.function import Function, Module
 from repro.opt.pipeline import optimize_module
 from repro.profiles.data import ProfileData
+from repro.robustness.guard import FormationReport, FunctionStatus
 from repro.transform.loop_transforms import peel_loop, unroll_loop
+
+#: Each configuration as ``(policy class, optimize_during,
+#: allow_head_dup)``: the merge policy, whether every trial merge is
+#: optimized, and whether formation may peel and unroll by merging loop
+#: headers.
+CONFIGURATIONS = {
+    "UPIO": (BreadthFirstPolicy, False, False),
+    "IUPO": (BreadthFirstPolicy, False, False),
+    "(IUP)O": (BreadthFirstPolicy, False, True),
+    "(IUPO)": (BreadthFirstPolicy, True, True),
+    "VLIW": (VLIWPolicy, False, False),
+    "Convergent VLIW": (VLIWPolicy, True, False),
+    "DF": (DepthFirstPolicy, True, True),
+    "BF": (BreadthFirstPolicy, True, True),
+}
+
+#: Configurations that unroll and peel the basic-block CFG before
+#: formation (:func:`phase_unroll_peel_bb`).
+BB_PREPASS = ("UPIO", "VLIW", "Convergent VLIW")
 
 ORDERINGS = ("BB", "UPIO", "IUPO", "(IUP)O", "(IUPO)")
 
@@ -106,9 +135,10 @@ def phase_unroll_peel_bb(
     module: Module,
     profile: ProfileData,
     constraints: TripsConstraints,
-    stats: Optional[MergeStats] = None,
+    stats: MergeStats,
 ) -> None:
-    """UPIO's U/P: whole-body CFG duplication before if-conversion.
+    """UPIO's U/P, also the VLIW configurations' prepass: whole-body CFG
+    duplication before if-conversion, counted into ``stats``.
 
     This phase carries the two inaccuracies the paper attributes to
     pre-if-conversion unrolling:
@@ -139,30 +169,33 @@ def phase_unroll_peel_bb(
             )
             if factors.peel and len(loop.blocks) == 1:
                 peel_loop(func, loop, factors.peel)
-                if stats is not None:
-                    stats.peels += factors.peel
+                stats.peels += factors.peel
             if factors.unroll:
                 unroll_loop(func, loop, factors.unroll)
-                if stats is not None:
-                    stats.unrolls += factors.unroll
+                stats.unrolls += factors.unroll
 
 
 def phase_unroll_peel_hyper(
     module: Module,
     profile: ProfileData,
     constraints: TripsConstraints,
-) -> MergeStats:
+    report: FormationReport,
+) -> None:
     """IUPO's U/P: head-duplication against factors from measured sizes.
 
     Runs after if-conversion, so loop bodies are hyperblocks and their real
     sizes are known.  Peeling merges the header into its (unique) outside
     predecessor; unrolling merges single-block loops with themselves.  Each
-    step still goes through the scratch-space legality check, which is
-    therefore the capacity bound (paper: "the unroller has more accurate
-    block counts and size estimates ... after if-conversion").  Trials
-    are not optimized: IUPO optimizes once, at the end.
+    step is a trial transaction (:func:`attempt_merge`), so the
+    scratch-space legality check is the capacity bound (paper: "the
+    unroller has more accurate block counts and size estimates ... after
+    if-conversion") and a failing trial is contained.  Trials are not
+    optimized: IUPO optimizes once, at the end.
+
+    Each function's counts and contained failures are folded into its
+    entry in ``report``, the formation's report, and its counts into the
+    report's totals.
     """
-    stats = MergeStats()
     for func in module:
         ctx = FormationContext(
             func,
@@ -184,98 +217,59 @@ def phase_unroll_peel_hyper(
                 entries = loop.entry_edges(ctx.cfg)
                 if len({pred for pred, _ in entries}) != 1:
                     break
-                pred = entries[0][0]
-                kind = legal_merge(ctx, pred, header)
-                if kind is None:
-                    break
-                if merge_blocks(ctx, pred, header, kind) is None:
+                if attempt_merge(ctx, entries[0][0], header) is None:
                     break
             for _ in range(factors.unroll):
-                kind = legal_merge(ctx, header, header)
-                if kind is None:
+                if attempt_merge(ctx, header, header) is None:
                     break
-                if merge_blocks(ctx, header, header, kind) is None:
-                    break
-        stats.add(ctx.stats)
         func.remove_unreachable_blocks()
-    return stats
+        entry = report.functions[func.name]
+        entry.add(ctx.stats)
+        report.add(ctx.stats)
+        if ctx.failures:
+            entry.failures.extend(ctx.failures)
+            if entry.status is FunctionStatus.OK:
+                entry.status = FunctionStatus.DEGRADED
 
 
 # ---------------------------------------------------------------------------
-# Orderings
+# Configurations
 # ---------------------------------------------------------------------------
 
 
 def compile_with_ordering(
     module: Module,
-    ordering: str,
+    name: str,
     profile: ProfileData,
-) -> MergeStats:
-    """Compile ``module`` in place under one of :data:`ORDERINGS`, with
-    the TRIPS limits and the breadth-first policy."""
+) -> FormationReport:
+    """Compile ``module`` in place under one paper configuration: ``BB``
+    or a :data:`CONFIGURATIONS` row, with the TRIPS limits, the row's
+    unroll/peel prepass or postpass, and a final scalar optimization."""
+    if name == "BB":
+        return FormationReport()
+    if name not in CONFIGURATIONS:
+        raise ValueError(
+            f"unknown ordering {name!r}; expected BB or one of "
+            f"{tuple(CONFIGURATIONS)}"
+        )
+    policy, optimize_during, allow_head_dup = CONFIGURATIONS[name]
     constraints = TripsConstraints()
-    policy = BreadthFirstPolicy()
-    stats = MergeStats()
-
-    if ordering == "BB":
-        return stats
-
-    if ordering == "UPIO":
-        phase_unroll_peel_bb(module, profile, constraints, stats)
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=False,
-                allow_head_dup=False,
-            )
-        )
-        optimize_module(module)
-        return stats
-
-    if ordering == "IUPO":
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=False,
-                allow_head_dup=False,
-            )
-        )
-        stats.add(phase_unroll_peel_hyper(module, profile, constraints))
-        optimize_module(module)
-        return stats
-
-    if ordering == "(IUP)O":
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=False,
-                allow_head_dup=True,
-            )
-        )
-        optimize_module(module)
-        return stats
-
-    if ordering == "(IUPO)":
-        stats.add(
-            form_module(
-                module,
-                profile=profile,
-                policy=policy,
-                constraints=constraints,
-                optimize_during=True,
-                allow_head_dup=True,
-            )
-        )
-        optimize_module(module)
-        return stats
-
-    raise ValueError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
+    prepass = MergeStats()
+    if name in BB_PREPASS:
+        phase_unroll_peel_bb(module, profile, constraints, prepass)
+    report = form_module(
+        module,
+        profile=profile,
+        policy=policy(),
+        constraints=constraints,
+        optimize_during=optimize_during,
+        allow_head_dup=allow_head_dup,
+    )
+    if name == "UPIO":
+        # Tables 1 and 3 count UPIO's discrete unrolls and peels; Table 2
+        # counts only what formation did after the VLIW prepass.
+        report.add(prepass)
+    elif name == "IUPO":
+        phase_unroll_peel_hyper(module, profile, constraints, report)
+    optimize_module(module)
+    return report

@@ -150,19 +150,15 @@ class VLIWPolicy(MergePolicy):
 
     name = "vliw"
 
-    def __init__(
-        self,
-        threshold: float = 0.20,
-        height_weight: float = 1.0,
-        ops_weight: float = 0.5,
-        max_paths: int = 128,
-        max_path_blocks: int = 24,
-    ):
-        self.threshold = threshold
-        self.height_weight = height_weight
-        self.ops_weight = ops_weight
-        self.max_paths = max_paths
-        self.max_path_blocks = max_path_blocks
+    #: The priority threshold and weights, and the walk's bounds (paths
+    #: per seed, blocks per path); fixed for every configuration.
+    threshold = 0.20
+    height_weight = 1.0
+    ops_weight = 0.5
+    max_paths = 128
+    max_path_blocks = 24
+
+    def __init__(self) -> None:
         self._included: set[str] = set()
         self._rank: dict[str, float] = {}
 

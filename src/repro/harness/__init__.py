@@ -10,7 +10,6 @@ from repro.harness.experiment import (
     RunResult,
     WorkloadExperiment,
     heuristic_config,
-    ordering_config,
 )
 from repro.harness.occupancy import OccupancyReport, occupancy_report
 from repro.harness.tables import (
@@ -32,7 +31,6 @@ __all__ = [
     "WorkloadExperiment",
     "figure7",
     "heuristic_config",
-    "ordering_config",
     "table1",
     "table2",
     "table3",

@@ -10,20 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.constraints import TripsConstraints
-from repro.core.convergent import form_module
-from repro.core.merge import MergeStats
-from repro.core.phases import compile_with_ordering, phase_unroll_peel_bb
-from repro.core.policies import (
-    BreadthFirstPolicy,
-    DepthFirstPolicy,
-    VLIWPolicy,
-)
+from repro.core.phases import compile_with_ordering
 from repro.ir.function import Module
 from repro.ir.verify import verify_module
-from repro.opt.pipeline import optimize_module
 from repro.profiles.collect import collect_profile
 from repro.profiles.data import ProfileData
+from repro.robustness.guard import FormationReport
 from repro.sim.functional import run_module
 from repro.sim.machine import MachineConfig
 from repro.sim.timing import TimingSimulator
@@ -63,63 +55,17 @@ class RunResult:
 
 
 #: A configuration: name plus a transform applied to (module, profile).
-Configurator = Callable[[Module, ProfileData], MergeStats]
-
-
-def ordering_config(ordering: str) -> Configurator:
-    def apply(module: Module, profile: ProfileData) -> MergeStats:
-        return compile_with_ordering(module, ordering, profile)
-
-    return apply
+Configurator = Callable[[Module, ProfileData], FormationReport]
 
 
 def heuristic_config(name: str) -> Configurator:
-    """Table 2 configurations."""
+    """The configurator of one paper configuration: ``BB`` or a
+    :data:`~repro.core.phases.CONFIGURATIONS` row (Tables 1-3)."""
 
-    def vliw(optimize_during: bool) -> Configurator:
-        # The discrete VLIW column and Convergent VLIW share the
-        # block-selection heuristic and the unroll prepass; the latter
-        # adds iterative optimization inside the merge loop, isolating the
-        # paper's "with iterative optimization" comparison (Table 2,
-        # columns 3 vs 4).
-        def apply(module: Module, profile: ProfileData) -> MergeStats:
-            constraints = TripsConstraints()
-            phase_unroll_peel_bb(module, profile, constraints)
-            stats = form_module(
-                module,
-                profile=profile,
-                policy=VLIWPolicy(),
-                constraints=constraints,
-                optimize_during=optimize_during,
-                allow_head_dup=False,
-            )
-            optimize_module(module)
-            return stats
+    def apply(module: Module, profile: ProfileData) -> FormationReport:
+        return compile_with_ordering(module, name, profile)
 
-        return apply
-
-    def convergent(policy_factory) -> Configurator:
-        def apply(module: Module, profile: ProfileData) -> MergeStats:
-            stats = form_module(
-                module,
-                profile=profile,
-                policy=policy_factory(),
-                constraints=TripsConstraints(),
-                optimize_during=True,
-                allow_head_dup=True,
-            )
-            optimize_module(module)
-            return stats
-
-        return apply
-
-    table = {
-        "VLIW": vliw(optimize_during=False),
-        "Convergent VLIW": vliw(optimize_during=True),
-        "DF": convergent(DepthFirstPolicy),
-        "BF": convergent(BreadthFirstPolicy),
-    }
-    return table[name]
+    return apply
 
 
 @dataclass

@@ -103,12 +103,12 @@ def _counters(freport) -> dict:
     things.  The attempt count and status always ride along.
     """
     stats = {
-        "attempts": freport.stats.attempts,
+        "attempts": freport.attempts,
         "status": freport.status.value,
     }
     if freport.status.value == "ok":
-        stats["merges"] = freport.stats.merges
-        stats["mtup"] = list(freport.stats.mtup)
+        stats["merges"] = freport.merges
+        stats["mtup"] = list(freport.mtup)
     return stats
 
 

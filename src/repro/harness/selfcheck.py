@@ -5,8 +5,8 @@ through :func:`repro.harness.replaycmd.record_workload`:
 
 - :func:`run_selfcheck` forms every SPEC workload with the differential
   oracle armed (``form_module(probes=...)``) and re-checks the final formed
-  module against the pre-formation module on the workload's own inputs;
-  both must agree for the run to pass.
+  module against the pre-formation behaviour that run recorded, on the
+  workload's own inputs; both must agree for the run to pass.
 - :func:`run_fault_drill` is the containment proof behind ``selfcheck
   --faults``: form the suite once clean and once under a seeded
   :class:`FaultPlane`, then check that the plane fired at all, that the
@@ -36,12 +36,11 @@ from repro.workloads.spec import prepare_workloads
 
 
 def _workload_probes(workload) -> list[BehaviorProbe]:
-    """The workload's own inputs, plus a cold all-zeros probe."""
-    module = workload.module()
-    nparams = len(module.function("main").params)
+    """The workload's own inputs, plus a cold all-zeros probe (``main``
+    takes the workload's arguments, so their count is its arity)."""
     return [
         BehaviorProbe(args=workload.args, preload=dict(workload.preload)),
-        BehaviorProbe(args=(0,) * nparams),
+        BehaviorProbe(args=(0,) * len(workload.args)),
     ]
 
 
@@ -49,8 +48,9 @@ def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
     """Oracle self-check over the SPEC suite (the ``selfcheck`` verb).
 
     Per workload: form with the per-function oracle armed, then run one
-    final differential check of the formed module against a fresh
-    pre-formation module over the workload's inputs.  Returns a dict
+    final differential check of the formed module against the
+    pre-formation behaviour that formation recorded
+    (``report.baseline``) over the workload's inputs.  Returns a dict
     with ``ok``, per-workload rows, and a formatted ``report``.
     """
     rows = []
@@ -59,7 +59,9 @@ def run_selfcheck(subset: Optional[list[str]] = None) -> dict:
         module, report, trace, _ = record_workload(
             name, workload, profile, probes=probes
         )
-        final = differential_check(workload.module(), module, probes=probes)
+        final = differential_check(
+            module, module, probes=probes, baseline=report.baseline
+        )
         detail = ""
         if not final.ok:
             detail = (
@@ -133,11 +135,11 @@ def run_fault_drill(
     for name, workload, profile in prepare_workloads(subset):
         control, _, _, control_logs = record_workload(name, workload, profile)
         plane = FaultPlane(rate=rate, seed=seed, kinds=kinds)
+        probes = _workload_probes(workload)
         # selfcheck guards the corrupting kinds: a silently wrong
         # hyperblock must be caught and rolled back, not shipped.
         faulted, faulted_report, _, faulted_logs = record_workload(
-            name, workload, profile, faults=plane,
-            probes=_workload_probes(workload),
+            name, workload, profile, faults=plane, probes=probes
         )
 
         touched = {fault.function for fault in plane.fired}
@@ -156,7 +158,8 @@ def run_fault_drill(
             func.name for func in control if prefix + func.name in drift
         ]
         oracle = differential_check(
-            workload.module(), faulted, probes=_workload_probes(workload)
+            faulted, faulted, probes=probes,
+            baseline=faulted_report.baseline,
         )
         rows.append(
             {

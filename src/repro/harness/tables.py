@@ -15,7 +15,6 @@ from repro.harness.experiment import (
     RunResult,
     WorkloadExperiment,
     heuristic_config,
-    ordering_config,
 )
 from repro.workloads.microbench import MICROBENCH_ORDER, MICROBENCHMARKS
 from repro.workloads.spec import SPEC_ORDER, SPEC_BENCHMARKS
@@ -86,7 +85,6 @@ def _run_table(
     title: str,
     workloads,
     configs,
-    config_factory,
     timing: bool,
     metric: str,
     subset: Optional[list[str]] = None,
@@ -105,7 +103,7 @@ def _run_table(
             workload=workloads[name] if isinstance(workloads, dict) else name,
             timing=timing,
         )
-        experiment.run({c: config_factory(c) for c in configs})
+        experiment.run({c: heuristic_config(c) for c in configs})
         table.rows[name] = experiment.results
     return table
 
@@ -117,7 +115,6 @@ def table1(subset: Optional[list[str]] = None) -> TableResult:
         "Table 1: % cycle improvement over basic blocks (phase orderings)",
         MICROBENCHMARKS,
         TABLE1_ORDERINGS,
-        ordering_config,
         timing=True,
         metric="cycles",
         subset=names,
@@ -131,7 +128,6 @@ def table2(subset: Optional[list[str]] = None) -> TableResult:
         "Table 2: % cycle improvement over basic blocks (heuristics)",
         MICROBENCHMARKS,
         TABLE2_HEURISTICS,
-        heuristic_config,
         timing=True,
         metric="cycles",
         subset=names,
@@ -146,7 +142,6 @@ def table3(subset: Optional[list[str]] = None) -> TableResult:
         "surrogates, functional simulation)",
         SPEC_BENCHMARKS,
         TABLE1_ORDERINGS,
-        ordering_config,
         timing=False,
         metric="blocks",
         subset=names,

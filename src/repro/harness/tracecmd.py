@@ -349,19 +349,16 @@ def run_stats(workload: str, top: int = 10, as_json: bool = False) -> str:
     grand_total = sum(sum(row.values()) for row in table.values())
     lines.append("  phase table (self time):")
     header = f"    {'function':<16}" + "".join(
-        f"{phase:>12}" for phase in _PHASE_ORDER
+        f"{phase:>12}" for phase in PHASE_SPANS
     ) + f"{'total':>12}{'share':>8}"
     lines.append(header)
     for func in sorted(table):
         row = table[func]
         total = sum(row.values())
         cells = "".join(
-            f"{row.get(phase, 0.0) * 1e3:>10.2f}ms" for phase in _PHASE_ORDER
+            f"{row.get(phase, 0.0) * 1e3:>10.2f}ms" for phase in PHASE_SPANS
         )
         share = total / grand_total if grand_total else 0.0
         lines.append(f"    {func:<16}{cells}{total * 1e3:>10.2f}ms{share:>8.1%}")
 
     return "\n".join(lines)
-
-
-_PHASE_ORDER = ("optimize", "estimate", "commit", "liveness", "oracle")

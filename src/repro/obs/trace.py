@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional, Sequence
 
-#: Span names that double as formation *phases*: ``stats`` charges their
-#: self time per function (``repro.harness.tracecmd.phase_table``).
-PHASE_SPANS = frozenset(
-    {"optimize", "estimate", "commit", "oracle", "liveness"}
-)
+#: Span names that double as formation *phases*, in the column order of
+#: ``stats``' phase table, which charges their self time per function
+#: (``repro.harness.tracecmd.phase_table``).
+PHASE_SPANS = ("optimize", "estimate", "commit", "liveness", "oracle")
 
 
 @dataclass(slots=True)

@@ -6,20 +6,17 @@ rejections: any exception inside a trial (an optimizer bug, a verifier
 violation, a malformed split) killed the whole formation run.  Formation
 now runs every trial as a transaction
 (:func:`repro.core.convergent.attempt_merge`), and this module holds what
-that transaction and ``form_function``/``form_module`` report with:
+that transaction and ``form_module`` report with:
 
 - :class:`TrialFailure` — one contained failure, with enough structure
   to reproduce it;
-- :class:`FunctionReport` / :class:`FormationReport` replace the bare
-  merge counters as driver results: every function lands in ``ok``,
-  ``degraded`` (some merges skipped after contained failures) or
-  ``failed_safe`` (left as its pre-formation CFG) — a poisoned function
-  degrades instead of sinking the module;
+- :class:`FunctionReport` / :class:`FormationReport` are the
+  :class:`~repro.core.merge.MergeStats` counters (``mtup``, ``merges``,
+  ``attempts``, ...) of one function / one module, plus each function's
+  status: ``ok``, ``degraded`` (some merges skipped after contained
+  failures) or ``failed_safe`` (left as its pre-formation CFG) — a
+  poisoned function degrades instead of sinking the module;
 - :func:`adopt_function_state` — the whole-function rollback.
-
-Both report types proxy the :class:`~repro.core.merge.MergeStats`
-counters (``mtup``, ``merges``, ``attempts``, ...) so existing call sites
-keep reading the numbers they always read.
 """
 
 from __future__ import annotations
@@ -106,69 +103,35 @@ def ir_snapshot_hash(func: "Function") -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-class _StatsProxy:
-    """Mixin forwarding MergeStats counters from a report's ``stats``."""
-
-    stats: MergeStats
-
-    @property
-    def mtup(self):
-        return self.stats.mtup
-
-    @property
-    def merges(self):
-        return self.stats.merges
-
-    @property
-    def tail_dups(self):
-        return self.stats.tail_dups
-
-    @property
-    def unrolls(self):
-        return self.stats.unrolls
-
-    @property
-    def peels(self):
-        return self.stats.peels
-
-    @property
-    def attempts(self):
-        return self.stats.attempts
-
-    @property
-    def rejected_illegal(self):
-        return self.stats.rejected_illegal
-
-    @property
-    def cache(self):
-        return self.stats.cache
-
-
-@dataclass
-class FunctionReport(_StatsProxy):
-    """Result of fail-safe formation over one function."""
+@dataclass(kw_only=True)
+class FunctionReport(MergeStats):
+    """Result of fail-safe formation over one function: its counters
+    (zero when it failed safe), status and contained failures."""
 
     function: str
     status: FunctionStatus
-    stats: MergeStats
     failures: list[TrialFailure] = field(default_factory=list)
 
 
-@dataclass
-class FormationReport(_StatsProxy):
+@dataclass(kw_only=True)
+class FormationReport(MergeStats):
     """Result of fail-safe formation over a module (or many modules).
 
-    ``stats`` aggregates per-function counters in module order, so on an
-    all-``ok`` run it equals the :class:`MergeStats` the drivers used to
-    return.
+    The counters are the sum of the functions' counters, plus UPIO's
+    basic-block unroll/peel prepass
+    (:func:`repro.core.phases.compile_with_ordering` counts it here).
+    ``baseline`` is the pre-formation behaviour
+    (:func:`repro.robustness.oracle.snapshot_behavior`) when
+    ``form_module`` ran with ``probes``, so a later check of the formed
+    module against it need not simulate the original again.
     """
 
     functions: dict[str, FunctionReport] = field(default_factory=dict)
-    stats: MergeStats = field(default_factory=MergeStats)
+    baseline: Optional[list[dict]] = None
 
     def add_function(self, report: FunctionReport) -> None:
         self.functions[report.function] = report
-        self.stats.add(report.stats)
+        self.add(report)
 
     # -- status views ---------------------------------------------------
 
@@ -212,7 +175,7 @@ class FormationReport(_StatsProxy):
         decisions and contained the same failures.
         """
         return {
-            name: (report.status.value, report.stats.mtup)
+            name: (report.status.value, report.mtup)
             for name, report in self.functions.items()
         }
 
@@ -221,7 +184,7 @@ class FormationReport(_StatsProxy):
             f"formation: {len(self.ok_functions)} ok, "
             f"{len(self.degraded_functions)} degraded, "
             f"{len(self.failed_safe_functions)} failed_safe; "
-            f"m/t/u/p = {'/'.join(str(n) for n in self.stats.mtup)}"
+            f"m/t/u/p = {'/'.join(str(n) for n in self.mtup)}"
         ]
         for failure in self.failures:
             lines.append(f"  {failure.describe()}")
@@ -237,9 +200,9 @@ def adopt_function_state(func: "Function", source: "Function") -> None:
     """Overwrite ``func``'s contents with ``source``'s, in place.
 
     ``source`` must be a private copy (it is adopted, not copied).  Used
-    by ``form_function`` and ``form_module`` to roll a function back to a
-    known-good snapshot while keeping every external reference to the
-    :class:`Function` object valid.
+    by ``form_module`` to roll a function back to a known-good snapshot
+    while keeping every external reference to the :class:`Function`
+    object valid.
     """
     func.blocks = source.blocks
     func.entry = source.entry

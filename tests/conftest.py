@@ -12,9 +12,8 @@ from repro.analysis.dominators import DominatorTree
 from repro.analysis.liveness import Liveness, _tarjan_sccs
 from repro.analysis.loops import LoopForest
 from repro.analysis.predimpl import exposed_mask
-from repro.core import convergent
+from repro.core import convergent, phases
 from repro.core.merge import FormationContext
-from repro.harness import experiment
 from repro.harness.experiment import heuristic_config
 from repro.ir import FunctionBuilder, Function, Module, Opcode, build_module
 from repro.ir.block import BasicBlock
@@ -53,7 +52,7 @@ class ReferenceFormationContext(FormationContext):
 
 
 def reference_formation():
-    """Within this context ``form_function``/``form_module`` form under
+    """Within this context ``form_module`` forms under
     :class:`ReferenceFormationContext`."""
     return mock.patch.object(
         convergent, "FormationContext", ReferenceFormationContext
@@ -347,7 +346,7 @@ def formed_program(name: str, config: str) -> tuple:
     module = module.copy()
     tracer = Tracer()
     traced = functools.partial(convergent.form_module, tracer=tracer)
-    with mock.patch.object(experiment, "form_module", traced):
+    with mock.patch.object(phases, "form_module", traced):
         stats = heuristic_config(config)(module, profile)
     return module, stats, log_from_trace(tracer)
 

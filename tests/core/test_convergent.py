@@ -2,7 +2,7 @@
 
 from repro.core import convergent
 from repro.core.constraints import TripsConstraints
-from repro.core.convergent import expand_block, form_function, form_module, _next_seed
+from repro.core.convergent import expand_block, form_module, _next_seed
 from repro.core.merge import FormationContext
 from repro.core.policies import BreadthFirstPolicy
 from repro.ir import FunctionBuilder, build_module
@@ -67,7 +67,7 @@ def test_next_seed_without_profile_uses_rpo():
 
 def test_form_function_removes_unreachable_remnants():
     func = make_diamond()
-    form_function(func)
+    form_module(build_module(func))
     assert list(func.blocks) == ["A"]
 
 

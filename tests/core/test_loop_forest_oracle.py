@@ -114,8 +114,8 @@ def test_patched_forest_matches_fresh_after_every_commit(
         for config in configs:
             report = heuristic_config(config)(module.copy(), profile)
             assert report.all_ok, report.describe()
-            patches += report.stats.cache.loop_patches
-            solved += report.stats.cache.liveness_sccs_solved
+            patches += report.cache.loop_patches
+            solved += report.cache.liveness_sccs_solved
     assert commits and patches and solved
     if group == "unroll-edits":
         for analysis in ("LoopForest", "Liveness"):

@@ -13,7 +13,6 @@ from repro.core.merge import (
 )
 from repro.core.constraints import TripsConstraints
 from repro.ir import FunctionBuilder, build_module
-from repro.ir.regmask import has
 from repro.profiles import collect_profile
 from repro.sim import run_module
 from tests.conftest import (
@@ -323,12 +322,3 @@ def test_unroll_adding_a_reachable_exit_keeps_the_tree():
     assert ctx.cache_stats.liveness_rebuilds == 0
     assert_forest_matches_fresh(loops, func)
     assert_liveness_matches_fresh(ctx.liveness, func)
-
-
-def test_live_out_of_uses_successor_live_in():
-    func = make_counting_loop()
-    ctx = ctx_for(func)
-    live_out = ctx.live_out_of(func.blocks["body"])
-    # body -> head: the loop counter and accumulator are live.
-    entry = func.blocks["entry"]
-    assert has(live_out, entry.instrs[0].dest)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import LoopForest
+from repro.core import merge
 from repro.core.constraints import TripsConstraints
+from repro.core.merge import MergeStats
 from repro.core.phases import (
     ORDERINGS,
     choose_factors,
@@ -13,6 +15,11 @@ from repro.core.phases import (
 )
 from repro.ir import build_module, verify_module
 from repro.profiles import collect_profile
+from repro.robustness.guard import (
+    FormationReport,
+    FunctionReport,
+    FunctionStatus,
+)
 from repro.sim import run_module
 from tests.conftest import make_counting_loop, make_while_loop
 
@@ -75,9 +82,11 @@ def test_phase_unroll_peel_bb_duplicates_cfg():
     module = build_module(make_counting_loop(bound=30))
     profile = collect_profile(module.copy())
     before = len(module.function("main").blocks)
-    phase_unroll_peel_bb(module, profile, TripsConstraints())
+    stats = MergeStats()
+    phase_unroll_peel_bb(module, profile, TripsConstraints(), stats)
     after = len(module.function("main").blocks)
     assert after > before
+    assert stats.unrolls > 0
     verify_module(module)
     assert run_module(module)[0] == sum(range(30))
 
@@ -87,8 +96,15 @@ def test_phase_unroll_peel_hyper_requires_self_loops():
     peeling still applies to headers with a unique outside predecessor."""
     module = build_module(make_while_loop())
     profile = collect_profile(module.copy(), args=(6,))
-    stats = phase_unroll_peel_hyper(module, profile, TripsConstraints())
-    assert stats.unrolls == 0
+    report = FormationReport()
+    report.add_function(
+        FunctionReport(function="main", status=FunctionStatus.OK)
+    )
+    phase_unroll_peel_hyper(module, profile, TripsConstraints(), report)
+    main = report.functions["main"]
+    assert report.unrolls == main.unrolls == 0
+    assert report.peels == main.peels
+    assert main.status is FunctionStatus.OK
     verify_module(module)
     assert run_module(module, args=(6,))[0] == 8
 
@@ -138,3 +154,28 @@ def test_upio_records_cfg_level_unrolls_in_stats():
     profile = collect_profile(module.copy())
     stats = compile_with_ordering(module, "UPIO", profile)
     assert stats.unrolls > 0
+
+
+def test_iupo_postpass_contains_a_failing_trial(monkeypatch):
+    """IUPO's unroll/peel postpass runs each merge as a trial transaction:
+    a trial that raises is contained and reported on its function."""
+    real = merge.merge_preview
+
+    def preview(func, hb, target, body_source=None):
+        if target is hb:
+            raise RuntimeError("self-merge preview crashed")
+        return real(func, hb, target, body_source=body_source)
+
+    monkeypatch.setattr(merge, "merge_preview", preview)
+    module = build_module(make_counting_loop())
+    profile = collect_profile(module.copy())
+    reference = run_module(module.copy())[0]
+    report = compile_with_ordering(module, "IUPO", profile)
+    main = report.functions["main"]
+    assert main.status is FunctionStatus.DEGRADED
+    (failure,) = main.failures
+    assert failure.stage == "trial"
+    assert (failure.seed, failure.candidate) == ("head", "head")
+    assert failure.error_type == "RuntimeError"
+    verify_module(module)
+    assert run_module(module)[0] == reference

@@ -89,7 +89,7 @@ def test_vliw_excludes_cold_high_latency_paths():
         ("D", None): 100,
     })
     ctx = FormationContext(func, profile=profile)
-    policy = VLIWPolicy(threshold=0.2)
+    policy = VLIWPolicy()
     policy.begin_block(ctx, "A")
     hot = Candidate("B", 1, 0)
     cold = Candidate("C", 1, 1)
@@ -105,7 +105,7 @@ def test_vliw_includes_everything_when_balanced():
         ("D", None): 100,
     })
     ctx = FormationContext(func, profile=profile)
-    policy = VLIWPolicy(threshold=0.2)
+    policy = VLIWPolicy()
     policy.begin_block(ctx, "A")
     assert policy.admits(ctx, "A", Candidate("B", 1, 0))
     assert policy.admits(ctx, "A", Candidate("C", 1, 1))

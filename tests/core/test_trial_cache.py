@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.convergent import form_function, form_module
+from repro.core.convergent import form_module
+from repro.ir import build_module
 from repro.ir.printer import format_function, format_module
 from repro.profiles import collect_profile
 from repro.workloads.generators import random_inputs, random_program, scaled_program
@@ -31,7 +32,7 @@ def _assert_forms_like_reference(make_module, profile):
     cached_report = form_module(cached, profile=profile)
     with reference_formation():
         reference_report = form_module(reference, profile=profile)
-    assert reference_report.stats.cache.trial_hits == 0
+    assert reference_report.cache.trial_hits == 0
     assert format_module(cached) == format_module(reference)
     assert cached_report.mtup == reference_report.mtup
     assert cached_report.attempts == reference_report.attempts
@@ -75,8 +76,8 @@ def test_memoized_rejections_replay_register_numbers(seed):
     profile = collect_profile(random_program(seed), args=random_inputs(seed))
     cached = random_program(seed).function("main")
     reference = random_program(seed).function("main")
-    form_function(cached, profile=profile)
+    form_module(build_module(cached), profile=profile)
     with reference_formation():
-        form_function(reference, profile=profile)
+        form_module(build_module(reference), profile=profile)
     assert cached.max_reg() == reference.max_reg()
     assert format_function(cached) == format_function(reference)

@@ -14,7 +14,7 @@ from repro.harness import (
     TableResult,
     WorkloadExperiment,
     figure7,
-    ordering_config,
+    heuristic_config,
     table1,
     table3,
 )
@@ -212,5 +212,5 @@ def test_ordering_config_applies_policy():
         module.copy(), args=workload.args,
         preload={k: list(v) for k, v in workload.preload.items()},
     )
-    stats = ordering_config("(IUPO)")(module, profile)
+    stats = heuristic_config("(IUPO)")(module, profile)
     assert stats.merges > 0

@@ -26,7 +26,7 @@ def test_record_returns_trace_report_module(recorded):
     assert any(func.name == "main" for func in module)
     main = logs[f"{WORKLOAD}:main"]
     assert main["records"] and main["status"] == "ok"
-    assert main["attempts"] == report.functions["main"].stats.attempts
+    assert main["attempts"] == report.functions["main"].attempts
 
 
 def test_unknown_workload_exits_nonzero():

@@ -33,9 +33,9 @@ def test_traced_spec_formation_is_consistent():
     trace, report = _form_traced("mcf")
     counts = trace.event_counts()
     # Every accepted merge is an accept event; every trial a trial span.
-    assert counts["accept"] == report.stats.merges
-    assert counts["trial"] == report.stats.attempts
-    assert counts["commit"] == report.stats.merges
+    assert counts["accept"] == report.merges
+    assert counts["trial"] == report.attempts
+    assert counts["commit"] == report.merges
     assert counts.get("module") == 1
     # Offers >= trials: some offers are turned away before the trial.
     assert counts["offer"] >= counts["trial"]

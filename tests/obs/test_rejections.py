@@ -13,8 +13,8 @@ from repro.core.constraints import (
     TripsConstraints,
     estimate_block,
 )
-from repro.core.convergent import form_function
-from repro.ir import BasicBlock, FunctionBuilder, Instruction, Opcode
+from repro.core.convergent import form_module
+from repro.ir import BasicBlock, FunctionBuilder, Instruction, Opcode, build_module
 from repro.obs.trace import Tracer
 from tests.conftest import make_diamond
 
@@ -125,8 +125,8 @@ def _constraint_rejects(trace):
 def test_formation_reject_names_instruction_constraint():
     func = make_diamond()
     tracer = Tracer()
-    form_function(
-        func, constraints=TripsConstraints(max_instructions=4), tracer=tracer
+    form_module(
+        build_module(func), constraints=TripsConstraints(max_instructions=4), tracer=tracer
     )
     trace = tracer.finish()
     rejects = _constraint_rejects(trace)
@@ -153,8 +153,8 @@ def test_formation_reject_names_memory_constraint():
     func = fb.finish()
 
     tracer = Tracer()
-    form_function(
-        func, constraints=TripsConstraints(max_memory_ops=2), tracer=tracer
+    form_module(
+        build_module(func), constraints=TripsConstraints(max_memory_ops=2), tracer=tracer
     )
     trace = tracer.finish()
     rejects = _constraint_rejects(trace)
@@ -168,8 +168,8 @@ def test_formation_reject_names_memory_constraint():
 def test_rejected_trial_span_wraps_the_reject_event():
     func = make_diamond()
     tracer = Tracer()
-    form_function(
-        func, constraints=TripsConstraints(max_instructions=4), tracer=tracer
+    form_module(
+        build_module(func), constraints=TripsConstraints(max_instructions=4), tracer=tracer
     )
     trace = tracer.finish()
     reject = _constraint_rejects(trace)[0]

@@ -129,8 +129,8 @@ def test_log_shape_and_counts():
     assert bucket["fingerprint"] == fingerprint_of(bucket["records"])
     counts = derived_counts(bucket["records"])
     assert counts["offers"] > 0
-    assert counts["accepts"] == report.stats.merges
-    assert counts["mtup"] == list(report.stats.mtup)
+    assert counts["accepts"] == report.merges
+    assert counts["mtup"] == list(report.mtup)
     # Offers carry their own ordinal; verdicts point at the offer they
     # answer.
     for record in bucket["records"]:
@@ -275,10 +275,10 @@ def test_attach_stats_and_validate():
     functions, _, report = _log("mcf")
     stats = {
         "main": {
-            "attempts": report.stats.attempts,
+            "attempts": report.attempts,
             "status": "ok",
-            "merges": report.stats.merges,
-            "mtup": list(report.stats.mtup),
+            "merges": report.merges,
+            "mtup": list(report.mtup),
         }
     }
     attach_stats(functions, stats)

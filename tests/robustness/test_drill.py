@@ -125,8 +125,8 @@ def test_selfcheck_failure_names_the_probe_and_the_last_merge(monkeypatch):
     real = selfcheck.differential_check
     caught = []
 
-    def differential_check(before, after, probes):
-        report = real(before, after, probes=probes)
+    def differential_check(before, after, probes, baseline):
+        report = real(before, after, probes=probes, baseline=baseline)
         caught.append(probes[-1].label())
         report.divergences.append(Divergence(caught[-1], "memory", {}, {1: 2}))
         return report

@@ -6,10 +6,11 @@ from __future__ import annotations
 from repro.analysis.depgraph import dependence_height
 from repro.analysis.predimpl import exposed_mask
 from repro.core import convergent
-from repro.core.convergent import attempt_merge, form_function, form_module
-from repro.core.merge import FormationContext
+from repro.core.convergent import attempt_merge, form_module
+from repro.core.merge import FormationContext, MergeStats
 from repro.core.policies import BreadthFirstPolicy
 from repro.harness.experiment import heuristic_config
+from repro.ir import build_module
 from repro.ir.printer import format_block, format_function, format_module
 from repro.profiles import collect_profile
 from repro.robustness.faultinject import FaultPlane
@@ -96,7 +97,7 @@ def test_every_trial_raising_leaves_the_function_unformed_but_alive():
     pristine = format_module(workload.module())
     report = form_module(module, profile=profile, faults=ALL_RAISING)
     # Every merge trial crashed; each transaction contained its crash.
-    assert report.stats.merges == 0
+    assert report.merges == 0
     assert format_module(module) == pristine
     for func_report in report.functions.values():
         assert func_report.status is not FunctionStatus.OK
@@ -118,7 +119,7 @@ def test_commit_stage_fault_rolls_back_the_mutated_cfg(monkeypatch):
     pristine = format_module(workload.module())
     plane = FaultPlane(rate=1.0, seed=0, kinds=("commit",))
     report = form_module(module, profile=profile, faults=plane)
-    assert report.stats.merges == 0
+    assert report.merges == 0
     assert format_module(module) == pristine
     assert plane.fired  # the commit faults really fired mid-commit
     assert seen["restored"] == len(plane.fired)
@@ -193,7 +194,7 @@ def test_partial_faults_degrade_and_blacklist_only_the_hit_pairs():
     report = form_module(module, profile=profile, faults=plane)
     assert plane.fired, "rate 0.25 must fire on this workload"
     # Faults cost merges but never the function.
-    assert 0 < report.stats.merges <= control_report.stats.merges
+    assert 0 < report.merges <= control_report.merges
     for func_report in report.functions.values():
         assert func_report.status in (
             FunctionStatus.OK, FunctionStatus.DEGRADED
@@ -210,12 +211,13 @@ def test_escaping_policy_error_fails_safe_and_restores_the_function():
 
     func = random_program(6).function("main")
     pristine = format_function(func)
-    report = form_function(func, policy=_BombPolicy())
+    report = form_module(build_module(func), policy=_BombPolicy())
+    report = report.functions["main"]
     assert report.status is FunctionStatus.FAILED_SAFE
     assert format_function(func) == pristine
     assert report.failures[-1].stage == "function"
     assert report.failures[-1].error_type == "RuntimeError"
-    assert report.stats.merges == 0
+    assert report.merges == 0
 
 
 def test_failed_safe_function_does_not_sink_its_module_siblings():
@@ -242,21 +244,26 @@ def test_failed_safe_function_does_not_sink_its_module_siblings():
         assert format_function(module.functions[name]) == format_function(
             control.functions[name]
         )
-        assert report.functions[name].stats.mtup == (
-            control_report.functions[name].stats.mtup
+        assert report.functions[name].mtup == (
+            control_report.functions[name].mtup
         )
 
 
-def test_reports_proxy_merge_stats_counters():
-    workload, module, profile = _workload()
+def test_report_totals_are_the_sum_of_its_functions():
+    workload, module, profile = _workload("gap")
     report = form_module(module, profile=profile)
-    assert report.mtup == report.stats.mtup
-    assert report.merges == report.stats.merges
-    assert report.attempts == report.stats.attempts
-    assert report.rejected_illegal == report.stats.rejected_illegal
     assert report.all_ok
     assert report.failures == []
+    assert len(report.functions) == 4
+    total = MergeStats()
+    for func_report in report.functions.values():
+        assert func_report.cache is not None
+        total.add(func_report)
+    counters = ("mtup", "attempts", "rejected_illegal", "cache")
+    assert total.merges > 0
+    for counter in counters:
+        assert getattr(report, counter) == getattr(total, counter), counter
     summary = report.summary()
     for name, (status, mtup) in summary.items():
         assert status == "ok"
-        assert mtup == report.functions[name].stats.mtup
+        assert mtup == report.functions[name].mtup
